@@ -13,21 +13,17 @@ timers over the same four phase buckets:
 * **download** — broadcast arrival arithmetic and tuner accounting
   (`broadcast/`): page arithmetic, clock moves, reception logs;
 * **phase_a** — the shared-scan executor's survivor handling
-  (``_arena_phase_a`` and its row/store finishers): due assembly, keep
+  (``_arena_phase_a`` and ``_resolve_survivors``): due assembly, keep
   classification, fallback dispatch, absorb-lane binning;
 * **absorb** — the executor's absorb glue (``_absorb_*`` lanes and the
-  lane marshalling helpers): kernel-input gathers, staging handoffs,
-  witness/upper-bound mirror updates;
+  arena mirror helper): kernel-input gathers from the node store, staging
+  handoffs, witness/upper-bound mirror updates;
 * **bookkeeping** — everything else on the hot path (`engine/` runner
   remainder, `client/search.py` absorb logic, `core/`, scheduler, numpy
   glue).
 
-The node-store sub-buckets (phase_a / absorb) split what earlier
-recordings lumped into bookkeeping, and the shared-scan path is measured
-twice — with the global node store (default) and under
-``REPRO_NO_NODE_STORE=1`` (the scalar row-loop oracle, i.e. the pre-store
-implementation) — so the store's effect on each sub-bucket is recorded in
-the same artifact.
+The executor sub-buckets (phase_a / absorb) split what earlier
+recordings lumped into bookkeeping.
 
 The **wall timer** (primary, ``share`` in the JSON) wraps the bucket entry
 points — frontier/arena methods, the public kernels, tuner accounting —
@@ -97,8 +93,8 @@ PHASES = (
 #: Executor function-name prefixes -> node-store sub-buckets (only
 #: consulted for engine/shared_scan.py frames, before the module rules).
 SUBBUCKET_PREFIXES = (
-    ("phase_a", ("_arena_phase_a", "_phase_a_")),
-    ("absorb", ("_absorb_", "_sync_lane", "_lane_")),
+    ("phase_a", ("_arena_phase_a", "_resolve_survivors")),
+    ("absorb", ("_absorb_", "_mirror")),
 )
 
 ALL_PHASES = ("queue", "geometry", "download", "phase_a", "absorb",
@@ -237,12 +233,11 @@ def _wrap_sites() -> list:
     ):
         sites.append((frontier_mod.ArrivalFrontier, name, "queue"))
     for name in (
-        "register", "sync", "stage", "stage_lane", "stage_lane_ids",
-        "flush", "begin_round",
+        "register", "sync", "stage", "stage_lane", "flush", "begin_round",
         "serve", "kill", "peek_arrival_attached", "peek_page_attached",
         "pop_attached", "pop_until_attached", "active_nodes_attached",
         "active_mbrs_attached", "store_lower_attached", "len_attached",
-        "queries_of", "transitive_of", "_eval_stale_attached",
+        "_eval_stale_attached",
     ):
         sites.append((frontier_mod.FrontierArena, name, "queue"))
     for name in (
@@ -251,21 +246,19 @@ def _wrap_sites() -> list:
     ):
         sites.append((aq_mod.ArrivalQueueMixin, name, "queue"))
     for name in (
-        "_serve_nn_one", "_serve_knn_one", "_serve_range_one",
+        "_resume_nn", "_serve_knn_one", "_serve_range_one",
         "_serve_window_one",
     ):
         sites.append((shared_scan_mod.SharedScanExecutor, name, "queue"))
-    # Node-store sub-buckets: the executor's phase-A survivor handling
-    # and the absorb glue.  Nested frontier/arena calls (queue), kernels
-    # (geometry) and tuner accounting (download) are wrapped separately,
-    # so self-time attribution keeps the split honest on both the store
-    # path and the REPRO_NO_NODE_STORE=1 row-loop oracle.
-    for name in ("_arena_phase_a", "_phase_a_rows", "_phase_a_store"):
+    # Executor sub-buckets: the phase-A survivor handling and the absorb
+    # glue.  Nested frontier/arena calls (queue), kernels (geometry) and
+    # tuner accounting (download) are wrapped separately, so self-time
+    # attribution keeps the split honest.
+    for name in ("_arena_phase_a", "_resolve_survivors"):
         sites.append((shared_scan_mod.SharedScanExecutor, name, "phase_a"))
     for name in (
-        "_absorb_nn_lanes", "_absorb_nn_lanes_ids", "_absorb_point_leaves",
-        "_absorb_flat_leaves", "_sync_lane", "_lane_sids", "_lane_queries",
-        "_lane_transitive",
+        "_absorb_nn_lanes", "_absorb_point_leaves", "_absorb_flat_leaves",
+        "_mirror",
     ):
         sites.append((shared_scan_mod.SharedScanExecutor, name, "absorb"))
     for cls in (tuner_mod.ChannelTuner, tuner_mod._LedgerTuner):
@@ -382,20 +375,6 @@ def profile_hot_path(
         shared_wall, shared_phases = _measure(
             lambda: runner.run_algorithm(algo)
         )
-        # The same workload under REPRO_NO_NODE_STORE=1: the scalar
-        # row-loop oracle, i.e. the pre-store implementation — recorded
-        # so the store's effect on each sub-bucket lives in the artifact.
-        saved = os.environ.get("REPRO_NO_NODE_STORE")
-        os.environ["REPRO_NO_NODE_STORE"] = "1"
-        try:
-            nostore_wall, nostore_phases = _measure(
-                lambda: runner.run_algorithm(algo)
-            )
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_NO_NODE_STORE", None)
-            else:
-                os.environ["REPRO_NO_NODE_STORE"] = saved
 
     return {
         "benchmark": "profile_hot_path",
@@ -417,15 +396,10 @@ def profile_hot_path(
             "measured pass runs REPEATS times and keeps the minimum "
             "wall (least scheduler interference); phase_a and "
             "absorb are executor sub-buckets that earlier recordings "
-            "lumped into bookkeeping; shared_scan_no_store replays the "
-            "shared path under REPRO_NO_NODE_STORE=1 (the pre-store "
-            "scalar row loop)"
+            "lumped into bookkeeping"
         ),
         "per_query": {"wall_seconds": round(pq_wall, 6), **pq_phases},
         "shared_scan": {"wall_seconds": round(shared_wall, 6), **shared_phases},
-        "shared_scan_no_store": {
-            "wall_seconds": round(nostore_wall, 6), **nostore_phases
-        },
         "pr6_reference": {
             "shared_bookkeeping_share": 0.6271,
             "shared_wall_seconds": 0.644262,
@@ -443,7 +417,7 @@ def test_profile_hot_path(record_experiment):
     payload = profile_hot_path()
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     lines = [f"[profile_hot_path] {payload['workload']}"]
-    for path in ("per_query", "shared_scan", "shared_scan_no_store"):
+    for path in ("per_query", "shared_scan"):
         entry = payload[path]
         share = " ".join(
             f"{phase}={entry['share'][phase]:.0%}" for phase in ALL_PHASES
@@ -452,7 +426,7 @@ def test_profile_hot_path(record_experiment):
     record_experiment("profile_hot_path", "\n".join(lines))
     # The harness is a measurement, not a gate; the only invariant is that
     # both timers saw the hot path at all.
-    for path in ("per_query", "shared_scan", "shared_scan_no_store"):
+    for path in ("per_query", "shared_scan"):
         assert sum(payload[path]["profiled_seconds"].values()) > 0.0
         timed = payload[path]["wall_seconds_by_phase"]
         assert sum(timed[p] for p in ("queue", "geometry", "download")) > 0.0

@@ -39,22 +39,22 @@ forces every tuner to stay standalone (the escape hatch mirroring
 ``REPRO_NO_KERNELS``); non-cyclic layouts skip attachment automatically
 and burst on the per-query oracle path.
 
-Architecture note — the global node store and binned phase A.  The
-arena's serve phase used to finish each round with a python loop over
-the surviving rows; now each R-tree caches a ``NodeStore`` — columnar
-MBR / level / child-pointer / packed-lane-key arrays over its BFS node
-order, plus a page-id column — and the whole round resolves as array
-passes: automatic keeps, staged keep certificates, the weak margin
-band batched through one exact Lemma 1 kernel call, and the survivors
-handed to the absorb stage pre-binned by a stable argsort over packed
-lane keys (fan-out width, leaf bit, point bit).  The store's struct
-columns are layout-independent and cached once per tree; only the page
-column binds the broadcast numbering, so relayouts
-(``assign_page_ids``) invalidate just that column and the next serve
-rebuilds it — registering a search never has to copy node data.
-``REPRO_NO_NODE_STORE=1`` forces the retained scalar row loop, the
-bit-identity oracle for answers, tuner states and reception logs
-(mirroring ``REPRO_NO_KERNELS`` / ``REPRO_SCALAR_TUNERS``).
+Architecture note — the node store, the executor's one node
+representation.  Each R-tree caches columnar arrays over its BFS node
+order — child and point offsets, packed lane keys, subtree counts, MBR
+and point rows, plus a page-id column — and the arena's ``NodeStore``
+concatenates them for every tree it serves (TNN campaigns and
+``QueryEngine.run_many`` batches alike).  A whole round then resolves
+as array passes: automatic keeps, staged keep certificates, the weak
+margin band batched through one exact Lemma 1 kernel call, and the
+survivors handed to the absorb lanes pre-binned by a stable argsort
+over packed lane keys (fan-out width, leaf bit, point bit), where every
+kernel input is one gather from the store.  The structural columns are
+layout-independent and cached once per tree; only the page column
+binds the broadcast numbering, so relayouts (``assign_page_ids``)
+invalidate just that column.  The per-query path stays the oracle:
+the tests check the executor against it for answers, tuner states and
+reception logs.
 
 Architecture note — channel fault models and supervised pools.  The
 unreliable medium lives behind the ``FaultModel`` seam

@@ -53,10 +53,12 @@ far too few for numpy to beat python lists on any single operation.  A
 executor touches every one of them every round: one head selection per
 search (the pairing ping-pong) plus one certified-prune walk per serve.
 :class:`FrontierArena` therefore hoists the queued entries of **every**
-registered search into one set of struct-of-arrays lanes — page id, slot,
-lower bound, weak flag, epoch stamp, owner search id, MBR row — addressed
-per search by an (offset, length) segment.  Round execution becomes three
-whole-workload array passes (cyclic arrival keys, head/survivor segmented
+registered search into one set of struct-of-arrays lanes — page id, node
+id, lower bound, weak flag, epoch stamp, owner search id — addressed per
+search by an (offset, length) segment.  Node ids index one columnar
+:class:`NodeStore` (structure, MBRs, points, page ids of every covered
+tree), the executor's single node representation.  Round execution
+becomes three whole-workload array passes (cyclic arrival keys, head/survivor segmented
 minima, certified prune-run consumption) plus O(1) python per *search*:
 the driver pops a round's worth of certified prunes without ever touching
 them one entry at a time.  An :class:`ArrivalFrontier` attached to an
@@ -69,27 +71,15 @@ are the fastest single-search representation.
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
 from bisect import bisect_left, bisect_right
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.geometry import kernels
 from repro.rtree.node import RTreeNode
 
-
-def node_store_disabled() -> bool:
-    """True when ``REPRO_NO_NODE_STORE=1`` disables the global node store.
-
-    The escape hatch mirrors ``REPRO_NO_KERNELS`` / ``REPRO_SCALAR_TUNERS``:
-    with it set, the shared-scan executor keeps every arena frontier on the
-    per-frontier node-slot lists and serves phase A through the original
-    per-survivor row loop — the bit-identity oracle for the vectorised
-    store path.
-    """
-    return os.environ.get("REPRO_NO_NODE_STORE", "0") == "1"
 
 #: Bit width of the entry-index field in the packed ``key << BITS | index``
 #: comparison values of the arena's segmented argmin — supports 4M queued
@@ -107,17 +97,25 @@ _NO_EPOCH = -1
 def _tree_store_struct(tree) -> tuple:
     """One tree's BFS-ordered structural node columns (cached).
 
-    Returns ``(nodes, child0, level, lane_key, mbr)`` where ``nodes`` is
-    the BFS node list (every internal node's children occupy one
-    contiguous run — the property the arena's base-plus-intra flush
-    arithmetic needs), ``child0`` holds each internal node's first-child
-    index (-1 for leaves), ``lane_key`` packs the fan-out shape as
-    ``(fanout << 2) | (is_leaf << 1)`` (matching the executor's lane
-    keys), and ``mbr`` serves each node's ``(4,)`` float64 row gathered
-    from the parents' pack-time child-MBR chunks — the same float values
-    :meth:`ArrivalFrontier._mbr_row` returns.  Structure never changes
-    after packing, so the cache lives on the tree object for good;
-    page ids are handled separately (:func:`_tree_store_pages`).
+    Returns ``(nodes, child0, lane_key, count, mbr, pt0, points)``:
+
+    * ``nodes`` is the BFS node list — every internal node's children
+      occupy one contiguous run, the property the arena's base-plus-intra
+      flush arithmetic and the absorb lanes' child gathers need;
+    * ``child0`` holds each internal node's first-child index (-1 for
+      leaves) and ``pt0`` each leaf's first row in ``points`` (-1 for
+      internal nodes);
+    * ``lane_key`` packs the fan-out shape as ``(fanout << 2) |
+      (is_leaf << 1)`` (the executor's absorb-lane keys);
+    * ``count`` is each node's subtree point count, ``mbr`` its ``(4,)``
+      float64 row and ``points`` the leaves' ``(2,)`` float64 point rows —
+      the same float values the per-node ``child_count_array`` /
+      ``child_mbr_array`` / ``points_array`` views hold, packed once for
+      the whole tree without materialising those per-node caches.
+
+    Structure never changes after packing, so the cache lives on the tree
+    object for good; page ids are handled separately
+    (:func:`_tree_store_pages`).
     """
     try:
         return tree._store_struct
@@ -126,33 +124,39 @@ def _tree_store_struct(tree) -> tuple:
     order: List[RTreeNode] = [tree.root]
     child0: List[int] = []
     keys: List[int] = []
-    levels: List[int] = []
+    pt0: List[int] = []
+    n_points = 0
     i = 0
     while i < len(order):
         nd = order[i]
         if nd.is_leaf:
             child0.append(-1)
             keys.append((len(nd.points) << 2) | 2)
+            pt0.append(n_points)
+            n_points += len(nd.points)
         else:
             child0.append(len(order))
             keys.append(len(nd.children) << 2)
+            pt0.append(-1)
             order.extend(nd.children)
-        levels.append(nd.level)
         i += 1
-    n = len(order)
-    c0 = np.array(child0, dtype=np.int64)
-    mbr = np.empty((n, 4), dtype=np.float64)
-    mbr[0] = np.asarray(tree.root.mbr, dtype=np.float64)
-    for i, nd in enumerate(order):
-        if not nd.is_leaf:
-            b = child0[i]
-            mbr[b:b + len(nd.children)] = nd.child_mbr_array()
+    # Flat float iterators: several times faster than packing the MBR /
+    # point namedtuples row by row, and the same float64 values.
+    chain = itertools.chain.from_iterable
     struct = (
         order,
-        c0,
-        np.array(levels, dtype=np.int64),
+        np.array(child0, dtype=np.int64),
         np.array(keys, dtype=np.int64),
-        mbr,
+        np.array([nd.point_count for nd in order], dtype=np.int64),
+        np.fromiter(
+            chain(nd.mbr for nd in order), np.float64, 4 * len(order)
+        ).reshape(-1, 4),
+        np.array(pt0, dtype=np.int64),
+        np.fromiter(
+            chain(chain(nd.points) for nd in order if nd.is_leaf),
+            np.float64,
+            2 * n_points,
+        ).reshape(-1, 2),
     )
     tree._store_struct = struct
     return struct
@@ -179,92 +183,78 @@ def _tree_store_pages(tree) -> np.ndarray:
 
 
 class NodeStore:
-    """Global columnar registry of every node an arena run can serve.
+    """Columnar registry of every node a frontier arena can serve.
 
-    One store backs one :class:`~repro.engine.shared_scan
-    .SharedScanExecutor` run over a fixed set of trees.  Every node of
-    every tree gets a *store id* (``nid``): BFS order per tree, trees
-    concatenated — so each internal node's children are the contiguous
-    run ``child0[nid] .. child0[nid] + fanout``, and a staged fan-out is
-    an ``(offset, count)`` pair instead of a python list splice.  The
-    arena's ``_e_slot`` lane holds nids when a store is attached, which
-    turns phase A's survivor handling (lane-key gathers, weak-point
-    MINDIST checks, argsort binning) and the absorb glue (``stage_lane``
-    handoffs, witness/upper-bound mirror updates) into whole-workload
-    array passes.
+    The one node representation of the shared-scan executor.  Every node
+    of every covered tree gets a *store id* (``nid``): BFS order per tree,
+    trees concatenated in cover order — so each internal node's children
+    are the contiguous run ``child0[nid] + arange(fanout)`` and each
+    leaf's points the run ``pt0[nid] + arange(fanout)``.  The arena's
+    ``_e_nid`` lane holds nids, which turns phase A's survivor handling
+    (lane-key gathers, weak-point MINDIST checks, argsort binning) and the
+    absorb lanes (child MBR / count / page and leaf point gathers,
+    witness/upper-bound mirror updates) into whole-workload array passes.
 
-    ``lane_row`` mirrors each node's per-run ``_lane_row`` stamp against
-    the executor's combined geometry blocks, so a store must be built
-    **after** :func:`~repro.engine.shared_scan.combine_lane_blocks` of
-    the same trees.  ``_store_nid`` stamps on the nodes are per-build,
-    like the lane-row stamps: a node may appear in stores with different
-    partners (and hence different offsets) across environments.
+    A :class:`FrontierArena` covers the tree of every frontier it
+    registers, so a store grows with its run and never needs building up
+    front.  ``_store_nid`` stamps on the nodes are per-cover: a tree may
+    sit at different offsets in different stores, so only one live store
+    may cover a tree at a time (the executor builds one per run).
 
     Invalidation contract: structure and geometry are immutable after
     packing and cache on the tree forever; the page column binds the
     broadcast layout and is dropped by ``RTree.assign_page_ids`` — a
-    store built before a re-layout must not be reused afterwards (the
-    executor builds one store per run, after the program assigns pages).
+    store covering a tree before a re-layout must not be reused afterwards.
     """
 
     __slots__ = (
-        "nodes", "child0", "level", "lane_key", "lane_row", "page",
-        "mbr", "leaf_bit", "tree_ids",
+        "nodes", "child0", "lane_key", "leaf_bit", "count", "page", "mbr",
+        "pt0", "points", "all_backed", "_trees",
     )
 
-    @classmethod
-    def build(cls, trees) -> "NodeStore":
-        seen: list = []
-        for t in trees:
-            if not any(t is u for u in seen):
-                seen.append(t)
-        nodes: List[RTreeNode] = []
-        c0_parts: List[np.ndarray] = []
-        lvl_parts: List[np.ndarray] = []
-        key_parts: List[np.ndarray] = []
-        mbr_parts: List[np.ndarray] = []
-        page_parts: List[np.ndarray] = []
-        off = 0
-        for t in seen:
-            order, c0, levels, keys, mbr = _tree_store_struct(t)
-            for i, nd in enumerate(order):
-                nd._store_nid = off + i
-            if off:
-                c0 = c0.copy()
-                c0[c0 >= 0] += off
-            nodes.extend(order)
-            c0_parts.append(c0)
-            lvl_parts.append(levels)
-            key_parts.append(keys)
-            mbr_parts.append(mbr)
-            page_parts.append(_tree_store_pages(t))
-            off += len(order)
-        store = cls()
-        store.nodes = nodes
-        store.child0 = (
-            c0_parts[0] if len(c0_parts) == 1 else np.concatenate(c0_parts)
-        )
-        store.level = (
-            lvl_parts[0] if len(lvl_parts) == 1 else np.concatenate(lvl_parts)
-        )
-        store.lane_key = (
-            key_parts[0] if len(key_parts) == 1 else np.concatenate(key_parts)
-        )
-        store.mbr = (
-            mbr_parts[0] if len(mbr_parts) == 1 else np.vstack(mbr_parts)
-        )
-        store.page = (
-            page_parts[0] if len(page_parts) == 1
-            else np.concatenate(page_parts)
-        )
-        store.lane_row = np.fromiter(
-            (nd._lane_row for nd in nodes), dtype=np.int64, count=len(nodes)
-        )
-        # Pre-split leaf flag (lane-key bit 1): the round's leaf-finish
-        # probe mask gathers this directly instead of re-masking keys.
-        store.leaf_bit = (store.lane_key & 2) != 0
-        store.tree_ids = frozenset(id(t) for t in seen)
-        return store
+    def __init__(self) -> None:
+        self.nodes: List[RTreeNode] = []
+        self.child0 = np.empty(0, dtype=np.int64)
+        self.lane_key = np.empty(0, dtype=np.int64)
+        #: Pre-split leaf flag (lane-key bit 1): the round's leaf-finish
+        #: probe mask gathers this directly instead of re-masking keys.
+        self.leaf_bit = np.empty(0, dtype=bool)
+        self.count = np.empty(0, dtype=np.int64)
+        self.page = np.empty(0, dtype=np.int64)
+        self.mbr = np.empty((0, 4), dtype=np.float64)
+        self.pt0 = np.empty(0, dtype=np.int64)
+        self.points = np.empty((0, 2), dtype=np.float64)
+        #: True while every internal node of every covered tree has only
+        #: point-holding child subtrees (always, for the standard
+        #: packers): the absorb lanes then skip the backed-guarantee masks.
+        self.all_backed = True
+        self._trees: dict = {}
+
+    def cover(self, tree) -> None:
+        """Append ``tree``'s nodes to the store (no-op once covered)."""
+        if id(tree) in self._trees:
+            return
+        self._trees[id(tree)] = tree
+        order, c0, keys, count, mbr, pt0, points = _tree_store_struct(tree)
+        off = len(self.nodes)
+        for i, nd in enumerate(order):
+            nd._store_nid = off + i
+        self.nodes.extend(order)
+        if off:
+            c0 = np.where(c0 >= 0, c0 + off, -1)
+        n_pts = self.points.shape[0]
+        if n_pts:
+            pt0 = np.where(pt0 >= 0, pt0 + n_pts, -1)
+        self.child0 = np.concatenate((self.child0, c0))
+        self.lane_key = np.concatenate((self.lane_key, keys))
+        self.leaf_bit = (self.lane_key & 2) != 0
+        self.count = np.concatenate((self.count, count))
+        self.page = np.concatenate((self.page, _tree_store_pages(tree)))
+        self.mbr = np.concatenate((self.mbr, mbr))
+        self.pt0 = np.concatenate((self.pt0, pt0))
+        self.points = np.concatenate((self.points, points))
+        # Every non-root node is some internal node's child.
+        self.all_backed = self.all_backed and bool((count[1:] > 0).all())
 
 
 class ArrivalFrontier:
@@ -786,11 +776,11 @@ class FrontierArena:
 
     One arena serves one :class:`~repro.engine.shared_scan
     .SharedScanExecutor` run.  Queued entries of every registered search
-    live in shared numpy lanes — page id, slot (into the owner frontier's
-    node list), lower bound, weak flag, epoch stamp, owner search id and
-    MBR row — grouped per search into one contiguous ``(offset, length)``
-    segment.  The executor's round then runs as whole-workload array
-    passes:
+    live in shared numpy lanes — page id, node id (into the arena's
+    :class:`NodeStore`, which resolves nodes, MBRs and fan-outs), lower
+    bound, weak flag, epoch stamp and owner search id — grouped per search
+    into one contiguous ``(offset, length)`` segment.  The executor's round
+    then runs as whole-workload array passes:
 
     * :meth:`begin_round` — cyclic arrival keys for every entry plus one
       segmented minimum: the head arrival of **every** search at once (the
@@ -821,17 +811,14 @@ class FrontierArena:
     standalone list lanes.
     """
 
-    def __init__(self, store: Optional[NodeStore] = None) -> None:
+    def __init__(self) -> None:
         self._searches: List[object] = []
-        #: Global :class:`NodeStore` of the run's trees.  When present,
-        #: the ``_e_slot`` lane holds store ids instead of per-frontier
-        #: node-slot indices: staging never touches the frontiers' node
-        #: lists (a fan-out is ``child0[nid] + arange(n)``), attached
-        #: pops resolve nodes/MBRs through the store columns, and the
-        #: executor's phase A reads survivors as pure array gathers.
-        #: ``None`` (standalone arenas, ``REPRO_NO_NODE_STORE=1``) keeps
-        #: the original per-frontier slot addressing.
-        self._store = store
+        #: The :class:`NodeStore` over every registered frontier's tree.
+        #: The ``_e_nid`` lane holds its node ids: a staged fan-out is
+        #: ``child0[nid] + arange(n)``, attached pops resolve nodes and
+        #: MBRs through its columns, and the executor's phase A and absorb
+        #: lanes read survivors as pure array gathers.
+        self._store = NodeStore()
         # Per-search state lanes (grown amortised; index = search id).
         cap = 64
         self._now = np.zeros(cap, dtype=np.float64)
@@ -844,15 +831,10 @@ class FrontierArena:
         #: the executor vectorise the witness hand-off tests of a whole
         #: absorb lane.
         self._wit = np.full(cap, -1, dtype=np.int64)
-        self._qx = np.full(cap, math.nan, dtype=np.float64)
-        self._qy = np.full(cap, math.nan, dtype=np.float64)
-        self._sx = np.full(cap, math.nan, dtype=np.float64)
-        self._sy = np.full(cap, math.nan, dtype=np.float64)
-        self._ex = np.full(cap, math.nan, dtype=np.float64)
-        self._ey = np.full(cap, math.nan, dtype=np.float64)
-        #: Packed ``(sx, sy, ex, ey)`` rows mirroring the four transitive
-        #: lanes above: a margin-band serve batch gathers all four
-        #: endpoint components with one fancy index.
+        #: Each search's ``(x, y)`` query point (point metric) and packed
+        #: ``(sx, sy, ex, ey)`` transitive endpoints: a kernel lane gathers
+        #: its whole query block with one fancy index.
+        self._q = np.full((cap, 2), math.nan, dtype=np.float64)
         self._trans = np.full((cap, 4), math.nan, dtype=np.float64)
         self._live = np.zeros(cap, dtype=np.int64)
         #: Entries staged since the last flush, per search — replaces the
@@ -869,14 +851,10 @@ class FrontierArena:
         #: Mirror of each attached frontier's ``max_size`` footprint,
         #: updated by one masked vector maximum per flush.
         self._maxsz = np.zeros(cap, dtype=np.int64)
-        #: Flush generation — staged counters on frontiers are valid only
-        #: when stamped with the current generation, which lets the flush
-        #: skip a per-frontier reset loop entirely.
-        self._flushes = 0
         # Entry lanes (compact, owner-grouped; rebuilt by flush()).
         self._m = 0
         self._e_page = np.empty(0, dtype=np.int64)
-        self._e_slot = np.empty(0, dtype=np.int64)
+        self._e_nid = np.empty(0, dtype=np.int64)
         self._e_lb = np.empty(0, dtype=np.float64)
         #: Certified keep bound per entry: an inflated upper bound on the
         #: exact Lemma 1 value (Lemma 3 corner / centre estimates).  A
@@ -891,10 +869,10 @@ class FrontierArena:
         self._dead = np.empty(0, dtype=bool)
         self._n_dead = 0
         self._seg_start = np.zeros(1, dtype=np.int64)
-        # Staged fan-out runs: (frontier, count, pages, base_slot,
-        # lbs-or-None, epoch, weak) — plus whole absorb lanes
-        # staged in one call each: (frontiers, n, pages, bases, lbs,
-        # epochs, weak).
+        # Staged fan-out runs: (frontier, count, pages, base nid,
+        # lbs-or-None, epoch, weak) — plus whole absorb lanes staged in
+        # one call each: (sids, n, pages, base nids, lbs, epochs, weak,
+        # ubs-or-None).
         self._staged: List[tuple] = []
         self._staged_lanes: List[tuple] = []
         self._dirty_adds = False
@@ -914,11 +892,13 @@ class FrontierArena:
     def register(self, search) -> int:
         """Attach one NN search's frontier to the arena; returns its id.
 
-        Any entries already queued standalone (normally just the tree
-        root) are imported as staged runs; the frontier's node slot list
-        stays where it is and keeps its numbering.
+        The frontier's tree (its channel program's) joins the node store,
+        and any entries already queued standalone (normally just the tree
+        root) are imported as staged runs under their store ids; the
+        frontier's own node-slot list is never consulted again.
         """
         f = search._frontier
+        self._store.cover(f._tuner.channel.program.tree)
         sid = len(self._searches)
         self._searches.append(search)
         if sid >= self._now.shape[0]:
@@ -930,11 +910,7 @@ class FrontierArena:
         self._staged_cnt[sid] = 0
         self._maxsz[sid] = f.max_size
         search._arena_sid = sid
-        # Import the standalone entries before flipping the backend.  In
-        # store mode the staged base is the entry's store id — the
-        # frontier's slot numbering is abandoned (its node list is never
-        # consulted again); otherwise the slot survives as-is.
-        store = self._store
+        # Import the standalone entries before flipping the backend.
         order_pages = f._order_pages
         order_slots = f._order_slots
         f._arena = self
@@ -947,7 +923,7 @@ class FrontierArena:
                 lbs, epoch, weak = (
                     np.array([rec[1]], dtype=np.float64), rec[0], rec[2]
                 )
-            base = f._nodes[slot]._store_nid if store is not None else slot
+            base = f._nodes[slot]._store_nid
             self._staged.append(
                 (f, 1, np.array([page], dtype=np.int64), base, lbs,
                  epoch, weak)
@@ -962,8 +938,8 @@ class FrontierArena:
 
     def _grow_searches(self) -> None:
         for name in ("_now", "_phase", "_cycle", "_ub", "_epoch", "_wit",
-                     "_qx", "_qy", "_sx", "_sy", "_ex", "_ey", "_live",
-                     "_staged_cnt", "_pbit", "_pbool", "_maxsz", "_trans"):
+                     "_q", "_trans", "_live", "_staged_cnt", "_pbit",
+                     "_pbool", "_maxsz"):
             old = getattr(self, name)
             new = np.empty((old.shape[0] * 2,) + old.shape[1:], dtype=old.dtype)
             new[: old.shape[0]] = old
@@ -986,29 +962,11 @@ class FrontierArena:
         self._wit[sid] = -1 if wp is None else wp
         q = search.query
         if q is not None:
-            self._qx[sid] = q.x
-            self._qy[sid] = q.y
+            self._q[sid] = (q.x, q.y)
         start = search.start
         if start is not None:
             end = search.end
-            self._sx[sid] = start.x
-            self._sy[sid] = start.y
-            self._ex[sid] = end.x
-            self._ey[sid] = end.y
             self._trans[sid] = (start.x, start.y, end.x, end.y)
-
-    def queries_of(self, sids: List[int]) -> np.ndarray:
-        """``(k, 2)`` query-point block for a point-metric kernel lane."""
-        idx = np.asarray(sids, dtype=np.int64)
-        return np.column_stack((self._qx[idx], self._qy[idx]))
-
-    def transitive_of(self, sids: List[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """``(starts, ends)`` blocks for a transitive kernel lane."""
-        idx = np.asarray(sids, dtype=np.int64)
-        return (
-            np.column_stack((self._sx[idx], self._sy[idx])),
-            np.column_stack((self._ex[idx], self._ey[idx])),
-        )
 
     # ------------------------------------------------------------------
     # Staging and flushing
@@ -1016,45 +974,29 @@ class FrontierArena:
     def stage(self, f: ArrivalFrontier, nodes, lbs, epoch, weak, src) -> None:
         """Queue one fan-out run; merged into the lanes at the next flush.
 
-        O(1) python per *run*: cached child page/MBR views are staged by
-        reference, the bound row rides along as the kernel result array,
-        and even the ``max_size`` footprint accounting is deferred to the
-        flush (pushes only grow a queue, so the post-flush size dominates
-        every intermediate one).
+        O(1) python per *run*: the staged base is a store id run (a
+        complete fan-out starts at the parent's first child; loose nodes
+        stage as single-entry runs, since arbitrary nids need not be
+        contiguous), the cached child page view is staged by reference,
+        the bound row rides along as the kernel result array, and even the
+        ``max_size`` footprint accounting is deferred to the flush (pushes
+        only grow a queue, so the post-flush size dominates every
+        intermediate one).
         """
         n = len(nodes)
         store = self._store
-        if store is not None:
-            # Store mode: the staged base is a store id run — no node-list
-            # extension, no MBR-chunk bookkeeping (the store columns serve
-            # both).  A complete fan-out starts at the parent's first
-            # child; loose nodes stage as single-entry runs (the defensive
-            # multi-node case splits, since arbitrary nids need not be
-            # contiguous).
-            if src is not None:
-                base = int(store.child0[src._store_nid])
-                pages = src.child_page_array()
-            elif n == 1:
-                base = nodes[0]._store_nid
-                pages = np.array([nodes[0].page_id], dtype=np.int64)
-            else:  # pragma: no cover - no driver stages loose multi-pushes
-                for i, nd in enumerate(nodes):
-                    self.stage(
-                        f, [nd], None if lbs is None else [lbs[i]],
-                        epoch, weak, None,
-                    )
-                return
-        else:
-            base = len(f._nodes)
-            f._nodes.extend(nodes)
-            if src is not None:
-                pages = src.child_page_array()
-                f._mbr_bases.append(base)
-                f._mbr_chunks.append(src.child_mbr_array())
-            else:
-                pages = np.array(
-                    [nd.page_id for nd in nodes], dtype=np.int64
+        if src is not None:
+            base = int(store.child0[src._store_nid])
+        elif n == 1:
+            base = nodes[0]._store_nid
+        else:  # pragma: no cover - no driver stages loose multi-pushes
+            for i, nd in enumerate(nodes):
+                self.stage(
+                    f, [nd], None if lbs is None else [lbs[i]],
+                    epoch, weak, None,
                 )
+            return
+        pages = store.page[base:base + n]
         if lbs is None:
             run = (f, n, pages, base, None, _NO_EPOCH, False)
         else:
@@ -1063,83 +1005,28 @@ class FrontierArena:
                    else np.asarray(lbs, dtype=np.float64),
                    epoch, weak)
         self._staged.append(run)
-        self._bump_staged(f, n)
+        self._staged_cnt[f._sid] += n
 
-    def stage_lane(self, searches, nodes, n: int, lbs: np.ndarray,
-                   weak: bool, ubs: Optional[np.ndarray] = None,
-                   pages: Optional[np.ndarray] = None) -> None:
+    def stage_lane(self, sids: np.ndarray, kids: np.ndarray,
+                   lbs: np.ndarray, weak: bool,
+                   ubs: Optional[np.ndarray] = None) -> None:
         """Stage one absorb lane's fan-outs in a single call.
 
-        ``k`` searches each queue the ``n`` children of their expanded
-        node, with bounds from the lane's ``(k, n)`` kernel block and each
-        owner's current metric epoch.  One slim python pass over the lane
-        replaces ``k`` separate ``push_many`` calls; the flush expands the
-        lane into per-search runs with pure array arithmetic.  ``pages``
-        optionally carries the lane's child page ids (``(k, n)`` or flat,
-        row order matching ``nodes``) pre-gathered by the caller — the
-        shared-scan executor reads them out of its per-fan-out page
-        blocks — replacing the per-node concatenation here.
+        ``k`` searches (arena ids ``sids``) each queue the ``n`` children
+        of their expanded node — ``kids`` is the lane's ``(k, n)`` block
+        of child store ids — with bounds from the lane's ``(k, n)`` kernel
+        block (plus optional certified keep bounds ``ubs``) under each
+        owner's current metric epoch.  One call replaces ``k`` separate
+        ``push_many`` calls; the fan-out bases, child pages and epochs
+        all come from store/arena column gathers, and the flush expands
+        the lane into per-search runs with pure array arithmetic.
         """
-        k = len(searches)
-        store = self._store
-        epochs = [s._metric_epoch for s in searches]
-        if store is not None:
-            # Store mode: bases are the parents' first-child store ids —
-            # pure array arithmetic, no node-list splices, no MBR chunks.
-            sids = np.fromiter(
-                (s._arena_sid for s in searches), dtype=np.int64, count=k
-            )
-            nids = np.fromiter(
-                (nd._store_nid for nd in nodes), dtype=np.int64, count=k
-            )
-            bases = store.child0[nids]
-            self._staged_cnt[sids] += n
-            fs: object = sids
-        else:
-            fs = [s._frontier for s in searches]
-            bases_l = [len(f._nodes) for f in fs]
-            for f, node, base in zip(fs, nodes, bases_l):
-                f._nodes.extend(node.children)
-                f._mbr_bases.append(base)
-                f._mbr_chunks.append(node.child_mbr_array())
-                self._staged_cnt[f._sid] += n
-            bases = np.array(bases_l, dtype=np.int64)
-        if pages is None:
-            pages = np.concatenate(
-                [node.child_page_array() for node in nodes]
-            )
-        else:
-            pages = pages.reshape(-1)
+        self._staged_cnt[sids] += kids.shape[1]
         self._staged_lanes.append(
-            (fs, n, pages, bases, lbs.ravel(),
-             np.array(epochs, dtype=np.int64), weak,
+            (sids, kids.shape[1], self._store.page[kids.ravel()],
+             kids[:, 0], lbs.ravel(), self._epoch[sids], weak,
              None if ubs is None else ubs.ravel())
         )
-
-    def stage_lane_ids(self, sids: np.ndarray, nids: np.ndarray, n: int,
-                       lbs: np.ndarray, weak: bool,
-                       ubs: Optional[np.ndarray] = None) -> None:
-        """Store-mode :meth:`stage_lane` taking id arrays directly.
-
-        The vectorised absorb path never materialises search or node
-        objects for a lane — it hands the survivor sids/nids straight
-        through, and the fan-out bases, child pages and owner epochs all
-        come from store/arena column gathers.  Requires an attached
-        :class:`NodeStore`.
-        """
-        store = self._store
-        bases = store.child0[nids]
-        pages = store.page[
-            (bases[:, None] + np.arange(n, dtype=np.int64)).reshape(-1)
-        ]
-        self._staged_cnt[sids] += n
-        self._staged_lanes.append(
-            (sids, n, pages, bases, lbs.ravel(), self._epoch[sids], weak,
-             None if ubs is None else ubs.ravel())
-        )
-
-    def _bump_staged(self, f: ArrivalFrontier, n: int) -> None:
-        self._staged_cnt[f._sid] += n
 
     def len_attached(self, f: ArrivalFrontier) -> int:
         sid = f._sid
@@ -1200,14 +1087,10 @@ class FrontierArena:
                     for v, c in zip(lbs_l, ns)
                 )
                 ub_parts.extend(np.full(c, math.inf) for c in ns)
-            for (lfs, ln, lpages, lbases, llbs, lepochs, lweak,
+            for (lsids, ln, lpages, lbases, llbs, lepochs, lweak,
                  lubs) in lanes:
-                k = len(lfs)
-                sid_parts.append(
-                    lfs if isinstance(lfs, np.ndarray) else np.fromiter(
-                        (ft._sid for ft in lfs), dtype=np.int64, count=k
-                    )
-                )
+                k = lsids.shape[0]
+                sid_parts.append(lsids)
                 count_parts.append(np.full(k, ln, dtype=np.int64))
                 base_parts.append(lbases)
                 epoch_parts.append(lepochs)
@@ -1241,7 +1124,7 @@ class FrontierArena:
                 f"{1 << _IDX_BITS}-entry packed-index capacity"
             )
         e_page = np.empty(m, dtype=np.int64)
-        e_slot = np.empty(m, dtype=np.int64)
+        e_nid = np.empty(m, dtype=np.int64)
         e_lb = np.empty(m, dtype=np.float64)
         e_ub = np.empty(m, dtype=np.float64)
         e_weak = np.empty(m, dtype=bool)
@@ -1253,7 +1136,7 @@ class FrontierArena:
             np.cumsum(counts_live[:-1], out=cb[1:])
             dest = seg[:-1][oa] + (np.arange(alive_idx.size) - cb[oa])
             e_page[dest] = self._e_page[alive_idx]
-            e_slot[dest] = self._e_slot[alive_idx]
+            e_nid[dest] = self._e_nid[alive_idx]
             e_lb[dest] = self._e_lb[alive_idx]
             e_ub[dest] = self._e_ub[alive_idx]
             e_weak[dest] = self._e_weak[alive_idx]
@@ -1287,7 +1170,7 @@ class FrontierArena:
                 page_parts[0] if len(page_parts) == 1
                 else np.concatenate(page_parts)
             )
-            e_slot[dest] = np.repeat(st_bases, st_counts) + intra
+            e_nid[dest] = np.repeat(st_bases, st_counts) + intra
             e_lb[dest] = (
                 lb_parts[0] if len(lb_parts) == 1
                 else np.concatenate(lb_parts)
@@ -1306,7 +1189,7 @@ class FrontierArena:
             # their post-import size never exceeds that standalone peak,
             # so folding them in here cannot overcount.)
             self._maxsz[:S] = np.maximum(self._maxsz[:S], counts_new)
-        self._e_page, self._e_slot = e_page, e_slot
+        self._e_page, self._e_nid = e_page, e_nid
         self._e_lb, self._e_weak, self._e_epoch = e_lb, e_weak, e_epoch
         self._e_ub = e_ub
         self._e_owner = np.repeat(np.arange(S, dtype=np.int64), counts_new)
@@ -1318,7 +1201,6 @@ class FrontierArena:
         self._staged = []
         self._staged_lanes = []
         self._staged_cnt[:S] = 0
-        self._flushes += 1
         self._dirty_adds = False
         self._ver += 1
 
@@ -1373,8 +1255,8 @@ class FrontierArena:
         Consumes each due search's certified-prunable run (entries whose
         epoch-stamped bound proves a prune, up to the first survivor and
         within the pairing limit) with one mask write, and returns the
-        survivors as parallel python lists: entry index, arrival, slot,
-        bound, weak/stamped flags, plus the post-consumption live count.
+        survivors as parallel arrays: entry index, arrival, page, node id,
+        bounds, weak/stamped flags, plus the post-consumption live count.
         The caller finishes each serve in O(1): verify the survivor's keep
         (rare scalar work), download, and group it into the round's
         absorb lanes.  Must follow :meth:`begin_round` in the same round.
@@ -1431,41 +1313,24 @@ class FrontierArena:
             self._now[kdue] = sarr[ok] + 1.0
             self._ver += 1
         gidx = np.where(has, sidx, 0)
-        live = self._live[due]
-        res = {
-            # Vector views for the executor's row selection and the
-            # TunerLedger round flush: actionable / finish-probe rows come
-            # from flatnonzero over these, and the confirmed downloads'
-            # clock/counter/event updates batch straight from them instead
-            # of being re-derived row by row.
-            "act_np": ok,
-            "has_np": has,
-            "live_np": live,
-            "arrival_np": sarr,
-            "page_np": self._e_page[gidx],
-            "idx_np": sidx,
-            "slot_np": self._e_slot[gidx],
-            "lb_np": self._e_lb[gidx],
-            "ub_np": self._e_ub[gidx],
-            "weak_np": self._e_weak[gidx],
-            "stamped_np": stamped[gidx],
+        # Vector views for the executor's row selection and the
+        # TunerLedger round flush: actionable / finish-probe rows come from
+        # flatnonzero over these, and the confirmed downloads' clock /
+        # counter / event updates batch straight from them instead of being
+        # re-derived row by row.
+        return {
+            "act": ok,
+            "has": has,
+            "live": self._live[due],
+            "arrival": sarr,
+            "page": self._e_page[gidx],
+            "idx": sidx,
+            "nid": self._e_nid[gidx],
+            "lb": self._e_lb[gidx],
+            "ub": self._e_ub[gidx],
+            "weak": self._e_weak[gidx],
+            "stamped": stamped[gidx],
         }
-        if self._store is None:
-            # The scalar row loop reads per-row python values; the store
-            # path replaces it with array passes and skips the tolists.
-            res.update(
-                act=ok.tolist(),
-                has=has.tolist(),
-                idx=sidx.tolist(),
-                arrival=sarr.tolist(),
-                slot=res["slot_np"].tolist(),
-                lb=res["lb_np"].tolist(),
-                ub=res["ub_np"].tolist(),
-                weak=res["weak_np"].tolist(),
-                stamped=res["stamped_np"].tolist(),
-                live=live.tolist(),
-            )
-        return res
 
     def kill(self, sid: int, idx: int) -> None:
         """Tombstone one entry (a consumed survivor)."""
@@ -1506,11 +1371,9 @@ class FrontierArena:
         comp = (keys << _IDX_BITS) | (_IDX_MASK - idxs)
         return int(self._e_page[idxs[int(np.argmin(comp))]])
 
-    def _node_of(self, f: ArrivalFrontier, e: int) -> RTreeNode:
-        """The entry's node — store column or frontier slot list."""
-        slot = int(self._e_slot[e])
-        store = self._store
-        return store.nodes[slot] if store is not None else f._nodes[slot]
+    def _node_of(self, e: int) -> RTreeNode:
+        """The node queued at entry ``e``."""
+        return self._store.nodes[int(self._e_nid[e])]
 
     def pop_attached(
         self, f: ArrivalFrontier, epoch: int
@@ -1528,7 +1391,7 @@ class FrontierArena:
         e = int(idxs[t])
         arrival = base + int(keys[t]) + f._phase
         self.kill(sid, e)
-        node = self._node_of(f, e)
+        node = self._node_of(e)
         lb: Optional[float] = None
         weak = False
         if int(self._e_epoch[e]) == epoch:
@@ -1572,10 +1435,10 @@ class FrontierArena:
                 if lb > upper_bound:
                     continue  # certified prune (weak or exact)
                 return (
-                    self._node_of(f, e), lb,
+                    self._node_of(e), lb,
                     bool(self._e_weak[e]), arrival,
                 )
-            node = self._node_of(f, e)
+            node = self._node_of(e)
             if f.lower_evaluator is not None:
                 lb = self._eval_stale_attached(f, e, epoch)
                 if lb is not None:
@@ -1593,19 +1456,9 @@ class FrontierArena:
         stale = idxs[self._e_epoch[idxs] != epoch]
         if not stale.size:
             return None
-        store = self._store
-        if store is not None:
-            # One MBR-column gather replaces the per-slot chunk walk.
-            rows = store.mbr[
-                np.append(self._e_slot[stale], self._e_slot[popped_idx])
-            ]
-        else:
-            nodes = f._nodes
-            slots = self._e_slot[stale].tolist()
-            slots.append(int(self._e_slot[popped_idx]))
-            rows = np.empty((len(slots), 4), dtype=np.float64)
-            for k, slot in enumerate(slots):
-                rows[k] = f._mbr_row(slot, nodes[slot])
+        rows = self._store.mbr[
+            np.append(self._e_nid[stale], self._e_nid[popped_idx])
+        ]
         values = f.lower_evaluator(rows)
         self._e_lb[stale] = values[:-1]
         self._e_epoch[stale] = epoch
@@ -1639,22 +1492,13 @@ class FrontierArena:
 
     def active_nodes_attached(self, f: ArrivalFrontier) -> List[RTreeNode]:
         self._fresh(f)
-        store = self._store
-        nodes = store.nodes if store is not None else f._nodes
-        return [nodes[slot] for slot in
-                self._e_slot[self._sorted_alive(f)].tolist()]
+        nodes = self._store.nodes
+        return [nodes[nid] for nid in
+                self._e_nid[self._sorted_alive(f)].tolist()]
 
     def active_mbrs_attached(self, f: ArrivalFrontier) -> np.ndarray:
         self._fresh(f)
-        store = self._store
-        if store is not None:
-            return store.mbr[self._e_slot[self._sorted_alive(f)]]
-        nodes = f._nodes
-        slots = self._e_slot[self._sorted_alive(f)].tolist()
-        rows = np.empty((len(slots), 4), dtype=np.float64)
-        for k, slot in enumerate(slots):
-            rows[k] = f._mbr_row(slot, nodes[slot])
-        return rows
+        return self._store.mbr[self._e_nid[self._sorted_alive(f)]]
 
     def store_lower_attached(
         self, f: ArrivalFrontier, rows, values: np.ndarray, epoch: int

@@ -412,39 +412,8 @@ class BroadcastNNSearch(ArrivalQueueMixin):
             self._witness_page = best_child.page_id
 
     # ------------------------------------------------------------------
-    # Shared-scan absorb hooks (externally batched bounds)
+    # Shared-scan absorb hook (externally batched distances)
     # ------------------------------------------------------------------
-    def _absorb_internal_shared(
-        self, node: RTreeNode, lbs, gi: int, gv: float
-    ) -> None:
-        """Absorb an internal node whose exact bounds were batched.
-
-        The point-metric lane of the shared-scan executor: ``lbs`` is the
-        exact per-child MINDIST bound row, ``(gi, gv)`` the masked argmin
-        over the children's backed MINMAXDIST guarantees (``inf`` when no
-        child subtree holds a point).  This is the whole-fan-out kernel
-        branch of :meth:`_absorb_internal` with the kernel evaluation
-        hoisted out — same pushes, same guarantee selection, same witness
-        hand-off.
-        """
-        was_witness = node.page_id == self._witness_page
-        self._frontier.push_many(
-            node.children, lbs, self._metric_epoch, src=node
-        )
-        if gv == math.inf:
-            # Every child subtree is empty: no guarantee to inherit (cf.
-            # the best_child-is-None branch of _absorb_internal).
-            if was_witness:
-                self.upper_bound = self.best_dist
-                self._witness_page = None
-                self._rescan_queue_bounds()
-            return
-        if gv < self.upper_bound:
-            self.upper_bound = gv
-            self._witness_page = node.children[gi].page_id
-        elif was_witness:
-            self._witness_page = node.children[gi].page_id
-
     def _absorb_leaf_shared(self, node: RTreeNode, i: int, d: float) -> None:
         """Absorb a leaf from its batched distance row's argmin ``(i, d)``.
 
@@ -458,66 +427,6 @@ class BroadcastNNSearch(ArrivalQueueMixin):
         if self.best_dist < self.upper_bound:
             self.upper_bound = self.best_dist
             self._witness_page = None  # a concrete point witnesses the bound
-
-    def _absorb_internal_weak(
-        self, node: RTreeNode, lbs, need_guarantee: bool
-    ) -> None:
-        """Absorb an internal node with batch-certified weak child bounds.
-
-        The transitive-metric lane of the shared-scan executor (point-mode
-        lanes use the exact :meth:`_absorb_internal_shared`): ``lbs`` are
-        certified weak (deflated under-estimate) lower bounds per child,
-        queued for the delayed-pruning pop tests exactly like
-        :meth:`_absorb_internal` queues its own weak bounds.
-        ``need_guarantee`` is the batch's deflate-gated verdict on the
-        MinMaxTransDist guarantee scan: when ``False`` the raw estimates
-        prove that no backed child guarantee can tighten ``upper_bound``
-        (and this node does not witness the bound), so skipping the scan
-        is observationally identical; when ``True`` the scan runs here
-        with the exact scalar metrics, making every stored value
-        bit-identical to the per-query path.
-        """
-        self._frontier.push_many(
-            node.children, lbs, self._metric_epoch, weak=True, src=node
-        )
-        if need_guarantee:
-            self._guarantee_scan_weak(node, lbs)
-
-    def _guarantee_scan_weak(self, node: RTreeNode, lbs) -> None:
-        """The exact MinMaxTransDist guarantee scan of a weak absorb.
-
-        Split out of :meth:`_absorb_internal_weak` so the shared arena
-        path — which stages the whole lane's pushes in one call — can run
-        just the scan for the (minority of) nodes whose batched estimate
-        could not prove it a no-op.  Pushing first is equivalent: the
-        queue never enters the scan.
-        """
-        was_witness = node.page_id == self._witness_page
-        if isinstance(lbs, np.ndarray):
-            lbs = lbs.tolist()  # plain floats for the scalar scan below
-        best_child = None
-        best_guarantee = math.inf
-        for k, child in enumerate(node.children):
-            if child.point_count <= 0:
-                continue  # empty subtree: nothing backs a guarantee
-            if lbs[k] >= best_guarantee:
-                continue  # the weak bound already rules this child out
-            z = self._corner_minmax_trans(child.mbr)
-            if z < best_guarantee:
-                best_guarantee = z
-                best_child = child
-        if best_child is None:
-            # Every child subtree is empty (cf. _absorb_internal).
-            if was_witness:
-                self.upper_bound = self.best_dist
-                self._witness_page = None
-                self._rescan_queue_bounds()
-            return
-        if best_guarantee < self.upper_bound:
-            self.upper_bound = best_guarantee
-            self._witness_page = best_child.page_id
-        elif was_witness:
-            self._witness_page = best_child.page_id
 
     # ------------------------------------------------------------------
     # Hybrid-NN mutations

@@ -34,11 +34,7 @@ from repro.core.double import DoubleNN
 from repro.core.environment import TNNEnvironment
 from repro.core.result import TNNResult
 from repro.engine.batch import BatchRunner, SharedScanRunner
-from repro.engine.shared_scan import (
-    SharedScanExecutor,
-    shared_scan_supported,
-    tree_all_backed,
-)
+from repro.engine.shared_scan import SharedScanExecutor, shared_scan_supported
 from repro.engine.workload import QueryWorkload
 from repro.geometry import Circle, Point, Rect
 
@@ -108,11 +104,16 @@ class QueryEngine:
     # Channel plumbing
     # ------------------------------------------------------------------
     def _tuner(self, channel: str, phase: float) -> ChannelTuner:
+        """A fresh tuner on one channel, under the environment's faults."""
         if channel == "s":
-            return ChannelTuner(BroadcastChannel(self.env.s_program, phase=phase))
-        if channel == "r":
-            return ChannelTuner(BroadcastChannel(self.env.r_program, phase=phase))
-        raise ValueError(f"channel must be 's' or 'r', got {channel!r}")
+            program = self.env.s_program
+        elif channel == "r":
+            program = self.env.r_program
+        else:
+            raise ValueError(f"channel must be 's' or 'r', got {channel!r}")
+        return ChannelTuner(
+            BroadcastChannel(program, phase=phase), loss=self.env.loss
+        )
 
     def _tree(self, channel: str):
         return self.env.s_tree if channel == "s" else self.env.r_tree
@@ -185,10 +186,7 @@ class QueryEngine:
         if not record_log:
             for search in searches:
                 search.tuner.record_log = False
-        executor = SharedScanExecutor(
-            all_trees_backed=tree_all_backed(self.env.s_tree)
-            and tree_all_backed(self.env.r_tree)
-        )
+        executor = SharedScanExecutor()
         for search in searches:
             executor.add(SearchGroup([search]))
         executor.run()

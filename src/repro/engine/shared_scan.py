@@ -45,11 +45,9 @@ construction:
   transitive lanes run raw-hypot *certified estimates* whose deflated
   margins can only decide provably-identical outcomes (prunes, skipped
   guarantee scans) with every stored value still computed by the exact
-  scalar metrics; the absorb hooks
-  (:meth:`~repro.client.search.BroadcastNNSearch._absorb_internal_shared`,
-  :meth:`~repro.client.search.BroadcastNNSearch._absorb_internal_weak`)
-  replay the per-query absorb logic on the batched rows, and the inlined
-  page download replays the tuner's arrival arithmetic;
+  scalar metrics; the absorb lanes replay the per-query absorb logic
+  (``_absorb_internal`` / ``_absorb_leaf``) on the batched rows, and the
+  inlined page download replays the tuner's arrival arithmetic;
 * everything that cannot batch falls back to the search's own per-query
   code path: sub-threshold lanes, heap-backed searches (distributed
   layouts), lossy *drain* serves (kNN / range / window), unknown search
@@ -74,11 +72,7 @@ import numpy as np
 
 from repro.broadcast.loss import FAULT_LOST
 from repro.broadcast.tuner import TunerLedger, scalar_tuners_forced
-from repro.client.frontier import (
-    FrontierArena,
-    NodeStore,
-    node_store_disabled,
-)
+from repro.client.frontier import FrontierArena
 from repro.client.knn import BroadcastKNNSearch
 from repro.client.range_query import BroadcastRangeSearch
 from repro.client.scheduler import SearchGroup
@@ -86,7 +80,6 @@ from repro.client.search import (
     _CERT_DEFLATE,
     _CERT_INFLATE,
     BroadcastNNSearch,
-    SearchMode,
 )
 from repro.client.window import BroadcastWindowSearch
 from repro.core.environment import TNNEnvironment
@@ -111,135 +104,6 @@ def _sid_append(arr: np.ndarray, i: int, sid: int) -> np.ndarray:
     return arr
 
 
-def tree_all_backed(tree) -> bool:
-    """True when every internal node's children all hold points (cached).
-
-    Holds for every standard packer (a leaf always stores at least one
-    point); only hand-assembled degenerate trees fail it.  Computed once
-    per tree and cached on the tree object, so executors can skip the
-    per-node backed-guarantee masks for the entire run.
-    """
-    try:
-        return tree._all_subtrees_backed
-    except AttributeError:
-        ok = all(
-            node.children_all_backed()
-            for node in tree.root.iter_preorder()
-            if not node.is_leaf
-        )
-        tree._all_subtrees_backed = ok
-        return ok
-
-
-def _tree_lane_blocks(tree) -> tuple:
-    """Stack one tree's node arrays into per-shape blocks (cached).
-
-    Internal nodes group by fan-out ``n`` into a ``(k, n, 4)`` child-MBR
-    block plus the aligned ``(k, n)`` child-count block; leaves group by
-    point count into ``(k, n, 2)`` blocks.  Every node records its row
-    (``_tree_row``) in its block.  Built once per tree and cached on the
-    tree object (trees are immutable after packing and may be shared
-    across environments through the tree cache).
-    """
-    try:
-        return tree._lane_blocks
-    except AttributeError:
-        internal: dict = {}
-        leaf: dict = {}
-        for node in tree.root.iter_preorder():
-            if node.is_leaf:
-                leaf.setdefault(len(node.points), []).append(node)
-            else:
-                internal.setdefault(len(node.children), []).append(node)
-        mbrs = {}
-        cnts = {}
-        pts = {}
-        for n, nodes in internal.items():
-            mbrs[n] = np.stack([nd.child_mbr_array() for nd in nodes])
-            cnts[n] = np.stack([nd.child_count_array() for nd in nodes])
-            key = n << 2
-            for r, nd in enumerate(nodes):
-                nd._tree_row = r
-                nd._lane_key = key
-        for n, nodes in leaf.items():
-            pts[n] = np.stack([nd.points_array() for nd in nodes])
-            key = (n << 2) | 2
-            for r, nd in enumerate(nodes):
-                nd._tree_row = r
-                nd._lane_key = key
-        blocks = (mbrs, cnts, pts)
-        tree._lane_blocks = blocks
-        return blocks
-
-
-def combine_lane_blocks(trees) -> tuple:
-    """One gatherable ``(mbrs, cnts, pts, npgs, cpgs)`` set over ``trees``.
-
-    Survivor lanes mix nodes from both datasets' trees, so the executor
-    needs a single row space: each tree's cached geometry blocks are
-    concatenated per shape and every node is stamped with its combined
-    row (``_lane_row`` = its ``_tree_row`` plus the tree's offset in that
-    shape's block).  The per-fan-out page blocks — every internal node's
-    own page id (``npgs``, ``(k,)``) and its children's page ids
-    (``cpgs``, ``(k, n)``) — are rebuilt here rather than cached on the
-    tree: page ids are assigned by the broadcast *program*, and a cached
-    tree may back programs with different schedules.  The stamping is per
-    call — a tree may also appear with different partners across
-    environments — but costs only a preorder walk, a few ms against a
-    workload run.  The combined blocks hold the exact values the per-node
-    accessors return, in stable rows, so lane gathers are bit-identical
-    to per-node concatenation.
-    """
-    seen: list = []
-    for t in trees:
-        if not any(t is u for u in seen):
-            seen.append(t)
-    parts = [_tree_lane_blocks(t) for t in seen]
-    mbrs: dict = {}
-    cnts: dict = {}
-    pts: dict = {}
-    int_offs = []
-    leaf_offs = []
-    for tmbrs, tcnts, tpts in parts:
-        io = {}
-        for n, arr in tmbrs.items():
-            if n in mbrs:
-                io[n] = mbrs[n].shape[0]
-                mbrs[n] = np.concatenate((mbrs[n], arr))
-                cnts[n] = np.concatenate((cnts[n], tcnts[n]))
-            else:
-                io[n] = 0
-                mbrs[n] = arr
-                cnts[n] = tcnts[n]
-        lo = {}
-        for n, arr in tpts.items():
-            if n in pts:
-                lo[n] = pts[n].shape[0]
-                pts[n] = np.concatenate((pts[n], arr))
-            else:
-                lo[n] = 0
-                pts[n] = arr
-        int_offs.append(io)
-        leaf_offs.append(lo)
-    npgs = {
-        n: np.empty(arr.shape[0], dtype=np.int64) for n, arr in mbrs.items()
-    }
-    cpgs = {
-        n: np.empty(arr.shape[:2], dtype=np.int64) for n, arr in mbrs.items()
-    }
-    for t, io, lo in zip(seen, int_offs, leaf_offs):
-        for node in t.root.iter_preorder():
-            if node.is_leaf:
-                node._lane_row = node._tree_row + lo[len(node.points)]
-            else:
-                n = len(node.children)
-                row = node._tree_row + io[n]
-                node._lane_row = row
-                npgs[n][row] = node.page_id
-                cpgs[n][row] = node.child_page_array()
-    return mbrs, cnts, pts, npgs, cpgs
-
-
 # ----------------------------------------------------------------------
 # The round-based executor
 # ----------------------------------------------------------------------
@@ -254,12 +118,17 @@ class SharedScanExecutor:
     Serve shapes, chosen per search by what its pop-time prune test reads:
 
     * **NN searches** — the prune bound (``upper_bound``) evolves at every
-      absorb, so a serve is one :meth:`ArrivalFrontier.pop_until` run:
-      consume certified-prunable entries, stop at the first survivor,
-      download it, and defer its expansion to the round's multi-query
-      kernel batch.  Hybrid pairs pass the sibling's next event time as the
-      pop limit (``run_all``'s ping-pong tie rule); independent searches
-      run unlimited.
+      absorb, so a serve is one ``pop_until`` run: consume
+      certified-prunable entries, stop at the first survivor, download it,
+      and defer its expansion to the round's multi-query kernel batch.
+      Every fast NN search joins the columnar
+      :class:`~repro.client.frontier.FrontierArena`, whose
+      :class:`~repro.client.frontier.NodeStore` is the executor's one node
+      representation: phase A serves every due search in whole-workload
+      array passes and hands the survivors to the absorb lanes as store
+      ids.  Hybrid pairs pass the sibling's next event time as the pop
+      limit (``run_all``'s ping-pong tie rule); independent searches run
+      unlimited.
     * **kNN searches** — internal expansions never move the k-th-best
       bound, so a serve drains pops and internal downloads in one loop and
       stops only at a leaf download, whose distance row joins the round's
@@ -269,20 +138,15 @@ class SharedScanExecutor:
       collected leaves are resolved afterwards in one flat per-search
       kernel call that preserves leaf pop order.
     * anything else (heap backends, lossy *drain* serves, non-trivial
-      pruning policies, ``REPRO_NO_KERNELS=1``, unknown types) — a burst
-      of the search's own ``step()`` while it stays eligible: the
-      executor degrades to a pure multiplexer over the per-query oracle.
-      Lossy NN searches ride the arena: the round flush resolves their
-      retry chains closed form, bit-identically to the per-query
-      ``_receive`` loop.
+      pruning policies, ``REPRO_NO_KERNELS=1``, NN searches grouped with
+      other types, unknown types) — a burst of the search's own ``step()``
+      while it stays eligible: the executor degrades to a pure multiplexer
+      over the per-query oracle.  Lossy NN searches ride the arena: the
+      round flush resolves their retry chains closed form, bit-identically
+      to the per-query ``_receive`` loop.
     """
 
-    def __init__(
-        self,
-        all_trees_backed: bool = False,
-        lane_blocks: Optional[tuple] = None,
-        node_store: Optional[NodeStore] = None,
-    ) -> None:
+    def __init__(self) -> None:
         #: Groups whose members all serve through the columnar arena
         #: (fast-eligible NN searches) vs everything else.
         self._arena_groups: List[SearchGroup] = []
@@ -336,35 +200,6 @@ class SharedScanExecutor:
         #: the point-bit lane-key OR entirely while it is zero.
         self._n_point = 0
         self._use_kernels = True
-        #: Global :class:`~repro.client.frontier.NodeStore` over the run's
-        #: trees — the arena's ``_e_slot`` lane then holds store ids and
-        #: phase A runs as whole-workload array passes.  Requires the
-        #: combined lane blocks (store lane keys address them); ``None``
-        #: (or no lane blocks) keeps the per-frontier slot addressing and
-        #: the scalar row loop — the ``REPRO_NO_NODE_STORE=1`` oracle.
-        self._node_store = node_store if lane_blocks is not None else None
-        #: Callers pass True after checking every involved tree with
-        #: :func:`tree_all_backed`: no expanded node can then have an
-        #: empty child subtree, and the absorb lanes skip the per-node
-        #: backed-guarantee masks wholesale.  False is always safe.
-        self._all_trees_backed = all_trees_backed
-        #: Per-shape stacked node arrays over the workload's trees from
-        #: :func:`combine_lane_blocks`.  When present, the absorb lanes
-        #: gather their ``(k, n, …)`` inputs with one fancy index per
-        #: lane instead of concatenating k small per-node arrays; every
-        #: lane node must carry a ``_lane_row`` stamped against these
-        #: blocks.  ``None`` (always safe) marshals per node.
-        if lane_blocks is None:
-            self._lane_mbrs = self._lane_cnts = self._lane_pts = None
-            self._lane_npgs = self._lane_cpgs = None
-        else:
-            (
-                self._lane_mbrs,
-                self._lane_cnts,
-                self._lane_pts,
-                self._lane_npgs,
-                self._lane_cpgs,
-            ) = lane_blocks
 
     def add(self, group: Optional[SearchGroup]) -> None:
         # A group whose members were all born finished (a window that
@@ -374,20 +209,15 @@ class SharedScanExecutor:
             group = group.tag.advance() if group.tag is not None else None
         if group is None:
             return
-        store = self._node_store
         if kernels.enabled() and all(
             type(s) is BroadcastNNSearch and self._fast(s, True)
-            and (store is None or id(s.tree) in store.tree_ids)
             for s in group.pending
         ):
             # Fast NN searches join the shared columnar arena: their
             # frontiers' queued entries move into one set of numpy lanes
             # and the round serves them with whole-workload array passes.
-            # (A search over a tree the node store does not cover — only
-            # possible for externally built executors — keeps the legacy
-            # per-group serve, which never touches store ids.)
             if self._arena is None:
-                self._arena = FrontierArena(store)
+                self._arena = FrontierArena()
                 if not scalar_tuners_forced():
                     self._ledger = TunerLedger()
             ledger = self._ledger
@@ -441,20 +271,19 @@ class SharedScanExecutor:
 
     # ------------------------------------------------------------------
     def _round(self) -> None:
-        # Lane key -> [searches, nodes] parallel lists.  Keys pack the
-        # lane shape into one int — ``(fanout << 2) | (is_leaf << 1) |
-        # is_point`` — so the per-survivor binning allocates no tuples
-        # and hashes a plain int.
-        lanes: dict = {}
+        #: Survivors of the round's scalar serve continuations (phase-A
+        #: rows the exact test pruned after all), as ``(sid, nid)``
+        #: pairs; they join phase A's kept rows in the absorb lanes.
+        resumed: List[Tuple[int, int]] = []
         point_leaves: dict = {}  # fanout -> [searches, nodes]  (kNN leaves)
         flat_leaves: List[Tuple[object, List]] = []  # (search, leaf nodes)
         #: Searches verified finished by their serve, with their groups.
         probe: List[Tuple[SearchGroup, object]] = []
-        ctx = (lanes, point_leaves, flat_leaves, probe)
-        id_lanes: Optional[tuple] = None
+        ctx = (resumed, point_leaves, flat_leaves, probe)
+        lanes: Optional[tuple] = None
         if self._arena_groups:
             if self._use_kernels:
-                id_lanes = self._arena_phase_a(ctx)
+                lanes = self._arena_phase_a(ctx)
             else:
                 # Kernels were toggled off for the run: the arena groups
                 # degrade to the per-group multiplexer (attached frontiers
@@ -465,8 +294,6 @@ class SharedScanExecutor:
 
         if lanes:
             self._absorb_nn_lanes(lanes)
-        if id_lanes:
-            self._absorb_nn_lanes_ids(id_lanes)
         if point_leaves:
             self._absorb_point_leaves(point_leaves)
         for s, leaves in flat_leaves:
@@ -483,7 +310,7 @@ class SharedScanExecutor:
             # tuners' access times and page counts.
             res, rej, due = self._flush_pending
             self._flush_pending = None
-            confirmed = res["act_np"]
+            confirmed = res["act"]
             if rej:
                 confirmed = confirmed.copy()
                 confirmed[rej] = False
@@ -538,8 +365,8 @@ class SharedScanExecutor:
         scalar channel arithmetic performs.
         """
         sids = due[conf]
-        pages = res["page_np"][conf]
-        arrs = res["arrival_np"][conf]
+        pages = res["page"][conf]
+        arrs = res["arrival"][conf]
         ledger = self._ledger
         if not self._any_lossy:
             ledger.flush_round(self._sid_row[sids], pages, arrs)
@@ -640,9 +467,7 @@ class SharedScanExecutor:
     def _group_loop(self, groups: List[SearchGroup], ctx) -> None:
         """The per-group serve dispatch (non-arena groups)."""
         probe = ctx[3]
-        serve_nn = self._serve_nn_one
         serve = {
-            BroadcastNNSearch: serve_nn,
             BroadcastKNNSearch: self._serve_knn_one,
             BroadcastRangeSearch: self._serve_range_one,
             BroadcastWindowSearch: self._serve_window_one,
@@ -652,47 +477,37 @@ class SharedScanExecutor:
             if g.paired and len(pending) > 1:
                 # run_all's two-float ping-pong: the earlier next event is
                 # served, ties to the first member; the sibling's time caps
-                # how far the serve may pop ahead.
+                # how far the member may step ahead.
                 s0, s1 = pending
                 t0 = s0.next_event_time()
                 t1 = s1.next_event_time()
                 if t0 <= t1:
-                    s, limit, strict = s0, t1, False
+                    self._burst(g, s0, t1, False, ctx)
                 else:
-                    s, limit, strict = s1, t0, True
-                if type(s) is BroadcastNNSearch:
-                    serve_nn(g, s, limit, strict, ctx)
-                else:
-                    # Paired members of any other kind advance through
-                    # their own eligible steps (run_all semantics hold for
-                    # every steppable).
-                    self._burst(g, s, limit, strict, probe)
+                    self._burst(g, s1, t0, True, ctx)
             else:
                 for s in pending:
                     fn = serve.get(type(s))
                     if fn is not None:
                         fn(g, s, math.inf, False, ctx)
+                    elif type(s) is BroadcastNNSearch:
+                        # NN searches outside the arena: heap backends,
+                        # non-trivial policies, kernels off.
+                        self._burst(g, s, math.inf, False, ctx)
                     else:
                         s.step()  # unknown search type: per-query verbatim
                         if s.finished():
                             probe.append((g, s))
 
-    # ------------------------------------------------------------------
-    # Arena phase A: the whole-workload vectorised serve
-    # ------------------------------------------------------------------
     def _arena_phase_a(self, ctx) -> Optional[tuple]:
         """Serve every arena group's due member through batched lanes.
 
         One :meth:`FrontierArena.begin_round` pass yields every search's
         head arrival (the pairing ping-pong reads), one
         :meth:`FrontierArena.serve` pass consumes every due search's
-        certified-prunable run and hands back its survivor.  With a node
-        store attached the survivors then resolve through whole-round
-        array passes (:meth:`_phase_a_store`) and the absorb lanes come
-        back as id arrays; without one, the scalar row loop
-        (:meth:`_phase_a_rows`) finishes each serve in O(1) — the rare
-        certified-keep margin cases fall back to the scalar serve,
-        bit-identically on both paths.
+        certified-prunable run and hands back its survivor, and
+        :meth:`_resolve_survivors` finishes every serve with whole-round
+        array passes; the absorb lanes come back as store-id arrays.
         """
         arena = self._arena
         arena.flush()  # merge registrations staged since the last round
@@ -745,219 +560,43 @@ class SharedScanExecutor:
         else:
             second = None
         res = arena.serve(due, limits, stricts)
-        if arena._store is not None:
-            return self._phase_a_store(res, due, limits, stricts, second, ctx)
-        first = ~second if second is not None else None
-        self._phase_a_rows(res, due, limits, stricts, first, ctx)
-        return None
+        return self._resolve_survivors(res, due, limits, stricts, second, ctx)
 
-    def _phase_a_rows(self, res, due, limits, stricts, first, ctx) -> None:
-        """The scalar survivor loop finishing each serve, row by row.
-
-        Retained verbatim as the ``REPRO_NO_NODE_STORE=1`` oracle: the
-        store path of :meth:`_phase_a_store` must stay bit-identical to
-        this loop's decisions, bookings and lane grouping.
-        """
-        arena = self._arena
-        first_l = first.tolist() if first is not None else ()
-        act = res["act"]
-        has = res["has"]
-        idxs = res["idx"]
-        arrivals = res["arrival"]
-        slots = res["slot"]
-        lbs = res["lb"]
-        ubs = res["ub"]
-        weaks = res["weak"]
-        stampeds = res["stamped"]
-        lives = res["live"]
-        lanes, _, _, probe = ctx
-        ledger = self._ledger
-        #: Serve rows whose survivor was pruned after all (scalar
-        #: fallbacks) — excluded from the ledger's round flush; any
-        #: download their scalar continuation makes records itself.
-        rej: List[int] = []
-        # serve() already consumed every actionable survivor and advanced
-        # its owner's arena clock; this loop only performs the per-serve
-        # download bookkeeping.  (The pair rows and always-due rows are
-        # walked directly — no per-round context list is materialised;
-        # ``j`` indexes the serve() results, pairs first.)
-        arena_now = arena._now
-        due_list = limits_list = stricts_list = None
-
-        def fallback(j, g, s):
-            # Scalar continuation of a rejected serve: re-sync the owner
-            # clock (serve() has not moved it) and resume through the
-            # one-search path.  Most rounds reject nothing, so the row
-            # lists materialise lazily instead of three eager ``tolist``
-            # passes per round.
-            nonlocal due_list, limits_list, stricts_list
-            if due_list is None:
-                due_list = due.tolist()
-                limits_list = limits.tolist()
-                stricts_list = stricts.tolist()
-            rej.append(j)
-            arena_now[due_list[j]] = s.tuner.now
-            self._serve_nn_one(g, s, limits_list[j], stricts_list[j], ctx)
-
-        hyp = math.hypot
-        pairs = self._pairs
-        solos = self._solos
-        n_pairs = len(pairs)
-        use_keys = self._lane_mbrs is not None
-        act_np = res["act_np"]
-        # Only the actionable rows are walked: a round's due set holds
-        # every active search, and most rows have no actionable survivor
-        # (their head lies beyond the pairing limit, or their whole queue
-        # was a certified-prunable run) — iterating them all would
-        # re-impose a per-active-search python floor on every round.  Rows
-        # index the serve() results, pairs first, then the always-due solo
-        # members; finish probes for the non-actionable rows come from one
-        # vector mask afterwards.
-        for j in np.flatnonzero(act_np).tolist():
-            if j < n_pairs:
-                row = pairs[j]
-                g = row[0]
-                s = row[1] if first_l[j] else row[2]
-            else:
-                g, s = solos[j - n_pairs]
-            f = s._frontier
-            node = f._nodes[slots[j]]
-            if stampeds[j]:
-                lb: Optional[float] = lbs[j]
-                weak = weaks[j]
-            else:
-                weak = False
-                lb = None
-                if f.lower_evaluator is not None:
-                    lb = arena._eval_stale_attached(
-                        f, idxs[j], s._metric_epoch
-                    )
-                    if lb is not None and lb > s.upper_bound:
-                        # The batch evaluation proved the prune after all:
-                        # resume the serve scalar (the rare stale path).
-                        fallback(j, g, s)
-                        continue
-            if lb is None or weak:
-                if weak and s._point_bit:
-                    # Certified-weak point survivor: one exact MINDIST
-                    # resolves the margin band (cf. _decide_keep's weak
-                    # point branch; fast-eligible policies are trivial).
-                    mbr = node.mbr
-                    qp = s.query
-                    if hyp(
-                        max(mbr[0] - qp.x, 0.0, qp.x - mbr[2]),
-                        max(mbr[1] - qp.y, 0.0, qp.y - mbr[3]),
-                    ) > s.upper_bound:
-                        fallback(j, g, s)
-                        continue
-                elif weak and ubs[j] <= s.upper_bound:
-                    # Staged keep certificate holds against the current
-                    # bound: the exact test provably keeps this node.
-                    pass
-                elif not s._decide_keep(node, lb, weak):
-                    # Margin-band survivor pruned by the exact test:
-                    # continue the serve through the scalar loop.
-                    fallback(j, g, s)
-                    continue
-            # Survivor: downloaded now.  Its clock/counter/log updates are
-            # deferred to the ledger's one-pass round flush; only the
-            # forced-scalar oracle still books it here, row by row.
-            if ledger is None:
-                tuner = s.tuner
-                if tuner.loss is None:
-                    arrival = arrivals[j]
-                    tuner.now = arrival + 1.0
-                    tuner.index_pages += 1
-                    if tuner.record_log:
-                        tuner.log.append(
-                            ("index", node.page_id, arrival, True)
-                        )
-                else:
-                    # Faulty forced-scalar download: the retry loop's
-                    # first attempt recomputes exactly this serve's
-                    # arrival; the arena clock re-syncs past the retries.
-                    tuner.download_index_page(node.page_id)
-                    arena_now[due[j]] = tuner.now
-            if use_keys:
-                # Block-stamped nodes carry their packed lane shape; one
-                # ``or`` folds in the owner's metric bit.
-                key = node._lane_key | s._point_bit
-                if lives[j] == 0 and key & 2:
-                    probe.append((g, s))  # leaf absorbs never push
-            elif node.level == 0:
-                key = (len(node.points) << 2) | 2 | s._point_bit
-                if lives[j] == 0:
-                    probe.append((g, s))  # leaf absorbs never push
-            else:
-                key = (len(node.children) << 2) | s._point_bit
-            lane = lanes.get(key)
-            if lane is None:
-                lanes[key] = [[s], [node]]
-            else:
-                lane[0].append(s)
-                lane[1].append(node)
-        # Non-actionable rows whose queue the certified-prune consumption
-        # emptied are finished: probe them (the serve is their run_all
-        # finish moment).  Probe order may differ from a single walk in
-        # row order, but no search observes it: a paired group serves one
-        # member per round, and a group with several always-due members is
-        # unpaired by construction — its ``on_finish`` callbacks never
-        # touch a sibling (the SearchGroup contract), so probes of
-        # different members commute.
-        dead = ~act_np
-        if dead.any():
-            for j in np.flatnonzero(
-                dead & ~res["has_np"] & (res["live_np"] == 0)
-            ).tolist():
-                if j < n_pairs:
-                    row = pairs[j]
-                    probe.append(
-                        (row[0], row[1] if first_l[j] else row[2])
-                    )
-                else:
-                    probe.append(solos[j - n_pairs])
-        if ledger is not None:
-            # Everything actionable minus the scalar rejections flushes to
-            # the ledger at the arena flush point of this round.
-            self._flush_pending = (res, rej, due)
-
-    def _phase_a_store(
+    def _resolve_survivors(
         self, res, due, limits, stricts, second, ctx
     ) -> Optional[tuple]:
-        """Array-pass survivor handling over the global node store.
+        """Finish every phase-A serve with whole-round array passes.
 
-        Replays :meth:`_phase_a_rows` with whole-round vector passes:
-        automatic keeps, weak point survivors (one vectorised exact
+        Automatic keeps, weak point survivors (one vectorised exact
         MINDIST), staged keep certificates and the leaf-finish probes all
         resolve from store/arena column gathers, and the absorb lanes
         come back as one argsort-sorted ``(keys, sids, nids, cuts)``
-        segment pack.  Python touches only the residual rows —
-        stale bounds, failed certificates, margin-band survivors — which
-        drop to the same scalar fallbacks as the oracle, plus the
-        forced-scalar tuner booking when no ledger is attached.  Every
-        decision is bit-identical to the row loop (the weak-point check
-        runs :func:`~repro.geometry.kernels.mindist_multi`, whose
-        ``maximum`` chain and hypot reproduce ``max`` / ``math.hypot``
-        exactly).
+        segment pack.  Python touches only the residual rows — stale
+        bounds, failed certificates, margin-band survivors; a row the
+        exact test prunes after all resumes its serve through
+        :meth:`_resume_nn`, and the survivor found there joins the pack.
+        The forced-scalar tuner booking (no ledger attached) also runs
+        here, row by row.  Every decision is exactly the per-query
+        ``_decide_keep`` verdict (the weak-point check runs
+        :func:`~repro.geometry.kernels.mindist_multi`, whose ``maximum``
+        chain and hypot reproduce ``max`` / ``math.hypot`` exactly).
         """
         arena = self._arena
         store = arena._store
-        _, _, _, probe = ctx
+        resumed, _, _, probe = ctx
         ledger = self._ledger
         pairs = self._pairs
         solos = self._solos
         n_pairs = len(pairs)
-        act_np = res["act_np"]
-        slot_np = res["slot_np"]  # store ids in store mode
-        stamped_np = res["stamped_np"]
-        weak_np = res["weak_np"]
-        live_np = res["live_np"]
-        arena_now = arena._now
+        act = res["act"]
+        nid = res["nid"]
+        stamped = res["stamped"]
+        live = res["live"]
         # Epoch-stale bounds are rare; a clean round skips the stamped
         # masking (and the residual scan) entirely.
-        stamp_clean = bool(stamped_np.all())
-        act_stamped = act_np if stamp_clean else act_np & stamped_np
-        weak_rows = act_stamped & weak_np
+        stamp_clean = bool(stamped.all())
+        act_stamped = act if stamp_clean else act & stamped
+        weak_rows = act_stamped & res["weak"]
         #: Rows kept by the vector classification (grown below): the
         #: weak subset of the stamped keeps clears via xor (it is a
         #: subset, so this is exactly ``act & stamped & ~weak``).
@@ -977,18 +616,20 @@ class SharedScanExecutor:
 
         due_list = limits_list = stricts_list = None
 
-        def fallback(j, g, s):
-            # Scalar continuation of a rejected serve, exactly like the
-            # oracle's: re-sync the owner clock (serve() has not moved
-            # it) and resume through the one-search path.
+        def fallback(j):
+            # Scalar continuation of a rejected serve: re-sync the owner
+            # clock (serve() has not moved it) and resume through the
+            # one-search path.  Most rounds reject nothing, so the row
+            # lists materialise lazily.
             nonlocal due_list, limits_list, stricts_list
             if due_list is None:
                 due_list = due.tolist()
                 limits_list = limits.tolist()
                 stricts_list = stricts.tolist()
+            g, s = member_of(j)
             rej.append(j)
-            arena_now[due_list[j]] = s.tuner.now
-            self._serve_nn_one(g, s, limits_list[j], stricts_list[j], ctx)
+            arena._now[due_list[j]] = s.tuner.now
+            self._resume_nn(g, s, limits_list[j], stricts_list[j], ctx)
 
         wj = np.flatnonzero(weak_rows)
         if wj.size:
@@ -1009,8 +650,8 @@ class SharedScanExecutor:
                 pj = wj if n_pt == wj.size else wj[point]
                 psids = wsids if n_pt == wj.size else wsids[point]
                 d = kernels.mindist_multi(
-                    np.column_stack((arena._qx[psids], arena._qy[psids])),
-                    store.mbr[slot_np[pj]],
+                    arena._q[psids],
+                    store.mbr[nid[pj]],
                 )
                 ok = d <= arena._ub[psids]
                 if ok.all():
@@ -1018,12 +659,11 @@ class SharedScanExecutor:
                 else:
                     keep[pj[ok]] = True
                     for j in pj[~ok].tolist():
-                        g, s = member_of(j)
-                        fallback(j, g, s)
+                        fallback(j)
             if n_pt < wj.size:
                 # Weak transitive survivors: the staged keep certificate
                 # against the current bound proves most keeps; the rest
-                # batch one exact Lemma 1 pass.  The scalar oracle's
+                # batch one exact Lemma 1 pass.  The scalar path's
                 # centre/corner certificates (_certified_keep) are upper
                 # bounds on the exact value, so they can never flip the
                 # exact test's verdict — replaying only the exact bound
@@ -1031,7 +671,7 @@ class SharedScanExecutor:
                 tj = wj if n_pt == 0 else wj[~point]
                 tsids = wsids if n_pt == 0 else wsids[~point]
                 ub_t = arena._ub[tsids]
-                cert = res["ub_np"][tj] <= ub_t
+                cert = res["ub"][tj] <= ub_t
                 if cert.all():
                     keep[tj] = True
                 else:
@@ -1042,13 +682,12 @@ class SharedScanExecutor:
                     rows = tj[sub]
                     rsids = tsids[sub]
                     rub = ub_t[sub]
-                    fb = res["lb_np"][rows] > rub
+                    fb = res["lb"][rows] > rub
                     if fb.any():
                         # Stale-bound prunes are rare (a handful per
                         # campaign); keep their gathers off the hot path.
                         for j in rows[fb].tolist():
-                            g, s = member_of(j)
-                            fallback(j, g, s)
+                            fallback(j)
                         ok2 = ~fb
                         crows = rows[ok2]
                         csids = rsids[ok2]
@@ -1060,7 +699,7 @@ class SharedScanExecutor:
                         exact = kernels.trans_lower_multi(
                             tr[:, 0],
                             tr[:, 1],
-                            store.mbr[slot_np[crows]],
+                            store.mbr[nid[crows]],
                             tr[:, 2],
                             tr[:, 3],
                         )
@@ -1070,105 +709,114 @@ class SharedScanExecutor:
                         else:
                             keep[crows[good]] = True
                             for j in crows[~good].tolist():
-                                g, s = member_of(j)
-                                fallback(j, g, s)
-        if not stamp_clean and (resid := act_np ^ act_stamped).any():
+                                fallback(j)
+        if not stamp_clean and (resid := act ^ act_stamped).any():
             # Rows whose queued bound is epoch-stale: batch-evaluate
             # against the current metric, then prune / keep / decide
-            # exactly like the oracle's unstamped branch.
-            idx_np = res["idx_np"]
+            # exactly like the per-query pop.
+            idx = res["idx"]
             for j in np.flatnonzero(resid).tolist():
-                g, s = member_of(j)
+                s = member_of(j)[1]
                 f = s._frontier
                 lb = None
                 if f.lower_evaluator is not None:
                     lb = arena._eval_stale_attached(
-                        f, idx_np[j], s._metric_epoch
+                        f, idx[j], s._metric_epoch
                     )
                     if lb is not None and lb > s.upper_bound:
-                        fallback(j, g, s)
+                        fallback(j)
                         continue
                 if lb is None and not s._decide_keep(
-                    store.nodes[slot_np[j]], None, False
+                    store.nodes[nid[j]], None, False
                 ):
-                    fallback(j, g, s)
+                    fallback(j)
                     continue
                 keep[j] = True
 
         kept = np.flatnonzero(keep)
-        id_lanes: Optional[tuple] = None
-        if kept.size:
-            if ledger is None:
-                # Forced-scalar tuner oracle: book each kept download row
-                # by row, like the row loop (the ledger path defers all
-                # of this to the one-pass round flush).
-                arrivals = res["arrival_np"]
-                pages = res["page_np"]
-                for j in kept.tolist():
-                    s = member_of(j)[1]
-                    tuner = s.tuner
-                    if tuner.loss is None:
-                        arrival = float(arrivals[j])
-                        tuner.now = arrival + 1.0
-                        tuner.index_pages += 1
-                        if tuner.record_log:
-                            tuner.log.append(
-                                ("index", int(pages[j]), arrival, True)
-                            )
-                    else:
-                        tuner.download_index_page(int(pages[j]))
-                        arena_now[due[j]] = tuner.now
-            ksids = due[kept]
-            knids = slot_np[kept]
+        if kept.size and ledger is None:
+            # Forced-scalar tuner oracle: book each kept download row by
+            # row (the ledger path defers all of this to the one-pass
+            # round flush).
+            arrivals = res["arrival"]
+            pages = res["page"]
+            for j in kept.tolist():
+                tuner = member_of(j)[1].tuner
+                if tuner.loss is None:
+                    arrival = float(arrivals[j])
+                    tuner.now = arrival + 1.0
+                    tuner.index_pages += 1
+                    if tuner.record_log:
+                        tuner.log.append(
+                            ("index", int(pages[j]), arrival, True)
+                        )
+                else:
+                    tuner.download_index_page(int(pages[j]))
+                    arena._now[due[j]] = tuner.now
+        ksids = due[kept]
+        knids = nid[kept]
+        lv = live[kept]
+        if not lv.all():
+            # Drained rows: a kept leaf with an empty queue finishes at
+            # absorb time (leaf absorbs never push).
+            probe.extend(map(
+                member_of,
+                kept[store.leaf_bit[knids] & (lv == 0)].tolist(),
+            ))
+        if resumed:
+            # The scalar continuations booked and probed their own
+            # survivors; they absorb with the rest of the round.
+            extra = np.array(resumed, dtype=np.int64)
+            ksids = np.concatenate((ksids, extra[:, 0]))
+            knids = np.concatenate((knids, extra[:, 1]))
+        lanes: Optional[tuple] = None
+        if ksids.size:
             keys = store.lane_key[knids]
             if self._n_point:
                 keys = keys | arena._pbit[ksids]
-            lv = live_np[kept]
-            if not lv.all():
-                # Drained rows: a kept leaf with an empty queue finishes
-                # at absorb time (leaf absorbs never push).
-                probe.extend(map(
-                    member_of,
-                    kept[store.leaf_bit[knids] & (lv == 0)].tolist(),
-                ))
             # One stable argsort bins every kept row into its absorb
-            # lane; within a lane the rows keep serve order, matching the
-            # oracle's per-row appends.  The absorb pass walks the sorted
-            # arrays segment by segment (ascending key order — exactly
-            # the insertion order the per-lane dict used to have), so the
-            # hand-off is just the arrays plus the interior boundaries.
+            # lane; within a lane the rows keep serve order.  The absorb
+            # pass walks the sorted arrays segment by segment (ascending
+            # key order), so the hand-off is just the arrays plus the
+            # interior boundaries.
             order = np.argsort(keys, kind="stable")
             sk = keys[order]
-            id_lanes = (
+            lanes = (
                 sk,
                 ksids[order],
                 knids[order],
                 np.flatnonzero(sk[1:] != sk[:-1]).tolist(),
             )
         # Non-actionable rows whose queue the certified-prune consumption
-        # emptied are finished (cf. _phase_a_rows).  Gating on the empty
-        # queues (rare) rather than on ``act.all()`` (almost never true)
-        # keeps the common round to one cheap reduction.
-        dead = ~(act_np | res["has_np"])
+        # emptied are finished: probe them (the serve is their run_all
+        # finish moment).  Probe order may differ from a single walk in
+        # row order, but no search observes it: a paired group serves one
+        # member per round, and a group with several always-due members is
+        # unpaired by construction — its ``on_finish`` callbacks never
+        # touch a sibling (the SearchGroup contract), so probes of
+        # different members commute.  Gating on the empty queues (rare)
+        # rather than on ``act.all()`` (almost never true) keeps the common
+        # round to one cheap reduction.
+        dead = ~(act | res["has"])
         if dead.any():
             probe.extend(map(member_of, np.flatnonzero(
-                dead & (live_np == 0)
+                dead & (live == 0)
             ).tolist()))
         if ledger is not None:
             self._flush_pending = (res, rej, due)
-        return id_lanes
+        return lanes
 
     # ------------------------------------------------------------------
-    # Phase A: per-search serves
+    # Per-search serves
     # ------------------------------------------------------------------
-    def _burst(self, g, s, limit: float, strict: bool, probe) -> None:
+    def _burst(self, g, s, limit: float, strict: bool, ctx) -> None:
         """Per-query fallback: the search's own steps while eligible."""
         while not s.finished():
             t = s.next_event_time()
             if t > limit or (strict and t == limit):
                 return
             s.step()
-        probe.append((g, s))
+        ctx[3].append((g, s))
 
     def _fast(self, s, trivial_policy: bool) -> bool:
         """Batched-serve eligibility of one search, cached on the search.
@@ -1191,16 +839,21 @@ class SharedScanExecutor:
         s._shared_fast = (loss, fast)
         return fast
 
-    def _serve_nn_one(self, g, s, limit, strict, ctx) -> None:
-        if not self._use_kernels or not self._fast(s, True):
-            self._burst(g, s, limit, strict, ctx[3])
-            return
+    def _resume_nn(self, g, s, limit, strict, ctx) -> None:
+        """Scalar continuation of an arena serve phase A rejected.
+
+        The exact keep test pruned the survivor :meth:`FrontierArena.serve`
+        handed back, so the serve resumes here, one attached ``pop_until``
+        at a time, until the next survivor (or the pairing limit, or an
+        empty queue).  The survivor is downloaded now and recorded as a
+        ``(sid, nid)`` row of the round's absorb lanes.
+        """
         f = s._frontier
-        arena = f._arena
-        lanes, _, _, probe = ctx
+        sid = s._arena_sid
+        now = self._arena._now
+        resumed, _, _, probe = ctx
         epoch = s._metric_epoch
         tuner = s.tuner
-        loss = tuner.loss
         while True:
             res = f.pop_until(s.upper_bound, epoch, limit, strict)
             if res is None:
@@ -1210,38 +863,25 @@ class SharedScanExecutor:
             node, lb, weak, arrival = res
             if (lb is None or weak) and not s._decide_keep(node, lb, weak):
                 continue
-            # Survivor: download now, defer the expansion to the batch.
-            # record_index books the download on either backend — scalar
-            # writes standalone, the tuner's ledger row when attached.
-            if loss is None:
+            # record_index books the download on either tuner backend —
+            # scalar writes standalone, the tuner's ledger row when
+            # attached.  A faulty tuner's retry loop books every attempt
+            # itself (its first attempt recomputes exactly this pop's
+            # arrival), and the arena clock re-syncs past the retries.
+            if tuner.loss is None:
                 tuner.record_index(node.page_id, arrival)
-                if arena is not None:
-                    arena._now[f._sid] = arrival + 1.0
+                now[sid] = arrival + 1.0
             else:
-                # Faulty tuner: the per-query retry loop books every
-                # attempt itself (on either backend — its first attempt
-                # recomputes exactly this pop's arrival), and the arena
-                # clock re-syncs past the retries.
                 tuner.download_index_page(node.page_id)
-                if arena is not None:
-                    arena._now[f._sid] = tuner.now
-            if node.level == 0:
-                key = (node.fanout << 2) | 2 | s._point_bit
-                if f.finished():
-                    probe.append((g, s))  # leaf absorbs never push
-            else:
-                key = (node.fanout << 2) | s._point_bit
-            lane = lanes.get(key)
-            if lane is None:
-                lanes[key] = [[s], [node]]
-            else:
-                lane[0].append(s)
-                lane[1].append(node)
+                now[sid] = tuner.now
+            if node.level == 0 and f.finished():
+                probe.append((g, s))  # leaf absorbs never push
+            resumed.append((sid, node._store_nid))
             return
 
     def _serve_knn_one(self, g, s, limit, strict, ctx) -> None:
         if not self._use_kernels or not self._fast(s, False):
-            self._burst(g, s, limit, strict, ctx[3])
+            self._burst(g, s, limit, strict, ctx)
             return
         f = s._frontier
         _, point_leaves, _, probe = ctx
@@ -1308,7 +948,7 @@ class SharedScanExecutor:
 
     def _serve_range_one(self, g, s, limit, strict, ctx) -> None:
         if not self._use_kernels or not self._fast(s, False):
-            self._burst(g, s, limit, strict, ctx[3])
+            self._burst(g, s, limit, strict, ctx)
             return
         f = s._frontier
         _, _, flat_leaves, probe = ctx
@@ -1395,7 +1035,7 @@ class SharedScanExecutor:
 
     def _serve_window_one(self, g, s, limit, strict, ctx) -> None:
         if not self._use_kernels or not self._fast(s, False):
-            self._burst(g, s, limit, strict, ctx[3])
+            self._burst(g, s, limit, strict, ctx)
             return
         f = s._frontier
         _, _, flat_leaves, probe = ctx
@@ -1445,327 +1085,41 @@ class SharedScanExecutor:
     # ------------------------------------------------------------------
     # Phase B: cross-query batched absorbs (certified estimate lanes)
     # ------------------------------------------------------------------
-    def _absorb_nn_lanes(self, lanes: dict) -> None:
+    def _absorb_nn_lanes(self, lanes: tuple) -> None:
         """Absorb the round's surviving NN expansions, batched per shape.
 
-        Point-metric lanes evaluate the exact fused MINDIST/MINMAXDIST (or
-        leaf distance) kernel and feed each search its row — no pop-time
-        verification, no scalar scan.  Transitive lanes, whose exact
-        Lemma 1-3 kernel costs an order of magnitude more, run raw-hypot
-        *certified estimates* instead: deflated weak lower bounds are
-        queued for the delayed-pruning pop tests, and a deflated row
-        minimum of the guarantee estimates proves for most rows that the
-        exact guarantee scan is a no-op — only the remaining rows (and
-        bound-witness nodes) run the exact scalar scan.  Every *stored*
-        value is exact, so the estimates only decide provably-identical
-        skips.
-        """
-        min_lane = _MIN_LANE
-        deflate = _CERT_DEFLATE
-        arena = self._arena
-        for lane_key, (searches, nodes) in lanes.items():
-            is_point = lane_key & 1
-            is_leaf = lane_key & 2
-            n = lane_key >> 2
-            k = len(nodes)
-            if k < min_lane:
-                for s, node in zip(searches, nodes):
-                    if is_leaf:
-                        s._absorb_leaf(node)
-                    else:
-                        s._absorb_internal(node)
-                self._sync_lane(searches)
-                continue
-            if is_leaf:
-                pts_blk = self._lane_pts
-                if pts_blk is not None:
-                    pts = pts_blk[n][
-                        np.fromiter((nd._lane_row for nd in nodes), np.intp, k)
-                    ]
-                else:
-                    pts = np.concatenate(
-                        [node.points_array() for node in nodes]
-                    ).reshape(k, n, 2)
-                if is_point:
-                    # Point metric: exact distances are one fused hypot
-                    # pass; batch the exact row argmins.
-                    d = kernels.point_dists_multi(
-                        self._lane_queries(searches), pts
-                    )
-                    idx = np.argmin(d, axis=1)
-                    vals = d[np.arange(k), idx].tolist()
-                    for s, node, i, v in zip(
-                        searches, nodes, idx.tolist(), vals
-                    ):
-                        s._absorb_leaf_shared(node, i, v)
-                    self._sync_lane(searches)
-                else:
-                    # Transitive metric: the incumbent is already tight
-                    # when leaves arrive, so the deflated raw estimate
-                    # proves most leaf absorbs are no-ops.
-                    starts, ends = self._lane_transitive(searches)
-                    d = kernels.trans_dists_raw(starts, pts, ends)
-                    for s, node, m in zip(
-                        searches, nodes, d.min(axis=1).tolist()
-                    ):
-                        # A deflated row minimum at or above the incumbent
-                        # proves the scalar offer loop changes nothing
-                        # (the upper bound never exceeds the incumbent,
-                        # which the second test re-checks defensively).
-                        if (
-                            m * deflate < s.best_dist
-                            or s.best_dist < s.upper_bound
-                        ):
-                            s._absorb_leaf(node)
-                    self._sync_lane(searches)
-            else:
-                mbr_blk = self._lane_mbrs
-                if mbr_blk is not None:
-                    lrows = np.fromiter(
-                        (nd._lane_row for nd in nodes), np.intp, k
-                    )
-                    mbrs = mbr_blk[n][lrows]
-                else:
-                    lrows = None
-                    mbrs = np.concatenate(
-                        [node.child_mbr_array() for node in nodes]
-                    ).reshape(k, n, 4)
-                if self._all_trees_backed:
-                    all_backed = True
-                else:
-                    all_backed = all(
-                        node.children_all_backed() for node in nodes
-                    )
-                sids = self._lane_sids(searches) if arena is not None else None
-                if is_point:
-                    if sids is None:
-                        # Non-arena lane: the exact fused MINDIST /
-                        # MINMAXDIST kernel plus the per-search hook.
-                        lower, guar = kernels.point_bounds_multi(
-                            self._lane_queries(searches), mbrs
-                        )
-                        if all_backed:
-                            backed = guar
-                        else:
-                            if lrows is not None:
-                                counts = self._lane_cnts[n][lrows]
-                            else:
-                                counts = np.concatenate(
-                                    [node.child_count_array() for node in nodes]
-                                ).reshape(k, n)
-                            backed = np.where(counts > 0, guar, math.inf)
-                        gi = np.argmin(backed, axis=1)
-                        gv_l = backed[np.arange(k), gi].tolist()
-                        for j, (s, node) in enumerate(zip(searches, nodes)):
-                            s._absorb_internal_shared(
-                                node, lower[j], gi[j], gv_l[j]
-                            )
-                        self._sync_lane(searches)
-                        continue
-                    # Arena lane: one staging pass queues every fan-out
-                    # with its exact kernel bounds, and the guarantee /
-                    # witness hand-off of _absorb_internal_shared runs as
-                    # lane-wide masks — python only touches the rows that
-                    # change state.  (The transitive lanes' certified
-                    # raw-estimate strategy does not pay here: the point
-                    # metric's upper bound improves on about half of all
-                    # expansions, so the deflated gate would send most
-                    # rows to the exact scalar scan anyway.)
-                    lower, guar = kernels.point_bounds_multi(
-                        self._lane_queries(searches), mbrs
-                    )
-                    if all_backed:
-                        backed = guar
-                    else:
-                        if lrows is not None:
-                            counts = self._lane_cnts[n][lrows]
-                        else:
-                            counts = np.concatenate(
-                                [node.child_count_array() for node in nodes]
-                            ).reshape(k, n)
-                        backed = np.where(counts > 0, guar, math.inf)
-                    gi = np.argmin(backed, axis=1)
-                    gv = backed[np.arange(k), gi]
-                    arena.stage_lane(
-                        searches,
-                        nodes,
-                        n,
-                        lower,
-                        False,
-                        pages=None
-                        if lrows is None
-                        else self._lane_cpgs[n][lrows],
-                    )
-                    ub = arena._ub[sids]
-                    if lrows is not None:
-                        node_pages = self._lane_npgs[n][lrows]
-                    else:
-                        node_pages = np.fromiter(
-                            (node.page_id for node in nodes), np.int64, k
-                        )
-                    was_w = arena._wit[sids] == node_pages
-                    finite = np.isfinite(gv)
-                    improve = finite & (gv < ub)
-                    upd = improve | was_w
-                    if upd.any() or not finite.all():
-                        gv_l = gv.tolist()
-                        gi_l = gi.tolist()
-                        improve_l = improve.tolist()
-                        wit_arr = arena._wit
-                        ub_arr = arena._ub
-                        sid_l = sids.tolist()
-                        for j in np.flatnonzero(upd | ~finite).tolist():
-                            s = searches[j]
-                            if not finite[j]:
-                                # Every child subtree empty: no guarantee
-                                # to inherit (cf. _absorb_internal_shared).
-                                if was_w[j]:
-                                    s.upper_bound = s.best_dist
-                                    s._witness_page = None
-                                    s._rescan_queue_bounds()
-                                    arena.sync(s)
-                                continue
-                            wp = nodes[j].children[gi_l[j]].page_id
-                            s._witness_page = wp
-                            wit_arr[sid_l[j]] = wp
-                            if improve_l[j]:
-                                s.upper_bound = gv_l[j]
-                                ub_arr[sid_l[j]] = gv_l[j]
-                else:
-                    starts, ends = self._lane_transitive(searches)
-                    weak, est, keep = kernels.trans_weak_bounds_multi(
-                        starts, mbrs, ends, deflate
-                    )
-                    gates = est.min(axis=1) * deflate
-                    if sids is None:
-                        gates_l = gates.tolist()
-                        for j, (s, node) in enumerate(zip(searches, nodes)):
-                            # The exact guarantee scan runs when the
-                            # deflated estimate admits an improvement,
-                            # when the node witnesses the bound
-                            # (hand-off), or when an empty child subtree
-                            # voids the estimate's backing.
-                            need = (
-                                not all_backed
-                                or gates_l[j] < s.upper_bound
-                                or node.page_id == s._witness_page
-                            )
-                            s._absorb_internal_weak(node, weak[j], need)
-                        self._sync_lane(searches)
-                        continue
-                    # Arena lane: stage every push at once; the need mask
-                    # (estimate admits improvement / witness hand-off /
-                    # unbacked children) selects the minority of rows
-                    # whose exact guarantee scan must run.  Each entry
-                    # also carries the kernel's inflated keep certificate
-                    # (best corner / through-centre transitive distance,
-                    # both geometric upper bounds on the exact Lemma 1
-                    # value), so the serve loop resolves most weak
-                    # survivors with one float compare instead of the
-                    # scalar certification walk.
-                    arena.stage_lane(
-                        searches,
-                        nodes,
-                        n,
-                        weak,
-                        True,
-                        keep * _CERT_INFLATE,
-                        pages=None
-                        if lrows is None
-                        else self._lane_cpgs[n][lrows],
-                    )
-                    if lrows is not None:
-                        node_pages = self._lane_npgs[n][lrows]
-                    else:
-                        node_pages = np.fromiter(
-                            (node.page_id for node in nodes), np.int64, k
-                        )
-                    need = (gates < arena._ub[sids]) | (
-                        arena._wit[sids] == node_pages
-                    )
-                    if not all_backed:
-                        need |= True
-                    rows = np.flatnonzero(need)
-                    if rows.size:
-                        # The needing rows' exact guarantee scans batch
-                        # into one corner kernel call.  The scalar scan's
-                        # weak-bound skip is value-preserving (a skipped
-                        # child's weak lower bound already met the running
-                        # minimum, and the corner bound dominates it), so
-                        # the first-minimum row argmin replays the scalar
-                        # child selection exactly.
-                        z = kernels.trans_corner_minmax_multi(
-                            starts[rows], mbrs[rows], ends[rows]
-                        )
-                        if not all_backed:
-                            if lrows is not None:
-                                zcounts = self._lane_cnts[n][lrows[rows]]
-                            else:
-                                zcounts = np.concatenate([
-                                    nodes[j].child_count_array()
-                                    for j in rows.tolist()
-                                ]).reshape(rows.size, n)
-                            z = np.where(zcounts > 0, z, math.inf)
-                        gi_z = np.argmin(z, axis=1).tolist()
-                        gz = z[np.arange(rows.size), gi_z].tolist()
-                        wit_arr = arena._wit
-                        ub_arr = arena._ub
-                        sid_l = sids.tolist()
-                        inf = math.inf
-                        for t, j in enumerate(rows.tolist()):
-                            s = searches[j]
-                            node = nodes[j]
-                            was_witness = node.page_id == s._witness_page
-                            bg = gz[t]
-                            if bg == inf:
-                                # Every child subtree empty: nothing backs
-                                # a guarantee (cf. _guarantee_scan_weak).
-                                if was_witness:
-                                    s.upper_bound = s.best_dist
-                                    s._witness_page = None
-                                    s._rescan_queue_bounds()
-                                    ub_arr[sid_l[j]] = s.upper_bound
-                                    wit_arr[sid_l[j]] = -1
-                                continue
-                            best_child = node.children[gi_z[t]]
-                            if bg < s.upper_bound:
-                                s.upper_bound = bg
-                                s._witness_page = best_child.page_id
-                                ub_arr[sid_l[j]] = bg
-                                wit_arr[sid_l[j]] = best_child.page_id
-                            elif was_witness:
-                                s._witness_page = best_child.page_id
-                                wit_arr[sid_l[j]] = best_child.page_id
-
-    def _absorb_nn_lanes_ids(self, id_lanes: tuple) -> None:
-        """Store-mode absorb: lanes arrive as one sorted segment pack.
-
-        ``id_lanes`` is phase A's ``(keys, sids, nids, cuts)`` — the
+        ``lanes`` is phase A's ``(keys, sids, nids, cuts)`` pack — the
         kept rows key-sorted by one stable argsort, with ``cuts`` the
-        interior segment boundaries (as ``sorted_keys[1:] != [:-1]``
-        positions); each segment is one absorb lane, walked here in
-        ascending key order.  Mirrors :meth:`_absorb_nn_lanes` decision
-        for decision — same kernels, same certified-estimate strategy,
-        same witness hand-off rules — but every geometry / page / count
-        gather is one fancy index into the node store or the combined
-        lane blocks, each lane's fan-outs stage through one
-        :meth:`FrontierArena.stage_lane_ids` call, and the ``_ub`` /
-        ``_wit`` arena mirrors update with masked scatters.  Python only
-        touches the rows whose search-object state actually changes.
+        interior segment boundaries; each segment is one absorb lane of
+        equal ``(fanout, is_leaf, is_point)`` shape, walked in ascending
+        key order.  Every geometry, count and page input is one fancy
+        index into the node store (``child0`` / ``pt0`` runs), each lane's
+        fan-outs stage through one :meth:`FrontierArena.stage_lane` call,
+        and the ``_ub`` / ``_wit`` arena mirrors update with masked
+        scatters; python only touches the rows whose search-object state
+        actually changes.
+
+        Point-metric lanes evaluate the exact fused MINDIST/MINMAXDIST (or
+        leaf distance) kernel.  Transitive lanes, whose exact Lemma 1-3
+        kernel costs an order of magnitude more, run raw-hypot *certified
+        estimates* instead: deflated weak lower bounds are queued for the
+        delayed-pruning pop tests, and a deflated row minimum of the
+        guarantee estimates proves for most rows that the exact guarantee
+        scan is a no-op — only the remaining rows (and bound-witness
+        nodes) run the exact corner kernel.  Every *stored* value is
+        exact, so the estimates only decide provably-identical skips.
+        Lanes below ``_MIN_LANE`` rows absorb through the searches' own
+        per-query code instead.
         """
-        min_lane = _MIN_LANE
         deflate = _CERT_DEFLATE
         arena = self._arena
         store = arena._store
         searches_all = arena._searches
         ub_arr = arena._ub
         wit_arr = arena._wit
-        all_keys, all_sids, all_nids, cuts = id_lanes
-        starts = [0]
-        for c in cuts:
-            starts.append(c + 1)
-        ends = starts[1:] + [all_keys.shape[0]]
-        for a, b in zip(starts, ends):
+        all_keys, all_sids, all_nids, cuts = lanes
+        bounds = [0, *(c + 1 for c in cuts), all_keys.shape[0]]
+        for a, b in zip(bounds, bounds[1:]):
             lane_key = int(all_keys[a])
             sids = all_sids[a:b]
             nids = all_nids[a:b]
@@ -1773,23 +1127,25 @@ class SharedScanExecutor:
             is_leaf = lane_key & 2
             n = lane_key >> 2
             k = sids.shape[0]
-            if k < min_lane:
+            if k < _MIN_LANE:
                 searches = [searches_all[sid] for sid in sids.tolist()]
-                nodes = [store.nodes[nid] for nid in nids.tolist()]
-                for s, node in zip(searches, nodes):
+                for s, nid in zip(searches, nids.tolist()):
                     if is_leaf:
-                        s._absorb_leaf(node)
+                        s._absorb_leaf(store.nodes[nid])
                     else:
-                        s._absorb_internal(node)
-                self._sync_lane(searches)
+                        s._absorb_internal(store.nodes[nid])
+                self._mirror(sids, searches)
                 continue
-            lrows = store.lane_row[nids]
             if is_leaf:
-                pts = self._lane_pts[n][lrows]
+                pts = store.points[
+                    store.pt0[nids][:, None] + np.arange(n, dtype=np.int64)
+                ]
                 searches = [searches_all[sid] for sid in sids.tolist()]
                 if is_point:
+                    # Point metric: exact distances are one fused hypot
+                    # pass; batch the exact row argmins.
                     d = kernels.point_dists_multi(
-                        np.column_stack((arena._qx[sids], arena._qy[sids])),
+                        arena._q[sids],
                         pts,
                     )
                     idx = np.argmin(d, axis=1)
@@ -1799,39 +1155,44 @@ class SharedScanExecutor:
                     ):
                         s._absorb_leaf_shared(store.nodes[nid], i, v)
                 else:
-                    starts = np.column_stack(
-                        (arena._sx[sids], arena._sy[sids])
-                    )
-                    ends = np.column_stack((arena._ex[sids], arena._ey[sids]))
-                    d = kernels.trans_dists_raw(starts, pts, ends)
+                    # Transitive metric: the incumbent is already tight
+                    # when leaves arrive, so the deflated raw estimate
+                    # proves most leaf absorbs are no-ops.
+                    tr = arena._trans[sids]
+                    d = kernels.trans_dists_raw(tr[:, :2], pts, tr[:, 2:])
                     for s, nid, m in zip(
                         searches, nids.tolist(), d.min(axis=1).tolist()
                     ):
-                        # Same deflated no-op proof as the object lane.
+                        # A deflated row minimum at or above the incumbent
+                        # proves the scalar offer loop changes nothing
+                        # (the upper bound never exceeds the incumbent,
+                        # which the second test re-checks defensively).
                         if (
                             m * deflate < s.best_dist
                             or s.best_dist < s.upper_bound
                         ):
                             s._absorb_leaf(store.nodes[nid])
-                # One-scatter _sync_lane: the lane's sids are known, so
-                # the mirrors land with two fancy-index writes.
-                ub_arr[sids] = [s.upper_bound for s in searches]
-                wit_arr[sids] = [
-                    -1 if s._witness_page is None else s._witness_page
-                    for s in searches
-                ]
+                self._mirror(sids, searches)
                 continue
-            mbrs = self._lane_mbrs[n][lrows]
+            kids = store.child0[nids][:, None] + np.arange(n, dtype=np.int64)
+            mbrs = store.mbr[kids]
             cnts = None
-            if self._all_trees_backed:
+            if store.all_backed:
                 all_backed = True
             else:
-                cnts = self._lane_cnts[n][lrows]
+                cnts = store.count[kids]
                 all_backed = bool((cnts > 0).all())
             node_pages = store.page[nids]
             if is_point:
+                # One staging pass queues every fan-out with its exact
+                # kernel bounds, and the guarantee / witness hand-off of
+                # _absorb_internal runs as lane-wide masks.  (The
+                # transitive lanes' certified raw-estimate strategy does
+                # not pay here: the point metric's upper bound improves
+                # on about half of all expansions, so the deflated gate
+                # would send most rows to the exact scan anyway.)
                 lower, guar = kernels.point_bounds_multi(
-                    np.column_stack((arena._qx[sids], arena._qy[sids])),
+                    arena._q[sids],
                     mbrs,
                 )
                 if all_backed:
@@ -1840,13 +1201,13 @@ class SharedScanExecutor:
                     backed = np.where(cnts > 0, guar, math.inf)
                 gi = np.argmin(backed, axis=1)
                 gv = backed[np.arange(k), gi]
-                arena.stage_lane_ids(sids, nids, n, lower, False)
+                arena.stage_lane(sids, kids, lower, False)
                 was_w = wit_arr[sids] == node_pages
                 finite = np.isfinite(gv)
                 improve = finite & (gv < ub_arr[sids])
                 upd = improve | was_w
                 if upd.any() or not finite.all():
-                    wp = store.page[store.child0[nids] + gi]
+                    wp = store.page[kids[np.arange(k), gi]]
                     sel = upd & finite
                     wit_arr[sids[sel]] = wp[sel]
                     ub_arr[sids[improve]] = gv[improve]
@@ -1858,7 +1219,7 @@ class SharedScanExecutor:
                         s = searches_all[sids[j]]
                         if not finite_l[j]:
                             # Every child subtree empty: no guarantee to
-                            # inherit (cf. _absorb_internal_shared).
+                            # inherit (cf. _absorb_internal).
                             if was_w[j]:
                                 s.upper_bound = s.best_dist
                                 s._witness_page = None
@@ -1869,15 +1230,22 @@ class SharedScanExecutor:
                         if improve_l[j]:
                             s.upper_bound = gv_l[j]
             else:
-                starts = np.column_stack((arena._sx[sids], arena._sy[sids]))
-                ends = np.column_stack((arena._ex[sids], arena._ey[sids]))
+                tr = arena._trans[sids]
+                starts = tr[:, :2]
+                ends = tr[:, 2:]
                 weak, est, keep = kernels.trans_weak_bounds_multi(
                     starts, mbrs, ends, deflate
                 )
                 gates = est.min(axis=1) * deflate
-                arena.stage_lane_ids(
-                    sids, nids, n, weak, True, keep * _CERT_INFLATE
-                )
+                # Stage every push at once; each entry also carries the
+                # kernel's inflated keep certificate (best corner /
+                # through-centre transitive distance, both geometric upper
+                # bounds on the exact Lemma 1 value), so phase A resolves
+                # most weak survivors with one float compare.
+                arena.stage_lane(sids, kids, weak, True, keep * _CERT_INFLATE)
+                # The need mask (estimate admits improvement / witness
+                # hand-off / unbacked children) selects the minority of
+                # rows whose exact guarantee scan must run.
                 need = (gates < ub_arr[sids]) | (
                     wit_arr[sids] == node_pages
                 )
@@ -1885,6 +1253,12 @@ class SharedScanExecutor:
                     need |= True
                 rows = np.flatnonzero(need)
                 if rows.size:
+                    # The needing rows' exact guarantee scans batch into
+                    # one corner kernel call.  The scalar scan's weak-bound
+                    # skip is value-preserving (a skipped child's weak
+                    # lower bound already met the running minimum, and the
+                    # corner bound dominates it), so the first-minimum row
+                    # argmin replays the scalar child selection exactly.
                     z = kernels.trans_corner_minmax_multi(
                         starts[rows], mbrs[rows], ends[rows]
                     )
@@ -1900,9 +1274,7 @@ class SharedScanExecutor:
                     void = ~finite_z & was_witness
                     moved = improve_z | handoff
                     if moved.any():
-                        wp_z = store.page[
-                            store.child0[nids[rows]] + gi_z
-                        ]
+                        wp_z = store.page[kids[rows, gi_z]]
                         ub_arr[rsids[improve_z]] = gz[improve_z]
                         wit_arr[rsids[moved]] = wp_z[moved]
                         gz_l = gz.tolist()
@@ -1918,67 +1290,21 @@ class SharedScanExecutor:
                             sid = int(rsids[t])
                             s = searches_all[sid]
                             # Every child subtree empty: nothing backs a
-                            # guarantee (cf. _guarantee_scan_weak) — same
-                            # direct mirror writes as the object lane.
+                            # guarantee (cf. _absorb_internal).
                             s.upper_bound = s.best_dist
                             s._witness_page = None
                             s._rescan_queue_bounds()
                             ub_arr[sid] = s.upper_bound
                             wit_arr[sid] = -1
 
-    def _lane_sids(self, searches) -> Optional[np.ndarray]:
-        """The searches' arena ids, or ``None`` when any is unregistered."""
-        try:
-            return np.fromiter(
-                (s._arena_sid for s in searches), np.int64, len(searches)
-            )
-        except AttributeError:
-            return None
-
-    def _sync_lane(self, searches) -> None:
+    def _mirror(self, sids: np.ndarray, searches) -> None:
         """Mirror a lane's upper bounds and witness pages into the arena."""
         arena = self._arena
-        if arena is None:
-            return
-        ub_arr = arena._ub
-        wit_arr = arena._wit
-        for s in searches:
-            try:
-                sid = s._arena_sid
-            except AttributeError:
-                continue
-            ub_arr[sid] = s.upper_bound
-            wp = s._witness_page
-            wit_arr[sid] = -1 if wp is None else wp
-
-    def _lane_queries(self, searches) -> np.ndarray:
-        """``(k, 2)`` query block for one lane — arena gather when possible.
-
-        Packing ``Point`` objects into an array costs ~1µs per row; the
-        arena keeps every registered search's coordinates in float64 lanes
-        already, so a lane of arena searches gathers them in one fancy
-        index.
-        """
-        arena = self._arena
-        if arena is not None:
-            try:
-                return arena.queries_of([s._arena_sid for s in searches])
-            except AttributeError:  # a non-arena search in the lane
-                pass
-        return np.array([s.query for s in searches])
-
-    def _lane_transitive(self, searches) -> Tuple[np.ndarray, np.ndarray]:
-        """``(starts, ends)`` blocks for one transitive lane (cf. above)."""
-        arena = self._arena
-        if arena is not None:
-            try:
-                return arena.transitive_of([s._arena_sid for s in searches])
-            except AttributeError:
-                pass
-        return (
-            np.array([s.start for s in searches]),
-            np.array([s.end for s in searches]),
-        )
+        arena._ub[sids] = [s.upper_bound for s in searches]
+        arena._wit[sids] = [
+            -1 if s._witness_page is None else s._witness_page
+            for s in searches
+        ]
 
     def _absorb_point_leaves(self, point_leaves: dict) -> None:
         """Batched exact ``dis(q, p)`` rows for the round's kNN leaves.
@@ -1992,16 +1318,9 @@ class SharedScanExecutor:
                 for s, node in zip(searches, nodes):
                     s._absorb_leaf(node)
                 continue
-            k = len(nodes)
-            pts_blk = self._lane_pts
-            if pts_blk is not None:
-                pts = pts_blk[n][
-                    np.fromiter((nd._lane_row for nd in nodes), np.intp, k)
-                ]
-            else:
-                pts = np.concatenate(
-                    [node.points_array() for node in nodes]
-                ).reshape(k, n, 2)
+            pts = np.concatenate(
+                [node.points_array() for node in nodes]
+            ).reshape(len(nodes), n, 2)
             d = kernels.point_dists_multi(
                 np.array([s.query for s in searches]), pts
             )
@@ -2249,22 +1568,7 @@ def execute_tnn_batch(
         _TNNJob(env, algorithm, hybrid, q, phase_s, phase_r, record_log)
         for q, phase_s, phase_r in queries
     ]
-    lane_blocks = (
-        combine_lane_blocks((env.s_tree, env.r_tree))
-        if kernels.enabled()
-        else None
-    )
-    executor = SharedScanExecutor(
-        all_trees_backed=tree_all_backed(env.s_tree)
-        and tree_all_backed(env.r_tree),
-        lane_blocks=lane_blocks,
-        # The store binds the lane blocks' _lane_row stamps, so it must
-        # build after them; REPRO_NO_NODE_STORE=1 keeps the scalar row
-        # loop as the bit-identity oracle.
-        node_store=NodeStore.build((env.s_tree, env.r_tree))
-        if lane_blocks is not None and not node_store_disabled()
-        else None,
-    )
+    executor = SharedScanExecutor()
     for job in jobs:
         executor.add(job.start())
     executor.run()

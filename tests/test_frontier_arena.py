@@ -264,7 +264,7 @@ class _FixedWorkload:
 
 
 # ----------------------------------------------------------------------
-# Binned phase A over the global node store vs the scalar row loop
+# Binned phase A over the node store vs the per-query oracle
 # ----------------------------------------------------------------------
 def _ab_queries(env, n, seed):
     rng = random.Random(seed)
@@ -274,17 +274,21 @@ def _ab_queries(env, n, seed):
     ]
 
 
+def _per_query_oracle(env, algo, queries):
+    """The scalar per-query path: heap queues, no kernels, no arena."""
+    with kernels.use_kernels(False):
+        return [algo.run(env, q, ps, pr) for q, ps, pr in queries]
+
+
 @pytest.mark.parametrize("capacity", [64, 512])
 @pytest.mark.parametrize("algo_cls", [HybridNN, DoubleNN])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_store_phase_a_matches_scalar_row_loop(
-    capacity, algo_cls, seed, monkeypatch
-):
-    """Random workloads: binned phase A == REPRO_NO_NODE_STORE row loop.
+def test_store_phase_a_matches_scalar_row_loop(capacity, algo_cls, seed):
+    """Random workloads: binned phase A == the per-query scalar loop.
 
     The store path's whole-round array passes (automatic keeps, staged
     keep certificates, argsort-binned absorb lanes, leaf-finish probes)
-    must reproduce the retained scalar loop result for result — answers,
+    must reproduce the scalar per-query run result for result — answers,
     access times and tune-in counters all derive from the same per-row
     decisions, so any divergence surfaces here.
     """
@@ -295,13 +299,9 @@ def test_store_phase_a_matches_scalar_row_loop(
     )
     queries = _ab_queries(env, 40, seed + 100)
     algo = algo_cls()
-    monkeypatch.delenv("REPRO_NO_NODE_STORE", raising=False)
     with kernels.use_kernels(True):
         store = execute_tnn_batch(env, algo, queries)
-    monkeypatch.setenv("REPRO_NO_NODE_STORE", "1")
-    with kernels.use_kernels(True):
-        oracle = execute_tnn_batch(env, algo, queries)
-    assert store == oracle
+    assert store == _per_query_oracle(env, algo, queries)
 
 
 def test_store_phase_a_coverage_spans_margin_paths(monkeypatch):
@@ -310,30 +310,30 @@ def test_store_phase_a_coverage_spans_margin_paths(monkeypatch):
     Guard against silently-green sweeps: this fixed-seed workload must
     drive rows through the unstamped residual scan, the weak transitive
     margin band with failing staged certificates, and the scalar
-    fallback rejections — while still matching the oracle.
+    serve continuations — while still matching the per-query oracle.
     """
     import numpy as np
 
     from repro.engine.shared_scan import SharedScanExecutor
 
     counts = {"resid": 0, "cert_fail": 0, "fallback": 0}
-    orig_store = SharedScanExecutor._phase_a_store
-    orig_one = SharedScanExecutor._serve_nn_one
+    orig_resolve = SharedScanExecutor._resolve_survivors
+    orig_resume = SharedScanExecutor._resume_nn
 
-    def spy_store(self, res, due, limits, stricts, second, ctx):
-        act = res["act_np"]
-        counts["resid"] += int((act & ~res["stamped_np"]).sum())
-        weak = act & res["stamped_np"] & res["weak_np"]
+    def spy_resolve(self, res, due, limits, stricts, second, ctx):
+        act = res["act"]
+        counts["resid"] += int((act & ~res["stamped"]).sum())
+        weak = act & res["stamped"] & res["weak"]
         wj = np.flatnonzero(weak)
         if wj.size:
             counts["cert_fail"] += int(
-                (res["ub_np"][wj] > self._arena._ub[due[wj]]).sum()
+                (res["ub"][wj] > self._arena._ub[due[wj]]).sum()
             )
-        return orig_store(self, res, due, limits, stricts, second, ctx)
+        return orig_resolve(self, res, due, limits, stricts, second, ctx)
 
-    def spy_one(self, *args, **kwargs):
+    def spy_resume(self, *args, **kwargs):
         counts["fallback"] += 1
-        return orig_one(self, *args, **kwargs)
+        return orig_resume(self, *args, **kwargs)
 
     env = TNNEnvironment.build(
         sized_uniform(3000, seed=0),
@@ -342,27 +342,22 @@ def test_store_phase_a_coverage_spans_margin_paths(monkeypatch):
     )
     queries = _ab_queries(env, 60, 0)
     algo = HybridNN()
-    monkeypatch.delenv("REPRO_NO_NODE_STORE", raising=False)
-    monkeypatch.setattr(SharedScanExecutor, "_phase_a_store", spy_store)
-    monkeypatch.setattr(SharedScanExecutor, "_serve_nn_one", spy_one)
+    monkeypatch.setattr(SharedScanExecutor, "_resolve_survivors", spy_resolve)
+    monkeypatch.setattr(SharedScanExecutor, "_resume_nn", spy_resume)
     with kernels.use_kernels(True):
         store = execute_tnn_batch(env, algo, queries)
-    monkeypatch.setattr(SharedScanExecutor, "_phase_a_store", orig_store)
-    monkeypatch.setattr(SharedScanExecutor, "_serve_nn_one", orig_one)
+    monkeypatch.undo()
     assert counts["resid"] > 0, "no unstamped residual rows exercised"
     assert counts["cert_fail"] > 0, "no failing staged certificates"
-    assert counts["fallback"] > 0, "no scalar fallback rejections"
-    monkeypatch.setenv("REPRO_NO_NODE_STORE", "1")
-    with kernels.use_kernels(True):
-        oracle = execute_tnn_batch(env, algo, queries)
-    assert store == oracle
+    assert counts["fallback"] > 0, "no scalar serve continuations"
+    assert store == _per_query_oracle(env, algo, queries)
 
 
 def test_weak_point_margin_tests_agree():
     """The two weak-point survivor tests are the same predicate.
 
-    The scalar row loop proves a certified-weak point survivor with an
-    inline ``hypot(max(...), max(...)) > ub`` prune; the store path
+    The per-query keep test proves a certified-weak point survivor with
+    one scalar MINDIST, ``hypot(max(...), max(...)) > ub``; phase A
     batches the same rows through ``kernels.mindist_multi(...) <= ub``.
     Elementwise the verdicts must be complementary, including rows where
     the exact MINDIST ties the bound (constructed below).
@@ -402,33 +397,57 @@ def test_weak_point_margin_tests_agree():
 def test_node_store_columns_and_invalidation():
     """NodeStore columns mirror the trees; relayout drops the page cache.
 
-    Structural columns (lane keys, leaf bits, levels, MBR rows) are
-    layout-independent; the BFS page column binds the broadcast
-    numbering, so :meth:`RTree.assign_page_ids` must invalidate its
-    per-tree cache — the documented node-store invalidation contract.
+    Structural columns (lane keys, leaf bits, child and point offsets,
+    subtree counts, MBR and point rows) are layout-independent and hold
+    exactly the per-node array views' values; the BFS page column binds
+    the broadcast numbering, so :meth:`RTree.assign_page_ids` must
+    invalidate its per-tree cache — the documented node-store
+    invalidation contract.
     """
     import numpy as np
 
-    from repro.client.frontier import _tree_store_pages, _tree_store_struct
+    from repro.client.frontier import (
+        NodeStore,
+        _tree_store_pages,
+        _tree_store_struct,
+    )
 
     tree, _ = make_tuner(n=400, seed=13)
+    other, _ = make_tuner(n=300, seed=14)
     struct = _tree_store_struct(tree)
-    order, child0, levels, lane_key, mbr = struct
     pages = _tree_store_pages(tree)
+    store = NodeStore()
+    for t in (tree, other, tree):
+        store.cover(t)  # a second cover of a tree is a no-op
+    order = struct[0]
     assert len(order) == tree.node_count()
-    for i, node in enumerate(order):
-        assert levels[i] == node.level
-        if node.is_leaf:
-            assert child0[i] == -1
-            assert lane_key[i] == (len(node.points) << 2) | 2
+    assert len(store.nodes) == len(order) + other.node_count()
+    assert store.all_backed
+    for nd in store.nodes:
+        i = nd._store_nid
+        assert store.nodes[i] is nd
+        assert store.count[i] == nd.point_count
+        assert tuple(store.mbr[i]) == tuple(nd.mbr)
+        assert store.leaf_bit[i] == nd.is_leaf
+        assert store.page[i] == nd.page_id
+        n = nd.fanout
+        if nd.is_leaf:
+            assert store.child0[i] == -1
+            assert store.lane_key[i] == (n << 2) | 2
+            rows = store.points[store.pt0[i] + np.arange(n)]
+            assert np.array_equal(rows, nd.points_array())
         else:
-            assert lane_key[i] == len(node.children) << 2
-            assert order[child0[i]] is node.children[0]
-        assert (lane_key[i] & 2 != 0) == node.is_leaf
-        assert pages[i] == node.page_id
-        assert tuple(mbr[i]) == tuple(node.mbr)
+            assert store.pt0[i] == -1
+            assert store.lane_key[i] == n << 2
+            kids = store.child0[i] + np.arange(n)
+            assert all(
+                store.nodes[k] is c for k, c in zip(kids, nd.children)
+            )
+            assert np.array_equal(store.mbr[kids], nd.child_mbr_array())
+            assert np.array_equal(store.count[kids], nd.child_count_array())
+            assert np.array_equal(store.page[kids], nd.child_page_array())
     # Renumbering the broadcast layout resets the page cache (and only
-    # it): the next build must observe the fresh numbering.
+    # it): the next cover must observe the fresh numbering.
     tree.assign_page_ids()
     assert getattr(tree, "_store_pages", "missing") is None
     assert tree._store_struct is struct
@@ -437,3 +456,4 @@ def test_node_store_columns_and_invalidation():
         fresh,
         np.array([nd.page_id for nd in order]),
     )
+    assert pages is not fresh

@@ -231,6 +231,85 @@ def test_run_many_empty_batch(env64):
     assert QueryEngine(env64).run_many([]) == []
 
 
+def test_run_many_nn_lanes_gather_from_the_node_store(env64, monkeypatch):
+    """run_many NN batches on both channels absorb through store lanes.
+
+    The batch is wide enough for same-shape kernel lanes, so the absorb
+    stage gathers its inputs from the arena's node store, which covers
+    both channels' trees; answers still match the single-query method.
+    """
+    from repro.engine import shared_scan
+
+    rng = random.Random(17)
+    requests = []
+    for i in range(48):
+        channel = "s" if i % 2 else "r"
+        program = env64.s_program if channel == "s" else env64.r_program
+        requests.append(NNRequest(
+            env64.random_query_point(rng),
+            rng.uniform(0, program.cycle_length),
+            channel,
+        ))
+    widths = []
+    covered = set()
+    orig = SharedScanExecutor._absorb_nn_lanes
+
+    def spy(self, lanes):
+        keys, _, _, cuts = lanes
+        bounds = [0, *(c + 1 for c in cuts), keys.shape[0]]
+        widths.extend(b - a for a, b in zip(bounds, bounds[1:]))
+        covered.update(self._arena._store._trees)
+        return orig(self, lanes)
+
+    monkeypatch.setattr(SharedScanExecutor, "_absorb_nn_lanes", spy)
+    engine = QueryEngine(env64)
+    with kernels.use_kernels(True):
+        got = engine.run_many(requests)
+        want = [engine.nn(r.point, r.phase, r.channel) for r in requests]
+    assert got == want
+    assert max(widths) >= shared_scan._MIN_LANE
+    assert covered == {id(env64.s_tree), id(env64.r_tree)}
+
+
+def test_client_queries_honour_the_env_fault_model():
+    """QueryEngine tuners carry the environment's fault model.
+
+    A lossy channel never changes an answer set, only when it arrives
+    (window answers come in discovery order, so they compare as sets):
+    every request answers as on the lossless twin, some wait longer, and
+    ``run_many`` still matches the single-query methods.
+    """
+    from repro.broadcast import PageLossModel
+
+    def build(loss):
+        return TNNEnvironment.build(
+            sized_uniform(600, seed=1),
+            sized_uniform(600, seed=2),
+            params=SystemParameters(page_capacity=64),
+            loss=loss,
+        )
+
+    lossy = QueryEngine(build(PageLossModel(rate=0.3, seed=3)))
+    clean = QueryEngine(build(None))
+    requests = _mixed_requests(lossy.env, 24)
+    with kernels.use_kernels(True):
+        got = lossy.run_many(requests)
+        ref = clean.run_many(requests)
+        singles = [
+            lossy.nn(r.point, r.phase, r.channel)
+            for r in requests
+            if isinstance(r, NNRequest)
+        ]
+    assert [sorted(a.answers) for a in got] == [
+        sorted(a.answers) for a in ref
+    ]
+    assert all(a.access_time >= b.access_time for a, b in zip(got, ref))
+    assert any(a.access_time > b.access_time for a, b in zip(got, ref))
+    assert [a for a, r in zip(got, requests) if isinstance(r, NNRequest)] == (
+        singles
+    )
+
+
 # ----------------------------------------------------------------------
 # Multi-query kernels: every lane bit-identical to the single-query form
 # ----------------------------------------------------------------------
@@ -456,19 +535,13 @@ def test_pop_until_prunes_and_respects_limit(env64):
 
 
 # ----------------------------------------------------------------------
-# Binned phase A (node store) vs the scalar row-loop oracle
+# Binned phase A (node store) vs the per-query oracle
 # ----------------------------------------------------------------------
-def _store_vs_oracle(env, algo, queries, monkeypatch):
-    """Run the workload on both phase-A paths; return (store, oracle)."""
-    monkeypatch.delenv("REPRO_NO_NODE_STORE", raising=False)
+def _store_vs_oracle(env, algo, queries):
+    """Run the workload page-major and per query; return (store, oracle)."""
     with kernels.use_kernels(True):
         store = execute_tnn_batch(env, algo, queries)
-    monkeypatch.setenv("REPRO_NO_NODE_STORE", "1")
-    try:
-        with kernels.use_kernels(True):
-            oracle = execute_tnn_batch(env, algo, queries)
-    finally:
-        monkeypatch.delenv("REPRO_NO_NODE_STORE", raising=False)
+        oracle = [algo.run(env, q, ps, pr) for q, ps, pr in queries]
     return store, oracle
 
 
@@ -477,13 +550,13 @@ def _store_vs_oracle(env, algo, queries, monkeypatch):
     {"name": "ge", "bad_rate": 0.6, "p_good_bad": 0.1, "seed": 5},
 ])
 @pytest.mark.parametrize("algo_cls", [DoubleNN, HybridNN])
-def test_store_oracle_identity_under_loss(algo_cls, loss_kwargs, monkeypatch):
+def test_store_oracle_identity_under_loss(algo_cls, loss_kwargs):
     """Lossy channels: retry rows re-book bit-identically on both paths.
 
     Serve rows whose download fails walk the tuner retry loop; the store
     path must re-sync the arena clocks past the retries exactly like the
-    scalar row loop (and like the per-query runs, which the loss-model
-    determinism ties to the same retry sequence).
+    per-query runs, which the loss-model determinism ties to the same
+    retry sequence.
     """
     from repro.broadcast import make_fault_model
 
@@ -496,7 +569,7 @@ def test_store_oracle_identity_under_loss(algo_cls, loss_kwargs, monkeypatch):
         loss=loss,
     )
     queries = _random_queries(env, 30, seed=23)
-    store, oracle = _store_vs_oracle(env, algo_cls(), queries, monkeypatch)
+    store, oracle = _store_vs_oracle(env, algo_cls(), queries)
     assert store == oracle
 
 
@@ -506,8 +579,8 @@ def test_store_oracle_identity_forced_scalar_tuners(lossy, monkeypatch):
 
     Without a ledger the store path books every kept row's clock, page
     counter and reception log scalar, row by row — the same statements
-    the oracle loop runs, in the same kept order (and through the tuner
-    retry loop when the channel is lossy).
+    a per-query download runs (and through the tuner retry loop when the
+    channel is lossy).
     """
     from repro.broadcast import PageLossModel
 
@@ -519,5 +592,5 @@ def test_store_oracle_identity_forced_scalar_tuners(lossy, monkeypatch):
     )
     queries = _random_queries(env, 30, seed=26)
     monkeypatch.setenv("REPRO_SCALAR_TUNERS", "1")
-    store, oracle = _store_vs_oracle(env, HybridNN(), queries, monkeypatch)
+    store, oracle = _store_vs_oracle(env, HybridNN(), queries)
     assert store == oracle
