@@ -1,10 +1,11 @@
 """Engine — batched multi-query execution on the paper's 1,000-query workload.
 
-Times :class:`repro.engine.BatchRunner` pushing a full workload of exact
-Double-NN queries through one environment, and checks the engine invariants:
+Times :class:`repro.engine.SharedScanRunner` pushing a full workload of
+exact Double-NN queries through one environment, and checks the engine
+invariants:
 
-* the batch path returns **bit-identical** result sequences to the
-  historical per-query ``ExperimentRunner`` loop;
+* the runner returns **bit-identical** result sequences to the per-query
+  reference loop, ``DoubleNN().run`` on every workload query;
 * vectorised aggregation (``summarize_batch``) matches the scalar
   ``summarize`` on every metric.
 
@@ -19,8 +20,8 @@ import time
 
 from repro.core import DoubleNN, TNNEnvironment
 from repro.datasets import sized_uniform
-from repro.engine import BatchRunner, QueryWorkload
-from repro.sim import ExperimentRunner, format_table, summarize, summarize_batch
+from repro.engine import QueryWorkload, SharedScanRunner
+from repro.sim import format_table, summarize, summarize_batch
 
 N_QUERIES = int(os.environ.get("REPRO_BENCH_QUERIES", 1_000))
 N_POINTS = int(os.environ.get("REPRO_BENCH_POINTS", 1_000))
@@ -31,20 +32,21 @@ def _measure():
         sized_uniform(N_POINTS, seed=1), sized_uniform(N_POINTS, seed=2)
     )
     workload = QueryWorkload(N_QUERIES, seed=0)
-    batch = BatchRunner(env, workload)
+    runner = SharedScanRunner(env, workload)
 
     t0 = time.perf_counter()
-    results = batch.run_algorithm(DoubleNN())
+    results = runner.run_algorithm(DoubleNN())
     elapsed = time.perf_counter() - t0
 
-    reference = ExperimentRunner(env, workload).run_algorithm(DoubleNN())
+    algo = DoubleNN()
+    reference = [algo.run(env, q, ps, pr) for q, ps, pr in runner.queries]
     return results, reference, elapsed
 
 
 def test_engine_batch_throughput(benchmark, record_experiment):
     results, reference, elapsed = benchmark.pedantic(_measure, rounds=1, iterations=1)
 
-    # Bit-identical to the sequential per-query loop.
+    # Bit-identical to the per-query reference loop.
     assert results == reference
 
     # Vectorised aggregation agrees with the scalar reference.
@@ -61,7 +63,7 @@ def test_engine_batch_throughput(benchmark, record_experiment):
         format_table(
             ["queries", "dataset size", "wall-clock (s)", "queries/s"],
             [[N_QUERIES, N_POINTS, f"{elapsed:.3f}", f"{throughput:.0f}"]],
-            title="[engine] BatchRunner Double-NN workload throughput",
+            title="[engine] SharedScanRunner Double-NN workload throughput",
         ),
     )
     assert throughput > 0

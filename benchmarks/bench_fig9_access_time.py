@@ -8,7 +8,7 @@ Paper claims reproduced here:
 * the gap closes as the size ratio grows extreme (Figure 10's analysis).
 
 Each sweep configuration executes through the batched engine
-(:class:`repro.engine.BatchRunner`), so ``REPRO_WORKERS=N`` fans the
+(:class:`repro.engine.SharedScanRunner`), so ``REPRO_WORKERS=N`` fans the
 per-configuration workloads out over ``N`` worker processes without
 changing any number in the rendered series.
 """

@@ -227,17 +227,15 @@ def _wrap_sites() -> list:
     for holder in (join_mod, base_mod, shared_scan_mod):
         sites.append((holder, "transitive_join", "geometry"))
     for name in (
-        "__init__", "push", "push_many", "peek_arrival", "peek_page", "pop",
-        "pop_with_arrival", "pop_until", "active_nodes", "active_mbrs",
-        "store_lower",
+        "__init__", "push", "push_many", "peek_arrival", "pop", "pop_until",
+        "active_nodes", "active_mbrs", "store_lower",
     ):
         sites.append((frontier_mod.ArrivalFrontier, name, "queue"))
     for name in (
         "register", "sync", "stage", "stage_lane", "flush", "begin_round",
-        "serve", "kill", "peek_arrival_attached", "peek_page_attached",
-        "pop_attached", "pop_until_attached", "active_nodes_attached",
-        "active_mbrs_attached", "store_lower_attached", "len_attached",
-        "_eval_stale_attached",
+        "serve", "kill", "peek_arrival_attached", "pop_attached",
+        "pop_until_attached", "active_nodes_attached", "active_mbrs_attached",
+        "store_lower_attached", "len_attached", "_eval_stale_attached",
     ):
         sites.append((frontier_mod.FrontierArena, name, "queue"))
     for name in (

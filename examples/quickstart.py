@@ -34,10 +34,10 @@ flush alongside the arena flush.  Attachment is transparent — an
 attached tuner routes its public attributes to its ledger row, and
 ``tuner.log`` materialises lazily from the event arena as the same
 tuples the scalar oracle writes — so result constructors and trace
-tooling never know which backend they read.  ``REPRO_SCALAR_TUNERS=1``
-forces every tuner to stay standalone (the escape hatch mirroring
-``REPRO_NO_KERNELS``); non-cyclic layouts skip attachment automatically
-and burst on the per-query oracle path.
+tooling never know which backend they read.  The ledger is always on
+for arena-served searches; searches on the heap (non-cyclic layouts,
+``REPRO_NO_KERNELS=1``) skip attachment and burst on the per-query
+oracle path, whose standalone tuners are the reference.
 
 Architecture note — the node store, the executor's one node
 representation.  Each R-tree caches columnar arrays over its BFS node

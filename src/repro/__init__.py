@@ -9,10 +9,10 @@ ANN energy optimisation, plus the experiment harness that regenerates every
 figure and table of the paper's evaluation.
 
 Bulk workloads run through :mod:`repro.engine`: a :class:`QueryEngine`
-facade over NN / kNN / range / TNN queries and a :class:`BatchRunner` that
-executes whole seeded workloads — in-process or fanned out over a process
-pool with bit-identical results — on top of cached broadcast arrival
-tables and vectorised aggregation.
+facade over NN / kNN / range / TNN queries and a :class:`SharedScanRunner`
+that executes whole seeded workloads — in-process or fanned out over a
+process pool with bit-identical results — on top of cached broadcast
+arrival tables and vectorised aggregation.
 
 Quickstart::
 
@@ -37,7 +37,7 @@ from repro.core import (
     TNNResult,
     WindowBasedTNN,
 )
-from repro.engine import BatchRunner, QueryEngine, QueryWorkload
+from repro.engine import QueryEngine, QueryWorkload, SharedScanRunner
 
 __version__ = "1.0.0"
 
@@ -51,9 +51,9 @@ __all__ = [
     "TNNResult",
     "TNNAlgorithm",
     "AnnOptimization",
-    "BatchRunner",
     "QueryEngine",
     "QueryWorkload",
+    "SharedScanRunner",
     "BruteForceTNN",
     "WindowBasedTNN",
     "ApproximateTNN",

@@ -33,9 +33,10 @@ write of the public attributes to the ledger lanes, and whose accounting
 methods append to the event arena instead of the tuple list.  Standalone
 tuners keep today's plain scalars — bit for bit the oracle — at plain
 attribute speed (no property indirection is ever paid off-ledger).
-``REPRO_SCALAR_TUNERS=1`` forces every tuner to stay standalone (the
-escape hatch mirroring ``REPRO_NO_KERNELS``), which degrades the executor
-to the scalar per-download accounting it replaced.
+Every tuner the executor serves through its arena is attached for the
+run; tuners driven per query (``TNNAlgorithm.run``, heap-backed searches)
+stay standalone, so the standalone dataclass is the reference the ledger
+is tested against.
 
 ``ChannelTuner.log`` on an attached tuner materialises lazily from the
 event arena: each row keeps a chain of its own events (``prev`` indices),
@@ -46,7 +47,6 @@ scalar oracle's.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -59,17 +59,6 @@ from repro.broadcast.loss import FAULT_LOST, FaultModel
 _KIND_INDEX = 0
 _KIND_DATA = 1
 _KIND_NAMES = ("index", "data")
-
-
-def scalar_tuners_forced() -> bool:
-    """True when ``REPRO_SCALAR_TUNERS=1`` disables ledger attachment.
-
-    The escape hatch mirrors ``REPRO_NO_KERNELS``: with it set, every
-    tuner stays a standalone scalar dataclass and the shared-scan
-    executor performs the original per-download accounting — the
-    bit-identity oracle for the ledger path.
-    """
-    return os.environ.get("REPRO_SCALAR_TUNERS", "0") == "1"
 
 
 @dataclass
@@ -235,16 +224,15 @@ class TunerLedger:
     arrivals straight from the :class:`~repro.client.frontier
     .FrontierArena` serve — and the ledger advances every clock, counter
     and event lane vectorised.  The rare scalar continuations (failed
-    certified keeps, kernel-off rounds, lossy retries) write their row
-    through the attached tuner's own methods, so per-tuner event order
-    stays chronological: a tuner receives at most one index page per
-    round, and scalar writes of round *n* land before the vectorised
-    flush of round *n*.
+    certified keeps, lossy retries) write their row through the attached
+    tuner's own methods, so per-tuner event order stays chronological: a
+    tuner receives at most one index page per round, and scalar writes of
+    round *n* land before the vectorised flush of round *n*.
 
     Rows are append-only for the ledger's lifetime (one executor run —
     the same trade :class:`~repro.client.frontier.FrontierArena` makes);
-    :meth:`detach` hands a tuner its final scalars (and materialised log)
-    back and restores the plain dataclass behaviour.
+    an attached tuner stays attached, its public attributes reading the
+    row's lanes.
     """
 
     def __init__(self) -> None:
@@ -257,7 +245,7 @@ class TunerLedger:
         self._rec = np.ones(cap, dtype=bool)
         #: Arena index of each row's newest event (-1: none yet).
         self._last = np.full(cap, -1, dtype=np.int64)
-        self._tuners: List[ChannelTuner] = []
+        self._rows = 0
         # The packed event arena.
         ecap = 256
         self._ev_kind = np.zeros(ecap, dtype=np.int8)
@@ -271,7 +259,7 @@ class TunerLedger:
         self._ev_n = 0
 
     def __len__(self) -> int:
-        return len(self._tuners)
+        return self._rows
 
     @property
     def event_count(self) -> int:
@@ -293,7 +281,7 @@ class TunerLedger:
             if tuner._ledger is self:
                 return tuner._row
             raise ValueError("tuner is attached to a different ledger")
-        row = len(self._tuners)
+        row = self._rows
         if row >= self._now.shape[0]:
             self._grow_rows()
         d = tuner.__dict__
@@ -304,29 +292,12 @@ class TunerLedger:
         self._corrupt[row] = d["corrupt_pages"]
         self._rec[row] = d["record_log"]
         self._last[row] = -1
-        self._tuners.append(tuner)
+        self._rows = row + 1
         d["_ledger"] = self
         d["_row"] = row
         d["_log_cache"] = None
         tuner.__class__ = _LedgerTuner
         return row
-
-    def detach(self, tuner: ChannelTuner) -> None:
-        """Restore one tuner to standalone scalars (log materialised)."""
-        if type(tuner) is not _LedgerTuner or tuner._ledger is not self:
-            return
-        row = tuner._row
-        d = tuner.__dict__
-        d["log"] = d["log"] + self.events_of(row)
-        d["now"] = float(self._now[row])
-        d["index_pages"] = int(self._index[row])
-        d["data_pages"] = int(self._data[row])
-        d["lost_pages"] = int(self._lost[row])
-        d["corrupt_pages"] = int(self._corrupt[row])
-        del d["_ledger"], d["_row"], d["_log_cache"]
-        tuner.__class__ = ChannelTuner
-        self._tuners[row] = None  # type: ignore[call-overload]
-        self._last[row] = -1
 
     def _grow_rows(self) -> None:
         for name in ("_now", "_index", "_data", "_lost", "_corrupt",
@@ -531,8 +502,8 @@ class _LedgerTuner(ChannelTuner):
     same transparency contract :class:`~repro.client.frontier
     .ArrivalFrontier` honours when attached to a
     :class:`~repro.client.frontier.FrontierArena`.  Scalars written by
-    the dataclass ``__init__`` remain in ``__dict__`` (shadowed by these
-    properties) until :meth:`TunerLedger.detach` syncs them back.
+    the dataclass ``__init__`` remain in ``__dict__``, shadowed by these
+    properties.
     """
 
     _ledger: TunerLedger
@@ -630,7 +601,3 @@ class _LedgerTuner(ChannelTuner):
         ledger._now[row] = now
         ledger._index[row] += len(pages)
         ledger.append_run(row, _KIND_INDEX, pages, arrivals)
-
-    def detach(self) -> None:
-        """Convenience: restore this tuner to standalone scalars."""
-        self._ledger.detach(self)

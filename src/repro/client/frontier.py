@@ -66,7 +66,10 @@ arena (``attach`` happens at executor registration) transparently routes
 its whole API — pushes, pops, rescans, ``pop_until`` — to its segment, so
 the search code is backend-agnostic; standalone frontiers (the per-query
 path, kNN/range/window) keep the list lanes above, which profiling shows
-are the fastest single-search representation.
+are the fastest single-search representation.  Searches drive a frontier
+through ``peek_arrival`` (their next event time), ``pop`` and
+``pop_until``; those, plus the pushes and rescans, are its whole API on
+either backend.
 """
 
 from __future__ import annotations
@@ -496,27 +499,6 @@ class ArrivalFrontier:
         self._peek_head = i
         return value
 
-    def peek_page(self) -> Optional[int]:
-        """Page id of the truly-next queued entry (``None`` when empty).
-
-        The "next page needed" half of the external-driver protocol: which
-        page this search is waiting for, without computing its arrival
-        time.  (The shared-scan executor's specialised serve loops inline
-        the same head selection; this is the reference form for drivers
-        that want one page at a time, property-tested against
-        :meth:`pop_with_arrival`.)
-        """
-        if self._arena is not None:
-            return self._arena.peek_page_attached(self)
-        if not self._order_pages:
-            return None
-        if (
-            self._tuner.now == self._peek_now
-            and self._version == self._peek_version
-        ):
-            return self._order_pages[self._peek_head]
-        return self._order_pages[self._head_index()]
-
     # ------------------------------------------------------------------
     # Popping with lazily batched bounds
     # ------------------------------------------------------------------
@@ -534,8 +516,7 @@ class ArrivalFrontier:
         can prove a prune, never a keep).
         """
         if self._arena is not None:
-            node, lb, weak, _ = self._arena.pop_attached(self, epoch)
-            return node, lb, weak
+            return self._arena.pop_attached(self, epoch)
         if not self._order_pages:
             raise RuntimeError("step() on a finished search")
         if (
@@ -560,51 +541,6 @@ class ArrivalFrontier:
         elif self.lower_evaluator is not None:
             lb = self._eval_pending(node, epoch)
         return node, lb, weak
-
-    def pop_with_arrival(
-        self, epoch: int = -1
-    ) -> Tuple[RTreeNode, Optional[float], bool, float]:
-        """:meth:`pop` plus the popped page's arrival time at this clock.
-
-        The "absorb this page" half of the external-driver protocol: a
-        driver that downloads the popped page itself needs its arrival —
-        one closed-form expression, identical to
-        :meth:`~repro.broadcast.tuner.ChannelTuner.peek_index_arrival` —
-        returned alongside the entry instead of recomputed.  Reuses the
-        head index *and* arrival cached by a preceding
-        :meth:`peek_arrival` at the same (clock, queue) state.  (The
-        shared-scan executor's kNN/range/window drains inline this exact
-        arithmetic for whole runs of pops; this method is the reference
-        one-pop form, property-tested against them.)
-        """
-        if self._arena is not None:
-            return self._arena.pop_attached(self, epoch)
-        if not self._order_pages:
-            raise RuntimeError("step() on a finished search")
-        now = self._tuner.now
-        if now == self._peek_now and self._version == self._peek_version:
-            i = self._peek_head
-            arrival = self._peek_value
-        else:
-            base = math.ceil(now - self._phase)
-            i = bisect_left(self._order_pages, base % self._cycle)
-            if i == len(self._order_pages):
-                i = 0
-            page = self._order_pages[i]
-            arrival = base + (page - base) % self._cycle + self._phase
-        self._order_pages.pop(i)
-        slot = self._order_slots.pop(i)
-        self._version += 1
-        node = self._nodes[slot]
-        record = self._bounds[slot]
-        lb: Optional[float] = None
-        weak = False
-        if record is not None and record[0] == epoch:
-            lb = record[1]
-            weak = record[2]
-        elif self.lower_evaluator is not None:
-            lb = self._eval_pending(node, epoch)
-        return node, lb, weak, arrival
 
     def pop_until(
         self,
@@ -1362,34 +1298,22 @@ class FrontierArena:
         key = int(self._keys_of(f, idxs).min())
         return base + key + f._phase
 
-    def peek_page_attached(self, f: ArrivalFrontier) -> Optional[int]:
-        self._fresh(f)
-        idxs = self._alive_of(f._sid)
-        if not idxs.size:
-            return None
-        keys = self._keys_of(f, idxs)
-        comp = (keys << _IDX_BITS) | (_IDX_MASK - idxs)
-        return int(self._e_page[idxs[int(np.argmin(comp))]])
-
     def _node_of(self, e: int) -> RTreeNode:
         """The node queued at entry ``e``."""
         return self._store.nodes[int(self._e_nid[e])]
 
     def pop_attached(
         self, f: ArrivalFrontier, epoch: int
-    ) -> Tuple[RTreeNode, Optional[float], bool, float]:
-        """Attached :meth:`ArrivalFrontier.pop_with_arrival` semantics."""
+    ) -> Tuple[RTreeNode, Optional[float], bool]:
+        """Attached :meth:`ArrivalFrontier.pop` semantics."""
         self._fresh(f)
         sid = f._sid
         idxs = self._alive_of(sid)
         if not idxs.size:
             raise RuntimeError("step() on a finished search")
-        base = math.ceil(f._tuner.now - f._phase)
         keys = self._keys_of(f, idxs)
         comp = (keys << _IDX_BITS) | (_IDX_MASK - idxs)
-        t = int(np.argmin(comp))
-        e = int(idxs[t])
-        arrival = base + int(keys[t]) + f._phase
+        e = int(idxs[int(np.argmin(comp))])
         self.kill(sid, e)
         node = self._node_of(e)
         lb: Optional[float] = None
@@ -1399,7 +1323,7 @@ class FrontierArena:
             weak = bool(self._e_weak[e])
         elif f.lower_evaluator is not None:
             lb = self._eval_stale_attached(f, e, epoch)
-        return node, lb, weak, arrival
+        return node, lb, weak
 
     def pop_until_attached(
         self,

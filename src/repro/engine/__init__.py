@@ -5,12 +5,13 @@ The substrate every bulk workload runs on:
 * :class:`QueryWorkload` — a seeded batch of queries whose per-query state
   (point + channel phases) is derived up front, making every execution
   order reproducible;
-* :class:`BatchRunner` — executes a workload in-process or fanned out over
-  a process pool, bit-identically, with vectorised aggregation and cached
-  oracle results for failure-rate comparisons;
-* :class:`SharedScanRunner` — the same API, page-major: one shared
-  broadcast scan serves every query per page arrival, with geometry
-  kernels batched across the workload (:mod:`repro.engine.shared_scan`);
+* :class:`SharedScanRunner` — executes a workload in-process or fanned
+  out over a supervised process pool, bit-identically, with vectorised
+  aggregation and cached oracle results for failure-rate comparisons.
+  Exact Double-NN / Hybrid-NN run page-major — one shared broadcast scan
+  serves every query per page arrival, with geometry kernels batched
+  across the workload (:mod:`repro.engine.shared_scan`); every other
+  algorithm runs its own per-query ``algorithm.run``;
 * :class:`QueryEngine` — one facade over NN / kNN / range / window / TNN
   queries on an environment, so callers stop hand-wiring tuners and
   searches; :meth:`QueryEngine.run_many` routes mixed client batches
@@ -20,12 +21,7 @@ The substrate every bulk workload runs on:
 thin wrapper over this package.
 """
 
-from repro.engine.batch import (
-    BatchRunner,
-    SharedScanRunner,
-    default_workers,
-    pool_chunk_count,
-)
+from repro.engine.batch import SharedScanRunner, default_workers
 from repro.engine.distributed import (
     CampaignConfig,
     CampaignCoordinator,
@@ -47,7 +43,6 @@ from repro.engine.shared_scan import SharedScanExecutor, execute_tnn_batch
 from repro.engine.workload import QueryWorkload
 
 __all__ = [
-    "BatchRunner",
     "CampaignConfig",
     "CampaignCoordinator",
     "CampaignResult",
@@ -66,5 +61,4 @@ __all__ = [
     "QueryWorkload",
     "default_workers",
     "execute_tnn_batch",
-    "pool_chunk_count",
 ]

@@ -2,16 +2,20 @@
 
 The paper's evaluation pushes 1,000 random queries through every
 configuration; serving that kind of bulk workload one ad-hoc query at a
-time is the scaling bottleneck the ROADMAP calls out.  :class:`BatchRunner`
-executes a whole :class:`~repro.engine.workload.QueryWorkload` through a
-shared substrate:
+time is the scaling bottleneck the ROADMAP calls out.
+:class:`SharedScanRunner` executes a whole
+:class:`~repro.engine.workload.QueryWorkload` through a shared substrate:
 
+* supported algorithms (exact Double-NN / Hybrid-NN) run page-major
+  through the shared-scan executor (:mod:`repro.engine.shared_scan`);
+  every other algorithm runs its own per-query ``algorithm.run`` — the
+  one reference path the shared scan is checked against;
 * the environment's broadcast programs (with their cached arrival-position
   tables) are built once and reused by every query;
-* execution can fan out over a process pool — queries carry their full
-  per-query state (point + channel phases, pre-derived from the workload
-  seed), so pool results are **bit-identical** to the sequential path and
-  are reassembled in workload order;
+* execution can fan out over a supervised process pool — queries carry
+  their full per-query state (point + channel phases, pre-derived from the
+  workload seed), so pool results are **bit-identical** to the sequential
+  path and are reassembled in workload order;
 * per-query results are aggregated into :class:`~repro.sim.stats.ResultStats`
   through the vectorised :func:`~repro.sim.stats.summarize_batch`;
 * reference (oracle) results are cached per workload, so comparing several
@@ -48,14 +52,6 @@ def _pool_init(env: TNNEnvironment) -> None:
     _POOL_STATE["env"] = env
 
 
-def _pool_run_chunk(
-    task: Tuple[TNNAlgorithm, List[Tuple[int, Point, float, float]]]
-) -> List[Tuple[int, TNNResult]]:
-    algorithm, chunk = task
-    env = _POOL_STATE["env"]
-    return [(i, algorithm.run(env, p, ps, pr)) for i, p, ps, pr in chunk]
-
-
 def _chaos_maybe_die(shard_index: int) -> None:
     """Fault-injection hook: kill this worker process once, mid-campaign.
 
@@ -79,10 +75,31 @@ def _chaos_maybe_die(shard_index: int) -> None:
     os._exit(1)
 
 
+def _run_queries(
+    env: TNNEnvironment,
+    algorithm: TNNAlgorithm,
+    queries: List[Tuple[Point, float, float]],
+    record_log: bool = True,
+) -> List[TNNResult]:
+    """One algorithm over a query list: page-major when supported.
+
+    Algorithms :func:`~repro.engine.shared_scan.shared_scan_supported`
+    rejects (ANN optimizations, data retrieval, other algorithm types)
+    run their own per-query ``algorithm.run``; ``record_log`` only
+    reaches the shared scan — per-query results embed the same counters
+    either way.
+    """
+    if shared_scan_supported(algorithm):
+        return execute_tnn_batch(
+            env, algorithm, queries, record_log=record_log
+        )
+    return [algorithm.run(env, p, ps, pr) for p, ps, pr in queries]
+
+
 def _run_shared_shard(
     env: TNNEnvironment, task: tuple
 ) -> List[Tuple[int, TNNResult]]:
-    """Run one phase-grouped shard through the shared scan.
+    """Run one phase-grouped shard of the workload.
 
     A shard is a pure function of (algorithm, query slice): it reads no
     worker-local state besides the environment, so a supervisor may rerun
@@ -90,39 +107,19 @@ def _run_shared_shard(
     results.
     """
     algorithm, shard, record_log, _shard_index = task
-    results = execute_tnn_batch(
+    results = _run_queries(
         env,
         algorithm,
         [(p, ps, pr) for _, p, ps, pr in shard],
-        record_log=record_log,
+        record_log,
     )
     return [(item[0], res) for item, res in zip(shard, results)]
 
 
 def _pool_run_shared_shard(task: tuple) -> List[Tuple[int, TNNResult]]:
-    """Pool worker entry point for one shared-scan shard."""
+    """Pool worker entry point for one shard."""
     _chaos_maybe_die(task[3])
     return _run_shared_shard(_POOL_STATE["env"], task)
-
-
-#: Round-robin chunks handed to each pool worker, per worker.  More than
-#: one chunk per worker lets a straggler chunk overlap with the rest of
-#: the pool instead of serialising the tail.
-_CHUNKS_PER_WORKER = 4
-
-
-def pool_chunk_count(n_queries: int, workers: int) -> int:
-    """Number of pool chunks for a workload of ``n_queries``.
-
-    Derived from ``len(workload) / workers``: the pool aims at
-    ``_CHUNKS_PER_WORKER`` chunks per worker (chunk size ~``n/(4w)``) so
-    load imbalance amortises, but never fewer than one chunk per worker
-    nor more chunks than queries — a small workload spreads over every
-    worker instead of serialising behind one oversized chunk.
-    """
-    if workers < 1:
-        return 1
-    return max(1, min(n_queries, workers * _CHUNKS_PER_WORKER))
 
 
 def default_workers() -> int:
@@ -131,7 +128,7 @@ def default_workers() -> int:
 
 
 # ----------------------------------------------------------------------
-# Shard supervision (crash / hang recovery for the shared-scan pool)
+# Shard supervision (crash / hang recovery for the runner's pool)
 # ----------------------------------------------------------------------
 def _env_number(name: str, default: str, integer: bool = False):
     """A validated supervisor knob from the environment.
@@ -218,13 +215,34 @@ class _SupervisedPool:
             pass
 
 
-class BatchRunner:
+class SharedScanRunner:
     """Executes one workload against one environment, for many algorithms.
 
+    Supported algorithms (exact Double-NN / Hybrid-NN: see
+    :func:`~repro.engine.shared_scan.shared_scan_supported`) run
+    page-major through the shared-scan executor, which serves every
+    active query per page arrival and batches the geometry kernels across
+    the whole workload (:mod:`repro.engine.shared_scan`).  Every other
+    algorithm (ANN optimizations, data retrieval, custom algorithms) runs
+    its own per-query ``algorithm.run``.  Either way the results are
+    those of ``algorithm.run`` per query, bit for bit.
+
     ``workers`` selects the execution mode: ``0``/``1`` runs in-process,
-    ``>= 2`` fans the workload out over that many worker processes.  Both
-    modes produce identical result sequences; the pool only changes
-    wall-clock time.
+    ``>= 2`` fans the workload out over that many worker processes.  The
+    workload is sharded **by channel phase group**: queries are ordered
+    by their s-channel phase and cut into one contiguous shard per
+    worker, so each worker's queries start at nearby positions of the
+    broadcast cycle and its round lanes stay full.  Sharding is pure
+    placement — per-query state is self-contained — and results are
+    reassembled in workload order.
+
+    Shards run **supervised**: a crashed worker (broken pool) or a hung
+    wave (``REPRO_SHARD_TIMEOUT``) tears the pool down, rebuilds it,
+    reshards the failed slice across the fresh workers and retries with
+    exponential backoff (``REPRO_SHARD_RETRIES`` / ``REPRO_SHARD_BACKOFF``),
+    degrading to in-process serial execution as the last resort — every
+    recovery path merges bit-identical results, because a shard is a pure
+    function of (algorithm, query slice).
     """
 
     def __init__(
@@ -254,71 +272,93 @@ class BatchRunner:
     # Execution
     # ------------------------------------------------------------------
     def run_algorithm(
-        self, algorithm: TNNAlgorithm, workers: Optional[int] = None
-    ) -> List[TNNResult]:
-        """All per-query results of one algorithm, in workload order."""
-        workers = self.workers if workers is None else workers
-        if workers >= 2 and len(self._queries) > 1:
-            return self._run_pool(algorithm, workers)
-        return [
-            algorithm.run(self.env, p, phase_s, phase_r)
-            for p, phase_s, phase_r in self._queries
-        ]
-
-    def _run_pool(
         self,
         algorithm: TNNAlgorithm,
-        workers: int,
-        pool: Optional[ProcessPoolExecutor] = None,
+        workers: Optional[int] = None,
+        record_log: bool = True,
     ) -> List[TNNResult]:
-        indexed = [
-            (i, p, ps, pr) for i, (p, ps, pr) in enumerate(self._queries)
-        ]
-        # Deterministic round-robin chunking: queries carry their own
-        # pre-seeded state, so placement affects wall-clock only.  The
-        # chunk count follows the workload size (see pool_chunk_count), so
-        # stragglers overlap instead of serialising the pool's tail.
-        n_chunks = pool_chunk_count(len(indexed), workers)
-        chunks = [indexed[c::n_chunks] for c in range(n_chunks)]
-        tasks = [(algorithm, c) for c in chunks if c]
-        results: List[Optional[TNNResult]] = [None] * len(indexed)
-        if pool is None:
-            with self._make_pool(workers) as own_pool:
-                parts = list(own_pool.map(_pool_run_chunk, tasks))
-        else:
-            parts = list(pool.map(_pool_run_chunk, tasks))
-        for part in parts:
-            for i, res in part:
-                results[i] = res
-        return results  # type: ignore[return-value]
+        """All per-query results of one algorithm, in workload order.
+
+        ``record_log=False`` skips the per-tuner reception logs on the
+        shared-scan path (results and cost counters are unaffected); the
+        per-query path ignores the flag — its results embed the same
+        counters either way.
+        """
+        workers = self.workers if workers is None else workers
+        if workers >= 2 and len(self._queries) > 1:
+            sp = _SupervisedPool(lambda: self._make_pool(workers))
+            try:
+                return self._run_shared_pool(
+                    algorithm, workers, sp, record_log
+                )
+            finally:
+                sp.shutdown()
+        return _run_queries(self.env, algorithm, self._queries, record_log)
+
+    def run(self, algorithms: Mapping[str, TNNAlgorithm]) -> Dict[str, "ResultStats"]:
+        """Summary statistics per algorithm name, on the shared workload.
+
+        In pool mode, one supervised worker pool (and one pickled
+        environment per worker) is shared by every algorithm in the
+        mapping.
+        """
+        # Deferred import: repro.sim.runner wraps this module, so
+        # importing sim.stats at module load would be circular.
+        from repro.sim.stats import summarize_batch
+
+        if self.workers >= 2 and len(self._queries) > 1:
+            sp = _SupervisedPool(lambda: self._make_pool(self.workers))
+            try:
+                return {
+                    name: summarize_batch(
+                        self._run_shared_pool(algo, self.workers, sp)
+                    )
+                    for name, algo in algorithms.items()
+                }
+            finally:
+                sp.shutdown()
+        return {
+            name: summarize_batch(self.run_algorithm(algo, workers=0))
+            for name, algo in algorithms.items()
+        }
 
     def _make_pool(self, workers: int) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=workers, initializer=_pool_init, initargs=(self.env,)
         )
 
-    def run(self, algorithms: Mapping[str, TNNAlgorithm]) -> Dict[str, "ResultStats"]:
-        """Summary statistics per algorithm name, on the shared workload.
+    def _run_shared_pool(
+        self,
+        algorithm: TNNAlgorithm,
+        workers: int,
+        sp: _SupervisedPool,
+        record_log: bool = True,
+    ) -> List[TNNResult]:
+        queries = self._queries
+        tasks: Dict[int, tuple] = {}
+        for shard in self._phase_shards(workers):
+            if shard:
+                k = len(tasks)
+                tasks[k] = (
+                    algorithm,
+                    [(i, *queries[i]) for i in shard],
+                    record_log,
+                    k,
+                )
+        results: List[Optional[TNNResult]] = [None] * len(queries)
+        for part in self._supervise_shards(sp, workers, tasks):
+            for i, res in part:
+                results[i] = res
+        return results  # type: ignore[return-value]
 
-        In pool mode, one worker pool (and one pickled environment per
-        worker) is shared by every algorithm in the mapping.
-        """
-        # Deferred import: repro.sim.runner wraps this module for back
-        # compat, so importing sim.stats at module load would be circular.
-        from repro.sim.stats import summarize_batch
-
-        if self.workers >= 2 and len(self._queries) > 1:
-            with self._make_pool(self.workers) as pool:
-                return {
-                    name: summarize_batch(
-                        self._run_pool(algo, self.workers, pool=pool)
-                    )
-                    for name, algo in algorithms.items()
-                }
-        return {
-            name: summarize_batch(self.run_algorithm(algo))
-            for name, algo in algorithms.items()
-        }
+    def _phase_shards(self, workers: int) -> List[List[int]]:
+        """Workload indices cut into contiguous s-phase-ordered shards."""
+        order = sorted(
+            range(len(self._queries)),
+            key=lambda i: (self._queries[i][1], i),
+        )
+        size = -(-len(order) // workers)  # ceil division
+        return [order[w * size : (w + 1) * size] for w in range(workers)]
 
     # ------------------------------------------------------------------
     # Oracle comparison
@@ -350,88 +390,6 @@ class BatchRunner:
             if got.failed or got.distance > ref.distance * (1 + rel_tol):
                 failures += 1
         return failures / len(self._queries)
-
-
-class SharedScanRunner(BatchRunner):
-    """A :class:`BatchRunner` that executes the workload page-major.
-
-    Same constructor, same API, same results bit for bit — but supported
-    algorithms (exact Double-NN / Hybrid-NN: see
-    :func:`~repro.engine.shared_scan.shared_scan_supported`) run through
-    the shared-scan executor, which serves every active query per page
-    arrival and batches the geometry kernels across the whole workload
-    (:mod:`repro.engine.shared_scan`).  Unsupported configurations (ANN
-    optimizations, data retrieval, custom algorithms) silently fall back
-    to the per-query path, so the runner is a drop-in default.
-
-    In pool mode the workload is sharded **by channel phase group**:
-    queries are ordered by their s-channel phase and cut into one
-    contiguous shard per worker, so each worker's queries start at nearby
-    positions of the broadcast cycle and its round lanes stay full.
-    Sharding is pure placement — per-query state is self-contained — and
-    results are reassembled in workload order.
-
-    Shards run **supervised**: a crashed worker (broken pool) or a hung
-    wave (``REPRO_SHARD_TIMEOUT``) tears the pool down, rebuilds it,
-    reshards the failed slice across the fresh workers and retries with
-    exponential backoff (``REPRO_SHARD_RETRIES`` / ``REPRO_SHARD_BACKOFF``),
-    degrading to in-process serial execution as the last resort — every
-    recovery path merges bit-identical results, because a shard is a pure
-    function of (algorithm, query slice).
-    """
-
-    def run_algorithm(
-        self,
-        algorithm: TNNAlgorithm,
-        workers: Optional[int] = None,
-        record_log: bool = True,
-    ) -> List[TNNResult]:
-        """All per-query results, page-major when supported.
-
-        ``record_log=False`` skips the per-tuner reception logs on the
-        shared-scan path (results and cost counters are unaffected); the
-        per-query fallback ignores the flag — its results embed the same
-        counters either way.
-        """
-        workers = self.workers if workers is None else workers
-        if not shared_scan_supported(algorithm):
-            return super().run_algorithm(algorithm, workers)
-        queries = self._queries
-        if workers >= 2 and len(queries) > 1:
-            sp = _SupervisedPool(lambda: self._make_pool(workers))
-            try:
-                return self._run_shared_pool(
-                    algorithm, workers, sp, record_log
-                )
-            finally:
-                sp.shutdown()
-        return execute_tnn_batch(
-            self.env, algorithm, queries, record_log=record_log
-        )
-
-    def _run_shared_pool(
-        self,
-        algorithm: TNNAlgorithm,
-        workers: int,
-        sp: _SupervisedPool,
-        record_log: bool = True,
-    ) -> List[TNNResult]:
-        queries = self._queries
-        tasks: Dict[int, tuple] = {}
-        for shard in self._phase_shards(workers):
-            if shard:
-                k = len(tasks)
-                tasks[k] = (
-                    algorithm,
-                    [(i, *queries[i]) for i in shard],
-                    record_log,
-                    k,
-                )
-        results: List[Optional[TNNResult]] = [None] * len(queries)
-        for part in self._supervise_shards(sp, workers, tasks):
-            for i, res in part:
-                results[i] = res
-        return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Shard supervision
@@ -541,49 +499,6 @@ class SharedScanRunner(BatchRunner):
             for k in range(n)
             if items[k * size : (k + 1) * size]
         }
-
-    def run(self, algorithms: Mapping[str, TNNAlgorithm]) -> Dict[str, "ResultStats"]:
-        """Summary statistics per algorithm, via the shared-scan executor.
-
-        Like the per-query runner, pool mode shares one worker pool (and
-        one pickled environment per worker) across every algorithm in the
-        mapping — shared-scan shards and per-query fallback chunks alike.
-        """
-        from repro.sim.stats import summarize_batch
-
-        if self.workers >= 2 and len(self._queries) > 1:
-            sp = _SupervisedPool(lambda: self._make_pool(self.workers))
-            try:
-                out = {}
-                for name, algo in algorithms.items():
-                    if shared_scan_supported(algo):
-                        results = self._run_shared_pool(
-                            algo, self.workers, sp
-                        )
-                    else:
-                        # The per-query fallback reads the supervisor's
-                        # *current* pool — a rebuild from an earlier
-                        # algorithm's recovery hands it live workers.
-                        results = self._run_pool(
-                            algo, self.workers, pool=sp.pool
-                        )
-                    out[name] = summarize_batch(results)
-                return out
-            finally:
-                sp.shutdown()
-        return {
-            name: summarize_batch(self.run_algorithm(algo, workers=0))
-            for name, algo in algorithms.items()
-        }
-
-    def _phase_shards(self, workers: int) -> List[List[int]]:
-        """Workload indices cut into contiguous s-phase-ordered shards."""
-        order = sorted(
-            range(len(self._queries)),
-            key=lambda i: (self._queries[i][1], i),
-        )
-        size = -(-len(order) // workers)  # ceil division
-        return [order[w * size : (w + 1) * size] for w in range(workers)]
 
 
 def _algorithm_key(algorithm: TNNAlgorithm) -> str:

@@ -33,7 +33,7 @@ from repro.core.base import TNNAlgorithm
 from repro.core.double import DoubleNN
 from repro.core.environment import TNNEnvironment
 from repro.core.result import TNNResult
-from repro.engine.batch import BatchRunner, SharedScanRunner
+from repro.engine.batch import SharedScanRunner
 from repro.engine.shared_scan import SharedScanExecutor, shared_scan_supported
 from repro.engine.workload import QueryWorkload
 from repro.geometry import Circle, Point, Rect
@@ -340,14 +340,6 @@ class QueryEngine:
         self,
         workload: QueryWorkload,
         workers: Optional[int] = None,
-        shared: bool = True,
-    ) -> BatchRunner:
-        """A batch runner executing ``workload`` on this environment.
-
-        ``shared=True`` (default) returns the page-major
-        :class:`SharedScanRunner` — bit-identical results, one broadcast
-        scan shared by every query; ``shared=False`` keeps the per-query
-        :class:`BatchRunner`.
-        """
-        cls = SharedScanRunner if shared else BatchRunner
-        return cls(self.env, workload, workers=workers)
+    ) -> SharedScanRunner:
+        """A :class:`SharedScanRunner` executing ``workload`` here."""
+        return SharedScanRunner(self.env, workload, workers=workers)

@@ -50,28 +50,32 @@ construction:
   inlined page download replays the tuner's arrival arithmetic;
 * everything that cannot batch falls back to the search's own per-query
   code path: sub-threshold lanes, heap-backed searches (distributed
-  layouts), lossy *drain* serves (kNN / range / window), unknown search
-  types, and the whole executor under ``REPRO_NO_KERNELS=1`` — where it
-  degrades to a pure multiplexer over the scalar oracle.  Lossy NN
+  layouts, and every search built under ``REPRO_NO_KERNELS=1``, where the
+  executor degrades to a pure multiplexer over the scalar oracle), lossy
+  *drain* serves (kNN / range / window) and unknown search types.  A
+  search's backend is fixed when it is built: one with an
+  :class:`~repro.client.frontier.ArrivalFrontier` is served fast, one on
+  the heap steps itself.  Lossy NN
   searches, by contrast, stay on the arena/ledger fast path: the round
   flush replays the tuner's retry-to-next-replica loop closed form (a
   missed page's next replica is exactly one cycle later), classifying
   every attempt with the search's :class:`~repro.broadcast.loss
   .FaultModel` and booking the whole chain in one vectorised
   :meth:`~repro.broadcast.tuner.TunerLedger.flush_round_faulty` pass.
+  Every arena search's tuner books into the executor's
+  :class:`~repro.broadcast.tuner.TunerLedger`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.broadcast.loss import FAULT_LOST
-from repro.broadcast.tuner import TunerLedger, scalar_tuners_forced
+from repro.broadcast.tuner import TunerLedger
 from repro.client.frontier import FrontierArena
 from repro.client.knn import BroadcastKNNSearch
 from repro.client.range_query import BroadcastRangeSearch
@@ -91,16 +95,16 @@ from repro.geometry import Circle, Point, kernels
 #: Below it the per-search scalar absorb (itself adaptive) is cheaper than
 #: array packing plus dispatch; results are identical either way, so this
 #: is purely a performance dial.
-_MIN_LANE = int(os.environ.get("REPRO_SHARED_MIN_LANE", "4"))
+_MIN_LANE = 4
 
 
-def _sid_append(arr: np.ndarray, i: int, sid: int) -> np.ndarray:
-    """Append ``sid`` at index ``i`` of a grown int64 scratch array."""
+def _sid_append(arr: np.ndarray, i: int, value: int) -> np.ndarray:
+    """Write ``value`` at index ``i`` of a grown int64 scratch array."""
     if i >= arr.shape[0]:
         new = np.empty(max(64, 2 * (i + 1)), dtype=np.int64)
         new[: arr.shape[0]] = arr
         arr = new
-    arr[i] = sid
+    arr[i] = value
     return arr
 
 
@@ -137,9 +141,10 @@ class SharedScanExecutor:
       and window never move), so one serve drains the whole search;
       collected leaves are resolved afterwards in one flat per-search
       kernel call that preserves leaf pop order.
-    * anything else (heap backends, lossy *drain* serves, non-trivial
-      pruning policies, ``REPRO_NO_KERNELS=1``, NN searches grouped with
-      other types, unknown types) — a burst of the search's own ``step()``
+    * anything else (heap backends — among them every search built under
+      ``REPRO_NO_KERNELS=1`` — lossy *drain* serves, non-trivial pruning
+      policies, NN searches grouped with other types, unknown types) — a
+      burst of the search's own ``step()``
       while it stays eligible: the executor degrades to a pure multiplexer
       over the per-query oracle.  Lossy NN searches ride the arena: the
       round flush resolves their retry chains closed form, bit-identically
@@ -154,8 +159,7 @@ class SharedScanExecutor:
         self._arena: Optional[FrontierArena] = None
         #: Columnar tuner state for arena-served searches: clocks, page
         #: counters and the packed event arena, updated with one
-        #: vectorised pass per round (None under REPRO_SCALAR_TUNERS=1,
-        #: which keeps every tuner on the scalar per-download oracle).
+        #: vectorised pass per round.  Created with the arena.
         self._ledger: Optional[TunerLedger] = None
         #: Arena sid -> ledger row of the owning search's tuner.
         self._sid_row = np.empty(0, dtype=np.int64)
@@ -199,7 +203,6 @@ class SharedScanExecutor:
         #: rounds (the TNN common case) skip the weak-row point split and
         #: the point-bit lane-key OR entirely while it is zero.
         self._n_point = 0
-        self._use_kernels = True
 
     def add(self, group: Optional[SearchGroup]) -> None:
         # A group whose members were all born finished (a window that
@@ -209,7 +212,7 @@ class SharedScanExecutor:
             group = group.tag.advance() if group.tag is not None else None
         if group is None:
             return
-        if kernels.enabled() and all(
+        if all(
             type(s) is BroadcastNNSearch and self._fast(s, True)
             for s in group.pending
         ):
@@ -218,8 +221,7 @@ class SharedScanExecutor:
             # and the round serves them with whole-workload array passes.
             if self._arena is None:
                 self._arena = FrontierArena()
-                if not scalar_tuners_forced():
-                    self._ledger = TunerLedger()
+                self._ledger = TunerLedger()
             ledger = self._ledger
             for s in group.pending:
                 if getattr(s, "_arena_sid", -1) < 0:
@@ -228,19 +230,12 @@ class SharedScanExecutor:
                     if loss is not None:
                         self._any_lossy = True
                         self._sid_loss[s._arena_sid] = loss
-                    if ledger is not None:
-                        # Hoist the tuner's scalars into ledger lanes; the
-                        # attach is idempotent, so a tuner shared across
-                        # phases keeps its row (and its event history).
-                        row = ledger.attach(s.tuner)
-                        sid = s._arena_sid
-                        if sid >= self._sid_row.shape[0]:
-                            grown = np.empty(
-                                max(64, 2 * (sid + 1)), dtype=np.int64
-                            )
-                            grown[: self._sid_row.shape[0]] = self._sid_row
-                            self._sid_row = grown
-                        self._sid_row[sid] = row
+                    # Hoist the tuner's scalars into ledger lanes; the
+                    # attach is idempotent, so a tuner shared across
+                    # phases keeps its row (and its event history).
+                    self._sid_row = _sid_append(
+                        self._sid_row, s._arena_sid, ledger.attach(s.tuner)
+                    )
             self._arena_groups.append(group)
             self._tail_dirty = True
             pending = group.pending
@@ -265,7 +260,6 @@ class SharedScanExecutor:
             self._legacy.append(group)
 
     def run(self) -> None:
-        self._use_kernels = kernels.enabled()
         while self._arena_groups or self._legacy:
             self._round()
 
@@ -280,15 +274,7 @@ class SharedScanExecutor:
         #: Searches verified finished by their serve, with their groups.
         probe: List[Tuple[SearchGroup, object]] = []
         ctx = (resumed, point_leaves, flat_leaves, probe)
-        lanes: Optional[tuple] = None
-        if self._arena_groups:
-            if self._use_kernels:
-                lanes = self._arena_phase_a(ctx)
-            else:
-                # Kernels were toggled off for the run: the arena groups
-                # degrade to the per-group multiplexer (attached frontiers
-                # serve every pop scalar, bit-identically).
-                self._group_loop(self._arena_groups, ctx)
+        lanes = self._arena_phase_a(ctx) if self._arena_groups else None
         if self._legacy:
             self._group_loop(self._legacy, ctx)
 
@@ -491,8 +477,9 @@ class SharedScanExecutor:
                     if fn is not None:
                         fn(g, s, math.inf, False, ctx)
                     elif type(s) is BroadcastNNSearch:
-                        # NN searches outside the arena: heap backends,
-                        # non-trivial policies, kernels off.
+                        # NN searches outside the arena: heap backends
+                        # (layout or kernels off at build), non-trivial
+                        # policies.
                         self._burst(g, s, math.inf, False, ctx)
                     else:
                         s.step()  # unknown search type: per-query verbatim
@@ -575,8 +562,7 @@ class SharedScanExecutor:
         bounds, failed certificates, margin-band survivors; a row the
         exact test prunes after all resumes its serve through
         :meth:`_resume_nn`, and the survivor found there joins the pack.
-        The forced-scalar tuner booking (no ledger attached) also runs
-        here, row by row.  Every decision is exactly the per-query
+        Every decision is exactly the per-query
         ``_decide_keep`` verdict (the weak-point check runs
         :func:`~repro.geometry.kernels.mindist_multi`, whose ``maximum``
         chain and hypot reproduce ``max`` / ``math.hypot`` exactly).
@@ -584,7 +570,6 @@ class SharedScanExecutor:
         arena = self._arena
         store = arena._store
         resumed, _, _, probe = ctx
-        ledger = self._ledger
         pairs = self._pairs
         solos = self._solos
         n_pairs = len(pairs)
@@ -734,25 +719,6 @@ class SharedScanExecutor:
                 keep[j] = True
 
         kept = np.flatnonzero(keep)
-        if kept.size and ledger is None:
-            # Forced-scalar tuner oracle: book each kept download row by
-            # row (the ledger path defers all of this to the one-pass
-            # round flush).
-            arrivals = res["arrival"]
-            pages = res["page"]
-            for j in kept.tolist():
-                tuner = member_of(j)[1].tuner
-                if tuner.loss is None:
-                    arrival = float(arrivals[j])
-                    tuner.now = arrival + 1.0
-                    tuner.index_pages += 1
-                    if tuner.record_log:
-                        tuner.log.append(
-                            ("index", int(pages[j]), arrival, True)
-                        )
-                else:
-                    tuner.download_index_page(int(pages[j]))
-                    arena._now[due[j]] = tuner.now
         ksids = due[kept]
         knids = nid[kept]
         lv = live[kept]
@@ -802,8 +768,7 @@ class SharedScanExecutor:
             probe.extend(map(member_of, np.flatnonzero(
                 dead & (live == 0)
             ).tolist()))
-        if ledger is not None:
-            self._flush_pending = (res, rej, due)
+        self._flush_pending = (res, rej, due)
         return lanes
 
     # ------------------------------------------------------------------
@@ -880,7 +845,7 @@ class SharedScanExecutor:
             return
 
     def _serve_knn_one(self, g, s, limit, strict, ctx) -> None:
-        if not self._use_kernels or not self._fast(s, False):
+        if not self._fast(s, False):
             self._burst(g, s, limit, strict, ctx)
             return
         f = s._frontier
@@ -947,7 +912,7 @@ class SharedScanExecutor:
         probe.append((g, s))
 
     def _serve_range_one(self, g, s, limit, strict, ctx) -> None:
-        if not self._use_kernels or not self._fast(s, False):
+        if not self._fast(s, False):
             self._burst(g, s, limit, strict, ctx)
             return
         f = s._frontier
@@ -1034,7 +999,7 @@ class SharedScanExecutor:
         probe.append((g, s))
 
     def _serve_window_one(self, g, s, limit, strict, ctx) -> None:
-        if not self._use_kernels or not self._fast(s, False):
+        if not self._fast(s, False):
             self._burst(g, s, limit, strict, ctx)
             return
         f = s._frontier

@@ -8,7 +8,7 @@ configuration; a pure-Python laptop run scales this down), and
 ``REPRO_QUERIES`` queries per configuration.  Set ``REPRO_SCALE=1.0
 REPRO_QUERIES=1000`` to reproduce at paper scale.
 
-Every sweep executes through :class:`repro.engine.BatchRunner`, so
+Every sweep executes through :class:`repro.engine.SharedScanRunner`, so
 ``REPRO_WORKERS=N`` fans each configuration's workload out over ``N``
 worker processes (results are bit-identical to the in-process run).
 """
@@ -40,7 +40,7 @@ from repro.datasets import (
     unif_size,
     uniform,
 )
-from repro.engine import BatchRunner, QueryWorkload
+from repro.engine import QueryWorkload, SharedScanRunner
 from repro.geometry import Rect
 from repro.sim.tables import format_series, format_table
 
@@ -160,7 +160,7 @@ def _run_sweep(
     out = ExperimentSeries(experiment_id, title, metric, x_label)
     for x in x_values:
         env = env_for(x)
-        runner = BatchRunner(env, QueryWorkload(n_queries, seed=seed))
+        runner = SharedScanRunner(env, QueryWorkload(n_queries, seed=seed))
         stats = runner.run(algorithms)
         out.x_values.append(x)
         for name, st in stats.items():
@@ -475,7 +475,7 @@ def table3(scale: float | None = None, n_queries: int | None = None, seed: int =
             env = _SWEEP_CACHE.build(
                 s_pts, r_pts, SystemParameters(page_capacity=capacity)
             )
-            runner = BatchRunner(env, QueryWorkload(n_queries, seed=seed))
+            runner = SharedScanRunner(env, QueryWorkload(n_queries, seed=seed))
             rates.append(runner.compare_failures(ApproximateTNN(), DoubleNN()))
         fail_rates[name] = sum(rates) / len(rates)
         rows.append([name, f"{fail_rates[name] * 100:.1f}%"])

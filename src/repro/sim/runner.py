@@ -3,7 +3,7 @@
 Both classes are now thin wrappers over :mod:`repro.engine`:
 :class:`QueryWorkload` is re-exported from
 :mod:`repro.engine.workload`, and :class:`ExperimentRunner` delegates to
-:class:`repro.engine.batch.BatchRunner`, which adds process-pool fan-out,
+:class:`repro.engine.batch.SharedScanRunner`, which adds process-pool fan-out,
 vectorised aggregation and cached oracle results while keeping this
 historical API unchanged.
 """
@@ -15,7 +15,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.core.base import TNNAlgorithm
 from repro.core.environment import TNNEnvironment
 from repro.core.result import TNNResult
-from repro.engine.batch import BatchRunner
+from repro.engine.batch import SharedScanRunner
 from repro.engine.workload import QueryWorkload
 from repro.geometry import Point
 from repro.sim.stats import ResultStats
@@ -26,7 +26,7 @@ __all__ = ["ExperimentRunner", "QueryWorkload"]
 class ExperimentRunner:
     """Runs a set of algorithms over one environment and workload.
 
-    Back-compat facade over :class:`~repro.engine.batch.BatchRunner`; new
+    Back-compat facade over :class:`~repro.engine.batch.SharedScanRunner`; new
     code should use the engine directly.
     """
 
@@ -38,7 +38,7 @@ class ExperimentRunner:
     ) -> None:
         self.env = env
         self.workload = workload
-        self._batch = BatchRunner(env, workload, workers=workers)
+        self._batch = SharedScanRunner(env, workload, workers=workers)
         self._queries: List[Tuple[Point, float, float]] = self._batch.queries
 
     def run_algorithm(self, algorithm: TNNAlgorithm) -> List[TNNResult]:

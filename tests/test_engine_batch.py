@@ -1,4 +1,4 @@
-"""Tests for the batched execution engine (BatchRunner + QueryEngine)."""
+"""Tests for the batched execution engine (SharedScanRunner + QueryEngine)."""
 
 import math
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import ApproximateTNN, DoubleNN, HybridNN, TNNEnvironment
 from repro.datasets import uniform
-from repro.engine import BatchRunner, QueryEngine, QueryWorkload
+from repro.engine import QueryEngine, QueryWorkload, SharedScanRunner
 from repro.geometry import Point, Rect, distance
 from repro.sim import ExperimentRunner, summarize, summarize_batch
 
@@ -19,43 +19,46 @@ def env():
     )
 
 
+def _per_query(env, algo, workload):
+    """The reference path: ``algo.run`` on every workload query."""
+    return [algo.run(env, p, ps, pr) for p, ps, pr in workload.queries(env)]
+
+
 # ----------------------------------------------------------------------
-# BatchRunner vs the sequential ExperimentRunner — the engine property
+# SharedScanRunner vs per-query algorithm.run — the engine property
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("algo_cls", [DoubleNN, HybridNN, ApproximateTNN])
 def test_serial_batch_identical_to_sequential_runner(env, algo_cls):
     workload = QueryWorkload(10, seed=7)
-    batch = BatchRunner(env, workload, workers=0)
-    sequential = [
-        algo_cls().run(env, p, ps, pr) for p, ps, pr in workload.queries(env)
-    ]
+    batch = SharedScanRunner(env, workload, workers=0)
+    sequential = _per_query(env, algo_cls(), workload)
     assert batch.run_algorithm(algo_cls()) == sequential
     assert ExperimentRunner(env, workload).run_algorithm(algo_cls()) == sequential
 
 
 def test_process_pool_bit_identical(env):
     workload = QueryWorkload(9, seed=11)
-    batch = BatchRunner(env, workload)
-    serial = batch.run_algorithm(DoubleNN(), workers=0)
-    pooled = batch.run_algorithm(DoubleNN(), workers=2)
+    batch = SharedScanRunner(env, workload)
+    reference = _per_query(env, DoubleNN(), workload)
     # Dataclass equality covers every field: answers, distances and all
     # cost accounting must match bit for bit, in workload order.
-    assert pooled == serial
-    assert batch.run_algorithm(DoubleNN(), workers=3) == serial
+    assert batch.run_algorithm(DoubleNN(), workers=0) == reference
+    assert batch.run_algorithm(DoubleNN(), workers=2) == reference
+    assert batch.run_algorithm(DoubleNN(), workers=3) == reference
 
 
 def test_workers_constructor_default(env):
     workload = QueryWorkload(4, seed=2)
-    assert BatchRunner(env, workload, workers=2).run_algorithm(
+    assert SharedScanRunner(env, workload, workers=2).run_algorithm(
         DoubleNN()
-    ) == BatchRunner(env, workload, workers=0).run_algorithm(DoubleNN())
+    ) == _per_query(env, DoubleNN(), workload)
 
 
 def test_run_summary_matches_scalar_summarize(env):
     workload = QueryWorkload(8, seed=5)
-    batch = BatchRunner(env, workload)
+    batch = SharedScanRunner(env, workload)
     stats = batch.run({"double-nn": DoubleNN()})["double-nn"]
-    slow = summarize(batch.run_algorithm(DoubleNN()))
+    slow = summarize(_per_query(env, DoubleNN(), workload))
     for metric in ("access_time", "tune_in", "estimate_pages", "filter_pages"):
         assert math.isclose(
             getattr(stats, metric).mean, getattr(slow, metric).mean, rel_tol=1e-12
@@ -80,7 +83,7 @@ def test_compare_failures_caches_reference(env):
             calls["n"] += 1
             return super().run(*args, **kwargs)
 
-    batch = BatchRunner(env, QueryWorkload(5, seed=6))
+    batch = SharedScanRunner(env, QueryWorkload(5, seed=6))
     reference = CountingDoubleNN()
     assert batch.compare_failures(DoubleNN(), reference) == 0.0
     assert calls["n"] == 5
@@ -94,7 +97,7 @@ def test_compare_failures_detects_bad_candidate(env):
         def _estimate(self, env, query, tuner_s, tuner_r, policy_s, policy_r):
             return 1e-6, None
 
-    batch = BatchRunner(env, QueryWorkload(5, seed=6))
+    batch = SharedScanRunner(env, QueryWorkload(5, seed=6))
     assert batch.compare_failures(BrokenApproximate(), DoubleNN()) == 1.0
 
 
@@ -147,8 +150,10 @@ def test_query_engine_batch_roundtrip(env):
     engine = QueryEngine(env)
     workload = QueryWorkload(3, seed=1)
     batch = engine.batch(workload)
-    assert isinstance(batch, BatchRunner)
-    assert len(batch.run_algorithm(DoubleNN())) == 3
+    assert isinstance(batch, SharedScanRunner)
+    assert batch.run_algorithm(DoubleNN()) == _per_query(
+        env, DoubleNN(), workload
+    )
 
 
 # ----------------------------------------------------------------------

@@ -103,14 +103,15 @@ def test_attached_frontier_matches_standalone(capacity, seed):
             tuner_b.advance_to(t)
         elif op < 0.7:
             assert fa.peek_arrival() == fb.peek_arrival()
-            assert fa.peek_page() == fb.peek_page()
         elif op < 0.85:
-            got = fa.pop_with_arrival(epoch)
-            want = fb.pop_with_arrival(epoch)
+            arrival = fa.peek_arrival()
+            assert arrival == fb.peek_arrival()
+            got = fa.pop(epoch)
+            want = fb.pop(epoch)
             assert got[0] is want[0]
             assert got[1:] == want[1:]
             queued -= 1
-            t = got[3] + 1.0
+            t = arrival + 1.0
             tuner_a.advance_to(t)
             tuner_b.advance_to(t)
         else:
@@ -195,11 +196,11 @@ def test_eval_pending_attached_batches_stale_entries():
     f.lower_evaluator = evaluator
     f.push_many(root.children, [0.0] * len(root.children), epoch=0, src=root)
     n = len(root.children)
-    node, lb, weak, _ = f.pop_with_arrival(epoch=1)  # stale records
+    node, lb, weak = f.pop(epoch=1)  # stale records
     assert lb is not None and not weak
     assert calls == [n]
     for _ in range(n - 1):
-        _, lb, weak, _ = f.pop_with_arrival(1)
+        _, lb, weak = f.pop(1)
         assert lb is not None and not weak
     assert calls == [n]  # the batch stamped everything
 
@@ -251,7 +252,7 @@ def test_distributed_layout_keeps_arena_empty():
 
 
 class _FixedWorkload:
-    """Adapter: a pre-drawn query list as a BatchRunner workload."""
+    """Adapter: a pre-drawn query list as a runner workload."""
 
     def __init__(self, queries):
         self._q = list(queries)

@@ -19,7 +19,7 @@ import pytest
 from repro.broadcast import SystemParameters
 from repro.core import DoubleNN, HybridNN, TNNEnvironment, WindowBasedTNN
 from repro.datasets import sized_uniform
-from repro.engine import BatchRunner, QueryWorkload
+from repro.engine import QueryWorkload, SharedScanRunner
 from repro.geometry import (
     Circle,
     Point,
@@ -224,8 +224,9 @@ def test_traversal_answers_bit_identical_across_paths(leaf_capacity, fanout):
 def test_engine_answers_bit_identical_across_paths(capacity):
     """Broadcast-engine query results are independent of the kernel path.
 
-    The scalar path is the seed implementation, so equality here is the
-    "bit-identical to seed" guarantee for whole-engine answers.
+    The scalar per-query path is the seed implementation, so equality
+    here is the "bit-identical to seed" guarantee for whole-engine
+    answers, on the runner with kernels on and off.
     """
     env = TNNEnvironment.build(
         sized_uniform(400, seed=1),
@@ -233,12 +234,15 @@ def test_engine_answers_bit_identical_across_paths(capacity):
         SystemParameters(page_capacity=capacity),
     )
     workload = QueryWorkload(12, seed=3)
+    queries = workload.queries(env)
     for algo in (HybridNN(), DoubleNN(), WindowBasedTNN()):
         with kernels.use_kernels(False):
-            scalar = BatchRunner(env, workload).run_algorithm(algo)
+            scalar = [algo.run(env, q, ps, pr) for q, ps, pr in queries]
+            runner_scalar = SharedScanRunner(env, workload).run_algorithm(algo)
         with kernels.use_kernels(True):
-            vector = BatchRunner(env, workload).run_algorithm(algo)
-        assert scalar == vector
+            vector = SharedScanRunner(env, workload).run_algorithm(algo)
+        assert runner_scalar == scalar
+        assert vector == scalar
 
 
 def test_use_kernels_context_restores_state():

@@ -3,9 +3,10 @@
 The contract under test: the page-major executor
 (:mod:`repro.engine.shared_scan`) must reproduce the per-query path —
 answers, access times, tune-in counts, max queue sizes — bit for bit, for
-every query type, at both the paper's page geometries, on the kernel path
-*and* under ``REPRO_NO_KERNELS``-style scalar execution, including
-workloads whose queries straddle different channel phases.
+every query type, at both the paper's page geometries, for searches built
+on the kernel path *and* under ``REPRO_NO_KERNELS``-style scalar
+execution, including workloads whose queries straddle different channel
+phases.  The runner-level reference is per-query ``algorithm.run``.
 """
 
 import math
@@ -18,7 +19,6 @@ from repro.core import DoubleNN, HybridNN, TNNEnvironment, WindowBasedTNN
 from repro.core.environment import TNNEnvironment as _Env
 from repro.datasets import sized_uniform
 from repro.engine import (
-    BatchRunner,
     KNNRequest,
     NNRequest,
     QueryEngine,
@@ -27,7 +27,6 @@ from repro.engine import (
     SharedScanRunner,
     WindowRequest,
     execute_tnn_batch,
-    pool_chunk_count,
 )
 from repro.engine.shared_scan import SharedScanExecutor, shared_scan_supported
 from repro.geometry import Point, Rect, kernels
@@ -59,6 +58,11 @@ def _random_queries(env, n, seed=0):
         (env.random_query_point(rng), *env.random_phases(rng))
         for _ in range(n)
     ]
+
+
+def _per_query(env, algo, queries):
+    """The reference path: ``algo.run`` on every query."""
+    return [algo.run(env, q, ps, pr) for q, ps, pr in queries]
 
 
 def _straddling_queries(env, n, seed=1):
@@ -101,17 +105,17 @@ def test_tnn_bit_identity_phase_straddling(env64, use_kernels):
 
 def test_shared_runner_matches_batch_runner(env64):
     workload = QueryWorkload(15, seed=3)
-    base = BatchRunner(env64, workload, workers=0)
+    queries = workload.queries(env64)
     shared = SharedScanRunner(env64, workload, workers=0)
     for algo_cls in (DoubleNN, HybridNN):
-        assert shared.run_algorithm(algo_cls()) == base.run_algorithm(
-            algo_cls()
+        assert shared.run_algorithm(algo_cls()) == _per_query(
+            env64, algo_cls(), queries
         )
 
 
 def test_shared_runner_falls_back_for_unsupported(env64):
     workload = QueryWorkload(6, seed=4)
-    base = BatchRunner(env64, workload, workers=0)
+    queries = workload.queries(env64)
     shared = SharedScanRunner(env64, workload, workers=0)
     # Foreign algorithm type, data retrieval, and subclasses all fall back.
     assert not shared_scan_supported(WindowBasedTNN())
@@ -123,7 +127,7 @@ def test_shared_runner_falls_back_for_unsupported(env64):
     assert not shared_scan_supported(TweakedDoubleNN())
     assert shared_scan_supported(HybridNN())
     for algo in (WindowBasedTNN(), HybridNN(include_data_retrieval=True)):
-        assert shared.run_algorithm(algo) == base.run_algorithm(algo)
+        assert shared.run_algorithm(algo) == _per_query(env64, algo, queries)
 
 
 def test_shared_runner_pool_phase_sharding(env64):
@@ -141,11 +145,16 @@ def test_shared_runner_pool_phase_sharding(env64):
 
 
 def test_shared_runner_run_summary(env64):
+    from repro.sim.stats import summarize_batch
+
     workload = QueryWorkload(8, seed=6)
-    base = BatchRunner(env64, workload, workers=0)
+    queries = workload.queries(env64)
     shared = SharedScanRunner(env64, workload, workers=0)
     algos = {"double-nn": DoubleNN(), "hybrid-nn": HybridNN()}
-    assert shared.run(algos) == base.run(algos)
+    assert shared.run(algos) == {
+        name: summarize_batch(_per_query(env64, algo, queries))
+        for name, algo in algos.items()
+    }
 
 
 def test_distributed_layout_uses_per_query_path(env64):
@@ -437,23 +446,17 @@ def test_executor_drives_unknown_steppables_generically():
 
 
 # ----------------------------------------------------------------------
-# Pool chunking (BatchRunner satellite fix)
+# The supervised pool runs unsupported algorithms too
 # ----------------------------------------------------------------------
-def test_pool_chunk_count_tracks_workload_and_workers():
-    assert pool_chunk_count(1000, 4) == 16  # ~n/(4*workers) per chunk
-    assert pool_chunk_count(3, 4) == 3  # never more chunks than queries
-    assert pool_chunk_count(8, 2) == 8
-    assert pool_chunk_count(100, 1) == 4
-    assert pool_chunk_count(0, 4) == 1
-    assert pool_chunk_count(5, 0) == 1
-
-
 def test_batch_runner_pool_still_bit_identical(env64):
+    """Window-Based TNN (no shared scan) shards through the same pool."""
     workload = QueryWorkload(9, seed=12)
-    runner = BatchRunner(env64, workload)
-    assert runner.run_algorithm(DoubleNN(), workers=2) == runner.run_algorithm(
-        DoubleNN(), workers=0
-    )
+    runner = SharedScanRunner(env64, workload)
+    algo = WindowBasedTNN()
+    assert not shared_scan_supported(algo)
+    serial = runner.run_algorithm(algo, workers=0)
+    assert serial == _per_query(env64, algo, workload.queries(env64))
+    assert runner.run_algorithm(algo, workers=2) == serial
 
 
 # ----------------------------------------------------------------------
@@ -482,7 +485,7 @@ def test_eval_pending_guard_skips_fully_stamped_queues(env64):
     assert got[1] is not None
     assert calls == [n]
     for _ in range(n - 1):
-        node, lb, weak, _ = front.pop_with_arrival(1)
+        node, lb, weak = front.pop(1)
         assert lb is not None and not weak
     assert calls == [n]  # guard: no further scans, all records were valid
 
@@ -492,8 +495,8 @@ def test_eval_pending_guard_skips_fully_stamped_queues(env64):
     assert len(calls) == 2
 
 
-def test_peek_page_matches_next_pop(env64):
-    """The "next page needed" hook names exactly the page the pop serves."""
+def test_peek_arrival_matches_next_pop(env64):
+    """The next event time is exactly the arrival of the page pop serves."""
     from repro.broadcast import BroadcastChannel, ChannelTuner
     from repro.client.frontier import ArrivalFrontier
 
@@ -503,12 +506,16 @@ def test_peek_page_matches_next_pop(env64):
     front.push_many(nodes)
     tuner.advance_to(123.0)
     while not front.finished():
-        page = front.peek_page()
-        node, _, _, arrival = front.pop_with_arrival()
-        assert node.page_id == page
-        assert arrival == tuner.peek_index_arrival(page)
+        arrival = front.peek_arrival()
+        node, _, _ = front.pop()
+        assert arrival == tuner.peek_index_arrival(node.page_id)
+        # No other queued page arrives earlier.
+        assert all(
+            tuner.peek_index_arrival(n.page_id) >= arrival
+            for n in front.active_nodes()
+        )
         tuner.advance_to(arrival + 1.0)
-    assert front.peek_page() is None
+    assert front.peek_arrival() == math.inf
 
 
 def test_pop_until_prunes_and_respects_limit(env64):
@@ -570,27 +577,4 @@ def test_store_oracle_identity_under_loss(algo_cls, loss_kwargs):
     )
     queries = _random_queries(env, 30, seed=23)
     store, oracle = _store_vs_oracle(env, algo_cls(), queries)
-    assert store == oracle
-
-
-@pytest.mark.parametrize("lossy", [False, True])
-def test_store_oracle_identity_forced_scalar_tuners(lossy, monkeypatch):
-    """REPRO_SCALAR_TUNERS=1: the per-row download booking stays exact.
-
-    Without a ledger the store path books every kept row's clock, page
-    counter and reception log scalar, row by row — the same statements
-    a per-query download runs (and through the tuner retry loop when the
-    channel is lossy).
-    """
-    from repro.broadcast import PageLossModel
-
-    env = TNNEnvironment.build(
-        sized_uniform(1500, seed=24),
-        sized_uniform(1500, seed=25),
-        params=SystemParameters(page_capacity=64),
-        loss=PageLossModel(rate=0.25, seed=11) if lossy else None,
-    )
-    queries = _random_queries(env, 30, seed=26)
-    monkeypatch.setenv("REPRO_SCALAR_TUNERS", "1")
-    store, oracle = _store_vs_oracle(env, HybridNN(), queries)
     assert store == oracle

@@ -113,7 +113,7 @@ def test_sweep_cache_reuses_trees_and_stays_exact():
     from repro.sim.experiments import SweepCache
     from repro.core import TNNEnvironment
     from repro.datasets import sized_uniform
-    from repro.engine import BatchRunner, QueryWorkload
+    from repro.engine import QueryWorkload, SharedScanRunner
     from repro.core import DoubleNN
 
     s_pts = sized_uniform(120, seed=1)
@@ -126,8 +126,8 @@ def test_sweep_cache_reuses_trees_and_stays_exact():
     cold = TNNEnvironment.build(s_pts, r_pts)
     wl = QueryWorkload(4, seed=0)
     assert (
-        BatchRunner(warm2, wl).run_algorithm(DoubleNN())
-        == BatchRunner(cold, wl).run_algorithm(DoubleNN())
+        SharedScanRunner(warm2, wl).run_algorithm(DoubleNN())
+        == SharedScanRunner(cold, wl).run_algorithm(DoubleNN())
     )
 
 
@@ -141,7 +141,7 @@ def test_sweep_cache_eviction_keeps_tree_program_consistent():
     """
     from repro.sim.experiments import SweepCache
     from repro.datasets import sized_uniform
-    from repro.engine import BatchRunner, QueryWorkload
+    from repro.engine import QueryWorkload, SharedScanRunner
     from repro.core import DoubleNN
 
     cache = SweepCache()
@@ -156,6 +156,6 @@ def test_sweep_cache_eviction_keeps_tree_program_consistent():
     assert all(n.page_id is not None for n in again.s_tree.iter_nodes())
     wl = QueryWorkload(4, seed=0)
     assert (
-        BatchRunner(again, wl).run_algorithm(DoubleNN())
-        == BatchRunner(first, wl).run_algorithm(DoubleNN())
+        SharedScanRunner(again, wl).run_algorithm(DoubleNN())
+        == SharedScanRunner(first, wl).run_algorithm(DoubleNN())
     )

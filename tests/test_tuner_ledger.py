@@ -5,8 +5,8 @@ Two contracts under test:
 * :class:`~repro.broadcast.tuner.TunerLedger` — attachment is
   backend-transparent: an attached tuner's public attributes, accounting
   methods and materialised ``log`` are bit-identical to the standalone
-  scalar oracle, through attach/detach round-trips, vectorised round
-  flushes, lane growth and the ``REPRO_SCALAR_TUNERS=1`` escape hatch.
+  scalar oracle, through attachment mid-life, vectorised round flushes
+  and lane growth; the executor always attaches arena-served tuners.
 * The shared-scan executor's lossy seam — a :class:`FaultModel` makes
   receptions fallible; lossy NN searches stay on the arena/ledger fast
   path (the round flush replays the retry-to-next-replica loop closed
@@ -36,7 +36,6 @@ from repro.broadcast.tuner import (
     _KIND_INDEX,
     _LedgerTuner,
     TunerLedger,
-    scalar_tuners_forced,
 )
 from repro.client import BroadcastNNSearch, SearchGroup, run_all
 from repro.core import DoubleNN, HybridNN, TNNEnvironment
@@ -104,7 +103,7 @@ def _tuner_state(t):
 
 
 # ----------------------------------------------------------------------
-# Ledger units: attach / detach
+# Ledger units: attachment
 # ----------------------------------------------------------------------
 def test_attach_moves_state_and_routes_attributes():
     t = ChannelTuner(_make_channel())
@@ -120,29 +119,6 @@ def test_attach_moves_state_and_routes_attributes():
     # The materialised log is the pre-attach prefix plus arena events.
     assert t.log == [("index", 3, 5.0, True), ("index", 7, 10.0, True)]
     assert t.pages_downloaded == 2
-
-
-def test_detach_restores_scalar_oracle():
-    t = ChannelTuner(_make_channel())
-    ledger = TunerLedger()
-    ledger.attach(t)
-    t.record_index(4, 2.0)
-    t.data_pages = 3
-    t.lost_pages = 1
-    ledger.detach(t)
-    assert type(t) is ChannelTuner
-    assert _tuner_state(t) == (3.0, 1, 3, 1, 0, [("index", 4, 2.0, True)])
-    # Standalone accounting keeps working on the plain dataclass.
-    t.record_index(9, 20.0)
-    assert t.now == 21.0 and t.index_pages == 2
-    # detach is idempotent / ignores foreign tuners.
-    ledger.detach(t)
-    assert type(t) is ChannelTuner
-    # The convenience method on an attached tuner does the same.
-    t2 = ChannelTuner(_make_channel())
-    ledger.attach(t2)
-    t2.detach()
-    assert type(t2) is ChannelTuner
 
 
 def test_attach_idempotent_and_foreign_ledger_rejected():
@@ -267,29 +243,6 @@ def test_receive_paths_route_through_ledger_bit_identically():
         if loss is not None:
             assert attached.lost_pages > 0  # the seed actually fades pages
             assert any(not ok for *_, ok in attached.log)
-
-
-def test_scalar_tuners_forced_disables_ledger(monkeypatch, env_lossless):
-    monkeypatch.setenv("REPRO_SCALAR_TUNERS", "1")
-    assert scalar_tuners_forced()
-    queries = _random_queries(env_lossless, 6)
-    algo = HybridNN()
-    with kernels.use_kernels(True):
-        want = [algo.run(env_lossless, q, ps, pr) for q, ps, pr in queries]
-        got = execute_tnn_batch(env_lossless, algo, queries)
-    assert got == want
-    # The executor still runs the arena — only the tuners stay scalar.
-    executor = SharedScanExecutor()
-    tuner = ChannelTuner(BroadcastChannel(env_lossless.s_program))
-    search = BroadcastNNSearch(
-        env_lossless.s_tree, tuner, Point(500.0, 500.0)
-    )
-    with kernels.use_kernels(True):
-        executor.add(SearchGroup([search]))
-    assert executor._arena is not None and executor._ledger is None
-    assert type(tuner) is ChannelTuner
-    monkeypatch.delenv("REPRO_SCALAR_TUNERS")
-    assert not scalar_tuners_forced()
 
 
 # ----------------------------------------------------------------------
@@ -468,36 +421,6 @@ def test_lossy_bit_identity_sweep_across_layouts(layout):
             assert _tuner_state(got.tuner) == _tuner_state(want.tuner)
     assert any(s.tuner.lost_pages > 0 for s in oracle)
     assert any(s.tuner.corrupt_pages > 0 for s in oracle)
-
-
-def test_lossy_sweep_forced_scalar_tuners(monkeypatch):
-    """The ledger-off escape hatch (arena on, tuners scalar) replays the
-    same faulty retry chains bit-identically."""
-    monkeypatch.setenv("REPRO_SCALAR_TUNERS", "1")
-    env = _build_env(n=240)
-    rng = random.Random(5)
-    cycle = env.s_program.cycle_length
-    specs = [
-        (
-            env.random_query_point(rng),
-            rng.uniform(0, cycle),
-            _SWEEP_FAULTS[i % 3](rng.randrange(1 << 16)),
-        )
-        for i in range(9)
-    ]
-    oracle = [_nn_search(env, *spec) for spec in specs]
-    shared = [_nn_search(env, *spec) for spec in specs]
-    with kernels.use_kernels(True):
-        for s in oracle:
-            run_all([s])
-        executor = SharedScanExecutor()
-        for s in shared:
-            executor.add(SearchGroup([s]))
-        assert executor._ledger is None  # the escape hatch is live
-        executor.run()
-    for got, want in zip(shared, oracle):
-        assert got.result() == want.result()
-        assert _tuner_state(got.tuner) == _tuner_state(want.tuner)
 
 
 @pytest.mark.parametrize(
