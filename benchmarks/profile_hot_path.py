@@ -255,8 +255,7 @@ def _wrap_sites() -> list:
     for name in ("_arena_phase_a", "_resolve_survivors"):
         sites.append((shared_scan_mod.SharedScanExecutor, name, "phase_a"))
     for name in (
-        "_absorb_nn_lanes", "_absorb_point_leaves", "_absorb_flat_leaves",
-        "_mirror",
+        "_absorb_nn_lanes", "_absorb_flat_leaves", "_mirror",
     ):
         sites.append((shared_scan_mod.SharedScanExecutor, name, "absorb"))
     for cls in (tuner_mod.ChannelTuner, tuner_mod._LedgerTuner):

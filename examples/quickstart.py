@@ -70,9 +70,12 @@ corruption (``corrupt_pages``).  Faulty NN searches stay on the
 arena/ledger fast path: the round flush replays each retry chain closed
 form (replicas sit exactly one cycle apart), bit-identically to the
 per-query retry loop, so robustness no longer costs the shared-scan
-speedup.  Only the drain serves (kNN / range / window) burst on the
-per-query oracle under loss.  One tier up, ``SharedScanRunner``'s pool
-shards run under a supervisor — crashed or hung workers
+speedup.  The drain serves (kNN / range / window) empty a lossless
+search in one serve — a kNN drain absorbs each leaf inline and exactly
+with the scalar offer loop, so the bound it moves prunes the very next
+pop — and only they burst on the per-query oracle under loss.  One tier
+up, ``SharedScanRunner``'s pool shards run under a supervisor — crashed
+or hung workers
 (``REPRO_SHARD_TIMEOUT``) trigger pool rebuild, resharding and retries
 with backoff (``REPRO_SHARD_RETRIES`` / ``REPRO_SHARD_BACKOFF``),
 degrading to in-process serial execution last — and every recovery path

@@ -11,7 +11,10 @@ Queue plumbing comes from the shared arrival frontier; on the kernel
 path, leaf absorption evaluates every leaf point in one
 :func:`kernels.point_dists` call and pre-filters the candidate heap
 offers with ``np.partition``.  The scalar per-point loop stays as the
-bit-identical oracle (``kernels.use_kernels(False)``).
+bit-identical oracle (``kernels.use_kernels(False)``).  The shared-scan
+executor drains a lossless frontier-backed kNN search in one serve and
+absorbs each leaf inline with that scalar loop
+(:meth:`~repro.engine.shared_scan.SharedScanExecutor._serve_knn_one`).
 """
 
 from __future__ import annotations
@@ -106,16 +109,7 @@ class BroadcastKNNSearch(ArrivalQueueMixin):
         # One kernel call covers the whole leaf; each element is
         # bit-identical to math.hypot, so replaying the offer loop on the
         # precomputed distances reproduces the scalar heap exactly.
-        self._absorb_leaf_known(node, kernels.point_dists(self.query, node.points_array()))
-
-    def _absorb_leaf_known(self, node: RTreeNode, d: np.ndarray) -> None:
-        """Replay the offer loop on a precomputed leaf distance row.
-
-        ``d`` may come from the per-leaf kernel call above or from a
-        multi-query batch row of the shared-scan executor — each element is
-        bit-identical to ``math.hypot``, so the candidate heap evolves
-        exactly as on the scalar path.
-        """
+        d = kernels.point_dists(self.query, node.points_array())
         if len(self._best) < self.k:
             for i, pt in enumerate(node.points):
                 self._offer_known(pt, float(d[i]))

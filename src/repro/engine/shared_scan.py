@@ -31,6 +31,12 @@ Because the geometry kernels are elementwise, a round batches expansions of
 arrival tick of the shared scan, not a single page's bucket, which is
 strictly more batching than per-page grouping.
 
+Searches whose pop-time prune no other search can move drain in one serve
+rather than one round per page: range and window searches resolve their
+leaves afterwards in one flat kernel pass, and a kNN search absorbs each
+leaf (3–4 points at 64-byte pages) inline with the exact scalar offer
+loop, whose moved k-th-best bound the very next pop reads.
+
 **Bit-identity contract.**  The per-query path remains the oracle: for
 every query, the executor produces the same answers, access times, tune-in
 counts and max queue sizes, bit for bit.  The contract holds by
@@ -46,7 +52,8 @@ construction:
   margins can only decide provably-identical outcomes (prunes, skipped
   guarantee scans) with every stored value still computed by the exact
   scalar metrics; the absorb lanes replay the per-query absorb logic
-  (``_absorb_internal`` / ``_absorb_leaf``) on the batched rows, and the
+  (``_absorb_internal`` / ``_absorb_leaf``) on the batched rows, the kNN
+  drain runs the scalar offer loop (``_offer_known``) itself, and the
   inlined page download replays the tuner's arrival arithmetic;
 * everything that cannot batch falls back to the search's own per-query
   code path: sub-threshold lanes, heap-backed searches (distributed
@@ -70,6 +77,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from heapq import heappush, heapreplace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,6 +116,35 @@ def _sid_append(arr: np.ndarray, i: int, value: int) -> np.ndarray:
     return arr
 
 
+def _splice_fanout(f, node) -> None:
+    """``f.push_many(node.children, src=node)``, trimmed for a drain serve.
+
+    The kNN and range drains empty their frontier in one serve, so it
+    dies with the serve: the MBR-chunk cache and the eval-guard
+    bookkeeping (rescan machinery) are skipped — only the slot/order
+    lanes, the bound padding and the footprint peak matter.
+    """
+    order_pages = f._order_pages
+    order_slots = f._order_slots
+    slot_nodes = f._nodes
+    base_slot = len(slot_nodes)
+    pages = node.child_page_list()
+    slots = range(base_slot, base_slot + len(pages))
+    slot_nodes.extend(node.children)
+    f._bounds.extend([None] * len(pages))
+    i = bisect_left(order_pages, pages[0])
+    if i == len(order_pages) or order_pages[i] > pages[-1]:
+        order_pages[i:i] = pages
+        order_slots[i:i] = slots
+    else:  # pragma: no cover - non-sibling batches
+        for page, slot in zip(pages, slots):
+            j = bisect_left(order_pages, page)
+            order_pages.insert(j, page)
+            order_slots.insert(j, slot)
+    if len(order_pages) > f.max_size:
+        f.max_size = len(order_pages)
+
+
 # ----------------------------------------------------------------------
 # The round-based executor
 # ----------------------------------------------------------------------
@@ -133,10 +170,10 @@ class SharedScanExecutor:
       ids.  Hybrid pairs pass the sibling's next event time as the pop
       limit (``run_all``'s ping-pong tie rule); independent searches run
       unlimited.
-    * **kNN searches** — internal expansions never move the k-th-best
-      bound, so a serve drains pops and internal downloads in one loop and
-      stops only at a leaf download, whose distance row joins the round's
-      batch.
+    * **kNN searches** — one serve drains the whole search: pops, the
+      inline MINDIST prune against the current k-th-best bound, internal
+      downloads, and every leaf absorbed inline and exactly with the
+      scalar offer loop, so the next pop reads the bound it moved.
     * **range / window searches** — the prune test is static (the circle
       and window never move), so one serve drains the whole search;
       collected leaves are resolved afterwards in one flat per-search
@@ -269,19 +306,16 @@ class SharedScanExecutor:
         #: rows the exact test pruned after all), as ``(sid, nid)``
         #: pairs; they join phase A's kept rows in the absorb lanes.
         resumed: List[Tuple[int, int]] = []
-        point_leaves: dict = {}  # fanout -> [searches, nodes]  (kNN leaves)
         flat_leaves: List[Tuple[object, List]] = []  # (search, leaf nodes)
         #: Searches verified finished by their serve, with their groups.
         probe: List[Tuple[SearchGroup, object]] = []
-        ctx = (resumed, point_leaves, flat_leaves, probe)
+        ctx = (resumed, flat_leaves, probe)
         lanes = self._arena_phase_a(ctx) if self._arena_groups else None
         if self._legacy:
             self._group_loop(self._legacy, ctx)
 
         if lanes:
             self._absorb_nn_lanes(lanes)
-        if point_leaves:
-            self._absorb_point_leaves(point_leaves)
         for s, leaves in flat_leaves:
             self._absorb_flat_leaves(s, leaves)
         # No arena flush here: the probe loop's re-steer rescans flush on
@@ -452,7 +486,7 @@ class SharedScanExecutor:
 
     def _group_loop(self, groups: List[SearchGroup], ctx) -> None:
         """The per-group serve dispatch (non-arena groups)."""
-        probe = ctx[3]
+        probe = ctx[2]
         serve = {
             BroadcastKNNSearch: self._serve_knn_one,
             BroadcastRangeSearch: self._serve_range_one,
@@ -569,7 +603,7 @@ class SharedScanExecutor:
         """
         arena = self._arena
         store = arena._store
-        resumed, _, _, probe = ctx
+        resumed, _, probe = ctx
         pairs = self._pairs
         solos = self._solos
         n_pairs = len(pairs)
@@ -781,7 +815,7 @@ class SharedScanExecutor:
             if t > limit or (strict and t == limit):
                 return
             s.step()
-        ctx[3].append((g, s))
+        ctx[2].append((g, s))
 
     def _fast(self, s, trivial_policy: bool) -> bool:
         """Batched-serve eligibility of one search, cached on the search.
@@ -816,7 +850,7 @@ class SharedScanExecutor:
         f = s._frontier
         sid = s._arena_sid
         now = self._arena._now
-        resumed, _, _, probe = ctx
+        resumed, _, probe = ctx
         epoch = s._metric_epoch
         tuner = s.tuner
         while True:
@@ -849,28 +883,33 @@ class SharedScanExecutor:
             self._burst(g, s, limit, strict, ctx)
             return
         f = s._frontier
-        _, point_leaves, _, probe = ctx
+        probe = ctx[2]
         order_pages = f._order_pages
         order_slots = f._order_slots
         slot_nodes = f._nodes
         cycle = f._cycle
         fphase = f._phase
-        q = s.query
+        qx, qy = s.query
+        k = s.k
+        best = s._best
+        seq = s._offer_seq
+        hyp = math.hypot
         tuner = s.tuner
         # Downloads of this drain collect here and book in one
-        # record_index_run call per exit — one clock write, one counter
-        # add, one log/event-arena extend, on either tuner backend.
+        # record_index_run call — one clock write, one counter add, one
+        # log/event-arena extend, on either tuner backend.
         pages_dl: List[int] = []
         arrs: List[float] = []
         now = tuner.now
-        # The k-th-best bound moves only when a leaf is absorbed, and the
-        # serve stops there — so it is constant for this whole drain.
         bound = s.bound
         pops = 0
         base = math.ceil(now - fphase)
-        # The cyclic walk only moves forward (prunes keep the clock, and
-        # a download's children insert at or after the cursor), so the
-        # pop position is maintained incrementally: one bisect per drain.
+        # The whole search drains in one serve: each leaf is absorbed
+        # inline, exactly, before the next pop's prune test reads the
+        # k-th-best bound it may have moved.  The cyclic walk only moves
+        # forward (prunes keep the clock, and a download's children insert
+        # at or after the cursor), so the pop position is maintained
+        # incrementally: one bisect per drain.
         i = bisect_left(order_pages, base % cycle)
         while order_pages:
             if i >= len(order_pages):
@@ -879,28 +918,29 @@ class SharedScanExecutor:
             slot = order_slots.pop(i)
             pops += 1
             node = slot_nodes[slot]
-            if node.mbr.mindist(q) > bound:
+            # Inline Rect.mindist (same max/hypot sequence, no call).
+            xmin, ymin, xmax, ymax = node.mbr
+            if hyp(max(xmin - qx, 0.0, qx - xmax),
+                   max(ymin - qy, 0.0, qy - ymax)) > bound:
                 continue
             arrival = base + (page - base) % cycle + fphase
             now = arrival + 1.0
             pages_dl.append(page)
             arrs.append(arrival)
             if node.level == 0:
-                # The leaf's absorption moves the k-th-best bound, which
-                # the next pop's prune test reads: stop for the batch.
-                tuner.record_index_run(pages_dl, arrs, now)
-                f._version += pops
-                if not order_pages:
-                    probe.append((g, s))
-                lane = point_leaves.get(node.fanout)
-                if lane is None:
-                    point_leaves[node.fanout] = [[s], [node]]
-                else:
-                    lane[0].append(s)
-                    lane[1].append(node)
-                return
-            # expansions never move the bound
-            f.push_many(node.children, src=node)
+                # The scalar oracle's offer loop (_offer_known): one
+                # sequence number per offered point, bound re-read after.
+                for pt in node.points:
+                    d = hyp(qx - pt.x, qy - pt.y)
+                    entry = (-d, next(seq), pt)
+                    if len(best) < k:
+                        heappush(best, entry)
+                    elif d < -best[0][0]:
+                        heapreplace(best, entry)
+                if len(best) == k:
+                    bound = -best[0][0]
+            else:
+                _splice_fanout(f, node)
             base = math.ceil(now - fphase)
             if base % cycle != page + 1:
                 # The clock's float roundtrip rounded past the next page
@@ -916,7 +956,7 @@ class SharedScanExecutor:
             self._burst(g, s, limit, strict, ctx)
             return
         f = s._frontier
-        _, _, flat_leaves, probe = ctx
+        _, flat_leaves, probe = ctx
         order_pages = f._order_pages
         order_slots = f._order_slots
         slot_nodes = f._nodes
@@ -963,30 +1003,7 @@ class SharedScanExecutor:
             if node.level == 0:
                 leaves.append(node)
             else:
-                # Inlined push_many, trimmed for the drain: the frontier
-                # dies with this serve, so the MBR-chunk cache and the
-                # eval-guard bookkeeping (rescan machinery) are skipped —
-                # only the slot/order lanes and the footprint peak matter.
-                children = node.children
-                base_slot = len(slot_nodes)
-                cpages = node.child_page_list()
-                slot_nodes.extend(children)
-                f._bounds.extend([None] * len(cpages))
-                ii = bisect_left(order_pages, cpages[0])
-                if ii == len(order_pages) or order_pages[ii] > cpages[-1]:
-                    order_pages[ii:ii] = cpages
-                    order_slots[ii:ii] = range(
-                        base_slot, base_slot + len(cpages)
-                    )
-                else:  # pragma: no cover - non-sibling batches
-                    for cpage, cslot in zip(
-                        cpages, range(base_slot, base_slot + len(cpages))
-                    ):
-                        jj = bisect_left(order_pages, cpage)
-                        order_pages.insert(jj, cpage)
-                        order_slots.insert(jj, cslot)
-                if len(order_pages) > f.max_size:
-                    f.max_size = len(order_pages)
+                _splice_fanout(f, node)
             base = math.ceil(now - fphase)
             if base % cycle != page + 1:
                 # Float-roundtrip clock moved past the next slot (or the
@@ -1003,7 +1020,7 @@ class SharedScanExecutor:
             self._burst(g, s, limit, strict, ctx)
             return
         f = s._frontier
-        _, _, flat_leaves, probe = ctx
+        _, flat_leaves, probe = ctx
         order_pages = f._order_pages
         order_slots = f._order_slots
         slot_nodes = f._nodes
@@ -1270,27 +1287,6 @@ class SharedScanExecutor:
             -1 if s._witness_page is None else s._witness_page
             for s in searches
         ]
-
-    def _absorb_point_leaves(self, point_leaves: dict) -> None:
-        """Batched exact ``dis(q, p)`` rows for the round's kNN leaves.
-
-        kNN rows must be exact — the distances enter the candidate heap
-        and the reported answers — so this lane keeps the exact vectorised
-        hypot.
-        """
-        for n, (searches, nodes) in point_leaves.items():
-            if len(nodes) < _MIN_LANE:
-                for s, node in zip(searches, nodes):
-                    s._absorb_leaf(node)
-                continue
-            pts = np.concatenate(
-                [node.points_array() for node in nodes]
-            ).reshape(len(nodes), n, 2)
-            d = kernels.point_dists_multi(
-                np.array([s.query for s in searches]), pts
-            )
-            for j, (s, node) in enumerate(zip(searches, nodes)):
-                s._absorb_leaf_known(node, d[j])
 
     def _absorb_flat_leaves(self, s, leaves: List) -> None:
         """Resolve a drained range/window search's leaves in one flat pass.

@@ -14,7 +14,12 @@ import math
 import pytest
 
 from repro.broadcast import SystemParameters
-from repro.client import BroadcastNNSearch, SearchGroup, run_all
+from repro.client import (
+    BroadcastKNNSearch,
+    BroadcastNNSearch,
+    SearchGroup,
+    run_all,
+)
 from repro.core import DoubleNN, HybridNN, TNNEnvironment, WindowBasedTNN
 from repro.core.environment import TNNEnvironment as _Env
 from repro.datasets import sized_uniform
@@ -317,6 +322,122 @@ def test_client_queries_honour_the_env_fault_model():
     assert [a for a, r in zip(got, requests) if isinstance(r, NNRequest)] == (
         singles
     )
+
+
+# ----------------------------------------------------------------------
+# kNN drains: one serve per search, leaves absorbed inline and exactly
+# ----------------------------------------------------------------------
+def _lattice_env(page_capacity, loss=None):
+    """A 20 x 20 lattice (every point twice) on the s channel."""
+    lattice = [Point(10.0 * i, 10.0 * j) for i in range(20) for j in range(20)]
+    return TNNEnvironment.build(
+        lattice + lattice,
+        sized_uniform(300, seed=5),
+        params=SystemParameters(page_capacity=page_capacity),
+        loss=loss,
+    )
+
+
+def _spy_finish_and_burst(monkeypatch):
+    """Record each finished search's tuner log and lost pages, and every
+    search the executor hands to its per-query ``_burst`` fallback."""
+    finished, bursts = [], []
+    finish = QueryEngine._finish
+    burst = SharedScanExecutor._burst
+
+    def finish_spy(self, search):
+        finished.append((list(search.tuner.log), search.tuner.lost_pages))
+        return finish(self, search)
+
+    def burst_spy(self, g, s, *args):
+        bursts.append(s)
+        return burst(self, g, s, *args)
+
+    monkeypatch.setattr(QueryEngine, "_finish", finish_spy)
+    monkeypatch.setattr(SharedScanExecutor, "_burst", burst_spy)
+    return finished, bursts
+
+
+def _knn_cases(env, case):
+    n = len(env.s_points)
+    cycle = env.s_program.cycle_length
+    if case == "tie-at-kth-bound":
+        # (55, 55) sits mid-cell: 4 distinct lattice points (8 with the
+        # duplicates) tie at the nearest distance, 8 more at the next.
+        points = [Point(55.0, 55.0), Point(105.0, 45.0), Point(0.0, 0.0)]
+        ks = (1, 2, 3, 7, 8, 9, 12, 23)
+    elif case == "k-exceeds-dataset":
+        points = [Point(55.0, 55.0), Point(123.4, 56.7)]
+        ks = (n, n + 1, 3 * n)
+    else:  # query outside the data region
+        points = [Point(-500.0, -500.0), Point(1e4, 95.0), Point(95.0, -0.5)]
+        ks = (1, 4, 30)
+    return [
+        KNNRequest(q, k, (17.0 * i + 3.5 * k) % cycle, "s")
+        for i, q in enumerate(points)
+        for k in ks
+    ]
+
+
+@pytest.mark.parametrize("page_capacity", [64, 512])
+@pytest.mark.parametrize(
+    "case", ["tie-at-kth-bound", "k-exceeds-dataset", "query-outside-region"]
+)
+def test_knn_drain_bit_identical_to_single_query(case, page_capacity,
+                                                 monkeypatch):
+    """run_many's one-serve kNN drain vs per-query ``QueryEngine.knn``.
+
+    Answers (points, distances and tie order), access times, tune-in
+    counts, max queue sizes and the tuner logs event by event all match;
+    no lossless kNN search falls back to ``_burst``.
+    """
+    env = _lattice_env(page_capacity)
+    engine = QueryEngine(env)
+    requests = _knn_cases(env, case)
+    finished, bursts = _spy_finish_and_burst(monkeypatch)
+    with kernels.use_kernels(True):
+        got = engine.run_many(requests, record_log=True)
+        logs_many = finished[:]
+        del finished[:]
+        want = [engine.knn(r.point, r.k, r.phase, r.channel) for r in requests]
+    assert got == want
+    assert logs_many == finished
+    assert all(log for log, _ in finished)
+    assert bursts == []
+    if case == "tie-at-kth-bound":
+        # The case really ties at the k-th bound: some answer's k-th
+        # distance is shared by a point left out of it.
+        ties = 0
+        for r, a in zip(requests, got):
+            d = sorted(q.distance_to(r.point) for q in env.s_points)
+            ties += d[r.k - 1] == d[r.k]
+        assert ties
+    elif case == "k-exceeds-dataset":
+        assert all(len(a.answers) == len(env.s_points) for a in got)
+
+
+def test_lossy_knn_still_bursts(monkeypatch):
+    """A faulty-environment kNN search keeps its per-query fallback.
+
+    The drain books only successful downloads, so under a fault model the
+    executor bursts the search's own steps: answers match the
+    single-query method, and the lost pages are counted.
+    """
+    from repro.broadcast import PageLossModel
+
+    env = _lattice_env(64, loss=PageLossModel(rate=0.3, seed=3))
+    engine = QueryEngine(env)
+    requests = _knn_cases(env, "tie-at-kth-bound")
+    finished, bursts = _spy_finish_and_burst(monkeypatch)
+    with kernels.use_kernels(True):
+        got = engine.run_many(requests)
+        lost_many = [lost for _, lost in finished]
+        want = [engine.knn(r.point, r.k, r.phase, r.channel) for r in requests]
+    assert got == want
+    assert len({id(s) for s in bursts}) == len(requests)
+    assert all(isinstance(s, BroadcastKNNSearch) for s in bursts)
+    assert sum(lost_many) > 0
+    assert lost_many == [lost for _, lost in finished[len(requests):]]
 
 
 # ----------------------------------------------------------------------
