@@ -190,10 +190,10 @@ def _wrap_sites() -> list:
     re-imported by name are patched at the importer too, or the wrapper
     would never see those calls.
 
-    The executor's ``_serve_*_one`` drains count as **queue**: they are the
-    frontier pop loop inlined into the engine (they consume the arrival
-    lanes directly), and their nested geometry / download calls are wrapped
-    separately, so self-time attribution still splits them honestly.
+    The executor's ``_serve_drain`` counts as **queue**: it is the
+    frontier pop loop inlined into the engine (it consumes the arrival
+    lanes directly), and its nested geometry / download calls are wrapped
+    separately, so self-time attribution still splits it honestly.
     ``transitive_join`` counts as **geometry** — it is the filter phase's
     pairwise distance evaluation.
     """
@@ -243,10 +243,7 @@ def _wrap_sites() -> list:
         "_pop_head_bound",
     ):
         sites.append((aq_mod.ArrivalQueueMixin, name, "queue"))
-    for name in (
-        "_resume_nn", "_serve_knn_one", "_serve_range_one",
-        "_serve_window_one",
-    ):
+    for name in ("_resume_nn", "_serve_drain"):
         sites.append((shared_scan_mod.SharedScanExecutor, name, "queue"))
     # Executor sub-buckets: the phase-A survivor handling and the absorb
     # glue.  Nested frontier/arena calls (queue), kernels (geometry) and
@@ -254,9 +251,7 @@ def _wrap_sites() -> list:
     # attribution keeps the split honest.
     for name in ("_arena_phase_a", "_resolve_survivors"):
         sites.append((shared_scan_mod.SharedScanExecutor, name, "phase_a"))
-    for name in (
-        "_absorb_nn_lanes", "_absorb_flat_leaves", "_mirror",
-    ):
+    for name in ("_absorb_nn_lanes", "_mirror"):
         sites.append((shared_scan_mod.SharedScanExecutor, name, "absorb"))
     for cls in (tuner_mod.ChannelTuner, tuner_mod._LedgerTuner):
         for name in (
@@ -276,9 +271,9 @@ def _patched(timer: _WallPhaseTimer):
     saved = []
     try:
         for holder, name, bucket in _wrap_sites():
-            fn = getattr(holder, name, None)
-            if fn is None:
-                continue
+            # No default: a renamed or deleted wrap site raises here
+            # instead of silently dropping out of the split.
+            fn = getattr(holder, name)
             saved.append((holder, name, fn))
             setattr(holder, name, timer.wrap(fn, bucket))
         yield

@@ -70,10 +70,11 @@ corruption (``corrupt_pages``).  Faulty NN searches stay on the
 arena/ledger fast path: the round flush replays each retry chain closed
 form (replicas sit exactly one cycle apart), bit-identically to the
 per-query retry loop, so robustness no longer costs the shared-scan
-speedup.  The drain serves (kNN / range / window) empty a lossless
-search in one serve — a kNN drain absorbs each leaf inline and exactly
-with the scalar offer loop, so the bound it moves prunes the very next
-pop — and only they burst on the per-query oracle under loss.  One tier
+speedup.  One drain serve empties a lossless kNN, range or window
+search in a single pass, absorbing each leaf before the next pop — a kNN
+leaf with the exact scalar offer loop, so the bound it moves prunes the
+very next pop, a range or window leaf with the search's own absorb — and
+only drains burst on the per-query oracle under loss.  One tier
 up, ``SharedScanRunner``'s pool shards run under a supervisor — crashed
 or hung workers
 (``REPRO_SHARD_TIMEOUT``) trigger pool rebuild, resharding and retries

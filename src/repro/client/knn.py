@@ -14,7 +14,7 @@ offers with ``np.partition``.  The scalar per-point loop stays as the
 bit-identical oracle (``kernels.use_kernels(False)``).  The shared-scan
 executor drains a lossless frontier-backed kNN search in one serve and
 absorbs each leaf inline with that scalar loop
-(:meth:`~repro.engine.shared_scan.SharedScanExecutor._serve_knn_one`).
+(:meth:`~repro.engine.shared_scan.SharedScanExecutor._serve_drain`).
 """
 
 from __future__ import annotations

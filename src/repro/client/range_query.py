@@ -64,25 +64,16 @@ class BroadcastRangeSearch(ArrivalQueueMixin):
 
     def _absorb_leaf(self, node: RTreeNode) -> None:
         if kernels.enabled() and node.fanout >= kernels.min_batch_leaf():
-            self._absorb_leaf_known(
-                node, kernels.point_dists(self.circle.center, node.points_array())
+            # Containment is exactly ``dis(center, p) <= radius`` in leaf
+            # order, like the scalar loop.
+            d = kernels.point_dists(self.circle.center, node.points_array())
+            self.results.extend(
+                node.points[i]
+                for i in np.flatnonzero(d <= self.circle.radius).tolist()
             )
             return
         self.results.extend(
             p for p in node.points if self.circle.contains_point(p)
-        )
-
-    def _absorb_leaf_known(self, node: RTreeNode, d: np.ndarray) -> None:
-        """Collect the in-circle points of a precomputed distance row.
-
-        Containment is exactly ``dis(center, p) <= radius`` in leaf order,
-        like the scalar loop.  (The shared-scan executor resolves drained
-        range searches wholesale in its flat leaf pass instead; this is
-        the per-leaf row consumer behind :meth:`_absorb_leaf`.)
-        """
-        self.results.extend(
-            node.points[i]
-            for i in np.flatnonzero(d <= self.circle.radius).tolist()
         )
 
     def run_to_completion(self) -> List[Point]:

@@ -58,51 +58,37 @@ class BroadcastWindowSearch(ArrivalQueueMixin):
     def _absorb_leaf(self, node: RTreeNode) -> None:
         w = self.window
         if kernels.enabled() and node.fanout >= kernels.min_batch_leaf():
+            # The elementwise closed comparisons match
+            # ``Rect.contains_point`` exactly.
             pts = node.points_array()
-            self._absorb_leaf_inside(
-                node,
+            inside = (
                 (w.xmin <= pts[:, 0])
                 & (pts[:, 0] <= w.xmax)
                 & (w.ymin <= pts[:, 1])
-                & (pts[:, 1] <= w.ymax),
+                & (pts[:, 1] <= w.ymax)
+            )
+            self.results.extend(
+                node.points[i] for i in np.flatnonzero(inside).tolist()
             )
             return
         self.results.extend(p for p in node.points if w.contains_point(p))
-
-    def _absorb_leaf_inside(self, node: RTreeNode, inside: np.ndarray) -> None:
-        """Collect the points of a precomputed containment mask row.
-
-        The elementwise closed comparisons match ``Rect.contains_point``
-        exactly.  (The shared-scan executor resolves drained window
-        searches wholesale in its flat leaf pass; this is the per-leaf
-        mask consumer behind :meth:`_absorb_leaf`.)
-        """
-        self.results.extend(
-            node.points[i] for i in np.flatnonzero(inside).tolist()
-        )
 
     def _push_intersecting(self, node: RTreeNode) -> None:
         w = self.window
         if kernels.enabled() and node.fanout >= kernels.min_batch():
             mbrs = node.child_mbr_array()
-            self._push_hit(
-                node,
-                ~(
-                    (mbrs[:, 0] > w.xmax)
-                    | (mbrs[:, 2] < w.xmin)
-                    | (mbrs[:, 1] > w.ymax)
-                    | (mbrs[:, 3] < w.ymin)
-                ),
+            miss = (
+                (mbrs[:, 0] > w.xmax)
+                | (mbrs[:, 2] < w.xmin)
+                | (mbrs[:, 1] > w.ymax)
+                | (mbrs[:, 3] < w.ymin)
             )
+            for i in np.flatnonzero(~miss).tolist():
+                self._push(node.children[i])
             return
         for child in node.children:
             if w.intersects_rect(child.mbr):
                 self._push(child)
-
-    def _push_hit(self, node: RTreeNode, hit: np.ndarray) -> None:
-        """Queue the children selected by a precomputed intersect mask row."""
-        for i in np.flatnonzero(hit).tolist():
-            self._push(node.children[i])
 
     def run_to_completion(self) -> List[Point]:
         while not self.finished():

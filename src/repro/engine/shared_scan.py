@@ -31,11 +31,11 @@ Because the geometry kernels are elementwise, a round batches expansions of
 arrival tick of the shared scan, not a single page's bucket, which is
 strictly more batching than per-page grouping.
 
-Searches whose pop-time prune no other search can move drain in one serve
-rather than one round per page: range and window searches resolve their
-leaves afterwards in one flat kernel pass, and a kNN search absorbs each
-leaf (3–4 points at 64-byte pages) inline with the exact scalar offer
-loop, whose moved k-th-best bound the very next pop reads.
+Searches whose pop-time prune no other search can move — kNN, range and
+window — drain in one serve rather than one round per page, absorbing each
+leaf before the next pop: a kNN leaf (3–4 points at 64-byte pages) with
+the exact scalar offer loop, whose moved k-th-best bound the very next pop
+reads, and a range or window leaf with the search's own ``_absorb_leaf``.
 
 **Bit-identity contract.**  The per-query path remains the oracle: for
 every query, the executor produces the same answers, access times, tune-in
@@ -105,6 +105,9 @@ from repro.geometry import Circle, Point, kernels
 #: is purely a performance dial.
 _MIN_LANE = 4
 
+#: Search types served by :meth:`SharedScanExecutor._serve_drain`.
+_DRAIN_TYPES = (BroadcastKNNSearch, BroadcastRangeSearch, BroadcastWindowSearch)
+
 
 def _sid_append(arr: np.ndarray, i: int, value: int) -> np.ndarray:
     """Write ``value`` at index ``i`` of a grown int64 scratch array."""
@@ -119,8 +122,8 @@ def _sid_append(arr: np.ndarray, i: int, value: int) -> np.ndarray:
 def _splice_fanout(f, node) -> None:
     """``f.push_many(node.children, src=node)``, trimmed for a drain serve.
 
-    The kNN and range drains empty their frontier in one serve, so it
-    dies with the serve: the MBR-chunk cache and the eval-guard
+    A kNN or range drain empties its frontier in one serve, so it dies
+    with the serve: the MBR-chunk cache and the eval-guard
     bookkeeping (rescan machinery) are skipped — only the slot/order
     lanes, the bound padding and the footprint peak matter.
     """
@@ -170,14 +173,11 @@ class SharedScanExecutor:
       ids.  Hybrid pairs pass the sibling's next event time as the pop
       limit (``run_all``'s ping-pong tie rule); independent searches run
       unlimited.
-    * **kNN searches** — one serve drains the whole search: pops, the
-      inline MINDIST prune against the current k-th-best bound, internal
-      downloads, and every leaf absorbed inline and exactly with the
-      scalar offer loop, so the next pop reads the bound it moved.
-    * **range / window searches** — the prune test is static (the circle
-      and window never move), so one serve drains the whole search;
-      collected leaves are resolved afterwards in one flat per-search
-      kernel call that preserves leaf pop order.
+    * **kNN / range / window searches** — the prune test reads only the
+      search's own state, so one :meth:`_serve_drain` drains the whole
+      search: pops, the inline MINDIST prune against the k-th-best bound
+      or the radius (a window search filters at push time instead),
+      downloads, and every leaf absorbed before the next pop.
     * anything else (heap backends — among them every search built under
       ``REPRO_NO_KERNELS=1`` — lossy *drain* serves, non-trivial pruning
       policies, NN searches grouped with other types, unknown types) — a
@@ -306,18 +306,15 @@ class SharedScanExecutor:
         #: rows the exact test pruned after all), as ``(sid, nid)``
         #: pairs; they join phase A's kept rows in the absorb lanes.
         resumed: List[Tuple[int, int]] = []
-        flat_leaves: List[Tuple[object, List]] = []  # (search, leaf nodes)
         #: Searches verified finished by their serve, with their groups.
         probe: List[Tuple[SearchGroup, object]] = []
-        ctx = (resumed, flat_leaves, probe)
+        ctx = (resumed, probe)
         lanes = self._arena_phase_a(ctx) if self._arena_groups else None
         if self._legacy:
             self._group_loop(self._legacy, ctx)
 
         if lanes:
             self._absorb_nn_lanes(lanes)
-        for s, leaves in flat_leaves:
-            self._absorb_flat_leaves(s, leaves)
         # No arena flush here: the probe loop's re-steer rescans flush on
         # demand (attached ops mask tombstones and check staged counts),
         # and the next round's phase A flushes before its vector passes —
@@ -486,12 +483,7 @@ class SharedScanExecutor:
 
     def _group_loop(self, groups: List[SearchGroup], ctx) -> None:
         """The per-group serve dispatch (non-arena groups)."""
-        probe = ctx[2]
-        serve = {
-            BroadcastKNNSearch: self._serve_knn_one,
-            BroadcastRangeSearch: self._serve_range_one,
-            BroadcastWindowSearch: self._serve_window_one,
-        }
+        probe = ctx[1]
         for g in groups:
             pending = g.pending
             if g.paired and len(pending) > 1:
@@ -507,9 +499,8 @@ class SharedScanExecutor:
                     self._burst(g, s1, t0, True, ctx)
             else:
                 for s in pending:
-                    fn = serve.get(type(s))
-                    if fn is not None:
-                        fn(g, s, math.inf, False, ctx)
+                    if type(s) in _DRAIN_TYPES:
+                        self._serve_drain(g, s, ctx)
                     elif type(s) is BroadcastNNSearch:
                         # NN searches outside the arena: heap backends
                         # (layout or kernels off at build), non-trivial
@@ -603,7 +594,7 @@ class SharedScanExecutor:
         """
         arena = self._arena
         store = arena._store
-        resumed, _, probe = ctx
+        resumed, probe = ctx
         pairs = self._pairs
         solos = self._solos
         n_pairs = len(pairs)
@@ -815,28 +806,19 @@ class SharedScanExecutor:
             if t > limit or (strict and t == limit):
                 return
             s.step()
-        ctx[2].append((g, s))
+        ctx[1].append((g, s))
 
     def _fast(self, s, trivial_policy: bool) -> bool:
-        """Batched-serve eligibility of one search, cached on the search.
+        """Batched-serve eligibility of one search.
 
-        The cached verdict is keyed on the tuner's fault model, so a loss
-        model swapped in (or out) between runs recomputes instead of
-        serving a stale answer.  NN serves tolerate any fault model — the
-        round flush replays the retry-to-next-replica loop closed form —
-        while the drain serves (kNN / range / window) inline only
-        successful downloads (``record_index_run``) and stay
-        lossless-only.
+        NN serves tolerate any fault model — the round flush replays the
+        retry-to-next-replica loop closed form — while the drain serve
+        (kNN / range / window) inlines only successful downloads
+        (``record_index_run``) and stays lossless-only.
         """
-        loss = s.tuner.loss
-        cached = getattr(s, "_shared_fast", None)
-        if cached is not None and cached[0] is loss:
-            return cached[1]
-        fast = s._frontier is not None and (
-            s._policy_trivial if trivial_policy else loss is None
+        return s._frontier is not None and (
+            s._policy_trivial if trivial_policy else s.tuner.loss is None
         )
-        s._shared_fast = (loss, fast)
-        return fast
 
     def _resume_nn(self, g, s, limit, strict, ctx) -> None:
         """Scalar continuation of an arena serve phase A rejected.
@@ -850,7 +832,7 @@ class SharedScanExecutor:
         f = s._frontier
         sid = s._arena_sid
         now = self._arena._now
-        resumed, _, probe = ctx
+        resumed, probe = ctx
         epoch = s._metric_epoch
         tuner = s.tuner
         while True:
@@ -878,22 +860,41 @@ class SharedScanExecutor:
             resumed.append((sid, node._store_nid))
             return
 
-    def _serve_knn_one(self, g, s, limit, strict, ctx) -> None:
+    def _serve_drain(self, g, s, ctx) -> None:
+        """Drain one kNN / range / window search to completion in one serve.
+
+        Each pop's prune test reads only the search's own state — the
+        k-th-best bound of a kNN search, the fixed radius of a range
+        search; a window search filtered its children at push time, so it
+        downloads every pop.  Each leaf is absorbed before the next pop:
+        a kNN leaf through the scalar offer loop (``_offer_known``) inline,
+        so the next prune test reads the bound it moved; a range or window
+        leaf through the search's own ``_absorb_leaf``.  Faulty or
+        heap-backed searches burst their own steps instead.
+        """
         if not self._fast(s, False):
-            self._burst(g, s, limit, strict, ctx)
+            self._burst(g, s, math.inf, False, ctx)
             return
         f = s._frontier
-        probe = ctx[2]
         order_pages = f._order_pages
         order_slots = f._order_slots
         slot_nodes = f._nodes
         cycle = f._cycle
         fphase = f._phase
-        qx, qy = s.query
-        k = s.k
-        best = s._best
-        seq = s._offer_seq
         hyp = math.hypot
+        knn = type(s) is BroadcastKNNSearch
+        window = type(s) is BroadcastWindowSearch
+        if knn:
+            qx, qy = s.query
+            k = s.k
+            best = s._best
+            seq = s._offer_seq
+            bound = s.bound
+        elif not window:
+            center = s.circle.center
+            qx = center.x
+            qy = center.y
+            bound = s.circle.radius
         tuner = s.tuner
         # Downloads of this drain collect here and book in one
         # record_index_run call — one clock write, one counter add, one
@@ -901,15 +902,11 @@ class SharedScanExecutor:
         pages_dl: List[int] = []
         arrs: List[float] = []
         now = tuner.now
-        bound = s.bound
         pops = 0
         base = math.ceil(now - fphase)
-        # The whole search drains in one serve: each leaf is absorbed
-        # inline, exactly, before the next pop's prune test reads the
-        # k-th-best bound it may have moved.  The cyclic walk only moves
-        # forward (prunes keep the clock, and a download's children insert
-        # at or after the cursor), so the pop position is maintained
-        # incrementally: one bisect per drain.
+        # The cyclic walk only moves forward (prunes keep the clock, and a
+        # download's children insert at or after the cursor), so the pop
+        # position is maintained incrementally: one bisect per drain.
         i = bisect_left(order_pages, base % cycle)
         while order_pages:
             if i >= len(order_pages):
@@ -918,16 +915,23 @@ class SharedScanExecutor:
             slot = order_slots.pop(i)
             pops += 1
             node = slot_nodes[slot]
-            # Inline Rect.mindist (same max/hypot sequence, no call).
-            xmin, ymin, xmax, ymax = node.mbr
-            if hyp(max(xmin - qx, 0.0, qx - xmax),
-                   max(ymin - qy, 0.0, qy - ymax)) > bound:
-                continue
+            if not window:
+                # Inline Rect.mindist (same max/hypot sequence, no call);
+                # circle.intersects_rect is mindist <= radius.
+                xmin, ymin, xmax, ymax = node.mbr
+                if hyp(max(xmin - qx, 0.0, qx - xmax),
+                       max(ymin - qy, 0.0, qy - ymax)) > bound:
+                    continue
             arrival = base + (page - base) % cycle + fphase
             now = arrival + 1.0
             pages_dl.append(page)
             arrs.append(arrival)
-            if node.level == 0:
+            if node.level != 0:
+                if window:
+                    s._push_intersecting(node)
+                else:
+                    _splice_fanout(f, node)
+            elif knn:
                 # The scalar oracle's offer loop (_offer_known): one
                 # sequence number per offered point, bound re-read after.
                 for pt in node.points:
@@ -940,7 +944,7 @@ class SharedScanExecutor:
                 if len(best) == k:
                     bound = -best[0][0]
             else:
-                _splice_fanout(f, node)
+                s._absorb_leaf(node)
             base = math.ceil(now - fphase)
             if base % cycle != page + 1:
                 # The clock's float roundtrip rounded past the next page
@@ -949,120 +953,7 @@ class SharedScanExecutor:
                 i = bisect_left(order_pages, base % cycle)
         tuner.record_index_run(pages_dl, arrs, now)
         f._version += pops
-        probe.append((g, s))
-
-    def _serve_range_one(self, g, s, limit, strict, ctx) -> None:
-        if not self._fast(s, False):
-            self._burst(g, s, limit, strict, ctx)
-            return
-        f = s._frontier
-        _, flat_leaves, probe = ctx
-        order_pages = f._order_pages
-        order_slots = f._order_slots
-        slot_nodes = f._nodes
-        cycle = f._cycle
-        fphase = f._phase
-        circle = s.circle
-        center = circle.center
-        qx = center.x
-        qy = center.y
-        radius = circle.radius
-        hyp = math.hypot
-        tuner = s.tuner
-        pages_dl: List[int] = []
-        arrs: List[float] = []
-        now = tuner.now
-        leaves: List = []
-        pops = 0
-        base = math.ceil(now - fphase)
-        start = base % cycle
-        # The circle never moves, so the whole traversal drains in one
-        # serve; leaf membership is resolved afterwards in one flat batch.
-        # The cyclic walk only moves forward (prunes keep the clock, and a
-        # download's children insert at or after the cursor), so the pop
-        # position is maintained incrementally: one bisect per drain, not
-        # one per entry.
-        i = bisect_left(order_pages, start)
-        while order_pages:
-            if i >= len(order_pages):
-                i = 0  # wrap: the earliest page of the next index copy
-            page = order_pages.pop(i)
-            slot = order_slots.pop(i)
-            pops += 1
-            node = slot_nodes[slot]
-            # Inline Rect.mindist (same max/hypot sequence, no call):
-            # circle.intersects_rect is mindist <= radius.
-            xmin, ymin, xmax, ymax = node.mbr
-            if hyp(max(xmin - qx, 0.0, qx - xmax),
-                   max(ymin - qy, 0.0, qy - ymax)) > radius:
-                continue
-            arrival = base + (page - base) % cycle + fphase
-            now = arrival + 1.0
-            pages_dl.append(page)
-            arrs.append(arrival)
-            if node.level == 0:
-                leaves.append(node)
-            else:
-                _splice_fanout(f, node)
-            base = math.ceil(now - fphase)
-            if base % cycle != page + 1:
-                # Float-roundtrip clock moved past the next slot (or the
-                # lap wrapped): recover the cursor with one bisect.
-                i = bisect_left(order_pages, base % cycle)
-        tuner.record_index_run(pages_dl, arrs, now)
-        f._version += pops
-        if leaves:
-            flat_leaves.append((s, leaves))
-        probe.append((g, s))
-
-    def _serve_window_one(self, g, s, limit, strict, ctx) -> None:
-        if not self._fast(s, False):
-            self._burst(g, s, limit, strict, ctx)
-            return
-        f = s._frontier
-        _, flat_leaves, probe = ctx
-        order_pages = f._order_pages
-        order_slots = f._order_slots
-        slot_nodes = f._nodes
-        cycle = f._cycle
-        fphase = f._phase
-        tuner = s.tuner
-        pages_dl: List[int] = []
-        arrs: List[float] = []
-        now = tuner.now
-        leaves: List = []
-        pops = 0
-        # The window never moves either; children were filtered at push
-        # time, so every queued node is downloaded.  The cyclic walk only
-        # moves forward, so the pop position is maintained incrementally
-        # (cf. the range drain).
-        base = math.ceil(now - fphase)
-        i = bisect_left(order_pages, base % cycle)
-        while order_pages:
-            if i >= len(order_pages):
-                i = 0  # wrap: the earliest page of the next index copy
-            page = order_pages.pop(i)
-            slot = order_slots.pop(i)
-            pops += 1
-            node = slot_nodes[slot]
-            arrival = base + (page - base) % cycle + fphase
-            now = arrival + 1.0
-            pages_dl.append(page)
-            arrs.append(arrival)
-            if node.level == 0:
-                leaves.append(node)
-            else:
-                s._push_intersecting(node)
-            base = math.ceil(now - fphase)
-            if base % cycle != page + 1:
-                # Float-roundtrip clock moved past the next slot (or the
-                # lap wrapped): recover the cursor with one bisect.
-                i = bisect_left(order_pages, base % cycle)
-        tuner.record_index_run(pages_dl, arrs, now)
-        f._version += pops
-        if leaves:
-            flat_leaves.append((s, leaves))
-        probe.append((g, s))
+        ctx[1].append((g, s))
 
     # ------------------------------------------------------------------
     # Phase B: cross-query batched absorbs (certified estimate lanes)
@@ -1288,55 +1179,6 @@ class SharedScanExecutor:
             for s in searches
         ]
 
-    def _absorb_flat_leaves(self, s, leaves: List) -> None:
-        """Resolve a drained range/window search's leaves in one flat pass.
-
-        The flat concatenation preserves leaf pop order and in-leaf point
-        order, so ``results`` fills exactly as the per-query absorbs
-        would.  Range membership runs on raw-hypot estimates with
-        inflate/deflate certification; only points inside the rounding
-        margin band pay the exact metric.
-        """
-        total = 0
-        for node in leaves:
-            total += node.fanout
-        if total < kernels.min_batch_leaf():
-            for node in leaves:
-                s._absorb_leaf(node)
-            return
-        pts = (
-            leaves[0].points_array()
-            if len(leaves) == 1
-            else np.concatenate([node.points_array() for node in leaves])
-        )
-        flat: List = []
-        for node in leaves:
-            flat.extend(node.points)
-        if isinstance(s, BroadcastRangeSearch):
-            circle = s.circle
-            center = circle.center
-            radius = circle.radius
-            d = np.hypot(center.x - pts[:, 0], center.y - pts[:, 1])
-            inside = d * _CERT_INFLATE <= radius
-            border = ~(inside | (d * _CERT_DEFLATE > radius))
-            if border.any():
-                # The margin band: resolve each point with the exact
-                # scalar containment test, like the per-query absorb.
-                for i in np.flatnonzero(border).tolist():
-                    inside[i] = circle.contains_point(flat[i])
-            idx = np.flatnonzero(inside).tolist()
-        else:
-            w = s.window
-            xs, ys = pts[:, 0], pts[:, 1]
-            idx = np.flatnonzero(
-                (w.xmin <= xs)
-                & (xs <= w.xmax)
-                & (w.ymin <= ys)
-                & (ys <= w.ymax)
-            ).tolist()
-        if idx:
-            s.results.extend(flat[i] for i in idx)
-
 
 # ----------------------------------------------------------------------
 # TNN query jobs (estimate -> filter -> join state machine)
@@ -1393,21 +1235,6 @@ class _TNNJob:
         policy_s, policy_r = algorithm._policies(env)
         self.nn_s = BroadcastNNSearch(env.s_tree, self.tuner_s, query, policy_s)
         self.nn_r = BroadcastNNSearch(env.r_tree, self.tuner_r, query, policy_r)
-        # Pre-stamp the executor's serve-eligibility verdict (the
-        # searches were built right here, so the conditions are known);
-        # it must match SharedScanExecutor._fast exactly — a (fault
-        # model, verdict) tuple, so a loss model swapped onto the tuner
-        # later invalidates the cache instead of going stale.  NN serves
-        # tolerate any fault model: the round flush replays the retry
-        # loop closed form.
-        self.nn_s._shared_fast = (
-            self.tuner_s.loss,
-            self.nn_s._frontier is not None and self.nn_s._policy_trivial,
-        )
-        self.nn_r._shared_fast = (
-            self.tuner_r.loss,
-            self.nn_r._frontier is not None and self.nn_r._policy_trivial,
-        )
         self.in_filter = False
         self.result: Optional[TNNResult] = None
         self._steered = False

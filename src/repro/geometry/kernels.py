@@ -64,8 +64,7 @@ Lemma map (paper Definitions/Lemmas 1-3; see ``transitive.py``):
 Because answers are path-independent, dispatch is free to be adaptive: the
 fixed kernel overhead only amortises over enough lanes, so callers consult
 :func:`min_batch` / :func:`min_batch_leaf` / :func:`min_batch_point`
-(``REPRO_KERNEL_MIN_FANOUT`` = 8, ``REPRO_KERNEL_MIN_LEAF`` = 32,
-``REPRO_KERNEL_MIN_FANOUT_POINT`` = 128 by default) and keep tiny
+(8, 32 and 128 lanes respectively) and keep tiny
 fan-outs — e.g. the 64-byte-page trees with M = 3 — on the scalar fallback.
 The module-level switch (:func:`enabled` / :func:`use_kernels` /
 ``REPRO_NO_KERNELS=1``) disables the kernel paths entirely, which is the
@@ -125,9 +124,9 @@ _ENABLED = os.environ.get("REPRO_NO_KERNELS", "") not in ("1", "true", "yes")
 #: tests per MBR and pay off around a dozen lanes; the leaf transitive
 #: distance needs a few dozen; the single-hypot point metrics compete with
 #: one C-level ``math.hypot`` per element and only win on large batches.
-_MIN_BATCH = int(os.environ.get("REPRO_KERNEL_MIN_FANOUT", "8"))
-_MIN_BATCH_LEAF = int(os.environ.get("REPRO_KERNEL_MIN_LEAF", "32"))
-_MIN_BATCH_POINT = int(os.environ.get("REPRO_KERNEL_MIN_FANOUT_POINT", "128"))
+_MIN_BATCH = 8
+_MIN_BATCH_LEAF = 32
+_MIN_BATCH_POINT = 128
 
 
 def enabled() -> bool:

@@ -339,14 +339,20 @@ def _lattice_env(page_capacity, loss=None):
 
 
 def _spy_finish_and_burst(monkeypatch):
-    """Record each finished search's tuner log and lost pages, and every
-    search the executor hands to its per-query ``_burst`` fallback."""
+    """Record each finished search's tuner log, lost pages and (range /
+    window) results in discovery order, and every search the executor
+    hands to its per-query ``_burst`` fallback."""
     finished, bursts = [], []
     finish = QueryEngine._finish
     burst = SharedScanExecutor._burst
 
     def finish_spy(self, search):
-        finished.append((list(search.tuner.log), search.tuner.lost_pages))
+        found = search.results
+        finished.append((
+            list(search.tuner.log),
+            search.tuner.lost_pages,
+            list(found) if isinstance(found, list) else None,
+        ))
         return finish(self, search)
 
     def burst_spy(self, g, s, *args):
@@ -379,6 +385,35 @@ def _knn_cases(env, case):
     ]
 
 
+def _single_query(engine, r):
+    """The per-query reference answer of one drain request."""
+    if isinstance(r, KNNRequest):
+        return engine.knn(r.point, r.k, r.phase, r.channel)
+    if isinstance(r, RangeRequest):
+        return engine.range(r.center, r.radius, r.phase, r.channel)
+    return engine.window(r.window, r.phase, r.channel)
+
+
+def _drain_vs_single(env, requests, monkeypatch):
+    """``run_many`` vs the single-query methods on one request batch.
+
+    Asserts equal answers, access times, tune-in counts and max queue
+    sizes, and equal finish records (tuner logs event by event, lost
+    pages, range / window results in discovery order); returns the
+    answers, the finish records and the searches ``run_many`` burst.
+    """
+    engine = QueryEngine(env)
+    finished, bursts = _spy_finish_and_burst(monkeypatch)
+    with kernels.use_kernels(True):
+        got = engine.run_many(requests, record_log=True)
+        records = finished[:]
+        del finished[:]
+        want = [_single_query(engine, r) for r in requests]
+    assert got == want
+    assert records == finished
+    return got, records, bursts
+
+
 @pytest.mark.parametrize("page_capacity", [64, 512])
 @pytest.mark.parametrize(
     "case", ["tie-at-kth-bound", "k-exceeds-dataset", "query-outside-region"]
@@ -392,17 +427,9 @@ def test_knn_drain_bit_identical_to_single_query(case, page_capacity,
     no lossless kNN search falls back to ``_burst``.
     """
     env = _lattice_env(page_capacity)
-    engine = QueryEngine(env)
     requests = _knn_cases(env, case)
-    finished, bursts = _spy_finish_and_burst(monkeypatch)
-    with kernels.use_kernels(True):
-        got = engine.run_many(requests, record_log=True)
-        logs_many = finished[:]
-        del finished[:]
-        want = [engine.knn(r.point, r.k, r.phase, r.channel) for r in requests]
-    assert got == want
-    assert logs_many == finished
-    assert all(log for log, _ in finished)
+    got, records, bursts = _drain_vs_single(env, requests, monkeypatch)
+    assert all(log for log, _, _ in records)
     assert bursts == []
     if case == "tie-at-kth-bound":
         # The case really ties at the k-th bound: some answer's k-th
@@ -426,18 +453,83 @@ def test_lossy_knn_still_bursts(monkeypatch):
     from repro.broadcast import PageLossModel
 
     env = _lattice_env(64, loss=PageLossModel(rate=0.3, seed=3))
-    engine = QueryEngine(env)
     requests = _knn_cases(env, "tie-at-kth-bound")
-    finished, bursts = _spy_finish_and_burst(monkeypatch)
-    with kernels.use_kernels(True):
-        got = engine.run_many(requests)
-        lost_many = [lost for _, lost in finished]
-        want = [engine.knn(r.point, r.k, r.phase, r.channel) for r in requests]
-    assert got == want
+    _, records, bursts = _drain_vs_single(env, requests, monkeypatch)
     assert len({id(s) for s in bursts}) == len(requests)
     assert all(isinstance(s, BroadcastKNNSearch) for s in bursts)
-    assert sum(lost_many) > 0
-    assert lost_many == [lost for _, lost in finished[len(requests):]]
+    assert sum(lost for _, lost, _ in records) > 0
+
+
+def _region_cases(case):
+    """Range and window requests over the lattice (spans 0..190)."""
+    if case == "radius-zero":
+        # On a (doubled) lattice point, and between lattice points.
+        circles = [(Point(50.0, 50.0), 0.0), (Point(55.0, 55.0), 0.0)]
+        windows = [Rect(50.0, 50.0, 50.0, 50.0), Rect(55.0, 55.0, 55.0, 55.0)]
+    elif case == "covering":
+        circles = [(Point(95.0, 95.0), 1000.0), (Point(-50.0, 400.0), 1e4)]
+        windows = [Rect(-10.0, -10.0, 500.0, 500.0), Rect(0.0, 0.0, 190.0, 190.0)]
+    elif case == "misses-root":
+        circles = [(Point(400.0, 400.0), 50.0), (Point(-20.0, 95.0), 19.5)]
+        windows = [Rect(300.0, 300.0, 400.0, 400.0), Rect(-5.0, 0.0, -1.0, 190.0)]
+    else:  # boundary: lattice points exactly on the circle / window edge
+        circles = [(Point(0.0, 0.0), 10.0), (Point(95.0, 95.0), 45.0),
+                   (Point(100.0, 100.0), 50.0)]
+        windows = [Rect(20.0, 20.0, 60.0, 40.0), Rect(95.0, 0.0, 190.0, 95.0)]
+    requests = []
+    for i in range(4):
+        phase = 101.5 * i
+        requests += [RangeRequest(c, r, phase, "s") for c, r in circles]
+        requests += [WindowRequest(w, phase, "s") for w in windows]
+    return requests
+
+
+@pytest.mark.parametrize("page_capacity", [64, 512])
+@pytest.mark.parametrize(
+    "case", ["radius-zero", "covering", "misses-root", "boundary"]
+)
+def test_range_window_drain_bit_identical_to_single_query(
+    case, page_capacity, monkeypatch
+):
+    """run_many's one-serve range / window drain vs ``QueryEngine.range``
+    and ``.window``: the checks of the kNN drain test, plus results in
+    discovery order; no lossless range or window search bursts.
+    """
+    env = _lattice_env(page_capacity)
+    got, records, bursts = _drain_vs_single(
+        env, _region_cases(case), monkeypatch
+    )
+    assert bursts == []
+    if case == "misses-root":
+        assert all(not a.answers for a in got)
+    else:
+        assert all(log for log, _, _ in records)
+    if case == "covering":
+        assert all(len(a.answers) == len(env.s_points) for a in got)
+    elif case == "boundary":
+        assert all(a.answers for a in got)
+    if page_capacity == 512:
+        # Every leaf takes _absorb_leaf's kernel branch inside the drain.
+        stack, fanouts = [env.s_tree.root], []
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                fanouts.append(node.fanout)
+            else:
+                stack.extend(node.children)
+        assert min(fanouts) >= kernels.min_batch_leaf()
+
+
+def test_lossy_range_window_still_burst(monkeypatch):
+    """Faulty-environment range and window searches keep the per-query
+    fallback: answers match the single-query methods, lost pages count."""
+    from repro.broadcast import PageLossModel
+
+    env = _lattice_env(64, loss=PageLossModel(rate=0.3, seed=3))
+    requests = _region_cases("boundary") + _region_cases("covering")
+    _, records, bursts = _drain_vs_single(env, requests, monkeypatch)
+    assert len({id(s) for s in bursts}) == len(requests)
+    assert sum(lost for _, lost, _ in records) > 0
 
 
 # ----------------------------------------------------------------------

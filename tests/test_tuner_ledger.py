@@ -279,16 +279,15 @@ def test_lossy_nn_search_joins_the_arena(env_lossless):
     assert executor._sid_loss == {lossy._arena_sid: LOSS}
 
 
-def test_shared_fast_cache_invalidates_on_loss_change(env_lossless):
-    """Satellite regression: the cached fast-path verdict is keyed on the
-    tuner's fault model, so swapping the loss model between runs
-    recomputes instead of serving a stale verdict."""
+def test_fast_verdict_follows_loss_change(env_lossless):
+    """The fast-path verdict reads the tuner's current fault model, so
+    swapping the loss model between runs changes it."""
     executor = SharedScanExecutor()
     tuner = ChannelTuner(BroadcastChannel(env_lossless.s_program))
     s = BroadcastNNSearch(env_lossless.s_tree, tuner, Point(500.0, 500.0))
     assert executor._fast(s, False)  # drain rules: lossless qualifies
     tuner.loss = LOSS
-    assert not executor._fast(s, False)  # recomputed, not the stale True
+    assert not executor._fast(s, False)  # drain rules: lossy does not
     tuner.loss = None
     assert executor._fast(s, False)  # and back again
     # NN rules tolerate any fault model (fresh search: one policy each).
