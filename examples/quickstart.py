@@ -66,16 +66,19 @@ installed; this script prints it, and
 ``benchmarks/profile_hot_path.py --help`` offers the same registry as
 ``--loss`` choices) — and every tuner retries failed receptions at
 the page's next replica, counting erasures (``lost_pages``) apart from
-corruption (``corrupt_pages``).  Faulty NN searches stay on the
-arena/ledger fast path: the round flush replays each retry chain closed
-form (replicas sit exactly one cycle apart), bit-identically to the
-per-query retry loop, so robustness no longer costs the shared-scan
-speedup.  One drain serve empties a lossless kNN, range or window
-search in a single pass, absorbing each leaf before the next pop — a kNN
-leaf with the exact scalar offer loop, so the bound it moves prunes the
-very next pop, a range or window leaf with the search's own absorb — and
-only drains burst on the per-query oracle under loss.  One tier
-up, ``SharedScanRunner``'s pool shards run under a supervisor — crashed
+corruption (``corrupt_pages``).  Gilbert–Elliott fade states are
+computed lazily — a short backward walk to the nearest transition draw
+that fixes the state — and memoised per window in a bounded memo.
+Faulty searches stay on the fast path: the retry chain of a missed page
+replays closed form (replicas sit exactly one cycle apart),
+bit-identically to the per-query retry loop, in the NN round flush and
+in the drain alike, so robustness no longer costs the shared-scan
+speedup.  One drain serve empties a kNN, range or window search, lossless
+or faulty, in a single pass, absorbing each leaf before the next pop — a
+kNN leaf with the exact scalar offer loop, so the bound it moves prunes
+the very next pop, a range or window leaf with the search's own absorb.
+One tier up, ``SharedScanRunner``'s pool shards run under a supervisor —
+crashed
 or hung workers
 (``REPRO_SHARD_TIMEOUT``) trigger pool rebuild, resharding and retries
 with backoff (``REPRO_SHARD_RETRIES`` / ``REPRO_SHARD_BACKOFF``),

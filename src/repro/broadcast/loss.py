@@ -149,8 +149,21 @@ class GilbertElliottLossModel(FaultModel):
     distribution, then evolved slot by slot with hashed per-slot
     uniforms inside the window.  Any slot's state is therefore a pure
     function of (seed, its window, its offset), computable without
-    global history; computed windows are memoised so a retry chain
-    walking consecutive slots pays O(1) amortised per query.
+    global history.
+
+    States are computed lazily, by a backward walk from the wanted slot.
+    Some transition draws decide the next state whatever the current one
+    is: ``p_bad_good <= u < p_good_bad`` forces *bad* and ``p_good_bad <=
+    u < p_bad_good`` forces *good* (any other draw keeps or flips the
+    state).  The walk stops at the latest such forcing draw, at a
+    memoised slot, or at the window's stationary draw, and replays the
+    draws it passed forward — the forward walk's state exactly, at about
+    ``1 / |p_bad_good - p_good_bad|`` hashes per state instead of
+    ``regen`` per window.  The memo keeps one ``bytearray(regen)`` per
+    window (0 unknown, 1 good, 2 bad) for at most ``_MEMO_WINDOWS``
+    windows, evicting the oldest first; outcomes are pure functions of
+    (seed, slot), so an eviction can cost a recomputation, never change
+    a draw.
     """
 
     good_rate: float = 0.0
@@ -162,9 +175,13 @@ class GilbertElliottLossModel(FaultModel):
     #: bursts; the default comfortably exceeds the mean fade length of
     #: any plausible parameterisation.
     regen: int = 64
-    _windows: Dict[int, List[bool]] = field(
+    _windows: Dict[int, bytearray] = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
+
+    #: Memo cap, in windows (about 0.2 MB per 1,000 windows at the
+    #: default ``regen``).
+    _MEMO_WINDOWS = 16384
 
     # Domain-separation tags for the per-slot uniform draws.
     _TAG_STATE0 = 0
@@ -181,29 +198,63 @@ class GilbertElliottLossModel(FaultModel):
                 f"regen window must be a positive int, got {self.regen!r}"
             )
 
-    def _window_states(self, w: int) -> List[bool]:
-        """Bad-state flags for every slot of window ``w`` (memoised)."""
-        states = self._windows.get(w)
-        if states is not None:
-            return states
-        start = w * self.regen
-        # Stationary P(bad); a chain that never transitions stays good.
-        denom = self.p_good_bad + self.p_bad_good
-        p_bad = self.p_good_bad / denom if denom > 0.0 else 0.0
-        bad = _slot_uniform(self.seed, start, self._TAG_STATE0) < p_bad
-        states = [bad]
-        for off in range(1, self.regen):
-            u = _slot_uniform(self.seed, start + off, self._TAG_TRANSITION)
-            bad = (u >= self.p_bad_good) if bad else (u < self.p_good_bad)
-            states.append(bad)
-        self._windows[w] = states
-        return states
+    def _bad(self, slot: int) -> bool:
+        """Whether integer ``slot`` is in the bad state (lazy, memoised).
+
+        Walks back from ``slot`` to the nearest state it can read
+        without its predecessor — a memoised slot, a forcing transition
+        draw, or the window's stationary draw at offset 0 — then replays
+        the collected draws forward, memoising every state it passes.
+        """
+        regen = self.regen
+        w, off = divmod(slot, regen)
+        windows = self._windows
+        memo = windows.get(w)
+        if memo is None:
+            if len(windows) >= self._MEMO_WINDOWS:
+                del windows[next(iter(windows))]  # oldest window first
+            memo = windows[w] = bytearray(regen)
+        code = memo[off]
+        if code:
+            return code == 2
+        start = w * regen
+        seed = self.seed
+        p_gb = self.p_good_bad
+        p_bg = self.p_bad_good
+        draws: List[float] = []
+        k = off
+        while True:
+            if k == 0:
+                # Stationary P(bad); a chain that never transitions stays
+                # good.
+                denom = p_gb + p_bg
+                p_bad = p_gb / denom if denom > 0.0 else 0.0
+                bad = _slot_uniform(seed, start, self._TAG_STATE0) < p_bad
+                break
+            u = _slot_uniform(seed, start + k, self._TAG_TRANSITION)
+            if p_bg <= u < p_gb:
+                bad = True  # bad -> stays bad, good -> turns bad
+                break
+            if p_gb <= u < p_bg:
+                bad = False  # bad -> recovers, good -> stays good
+                break
+            draws.append(u)
+            k -= 1
+            code = memo[k]
+            if code:
+                bad = code == 2
+                break
+        memo[k] = 2 if bad else 1
+        for u in reversed(draws):
+            k += 1
+            bad = (u >= p_bg) if bad else (u < p_gb)
+            memo[k] = 2 if bad else 1
+        return bad
 
     def classify(self, page_slot: float) -> int:
-        slot = math.floor(page_slot)
-        w, off = divmod(slot, self.regen)
         rate = (
-            self.bad_rate if self._window_states(w)[off] else self.good_rate
+            self.bad_rate if self._bad(math.floor(page_slot))
+            else self.good_rate
         )
         if rate == 0.0:
             return FAULT_OK

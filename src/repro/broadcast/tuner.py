@@ -48,6 +48,7 @@ scalar oracle's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import List, Optional
 
 import numpy as np
@@ -104,9 +105,10 @@ class ChannelTuner:
         # NOTE: the shared-scan executor's serve loops inline this success
         # path for lossless tuners (``now = arrival + 1.0``, one page
         # counted, one ``(kind, ref, arrival, True)`` log entry — batched
-        # through the TunerLedger when attached), and its round flush
-        # replays the whole retry chain closed-form for faulty tuners
-        # (``TunerLedger.flush_round_faulty``) — see
+        # through the TunerLedger when attached), and for faulty tuners
+        # both its round flush and its drain serve replay the whole retry
+        # chain closed form (``_retry_chain``), booked through
+        # ``TunerLedger.flush_round_faulty`` or ``record_index_run`` — see
         # repro/engine/shared_scan.py.  Any change to the accounting here
         # must be mirrored there to preserve the bit-identity contract.
         loss = self.loss
@@ -166,20 +168,30 @@ class ChannelTuner:
             self.log.append(("index", page_id, arrival, True))
 
     def record_index_run(self, pages: List[int], arrivals: List[float],
-                         now: float) -> None:
-        """A drained run of successful lossless index receptions.
+                         now: float, oks: Optional[List[bool]] = None,
+                         lost: int = 0, corrupt: int = 0) -> None:
+        """A drained run of index reception attempts.
 
         The executor's kNN/range/window drains pop whole traversals per
-        serve; they collect the downloaded ``(page, arrival)`` pairs in
-        plain lists and account for the run in one call — one clock
+        serve; they collect every reception attempt's ``(page, arrival)``
+        in plain lists and account for the run in one call — one clock
         write, one counter add, one log extend (or one event-arena append
-        when attached) instead of per-pop attribute writes.
+        when attached) instead of per-pop attribute writes.  A faulty
+        tuner's drain also passes each attempt's ``ok`` flag (``None``:
+        every attempt succeeded) and the failures split by kind — the
+        event layout of :meth:`TunerLedger.flush_round_faulty`.
         """
         self.now = now
         self.index_pages += len(pages)
+        if lost or corrupt:
+            self.lost_pages += lost
+            self.corrupt_pages += corrupt
         if self.record_log:
             self.log.extend(
-                ("index", p, a, True) for p, a in zip(pages, arrivals)
+                ("index", p, a, o)
+                for p, a, o in zip(
+                    pages, arrivals, repeat(True) if oks is None else oks
+                )
             )
 
     def download_index_page(self, page_id: int) -> float:
@@ -339,8 +351,10 @@ class TunerLedger:
         self._last[row] = i
         self._ev_n = i + 1
 
-    def append_run(self, row: int, kind: int, refs, arrivals) -> None:
-        """Record a chronological run of successful events for one row."""
+    def append_run(self, row: int, kind: int, refs, arrivals,
+                   oks=None) -> None:
+        """Record a chronological run of events for one row (``oks``:
+        each event's ok flag; ``None`` when every event succeeded)."""
         if not self._rec[row]:
             return
         k = len(refs)
@@ -353,7 +367,7 @@ class TunerLedger:
         self._ev_kind[base:end] = kind
         self._ev_ref[base:end] = refs
         self._ev_arrival[base:end] = arrivals
-        self._ev_ok[base:end] = True
+        self._ev_ok[base:end] = True if oks is None else oks
         self._ev_prev[base] = self._last[row]
         if k > 1:
             self._ev_prev[base + 1:end] = np.arange(base, end - 1)
@@ -595,9 +609,13 @@ class _LedgerTuner(ChannelTuner):
         ledger._index[row] += 1
         ledger.append_event(row, _KIND_INDEX, page_id, arrival, True)
 
-    def record_index_run(self, pages, arrivals, now: float) -> None:
+    def record_index_run(self, pages, arrivals, now: float, oks=None,
+                         lost: int = 0, corrupt: int = 0) -> None:
         ledger = self._ledger
         row = self._row
         ledger._now[row] = now
         ledger._index[row] += len(pages)
-        ledger.append_run(row, _KIND_INDEX, pages, arrivals)
+        if lost or corrupt:
+            ledger._lost[row] += lost
+            ledger._corrupt[row] += corrupt
+        ledger.append_run(row, _KIND_INDEX, pages, arrivals, oks)

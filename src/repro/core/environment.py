@@ -42,11 +42,10 @@ class TNNEnvironment:
     #: :class:`~repro.broadcast.loss.FaultModel` plugs in (i.i.d. loss,
     #: Gilbert–Elliott bursts, detected corruption, or anything
     #: registered via ``register_fault_model``); faulty tuners retry
-    #: receptions at the failed page's next replica.  NN searches stay on
-    #: the shared-scan arena/ledger fast path regardless — the round
-    #: flush replays the retry chains closed form, bit-identically —
-    #: while the drain serves (kNN / range / window) fall back to the
-    #: per-query oracle (see ``SharedScanExecutor._fast``).
+    #: receptions at the failed page's next replica.  Every search stays
+    #: on the shared-scan fast path regardless — the NN round flush and
+    #: the kNN / range / window drain serves replay the retry chains
+    #: closed form, bit-identically (see ``SharedScanExecutor._fast``).
     loss: Optional[FaultModel] = None
     _s_object_index: Dict[Point, int] = field(repr=False, default_factory=dict)
     _r_object_index: Dict[Point, int] = field(repr=False, default_factory=dict)

@@ -32,10 +32,11 @@ arrival tick of the shared scan, not a single page's bucket, which is
 strictly more batching than per-page grouping.
 
 Searches whose pop-time prune no other search can move — kNN, range and
-window — drain in one serve rather than one round per page, absorbing each
-leaf before the next pop: a kNN leaf (3–4 points at 64-byte pages) with
-the exact scalar offer loop, whose moved k-th-best bound the very next pop
-reads, and a range or window leaf with the search's own ``_absorb_leaf``.
+window — drain in one serve rather than one round per page, lossless or
+faulty, absorbing each leaf before the next pop: a kNN leaf (3–4 points at
+64-byte pages) with the exact scalar offer loop, whose moved k-th-best
+bound the very next pop reads, and a range or window leaf with the
+search's own ``_absorb_leaf``.
 
 **Bit-identity contract.**  The per-query path remains the oracle: for
 every query, the executor produces the same answers, access times, tune-in
@@ -58,19 +59,21 @@ construction:
 * everything that cannot batch falls back to the search's own per-query
   code path: sub-threshold lanes, heap-backed searches (distributed
   layouts, and every search built under ``REPRO_NO_KERNELS=1``, where the
-  executor degrades to a pure multiplexer over the scalar oracle), lossy
-  *drain* serves (kNN / range / window) and unknown search types.  A
-  search's backend is fixed when it is built: one with an
-  :class:`~repro.client.frontier.ArrivalFrontier` is served fast, one on
-  the heap steps itself.  Lossy NN
-  searches, by contrast, stay on the arena/ledger fast path: the round
-  flush replays the tuner's retry-to-next-replica loop closed form (a
-  missed page's next replica is exactly one cycle later), classifying
-  every attempt with the search's :class:`~repro.broadcast.loss
-  .FaultModel` and booking the whole chain in one vectorised
-  :meth:`~repro.broadcast.tuner.TunerLedger.flush_round_faulty` pass.
-  Every arena search's tuner books into the executor's
-  :class:`~repro.broadcast.tuner.TunerLedger`.
+  executor degrades to a pure multiplexer over the scalar oracle) and
+  unknown search types.  A search's backend is fixed when it is built:
+  one with an :class:`~repro.client.frontier.ArrivalFrontier` is served
+  fast, one on the heap steps itself;
+* a fault model never forces the fallback.  A faulty tuner's download
+  replays its retry-to-next-replica loop closed form (a missed page's
+  next replica is exactly one cycle later), classifying every attempt
+  with the tuner's :class:`~repro.broadcast.loss.FaultModel` through one
+  helper, :func:`_retry_chain`: lossy NN searches stay on the
+  arena/ledger fast path, the round flush booking their chains in one
+  vectorised :meth:`~repro.broadcast.tuner.TunerLedger
+  .flush_round_faulty` pass, and lossy kNN / range / window searches
+  drain like lossless ones, booking every attempt in the drain's one
+  ``record_index_run`` call.  Every arena search's tuner books into the
+  executor's :class:`~repro.broadcast.tuner.TunerLedger`.
 """
 
 from __future__ import annotations
@@ -117,6 +120,33 @@ def _sid_append(arr: np.ndarray, i: int, value: int) -> np.ndarray:
         arr = new
     arr[i] = value
     return arr
+
+
+def _retry_chain(model, slot0: int, cycle: int, phase: float,
+                 ev_arr: List[float]) -> Tuple[float, int, int]:
+    """Replay one faulty index download's retry loop closed form.
+
+    Replicas of an index page on a cyclic frontier sit exactly one cycle
+    apart, so attempt ``n`` of a chain whose first attempt falls on
+    integer slot ``slot0`` arrives at ``float(slot0 + n * cycle) +
+    phase`` — the same single rounding the scalar channel arithmetic
+    performs.  Each attempt is classified by ``model`` until one
+    succeeds, exactly like ``ChannelTuner._receive``; every attempt's
+    arrival is appended to ``ev_arr``.  Returns ``(final arrival, lost,
+    corrupt)``: the successful arrival and the failures split by kind.
+    """
+    lost = corrupt = 0
+    while True:
+        arrival = float(slot0) + phase
+        ev_arr.append(arrival)
+        fault = model.classify(arrival)
+        if fault == 0:
+            return arrival, lost, corrupt
+        if fault == FAULT_LOST:
+            lost += 1
+        else:
+            corrupt += 1
+        slot0 += cycle
 
 
 def _splice_fanout(f, node) -> None:
@@ -177,15 +207,17 @@ class SharedScanExecutor:
       search's own state, so one :meth:`_serve_drain` drains the whole
       search: pops, the inline MINDIST prune against the k-th-best bound
       or the radius (a window search filters at push time instead),
-      downloads, and every leaf absorbed before the next pop.
+      downloads (with their retry chains on a faulty tuner), and every
+      leaf absorbed before the next pop.
     * anything else (heap backends — among them every search built under
-      ``REPRO_NO_KERNELS=1`` — lossy *drain* serves, non-trivial pruning
-      policies, NN searches grouped with other types, unknown types) — a
-      burst of the search's own ``step()``
-      while it stays eligible: the executor degrades to a pure multiplexer
-      over the per-query oracle.  Lossy NN searches ride the arena: the
-      round flush resolves their retry chains closed form, bit-identically
-      to the per-query ``_receive`` loop.
+      ``REPRO_NO_KERNELS=1`` — non-trivial pruning policies, NN searches
+      grouped with other types, unknown types) — a burst of the search's
+      own ``step()`` while it stays eligible: the executor degrades to a
+      pure multiplexer over the per-query oracle.
+
+    Fault models never demote a search: the round flush (NN) and the
+    drain (kNN / range / window) resolve retry chains closed form,
+    bit-identically to the per-query ``_receive`` loop.
     """
 
     def __init__(self) -> None:
@@ -250,7 +282,7 @@ class SharedScanExecutor:
         if group is None:
             return
         if all(
-            type(s) is BroadcastNNSearch and self._fast(s, True)
+            type(s) is BroadcastNNSearch and self._fast(s)
             for s in group.pending
         ):
             # Fast NN searches join the shared columnar arena: their
@@ -371,15 +403,11 @@ class SharedScanExecutor:
         """Book the round's confirmed serve downloads into the ledger.
 
         Lossless rows flush in one :meth:`TunerLedger.flush_round` pass.
-        Faulty rows replay the per-query retry loop closed form: replicas
-        of an index page on a cyclic frontier sit exactly one cycle
-        apart, so the attempt slots of a chain starting at ``arrival``
-        are ``slot0 + k * cycle``; each attempt is classified by the
-        row's fault model and the whole chain books in one
+        Faulty rows replay the per-query retry loop closed form
+        (:func:`_retry_chain`, from the first attempt's integer slot) and
+        the whole round's chains book in one
         :meth:`TunerLedger.flush_round_faulty` pass, bit-identical to
-        ``ChannelTuner._receive`` — the attempt arrivals are rebuilt as
-        ``float(integer slot) + phase``, the same single rounding the
-        scalar channel arithmetic performs.
+        ``ChannelTuner._receive``.
         """
         sids = due[conf]
         pages = res["page"][conf]
@@ -403,35 +431,19 @@ class SharedScanExecutor:
             )
         arena = self._arena
         lsids = sids[lossy]
-        k = len(lossy)
-        attempts = np.empty(k, dtype=np.int64)
-        finals = np.empty(k, dtype=np.float64)
-        lost = np.zeros(k, dtype=np.int64)
-        corrupt = np.zeros(k, dtype=np.int64)
         ev_arr: List[float] = []
-        lsids_l = lsids.tolist()
-        phases = arena._phase[lsids].tolist()
-        cycles = arena._cycle[lsids].tolist()
-        arrs_l = arrs[lossy].tolist()
-        for i in range(k):
-            model = sid_loss[lsids_l[i]]
-            phase = phases[i]
-            c = cycles[i]
-            slot0 = int(round(arrs_l[i] - phase))
-            n = 0
-            while True:
-                arrival = float(slot0 + n * c) + phase
-                ev_arr.append(arrival)
-                fault = model.classify(arrival)
-                n += 1
-                if fault == 0:
-                    break
-                if fault == FAULT_LOST:
-                    lost[i] += 1
-                else:
-                    corrupt[i] += 1
-            attempts[i] = n
-            finals[i] = arrival
+        chains = [
+            _retry_chain(sid_loss[sid], int(round(a - phase)), c, phase,
+                         ev_arr)
+            for sid, a, phase, c in zip(
+                lsids.tolist(),
+                arrs[lossy].tolist(),
+                arena._phase[lsids].tolist(),
+                arena._cycle[lsids].tolist(),
+            )
+        ]
+        finals, lost, corrupt = map(np.array, zip(*chains))
+        attempts = lost + corrupt + 1
         ledger.flush_round_faulty(
             self._sid_row[lsids],
             pages[lossy],
@@ -808,17 +820,17 @@ class SharedScanExecutor:
             s.step()
         ctx[1].append((g, s))
 
-    def _fast(self, s, trivial_policy: bool) -> bool:
-        """Batched-serve eligibility of one search.
+    def _fast(self, s) -> bool:
+        """Batched-serve eligibility of one search: a frontier backend,
+        and for an NN search a trivial pruning policy.
 
-        NN serves tolerate any fault model — the round flush replays the
-        retry-to-next-replica loop closed form — while the drain serve
-        (kNN / range / window) inlines only successful downloads
-        (``record_index_run``) and stays lossless-only.
+        Any fault model qualifies — the NN round flush and the drain
+        serve both replay the retry-to-next-replica loop closed form
+        (:func:`_retry_chain`).
         """
-        return s._frontier is not None and (
-            s._policy_trivial if trivial_policy else s.tuner.loss is None
-        )
+        if s._frontier is None:
+            return False
+        return type(s) is not BroadcastNNSearch or s._policy_trivial
 
     def _resume_nn(self, g, s, limit, strict, ctx) -> None:
         """Scalar continuation of an arena serve phase A rejected.
@@ -869,10 +881,12 @@ class SharedScanExecutor:
         downloads every pop.  Each leaf is absorbed before the next pop:
         a kNN leaf through the scalar offer loop (``_offer_known``) inline,
         so the next prune test reads the bound it moved; a range or window
-        leaf through the search's own ``_absorb_leaf``.  Faulty or
-        heap-backed searches burst their own steps instead.
+        leaf through the search's own ``_absorb_leaf``.  A faulty tuner's
+        download replays its retry chain closed form (:func:`_retry_chain`)
+        — a retry moves the clock by whole cycles, so the cyclic cursor
+        stays put.  Heap-backed searches burst their own steps instead.
         """
-        if not self._fast(s, False):
+        if not self._fast(s):
             self._burst(g, s, math.inf, False, ctx)
             return
         f = s._frontier
@@ -896,11 +910,14 @@ class SharedScanExecutor:
             qy = center.y
             bound = s.circle.radius
         tuner = s.tuner
-        # Downloads of this drain collect here and book in one
+        loss = tuner.loss
+        # Reception attempts of this drain collect here and book in one
         # record_index_run call — one clock write, one counter add, one
         # log/event-arena extend, on either tuner backend.
         pages_dl: List[int] = []
         arrs: List[float] = []
+        oks: Optional[List[bool]] = None if loss is None else []
+        lost = corrupt = 0
         now = tuner.now
         pops = 0
         base = math.ceil(now - fphase)
@@ -922,10 +939,20 @@ class SharedScanExecutor:
                 if hyp(max(xmin - qx, 0.0, qx - xmax),
                        max(ymin - qy, 0.0, qy - ymax)) > bound:
                     continue
-            arrival = base + (page - base) % cycle + fphase
+            if loss is None:
+                arrival = base + (page - base) % cycle + fphase
+                pages_dl.append(page)
+                arrs.append(arrival)
+            else:
+                arrival, nl, nc = _retry_chain(
+                    loss, base + (page - base) % cycle, cycle, fphase, arrs
+                )
+                pages_dl.extend([page] * (nl + nc + 1))
+                oks.extend([False] * (nl + nc))
+                oks.append(True)
+                lost += nl
+                corrupt += nc
             now = arrival + 1.0
-            pages_dl.append(page)
-            arrs.append(arrival)
             if node.level != 0:
                 if window:
                     s._push_intersecting(node)
@@ -951,7 +978,7 @@ class SharedScanExecutor:
                 # slot (or the lap wrapped): recover the cursor with one
                 # bisect, exactly like the per-pop reference.
                 i = bisect_left(order_pages, base % cycle)
-        tuner.record_index_run(pages_dl, arrs, now)
+        tuner.record_index_run(pages_dl, arrs, now, oks, lost, corrupt)
         f._version += pops
         ctx[1].append((g, s))
 

@@ -21,6 +21,7 @@ from repro.broadcast import (
     make_fault_model,
     register_fault_model,
 )
+from repro.broadcast.loss import _slot_uniform
 from repro.client import BroadcastNNSearch
 from repro.core import DoubleNN, TNNEnvironment
 from repro.datasets import uniform
@@ -146,6 +147,85 @@ def test_ge_fractional_slots_share_state_draw_independently():
         assert model.lost(t + 0.25) == model.lost(t + 0.75) == model.lost(
             float(t)
         )
+
+
+def _forward_walk_states(model, w):
+    """Reference fade states of window ``w``: the whole window walked
+    forward from its stationary draw (the pre-lazy implementation)."""
+    start = w * model.regen
+    denom = model.p_good_bad + model.p_bad_good
+    p_bad = model.p_good_bad / denom if denom > 0.0 else 0.0
+    bad = _slot_uniform(model.seed, start, model._TAG_STATE0) < p_bad
+    states = [bad]
+    for off in range(1, model.regen):
+        u = _slot_uniform(model.seed, start + off, model._TAG_TRANSITION)
+        bad = (u >= model.p_bad_good) if bad else (u < model.p_good_bad)
+        states.append(bad)
+    return states
+
+
+def _forward_walk_classify(model, page_slot):
+    w, off = divmod(math.floor(page_slot), model.regen)
+    bad = _forward_walk_states(model, w)[off]
+    rate = model.bad_rate if bad else model.good_rate
+    if rate == 0.0:
+        return FAULT_OK
+    u = _slot_uniform(model.seed, page_slot, model._TAG_LOSS)
+    return FAULT_LOST if u < rate else FAULT_OK
+
+
+def _random_slots(rng, n):
+    """Random float slots: fractional arrivals, integer slots, clusters."""
+    slots = []
+    while len(slots) < n:
+        t = rng.uniform(-200.0, 20_000.0)
+        slots += [t, float(math.floor(t)), t + rng.randrange(1, 9)]
+    return slots[:n]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},
+        {"p_good_bad": 0.2, "p_bad_good": 0.2},  # no forcing draws
+        {"regen": 1},
+        {"p_good_bad": 0.0},
+        {"p_good_bad": 0.3, "p_bad_good": 0.1},  # draws that force *bad*
+    ],
+    ids=["defaults", "no-forcing-draws", "regen-1", "never-fades",
+         "forces-bad"],
+)
+def test_ge_lazy_states_match_forward_walk(kwargs):
+    """The lazy backward walk classifies every slot exactly like the
+    forward walk over its whole window, in any query order."""
+    rng = random.Random(17)
+    for seed in range(3):
+        model = GilbertElliottLossModel(
+            good_rate=0.1, bad_rate=0.8, seed=seed, **kwargs
+        )
+        slots = _random_slots(rng, 1_500)
+        want = [_forward_walk_classify(model, t) for t in slots]
+        assert [model.classify(t) for t in slots] == want
+        assert [model.classify(t) for t in reversed(slots)] == want[::-1]
+
+
+def test_ge_memo_cap_evicts_without_changing_outcomes(monkeypatch):
+    """Past the memo cap the oldest windows are evicted; recomputed
+    states are the same draws, and the memo never exceeds the cap."""
+    cap = 8
+    monkeypatch.setattr(GilbertElliottLossModel, "_MEMO_WINDOWS", cap)
+    kwargs = dict(good_rate=0.1, bad_rate=0.8, seed=4, regen=16)
+    model = GilbertElliottLossModel(**kwargs)
+    slots = _random_slots(random.Random(23), 2_000)
+    want = [_forward_walk_classify(model, t) for t in slots]
+    for _ in range(2):  # the second pass re-derives evicted windows
+        got = []
+        for t in slots:
+            got.append(model.classify(t))
+            assert len(model._windows) <= cap
+        assert got == want
+    touched = {math.floor(t) // model.regen for t in slots}
+    assert len(touched) > 10 * cap  # evictions really happened
 
 
 # ----------------------------------------------------------------------

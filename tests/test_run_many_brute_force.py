@@ -7,8 +7,10 @@ and more than the dataset holds), range and window answers against plain
 sorted distances and point-in-window tests over the raw point lists —
 no R-tree involved — on uniform, clustered, duplicate-point, collinear
 and single-point datasets, on both channels, at the paper's 64- and
-512-byte page geometries.  The single-query methods are held to the same
-ground truth.
+512-byte page geometries, lossless and under every fault family (i.i.d.
+loss, Gilbert-Elliott fades, detected corruption), whose retries ride the
+executor's lossy drain serves and faulty round flush.  The single-query
+methods are held to the same ground truth.
 """
 
 import math
@@ -17,7 +19,7 @@ from collections import Counter
 
 import pytest
 
-from repro.broadcast import SystemParameters
+from repro.broadcast import SystemParameters, make_fault_model
 from repro.core import TNNEnvironment
 from repro.datasets import gaussian_clusters, uniform
 from repro.engine import (
@@ -59,6 +61,17 @@ DATASETS = {
     "duplicates": lambda: (_duplicates(55), _duplicates(56)),
     "collinear": lambda: (_collinear(0), _collinear(1)),
     "single-point": lambda: ([Point(400.0, 600.0)], [Point(250.0, 125.0)]),
+}
+
+
+#: Fault family -> registry constructor arguments.
+FAULTS = {
+    "iid": ("iid", {"rate": 0.25, "seed": 3}),
+    "gilbert-elliott": (
+        "gilbert-elliott",
+        {"bad_rate": 0.6, "p_good_bad": 0.1, "p_bad_good": 0.3, "seed": 5},
+    ),
+    "corruption": ("corruption", {"rate": 0.25, "seed": 7}),
 }
 
 
@@ -130,6 +143,19 @@ def _assert_brute_force(env, r, answer):
         assert all(d == 0.0 for _, d in answer.answers)
 
 
+def _check_batch(env, requests):
+    """``run_many`` and the single-query methods against brute force;
+    returns the ``run_many`` answers."""
+    engine = QueryEngine(env)
+    got = engine.run_many(requests)
+    assert len(got) == len(requests)
+    for r, answer in zip(requests, got):
+        _assert_brute_force(env, r, answer)
+    for r in requests:
+        _assert_brute_force(env, r, _single(engine, r))
+    return got
+
+
 @pytest.mark.parametrize("page_capacity", [64, 512])
 @pytest.mark.parametrize("dataset", list(DATASETS))
 def test_run_many_matches_brute_force(dataset, page_capacity):
@@ -137,11 +163,24 @@ def test_run_many_matches_brute_force(dataset, page_capacity):
     env = TNNEnvironment.build(
         s_points, r_points, params=SystemParameters(page_capacity=page_capacity)
     )
-    engine = QueryEngine(env)
-    requests = _requests(env, random.Random(page_capacity))
-    got = engine.run_many(requests)
-    assert len(got) == len(requests)
-    for r, answer in zip(requests, got):
-        _assert_brute_force(env, r, answer)
-    for r in requests:
-        _assert_brute_force(env, r, _single(engine, r))
+    _check_batch(env, _requests(env, random.Random(page_capacity)))
+
+
+@pytest.mark.parametrize("dataset", ["uniform", "clustered", "duplicates"])
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_lossy_run_many_matches_brute_force(fault, dataset):
+    """A faulty channel delays answers but never changes them: NN, kNN,
+    range and window answers still match brute force, and the faults
+    really engage (some answer waits longer than on the lossless twin)."""
+    s_points, r_points = DATASETS[dataset]()
+    name, kwargs = FAULTS[fault]
+    params = SystemParameters(page_capacity=64)
+    env = TNNEnvironment.build(
+        s_points, r_points, params=params, loss=make_fault_model(name, **kwargs)
+    )
+    clean = TNNEnvironment.build(s_points, r_points, params=params)
+    requests = _requests(env, random.Random(64))
+    got = _check_batch(env, requests)
+    ref = QueryEngine(clean).run_many(requests)
+    assert all(a.access_time >= b.access_time for a, b in zip(got, ref))
+    assert any(a.tune_in > b.tune_in for a, b in zip(got, ref))

@@ -13,9 +13,13 @@ import math
 
 import pytest
 
-from repro.broadcast import SystemParameters
+from repro.broadcast import (
+    GilbertElliottLossModel,
+    PageCorruptionModel,
+    PageLossModel,
+    SystemParameters,
+)
 from repro.client import (
-    BroadcastKNNSearch,
     BroadcastNNSearch,
     SearchGroup,
     run_all,
@@ -293,7 +297,6 @@ def test_client_queries_honour_the_env_fault_model():
     every request answers as on the lossless twin, some wait longer, and
     ``run_many`` still matches the single-query methods.
     """
-    from repro.broadcast import PageLossModel
 
     def build(loss):
         return TNNEnvironment.build(
@@ -339,9 +342,9 @@ def _lattice_env(page_capacity, loss=None):
 
 
 def _spy_finish_and_burst(monkeypatch):
-    """Record each finished search's tuner log, lost pages and (range /
-    window) results in discovery order, and every search the executor
-    hands to its per-query ``_burst`` fallback."""
+    """Record each finished search's tuner log, lost and corrupt pages
+    and (range / window) results in discovery order, and every search the
+    executor hands to its per-query ``_burst`` fallback."""
     finished, bursts = [], []
     finish = QueryEngine._finish
     burst = SharedScanExecutor._burst
@@ -351,6 +354,7 @@ def _spy_finish_and_burst(monkeypatch):
         finished.append((
             list(search.tuner.log),
             search.tuner.lost_pages,
+            search.tuner.corrupt_pages,
             list(found) if isinstance(found, list) else None,
         ))
         return finish(self, search)
@@ -429,7 +433,7 @@ def test_knn_drain_bit_identical_to_single_query(case, page_capacity,
     env = _lattice_env(page_capacity)
     requests = _knn_cases(env, case)
     got, records, bursts = _drain_vs_single(env, requests, monkeypatch)
-    assert all(log for log, _, _ in records)
+    assert all(log for log, *_ in records)
     assert bursts == []
     if case == "tie-at-kth-bound":
         # The case really ties at the k-th bound: some answer's k-th
@@ -441,23 +445,6 @@ def test_knn_drain_bit_identical_to_single_query(case, page_capacity,
         assert ties
     elif case == "k-exceeds-dataset":
         assert all(len(a.answers) == len(env.s_points) for a in got)
-
-
-def test_lossy_knn_still_bursts(monkeypatch):
-    """A faulty-environment kNN search keeps its per-query fallback.
-
-    The drain books only successful downloads, so under a fault model the
-    executor bursts the search's own steps: answers match the
-    single-query method, and the lost pages are counted.
-    """
-    from repro.broadcast import PageLossModel
-
-    env = _lattice_env(64, loss=PageLossModel(rate=0.3, seed=3))
-    requests = _knn_cases(env, "tie-at-kth-bound")
-    _, records, bursts = _drain_vs_single(env, requests, monkeypatch)
-    assert len({id(s) for s in bursts}) == len(requests)
-    assert all(isinstance(s, BroadcastKNNSearch) for s in bursts)
-    assert sum(lost for _, lost, _ in records) > 0
 
 
 def _region_cases(case):
@@ -503,7 +490,7 @@ def test_range_window_drain_bit_identical_to_single_query(
     if case == "misses-root":
         assert all(not a.answers for a in got)
     else:
-        assert all(log for log, _, _ in records)
+        assert all(log for log, *_ in records)
     if case == "covering":
         assert all(len(a.answers) == len(env.s_points) for a in got)
     elif case == "boundary":
@@ -520,16 +507,76 @@ def test_range_window_drain_bit_identical_to_single_query(
         assert min(fanouts) >= kernels.min_batch_leaf()
 
 
-def test_lossy_range_window_still_burst(monkeypatch):
-    """Faulty-environment range and window searches keep the per-query
-    fallback: answers match the single-query methods, lost pages count."""
-    from repro.broadcast import PageLossModel
+#: Fault family -> the fault model of the lossy drain tests.
+_DRAIN_FAULTS = {
+    "iid": lambda: PageLossModel(rate=0.3, seed=3),
+    "gilbert-elliott": lambda: GilbertElliottLossModel(
+        good_rate=0.05, bad_rate=0.7, p_good_bad=0.1, p_bad_good=0.3,
+        seed=5, regen=32,
+    ),
+    "corruption": lambda: PageCorruptionModel(rate=0.3, seed=7),
+}
 
-    env = _lattice_env(64, loss=PageLossModel(rate=0.3, seed=3))
-    requests = _region_cases("boundary") + _region_cases("covering")
-    _, records, bursts = _drain_vs_single(env, requests, monkeypatch)
-    assert len({id(s) for s in bursts}) == len(requests)
-    assert sum(lost for _, lost, _ in records) > 0
+
+def _lossy_drain_vs_single(fault, requests_of, monkeypatch):
+    """``_drain_vs_single`` on the lattice under one fault family.
+
+    Every search must be served by ``_serve_drain`` and none may burst;
+    the faults must really engage — failed attempts logged ``ok=False``,
+    counted as lost or corrupt by family — so the retry chains the drain
+    replays are compared attempt by attempt.
+    """
+    env = _lattice_env(64, loss=_DRAIN_FAULTS[fault]())
+    requests = requests_of(env)
+    drained = []
+    serve_drain = SharedScanExecutor._serve_drain
+
+    def drain_spy(self, g, s, ctx):
+        drained.append(s)
+        return serve_drain(self, g, s, ctx)
+
+    monkeypatch.setattr(SharedScanExecutor, "_serve_drain", drain_spy)
+    got, records, bursts = _drain_vs_single(env, requests, monkeypatch)
+    assert bursts == []
+    assert len({id(s) for s in drained}) == len(drained) == len(requests)
+    lost = sum(r[1] for r in records)
+    corrupt = sum(r[2] for r in records)
+    failed = sum(not ok for log, *_ in records for *_, ok in log)
+    assert failed == lost + corrupt > 0
+    if fault == "corruption":
+        assert lost == 0
+    else:
+        assert corrupt == 0
+    return got
+
+
+@pytest.mark.parametrize("fault", sorted(_DRAIN_FAULTS))
+def test_lossy_knn_drain_bit_identical_to_single_query(fault, monkeypatch):
+    """Faulty kNN searches drain in one serve too, bit-identical to
+    ``QueryEngine.knn``: answers (with tie order), access times, tune-in,
+    max queue sizes, lost / corrupt splits and the full reception logs,
+    failed attempts included."""
+    _lossy_drain_vs_single(
+        fault,
+        lambda env: _knn_cases(env, "tie-at-kth-bound")
+        + _knn_cases(env, "query-outside-region"),
+        monkeypatch,
+    )
+
+
+@pytest.mark.parametrize("fault", sorted(_DRAIN_FAULTS))
+def test_lossy_range_window_drain_bit_identical_to_single_query(
+    fault, monkeypatch
+):
+    """Faulty range and window searches drain in one serve, with the
+    checks of the lossy kNN drain test plus results in discovery order."""
+    got = _lossy_drain_vs_single(
+        fault,
+        lambda env: _region_cases("boundary") + _region_cases("covering")
+        + _region_cases("radius-zero"),
+        monkeypatch,
+    )
+    assert any(a.answers for a in got)
 
 
 # ----------------------------------------------------------------------

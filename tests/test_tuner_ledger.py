@@ -10,13 +10,15 @@ Two contracts under test:
 * The shared-scan executor's lossy seam — a :class:`FaultModel` makes
   receptions fallible; lossy NN searches stay on the arena/ledger fast
   path (the round flush replays the retry-to-next-replica loop closed
-  form) and must stay bit-identical to the per-query oracle — results,
+  form), lossy drains book their attempts through ``record_index_run``,
+  and both must stay bit-identical to the per-query oracle — results,
   ``lost_pages`` / ``corrupt_pages``, log events — across every fault
   model, loss seed, layout and tuner backend, also when sharing one
   executor run with lossless searches.
 """
 
 import random
+import zlib
 
 import pytest
 
@@ -37,7 +39,12 @@ from repro.broadcast.tuner import (
     _LedgerTuner,
     TunerLedger,
 )
-from repro.client import BroadcastNNSearch, SearchGroup, run_all
+from repro.client import (
+    BroadcastKNNSearch,
+    BroadcastNNSearch,
+    SearchGroup,
+    run_all,
+)
 from repro.core import DoubleNN, HybridNN, TNNEnvironment
 from repro.datasets import sized_uniform
 from repro.engine import execute_tnn_batch
@@ -194,6 +201,25 @@ def test_record_index_run_matches_scalar_oracle():
     assert ledger.event_count == 3
 
 
+def test_faulty_record_index_run_matches_scalar_oracle():
+    """A lossy drain's run — failed attempts ``ok=False``, lost / corrupt
+    splits — books identically on both tuner backends, also for a row
+    that records no log."""
+    pages, arrivals = [3, 3, 3, 8, 1, 1], [2.0, 9.0, 16.0, 17.0, 19.0, 26.0]
+    oks = [False, False, True, True, False, True]
+    for record_log in (True, False):
+        ledger = TunerLedger()
+        attached = ChannelTuner(_make_channel(), record_log=record_log)
+        oracle = ChannelTuner(_make_channel(), record_log=record_log)
+        ledger.attach(attached)
+        for t in (attached, oracle):
+            t.record_index_run(pages, arrivals, 27.0, oks, 2, 1)
+        assert _tuner_state(attached) == _tuner_state(oracle)
+        assert oracle.lost_pages == 2 and oracle.corrupt_pages == 1
+        assert oracle.index_pages == 6
+        assert [e[3] for e in oracle.log] == (oks if record_log else [])
+
+
 def test_event_chains_interleaved_across_rows():
     ledger = TunerLedger()
     a = ChannelTuner(_make_channel())
@@ -279,24 +305,31 @@ def test_lossy_nn_search_joins_the_arena(env_lossless):
     assert executor._sid_loss == {lossy._arena_sid: LOSS}
 
 
-def test_fast_verdict_follows_loss_change(env_lossless):
-    """The fast-path verdict reads the tuner's current fault model, so
-    swapping the loss model between runs changes it."""
+def test_fast_verdict_ignores_fault_model(env_lossless):
+    """Every frontier-backed search is fast-path eligible under any fault
+    model — NN searches ride the faulty round flush, kNN / range / window
+    searches the lossy drain serve — so swapping the tuner's loss model
+    never changes the verdict; a heap-backed search is never fast."""
     executor = SharedScanExecutor()
     tuner = ChannelTuner(BroadcastChannel(env_lossless.s_program))
-    s = BroadcastNNSearch(env_lossless.s_tree, tuner, Point(500.0, 500.0))
-    assert executor._fast(s, False)  # drain rules: lossless qualifies
-    tuner.loss = LOSS
-    assert not executor._fast(s, False)  # drain rules: lossy does not
-    tuner.loss = None
-    assert executor._fast(s, False)  # and back again
-    # NN rules tolerate any fault model (fresh search: one policy each).
-    s2 = BroadcastNNSearch(
+    nn = BroadcastNNSearch(env_lossless.s_tree, tuner, Point(500.0, 500.0))
+    knn = BroadcastKNNSearch(
         env_lossless.s_tree,
-        ChannelTuner(BroadcastChannel(env_lossless.s_program), loss=LOSS),
+        ChannelTuner(BroadcastChannel(env_lossless.s_program)),
         Point(500.0, 500.0),
+        3,
     )
-    assert executor._fast(s2, True)
+    for loss in (None, LOSS, None):
+        tuner.loss = knn.tuner.loss = loss
+        assert executor._fast(nn) and executor._fast(knn)
+    heap_env = _build_env(loss=LOSS, distributed_levels=2)
+    heap = BroadcastKNNSearch(
+        heap_env.s_tree,
+        ChannelTuner(BroadcastChannel(heap_env.s_program), loss=LOSS),
+        Point(500.0, 500.0),
+        3,
+    )
+    assert heap._frontier is None and not executor._fast(heap)
 
 
 @pytest.mark.parametrize("use_kernels", [True, False])
@@ -393,7 +426,10 @@ def test_lossy_bit_identity_sweep_across_layouts(layout):
         params=SystemParameters(page_capacity=64),
         layout=make_layout(layout),
     )
-    rng = random.Random(hash(layout) & 0xFFFF)
+    # A stable per-layout seed (``hash`` of a str varies with
+    # PYTHONHASHSEED): with it, both corruption searches of every layout
+    # see corrupt pages, so the sanity checks below always bite.
+    rng = random.Random(zlib.crc32(layout.encode()))
     cycle = env.s_program.cycle_length
     specs = []
     for i, fault in enumerate(_SWEEP_FAULTS):
