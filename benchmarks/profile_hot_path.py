@@ -190,10 +190,12 @@ def _wrap_sites() -> list:
     re-imported by name are patched at the importer too, or the wrapper
     would never see those calls.
 
-    The executor's ``_serve_drain`` counts as **queue**: it is the
-    frontier pop loop inlined into the engine (it consumes the arrival
-    lanes directly), and its nested geometry / download calls are wrapped
-    separately, so self-time attribution still splits it honestly.
+    The executor's ``_serve_drain`` and set-at-a-time
+    ``_serve_range_batch`` count as **queue**: they are the frontier pop
+    loop inlined into the engine (the drain consumes the arrival lanes
+    directly, the range pass computes their pop order in closed form),
+    and their nested geometry / download calls are wrapped separately,
+    so self-time attribution still splits them honestly.
     ``transitive_join`` counts as **geometry** — it is the filter phase's
     pairwise distance evaluation.
     """
@@ -243,7 +245,7 @@ def _wrap_sites() -> list:
         "_pop_head_bound",
     ):
         sites.append((aq_mod.ArrivalQueueMixin, name, "queue"))
-    for name in ("_resume_nn", "_serve_drain"):
+    for name in ("_resume_nn", "_serve_drain", "_serve_range_batch"):
         sites.append((shared_scan_mod.SharedScanExecutor, name, "queue"))
     # Executor sub-buckets: the phase-A survivor handling and the absorb
     # glue.  Nested frontier/arena calls (queue), kernels (geometry) and

@@ -73,10 +73,16 @@ Faulty searches stay on the fast path: the retry chain of a missed page
 replays closed form (replicas sit exactly one cycle apart),
 bit-identically to the per-query retry loop, in the NN round flush and
 in the drain alike, so robustness no longer costs the shared-scan
-speedup.  One drain serve empties a kNN, range or window search, lossless
-or faulty, in a single pass, absorbing each leaf before the next pop — a
-kNN leaf with the exact scalar offer loop, so the bound it moves prunes
-the very next pop, a range or window leaf with the search's own absorb.
+speedup.  One drain serve empties a kNN or window search, lossless or
+faulty, or a faulty range search, in a single pass, absorbing each leaf
+before the next pop — a kNN leaf with the exact scalar offer loop, so the
+bound it moves prunes the very next pop, a range or window leaf with the
+search's own absorb.  Lossless range searches (the TNN filter phase's
+circle queries, ``run_many`` range requests) skip the pop loop: batches
+of 128 walk the node store level by level with one exact MINDIST kernel
+call per level, and every download's slot follows in closed form from
+the drain's float clock, so the answers, clocks, logs and queue peaks
+are the drain's, bit for bit.
 One tier up, ``SharedScanRunner``'s pool shards run under a supervisor —
 crashed
 or hung workers

@@ -199,10 +199,12 @@ class NodeStore:
     witness/upper-bound mirror updates) into whole-workload array passes.
 
     A :class:`FrontierArena` covers the tree of every frontier it
-    registers, so a store grows with its run and never needs building up
-    front.  ``_store_nid`` stamps on the nodes are per-cover: a tree may
-    sit at different offsets in different stores, so only one live store
-    may cover a tree at a time (the executor builds one per run).
+    registers, and the executor's set-at-a-time range pass the tree of
+    every search it serves, so a store grows with its run and never needs
+    building up front.  ``_store_nid`` stamps on the nodes are per-cover:
+    a tree may sit at different offsets in different stores, so only one
+    live store may cover a tree at a time (the executor builds one per
+    run and shares it between the arena and the range pass).
 
     Invalidation contract: structure and geometry are immutable after
     packing and cache on the tree forever; the page column binds the
@@ -747,14 +749,15 @@ class FrontierArena:
     standalone list lanes.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, store: Optional[NodeStore] = None) -> None:
         self._searches: List[object] = []
-        #: The :class:`NodeStore` over every registered frontier's tree.
+        #: The :class:`NodeStore` over every registered frontier's tree
+        #: (``store``, when the owner shares one with its other serves).
         #: The ``_e_nid`` lane holds its node ids: a staged fan-out is
         #: ``child0[nid] + arange(n)``, attached pops resolve nodes and
         #: MBRs through its columns, and the executor's phase A and absorb
         #: lanes read survivors as pure array gathers.
-        self._store = NodeStore()
+        self._store = NodeStore() if store is None else store
         # Per-search state lanes (grown amortised; index = search id).
         cap = 64
         self._now = np.zeros(cap, dtype=np.float64)

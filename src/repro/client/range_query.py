@@ -31,6 +31,10 @@ class BroadcastRangeSearch(ArrivalQueueMixin):
         circle: Circle,
         start_time: float = 0.0,
     ) -> None:
+        if not circle.radius >= 0.0:
+            raise ValueError(
+                f"radius must be a number >= 0, got {circle.radius}"
+            )
         self.tree = tree
         self.tuner = tuner
         self.circle = circle

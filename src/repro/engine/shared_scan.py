@@ -32,11 +32,17 @@ arrival tick of the shared scan, not a single page's bucket, which is
 strictly more batching than per-page grouping.
 
 Searches whose pop-time prune no other search can move — kNN, range and
-window — drain in one serve rather than one round per page, lossless or
-faulty, absorbing each leaf before the next pop: a kNN leaf (3–4 points at
-64-byte pages) with the exact scalar offer loop, whose moved k-th-best
-bound the very next pop reads, and a range or window leaf with the
-search's own ``_absorb_leaf``.
+window — finish in one serve rather than one round per page.  Lossless
+range searches on a frontier (the TNN filter phase's two circle queries,
+``run_many`` range requests) queue for a **set-at-a-time pass**: up to
+``_RANGE_BATCH`` of them walk the node store level by level together, one
+exact multi-query MINDIST call per level deciding every prune, and each
+download's slot follows in closed form from the drain's float clock.  The
+other searches — kNN, window and faulty range searches — drain, absorbing
+each leaf before the next pop: a kNN leaf (3–4 points at 64-byte pages)
+with the exact scalar offer loop, whose moved k-th-best bound the very
+next pop reads, and a range or window leaf with the search's own
+``_absorb_leaf``.
 
 **Bit-identity contract.**  The per-query path remains the oracle: for
 every query, the executor produces the same answers, access times, tune-in
@@ -54,8 +60,10 @@ construction:
   guarantee scans) with every stored value still computed by the exact
   scalar metrics; the absorb lanes replay the per-query absorb logic
   (``_absorb_internal`` / ``_absorb_leaf``) on the batched rows, the kNN
-  drain runs the scalar offer loop (``_offer_known``) itself, and the
-  inlined page download replays the tuner's arrival arithmetic;
+  drain runs the scalar offer loop (``_offer_known``) itself, the range
+  pass replays the drain's cursor (prunes, float clock and its rounding
+  jumps) in closed form, and the inlined page download replays the
+  tuner's arrival arithmetic;
 * everything that cannot batch falls back to the search's own per-query
   code path: sub-threshold lanes, heap-backed searches (distributed
   layouts, and every search built under ``REPRO_NO_KERNELS=1``, where the
@@ -87,7 +95,7 @@ import numpy as np
 
 from repro.broadcast.loss import FAULT_LOST
 from repro.broadcast.tuner import TunerLedger
-from repro.client.frontier import FrontierArena
+from repro.client.frontier import FrontierArena, NodeStore
 from repro.client.knn import BroadcastKNNSearch
 from repro.client.range_query import BroadcastRangeSearch
 from repro.client.scheduler import SearchGroup
@@ -108,8 +116,15 @@ from repro.geometry import Circle, Point, kernels
 #: is purely a performance dial.
 _MIN_LANE = 4
 
-#: Search types served by :meth:`SharedScanExecutor._serve_drain`.
+#: Search types served by :meth:`SharedScanExecutor._serve_drain` (a
+#: lossless frontier-backed range search takes the set-at-a-time pass).
 _DRAIN_TYPES = (BroadcastKNNSearch, BroadcastRangeSearch, BroadcastWindowSearch)
+
+#: Range searches per set-at-a-time pass.  Big enough that every kernel
+#: call of the pass spans thousands of rows; small enough that a pass's
+#: entry arrays stay small (one pass over all 2,000 filter searches of a
+#: 1,000-query TNN campaign raised its peak RSS from 66 to 95 MB).
+_RANGE_BATCH = 128
 
 
 def _sid_append(arr: np.ndarray, i: int, value: int) -> np.ndarray:
@@ -203,8 +218,14 @@ class SharedScanExecutor:
       ids.  Hybrid pairs pass the sibling's next event time as the pop
       limit (``run_all``'s ping-pong tie rule); independent searches run
       unlimited.
-    * **kNN / range / window searches** — the prune test reads only the
-      search's own state, so one :meth:`_serve_drain` drains the whole
+    * **lossless range searches on a frontier** — the prune test reads
+      only the fixed radius, so the searches queue and
+      :meth:`_serve_range_batch` runs ``_RANGE_BATCH`` of them to
+      completion in one array pass (level-by-level MINDIST prunes,
+      closed-form slots, booking per search), once a batch fills or no NN
+      search is left in the arena.
+    * **kNN / window / faulty range searches** — the prune test reads only
+      the search's own state, so one :meth:`_serve_drain` drains the whole
       search: pops, the inline MINDIST prune against the k-th-best bound
       or the radius (a window search filters at push time instead),
       downloads (with their retry chains on a faulty tuner), and every
@@ -215,12 +236,18 @@ class SharedScanExecutor:
       own ``step()`` while it stays eligible: the executor degrades to a
       pure multiplexer over the per-query oracle.
 
-    Fault models never demote a search: the round flush (NN) and the
-    drain (kNN / range / window) resolve retry chains closed form,
-    bit-identically to the per-query ``_receive`` loop.
+    Fault models never demote a search to the per-query path: the round
+    flush (NN) and the drain (kNN / range / window) resolve retry chains
+    closed form, bit-identically to the per-query ``_receive`` loop.
     """
 
     def __init__(self) -> None:
+        #: The run's one node store, shared by the arena and the range
+        #: pass (a tree may have only one live cover).
+        self._store = NodeStore()
+        #: Range searches waiting for the set-at-a-time pass, as
+        #: ``(group, search)`` rows in queue order.
+        self._range_queue: List[tuple] = []
         #: Groups whose members all serve through the columnar arena
         #: (fast-eligible NN searches) vs everything else.
         self._arena_groups: List[SearchGroup] = []
@@ -289,7 +316,7 @@ class SharedScanExecutor:
             # frontiers' queued entries move into one set of numpy lanes
             # and the round serves them with whole-workload array passes.
             if self._arena is None:
-                self._arena = FrontierArena()
+                self._arena = FrontierArena(self._store)
                 self._ledger = TunerLedger()
             ledger = self._ledger
             for s in group.pending:
@@ -325,11 +352,15 @@ class SharedScanExecutor:
                     self._solo_sids = _sid_append(
                         self._solo_sids, i, s._arena_sid
                     )
+        elif (not group.paired or len(group.pending) == 1) and all(
+            self._takes_range_pass(s) for s in group.pending
+        ):
+            self._range_queue.extend((group, s) for s in group.pending)
         else:
             self._legacy.append(group)
 
     def run(self) -> None:
-        while self._arena_groups or self._legacy:
+        while self._arena_groups or self._legacy or self._range_queue:
             self._round()
 
     # ------------------------------------------------------------------
@@ -366,6 +397,10 @@ class SharedScanExecutor:
             conf = np.flatnonzero(confirmed)
             if conf.size:
                 self._flush_ledger(res, due, conf)
+        if self._range_queue:
+            # Full batches serve as soon as they fill; the rest once no
+            # NN search is left to queue more filter searches behind them.
+            self._serve_ranges(probe, not self._arena_groups)
 
         # Finish bookkeeping: every probe entry was verified finished by
         # its serve (an emptied queue never refills).  on_finish fires
@@ -512,7 +547,12 @@ class SharedScanExecutor:
             else:
                 for s in pending:
                     if type(s) in _DRAIN_TYPES:
-                        self._serve_drain(g, s, ctx)
+                        if self._takes_range_pass(s):
+                            # Grouped with other kinds: served now, in
+                            # group order, like a drain.
+                            self._serve_range_batch([(g, s)], probe)
+                        else:
+                            self._serve_drain(g, s, ctx)
                     elif type(s) is BroadcastNNSearch:
                         # NN searches outside the arena: heap backends
                         # (layout or kernels off at build), non-trivial
@@ -873,8 +913,10 @@ class SharedScanExecutor:
             return
 
     def _serve_drain(self, g, s, ctx) -> None:
-        """Drain one kNN / range / window search to completion in one serve.
+        """Drain one kNN, window or faulty range search in one serve.
 
+        (Lossless range searches on a frontier take the set-at-a-time
+        :meth:`_serve_range_batch` instead; this loop is its reference.)
         Each pop's prune test reads only the search's own state — the
         k-th-best bound of a kNN search, the fixed radius of a range
         search; a window search filtered its children at push time, so it
@@ -981,6 +1023,223 @@ class SharedScanExecutor:
         tuner.record_index_run(pages_dl, arrs, now, oks, lost, corrupt)
         f._version += pops
         ctx[1].append((g, s))
+
+    # ------------------------------------------------------------------
+    # The set-at-a-time range pass
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _takes_range_pass(s) -> bool:
+        """Whether ``s`` is served by :meth:`_serve_range_batch`.
+
+        The pass takes lossless range searches on a frontier backend: a
+        faulty tuner's retry chain shifts every later serve by whole
+        cycles, and a heap backend has no cyclic page order to compute
+        slots from, so those keep :meth:`_serve_drain` (which bursts heap
+        backends).
+        """
+        return (
+            type(s) is BroadcastRangeSearch
+            and s._frontier is not None
+            and s.tuner.loss is None
+        )
+
+    def _serve_ranges(self, probe, drain_all: bool) -> None:
+        """Serve the queued range searches in passes of ``_RANGE_BATCH``.
+
+        Only full batches serve unless ``drain_all``.  A pass never holds
+        two searches on one tuner: the second must start from the clock
+        the first leaves behind, so it opens the next pass instead.
+        """
+        queue = self._range_queue
+        while len(queue) >= _RANGE_BATCH or (drain_all and queue):
+            tuners = set()
+            n = 0
+            for _, s in queue:
+                if n == _RANGE_BATCH or id(s.tuner) in tuners:
+                    break
+                tuners.add(id(s.tuner))
+                n += 1
+            batch = queue[:n]
+            del queue[:n]
+            self._serve_range_batch(batch, probe)
+
+    def _serve_range_batch(self, batch, probe) -> None:
+        """Run lossless range searches to completion in one array pass.
+
+        Equivalent to one :meth:`_serve_drain` per search, bit for bit, but
+        set-at-a-time.  **Prunes**: the pass walks the node store level by
+        level from every search's queued entries (normally its root); one
+        exact :func:`~repro.geometry.kernels.mindist_multi` call per level
+        keeps an entry unless ``MINDIST > radius``, the drain's test, and
+        the kept internal nodes queue their whole fan-outs.  The
+        downloaded set does not depend on serve order, so this is the
+        drain's set.
+
+        **Slots.**  The drain pops in cyclic page order from a cursor at
+        ``ceil(now - phase)``; a prune leaves the clock alone and a
+        download at integer slot ``x`` moves it to ``float(x) + phase +
+        1.0``.  The cursor then sits on ``x + 1`` — or on ``x + 2`` when
+        that float round trip rounds up, so the page in slot ``x + 1`` is
+        passed over until the next lap.  Every queued entry is therefore
+        visited at its first slot after its parent's download (after the
+        start cursor, for the entries queued at the start), or one cycle
+        later when the page one below it was downloaded just before that
+        slot with a rounding jump.  A page occurs once per tree, so at
+        most one jump passes over an entry.  The visits depend on each
+        other only through a parent and the page one below, both served
+        earlier, so one top-down pass per level plus whole-batch
+        re-evaluations until nothing moves give the exact slots.
+
+        **Booking**, per search in visit order: downloads go to the tuner
+        through one ``record_index_run`` call (pages, arrivals
+        ``float(slot) + phase`` and the final clock), the contained points
+        of the downloaded leaves extend ``results`` in leaf order, and the
+        frontier's peak size counts every queued entry until its visit,
+        downloaded or not.
+        """
+        store = self._store
+        k = len(batch)
+        ctr = np.empty((k, 2), dtype=np.float64)
+        rad = np.empty(k, dtype=np.float64)
+        phase = np.empty(k, dtype=np.float64)
+        cyc = np.empty(k, dtype=np.int64)
+        cursor = np.empty(k, dtype=np.int64)
+        si0: List[int] = []
+        nid0: List[int] = []
+        for i, (_, s) in enumerate(batch):
+            f = s._frontier
+            store.cover(s.tree)
+            ctr[i] = s.circle.center
+            rad[i] = s.circle.radius
+            phase[i] = f._phase
+            cyc[i] = f._cycle
+            cursor[i] = math.ceil(s.tuner.now - f._phase)
+            slots = f._order_slots
+            nodes = f._nodes
+            si0.extend([i] * len(slots))
+            nid0.extend([nodes[j]._store_nid for j in slots])
+
+        # Prunes, level by level: (search, node id, parent entry, kept).
+        si = np.array(si0, dtype=np.int64)
+        nid = np.array(nid0, dtype=np.int64)
+        par = np.full(si.shape[0], -1, dtype=np.int64)
+        levels = []
+        n = 0
+        while si.size:
+            d = kernels.mindist_multi(ctr[si], store.mbr[nid])
+            keep = ~(d > rad[si])
+            levels.append((si, nid, par, keep))
+            exp = np.flatnonzero(keep & ~store.leaf_bit[nid])
+            fan = store.lane_key[nid[exp]] >> 2
+            first = np.cumsum(fan) - fan
+            child = np.repeat(store.child0[nid[exp]] - first, fan)
+            rep = np.repeat(exp, fan)
+            si, nid, par = si[rep], child + np.arange(rep.shape[0]), rep + n
+            n += keep.shape[0]
+        S, N, P, K = (np.concatenate(c) for c in zip(*levels))
+
+        # Visit slots.
+        page = store.page[N]
+        c = cyc[S]
+        ph = phase[S]
+        root = P < 0
+        b = cursor[S]
+        first_slot = b + (page - b) % c  # the entries queued at the start
+        # z: the downloaded entry one page below, when there is one.
+        width = int(cyc.max())
+        key = S * width + page
+        korder = np.argsort(key)
+        skey = key[korder]
+        zkey = S * width + (page - 1) % c
+        pos = np.minimum(np.searchsorted(skey, zkey), n - 1)
+        z = korder[pos]
+        has_z = (skey[pos] == zkey) & K[z]
+        P0 = np.where(root, 0, P)
+
+        def visits(v, sl):
+            vp = v[P0[sl]]
+            cc = c[sl]
+            x = np.where(
+                root[sl], first_slot[sl], vp + 1 + (page[sl] - vp - 1) % cc
+            ) - 1
+            xf = x.astype(np.float64)
+            p = ph[sl]
+            jump = np.ceil(((xf + p) + 1.0) - p) != xf + 1.0
+            return x + 1 + cc * (has_z[sl] & (v[z[sl]] == x) & jump)
+
+        v = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
+        lo = 0
+        for lvl in levels:
+            hi = lo + lvl[0].shape[0]
+            v[lo:hi] = visits(v, slice(lo, hi))
+            lo = hi
+        whole = slice(None)
+        for _ in range(n):
+            nv = visits(v, whole)
+            if np.array_equal(nv, v):
+                break
+            v = nv
+        else:  # pragma: no cover - the dependencies form a DAG
+            raise RuntimeError("range pass visit slots did not converge")
+
+        # Serve order, peak queue sizes, downloads and contained points.
+        o = np.lexsort((v, S))
+        So = S[o]
+        No = N[o]
+        Ko = K[o]
+        internal = Ko & ~store.leaf_bit[No]
+        size = np.cumsum(np.where(internal, store.lane_key[No] >> 2, 0) - 1)
+        starts = np.searchsorted(So, np.arange(k))
+        size -= np.where(starts > 0, size[starts - 1], 0)[So]
+        peak = np.maximum.reduceat(size, starts).tolist()
+        pops = np.bincount(S, minlength=k).tolist()
+        dl = o[Ko]
+        dl_pages = page[dl].tolist()
+        dl_arrs = (v[dl].astype(np.float64) + phase[S[dl]]).tolist()
+        dl_count = np.bincount(S[dl], minlength=k).tolist()
+        leaves = dl[store.leaf_bit[N[dl]]]
+        leaf_nid = N[leaves]
+        fan = store.lane_key[leaf_nid] >> 2
+        first = np.cumsum(fan) - fan
+        at = np.arange(int(fan.sum())) - np.repeat(first, fan)
+        leaf_nid = np.repeat(leaf_nid, fan)
+        who = np.repeat(S[leaves], fan)
+        pts = store.points[store.pt0[leaf_nid] + at]
+        q = ctr[who]
+        # _absorb_leaf's containment test, ``dis(center, p) <= radius``.
+        inside = kernels.hypot(q[:, 0] - pts[:, 0], q[:, 1] - pts[:, 1]) <= (
+            rad[who]
+        )
+        nodes = store.nodes
+        found = [
+            nodes[a].points[j]
+            for a, j in zip(leaf_nid[inside].tolist(), at[inside].tolist())
+        ]
+        found_count = np.bincount(who[inside], minlength=k).tolist()
+
+        a = h = 0
+        for i, (g, s) in enumerate(batch):
+            f = s._frontier
+            m = dl_count[i]
+            if m:
+                arrs = dl_arrs[a:a + m]
+                s.tuner.record_index_run(
+                    dl_pages[a:a + m], arrs, arrs[-1] + 1.0
+                )
+                a += m
+            m = found_count[i]
+            if m:
+                s.results.extend(found[h:h + m])
+                h += m
+            # After each visit the queue holds its start length plus the
+            # pushes minus the visits so far; the drain keeps the peak.
+            top = len(f._order_pages) + peak[i]
+            if top > f.max_size:
+                f.max_size = top
+            del f._order_pages[:]
+            del f._order_slots[:]
+            f._version += pops[i]
+            probe.append((g, s))
 
     # ------------------------------------------------------------------
     # Phase B: cross-query batched absorbs (certified estimate lanes)

@@ -9,8 +9,9 @@ no R-tree involved — on uniform, clustered, duplicate-point, collinear
 and single-point datasets, on both channels, at the paper's 64- and
 512-byte page geometries, lossless and under every fault family (i.i.d.
 loss, Gilbert-Elliott fades, detected corruption), whose retries ride the
-executor's lossy drain serves and faulty round flush.  The single-query
-methods are held to the same ground truth.
+executor's lossy drain serves and faulty round flush, and lossless on
+every registered broadcast layout.  The single-query methods are held to
+the same ground truth.
 """
 
 import math
@@ -19,7 +20,12 @@ from collections import Counter
 
 import pytest
 
-from repro.broadcast import SystemParameters, make_fault_model
+from repro.broadcast import (
+    SystemParameters,
+    available_layouts,
+    make_fault_model,
+    make_layout,
+)
 from repro.core import TNNEnvironment
 from repro.datasets import gaussian_clusters, uniform
 from repro.engine import (
@@ -184,3 +190,21 @@ def test_lossy_run_many_matches_brute_force(fault, dataset):
     ref = QueryEngine(clean).run_many(requests)
     assert all(a.access_time >= b.access_time for a, b in zip(got, ref))
     assert any(a.tune_in > b.tune_in for a, b in zip(got, ref))
+
+
+@pytest.mark.parametrize("layout", available_layouts())
+def test_run_many_matches_brute_force_on_every_layout(layout):
+    """Lossless answers on every registered layout.  Cyclic layouts that
+    are not R-trees (grid, quadtree) serve on frontiers, range searches
+    through the set-at-a-time pass; layouts without cyclic page order
+    (distributed indexing, broadcast disks) serve on the heap."""
+    s_points, r_points = DATASETS["clustered"]()
+    lay = make_layout(layout)
+    env = TNNEnvironment.build(
+        s_points, r_points, params=SystemParameters(page_capacity=64),
+        layout=lay,
+    )
+    requests = _requests(env, random.Random(7))
+    search = QueryEngine(env)._build(requests[0])
+    assert (search._frontier is not None) == lay.has_cyclic_order
+    _check_batch(env, requests)

@@ -20,7 +20,9 @@ from repro.broadcast import (
     SystemParameters,
 )
 from repro.client import (
+    BroadcastKNNSearch,
     BroadcastNNSearch,
+    BroadcastRangeSearch,
     SearchGroup,
     run_all,
 )
@@ -38,7 +40,7 @@ from repro.engine import (
     execute_tnn_batch,
 )
 from repro.engine.shared_scan import SharedScanExecutor, shared_scan_supported
-from repro.geometry import Point, Rect, kernels
+from repro.geometry import Circle, Point, Rect, kernels
 
 import random
 
@@ -577,6 +579,264 @@ def test_lossy_range_window_drain_bit_identical_to_single_query(
         monkeypatch,
     )
     assert any(a.answers for a in got)
+
+
+# ----------------------------------------------------------------------
+# The set-at-a-time range pass
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("radius", [math.nan, -1.0, -0.5e-300])
+def test_range_rejects_nan_and_negative_radius(env64, radius):
+    """A NaN or negative radius is refused on every path alike; before,
+    ``range`` downloaded nothing for NaN while ``run_many`` downloaded the
+    whole index."""
+    engine = QueryEngine(env64)
+    center = Point(500.0, 500.0)
+    with pytest.raises(ValueError, match="radius"):
+        engine.range(center, radius)
+    with pytest.raises(ValueError, match="radius"):
+        engine.run_many([RangeRequest(center, radius)])
+
+
+def _two_cycle_env(page_capacity, loss=None):
+    """S and R of different sizes, so their super-pages differ in length."""
+    env = TNNEnvironment.build(
+        sized_uniform(1500, seed=11),
+        sized_uniform(400, seed=12),
+        params=SystemParameters(page_capacity=page_capacity),
+        loss=loss,
+    )
+    assert env.s_program.super_page_length != env.r_program.super_page_length
+    return env
+
+
+def _pass_requests(env, seed=23):
+    """Range requests on both channels: radius zero (on a data point and
+    off it), circles that miss the root, circles that cover the region and
+    random radii, each at a random phase."""
+    rng = random.Random(seed)
+    out = []
+    for channel, points, program in (
+        ("s", env.s_points, env.s_program),
+        ("r", env.r_points, env.r_program),
+    ):
+        xs = [p.x for p in points]
+        ys = [p.y for p in points]
+        far = Point(max(xs) + 1e3, min(ys) - 1e3)
+        circles = [(rng.choice(points), 0.0),
+                   (env.random_query_point(rng), 0.0),
+                   (far, 10.0),
+                   (Point(min(xs) - 1.0, max(ys) + 1.0), 1e7)]
+        circles += [(env.random_query_point(rng), rng.uniform(20.0, 400.0))
+                    for _ in range(40)]
+        for center, radius in circles:
+            phase = rng.uniform(0, program.cycle_length)
+            out.append(RangeRequest(center, radius, phase, channel))
+    return out
+
+
+def _spy_drained(monkeypatch):
+    """Every search the executor hands to ``_serve_drain``."""
+    drained = []
+    serve_drain = SharedScanExecutor._serve_drain
+
+    def drain_spy(self, g, s, ctx):
+        drained.append(s)
+        return serve_drain(self, g, s, ctx)
+
+    monkeypatch.setattr(SharedScanExecutor, "_serve_drain", drain_spy)
+    return drained
+
+
+def _spy_jumps(monkeypatch):
+    """Record the per-query range steps whose download's clock rounds past
+    the next page slot while that page is queued.
+
+    Returns ``(search, page)`` rows: the cursor passes over the entry at
+    ``page + 1`` until the next lap.  Only the per-query ``step`` is spied,
+    so the rows describe the reference path whatever the executor does.
+    """
+    rows = []
+    step = BroadcastRangeSearch.step
+
+    def step_spy(self):
+        f = self._frontier
+        before = self.tuner.now
+        n = self.tuner.index_pages
+        step(self)
+        if f is None or self.tuner.index_pages == n:
+            return
+        page = self.tuner.log[-1][1]
+        base = math.ceil(before - f._phase)
+        slot = base + (page - base) % f._cycle
+        if (math.ceil(self.tuner.now - f._phase) != slot + 1
+                and page + 1 in f._order_pages):
+            rows.append((self, page))
+
+    monkeypatch.setattr(BroadcastRangeSearch, "step", step_spy)
+    return rows
+
+
+def _jump_kinds(rows):
+    """Classify jump rows by the entry passed over: the downloaded node's
+    own first child, served later; another entry served later (a later
+    sibling); or an entry that is never downloaded."""
+    kinds = set()
+    for search, page in rows:
+        nodes = {}
+        stack = [search.tree.root]
+        while stack:
+            node = stack.pop()
+            nodes[node.page_id] = node
+            if not node.is_leaf:
+                stack.extend(node.children)
+        served = {e[1] for e in search.tuner.log}
+        if page + 1 not in served:
+            kinds.add("never-downloaded")
+        elif not nodes[page].is_leaf and (
+            nodes[page].children[0].page_id == page + 1
+        ):
+            kinds.add("first-child")
+        else:
+            kinds.add("later-sibling")
+    return kinds
+
+
+@pytest.mark.parametrize("page_capacity", [64, 512])
+def test_range_pass_bit_identical_to_single_query(page_capacity, monkeypatch):
+    """run_many serves lossless range searches in the set-at-a-time pass,
+    bit-identical to ``QueryEngine.range``: answers and their order,
+    access times, tune-in, max queue sizes and full reception logs, with
+    S and R super-pages of different lengths in one pass.  At 64-byte
+    pages the data holds every kind of clock-rounding jump.  No search
+    reaches the drain."""
+    env = _two_cycle_env(page_capacity)
+    requests = _pass_requests(env)
+    drained = _spy_drained(monkeypatch)
+    jumps = _spy_jumps(monkeypatch)
+    got, records, bursts = _drain_vs_single(env, requests, monkeypatch)
+    assert drained == [] and bursts == []
+    assert sum(a.tune_in for a in got) > 0
+    assert any(not a.answers and a.tune_in == 0 for a in got)  # misses root
+    assert max(len(a.answers) for a in got) == len(env.s_points)
+    if page_capacity == 64:
+        assert _jump_kinds(jumps) == {
+            "first-child", "later-sibling", "never-downloaded"
+        }
+
+
+@pytest.mark.parametrize("algo_cls", [DoubleNN, HybridNN])
+def test_tnn_filter_pass_bit_identical_to_per_query(algo_cls, monkeypatch):
+    """execute_tnn_batch's filter searches take the range pass, and every
+    one ends in the state of its per-query twin: tuner log, clock, tune-in,
+    max queue size and results in discovery order."""
+    env = _two_cycle_env(64)
+    queries = _random_queries(env, 80, seed=5)
+    built = []
+    init = BroadcastRangeSearch.__init__
+
+    def init_spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(BroadcastRangeSearch, "__init__", init_spy)
+    drained = _spy_drained(monkeypatch)
+    jumps = _spy_jumps(monkeypatch)
+
+    def states():
+        out = {
+            (id(s.tree), s.circle): (
+                list(s.tuner.log),
+                s.tuner.now,
+                s.tuner.pages_downloaded,
+                s.max_queue_size,
+                list(s.results),
+            )
+            for s in built
+        }
+        assert len(out) == len(built) == 2 * len(queries)
+        del built[:]
+        return out
+
+    algo = algo_cls()
+    with kernels.use_kernels(True):
+        want = _per_query(env, algo, queries)
+        want_states = states()
+        got = execute_tnn_batch(env, algo, queries, record_log=True)
+    assert got == want
+    assert states() == want_states
+    assert drained == []
+    assert _jump_kinds(jumps) == {
+        "first-child", "later-sibling", "never-downloaded"
+    }
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_range_pass_serves_shared_tuner_searches_in_group_order(
+    mixed, monkeypatch
+):
+    """Searches on one tuner run one after the other in group order, each
+    starting from the clock the previous one left, exactly like running
+    them in sequence: a group of range searches queues for the pass, which
+    never puts two of them in one batch; a group of mixed kinds serves its
+    range searches in place, each in a pass of its own."""
+    env = _two_cycle_env(64)
+    engine = QueryEngine(env)
+
+    def searches():
+        tuner = engine._tuner("s", 17.3)
+        out = [
+            BroadcastRangeSearch(env.s_tree, tuner, Circle(c, r))
+            for c, r in ((Point(300.0, 300.0), 150.0),
+                         (Point(700.0, 200.0), 90.0),
+                         (Point(250.0, 800.0), 120.0))
+        ]
+        if mixed:
+            out.insert(1, BroadcastKNNSearch(
+                env.s_tree, tuner, Point(500.0, 500.0), 6
+            ))
+        return out
+
+    want = searches()
+    for s in want:
+        s.run_to_completion()
+    batches = []
+    serve = SharedScanExecutor._serve_range_batch
+
+    def batch_spy(self, batch, probe):
+        batches.append([s for _, s in batch])
+        return serve(self, batch, probe)
+
+    monkeypatch.setattr(SharedScanExecutor, "_serve_range_batch", batch_spy)
+    got = searches()
+    executor = SharedScanExecutor()
+    executor.add(SearchGroup(list(got)))
+    executor.run()
+    assert batches == [
+        [s] for s in got if type(s) is BroadcastRangeSearch
+    ]
+    assert [engine._finish(s) for s in got] == [
+        engine._finish(s) for s in want
+    ]
+    assert got[0].tuner.log == want[0].tuner.log
+
+
+def test_lossy_range_searches_keep_the_drain(monkeypatch):
+    """Faulty range searches still drain, one serve each, and still match
+    the per-query path; TNN filter searches included."""
+    env = _two_cycle_env(64, loss=PageLossModel(rate=0.2, seed=9))
+    drained = _spy_drained(monkeypatch)
+    queries = _random_queries(env, 12, seed=6)
+    algo = DoubleNN()
+    with kernels.use_kernels(True):
+        assert execute_tnn_batch(env, algo, queries) == _per_query(
+            env, algo, queries
+        )
+    assert len(drained) == 2 * len(queries)
+    assert all(type(s) is BroadcastRangeSearch for s in drained)
+    del drained[:]
+    requests = _pass_requests(env)[::6]
+    _drain_vs_single(env, requests, monkeypatch)
+    assert len({id(s) for s in drained}) == len(drained) == len(requests)
 
 
 # ----------------------------------------------------------------------
