@@ -83,14 +83,6 @@ of 128 walk the node store level by level with one exact MINDIST kernel
 call per level, and every download's slot follows in closed form from
 the drain's float clock, so the answers, clocks, logs and queue peaks
 are the drain's, bit for bit.
-One tier up, ``SharedScanRunner``'s pool shards run under a supervisor —
-crashed
-or hung workers
-(``REPRO_SHARD_TIMEOUT``) trigger pool rebuild, resharding and retries
-with backoff (``REPRO_SHARD_RETRIES`` / ``REPRO_SHARD_BACKOFF``),
-degrading to in-process serial execution last — and every recovery path
-merges bit-identical results because shards are pure functions of their
-query slice.
 
 Architecture note — pluggable air-index backends.  Schedule generation
 lives behind the ``BroadcastLayout`` seam (``repro.broadcast.layout``):
@@ -107,29 +99,15 @@ answers the same batch on a grid air index.  New backends subclass
 ``benchmarks/bench_air_index_matrix.py`` for the backend x population
 comparison matrix.
 
-Architecture note — the distributed campaign runner.  Bulk campaigns
-scale past one machine through ``repro.engine.distributed``: a
-coordinator cuts the workload into s-phase-ordered query-slice shards
-and leases them to whatever workers connect over TCP (length-prefixed
-pickle frames), merging streamed result chunks first-write-wins into
-the exact list ``SharedScanRunner`` would return.  Heartbeats with a
-miss budget and per-lease deadlines catch dead, frozen or slow workers;
-a revoked lease bumps the shard's epoch (so a zombie's late chunks are
-rejected — nothing double-books) and the unfinished remainder is
-resharded across survivors with backoff.  When no worker ever shows up
-— or all of them die — the remainder degrades to the supervised local
-pool, then to in-process serial execution, so a campaign always
-completes and every rung is bit-identical.  Two-terminal demo:
-
-    # terminal 1 — coordinator (prints the chosen port, waits, runs)
-    python -m repro.engine.distributed coordinator \\
-        --bind 127.0.0.1:7077 --queries 10000 --points 2000
-
-    # terminal 2 (and any machine that can reach it) — worker
-    python -m repro.engine.distributed worker --connect 127.0.0.1:7077
-
-or, in code, ``QueryEngine(env).run_campaign(workload, HybridNN(),
-spawn_workers=2)``.
+Architecture note — the supervised pool.  ``REPRO_WORKERS=N`` (or
+``SharedScanRunner(..., workers=N)``) fans a workload over N worker
+processes, cut into contiguous shards ordered by s-channel phase so each
+worker's queries start near each other in the broadcast cycle.  A crashed
+worker or a hung wave (``REPRO_SHARD_TIMEOUT``) makes the supervisor
+rebuild the pool and reshard the failed slice, retrying with backoff
+(``REPRO_SHARD_RETRIES`` / ``REPRO_SHARD_BACKOFF``) and rescuing what is
+left serially in-process; shards are pure functions of their query
+slice, so every path merges bit-identical results.
 
 Run:  python examples/quickstart.py
 """

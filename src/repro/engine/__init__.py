@@ -22,14 +22,6 @@ thin wrapper over this package.
 """
 
 from repro.engine.batch import SharedScanRunner, default_workers
-from repro.engine.distributed import (
-    CampaignConfig,
-    CampaignCoordinator,
-    CampaignResult,
-    FaultInjector,
-    run_worker,
-    spawn_local_workers,
-)
 from repro.engine.query import (
     ClientQueryAnswer,
     ClientRequest,
@@ -43,13 +35,7 @@ from repro.engine.shared_scan import SharedScanExecutor, execute_tnn_batch
 from repro.engine.workload import QueryWorkload
 
 __all__ = [
-    "CampaignConfig",
-    "CampaignCoordinator",
-    "CampaignResult",
-    "FaultInjector",
     "SharedScanRunner",
-    "run_worker",
-    "spawn_local_workers",
     "SharedScanExecutor",
     "ClientQueryAnswer",
     "ClientRequest",

@@ -255,9 +255,9 @@ class SharedScanRunner:
         self.env = env
         self.workload = workload
         self.workers = default_workers() if workers is None else workers
-        # An explicit query list overrides the workload materialisation:
-        # the distributed coordinator's local-rescue rung runs arbitrary
-        # slices of a campaign through the supervised pool this way.
+        # An explicit query list overrides the workload materialisation,
+        # so a caller can run queries it has already materialised (a fixed
+        # benchmark input, a slice of a larger workload) through the pool.
         self._queries = (
             list(queries) if queries is not None else workload.queries(env)
         )

@@ -34,7 +34,7 @@ from repro.core.double import DoubleNN
 from repro.core.environment import TNNEnvironment
 from repro.core.result import TNNResult
 from repro.engine.batch import SharedScanRunner
-from repro.engine.shared_scan import SharedScanExecutor, shared_scan_supported
+from repro.engine.shared_scan import SharedScanExecutor
 from repro.engine.workload import QueryWorkload
 from repro.geometry import Circle, Point, Rect
 
@@ -246,95 +246,6 @@ class QueryEngine:
         """One transitive NN query (default algorithm: exact Double-NN)."""
         algo = algorithm if algorithm is not None else DoubleNN()
         return algo.run(self.env, query, phase_s, phase_r)
-
-    def run_campaign(
-        self,
-        workload: QueryWorkload,
-        algorithm: Optional[TNNAlgorithm] = None,
-        *,
-        bind: Tuple[str, int] = ("127.0.0.1", 0),
-        spawn_workers: int = 0,
-        record_log: bool = False,
-        config=None,
-        local_workers: int = 0,
-        chaos_specs: Optional[Sequence[Optional[str]]] = None,
-    ):
-        """Run a TNN campaign over distributed workers; always completes.
-
-        Starts a :class:`~repro.engine.distributed.CampaignCoordinator`
-        on ``bind`` (port 0 picks a free port), optionally spawns
-        ``spawn_workers`` localhost worker subprocesses, and merges their
-        streamed result chunks into a
-        :class:`~repro.engine.distributed.CampaignResult` whose
-        ``results`` list is bit-identical — element for element — to
-        ``SharedScanRunner.run_algorithm`` on the same workload.  External
-        workers (``python -m repro.engine.distributed worker --connect
-        host:port``) may join at any time.
-
-        Robustness is the coordinator's (heartbeats, lease epochs,
-        resharding); when no workers ever register — or all of them die —
-        the remainder degrades to the supervised local pool
-        (``local_workers >= 2``) and finally to in-process serial
-        execution.  Algorithms outside the shared-scan family skip the
-        distributed tier entirely and run through the local runner, so
-        this method is a drop-in for any campaign.
-
-        ``chaos_specs`` arms spawned workers with deterministic fault
-        injectors (see :class:`~repro.engine.distributed.FaultInjector`);
-        the chaos suite and the million-query benchmark use it to prove
-        every recovery path bit-identical.
-        """
-        from repro.engine.distributed import (
-            CampaignCoordinator,
-            CampaignResult,
-            spawn_local_workers,
-        )
-
-        algo = algorithm if algorithm is not None else DoubleNN()
-        queries = workload.queries(self.env)
-        if not shared_scan_supported(algo) or not queries:
-            runner = SharedScanRunner(
-                self.env, workload, workers=local_workers, queries=queries
-            )
-            results = runner.run_algorithm(algo, record_log=record_log)
-            return CampaignResult(
-                results=results,
-                stats={
-                    "n_queries": len(results),
-                    "mode": "local",
-                    "workers_seen": 0,
-                },
-            )
-        coordinator = CampaignCoordinator(
-            self.env,
-            queries,
-            algo,
-            bind=bind,
-            config=config,
-            record_log=record_log,
-            workload_spec=(workload.n_queries, workload.seed),
-            local_workers=local_workers,
-        )
-        procs = []
-        try:
-            with coordinator:
-                if spawn_workers:
-                    procs = spawn_local_workers(
-                        coordinator.address,
-                        spawn_workers,
-                        chaos_specs=chaos_specs,
-                    )
-                return coordinator.run()
-        finally:
-            for p in procs:
-                try:
-                    p.wait(timeout=5.0)
-                except Exception:
-                    p.terminate()
-                    try:
-                        p.wait(timeout=5.0)
-                    except Exception:
-                        p.kill()
 
     def batch(
         self,

@@ -45,6 +45,13 @@ def test_process_pool_bit_identical(env):
     assert batch.run_algorithm(DoubleNN(), workers=0) == reference
     assert batch.run_algorithm(DoubleNN(), workers=2) == reference
     assert batch.run_algorithm(DoubleNN(), workers=3) == reference
+    # A per-query algorithm (outside the shared scan) shards the same way.
+    approx = _per_query(env, ApproximateTNN(), workload)
+    # An empty workload completes in every mode with no results.
+    empty = SharedScanRunner(env, QueryWorkload(0, seed=11))
+    for workers in (0, 2):
+        assert batch.run_algorithm(ApproximateTNN(), workers=workers) == approx
+        assert empty.run_algorithm(DoubleNN(), workers=workers) == []
 
 
 def test_workers_constructor_default(env):

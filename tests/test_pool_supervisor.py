@@ -9,12 +9,14 @@ to the unsupervised serial run.  The chaos hook
 one worker mid-campaign to prove it.
 """
 
+import random
+
 import pytest
 
 from repro.broadcast import SystemParameters
-from repro.core import HybridNN, TNNEnvironment
+from repro.core import DoubleNN, HybridNN, TNNEnvironment
 from repro.datasets import sized_uniform
-from repro.engine import SharedScanRunner
+from repro.engine import SharedScanRunner, execute_tnn_batch
 from repro.engine.batch import (
     _SupervisedPool,
     shard_backoff,
@@ -23,6 +25,7 @@ from repro.engine.batch import (
 )
 from repro.engine.workload import QueryWorkload
 from repro.geometry import kernels
+from repro.sim.stats import summarize_batch
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +86,40 @@ def test_supervisor_knob_retries_rejects_fractional(monkeypatch):
     monkeypatch.setenv("REPRO_SHARD_RETRIES", "1.5")
     with pytest.raises(ValueError, match="REPRO_SHARD_RETRIES"):
         shard_retries()
+
+
+def _random_partition(rng, n):
+    """A random partition of range(n) into shuffled, non-contiguous chunks."""
+    indices = list(range(n))
+    rng.shuffle(indices)
+    chunks, at = [], 0
+    while at < n:
+        size = rng.randint(1, 5)
+        chunks.append(indices[at : at + size])
+        at += size
+    return chunks
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("algo_cls", [DoubleNN, HybridNN], ids=["double", "hybrid"])
+def test_any_partition_executes_bit_identical(env, algo_cls, seed):
+    """Shards are pure, which resharding relies on: executing arbitrary
+    (even non-contiguous, shuffled) slices independently reproduces the
+    serial results."""
+    algo = algo_cls()
+    queries = QueryWorkload(n_queries=18, seed=9).queries(env)
+    rng = random.Random(seed)
+    merged = [None] * len(queries)
+    with kernels.use_kernels(True):
+        want = execute_tnn_batch(env, algo, queries, record_log=False)
+        for chunk in _random_partition(rng, len(queries)):
+            results = execute_tnn_batch(
+                env, algo, [queries[i] for i in chunk], record_log=False
+            )
+            for i, res in zip(chunk, results):
+                merged[i] = res
+    assert merged == want
+    assert summarize_batch(merged) == summarize_batch(want)
 
 
 def test_reshard_splits_failed_slice(env, workload):
