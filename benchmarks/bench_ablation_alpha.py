@@ -9,7 +9,8 @@ thresholds of Lin et al.), and the dynamic alpha with factor 1.
 from repro.client.policies import AnnPolicy, dynamic_alpha, fixed_alpha
 from repro.core import AnnOptimization, DoubleNN, TNNEnvironment
 from repro.datasets import sized_uniform
-from repro.sim import ExperimentRunner, QueryWorkload, format_table
+from repro.engine import QueryWorkload, SharedScanRunner
+from repro.sim import format_table
 from repro.sim.experiments import _scaled, experiment_scale, queries_per_config
 
 
@@ -30,7 +31,7 @@ def _measure():
     env = TNNEnvironment.build(
         sized_uniform(n, seed=1), sized_uniform(n, seed=2)
     )
-    runner = ExperimentRunner(env, QueryWorkload(queries_per_config(), seed=3))
+    runner = SharedScanRunner(env, QueryWorkload(queries_per_config(), seed=3))
     variants = {
         "exact": DoubleNN(),
         "fixed-0.2": DoubleNN(optimization=_FixedAlphaOptimization(0.2)),

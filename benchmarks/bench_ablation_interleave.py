@@ -11,7 +11,8 @@ cycle and push the data pages apart.
 from repro.broadcast import BroadcastProgram, optimal_m
 from repro.core import DoubleNN, TNNEnvironment
 from repro.datasets import sized_uniform
-from repro.sim import ExperimentRunner, QueryWorkload, format_table
+from repro.engine import QueryWorkload, SharedScanRunner
+from repro.sim import format_table
 from repro.sim.experiments import _scaled, experiment_scale, queries_per_config
 
 M_SWEEP = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -24,7 +25,7 @@ def _measure():
     out = {}
     for m in M_SWEEP:
         env = TNNEnvironment.build(s_pts, r_pts, m=m)
-        runner = ExperimentRunner(env, QueryWorkload(queries_per_config(), seed=3))
+        runner = SharedScanRunner(env, QueryWorkload(queries_per_config(), seed=3))
         algo = DoubleNN(include_data_retrieval=True)
         stats = runner.run({"double-nn": algo})["double-nn"]
         out[m] = stats.access_time.mean

@@ -9,7 +9,8 @@ with STR typically the best of the three.
 
 from repro.core import DoubleNN, TNNEnvironment
 from repro.datasets import sized_uniform
-from repro.sim import ExperimentRunner, QueryWorkload, format_table
+from repro.engine import QueryWorkload, SharedScanRunner
+from repro.sim import format_table
 from repro.sim.experiments import _scaled, experiment_scale, queries_per_config
 
 PACKINGS = ("str", "hilbert", "nearest_x")
@@ -22,7 +23,7 @@ def _measure():
     out = {}
     for packing in PACKINGS:
         env = TNNEnvironment.build(s_pts, r_pts, packing=packing)
-        runner = ExperimentRunner(env, QueryWorkload(queries_per_config(), seed=3))
+        runner = SharedScanRunner(env, QueryWorkload(queries_per_config(), seed=3))
         stats = runner.run({"double-nn": DoubleNN()})["double-nn"]
         out[packing] = (stats.tune_in.mean, stats.access_time.mean)
     return out

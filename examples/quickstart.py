@@ -7,6 +7,17 @@ second section serves a mixed NN / kNN / range / window batch through the
 shared-scan executor (``QueryEngine.run_many``): every client request is
 answered from one page-major pass over the broadcast cycle.
 
+Architecture note — one TNN lifecycle, run two ways.  Every algorithm
+describes its stages once (``TNNAlgorithm._stages``): its estimate
+searches (none for Approximate-TNN and Brute-Force-TNN, two parallel NN
+searches for Double-NN, re-steered ones for Hybrid-NN, two sequential
+ones for Window-Based), then the filter's two range searches, then the
+transitive join and the optional data retrieval.  ``algorithm.run``, as
+in this example's first section, drives one query's stages alone and is
+the reference path; ``SharedScanRunner`` drives every query's stages
+through the page-major shared-scan executor, for every algorithm, ANN
+optimisation and data retrieval alike, with bit-identical results.
+
 Architecture note — the columnar frontier arena.  Each steppable search
 queues its R-tree candidates in an arrival frontier ordered by cyclic
 page position.  Single searches (everything in this example's first

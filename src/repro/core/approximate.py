@@ -15,11 +15,10 @@ large, inflating tune-in time (Figure 11(d)).
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
 
 from repro.broadcast import ChannelTuner
 from repro.client.policies import PruningPolicy
-from repro.core.base import TNNAlgorithm
+from repro.core.base import EstimateStages, TNNAlgorithm
 from repro.core.environment import TNNEnvironment
 from repro.geometry import Point
 
@@ -52,9 +51,10 @@ class ApproximateTNN(TNNAlgorithm):
         tuner_r: ChannelTuner,
         policy_s: PruningPolicy,
         policy_r: PruningPolicy,
-    ) -> Tuple[float, Optional[Tuple[Point, Point]]]:
+    ) -> EstimateStages:
         area = env.region.area
         radius = uniform_knn_radius(len(env.s_points), area) + uniform_knn_radius(
             len(env.r_points), area
         )
         return radius, None
+        yield  # no estimate stage, but still a generator

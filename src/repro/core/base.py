@@ -1,13 +1,13 @@
-"""Shared machinery for TNN algorithms: the estimate-filter skeleton."""
+"""Shared machinery for TNN algorithms: the estimate-filter lifecycle."""
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Optional, Tuple
+from typing import Generator, Optional, Tuple
 
 from repro.broadcast import ChannelTuner
-from repro.client import BroadcastRangeSearch, run_all
+from repro.client import BroadcastRangeSearch, SearchGroup, run_all
 from repro.client.policies import ExactPolicy, PruningPolicy
 from repro.core.ann import AnnOptimization
 from repro.core.environment import TNNEnvironment
@@ -15,14 +15,26 @@ from repro.core.join import transitive_join
 from repro.core.result import TNNResult
 from repro.geometry import Circle, Point
 
+#: :meth:`TNNAlgorithm._estimate`: yields the estimate's search groups and
+#: returns the search radius with, for exact algorithms, the seed pair
+#: that produced it.
+EstimateStages = Generator[
+    SearchGroup, None, Tuple[float, Optional[Tuple[Point, Point]]]
+]
+
 
 class TNNAlgorithm(abc.ABC):
     """Base class of all TNN query processors.
 
-    Subclasses implement :meth:`_estimate`, returning the search radius
-    (and, for exact algorithms, the seed pair that produced it); the shared
-    filter phase then runs two parallel range queries and the transitive
-    join, and assembles the :class:`TNNResult` with the paper's metrics.
+    Every algorithm has the paper's one shape, written once in
+    :meth:`_stages`: an estimate phase (:meth:`_estimate`, the part
+    subclasses implement), two parallel range queries, then the
+    transitive join and the :class:`TNNResult` with the paper's metrics.
+    Each stage is yielded as a :class:`~repro.client.SearchGroup`, and two
+    callers run that one description: :meth:`run` answers one query with
+    :func:`~repro.client.run_all`, and
+    :func:`~repro.engine.shared_scan.execute_tnn_batch` serves a whole
+    workload page-major.
 
     ``optimization`` plugs the ANN approximation into the estimate phase;
     ``include_data_retrieval`` additionally downloads the answer pair's
@@ -52,16 +64,52 @@ class TNNAlgorithm(abc.ABC):
     ) -> TNNResult:
         """Answer one TNN query issued at t=0 with the given channel phases."""
         tuner_s, tuner_r = env.tuners(phase_s, phase_r)
-        policy_s, policy_r = self._policies(env)
+        stages = self._stages(env, query, tuner_s, tuner_r)
+        try:
+            while True:
+                group = next(stages)
+                run_all(group.searches, on_finish=group.on_finish)
+        except StopIteration as done:
+            return done.value
 
-        radius, seed_pair = self._estimate(
+    # ------------------------------------------------------------------
+    # The lifecycle
+    # ------------------------------------------------------------------
+    def _stages(
+        self,
+        env: TNNEnvironment,
+        query: Point,
+        tuner_s: ChannelTuner,
+        tuner_r: ChannelTuner,
+    ) -> Generator[SearchGroup, None, TNNResult]:
+        """One query's lifecycle: yield each stage's searches, return the result.
+
+        The caller runs every yielded group to completion, honouring its
+        ``paired`` / ``on_finish`` contract, before resuming the generator.
+        """
+        policy_s, policy_r = self._policies(env)
+        radius, seed_pair = yield from self._estimate(
             env, query, tuner_s, tuner_r, policy_s, policy_r
         )
         estimate_finish = max(tuner_s.now, tuner_r.now)
         estimate_pages = tuner_s.pages_downloaded + tuner_r.pages_downloaded
 
-        s, r, dist = self._filter(
-            env, query, radius, seed_pair, tuner_s, tuner_r, estimate_finish
+        # Filter: parallel range queries on both channels, then the join.
+        circle = Circle(query, radius)
+        range_s = BroadcastRangeSearch(env.s_tree, tuner_s, circle, estimate_finish)
+        range_r = BroadcastRangeSearch(env.r_tree, tuner_r, circle, estimate_finish)
+        yield SearchGroup([range_s, range_r])
+
+        seed_bound = math.inf
+        if seed_pair is not None:
+            s0, r0 = seed_pair
+            seed_bound = query.distance_to(s0) + s0.distance_to(r0)
+        s, r, dist = transitive_join(
+            query,
+            range_s.results,
+            range_r.results,
+            initial_bound=seed_bound,
+            initial_pair=seed_pair,
         )
         filter_pages = (
             tuner_s.pages_downloaded + tuner_r.pages_downloaded - estimate_pages
@@ -113,36 +161,10 @@ class TNNAlgorithm(abc.ABC):
         tuner_r: ChannelTuner,
         policy_s: PruningPolicy,
         policy_r: PruningPolicy,
-    ) -> Tuple[float, Optional[Tuple[Point, Point]]]:
-        """Phase 1: return ``(search_radius, seed_pair_or_None)``."""
+    ) -> EstimateStages:
+        """Phase 1: yield the estimate's search groups, return the estimate.
 
-    # ------------------------------------------------------------------
-    # Shared filter phase
-    # ------------------------------------------------------------------
-    def _filter(
-        self,
-        env: TNNEnvironment,
-        query: Point,
-        radius: float,
-        seed_pair: Optional[Tuple[Point, Point]],
-        tuner_s: ChannelTuner,
-        tuner_r: ChannelTuner,
-        start_time: float,
-    ) -> Tuple[Optional[Point], Optional[Point], float]:
-        """Phase 2: parallel range queries on both channels, then the join."""
-        circle = Circle(query, radius)
-        range_s = BroadcastRangeSearch(env.s_tree, tuner_s, circle, start_time)
-        range_r = BroadcastRangeSearch(env.r_tree, tuner_r, circle, start_time)
-        run_all([range_s, range_r])
-
-        seed_bound = math.inf
-        if seed_pair is not None:
-            s0, r0 = seed_pair
-            seed_bound = query.distance_to(s0) + s0.distance_to(r0)
-        return transitive_join(
-            query,
-            range_s.results,
-            range_r.results,
-            initial_bound=seed_bound,
-            initial_pair=seed_pair,
-        )
+        A generator even when it searches nothing: ``yield from`` over a
+        plain ``(radius, seed_pair)`` tuple would yield its two items as
+        groups.
+        """

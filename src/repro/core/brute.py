@@ -9,11 +9,10 @@ phase degenerates to a full scan of both broadcast indexes.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
 
 from repro.broadcast import ChannelTuner
 from repro.client.policies import PruningPolicy
-from repro.core.base import TNNAlgorithm
+from repro.core.base import EstimateStages, TNNAlgorithm
 from repro.core.environment import TNNEnvironment
 from repro.geometry import Point
 
@@ -31,5 +30,6 @@ class BruteForceTNN(TNNAlgorithm):
         tuner_r: ChannelTuner,
         policy_s: PruningPolicy,
         policy_r: PruningPolicy,
-    ) -> Tuple[float, Optional[Tuple[Point, Point]]]:
+    ) -> EstimateStages:
         return math.inf, None
+        yield  # no estimate stage, but still a generator

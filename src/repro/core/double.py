@@ -16,12 +16,10 @@ sizes (Section 6.1.1).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 from repro.broadcast import ChannelTuner
-from repro.client import BroadcastNNSearch, run_all
+from repro.client import BroadcastNNSearch, SearchGroup
 from repro.client.policies import PruningPolicy
-from repro.core.base import TNNAlgorithm
+from repro.core.base import EstimateStages, TNNAlgorithm
 from repro.core.environment import TNNEnvironment
 from repro.geometry import Point
 
@@ -39,10 +37,10 @@ class DoubleNN(TNNAlgorithm):
         tuner_r: ChannelTuner,
         policy_s: PruningPolicy,
         policy_r: PruningPolicy,
-    ) -> Tuple[float, Optional[Tuple[Point, Point]]]:
+    ) -> EstimateStages:
         nn_s = BroadcastNNSearch(env.s_tree, tuner_s, query, policy_s)
         nn_r = BroadcastNNSearch(env.r_tree, tuner_r, query, policy_r)
-        run_all([nn_s, nn_r])
+        yield SearchGroup([nn_s, nn_r])  # independent: order-free
         s, _ = nn_s.result()
         r, _ = nn_r.result()
         radius = query.distance_to(s) + s.distance_to(r)

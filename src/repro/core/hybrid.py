@@ -22,12 +22,10 @@ pruning happens at pop time (the delayed-pruning adjustment of Section
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 from repro.broadcast import ChannelTuner
-from repro.client import BroadcastNNSearch, run_all
+from repro.client import BroadcastNNSearch, SearchGroup
 from repro.client.policies import PruningPolicy
-from repro.core.base import TNNAlgorithm
+from repro.core.base import EstimateStages, TNNAlgorithm
 from repro.core.environment import TNNEnvironment
 from repro.geometry import Point
 
@@ -45,7 +43,7 @@ class HybridNN(TNNAlgorithm):
         tuner_r: ChannelTuner,
         policy_s: PruningPolicy,
         policy_r: PruningPolicy,
-    ) -> Tuple[float, Optional[Tuple[Point, Point]]]:
+    ) -> EstimateStages:
         nn_s = BroadcastNNSearch(env.s_tree, tuner_s, query, policy_s)
         nn_r = BroadcastNNSearch(env.r_tree, tuner_r, query, policy_r)
         steered = False
@@ -67,7 +65,9 @@ class HybridNN(TNNAlgorithm):
                 nn_s.switch_to_transitive(query, r)  # Case 3
                 steered = True
 
-        run_all([nn_s, nn_r], on_finish=coordinator)
+        # Paired: the finish of either channel re-steers the other, so the
+        # pair keeps run_all's exact step interleaving.
+        yield SearchGroup([nn_s, nn_r], paired=True, on_finish=coordinator)
         s, _ = nn_s.result()
         r, _ = nn_r.result()
         radius = query.distance_to(s) + s.distance_to(r)

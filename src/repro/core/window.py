@@ -15,12 +15,10 @@ Double-NN and Hybrid-NN remove.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 from repro.broadcast import ChannelTuner
-from repro.client import BroadcastNNSearch
+from repro.client import BroadcastNNSearch, SearchGroup
 from repro.client.policies import PruningPolicy
-from repro.core.base import TNNAlgorithm
+from repro.core.base import EstimateStages, TNNAlgorithm
 from repro.core.environment import TNNEnvironment
 from repro.geometry import Point
 
@@ -38,15 +36,15 @@ class WindowBasedTNN(TNNAlgorithm):
         tuner_r: ChannelTuner,
         policy_s: PruningPolicy,
         policy_r: PruningPolicy,
-    ) -> Tuple[float, Optional[Tuple[Point, Point]]]:
+    ) -> EstimateStages:
         first = BroadcastNNSearch(env.s_tree, tuner_s, query, policy_s)
-        first.run_to_completion()
+        yield SearchGroup([first])
         s, _ = first.result()
 
         second = BroadcastNNSearch(
             env.r_tree, tuner_r, s, policy_r, start_time=tuner_s.now
         )
-        second.run_to_completion()
+        yield SearchGroup([second])
         r, _ = second.result()
 
         radius = query.distance_to(s) + s.distance_to(r)

@@ -8,17 +8,17 @@ The substrate every bulk workload runs on:
 * :class:`SharedScanRunner` — executes a workload in-process or fanned
   out over a supervised process pool, bit-identically, with vectorised
   aggregation and cached oracle results for failure-rate comparisons.
-  Exact Double-NN / Hybrid-NN run page-major — one shared broadcast scan
-  serves every query per page arrival, with geometry kernels batched
-  across the workload (:mod:`repro.engine.shared_scan`); every other
-  algorithm runs its own per-query ``algorithm.run``;
+  Every algorithm runs page-major — one shared broadcast scan serves
+  every query per page arrival, with geometry kernels batched across the
+  workload (:mod:`repro.engine.shared_scan`) — through the same
+  lifecycle per-query ``algorithm.run`` drives alone;
 * :class:`QueryEngine` — one facade over NN / kNN / range / window / TNN
   queries on an environment, so callers stop hand-wiring tuners and
   searches; :meth:`QueryEngine.run_many` routes mixed client batches
   through the shared-scan executor.
 
-``repro.sim.runner`` keeps the historical ``ExperimentRunner`` API as a
-thin wrapper over this package.
+``repro.sim`` re-exports :class:`QueryWorkload` for its experiment
+sweeps, which run on :class:`SharedScanRunner`.
 """
 
 from repro.engine.batch import SharedScanRunner, default_workers

@@ -6,10 +6,11 @@ time is the scaling bottleneck the ROADMAP calls out.
 :class:`SharedScanRunner` executes a whole
 :class:`~repro.engine.workload.QueryWorkload` through a shared substrate:
 
-* supported algorithms (exact Double-NN / Hybrid-NN) run page-major
-  through the shared-scan executor (:mod:`repro.engine.shared_scan`);
-  every other algorithm runs its own per-query ``algorithm.run`` — the
-  one reference path the shared scan is checked against;
+* every algorithm runs page-major through the shared-scan executor
+  (:mod:`repro.engine.shared_scan`), which drives each query's
+  estimate-filter-join lifecycle (:meth:`~repro.core.base.TNNAlgorithm
+  ._stages`); per-query ``algorithm.run`` drives the same lifecycle alone
+  and is the reference the shared scan is checked against;
 * the environment's broadcast programs (with their cached arrival-position
   tables) are built once and reused by every query;
 * execution can fan out over a supervised process pool — queries carry
@@ -35,11 +36,11 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 from repro.core.base import TNNAlgorithm
 from repro.core.environment import TNNEnvironment
 from repro.core.result import TNNResult
-from repro.engine.shared_scan import execute_tnn_batch, shared_scan_supported
+from repro.engine.shared_scan import execute_tnn_batch
 from repro.engine.workload import QueryWorkload
 from repro.geometry import Point
 
-if TYPE_CHECKING:  # pragma: no cover - sim.runner wraps this module
+if TYPE_CHECKING:  # pragma: no cover - repro.sim imports this package
     from repro.sim.stats import ResultStats
 
 #: Worker-process state installed by the pool initializer: the environment
@@ -75,27 +76,6 @@ def _chaos_maybe_die(shard_index: int) -> None:
     os._exit(1)
 
 
-def _run_queries(
-    env: TNNEnvironment,
-    algorithm: TNNAlgorithm,
-    queries: List[Tuple[Point, float, float]],
-    record_log: bool = True,
-) -> List[TNNResult]:
-    """One algorithm over a query list: page-major when supported.
-
-    Algorithms :func:`~repro.engine.shared_scan.shared_scan_supported`
-    rejects (ANN optimizations, data retrieval, other algorithm types)
-    run their own per-query ``algorithm.run``; ``record_log`` only
-    reaches the shared scan — per-query results embed the same counters
-    either way.
-    """
-    if shared_scan_supported(algorithm):
-        return execute_tnn_batch(
-            env, algorithm, queries, record_log=record_log
-        )
-    return [algorithm.run(env, p, ps, pr) for p, ps, pr in queries]
-
-
 def _run_shared_shard(
     env: TNNEnvironment, task: tuple
 ) -> List[Tuple[int, TNNResult]]:
@@ -107,7 +87,7 @@ def _run_shared_shard(
     results.
     """
     algorithm, shard, record_log, _shard_index = task
-    results = _run_queries(
+    results = execute_tnn_batch(
         env,
         algorithm,
         [(p, ps, pr) for _, p, ps, pr in shard],
@@ -218,14 +198,12 @@ class _SupervisedPool:
 class SharedScanRunner:
     """Executes one workload against one environment, for many algorithms.
 
-    Supported algorithms (exact Double-NN / Hybrid-NN: see
-    :func:`~repro.engine.shared_scan.shared_scan_supported`) run
-    page-major through the shared-scan executor, which serves every
-    active query per page arrival and batches the geometry kernels across
-    the whole workload (:mod:`repro.engine.shared_scan`).  Every other
-    algorithm (ANN optimizations, data retrieval, custom algorithms) runs
-    its own per-query ``algorithm.run``.  Either way the results are
-    those of ``algorithm.run`` per query, bit for bit.
+    Every algorithm runs page-major through
+    :func:`~repro.engine.shared_scan.execute_tnn_batch`: the shared-scan
+    executor drives each query's lifecycle, serves every active query per
+    page arrival and batches the geometry kernels across the whole
+    workload (:mod:`repro.engine.shared_scan`).  The results are those of
+    ``algorithm.run`` per query, bit for bit.
 
     ``workers`` selects the execution mode: ``0``/``1`` runs in-process,
     ``>= 2`` fans the workload out over that many worker processes.  The
@@ -279,10 +257,8 @@ class SharedScanRunner:
     ) -> List[TNNResult]:
         """All per-query results of one algorithm, in workload order.
 
-        ``record_log=False`` skips the per-tuner reception logs on the
-        shared-scan path (results and cost counters are unaffected); the
-        per-query path ignores the flag — its results embed the same
-        counters either way.
+        ``record_log=False`` skips the per-tuner reception logs (results
+        and cost counters are unaffected).
         """
         workers = self.workers if workers is None else workers
         if workers >= 2 and len(self._queries) > 1:
@@ -293,7 +269,7 @@ class SharedScanRunner:
                 )
             finally:
                 sp.shutdown()
-        return _run_queries(self.env, algorithm, self._queries, record_log)
+        return execute_tnn_batch(self.env, algorithm, self._queries, record_log)
 
     def run(self, algorithms: Mapping[str, TNNAlgorithm]) -> Dict[str, "ResultStats"]:
         """Summary statistics per algorithm name, on the shared workload.
@@ -302,7 +278,7 @@ class SharedScanRunner:
         environment per worker) is shared by every algorithm in the
         mapping.
         """
-        # Deferred import: repro.sim.runner wraps this module, so
+        # Deferred import: the repro.sim package imports repro.engine, so
         # importing sim.stats at module load would be circular.
         from repro.sim.stats import summarize_batch
 

@@ -106,9 +106,10 @@ from repro.client.search import (
 )
 from repro.client.window import BroadcastWindowSearch
 from repro.core.environment import TNNEnvironment
-from repro.core.join import transitive_join
+# Unused here; kept because perfbench's tracer wraps this binding.
+from repro.core.join import transitive_join  # noqa: F401
 from repro.core.result import TNNResult
-from repro.geometry import Circle, Point, kernels
+from repro.geometry import Point, kernels
 
 #: Smallest same-shape survivor lane worth one multi-query kernel call.
 #: Below it the per-search scalar absorb (itself adaptive) is cheaper than
@@ -201,8 +202,8 @@ class SharedScanExecutor:
 
     Add :class:`~repro.client.scheduler.SearchGroup` instances (their
     ``tag``, when set, must provide ``advance() -> Optional[SearchGroup]``
-    — the query's continuation once the group completes, e.g. the TNN
-    estimate-to-filter hand-off), then :meth:`run` to completion.
+    — the query's continuation once the group completes, e.g. a TNN
+    query's next lifecycle stage), then :meth:`run` to completion.
 
     Serve shapes, chosen per search by what its pop-time prune test reads:
 
@@ -1467,158 +1468,30 @@ class SharedScanExecutor:
 
 
 # ----------------------------------------------------------------------
-# TNN query jobs (estimate -> filter -> join state machine)
+# TNN workloads: every query's lifecycle, page-major
 # ----------------------------------------------------------------------
-class _TNNJob:
-    """One TNN query's lifecycle under the shared scan.
+class _Lifecycle:
+    """The executor's handle on one query's :meth:`TNNAlgorithm._stages`.
 
-    Mirrors :meth:`repro.core.base.TNNAlgorithm.run` stage by stage —
-    estimate searches, re-steering coordinator (Hybrid-NN), filter-phase
-    range queries from ``estimate_finish``, transitive join, metrics — so
-    the assembled :class:`TNNResult` is field-for-field the per-query one.
+    :meth:`advance` resumes the generator once the previous stage's group
+    completed and tags the next group with this handle, or stores the
+    returned :class:`TNNResult` once the generator finishes.
     """
 
-    __slots__ = (
-        "env",
-        "algorithm",
-        "hybrid",
-        "query",
-        "tuner_s",
-        "tuner_r",
-        "nn_s",
-        "nn_r",
-        "range_s",
-        "range_r",
-        "radius",
-        "seed_pair",
-        "estimate_finish",
-        "estimate_pages",
-        "in_filter",
-        "result",
-        "_steered",
-    )
+    __slots__ = ("stages", "result")
 
-    def __init__(
-        self,
-        env: TNNEnvironment,
-        algorithm,
-        hybrid: bool,
-        query: Point,
-        phase_s: float,
-        phase_r: float,
-        record_log: bool = True,
-    ) -> None:
-        self.env = env
-        self.algorithm = algorithm
-        self.hybrid = hybrid
-        self.query = query
-        self.tuner_s, self.tuner_r = env.tuners(phase_s, phase_r)
-        if not record_log:
-            # Batch campaigns that never read traces skip every log-list
-            # (and event-arena) append; counters and clocks still count.
-            self.tuner_s.record_log = False
-            self.tuner_r.record_log = False
-        policy_s, policy_r = algorithm._policies(env)
-        self.nn_s = BroadcastNNSearch(env.s_tree, self.tuner_s, query, policy_s)
-        self.nn_r = BroadcastNNSearch(env.r_tree, self.tuner_r, query, policy_r)
-        self.in_filter = False
+    def __init__(self, stages) -> None:
+        self.stages = stages
         self.result: Optional[TNNResult] = None
-        self._steered = False
-
-    def start(self) -> SearchGroup:
-        if self.hybrid:
-            # Hybrid-NN: the finish of either channel re-steers the other,
-            # so the pair keeps run_all's exact step interleaving.
-            return SearchGroup(
-                [self.nn_s, self.nn_r],
-                paired=True,
-                on_finish=self._coordinator,
-                tag=self,
-            )
-        # Double-NN: two independent searches, order-free.
-        return SearchGroup([self.nn_s, self.nn_r], tag=self)
-
-    def _coordinator(self, finished_search) -> None:
-        # Verbatim HybridNN._estimate coordination (Cases 2 and 3).
-        if self._steered:
-            return
-        if finished_search is self.nn_s and not self.nn_r.finished():
-            s, _ = self.nn_s.result()
-            self.nn_r.retarget(s)  # Case 2
-            self._steered = True
-        elif finished_search is self.nn_r and not self.nn_s.finished():
-            r, _ = self.nn_r.result()
-            self.nn_s.switch_to_transitive(self.query, r)  # Case 3
-            self._steered = True
 
     def advance(self) -> Optional[SearchGroup]:
-        if not self.in_filter:
-            s, _ = self.nn_s.result()
-            r, _ = self.nn_r.result()
-            self.radius = self.query.distance_to(s) + s.distance_to(r)
-            self.seed_pair = (s, r)
-            self.estimate_finish = max(self.tuner_s.now, self.tuner_r.now)
-            self.estimate_pages = (
-                self.tuner_s.pages_downloaded + self.tuner_r.pages_downloaded
-            )
-            circle = Circle(self.query, self.radius)
-            self.range_s = BroadcastRangeSearch(
-                self.env.s_tree, self.tuner_s, circle, self.estimate_finish
-            )
-            self.range_r = BroadcastRangeSearch(
-                self.env.r_tree, self.tuner_r, circle, self.estimate_finish
-            )
-            self.in_filter = True
-            return SearchGroup([self.range_s, self.range_r], tag=self)
-
-        s0, r0 = self.seed_pair
-        seed_bound = self.query.distance_to(s0) + s0.distance_to(r0)
-        s, r, dist = transitive_join(
-            self.query,
-            self.range_s.results,
-            self.range_r.results,
-            initial_bound=seed_bound,
-            initial_pair=self.seed_pair,
-        )
-        tuner_s, tuner_r = self.tuner_s, self.tuner_r
-        self.result = TNNResult(
-            algorithm=self.algorithm.name,
-            query=self.query,
-            s=s,
-            r=r,
-            distance=dist,
-            radius=self.radius,
-            access_time=max(tuner_s.now, tuner_r.now),
-            tune_in_s=tuner_s.pages_downloaded,
-            tune_in_r=tuner_r.pages_downloaded,
-            estimate_pages=self.estimate_pages,
-            filter_pages=(
-                tuner_s.pages_downloaded
-                + tuner_r.pages_downloaded
-                - self.estimate_pages
-            ),
-            estimate_finish=self.estimate_finish,
-            data_pages=0,
-            failed=s is None or r is None,
-        )
-        return None
-
-
-def shared_scan_supported(algorithm) -> bool:
-    """True when :func:`execute_tnn_batch` can run this algorithm.
-
-    The page-major job mirrors the exact Double-NN / Hybrid-NN lifecycles
-    stage by stage; subclasses (which may override ``_estimate``), ANN
-    optimizations, and data-page retrieval keep the per-query path.
-    """
-    from repro.core.double import DoubleNN
-    from repro.core.hybrid import HybridNN
-
-    return (
-        type(algorithm) in (DoubleNN, HybridNN)
-        and algorithm.optimization is None
-        and not algorithm.include_data_retrieval
-    )
+        try:
+            group = next(self.stages)
+        except StopIteration as done:
+            self.result = done.value
+            return None
+        group.tag = self
+        return group
 
 
 def execute_tnn_batch(
@@ -1629,21 +1502,24 @@ def execute_tnn_batch(
 ) -> List[TNNResult]:
     """Run a TNN workload page-major; results in workload order.
 
-    ``algorithm`` must satisfy :func:`shared_scan_supported`; the returned
+    Any :class:`~repro.core.base.TNNAlgorithm` runs here: the executor
+    drives each query's :meth:`~repro.core.base.TNNAlgorithm._stages`
+    (estimate groups, the filter's two range searches, the join), the
+    same lifecycle ``algorithm.run`` drives alone, so the returned
     :class:`TNNResult` stream is bit-identical to running
     ``algorithm.run(env, q, phase_s, phase_r)`` per query.  Pass
     ``record_log=False`` to skip per-tuner reception logs (counters and
     clocks still count) — for batch campaigns that never read traces.
     """
-    from repro.core.hybrid import HybridNN
-
-    hybrid = isinstance(algorithm, HybridNN)
-    jobs = [
-        _TNNJob(env, algorithm, hybrid, q, phase_s, phase_r, record_log)
-        for q, phase_s, phase_r in queries
-    ]
+    jobs = []
     executor = SharedScanExecutor()
-    for job in jobs:
-        executor.add(job.start())
+    for q, phase_s, phase_r in queries:
+        tuner_s, tuner_r = env.tuners(phase_s, phase_r)
+        if not record_log:
+            tuner_s.record_log = False
+            tuner_r.record_log = False
+        job = _Lifecycle(algorithm._stages(env, q, tuner_s, tuner_r))
+        jobs.append(job)
+        executor.add(job.advance())
     executor.run()
     return [job.result for job in jobs]  # type: ignore[misc]

@@ -1,4 +1,4 @@
-"""Experiment harness: workloads, runners, statistics and canned experiments.
+"""Experiment harness: statistics, tables and canned experiments.
 
 ``repro.sim.experiments`` contains one function per figure/table of the
 paper's evaluation (Section 6); the benchmark modules under ``benchmarks/``
@@ -9,7 +9,7 @@ paper-scale run and a minutes-long laptop run share one code path.
 """
 
 from repro.sim.stats import MetricStats, ResultStats, summarize, summarize_batch
-from repro.sim.runner import ExperimentRunner, QueryWorkload
+from repro.engine import QueryWorkload
 from repro.sim.tables import format_series, format_table
 from repro.sim.experiments import (
     ExperimentSeries,
@@ -27,7 +27,6 @@ __all__ = [
     "ResultStats",
     "summarize",
     "summarize_batch",
-    "ExperimentRunner",
     "QueryWorkload",
     "format_series",
     "format_table",

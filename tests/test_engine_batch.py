@@ -8,7 +8,7 @@ from repro.core import ApproximateTNN, DoubleNN, HybridNN, TNNEnvironment
 from repro.datasets import uniform
 from repro.engine import QueryEngine, QueryWorkload, SharedScanRunner
 from repro.geometry import Point, Rect, distance
-from repro.sim import ExperimentRunner, summarize, summarize_batch
+from repro.sim import summarize, summarize_batch
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +33,6 @@ def test_serial_batch_identical_to_sequential_runner(env, algo_cls):
     batch = SharedScanRunner(env, workload, workers=0)
     sequential = _per_query(env, algo_cls(), workload)
     assert batch.run_algorithm(algo_cls()) == sequential
-    assert ExperimentRunner(env, workload).run_algorithm(algo_cls()) == sequential
 
 
 def test_process_pool_bit_identical(env):
@@ -45,7 +44,7 @@ def test_process_pool_bit_identical(env):
     assert batch.run_algorithm(DoubleNN(), workers=0) == reference
     assert batch.run_algorithm(DoubleNN(), workers=2) == reference
     assert batch.run_algorithm(DoubleNN(), workers=3) == reference
-    # A per-query algorithm (outside the shared scan) shards the same way.
+    # An algorithm with no estimate searches shards the same way.
     approx = _per_query(env, ApproximateTNN(), workload)
     # An empty workload completes in every mode with no results.
     empty = SharedScanRunner(env, QueryWorkload(0, seed=11))
@@ -86,9 +85,9 @@ def test_compare_failures_caches_reference(env):
     calls = {"n": 0}
 
     class CountingDoubleNN(DoubleNN):
-        def run(self, *args, **kwargs):
+        def _stages(self, *args, **kwargs):
             calls["n"] += 1
-            return super().run(*args, **kwargs)
+            return super()._stages(*args, **kwargs)
 
     batch = SharedScanRunner(env, QueryWorkload(5, seed=6))
     reference = CountingDoubleNN()
@@ -103,6 +102,7 @@ def test_compare_failures_detects_bad_candidate(env):
     class BrokenApproximate(ApproximateTNN):
         def _estimate(self, env, query, tuner_s, tuner_r, policy_s, policy_r):
             return 1e-6, None
+            yield  # still a generator
 
     batch = SharedScanRunner(env, QueryWorkload(5, seed=6))
     assert batch.compare_failures(BrokenApproximate(), DoubleNN()) == 1.0
@@ -168,6 +168,6 @@ def test_query_engine_batch_roundtrip(env):
 # ----------------------------------------------------------------------
 def test_workload_importable_from_both_homes():
     from repro.engine.workload import QueryWorkload as EngineWorkload
-    from repro.sim.runner import QueryWorkload as SimWorkload
+    from repro.sim import QueryWorkload as SimWorkload
 
     assert EngineWorkload is SimWorkload

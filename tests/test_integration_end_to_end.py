@@ -20,9 +20,9 @@ from repro.core import (
     WindowBasedTNN,
 )
 from repro.datasets import city_like, gaussian_clusters, uniform
+from repro.engine import QueryWorkload, SharedScanRunner
 from repro.geometry import Rect
 from repro.rtree import tnn_oracle
-from repro.sim import ExperimentRunner, QueryWorkload
 
 REGION = Rect(0.0, 0.0, 39_000.0, 39_000.0)
 
@@ -38,7 +38,7 @@ def env():
 
 @pytest.fixture(scope="module")
 def runner(env):
-    return ExperimentRunner(env, QueryWorkload(12, seed=5))
+    return SharedScanRunner(env, QueryWorkload(12, seed=5))
 
 
 @pytest.fixture(scope="module")

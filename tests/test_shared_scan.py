@@ -18,6 +18,9 @@ from repro.broadcast import (
     PageCorruptionModel,
     PageLossModel,
     SystemParameters,
+    available_layouts,
+    make_fault_model,
+    make_layout,
 )
 from repro.client import (
     BroadcastKNNSearch,
@@ -26,7 +29,15 @@ from repro.client import (
     SearchGroup,
     run_all,
 )
-from repro.core import DoubleNN, HybridNN, TNNEnvironment, WindowBasedTNN
+from repro.core import (
+    AnnOptimization,
+    ApproximateTNN,
+    BruteForceTNN,
+    DoubleNN,
+    HybridNN,
+    TNNEnvironment,
+    WindowBasedTNN,
+)
 from repro.core.environment import TNNEnvironment as _Env
 from repro.datasets import sized_uniform
 from repro.engine import (
@@ -39,7 +50,7 @@ from repro.engine import (
     WindowRequest,
     execute_tnn_batch,
 )
-from repro.engine.shared_scan import SharedScanExecutor, shared_scan_supported
+from repro.engine.shared_scan import SharedScanExecutor
 from repro.geometry import Circle, Point, Rect, kernels
 
 import random
@@ -124,21 +135,56 @@ def test_shared_runner_matches_batch_runner(env64):
         )
 
 
-def test_shared_runner_falls_back_for_unsupported(env64):
-    workload = QueryWorkload(6, seed=4)
-    queries = workload.queries(env64)
-    shared = SharedScanRunner(env64, workload, workers=0)
-    # Foreign algorithm type, data retrieval, and subclasses all fall back.
-    assert not shared_scan_supported(WindowBasedTNN())
-    assert not shared_scan_supported(HybridNN(include_data_retrieval=True))
+#: Every algorithm configuration the page-major lifecycle must reproduce.
+_ALGORITHM_CONFIGS = {
+    "double": DoubleNN,
+    "hybrid": HybridNN,
+    "window": WindowBasedTNN,
+    "approximate": ApproximateTNN,
+    "brute-force": BruteForceTNN,
+    "double-ann": lambda: DoubleNN(optimization=AnnOptimization()),
+    "hybrid-ann": lambda: HybridNN(optimization=AnnOptimization(1 / 150)),
+    "window-ann": lambda: WindowBasedTNN(
+        optimization=AnnOptimization(density_aware=False)
+    ),
+    "hybrid-data": lambda: HybridNN(include_data_retrieval=True),
+    "approximate-data": lambda: ApproximateTNN(include_data_retrieval=True),
+}
 
-    class TweakedDoubleNN(DoubleNN):
-        pass
+#: Fault family -> registry constructor arguments (None: lossless).
+_TNN_FAULTS = {
+    "lossless": None,
+    "iid": ("iid", {"rate": 0.2, "seed": 3}),
+    "gilbert-elliott": (
+        "gilbert-elliott",
+        {"bad_rate": 0.6, "p_good_bad": 0.1, "p_bad_good": 0.3, "seed": 5},
+    ),
+    "corruption": ("corruption", {"rate": 0.2, "seed": 7}),
+}
 
-    assert not shared_scan_supported(TweakedDoubleNN())
-    assert shared_scan_supported(HybridNN())
-    for algo in (WindowBasedTNN(), HybridNN(include_data_retrieval=True)):
-        assert shared.run_algorithm(algo) == _per_query(env64, algo, queries)
+
+@pytest.mark.parametrize("fault", list(_TNN_FAULTS))
+@pytest.mark.parametrize("layout", available_layouts())
+def test_every_algorithm_page_major_matches_per_query(layout, fault):
+    """Every algorithm configuration — exact, approximate, brute force,
+    ANN, with data retrieval — runs page-major through its one lifecycle,
+    bit-identical to per-query ``algorithm.run`` on every layout and
+    fault family."""
+    spec = _TNN_FAULTS[fault]
+    env = TNNEnvironment.build(
+        sized_uniform(300, seed=1),
+        sized_uniform(500, seed=2),
+        params=SystemParameters(page_capacity=64),
+        layout=make_layout(layout),
+        loss=None if spec is None else make_fault_model(spec[0], **spec[1]),
+    )
+    queries = _random_queries(env, 12, seed=3)
+    for name, make in _ALGORITHM_CONFIGS.items():
+        algo = make()
+        want = _per_query(env, algo, queries)
+        assert execute_tnn_batch(env, algo, queries) == want, name
+        if algo.include_data_retrieval:
+            assert any(r.data_pages > 0 for r in want), name
 
 
 def test_shared_runner_pool_phase_sharding(env64):
@@ -966,14 +1012,13 @@ def test_executor_drives_unknown_steppables_generically():
 
 
 # ----------------------------------------------------------------------
-# The supervised pool runs unsupported algorithms too
+# The supervised pool runs every algorithm
 # ----------------------------------------------------------------------
 def test_batch_runner_pool_still_bit_identical(env64):
-    """Window-Based TNN (no shared scan) shards through the same pool."""
+    """Window-Based TNN shards through the same pool."""
     workload = QueryWorkload(9, seed=12)
     runner = SharedScanRunner(env64, workload)
     algo = WindowBasedTNN()
-    assert not shared_scan_supported(algo)
     serial = runner.run_algorithm(algo, workers=0)
     assert serial == _per_query(env64, algo, workload.queries(env64))
     assert runner.run_algorithm(algo, workers=2) == serial

@@ -6,9 +6,9 @@ import pytest
 
 from repro.core import ApproximateTNN, DoubleNN, TNNEnvironment, WindowBasedTNN
 from repro.datasets import uniform
+from repro.engine import SharedScanRunner
 from repro.geometry import Rect
 from repro.sim import (
-    ExperimentRunner,
     MetricStats,
     QueryWorkload,
     format_series,
@@ -50,7 +50,7 @@ def test_workload_counts(env):
 
 
 def test_runner_same_workload_for_all_algorithms(env):
-    runner = ExperimentRunner(env, QueryWorkload(5, seed=3))
+    runner = SharedScanRunner(env, QueryWorkload(5, seed=3))
     res_a = runner.run_algorithm(DoubleNN())
     res_b = runner.run_algorithm(WindowBasedTNN())
     # Same query points in the same order.
@@ -61,7 +61,7 @@ def test_runner_same_workload_for_all_algorithms(env):
 
 
 def test_runner_summary(env):
-    runner = ExperimentRunner(env, QueryWorkload(5, seed=4))
+    runner = SharedScanRunner(env, QueryWorkload(5, seed=4))
     stats = runner.run({"double-nn": DoubleNN()})
     st = stats["double-nn"]
     assert st.algorithm == "double-nn"
@@ -76,7 +76,7 @@ def test_summarize_empty_raises():
 
 
 def test_compare_failures_exact_never_fails(env):
-    runner = ExperimentRunner(env, QueryWorkload(5, seed=5))
+    runner = SharedScanRunner(env, QueryWorkload(5, seed=5))
     assert runner.compare_failures(WindowBasedTNN(), DoubleNN()) == 0.0
 
 
@@ -86,8 +86,9 @@ def test_compare_failures_detects_bad_radius(env):
     class BrokenApproximate(ApproximateTNN):
         def _estimate(self, env, query, tuner_s, tuner_r, policy_s, policy_r):
             return 1e-6, None
+            yield  # still a generator
 
-    runner = ExperimentRunner(env, QueryWorkload(5, seed=6))
+    runner = SharedScanRunner(env, QueryWorkload(5, seed=6))
     assert runner.compare_failures(BrokenApproximate(), DoubleNN()) == 1.0
 
 
