@@ -85,10 +85,15 @@ replays closed form (replicas sit exactly one cycle apart),
 bit-identically to the per-query retry loop, in the NN round flush and
 in the drain alike, so robustness no longer costs the shared-scan
 speedup.  One drain serve empties a kNN or window search, lossless or
-faulty, or a faulty range search, in a single pass, absorbing each leaf
-before the next pop — a kNN leaf with the exact scalar offer loop, so the
-bound it moves prunes the very next pop, a range or window leaf with the
-search's own absorb.  Lossless range searches (the TNN filter phase's
+faulty, or a faulty range search, in a single pass.  Index pages are
+numbered in DFS preorder, so a downloaded node's children fill the
+pages right after it and cyclic page order is a stack order: the drain
+walks two plain node lists (this lap's, top first, and the next lap's),
+pushes each expanded fan-out reversed, and defers only the page one
+slot on when the float clock rounds past it.  Each leaf is absorbed
+before the next pop — a kNN leaf with the exact scalar offer loop, so
+the bound it moves prunes the very next pop, a range or window leaf with
+the search's own absorb.  Lossless range searches (the TNN filter phase's
 circle queries, ``run_many`` range requests) skip the pop loop: batches
 of 128 walk the node store level by level with one exact MINDIST kernel
 call per level, and every download's slot follows in closed form from

@@ -12,8 +12,9 @@ path, leaf absorption evaluates every leaf point in one
 :func:`kernels.point_dists` call and pre-filters the candidate heap
 offers with ``np.partition``.  The scalar per-point loop stays as the
 bit-identical oracle (``kernels.use_kernels(False)``).  The shared-scan
-executor drains a lossless frontier-backed kNN search in one serve and
-absorbs each leaf inline with that scalar loop
+executor drains a frontier-backed kNN search, on a lossless or a faulty
+tuner, in one serve (a preorder stack walk) and absorbs each leaf inline
+with that scalar loop
 (:meth:`~repro.engine.shared_scan.SharedScanExecutor._serve_drain`).
 """
 

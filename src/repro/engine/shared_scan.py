@@ -38,11 +38,11 @@ range searches on a frontier (the TNN filter phase's two circle queries,
 ``_RANGE_BATCH`` of them walk the node store level by level together, one
 exact multi-query MINDIST call per level deciding every prune, and each
 download's slot follows in closed form from the drain's float clock.  The
-other searches — kNN, window and faulty range searches — drain, absorbing
-each leaf before the next pop: a kNN leaf (3–4 points at 64-byte pages)
-with the exact scalar offer loop, whose moved k-th-best bound the very
-next pop reads, and a range or window leaf with the search's own
-``_absorb_leaf``.
+other searches — kNN, window and faulty range searches — drain as a
+stack walk (pages are numbered in DFS preorder), absorbing each leaf
+before the next pop: a kNN leaf (3–4 points at 64-byte pages) with the
+exact scalar offer loop, whose moved k-th-best bound the very next pop
+reads, and a range or window leaf with the search's own ``_absorb_leaf``.
 
 **Bit-identity contract.**  The per-query path remains the oracle: for
 every query, the executor produces the same answers, access times, tune-in
@@ -60,10 +60,10 @@ construction:
   guarantee scans) with every stored value still computed by the exact
   scalar metrics; the absorb lanes replay the per-query absorb logic
   (``_absorb_internal`` / ``_absorb_leaf``) on the batched rows, the kNN
-  drain runs the scalar offer loop (``_offer_known``) itself, the range
-  pass replays the drain's cursor (prunes, float clock and its rounding
-  jumps) in closed form, and the inlined page download replays the
-  tuner's arrival arithmetic;
+  drain runs the scalar offer loop (``_offer_known``) itself, the drain's
+  stack walk and the range pass's slots replay the per-query cursor
+  (prunes, float clock and its rounding jumps), and the inlined page
+  download replays the tuner's arrival arithmetic;
 * everything that cannot batch falls back to the search's own per-query
   code path: sub-threshold lanes, heap-backed searches (distributed
   layouts, and every search built under ``REPRO_NO_KERNELS=1``, where the
@@ -87,7 +87,6 @@ construction:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from heapq import heappush, heapreplace
 from typing import List, Optional, Sequence, Tuple
 
@@ -117,8 +116,8 @@ from repro.geometry import Point, kernels
 #: is purely a performance dial.
 _MIN_LANE = 4
 
-#: Search types served by :meth:`SharedScanExecutor._serve_drain` (a
-#: lossless frontier-backed range search takes the set-at-a-time pass).
+#: Search types served by :meth:`SharedScanExecutor._serve_drain`'s stack
+#: walk (a lossless frontier-backed range search takes the range pass).
 _DRAIN_TYPES = (BroadcastKNNSearch, BroadcastRangeSearch, BroadcastWindowSearch)
 
 #: Range searches per set-at-a-time pass.  Big enough that every kernel
@@ -165,35 +164,6 @@ def _retry_chain(model, slot0: int, cycle: int, phase: float,
         slot0 += cycle
 
 
-def _splice_fanout(f, node) -> None:
-    """``f.push_many(node.children, src=node)``, trimmed for a drain serve.
-
-    A kNN or range drain empties its frontier in one serve, so it dies
-    with the serve: the MBR-chunk cache and the eval-guard
-    bookkeeping (rescan machinery) are skipped — only the slot/order
-    lanes, the bound padding and the footprint peak matter.
-    """
-    order_pages = f._order_pages
-    order_slots = f._order_slots
-    slot_nodes = f._nodes
-    base_slot = len(slot_nodes)
-    pages = node.child_page_list()
-    slots = range(base_slot, base_slot + len(pages))
-    slot_nodes.extend(node.children)
-    f._bounds.extend([None] * len(pages))
-    i = bisect_left(order_pages, pages[0])
-    if i == len(order_pages) or order_pages[i] > pages[-1]:
-        order_pages[i:i] = pages
-        order_slots[i:i] = slots
-    else:  # pragma: no cover - non-sibling batches
-        for page, slot in zip(pages, slots):
-            j = bisect_left(order_pages, page)
-            order_pages.insert(j, page)
-            order_slots.insert(j, slot)
-    if len(order_pages) > f.max_size:
-        f.max_size = len(order_pages)
-
-
 # ----------------------------------------------------------------------
 # The round-based executor
 # ----------------------------------------------------------------------
@@ -226,11 +196,11 @@ class SharedScanExecutor:
       closed-form slots, booking per search), once a batch fills or no NN
       search is left in the arena.
     * **kNN / window / faulty range searches** — the prune test reads only
-      the search's own state, so one :meth:`_serve_drain` drains the whole
-      search: pops, the inline MINDIST prune against the k-th-best bound
-      or the radius (a window search filters at push time instead),
-      downloads (with their retry chains on a faulty tuner), and every
-      leaf absorbed before the next pop.
+      the search's own state, so one :meth:`_serve_drain` stack walk
+      drains the whole search: pops, the inline MINDIST prune against the
+      k-th-best bound or the radius (a window search filters at push time
+      instead), downloads (with their retry chains on a faulty tuner), and
+      every leaf absorbed before the next pop.
     * anything else (heap backends — among them every search built under
       ``REPRO_NO_KERNELS=1`` — non-trivial pruning policies, NN searches
       grouped with other types, unknown types) — a burst of the search's
@@ -917,25 +887,24 @@ class SharedScanExecutor:
         """Drain one kNN, window or faulty range search in one serve.
 
         (Lossless range searches on a frontier take the set-at-a-time
-        :meth:`_serve_range_batch` instead; this loop is its reference.)
-        Each pop's prune test reads only the search's own state — the
-        k-th-best bound of a kNN search, the fixed radius of a range
-        search; a window search filtered its children at push time, so it
-        downloads every pop.  Each leaf is absorbed before the next pop:
-        a kNN leaf through the scalar offer loop (``_offer_known``) inline,
-        so the next prune test reads the bound it moved; a range or window
-        leaf through the search's own ``_absorb_leaf``.  A faulty tuner's
-        download replays its retry chain closed form (:func:`_retry_chain`)
-        — a retry moves the clock by whole cycles, so the cyclic cursor
-        stays put.  Heap-backed searches burst their own steps instead.
+        :meth:`_serve_range_batch` instead.)  Pages are numbered in DFS
+        preorder, so a downloaded node's children fill pages ``(x,
+        end(x)]`` and no other queued entry lies there: cyclic page order
+        is a stack order.  ``lap`` holds this lap's entries, smallest page
+        on top, ``later`` the next lap's, ascending.  An expansion pushes
+        its fan-out reversed (a window search only the children it
+        intersects); a download whose float clock rounds past the next
+        slot defers the page there to ``later``.  A pop's prune reads only
+        the search's own k-th-best bound or radius, and each leaf is
+        absorbed before the next pop.  A faulty tuner's download replays
+        its retry chain closed form (:func:`_retry_chain`); a retry moves
+        the clock by whole cycles, so the cursor stays put.  Heap-backed
+        searches burst their own steps.
         """
         if not self._fast(s):
             self._burst(g, s, math.inf, False, ctx)
             return
         f = s._frontier
-        order_pages = f._order_pages
-        order_slots = f._order_slots
-        slot_nodes = f._nodes
         cycle = f._cycle
         fphase = f._phase
         hyp = math.hypot
@@ -947,7 +916,9 @@ class SharedScanExecutor:
             best = s._best
             seq = s._offer_seq
             bound = s.bound
-        elif not window:
+        elif window:
+            wx0, wy0, wx1, wy1 = s.window
+        else:
             center = s.circle.center
             qx = center.x
             qy = center.y
@@ -964,24 +935,33 @@ class SharedScanExecutor:
         now = tuner.now
         pops = 0
         base = math.ceil(now - fphase)
-        # The cyclic walk only moves forward (prunes keep the clock, and a
-        # download's children insert at or after the cursor), so the pop
-        # position is maintained incrementally: one bisect per drain.
-        i = bisect_left(order_pages, base % cycle)
-        while order_pages:
-            if i >= len(order_pages):
-                i = 0  # wrap: the earliest page of the next index copy
-            page = order_pages.pop(i)
-            slot = order_slots.pop(i)
+        queued = [f._nodes[j] for j in f._order_slots]  # ascending pages
+        lap = [n for n in reversed(queued) if n.page_id >= base % cycle]
+        later = [n for n in queued if n.page_id < base % cycle]
+        del f._order_pages[:]
+        del f._order_slots[:]
+        peak = f.max_size
+        while True:
+            if not lap:
+                if not later:
+                    break
+                later.reverse()
+                lap, later = later, []
+            node = lap.pop()
             pops += 1
-            node = slot_nodes[slot]
             if not window:
-                # Inline Rect.mindist (same max/hypot sequence, no call);
-                # circle.intersects_rect is mindist <= radius.
+                # Inline Rect.mindist with its max terms as conditionals:
+                # the same hypot, since at most one term is positive and
+                # hypot drops the sign of a zero.  circle.intersects_rect
+                # is mindist <= radius.
                 xmin, ymin, xmax, ymax = node.mbr
-                if hyp(max(xmin - qx, 0.0, qx - xmax),
-                       max(ymin - qy, 0.0, qy - ymax)) > bound:
+                dx = xmin - qx if xmin > qx else (
+                    qx - xmax if qx > xmax else 0.0)
+                dy = ymin - qy if ymin > qy else (
+                    qy - ymax if qy > ymax else 0.0)
+                if hyp(dx, dy) > bound:
                     continue
+            page = node.page_id
             if loss is None:
                 arrival = base + (page - base) % cycle + fphase
                 pages_dl.append(page)
@@ -998,30 +978,39 @@ class SharedScanExecutor:
             now = arrival + 1.0
             if node.level != 0:
                 if window:
-                    s._push_intersecting(node)
+                    # Rect.intersects_rect, children in reverse page order.
+                    for child in reversed(node.children):
+                        xmin, ymin, xmax, ymax = child.mbr
+                        if not (xmin > wx1 or xmax < wx0
+                                or ymin > wy1 or ymax < wy0):
+                            lap.append(child)
                 else:
-                    _splice_fanout(f, node)
+                    lap.extend(reversed(node.children))
+                if len(lap) + len(later) > peak:
+                    peak = len(lap) + len(later)
             elif knn:
-                # The scalar oracle's offer loop (_offer_known): one
-                # sequence number per offered point, bound re-read after.
+                # The scalar offer loop (_offer_known), ``bound`` kept at
+                # the k-th best.  Only the order of the sequence numbers
+                # breaks ties, so a rejected offer takes none.
                 for pt in node.points:
                     d = hyp(qx - pt.x, qy - pt.y)
-                    entry = (-d, next(seq), pt)
-                    if len(best) < k:
-                        heappush(best, entry)
-                    elif d < -best[0][0]:
-                        heapreplace(best, entry)
-                if len(best) == k:
-                    bound = -best[0][0]
+                    if d < bound or len(best) < k:
+                        if len(best) < k:
+                            heappush(best, (-d, next(seq), pt))
+                        else:
+                            heapreplace(best, (-d, next(seq), pt))
+                        if len(best) == k:
+                            bound = -best[0][0]
             else:
                 s._absorb_leaf(node)
             base = math.ceil(now - fphase)
-            if base % cycle != page + 1:
-                # The clock's float roundtrip rounded past the next page
-                # slot (or the lap wrapped): recover the cursor with one
-                # bisect, exactly like the per-pop reference.
-                i = bisect_left(order_pages, base % cycle)
+            if (base % cycle != page + 1 and lap
+                    and lap[-1].page_id == page + 1):
+                # The float clock rounded past slot x + 1 (past the lap's
+                # end it passes over page 0, the root: never queued here).
+                later.append(lap.pop())
         tuner.record_index_run(pages_dl, arrs, now, oks, lost, corrupt)
+        f.max_size = peak
         f._version += pops
         ctx[1].append((g, s))
 

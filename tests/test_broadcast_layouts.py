@@ -102,6 +102,35 @@ def test_next_index_arrival_matches_tables_and_is_monotone(name):
             prev = arrival
 
 
+_CYCLIC = [n for n in available_layouts() if make_layout(n).has_cyclic_order]
+
+
+@pytest.mark.parametrize("page_capacity", [64, 512])
+@pytest.mark.parametrize("name", _CYCLIC)
+def test_cyclic_layouts_number_pages_in_preorder(name, page_capacity):
+    """Every subtree spans pages ``[page, page + subtree size)`` and a
+    node's first child sits at ``page + 1``: cyclic page order from any
+    cursor is then a stack order, which the shared-scan drain walks, and
+    a fan-out fills one gap of a sorted frontier, which
+    ``ArrivalFrontier.push_many`` splices in one piece."""
+    layout = make_layout(name)
+    params = SystemParameters(page_capacity=page_capacity)
+    tree = layout.build_index(POINTS, params)
+    program = layout.build_program(tree, params)
+
+    def span(node):
+        """Check ``node``'s subtree; return its size."""
+        size = 1
+        for child in node.children:
+            assert child.page_id == node.page_id + size
+            size += span(child)
+        return size
+
+    assert tree.root.page_id == 0
+    assert span(tree.root) == program.index_length
+    assert any(len(node.children) > 1 for node in tree.iter_nodes())
+
+
 def test_hot_index_pages_ancestor_closed():
     layout = RTreeInterleavedLayout()
     tree = layout.build_index(POINTS, PARAMS)

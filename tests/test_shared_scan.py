@@ -26,6 +26,7 @@ from repro.client import (
     BroadcastKNNSearch,
     BroadcastNNSearch,
     BroadcastRangeSearch,
+    BroadcastWindowSearch,
     SearchGroup,
     run_all,
 )
@@ -431,10 +432,18 @@ def _knn_cases(env, case):
         points = [Point(-500.0, -500.0), Point(1e4, 95.0), Point(95.0, -0.5)]
         ks = (1, 4, 30)
     return [
-        KNNRequest(q, k, (17.0 * i + 3.5 * k) % cycle, "s")
+        KNNRequest(q, k, phase, "s")
         for i, q in enumerate(points)
         for k in ks
+        for phase in ((17.0 * i + 3.5 * k) % cycle, _rounding_phase(i))
     ]
+
+
+def _rounding_phase(i):
+    """A phase at which the float clock rounds past the next slot after
+    a download at most of the first lap's index slots of the lattice env,
+    at both page sizes (whole- and half-slot phases never round it)."""
+    return 127.3 - 0.5 * i
 
 
 def _single_query(engine, r):
@@ -480,9 +489,13 @@ def test_knn_drain_bit_identical_to_single_query(case, page_capacity,
     """
     env = _lattice_env(page_capacity)
     requests = _knn_cases(env, case)
+    jumps = _spy_jumps(monkeypatch, (BroadcastKNNSearch,))
     got, records, bursts = _drain_vs_single(env, requests, monkeypatch)
     assert all(log for log, *_ in records)
     assert bursts == []
+    # The float clock rounds past a queued page's slot, which the drain
+    # must then pass over until the next lap.
+    assert jumps
     if case == "tie-at-kth-bound":
         # The case really ties at the k-th bound: some answer's k-th
         # distance is shared by a point left out of it.
@@ -513,9 +526,9 @@ def _region_cases(case):
         windows = [Rect(20.0, 20.0, 60.0, 40.0), Rect(95.0, 0.0, 190.0, 95.0)]
     requests = []
     for i in range(4):
-        phase = 101.5 * i
-        requests += [RangeRequest(c, r, phase, "s") for c, r in circles]
-        requests += [WindowRequest(w, phase, "s") for w in windows]
+        for phase in (101.5 * i, _rounding_phase(i)):
+            requests += [RangeRequest(c, r, phase, "s") for c, r in circles]
+            requests += [WindowRequest(w, phase, "s") for w in windows]
     return requests
 
 
@@ -531,6 +544,9 @@ def test_range_window_drain_bit_identical_to_single_query(
     discovery order; no lossless range or window search bursts.
     """
     env = _lattice_env(page_capacity)
+    jumps = _spy_jumps(
+        monkeypatch, (BroadcastRangeSearch, BroadcastWindowSearch)
+    )
     got, records, bursts = _drain_vs_single(
         env, _region_cases(case), monkeypatch
     )
@@ -539,6 +555,7 @@ def test_range_window_drain_bit_identical_to_single_query(
         assert all(not a.answers for a in got)
     else:
         assert all(log for log, *_ in records)
+        assert jumps  # a download rounds past a queued page's slot
     if case == "covering":
         assert all(len(a.answers) == len(env.s_points) for a in got)
     elif case == "boundary":
@@ -693,32 +710,36 @@ def _spy_drained(monkeypatch):
     return drained
 
 
-def _spy_jumps(monkeypatch):
-    """Record the per-query range steps whose download's clock rounds past
-    the next page slot while that page is queued.
+def _spy_jumps(monkeypatch, classes=(BroadcastRangeSearch,)):
+    """Record the per-query steps (of searches of ``classes``) whose
+    download's clock rounds past the next page slot while that page is
+    queued.
 
     Returns ``(search, page)`` rows: the cursor passes over the entry at
     ``page + 1`` until the next lap.  Only the per-query ``step`` is spied,
     so the rows describe the reference path whatever the executor does.
     """
     rows = []
-    step = BroadcastRangeSearch.step
 
-    def step_spy(self):
-        f = self._frontier
-        before = self.tuner.now
-        n = self.tuner.index_pages
-        step(self)
-        if f is None or self.tuner.index_pages == n:
-            return
-        page = self.tuner.log[-1][1]
-        base = math.ceil(before - f._phase)
-        slot = base + (page - base) % f._cycle
-        if (math.ceil(self.tuner.now - f._phase) != slot + 1
-                and page + 1 in f._order_pages):
-            rows.append((self, page))
+    def spy(step):
+        def step_spy(self):
+            f = self._frontier
+            before = self.tuner.now
+            n = self.tuner.index_pages
+            step(self)
+            if f is None or self.tuner.index_pages == n:
+                return
+            page = self.tuner.log[-1][1]
+            base = math.ceil(before - f._phase)
+            slot = base + (page - base) % f._cycle
+            if (math.ceil(self.tuner.now - f._phase) != slot + 1
+                    and page + 1 in f._order_pages):
+                rows.append((self, page))
 
-    monkeypatch.setattr(BroadcastRangeSearch, "step", step_spy)
+        return step_spy
+
+    for cls in classes:
+        monkeypatch.setattr(cls, "step", spy(cls.step))
     return rows
 
 
@@ -864,6 +885,80 @@ def test_range_pass_serves_shared_tuner_searches_in_group_order(
         engine._finish(s) for s in want
     ]
     assert got[0].tuner.log == want[0].tuner.log
+
+
+def _paired_searches(env, kind, n=30, seed=41):
+    """``n`` pairs of kNN or window searches, one per channel, each on its
+    own tuner.  The phases lie near 512, where many downloads round the
+    float clock past the next slot: a drain whose frontier straddles its
+    cursor needs such a jump before the drain starts."""
+    engine = QueryEngine(env)
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(n):
+        pair = []
+        for channel, tree in (("s", env.s_tree), ("r", env.r_tree)):
+            tuner = engine._tuner(channel, rng.uniform(400.0, 520.0))
+            q = env.random_query_point(rng)
+            if kind == "knn":
+                pair.append(
+                    BroadcastKNNSearch(tree, tuner, q, rng.randint(1, 12))
+                )
+            else:
+                w, h = rng.uniform(50.0, 1500.0), rng.uniform(50.0, 1500.0)
+                pair.append(BroadcastWindowSearch(
+                    tree, tuner, Rect(q.x - w, q.y - h, q.x + w, q.y + h)
+                ))
+        pairs.append(pair)
+    return pairs
+
+
+@pytest.mark.parametrize("kind", ["knn", "window"])
+def test_paired_drain_groups_match_run_all(kind, monkeypatch):
+    """Paired kNN and window groups through the executor match ``run_all``
+    on the same pair: answers (window results in discovery order), clock,
+    tune-in, max queue size and the tuner log event by event.  The pair
+    ping-pongs through per-query steps until one member finishes; the
+    other then drains from a part-stepped frontier, in some pairs with
+    queued pages on both sides of the cursor."""
+    env = TNNEnvironment.build(
+        sized_uniform(2000, seed=13),
+        sized_uniform(2000, seed=14),
+        params=SystemParameters(page_capacity=64),
+    )
+    engine = QueryEngine(env)
+    starts = []
+    serve_drain = SharedScanExecutor._serve_drain
+
+    def drain_spy(self, g, s, ctx):
+        f = s._frontier
+        cursor = math.ceil(s.tuner.now - f._phase) % f._cycle
+        pages = f._order_pages
+        starts.append((
+            s.tuner.index_pages > 0,
+            bool(pages) and pages[0] < cursor <= pages[-1],
+        ))
+        return serve_drain(self, g, s, ctx)
+
+    monkeypatch.setattr(SharedScanExecutor, "_serve_drain", drain_spy)
+    with kernels.use_kernels(True):
+        want = _paired_searches(env, kind)
+        for pair in want:
+            run_all(pair)
+        got = _paired_searches(env, kind)
+        executor = SharedScanExecutor()
+        for pair in got:
+            executor.add(SearchGroup(pair, paired=True))
+        executor.run()
+
+    def state(s):
+        return engine._finish(s), s.tuner.log
+
+    assert [state(s) for pair in got for s in pair] == [
+        state(s) for pair in want for s in pair
+    ]
+    assert any(stepped for stepped, _ in starts)
+    assert any(straddles for _, straddles in starts)
 
 
 def test_lossy_range_searches_keep_the_drain(monkeypatch):
