@@ -13,8 +13,9 @@ searches (none for Approximate-TNN and Brute-Force-TNN, two parallel NN
 searches for Double-NN, re-steered ones for Hybrid-NN, two sequential
 ones for Window-Based), then the filter's two range searches, then the
 transitive join and the optional data retrieval.  ``algorithm.run``, as
-in this example's first section, drives one query's stages alone and is
-the reference path; ``SharedScanRunner`` drives every query's stages
+in this example's first section, drives one query's stages alone (each
+member of an independent stage drained on its own, Hybrid-NN's
+re-steered pair stepped in time order) and is the reference path; ``SharedScanRunner`` drives every query's stages
 through the page-major shared-scan executor, for every algorithm, ANN
 optimisation and data retrieval alike, with bit-identical results.
 
@@ -84,16 +85,21 @@ Faulty searches stay on the fast path: the retry chain of a missed page
 replays closed form (replicas sit exactly one cycle apart),
 bit-identically to the per-query retry loop, in the NN round flush and
 in the drain alike, so robustness no longer costs the shared-scan
-speedup.  One drain serve empties a kNN or window search, lossless or
-faulty, or a faulty range search, in a single pass.  Index pages are
+speedup.  One drain (``repro.client.drain``) empties a search in a
+single pass: every ``run_to_completion`` of a frontier-backed NN
+(point mode, no pruning policy), kNN, range or window search, as in this
+example's first section, and the executor's serve of a kNN or window
+search, lossless or faulty, or of a faulty range search.  Index pages are
 numbered in DFS preorder, so a downloaded node's children fill the
 pages right after it and cyclic page order is a stack order: the drain
 walks two plain node lists (this lap's, top first, and the next lap's),
 pushes each expanded fan-out reversed, and defers only the page one
-slot on when the float clock rounds past it.  Each leaf is absorbed
-before the next pop — a kNN leaf with the exact scalar offer loop, so
-the bound it moves prunes the very next pop, a range or window leaf with
-the search's own absorb.  Lossless range searches (the TNN filter phase's
+slot on when the float clock rounds past it.  Each node is absorbed
+before the next pop — an NN node with the strict offer loop or the
+MINMAXDIST guarantee hand-off, a kNN leaf with the exact scalar offer
+loop, so the bound it moves prunes the very next pop, a range or window
+leaf with the search's own absorb.  The step-at-a-time ``step()`` loop
+stays the reference it is tested against.  Lossless range searches (the TNN filter phase's
 circle queries, ``run_many`` range requests) skip the pop loop: batches
 of 128 walk the node store level by level with one exact MINDIST kernel
 call per level, and every download's slot follows in closed form from

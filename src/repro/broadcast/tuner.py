@@ -102,15 +102,17 @@ class ChannelTuner:
         it, and is appended to ``log`` as a ``(kind, ref, arrival, ok)``
         event for trace tooling.
         """
-        # NOTE: the shared-scan executor's serve loops inline this success
-        # path for lossless tuners (``now = arrival + 1.0``, one page
-        # counted, one ``(kind, ref, arrival, True)`` log entry — batched
-        # through the TunerLedger when attached), and for faulty tuners
-        # both its round flush and its drain serve replay the whole retry
-        # chain closed form (``_retry_chain``), booked through
+        # NOTE: the shared-scan executor's serve loops and the client's
+        # drain walk inline this success path for lossless tuners (``now
+        # = arrival + 1.0``, one page counted, one ``(kind, ref, arrival,
+        # True)`` log entry — batched through the TunerLedger when
+        # attached), and for faulty tuners both the executor's round
+        # flush and the drain replay the whole retry chain closed form
+        # (``retry_chain``), booked through
         # ``TunerLedger.flush_round_faulty`` or ``record_index_run`` — see
-        # repro/engine/shared_scan.py.  Any change to the accounting here
-        # must be mirrored there to preserve the bit-identity contract.
+        # repro/engine/shared_scan.py and repro/client/drain.py.  Any
+        # change to the accounting here must be mirrored there to
+        # preserve the bit-identity contract.
         loss = self.loss
         attempts = 0
         while True:

@@ -19,6 +19,10 @@ Implements the building blocks shared by every TNN algorithm:
   searches on multiple channels in simulated-time order via a
   lazy-invalidation event heap (O(log channels) per page arrival);
   :func:`run_all_scan` is the brute-force reference.
+* :func:`~repro.client.drain.drain` — runs one frontier-backed search to
+  completion as a single preorder stack walk, bit-identical to stepping
+  it; every search's ``run_to_completion`` and the shared-scan
+  executor's drain serves call it.
 * :class:`ArrivalFrontier` — the struct-of-arrays candidate queue behind
   every steppable search on the kernel path: arrivals refreshed per
   arrival tick and lower bounds evaluated in queue-wide kernel batches,

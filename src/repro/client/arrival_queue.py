@@ -20,6 +20,13 @@ Two interchangeable backends produce bit-identical pop orders:
 
 Subclasses provide ``self.tuner`` and call :meth:`_init_queue` before the
 first :meth:`_push`.
+
+Pops go through the queue one at a time only while the search steps.  A
+frontier-backed search run to completion alone (``run_to_completion``
+wherever :meth:`ArrivalQueueMixin._drains` holds, and the shared-scan
+executor's drain serves) reads the frontier's queued entries once and
+walks them as two plain node lists (:func:`repro.client.drain.drain`),
+leaving the frontier empty.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import math
 from typing import List, Optional, Tuple
 
 from repro.broadcast.tuner import ChannelTuner
+from repro.client.drain import drain
 from repro.client.frontier import ArrivalFrontier
 from repro.geometry import kernels
 from repro.rtree.node import RTreeNode
@@ -150,6 +158,24 @@ class ArrivalQueueMixin:
         _, _, node = heapq.heappop(self._queue)
         self._head_state = None
         return node, None, False
+
+    # ------------------------------------------------------------------
+    # Running to completion
+    # ------------------------------------------------------------------
+    def _drains(self) -> bool:
+        """Whether :func:`~repro.client.drain.drain` can run this search:
+        it walks the frontier backend's queue."""
+        return self._frontier is not None
+
+    def _run_to_end(self) -> None:
+        """Run the search to completion: one drain walk when it
+        :meth:`_drains`, else one ``step()`` per queued node — the loop
+        the walk is tested against."""
+        if self._drains():
+            drain(self)
+            return
+        while not self.finished():
+            self.step()
 
     # ------------------------------------------------------------------
     # Introspection for the scheduler

@@ -447,13 +447,15 @@ class ArrivalFrontier:
         # their DFS-preorder ids ascend, and every page id strictly between
         # two siblings belongs to the earlier sibling's (unexpanded, hence
         # unqueued) subtree.  One bisect plus a slice splice inserts the
-        # whole fan-out; anything violating the invariant (defensive only)
-        # falls back to per-item inserts.
+        # whole fan-out.  A search never breaks that invariant, but a
+        # caller that queues a node and later the fan-out of one of its
+        # ancestors does (test_frontier_arena.py's random interleavings):
+        # those batches take per-item inserts.
         i = bisect_left(order_pages, pages[0])
         if i == len(order_pages) or order_pages[i] > pages[-1]:
             order_pages[i:i] = pages
             order_slots[i:i] = slots
-        else:  # pragma: no cover - non-sibling batches
+        else:
             for page, slot in zip(pages, slots):
                 j = bisect_left(order_pages, page)
                 order_pages.insert(j, page)

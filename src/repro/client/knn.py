@@ -11,11 +11,11 @@ Queue plumbing comes from the shared arrival frontier; on the kernel
 path, leaf absorption evaluates every leaf point in one
 :func:`kernels.point_dists` call and pre-filters the candidate heap
 offers with ``np.partition``.  The scalar per-point loop stays as the
-bit-identical oracle (``kernels.use_kernels(False)``).  The shared-scan
-executor drains a frontier-backed kNN search, on a lossless or a faulty
-tuner, in one serve (a preorder stack walk) and absorbs each leaf inline
-with that scalar loop
-(:meth:`~repro.engine.shared_scan.SharedScanExecutor._serve_drain`).
+bit-identical oracle (``kernels.use_kernels(False)``).  A frontier-backed
+kNN search, on a lossless or a faulty tuner, runs to completion as one
+preorder stack walk that absorbs each leaf inline with that scalar loop
+(:func:`repro.client.drain.drain`), both in :meth:`run_to_completion` and
+in the shared-scan executor's drain serve.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.broadcast.tuner import ChannelTuner
 from repro.client.arrival_queue import ArrivalQueueMixin
+from repro.client.drain import KNN
 from repro.geometry import Point, distance, kernels
 from repro.rtree.node import RTreeNode
 from repro.rtree.tree import RTree
@@ -36,6 +37,8 @@ from repro.rtree.tree import RTree
 
 class BroadcastKNNSearch(ArrivalQueueMixin):
     """Exact k-NN over one broadcast channel, in arrival order."""
+
+    _DRAIN_KIND = KNN
 
     def __init__(
         self,
@@ -131,8 +134,7 @@ class BroadcastKNNSearch(ArrivalQueueMixin):
             self._offer_known(node.points[i], float(d[i]))
 
     def run_to_completion(self) -> List[Tuple[Point, float]]:
-        while not self.finished():
-            self.step()
+        self._run_to_end()
         return self.results()
 
     def results(self) -> List[Tuple[Point, float]]:

@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.broadcast.tuner import ChannelTuner
 from repro.client.arrival_queue import ArrivalQueueMixin
+from repro.client.drain import RANGE
 from repro.geometry import Circle, Point, kernels
 from repro.rtree.node import RTreeNode
 from repro.rtree.tree import RTree
@@ -23,6 +24,8 @@ class BroadcastRangeSearch(ArrivalQueueMixin):
     :func:`kernels.point_dists` call over the leaf's ``points_array()``
     (circle containment is exactly ``dis(center, p) <= radius``).
     """
+
+    _DRAIN_KIND = RANGE
 
     def __init__(
         self,
@@ -81,6 +84,5 @@ class BroadcastRangeSearch(ArrivalQueueMixin):
         )
 
     def run_to_completion(self) -> List[Point]:
-        while not self.finished():
-            self.step()
+        self._run_to_end()
         return self.results

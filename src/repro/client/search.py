@@ -28,6 +28,13 @@ ever pays for the exact metric) — and Hybrid-NN mode switches re-evaluate
 the whole queue in one kernel batch (:meth:`_rescan_queue_bounds`).  Every
 decision is certified identical to the scalar oracle
 (``kernels.use_kernels(False)``), which remains the seed implementation.
+
+:meth:`~BroadcastNNSearch.step` advances one queued node and is what a
+scheduler interleaving several channels calls.  A search run alone to the
+end — a point-mode search under a trivial policy on the frontier — skips
+the per-step dispatch: :meth:`~BroadcastNNSearch.run_to_completion` runs
+:func:`repro.client.drain.drain`, one preorder stack walk over the queue,
+bit-identical to the step loop, which stays the reference.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ import numpy as np
 
 from repro.broadcast.tuner import ChannelTuner
 from repro.client.arrival_queue import ArrivalQueueMixin
+from repro.client.drain import NN
 from repro.client.policies import ExactPolicy, PruneContext, PruningPolicy
 from repro.geometry import Point, distance, min_max_trans_dist, min_trans_dist
 from repro.geometry import kernels
@@ -67,6 +75,8 @@ _CERT_INFLATE = 1.0 + 1e-9
 
 class BroadcastNNSearch(ArrivalQueueMixin):
     """One NN search over one broadcast channel, advanced step by step."""
+
+    _DRAIN_KIND = NN
 
     def __init__(
         self,
@@ -270,8 +280,13 @@ class BroadcastNNSearch(ArrivalQueueMixin):
         return True
 
     def run_to_completion(self) -> None:
-        while not self.finished():
-            self.step()
+        self._run_to_end()
+
+    def _drains(self) -> bool:
+        """The drain walks point-mode searches under a trivial policy on
+        the frontier; transitive mode and pruning policies step."""
+        return (self._frontier is not None and self.mode is SearchMode.POINT
+                and self._policy_trivial)
 
     def _prune_context(self, node: RTreeNode) -> PruneContext:
         return PruneContext(

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.broadcast.tuner import ChannelTuner
 from repro.client.arrival_queue import ArrivalQueueMixin
+from repro.client.drain import WINDOW
 from repro.geometry import Point, Rect, kernels
 from repro.rtree.node import RTreeNode
 from repro.rtree.tree import RTree
@@ -29,6 +30,8 @@ from repro.rtree.tree import RTree
 
 class BroadcastWindowSearch(ArrivalQueueMixin):
     """Collects every indexed point inside a closed rectangle."""
+
+    _DRAIN_KIND = WINDOW
 
     def __init__(
         self,
@@ -91,6 +94,5 @@ class BroadcastWindowSearch(ArrivalQueueMixin):
                 self._push(child)
 
     def run_to_completion(self) -> List[Point]:
-        while not self.finished():
-            self.step()
+        self._run_to_end()
         return self.results

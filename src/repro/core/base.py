@@ -31,8 +31,8 @@ class TNNAlgorithm(abc.ABC):
     subclasses implement), two parallel range queries, then the
     transitive join and the :class:`TNNResult` with the paper's metrics.
     Each stage is yielded as a :class:`~repro.client.SearchGroup`, and two
-    callers run that one description: :meth:`run` answers one query with
-    :func:`~repro.client.run_all`, and
+    callers run that one description: :meth:`run` answers one query,
+    stage by stage, and
     :func:`~repro.engine.shared_scan.execute_tnn_batch` serves a whole
     workload page-major.
 
@@ -62,13 +62,27 @@ class TNNAlgorithm(abc.ABC):
         phase_s: float = 0.0,
         phase_r: float = 0.0,
     ) -> TNNResult:
-        """Answer one TNN query issued at t=0 with the given channel phases."""
+        """Answer one TNN query issued at t=0 with the given channel phases.
+
+        Each stage runs to completion before the next is built.  A paired
+        group (Hybrid-NN's estimate) ping-pongs through
+        :func:`~repro.client.run_all`'s steps, because a member's finish
+        re-steers its sibling.  The members of an unpaired group share no
+        state, so each runs alone through its ``run_to_completion`` (the
+        drain walk on a frontier), and ``on_finish`` fires right after it.
+        """
         tuner_s, tuner_r = env.tuners(phase_s, phase_r)
         stages = self._stages(env, query, tuner_s, tuner_r)
         try:
             while True:
                 group = next(stages)
-                run_all(group.searches, on_finish=group.on_finish)
+                if group.paired:
+                    run_all(group.searches, on_finish=group.on_finish)
+                    continue
+                for search in group.pending:
+                    search.run_to_completion()
+                    if group.on_finish is not None:
+                        group.on_finish(search)
         except StopIteration as done:
             return done.value
 

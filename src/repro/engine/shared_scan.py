@@ -40,14 +40,13 @@ exact multi-query MINDIST call per level deciding every prune, and each
 download's slot follows in closed form from the drain's float clock.  The
 other searches — kNN, window and faulty range searches — drain as a
 stack walk (pages are numbered in DFS preorder), absorbing each leaf
-before the next pop: a kNN leaf (3–4 points at 64-byte pages) with the
-exact scalar offer loop, whose moved k-th-best bound the very next pop
-reads, and a range or window leaf with the search's own ``_absorb_leaf``.
+before the next pop: :func:`repro.client.drain.drain`, the same walk a
+search's own ``run_to_completion`` runs on the per-query path.
 
-**Bit-identity contract.**  The per-query path remains the oracle: for
-every query, the executor produces the same answers, access times, tune-in
-counts and max queue sizes, bit for bit.  The contract holds by
-construction:
+**Bit-identity contract.**  The per-query ``step()`` loop remains the
+oracle: for every query, the executor produces the same answers, access
+times, tune-in counts and max queue sizes, bit for bit.  The contract
+holds by construction:
 
 * each search's *step sequence* is exactly the one ``run_all`` produces —
   groups encode ``run_all``'s ordering rules, and searches in different
@@ -75,9 +74,9 @@ construction:
   replays its retry-to-next-replica loop closed form (a missed page's
   next replica is exactly one cycle later), classifying every attempt
   with the tuner's :class:`~repro.broadcast.loss.FaultModel` through one
-  helper, :func:`_retry_chain`: lossy NN searches stay on the
-  arena/ledger fast path, the round flush booking their chains in one
-  vectorised :meth:`~repro.broadcast.tuner.TunerLedger
+  helper, :func:`~repro.client.drain.retry_chain`: lossy NN searches stay
+  on the arena/ledger fast path, the round flush booking their chains in
+  one vectorised :meth:`~repro.broadcast.tuner.TunerLedger
   .flush_round_faulty` pass, and lossy kNN / range / window searches
   drain like lossless ones, booking every attempt in the drain's one
   ``record_index_run`` call.  Every arena search's tuner books into the
@@ -87,13 +86,12 @@ construction:
 from __future__ import annotations
 
 import math
-from heapq import heappush, heapreplace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.broadcast.loss import FAULT_LOST
 from repro.broadcast.tuner import TunerLedger
+from repro.client.drain import drain, retry_chain
 from repro.client.frontier import FrontierArena, NodeStore
 from repro.client.knn import BroadcastKNNSearch
 from repro.client.range_query import BroadcastRangeSearch
@@ -116,8 +114,10 @@ from repro.geometry import Point, kernels
 #: is purely a performance dial.
 _MIN_LANE = 4
 
-#: Search types served by :meth:`SharedScanExecutor._serve_drain`'s stack
-#: walk (a lossless frontier-backed range search takes the range pass).
+#: Search types served by :meth:`SharedScanExecutor._serve_drain`, which
+#: runs the client's stack walk (:func:`repro.client.drain.drain`) on
+#: them; a lossless frontier-backed range search takes the range pass.
+#: NN searches run the walk only per query: here they serve from the arena.
 _DRAIN_TYPES = (BroadcastKNNSearch, BroadcastRangeSearch, BroadcastWindowSearch)
 
 #: Range searches per set-at-a-time pass.  Big enough that every kernel
@@ -135,33 +135,6 @@ def _sid_append(arr: np.ndarray, i: int, value: int) -> np.ndarray:
         arr = new
     arr[i] = value
     return arr
-
-
-def _retry_chain(model, slot0: int, cycle: int, phase: float,
-                 ev_arr: List[float]) -> Tuple[float, int, int]:
-    """Replay one faulty index download's retry loop closed form.
-
-    Replicas of an index page on a cyclic frontier sit exactly one cycle
-    apart, so attempt ``n`` of a chain whose first attempt falls on
-    integer slot ``slot0`` arrives at ``float(slot0 + n * cycle) +
-    phase`` — the same single rounding the scalar channel arithmetic
-    performs.  Each attempt is classified by ``model`` until one
-    succeeds, exactly like ``ChannelTuner._receive``; every attempt's
-    arrival is appended to ``ev_arr``.  Returns ``(final arrival, lost,
-    corrupt)``: the successful arrival and the failures split by kind.
-    """
-    lost = corrupt = 0
-    while True:
-        arrival = float(slot0) + phase
-        ev_arr.append(arrival)
-        fault = model.classify(arrival)
-        if fault == 0:
-            return arrival, lost, corrupt
-        if fault == FAULT_LOST:
-            lost += 1
-        else:
-            corrupt += 1
-        slot0 += cycle
 
 
 # ----------------------------------------------------------------------
@@ -410,8 +383,8 @@ class SharedScanExecutor:
 
         Lossless rows flush in one :meth:`TunerLedger.flush_round` pass.
         Faulty rows replay the per-query retry loop closed form
-        (:func:`_retry_chain`, from the first attempt's integer slot) and
-        the whole round's chains book in one
+        (:func:`~repro.client.drain.retry_chain`, from the first attempt's
+        integer slot) and the whole round's chains book in one
         :meth:`TunerLedger.flush_round_faulty` pass, bit-identical to
         ``ChannelTuner._receive``.
         """
@@ -439,8 +412,8 @@ class SharedScanExecutor:
         lsids = sids[lossy]
         ev_arr: List[float] = []
         chains = [
-            _retry_chain(sid_loss[sid], int(round(a - phase)), c, phase,
-                         ev_arr)
+            retry_chain(sid_loss[sid], int(round(a - phase)), c, phase,
+                        ev_arr)
             for sid, a, phase, c in zip(
                 lsids.tolist(),
                 arrs[lossy].tolist(),
@@ -837,7 +810,7 @@ class SharedScanExecutor:
 
         Any fault model qualifies — the NN round flush and the drain
         serve both replay the retry-to-next-replica loop closed form
-        (:func:`_retry_chain`).
+        (:func:`~repro.client.drain.retry_chain`).
         """
         if s._frontier is None:
             return False
@@ -887,131 +860,15 @@ class SharedScanExecutor:
         """Drain one kNN, window or faulty range search in one serve.
 
         (Lossless range searches on a frontier take the set-at-a-time
-        :meth:`_serve_range_batch` instead.)  Pages are numbered in DFS
-        preorder, so a downloaded node's children fill pages ``(x,
-        end(x)]`` and no other queued entry lies there: cyclic page order
-        is a stack order.  ``lap`` holds this lap's entries, smallest page
-        on top, ``later`` the next lap's, ascending.  An expansion pushes
-        its fan-out reversed (a window search only the children it
-        intersects); a download whose float clock rounds past the next
-        slot defers the page there to ``later``.  A pop's prune reads only
-        the search's own k-th-best bound or radius, and each leaf is
-        absorbed before the next pop.  A faulty tuner's download replays
-        its retry chain closed form (:func:`_retry_chain`); a retry moves
-        the clock by whole cycles, so the cursor stays put.  Heap-backed
-        searches burst their own steps.
+        :meth:`_serve_range_batch` instead.)  A frontier-backed search
+        runs :func:`~repro.client.drain.drain`, the preorder stack walk
+        its own ``run_to_completion`` runs; a heap-backed one bursts its
+        own steps.
         """
         if not self._fast(s):
             self._burst(g, s, math.inf, False, ctx)
             return
-        f = s._frontier
-        cycle = f._cycle
-        fphase = f._phase
-        hyp = math.hypot
-        knn = type(s) is BroadcastKNNSearch
-        window = type(s) is BroadcastWindowSearch
-        if knn:
-            qx, qy = s.query
-            k = s.k
-            best = s._best
-            seq = s._offer_seq
-            bound = s.bound
-        elif window:
-            wx0, wy0, wx1, wy1 = s.window
-        else:
-            center = s.circle.center
-            qx = center.x
-            qy = center.y
-            bound = s.circle.radius
-        tuner = s.tuner
-        loss = tuner.loss
-        # Reception attempts of this drain collect here and book in one
-        # record_index_run call — one clock write, one counter add, one
-        # log/event-arena extend, on either tuner backend.
-        pages_dl: List[int] = []
-        arrs: List[float] = []
-        oks: Optional[List[bool]] = None if loss is None else []
-        lost = corrupt = 0
-        now = tuner.now
-        pops = 0
-        base = math.ceil(now - fphase)
-        queued = [f._nodes[j] for j in f._order_slots]  # ascending pages
-        lap = [n for n in reversed(queued) if n.page_id >= base % cycle]
-        later = [n for n in queued if n.page_id < base % cycle]
-        del f._order_pages[:]
-        del f._order_slots[:]
-        peak = f.max_size
-        while True:
-            if not lap:
-                if not later:
-                    break
-                later.reverse()
-                lap, later = later, []
-            node = lap.pop()
-            pops += 1
-            if not window:
-                # Inline Rect.mindist with its max terms as conditionals:
-                # the same hypot, since at most one term is positive and
-                # hypot drops the sign of a zero.  circle.intersects_rect
-                # is mindist <= radius.
-                xmin, ymin, xmax, ymax = node.mbr
-                dx = xmin - qx if xmin > qx else (
-                    qx - xmax if qx > xmax else 0.0)
-                dy = ymin - qy if ymin > qy else (
-                    qy - ymax if qy > ymax else 0.0)
-                if hyp(dx, dy) > bound:
-                    continue
-            page = node.page_id
-            if loss is None:
-                arrival = base + (page - base) % cycle + fphase
-                pages_dl.append(page)
-                arrs.append(arrival)
-            else:
-                arrival, nl, nc = _retry_chain(
-                    loss, base + (page - base) % cycle, cycle, fphase, arrs
-                )
-                pages_dl.extend([page] * (nl + nc + 1))
-                oks.extend([False] * (nl + nc))
-                oks.append(True)
-                lost += nl
-                corrupt += nc
-            now = arrival + 1.0
-            if node.level != 0:
-                if window:
-                    # Rect.intersects_rect, children in reverse page order.
-                    for child in reversed(node.children):
-                        xmin, ymin, xmax, ymax = child.mbr
-                        if not (xmin > wx1 or xmax < wx0
-                                or ymin > wy1 or ymax < wy0):
-                            lap.append(child)
-                else:
-                    lap.extend(reversed(node.children))
-                if len(lap) + len(later) > peak:
-                    peak = len(lap) + len(later)
-            elif knn:
-                # The scalar offer loop (_offer_known), ``bound`` kept at
-                # the k-th best.  Only the order of the sequence numbers
-                # breaks ties, so a rejected offer takes none.
-                for pt in node.points:
-                    d = hyp(qx - pt.x, qy - pt.y)
-                    if d < bound or len(best) < k:
-                        if len(best) < k:
-                            heappush(best, (-d, next(seq), pt))
-                        else:
-                            heapreplace(best, (-d, next(seq), pt))
-                        if len(best) == k:
-                            bound = -best[0][0]
-            else:
-                s._absorb_leaf(node)
-            base = math.ceil(now - fphase)
-            if (base % cycle != page + 1 and lap
-                    and lap[-1].page_id == page + 1):
-                # The float clock rounded past slot x + 1 (past the lap's
-                # end it passes over page 0, the root: never queued here).
-                later.append(lap.pop())
-        tuner.record_index_run(pages_dl, arrs, now, oks, lost, corrupt)
-        f.max_size = peak
-        f._version += pops
+        drain(s)
         ctx[1].append((g, s))
 
     # ------------------------------------------------------------------

@@ -6,7 +6,9 @@ answers, access times, tune-in counts, max queue sizes — bit for bit, for
 every query type, at both the paper's page geometries, for searches built
 on the kernel path *and* under ``REPRO_NO_KERNELS``-style scalar
 execution, including workloads whose queries straddle different channel
-phases.  The runner-level reference is per-query ``algorithm.run``.
+phases.  The runner-level reference is per-query ``algorithm.run``; the
+drain and range-pass tests step their reference searches explicitly,
+because ``run_to_completion`` runs the walk the executor's drain runs.
 """
 
 import math
@@ -86,6 +88,21 @@ def _random_queries(env, n, seed=0):
 def _per_query(env, algo, queries):
     """The reference path: ``algo.run`` on every query."""
     return [algo.run(env, q, ps, pr) for q, ps, pr in queries]
+
+
+def _stepped_per_query(env, algo, queries):
+    """``algo.run`` with every stage driven by ``run_all``'s explicit
+    ``step()`` calls (``algo.run`` drains unpaired stages instead)."""
+    out = []
+    for q, ps, pr in queries:
+        stages = algo._stages(env, q, *env.tuners(ps, pr))
+        try:
+            while True:
+                group = next(stages)
+                run_all(group.searches, on_finish=group.on_finish)
+        except StopIteration as done:
+            out.append(done.value)
+    return out
 
 
 def _straddling_queries(env, n, seed=1):
@@ -446,17 +463,22 @@ def _rounding_phase(i):
     return 127.3 - 0.5 * i
 
 
+def _step_to_end(search):
+    """Drive ``search`` by explicit ``step()`` calls, the reference path
+    (``run_to_completion`` runs the drain walk the executor runs)."""
+    while not search.finished():
+        search.step()
+    return search
+
+
 def _single_query(engine, r):
-    """The per-query reference answer of one drain request."""
-    if isinstance(r, KNNRequest):
-        return engine.knn(r.point, r.k, r.phase, r.channel)
-    if isinstance(r, RangeRequest):
-        return engine.range(r.center, r.radius, r.phase, r.channel)
-    return engine.window(r.window, r.phase, r.channel)
+    """The per-query reference answer of one drain request: the search
+    ``QueryEngine.knn`` / ``.range`` / ``.window`` would build, stepped."""
+    return engine._finish(_step_to_end(engine._build(r)))
 
 
 def _drain_vs_single(env, requests, monkeypatch):
-    """``run_many`` vs the single-query methods on one request batch.
+    """``run_many`` vs stepped single-query searches on one request batch.
 
     Asserts equal answers, access times, tune-in counts and max queue
     sizes, and equal finish records (tuner logs event by event, lost
@@ -794,8 +816,9 @@ def test_range_pass_bit_identical_to_single_query(page_capacity, monkeypatch):
 @pytest.mark.parametrize("algo_cls", [DoubleNN, HybridNN])
 def test_tnn_filter_pass_bit_identical_to_per_query(algo_cls, monkeypatch):
     """execute_tnn_batch's filter searches take the range pass, and every
-    one ends in the state of its per-query twin: tuner log, clock, tune-in,
-    max queue size and results in discovery order."""
+    one ends in the state of its per-query twin, stepped by ``run_all``:
+    tuner log, clock, tune-in, max queue size and results in discovery
+    order."""
     env = _two_cycle_env(64)
     queries = _random_queries(env, 80, seed=5)
     built = []
@@ -826,7 +849,7 @@ def test_tnn_filter_pass_bit_identical_to_per_query(algo_cls, monkeypatch):
 
     algo = algo_cls()
     with kernels.use_kernels(True):
-        want = _per_query(env, algo, queries)
+        want = _stepped_per_query(env, algo, queries)
         want_states = states()
         got = execute_tnn_batch(env, algo, queries, record_log=True)
     assert got == want
@@ -865,7 +888,7 @@ def test_range_pass_serves_shared_tuner_searches_in_group_order(
 
     want = searches()
     for s in want:
-        s.run_to_completion()
+        _step_to_end(s)
     batches = []
     serve = SharedScanExecutor._serve_range_batch
 
