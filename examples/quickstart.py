@@ -15,7 +15,9 @@ ones for Window-Based), then the filter's two range searches, then the
 transitive join and the optional data retrieval.  ``algorithm.run``, as
 in this example's first section, drives one query's stages alone (each
 member of an independent stage drained on its own, Hybrid-NN's
-re-steered pair stepped in time order) and is the reference path; ``SharedScanRunner`` drives every query's stages
+re-steered pair in alternating runs, each member drained up to its
+sibling's next arrival) and is the reference path;
+``SharedScanRunner`` drives every query's stages
 through the page-major shared-scan executor, for every algorithm, ANN
 optimisation and data retrieval alike, with bit-identical results.
 
@@ -89,7 +91,10 @@ speedup.  One drain (``repro.client.drain``) empties a search in a
 single pass: every ``run_to_completion`` of a frontier-backed NN
 (point mode, no pruning policy), kNN, range or window search, as in this
 example's first section, and the executor's serve of a kNN or window
-search, lossless or faulty, or of a faulty range search.  Index pages are
+search, lossless or faulty, or of a faulty range search.  Given a
+limit, the same walk stops before the first page due after it and hands
+the rest of its queue back: each run of a Hybrid-NN pair member ends at
+its sibling's next arrival.  Index pages are
 numbered in DFS preorder, so a downloaded node's children fill the
 pages right after it and cyclic page order is a stack order: the drain
 walks two plain node lists (this lap's, top first, and the next lap's),

@@ -20,8 +20,9 @@ Implements the building blocks shared by every TNN algorithm:
   lazy-invalidation event heap (O(log channels) per page arrival);
   :func:`run_all_scan` is the brute-force reference.
 * :func:`~repro.client.drain.drain` — runs one frontier-backed search to
-  completion as a single preorder stack walk, bit-identical to stepping
-  it; every search's ``run_to_completion`` and the shared-scan
+  completion, or up to a limit, as a single preorder stack walk,
+  bit-identical to stepping it; every search's ``run_to_completion``,
+  each bounded run of a Hybrid-NN pair member and the shared-scan
   executor's drain serves call it.
 * :class:`ArrivalFrontier` — the struct-of-arrays candidate queue behind
   every steppable search on the kernel path: arrivals refreshed per

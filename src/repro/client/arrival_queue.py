@@ -22,11 +22,13 @@ Subclasses provide ``self.tuner`` and call :meth:`_init_queue` before the
 first :meth:`_push`.
 
 Pops go through the queue one at a time only while the search steps.  A
-frontier-backed search run to completion alone (``run_to_completion``
+frontier-backed search run alone (``run_to_completion`` and the bounded
+runs of Hybrid-NN's pair, both through :meth:`ArrivalQueueMixin._run_until`
 wherever :meth:`ArrivalQueueMixin._drains` holds, and the shared-scan
 executor's drain serves) reads the frontier's queued entries once and
 walks them as two plain node lists (:func:`repro.client.drain.drain`),
-leaving the frontier empty.
+leaving the frontier empty — or, stopped at a limit, holding the
+unvisited entries again.
 """
 
 from __future__ import annotations
@@ -167,14 +169,23 @@ class ArrivalQueueMixin:
         it walks the frontier backend's queue."""
         return self._frontier is not None
 
-    def _run_to_end(self) -> None:
-        """Run the search to completion: one drain walk when it
-        :meth:`_drains`, else one ``step()`` per queued node — the loop
-        the walk is tested against."""
+    def _run_until(self, limit: float = math.inf,
+                   strict: bool = False) -> None:
+        """Run the search until its next page arrives past ``limit`` (at
+        ``limit`` too when ``strict``), or to completion (the default).
+
+        One drain walk when the search :meth:`_drains`, else one
+        ``step()`` per queued node — the loop the walk is tested against.
+        A two-member driver passes each member's sibling's next event
+        here (:meth:`~repro.core.base.TNNAlgorithm.run`).
+        """
         if self._drains():
-            drain(self)
+            drain(self, limit, strict)
             return
         while not self.finished():
+            t = self.next_event_time()
+            if t > limit or (strict and t == limit):
+                return
             self.step()
 
     # ------------------------------------------------------------------

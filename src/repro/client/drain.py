@@ -4,10 +4,15 @@ A search's :meth:`step` pops one queued node in cyclic page order, prunes
 it or downloads and absorbs it.  :func:`drain` replays that whole step
 sequence in one loop, bit for bit, for NN (point mode, trivial policy),
 kNN, range and window searches on an
-:class:`~repro.client.frontier.ArrivalFrontier`.  Every search's
-``run_to_completion`` calls it where it applies
-(:meth:`~repro.client.arrival_queue.ArrivalQueueMixin._drains`), and so
-does the shared-scan executor's drain serve
+:class:`~repro.client.frontier.ArrivalFrontier` — to completion, or up
+to a limit on the next page's arrival, handing the unvisited entries
+back to the frontier.  Every search's ``run_to_completion`` calls it
+where it applies
+(:meth:`~repro.client.arrival_queue.ArrivalQueueMixin._drains`), so do
+the bounded runs that drive Hybrid-NN's pair
+(:meth:`~repro.client.arrival_queue.ArrivalQueueMixin._run_until`, each
+member up to its sibling's next arrival) and the shared-scan executor's
+drain serve
 (:meth:`~repro.engine.shared_scan.SharedScanExecutor._serve_drain`); the
 explicit ``step()`` loop stays the reference.
 
@@ -62,20 +67,29 @@ def retry_chain(model, slot0: int, cycle: int, phase: float,
         slot0 += cycle
 
 
-def drain(s) -> None:
-    """Run search ``s`` to completion as one preorder stack walk.
+def drain(s, limit: float = math.inf, strict: bool = False) -> None:
+    """Run search ``s`` as one preorder stack walk, to completion or to
+    ``limit``.
 
     ``s`` is frontier-backed (standalone, not in an arena); an NN search
     is in point mode with a trivial policy.  Seeding splits the
     frontier's queued entries at the cursor ``ceil(now - phase) %
-    cycle``.  A pop prunes on the exact MINDIST against the search's own
-    bound: the NN upper bound, the kNN k-th best or the range radius (a
-    window search filters its children at push time instead).  A
-    download books at the cursor's closed-form arrival, or replays its
-    retry chain on a faulty tuner (:func:`retry_chain`; a retry moves the
-    clock by whole cycles, so the cursor stays put), and every attempt
-    books in one ``record_index_run`` call.  Each node is absorbed before
-    the next pop:
+    cycle``.  Before each pop a bounded walk (finite ``limit``) computes
+    the top entry's arrival and stops when it lies past ``limit`` (at
+    ``limit`` too when ``strict``) — the step loop's stopping rule
+    (``_run_until``), which reproduces :func:`~repro.client.run_all`'s
+    two-member tie rule.  A stopped walk writes its unvisited entries
+    back to the frontier in ascending page order, so ``step()``,
+    ``next_event_time()``, a rescan or a later walk resume from the
+    state the step loop would have left.  A pop prunes on the exact
+    MINDIST against the search's own bound: the NN upper bound, the kNN
+    k-th best or the range radius (a window search filters its children
+    at push time instead).  A download books at the cursor's closed-form
+    arrival, or replays its retry chain on a faulty tuner
+    (:func:`retry_chain`; a retry moves the clock by whole cycles, so the
+    cursor stays put), and every attempt books in one
+    ``record_index_run`` call.  Each node is absorbed before the next
+    pop:
 
     * NN: a leaf runs the strict-``<`` offer loop; an internal node takes
       the best MINMAXDIST guarantee over its children holding points and
@@ -125,6 +139,7 @@ def drain(s) -> None:
     lost = corrupt = 0
     now = tuner.now
     pops = 0
+    bounded = limit < math.inf
     base = math.ceil(now - fphase)
     queued = [f._nodes[j] for j in f._order_slots]  # ascending pages
     lap = [n for n in reversed(queued) if n.page_id >= base % cycle]
@@ -138,6 +153,15 @@ def drain(s) -> None:
                 break
             later.reverse()
             lap, later = later, []
+        if bounded:
+            page = lap[-1].page_id
+            arrival = base + (page - base) % cycle + fphase
+            if arrival > limit or (strict and arrival == limit):
+                # Stop before the pop: the unvisited entries go back to
+                # the emptied frontier, ascending (later < lap).
+                later.extend(reversed(lap))
+                f.push_many(later)
+                break
         node = lap.pop()
         pops += 1
         if not window:

@@ -134,7 +134,7 @@ class BroadcastKNNSearch(ArrivalQueueMixin):
             self._offer_known(node.points[i], float(d[i]))
 
     def run_to_completion(self) -> List[Tuple[Point, float]]:
-        self._run_to_end()
+        self._run_until()
         return self.results()
 
     def results(self) -> List[Tuple[Point, float]]:

@@ -84,5 +84,5 @@ class BroadcastRangeSearch(ArrivalQueueMixin):
         )
 
     def run_to_completion(self) -> List[Point]:
-        self._run_to_end()
+        self._run_until()
         return self.results

@@ -6,7 +6,10 @@ searches in simulated-time order, stepping whichever search would download
 the earliest page next — this is what "the two NN queries are processed in
 parallel" (Algorithm 1, line 3) means operationally.  An optional callback
 fires after every step so a coordinator (Hybrid-NN) can react the moment
-one channel finishes.
+one channel finishes.  :func:`run_all` is the step-at-a-time reference:
+``algorithm.run`` drives Hybrid-NN's pair on the same schedule in
+bounded runs, each member run up to its sibling's next event
+(:meth:`~repro.core.base.TNNAlgorithm.run`), and is tested against it.
 
 :func:`run_all` keeps the unfinished searches in a lazy-invalidation event
 heap — O(log channels) per simulated page arrival — so one client can
@@ -178,9 +181,12 @@ class SearchGroup:
     * ``paired=True`` — exactly **two** members, coupled through an
       ``on_finish`` callback that mutates the sibling (Hybrid-NN's
       re-steering), so only the member :func:`run_all` would step next
-      (:meth:`due`) may be served per driver round.  A sibling must never
-      advance past the finisher's completion event, or it would process a
-      page under the wrong metric.
+      (:meth:`due`) may be served per driver round, and only while its
+      next event stays before the sibling's (at or before it for the
+      first member): the executor bursts it that far, ``algorithm.run``
+      runs it that far in one bounded run (a drain walk on a frontier).
+      A sibling must never advance past the finisher's completion event,
+      or it would process a page under the wrong metric.
     * ``paired=False`` — the members are mutually independent (no callback
       observes another member: Double-NN's estimate phase, the filter
       phase's two range queries, any single-search query).  The driver may

@@ -280,7 +280,7 @@ class BroadcastNNSearch(ArrivalQueueMixin):
         return True
 
     def run_to_completion(self) -> None:
-        self._run_to_end()
+        self._run_until()
 
     def _drains(self) -> bool:
         """The drain walks point-mode searches under a trivial policy on

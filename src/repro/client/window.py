@@ -94,5 +94,5 @@ class BroadcastWindowSearch(ArrivalQueueMixin):
                 self._push(child)
 
     def run_to_completion(self) -> List[Point]:
-        self._run_to_end()
+        self._run_until()
         return self.results

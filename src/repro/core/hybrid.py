@@ -65,8 +65,9 @@ class HybridNN(TNNAlgorithm):
                 nn_s.switch_to_transitive(query, r)  # Case 3
                 steered = True
 
-        # Paired: the finish of either channel re-steers the other, so the
-        # pair keeps run_all's exact step interleaving.
+        # Paired: the finish of either channel re-steers the other, so
+        # neither member may run past its sibling's next event (run_all's
+        # schedule, which algorithm.run keeps in bounded runs).
         yield SearchGroup([nn_s, nn_r], paired=True, on_finish=coordinator)
         s, _ = nn_s.result()
         r, _ = nn_r.result()

@@ -9,10 +9,16 @@ with cyclic page order, lossless and under each fault family, at
 whole-slot phases and at phases where the float clock rounds past the
 next slot, from a fresh start and part-stepped, and compare answers,
 clock, index / lost / corrupt pages, ``max_queue_size`` and the tuner
-log event by event.  ``algorithm.run``, which drains unpaired stages,
-is checked against its stages stepped by ``run_all``.
+log event by event.  A bounded walk (``drain(s, limit, strict)``, each
+run of a Hybrid-NN pair member) is checked against the step loop with
+the same stopping rule, then both routes run on to the end.
+``algorithm.run``, which drains unpaired stages and runs a paired one in
+alternating bounded runs, is checked against its stages stepped by
+``run_all``, and the pair driver's schedule against ``run_all``'s on
+scripted arrival times.
 """
 
+import functools
 import math
 import random
 
@@ -35,13 +41,16 @@ from repro.client import (
     BroadcastWindowSearch,
     run_all,
 )
+from repro.client.arrival_queue import ArrivalQueueMixin
 from repro.core import (
+    AnnOptimization,
     ApproximateTNN,
     DoubleNN,
     HybridNN,
     TNNEnvironment,
     WindowBasedTNN,
 )
+from repro.core.base import _run_pair
 from repro.datasets import sized_uniform
 from repro.geometry import Circle, Point, Rect, kernels
 from repro.rtree import str_pack
@@ -75,6 +84,7 @@ _CLASSES = (
 _STEP = 1500.0
 
 
+@functools.lru_cache(maxsize=None)
 def _env(layout, fault, page_capacity):
     spec = _FAULTS[fault]
     loss = None if spec is None else make_fault_model(spec[0], **spec[1])
@@ -146,14 +156,15 @@ def _step_to_end(search):
     return jumps
 
 
+def _no_step(self):
+    raise AssertionError("the walk stepped")
+
+
 def _walk_to_end(search, monkeypatch):
     """The drain route: ``run_to_completion`` with ``step`` disabled."""
-    def no_step(self):
-        raise AssertionError("run_to_completion stepped")
-
     with monkeypatch.context() as m:
         for cls in _CLASSES:
-            m.setattr(cls, "step", no_step)
+            m.setattr(cls, "step", _no_step)
         search.run_to_completion()
 
 
@@ -256,6 +267,105 @@ def test_nn_outside_the_walk_keeps_stepping(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# The bounded walk: a run up to a limit, then on to the end
+# ----------------------------------------------------------------------
+def _step_until(search, limit, strict):
+    """The reference bounded run: step while the next arrival is within
+    ``limit`` (``<=``, or ``<`` when ``strict``)."""
+    while not search.finished():
+        t = search.next_event_time()
+        if t > limit or (strict and t == limit):
+            return
+        search.step()
+
+
+def _deferred(search):
+    """The last download rounded the clock past slot x + 1 and page x + 1
+    is still queued: the walk holds it in its next-lap list."""
+    f = search._frontier
+    log = search.tuner.log
+    if not log:
+        return False
+    page = log[-1][1]
+    return (math.ceil(search.tuner.now - f._phase) % f._cycle != page + 1
+            and page + 1 in f._order_pages)
+
+
+def _limits(search):
+    """Stopping rules for ``search`` from the arrivals of the pops its
+    step loop makes, ascending: a limit before the clock, limits at a
+    queued arrival (strict and not), between two arrivals, and a stop
+    right after a download deferred page x + 1; then, with the queue part
+    drained, the first arrival again (already passed)."""
+    start = search.tuner.now
+    pops = []
+    while not search.finished():
+        pops.append((search.next_event_time(), _deferred(search)))
+        search.step()
+    arrs = [t for t, _ in pops]
+    out = [(start - 1.0, False), (arrs[0], True)]
+    for j in (len(arrs) // 3, (2 * len(arrs)) // 3):
+        out += [(arrs[j], True), (arrs[j], False)]
+        if j + 1 < len(arrs):
+            out.append(((arrs[j] + arrs[j + 1]) / 2.0, False))
+    out += [(arrs[j], True) for j, (_, d) in enumerate(pops) if d][:1]
+    # A strict stop at a time comes before the non-strict one.
+    return sorted(out, key=lambda rule: (rule[0], not rule[1])) + [
+        (arrs[0], False)
+    ]
+
+
+def _queue(search):
+    return list(search._frontier._order_pages), search.next_event_time()
+
+
+@pytest.mark.parametrize("page_capacity", [64, 512])
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+@pytest.mark.parametrize("layout", _CYCLIC)
+def test_bounded_drain_matches_bounded_steps(layout, fault, page_capacity,
+                                             monkeypatch):
+    """A walk stopped at a limit leaves the step loop's exact state
+    (answers, clock, page counters, tuner log, queue peak, queued pages
+    and next arrival); the next bounded walk, and then a walk or a
+    ``step()`` loop to the end, resume it."""
+    env = _env(layout, fault, page_capacity)
+    deferred_stops = 0
+    no_pop = 0
+    stops = 0
+    with kernels.use_kernels(True):
+        for b, build in enumerate(_builders(env)):
+            for p, phase in enumerate(_PHASES):
+                walked, stepped, ref = (
+                    build(ChannelTuner(
+                        BroadcastChannel(env.s_program, phase=phase),
+                        loss=env.loss,
+                    ))
+                    for _ in range(3)
+                )
+                assert walked._drains()
+                for limit, strict in _limits(ref):
+                    before = _state(walked)
+                    with monkeypatch.context() as m:
+                        for cls in _CLASSES:
+                            m.setattr(cls, "step", _no_step)
+                        walked._run_until(limit, strict)
+                    _step_until(stepped, limit, strict)
+                    assert _state(walked) == _state(stepped)
+                    assert _queue(walked) == _queue(stepped)
+                    no_pop += _state(walked) == before
+                    deferred_stops += _deferred(stepped)
+                    stops += not stepped.finished()
+                if (b + p) % 2:
+                    _walk_to_end(walked, monkeypatch)
+                else:
+                    _step_to_end(walked)
+                _step_to_end(stepped)
+                assert _state(walked) == _state(stepped)
+    assert no_pop and stops
+    assert deferred_stops  # a stop while page x + 1 waits for the next lap
+
+
+# ----------------------------------------------------------------------
 # Empty internal nodes: the witness hand-off and the void-witness rescan
 # ----------------------------------------------------------------------
 def _empty_node_setup(q, n, seed, deep=False):
@@ -343,7 +453,7 @@ def test_empty_internal_nodes_walk_like_steps(case, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# algorithm.run: unpaired stages drain, paired ones ping-pong
+# algorithm.run: unpaired stages drain, a pair runs in bounded runs
 # ----------------------------------------------------------------------
 def _stepped_run(algo, env, q, ps, pr):
     """``algo.run`` with every stage driven by ``run_all``'s steps."""
@@ -356,23 +466,143 @@ def _stepped_run(algo, env, q, ps, pr):
         return done.value
 
 
+#: Channel phase pairs: equal phases put both channels' arrivals on one
+#: grid, so a pair's next arrivals can tie; whole-slot and rounding.
+_PAIR_PHASES = ((0.0, 211.0), (127.3, 127.3), (211.0, 0.0), (509.7, 509.7))
+
+
+def _spy_pairs(m, seen):
+    """Count Hybrid-NN's re-steers and the pair runs that start on an
+    arrival tie (``ta == tb``: the first member runs to its own next
+    arrival); record whether each bounded run drained."""
+    for name in ("retarget", "switch_to_transitive"):
+        def spy(self, *args, _name=name, _orig=getattr(BroadcastNNSearch,
+                                                        name)):
+            seen[_name] += 1
+            _orig(self, *args)
+
+        m.setattr(BroadcastNNSearch, name, spy)
+    run_until = BroadcastNNSearch._run_until
+
+    def run_until_spy(self, limit=math.inf, strict=False):
+        if limit < math.inf:
+            seen["drains" if self._drains() else "steps"] += 1
+            seen["ties"] += not strict and self.next_event_time() == limit
+        run_until(self, limit, strict)
+
+    m.setattr(BroadcastNNSearch, "_run_until", run_until_spy)
+
+
 @pytest.mark.parametrize("fault", sorted(_FAULTS))
 @pytest.mark.parametrize(
     "algo_cls", [DoubleNN, HybridNN, WindowBasedTNN, ApproximateTNN]
 )
-def test_algorithm_run_matches_stepped_stages(algo_cls, fault):
+def test_algorithm_run_matches_stepped_stages(algo_cls, fault, monkeypatch):
     """Each query's result (answer pair, distance, radius, access time,
     tune-in per channel and per phase) matches its stages stepped by
-    ``run_all``, whole-slot and rounding phases alike."""
-    env = _env("rtree", fault, 64)
-    rng = random.Random(11)
+    ``run_all``, whole-slot and rounding phases alike.  Hybrid-NN's pair
+    runs on every layout with cyclic order and reaches both re-steers and
+    an arrival tie between its members."""
+    hybrid = algo_cls is HybridNN
     algo = algo_cls()
+    seen = dict.fromkeys(
+        ("retarget", "switch_to_transitive", "ties", "drains", "steps"), 0
+    )
+    for layout in _CYCLIC if hybrid else ["rtree"]:
+        env = _env(layout, fault, 64)
+        rng = random.Random(11)
+        with kernels.use_kernels(True):
+            for i in range(12 + len(_PAIR_PHASES)):
+                q = env.random_query_point(rng)
+                ps, pr = env.random_phases(rng)
+                if i >= 12:
+                    ps, pr = _PAIR_PHASES[i - 12]
+                elif i % 3 == 0:
+                    ps, pr = _PHASES[(i // 3) % len(_PHASES)], 127.3
+                with monkeypatch.context() as m:
+                    _spy_pairs(m, seen)
+                    got = algo.run(env, q, ps, pr)
+                assert got == _stepped_run(algo, env, q, ps, pr)
+    if hybrid:
+        assert seen["retarget"] and seen["switch_to_transitive"]
+        assert seen["ties"] and seen["drains"] and not seen["steps"]
+    else:
+        assert seen["drains"] == seen["steps"] == 0
+
+
+@pytest.mark.parametrize("case", ["heap-backend", "ann-policy"])
+def test_stepping_hybrid_pairs_match_stepped_stages(case, monkeypatch):
+    """A Hybrid-NN pair whose members cannot drain — heap backends on a
+    layout without cyclic order, pruning policies of the ANN optimisation
+    — runs the bounded ``step()`` loop and matches ``run_all``."""
+    if case == "heap-backend":
+        env = _env("rtree-distributed", "lossless", 64)
+        assert not env.s_program.has_cyclic_order
+        algo = HybridNN()
+    else:
+        env = _env("rtree", "lossless", 64)
+        algo = HybridNN(AnnOptimization(factor=1 / 150, density_aware=False))
+    seen = dict.fromkeys(
+        ("retarget", "switch_to_transitive", "ties", "drains", "steps"), 0
+    )
+    rng = random.Random(13)
     with kernels.use_kernels(True):
         for i in range(12):
             q = env.random_query_point(rng)
             ps, pr = env.random_phases(rng)
             if i % 3 == 0:
-                ps, pr = _PHASES[(i // 3) % len(_PHASES)], 127.3
-            assert algo.run(env, q, ps, pr) == _stepped_run(
-                algo, env, q, ps, pr
-            )
+                ps, pr = _PAIR_PHASES[(i // 3) % len(_PAIR_PHASES)]
+            with monkeypatch.context() as m:
+                _spy_pairs(m, seen)
+                got = algo.run(env, q, ps, pr)
+            assert got == _stepped_run(algo, env, q, ps, pr)
+    assert seen["steps"] and not seen["drains"]
+    assert seen["retarget"] and seen["switch_to_transitive"]
+
+
+class _Scripted(ArrivalQueueMixin):
+    """A search whose pops arrive at scripted times; each pop is logged."""
+
+    _frontier = None  # the step branch of _run_until
+
+    def __init__(self, name, times, log):
+        self.name = name
+        self.times = list(times)
+        self.log = log
+
+    def finished(self):
+        return not self.times
+
+    def next_event_time(self):
+        return self.times[0] if self.times else math.inf
+
+    def step(self):
+        self.log.append((self.name, self.times.pop(0)))
+
+
+@pytest.mark.parametrize("a_times, b_times", [
+    ([1, 3, 5], [2, 5, 7]),  # a finishes at b's next arrival
+    ([2, 6, 9], [1, 4, 6]),  # b finishes at a's next arrival
+    ([1, 2, 8], [1, 3, 4]),  # a tie at the start
+    ([1, 4, 5, 6], [2, 3, 9]),  # runs of several pops
+    ([], [1, 2]),  # a member finished at construction
+    ([], []),
+])
+def test_pair_driver_keeps_run_all_schedule(a_times, b_times):
+    """The pair driver pops and fires ``on_finish`` in ``run_all``'s
+    order, ties to the first member included, when the finish re-steers
+    the sibling (here: its next pop is dropped and the rest shift)."""
+    def run(driver):
+        log = []
+        a, b = _Scripted("a", a_times, log), _Scripted("b", b_times, log)
+
+        def on_finish(s):
+            log.append(("finish", s.name))
+            other = b if s is a else a
+            other.times = [t + 0.5 for t in other.times[1:]]
+
+        driver(a, b, on_finish)
+        return log
+
+    expected = run(lambda a, b, f: run_all([a, b], on_finish=f))
+    assert run(_run_pair) == expected
