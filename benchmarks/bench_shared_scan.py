@@ -174,8 +174,9 @@ def test_ledger_backend_sweep(record_experiment):
     """Tuner-ledger bit-identity gate on every registered backend.
 
     For each layout backend, the shared-scan path (columnar tuner ledger
-    engaged where the backend supports the arena, burst fallback where it
-    does not) must match the per-query scalar-tuner oracle twice over:
+    engaged where the backend supports the arena, the per-query driver
+    ``SearchGroup.run`` where it does not) must match the per-query
+    scalar-tuner oracle twice over:
 
     * the full Hybrid-TNN ``TNNResult`` stream, and
     * raw tuner state at the search level — ``now``, the page counters,

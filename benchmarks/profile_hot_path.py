@@ -190,9 +190,10 @@ def _wrap_sites() -> list:
     re-imported by name are patched at the importer too, or the wrapper
     would never see those calls.
 
-    The executor's ``_serve_drain`` and set-at-a-time
+    The drain (:func:`repro.client.drain.drain`, wrapped where
+    ``arrival_queue`` binds it) and the executor's set-at-a-time
     ``_serve_range_batch`` count as **queue**: they are the frontier pop
-    loop inlined into the engine (the drain consumes the arrival lanes
+    loop inlined into one walk (the drain consumes the arrival lanes
     directly, the range pass computes their pop order in closed form),
     and their nested geometry / download calls are wrapped separately,
     so self-time attribution still splits them honestly.
@@ -245,7 +246,8 @@ def _wrap_sites() -> list:
         "_pop_head_bound",
     ):
         sites.append((aq_mod.ArrivalQueueMixin, name, "queue"))
-    for name in ("_resume_nn", "_serve_drain", "_serve_range_batch"):
+    sites.append((aq_mod, "drain", "queue"))
+    for name in ("_resume_nn", "_serve_range_batch"):
         sites.append((shared_scan_mod.SharedScanExecutor, name, "queue"))
     # Executor sub-buckets: the phase-A survivor handling and the absorb
     # glue.  Nested frontier/arena calls (queue), kernels (geometry) and

@@ -50,8 +50,8 @@ attached tuner routes its public attributes to its ledger row, and
 tuples the scalar oracle writes — so result constructors and trace
 tooling never know which backend they read.  The ledger is always on
 for arena-served searches; searches on the heap (non-cyclic layouts,
-``REPRO_NO_KERNELS=1``) skip attachment and burst on the per-query
-oracle path, whose standalone tuners are the reference.
+``REPRO_NO_KERNELS=1``) skip attachment and run through the per-query
+driver (``SearchGroup.run``), whose standalone tuners are the reference.
 
 Architecture note — the node store, the executor's one node
 representation.  Each R-tree caches columnar arrays over its BFS node

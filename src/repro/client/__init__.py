@@ -21,9 +21,11 @@ Implements the building blocks shared by every TNN algorithm:
   :func:`run_all_scan` is the brute-force reference.
 * :func:`~repro.client.drain.drain` — runs one frontier-backed search to
   completion, or up to a limit, as a single preorder stack walk,
-  bit-identical to stepping it; every search's ``run_to_completion``,
-  each bounded run of a Hybrid-NN pair member and the shared-scan
-  executor's drain serves call it.
+  bit-identical to stepping it; every search's ``run_to_completion`` and
+  each bounded run of a Hybrid-NN pair member call it.
+* :class:`SearchGroup` — one query stage's searches and their scheduling
+  contract; :meth:`SearchGroup.run` is the one driver of every stage that
+  ``algorithm.run`` runs and the shared-scan executor does not batch.
 * :class:`ArrivalFrontier` — the struct-of-arrays candidate queue behind
   every steppable search on the kernel path: arrivals refreshed per
   arrival tick and lower bounds evaluated in queue-wide kernel batches,
@@ -46,7 +48,6 @@ from repro.client.scheduler import (
     SearchGroup,
     run_all,
     run_all_scan,
-    run_sequential,
 )
 
 __all__ = [
@@ -64,5 +65,4 @@ __all__ = [
     "SearchGroup",
     "run_all",
     "run_all_scan",
-    "run_sequential",
 ]

@@ -24,8 +24,9 @@ first :meth:`_push`.
 Pops go through the queue one at a time only while the search steps.  A
 frontier-backed search run alone (``run_to_completion`` and the bounded
 runs of Hybrid-NN's pair, both through :meth:`ArrivalQueueMixin._run_until`
-wherever :meth:`ArrivalQueueMixin._drains` holds, and the shared-scan
-executor's drain serves) reads the frontier's queued entries once and
+wherever :meth:`ArrivalQueueMixin._drains` holds, on the per-query path
+and in the shared-scan executor alike) reads the frontier's queued
+entries once and
 walks them as two plain node lists (:func:`repro.client.drain.drain`),
 leaving the frontier empty — or, stopped at a limit, holding the
 unvisited entries again.
@@ -177,7 +178,7 @@ class ArrivalQueueMixin:
         One drain walk when the search :meth:`_drains`, else one
         ``step()`` per queued node — the loop the walk is tested against.
         A two-member driver passes each member's sibling's next event
-        here (:meth:`~repro.core.base.TNNAlgorithm.run`).
+        here (:meth:`~repro.client.scheduler.SearchGroup.run`).
         """
         if self._drains():
             drain(self, limit, strict)

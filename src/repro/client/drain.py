@@ -8,13 +8,13 @@ kNN, range and window searches on an
 to a limit on the next page's arrival, handing the unvisited entries
 back to the frontier.  Every search's ``run_to_completion`` calls it
 where it applies
-(:meth:`~repro.client.arrival_queue.ArrivalQueueMixin._drains`), so do
-the bounded runs that drive Hybrid-NN's pair
+(:meth:`~repro.client.arrival_queue.ArrivalQueueMixin._drains`), and so
+do the bounded runs that drive Hybrid-NN's pair
 (:meth:`~repro.client.arrival_queue.ArrivalQueueMixin._run_until`, each
-member up to its sibling's next arrival) and the shared-scan executor's
-drain serve
-(:meth:`~repro.engine.shared_scan.SharedScanExecutor._serve_drain`); the
-explicit ``step()`` loop stays the reference.
+member up to its sibling's next arrival).  Both run under
+:meth:`~repro.client.scheduler.SearchGroup.run`, which ``algorithm.run``
+and the shared-scan executor share; the explicit ``step()`` loop stays
+the reference.
 
 Index pages are numbered in DFS preorder
 (:meth:`~repro.rtree.tree.RTree.assign_page_ids`), so a downloaded node's

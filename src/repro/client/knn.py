@@ -14,8 +14,8 @@ offers with ``np.partition``.  The scalar per-point loop stays as the
 bit-identical oracle (``kernels.use_kernels(False)``).  A frontier-backed
 kNN search, on a lossless or a faulty tuner, runs to completion as one
 preorder stack walk that absorbs each leaf inline with that scalar loop
-(:func:`repro.client.drain.drain`), both in :meth:`run_to_completion` and
-in the shared-scan executor's drain serve.
+(:func:`repro.client.drain.drain`) in :meth:`run_to_completion`, which
+the shared-scan executor runs too.
 """
 
 from __future__ import annotations

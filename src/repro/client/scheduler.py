@@ -7,9 +7,10 @@ the earliest page next — this is what "the two NN queries are processed in
 parallel" (Algorithm 1, line 3) means operationally.  An optional callback
 fires after every step so a coordinator (Hybrid-NN) can react the moment
 one channel finishes.  :func:`run_all` is the step-at-a-time reference:
-``algorithm.run`` drives Hybrid-NN's pair on the same schedule in
-bounded runs, each member run up to its sibling's next event
-(:meth:`~repro.core.base.TNNAlgorithm.run`), and is tested against it.
+:meth:`SearchGroup.run`, the driver of every stage the shared scan does
+not batch, runs an independent stage one member at a time and Hybrid-NN's
+pair on the same schedule in bounded runs, each member run up to its
+sibling's next event, and is tested against it.
 
 :func:`run_all` keeps the unfinished searches in a lazy-invalidation event
 heap — O(log channels) per simulated page arrival — so one client can
@@ -163,47 +164,77 @@ def run_all_scan(
             on_finish(nxt)
 
 
-def run_sequential(searches: Sequence[Steppable]) -> None:
-    """Drive searches one after another (single-channel style)."""
-    for s in searches:
-        while not s.finished():
-            s.step()
+def _run_pair(a, b, on_finish) -> None:
+    """Run a paired group's two searches to completion in simulated time.
+
+    The same schedule as :func:`run_all`'s two-member ping-pong, one run
+    per turn instead of one step per event: ``a`` is due while its next
+    arrival ``ta <= tb`` and runs until its next page arrives after
+    ``tb``; ``b`` runs while its next arrival is strictly before ``ta``.
+    Before the first finish the members share no state, so a
+    frontier-backed point-mode member drains each run in one walk
+    (:meth:`~repro.client.arrival_queue.ArrivalQueueMixin._run_until`).
+    ``on_finish`` fires after the run that finishes a member and may
+    re-steer the other, which then runs unbounded: it drains after a
+    retarget and steps after a switch to the transitive metric.
+    """
+    ta = a.next_event_time()
+    tb = b.next_event_time()
+    while True:
+        if ta <= tb:  # tie: the first search, like run_all
+            if ta == math.inf:
+                return
+            a._run_until(tb)
+            ran = a
+        else:
+            b._run_until(ta, strict=True)
+            ran = b
+        if on_finish is not None and ran.finished():
+            on_finish(ran)
+        ta = a.next_event_time()
+        tb = b.next_event_time()
 
 
 class SearchGroup:
-    """One query's searches, scheduled by an external page-major driver.
+    """One query stage's searches and the contract that schedules them.
 
-    The shared-scan executor (:mod:`repro.engine.shared_scan`) multiplexes
-    *many* queries' searches over the broadcast cycle; a ``SearchGroup``
-    carries the per-query scheduling contract that :func:`run_all` enforced
-    when each query was driven alone:
+    A ``SearchGroup`` carries the per-query scheduling contract that
+    :func:`run_all` enforces; :meth:`run` drives the group alone, and the
+    shared-scan executor (:mod:`repro.engine.shared_scan`) batches the
+    groups it can across many queries and runs the rest through
+    :meth:`run`:
 
     * ``paired=True`` — exactly **two** members, coupled through an
       ``on_finish`` callback that mutates the sibling (Hybrid-NN's
       re-steering), so only the member :func:`run_all` would step next
-      (:meth:`due`) may be served per driver round, and only while its
-      next event stays before the sibling's (at or before it for the
-      first member): the executor bursts it that far, ``algorithm.run``
-      runs it that far in one bounded run (a drain walk on a frontier).
-      A sibling must never advance past the finisher's completion event,
-      or it would process a page under the wrong metric.
+      may run, and only while its next event stays before the sibling's
+      (at or before it for the first member): :meth:`run` runs it that
+      far in one bounded run (a drain walk on a frontier), and the
+      executor's arena serves it one download per round.  A sibling must
+      never advance past the finisher's completion event, or it would
+      process a page under the wrong metric.
     * ``paired=False`` — the members are mutually independent (no callback
       observes another member: Double-NN's estimate phase, the filter
-      phase's two range queries, any single-search query).  The driver may
-      serve every unfinished member each round, in any order: each member's
-      own step sequence — and therefore every answer, access time, tune-in
-      count and queue size — is the same as under :func:`run_all`.
+      phase's two range queries, any single-search query).  A driver may
+      run them in any order and interleaving: each member's own step
+      sequence — and therefore every answer, access time, tune-in count
+      and queue size — is the same as under :func:`run_all`.
 
-    ``on_finish(search)`` fires once per member, directly after the serve
-    that finishes it — the same moment :func:`run_all` fires it.  ``tag``
-    is the owner's cookie (the executor stores its job there).
+    Members are arrival-queue searches
+    (:class:`~repro.client.arrival_queue.ArrivalQueueMixin`): :meth:`run`
+    calls their ``run_to_completion`` and bounded ``_run_until``.
 
-    ``pending`` is the members still running.  The driver owns it: it
-    removes a member right after the serve that finishes it, so group
-    bookkeeping costs one ``finished()`` probe per serve instead of a
-    per-round sweep over every member of every group.  Members already
-    finished at construction never enter it (and, matching
-    :func:`run_all`, never see ``on_finish``).
+    ``on_finish(search)`` fires once per member, directly after the run
+    or serve that finishes it — the same moment :func:`run_all` fires
+    it.  ``tag`` is the owner's cookie (the executor stores its job
+    there).
+
+    ``pending`` is the members still running.  The driver owns it: the
+    executor removes a member right after the serve that finishes it, so
+    group bookkeeping costs one ``finished()`` probe per serve instead of
+    a per-round sweep over every member of every group, and :meth:`run`
+    empties it.  Members already finished at construction never enter it
+    (and, matching :func:`run_all`, never see ``on_finish``).
 
     Finish events are backend-transparent with respect to the tuners: an
     ``on_finish`` coordinator that reads ``search.tuner.now`` or the page
@@ -233,26 +264,24 @@ class SearchGroup:
         self.on_finish = on_finish
         self.tag = tag
 
-    def due(self) -> Optional[Steppable]:
-        """The member :func:`run_all` would step next (``None`` when done).
+    def run(self) -> None:
+        """Run every member to completion under the group's contract.
 
-        Earliest ``next_event_time`` wins, ties break to the earlier
-        member — exactly the scan reference's argmin (and, for two members,
-        ``run_all``'s ``ta <= tb`` ping-pong).  This is the reference
-        selection rule; the shared-scan executor inlines the two-member
-        case in its round loop and is tested against it.
+        An unpaired group runs each pending member alone through its
+        ``run_to_completion`` (the drain walk on a frontier) and fires
+        ``on_finish`` right after it.  A paired group runs in
+        :func:`_run_pair`'s alternating bounded runs, because a member's
+        finish re-steers its sibling.
         """
-        pending = self.pending
-        if len(pending) == 1:
-            return pending[0]
-        best = None
-        nxt = None
-        for s in pending:
-            t = s.next_event_time()
-            if best is None or t < best:
-                best = t
-                nxt = s
-        return nxt
+        on_finish = self.on_finish
+        if self.paired:
+            _run_pair(*self.searches, on_finish)
+        else:
+            for search in self.pending:
+                search.run_to_completion()
+                if on_finish is not None:
+                    on_finish(search)
+        self.pending = []
 
     def finished(self) -> bool:
         """True when every member has run to completion."""

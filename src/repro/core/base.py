@@ -23,37 +23,6 @@ EstimateStages = Generator[
 ]
 
 
-def _run_pair(a, b, on_finish) -> None:
-    """Run a paired group's two searches to completion in simulated time.
-
-    The same schedule as :func:`~repro.client.run_all`'s two-member
-    ping-pong, one run per turn instead of one step per event: ``a`` is
-    due while its next arrival ``ta <= tb`` and runs until its next page
-    arrives after ``tb``; ``b`` runs while its next arrival is strictly
-    before ``ta``.  Before the first finish the members share no state,
-    so a frontier-backed point-mode member drains each run in one walk
-    (:meth:`~repro.client.arrival_queue.ArrivalQueueMixin._run_until`).
-    ``on_finish`` fires after the run that finishes a member and may
-    re-steer the other, which then runs unbounded: it drains after a
-    retarget and steps after a switch to the transitive metric.
-    """
-    ta = a.next_event_time()
-    tb = b.next_event_time()
-    while True:
-        if ta <= tb:  # tie: the first search, like run_all
-            if ta == math.inf:
-                return
-            a._run_until(tb)
-            ran = a
-        else:
-            b._run_until(ta, strict=True)
-            ran = b
-        if on_finish is not None and ran.finished():
-            on_finish(ran)
-        ta = a.next_event_time()
-        tb = b.next_event_time()
-
-
 class TNNAlgorithm(abc.ABC):
     """Base class of all TNN query processors.
 
@@ -95,25 +64,15 @@ class TNNAlgorithm(abc.ABC):
     ) -> TNNResult:
         """Answer one TNN query issued at t=0 with the given channel phases.
 
-        Each stage runs to completion before the next is built.  The
-        members of an unpaired group share no state, so each runs alone
-        through its ``run_to_completion`` (the drain walk on a frontier),
-        and ``on_finish`` fires right after it.  A paired group (Hybrid-NN's
-        estimate) runs in :func:`_run_pair`'s alternating bounded runs,
-        because a member's finish re-steers its sibling.
+        Each stage runs to completion (:meth:`SearchGroup.run
+        <repro.client.scheduler.SearchGroup.run>`) before the next is
+        built.
         """
         tuner_s, tuner_r = env.tuners(phase_s, phase_r)
         stages = self._stages(env, query, tuner_s, tuner_r)
         try:
             while True:
-                group = next(stages)
-                if group.paired:
-                    _run_pair(*group.searches, group.on_finish)
-                    continue
-                for search in group.pending:
-                    search.run_to_completion()
-                    if group.on_finish is not None:
-                        group.on_finish(search)
+                next(stages).run()
         except StopIteration as done:
             return done.value
 

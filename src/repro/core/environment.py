@@ -42,10 +42,10 @@ class TNNEnvironment:
     #: :class:`~repro.broadcast.loss.FaultModel` plugs in (i.i.d. loss,
     #: Gilbert–Elliott bursts, detected corruption, or anything
     #: registered via ``register_fault_model``); faulty tuners retry
-    #: receptions at the failed page's next replica.  Every search stays
-    #: on the shared-scan fast path regardless — the NN round flush and
-    #: the kNN / range / window drain serves replay the retry chains
-    #: closed form, bit-identically (see ``SharedScanExecutor._fast``).
+    #: receptions at the failed page's next replica.  No search leaves
+    #: its fast path for it — the shared scan's NN round flush and the
+    #: kNN / range / window drain replay the retry chains closed form,
+    #: bit-identically (see ``repro.client.drain.retry_chain``).
     loss: Optional[FaultModel] = None
     _s_object_index: Dict[Point, int] = field(repr=False, default_factory=dict)
     _r_object_index: Dict[Point, int] = field(repr=False, default_factory=dict)

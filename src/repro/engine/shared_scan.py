@@ -6,13 +6,14 @@ cycle once per query — a 1,000-query workload decodes the same pages and
 pays the same kernel dispatches 1,000 times over.  This module flips the
 loop to **page-major** order:
 
-* every query's steppable searches are registered with one
-  :class:`SharedScanExecutor`; the executor repeatedly runs *rounds*;
-* each round serves, for every active query, the one search
-  :func:`~repro.client.scheduler.run_all` would step next (its
-  :class:`~repro.client.scheduler.SearchGroup` — paired ping-pong for
-  Hybrid-NN's callback-coupled estimate searches, every unfinished member
-  for independent ones): the search pops its arrival-frontier head, applies
+* every query's stages (:class:`~repro.client.scheduler.SearchGroup`)
+  are handed to one :class:`SharedScanExecutor`; its NN searches join a
+  columnar arena, and the executor repeatedly runs *rounds*;
+* each round serves, for every active query, the one NN search
+  :func:`~repro.client.scheduler.run_all` would step next (paired
+  ping-pong for Hybrid-NN's callback-coupled estimate searches, every
+  unfinished member for independent ones): the search pops its
+  arrival-frontier head, applies
   its pop-time pruning decision on the cached bound, and downloads the page
   when it survives — all per-query work, but a few hundred nanoseconds
   each;
@@ -31,17 +32,18 @@ Because the geometry kernels are elementwise, a round batches expansions of
 arrival tick of the shared scan, not a single page's bucket, which is
 strictly more batching than per-page grouping.
 
-Searches whose pop-time prune no other search can move — kNN, range and
-window — finish in one serve rather than one round per page.  Lossless
-range searches on a frontier (the TNN filter phase's two circle queries,
-``run_many`` range requests) queue for a **set-at-a-time pass**: up to
-``_RANGE_BATCH`` of them walk the node store level by level together, one
-exact multi-query MINDIST call per level deciding every prune, and each
-download's slot follows in closed form from the drain's float clock.  The
-other searches — kNN, window and faulty range searches — drain as a
-stack walk (pages are numbered in DFS preorder), absorbing each leaf
-before the next pop: :func:`repro.client.drain.drain`, the same walk a
-search's own ``run_to_completion`` runs on the per-query path.
+Lossless range searches on a frontier (the TNN filter phase's two
+circle queries, ``run_many`` range requests) queue for a
+**set-at-a-time pass**: up to ``_RANGE_BATCH`` of them walk the node
+store level by level together, one exact multi-query MINDIST call per
+level deciding every prune, and each download's slot follows in closed
+form from the drain's float clock.  Those two shapes are all the executor
+batches.  Every other group — kNN, window and faulty range searches,
+heap backends, pruning policies, anything else — runs the moment it is
+added, through :meth:`SearchGroup.run
+<repro.client.scheduler.SearchGroup.run>`: the code ``algorithm.run``
+runs per query, whose searches drain as a preorder stack walk
+(:func:`repro.client.drain.drain`) wherever they can.
 
 **Bit-identity contract.**  The per-query ``step()`` loop remains the
 oracle: for every query, the executor produces the same answers, access
@@ -58,19 +60,19 @@ holds by construction:
   margins can only decide provably-identical outcomes (prunes, skipped
   guarantee scans) with every stored value still computed by the exact
   scalar metrics; the absorb lanes replay the per-query absorb logic
-  (``_absorb_internal`` / ``_absorb_leaf``) on the batched rows, the kNN
-  drain runs the scalar offer loop (``_offer_known``) itself, the drain's
-  stack walk and the range pass's slots replay the per-query cursor
-  (prunes, float clock and its rounding jumps), and the inlined page
-  download replays the tuner's arrival arithmetic;
-* everything that cannot batch falls back to the search's own per-query
-  code path: sub-threshold lanes, heap-backed searches (distributed
-  layouts, and every search built under ``REPRO_NO_KERNELS=1``, where the
-  executor degrades to a pure multiplexer over the scalar oracle) and
-  unknown search types.  A search's backend is fixed when it is built:
-  one with an :class:`~repro.client.frontier.ArrivalFrontier` is served
-  fast, one on the heap steps itself;
-* a fault model never forces the fallback.  A faulty tuner's download
+  (``_absorb_internal`` / ``_absorb_leaf``) on the batched rows, the range
+  pass's slots replay the drain's cursor (prunes, float clock and its
+  rounding jumps), and the inlined page download replays the tuner's
+  arrival arithmetic;
+* everything that cannot batch runs the per-query code itself:
+  sub-threshold lanes take the search's scalar absorb, and every group
+  outside the arena and the range pass runs through ``SearchGroup.run``
+  (under ``REPRO_NO_KERNELS=1`` every search is heap-backed, so every
+  group does).  A search's backend is fixed when it is built: one with
+  an :class:`~repro.client.frontier.ArrivalFrontier` can batch, one on
+  the heap steps itself;
+* a fault model never forces the per-query path on an NN search.  A
+  faulty tuner's download
   replays its retry-to-next-replica loop closed form (a missed page's
   next replica is exactly one cycle later), classifying every attempt
   with the tuner's :class:`~repro.broadcast.loss.FaultModel` through one
@@ -78,8 +80,10 @@ holds by construction:
   on the arena/ledger fast path, the round flush booking their chains in
   one vectorised :meth:`~repro.broadcast.tuner.TunerLedger
   .flush_round_faulty` pass, and lossy kNN / range / window searches
-  drain like lossless ones, booking every attempt in the drain's one
-  ``record_index_run`` call.  Every arena search's tuner books into the
+  drain through ``SearchGroup.run`` like lossless ones, booking every
+  attempt in the drain's one ``record_index_run`` call (a retry chain
+  shifts later slots by whole cycles, so faulty range searches skip the
+  range pass).  Every arena search's tuner books into the
   executor's :class:`~repro.broadcast.tuner.TunerLedger`.
 """
 
@@ -91,9 +95,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.broadcast.tuner import TunerLedger
-from repro.client.drain import drain, retry_chain
+from repro.client.drain import retry_chain
 from repro.client.frontier import FrontierArena, NodeStore
-from repro.client.knn import BroadcastKNNSearch
 from repro.client.range_query import BroadcastRangeSearch
 from repro.client.scheduler import SearchGroup
 from repro.client.search import (
@@ -101,7 +104,6 @@ from repro.client.search import (
     _CERT_INFLATE,
     BroadcastNNSearch,
 )
-from repro.client.window import BroadcastWindowSearch
 from repro.core.environment import TNNEnvironment
 # Unused here; kept because perfbench's tracer wraps this binding.
 from repro.core.join import transitive_join  # noqa: F401
@@ -113,12 +115,6 @@ from repro.geometry import Point, kernels
 #: array packing plus dispatch; results are identical either way, so this
 #: is purely a performance dial.
 _MIN_LANE = 4
-
-#: Search types served by :meth:`SharedScanExecutor._serve_drain`, which
-#: runs the client's stack walk (:func:`repro.client.drain.drain`) on
-#: them; a lossless frontier-backed range search takes the range pass.
-#: NN searches run the walk only per query: here they serve from the arena.
-_DRAIN_TYPES = (BroadcastKNNSearch, BroadcastRangeSearch, BroadcastWindowSearch)
 
 #: Range searches per set-at-a-time pass.  Big enough that every kernel
 #: call of the pass spans thousands of rows; small enough that a pass's
@@ -148,7 +144,8 @@ class SharedScanExecutor:
     — the query's continuation once the group completes, e.g. a TNN
     query's next lifecycle stage), then :meth:`run` to completion.
 
-    Serve shapes, chosen per search by what its pop-time prune test reads:
+    Two shapes batch, chosen per group by what its searches' pop-time
+    prune test reads:
 
     * **NN searches** — the prune bound (``upper_bound``) evolves at every
       absorb, so a serve is one ``pop_until`` run: consume
@@ -168,21 +165,18 @@ class SharedScanExecutor:
       completion in one array pass (level-by-level MINDIST prunes,
       closed-form slots, booking per search), once a batch fills or no NN
       search is left in the arena.
-    * **kNN / window / faulty range searches** — the prune test reads only
-      the search's own state, so one :meth:`_serve_drain` stack walk
-      drains the whole search: pops, the inline MINDIST prune against the
-      k-th-best bound or the radius (a window search filters at push time
-      instead), downloads (with their retry chains on a faulty tuner), and
-      every leaf absorbed before the next pop.
-    * anything else (heap backends — among them every search built under
-      ``REPRO_NO_KERNELS=1`` — non-trivial pruning policies, NN searches
-      grouped with other types, unknown types) — a burst of the search's
-      own ``step()`` while it stays eligible: the executor degrades to a
-      pure multiplexer over the per-query oracle.
 
-    Fault models never demote a search to the per-query path: the round
-    flush (NN) and the drain (kNN / range / window) resolve retry chains
-    closed form, bit-identically to the per-query ``_receive`` loop.
+    Every other group (kNN, window and faulty range searches, heap
+    backends — among them every search built under ``REPRO_NO_KERNELS=1``
+    — non-trivial pruning policies, NN searches grouped with other types,
+    born-finished groups) runs in :meth:`add` through
+    :meth:`SearchGroup.run <repro.client.scheduler.SearchGroup.run>`, the
+    per-query driver: its searches drain wherever they can, and the
+    query's next stage is added right after.
+
+    Fault models never demote an NN search off the arena: the round flush
+    resolves retry chains closed form, bit-identically to the per-query
+    ``_receive`` loop.
     """
 
     def __init__(self) -> None:
@@ -192,10 +186,8 @@ class SharedScanExecutor:
         #: Range searches waiting for the set-at-a-time pass, as
         #: ``(group, search)`` rows in queue order.
         self._range_queue: List[tuple] = []
-        #: Groups whose members all serve through the columnar arena
-        #: (fast-eligible NN searches) vs everything else.
+        #: Groups whose members all serve through the columnar arena.
         self._arena_groups: List[SearchGroup] = []
-        self._legacy: List[SearchGroup] = []
         self._arena: Optional[FrontierArena] = None
         #: Columnar tuner state for arena-served searches: clocks, page
         #: counters and the packed event arena, updated with one
@@ -245,66 +237,74 @@ class SharedScanExecutor:
         self._n_point = 0
 
     def add(self, group: Optional[SearchGroup]) -> None:
-        # A group whose members were all born finished (a window that
-        # misses the root, a degenerate request) completes immediately —
-        # chase its continuation until a live group (or nothing) remains.
-        while group is not None and not group.pending:
+        """Take one group: batch it, or run it now and take its successor.
+
+        Only the two batched shapes wait for :meth:`run`; every other
+        group — born-finished ones included — runs to completion here
+        through :meth:`SearchGroup.run`, the per-query driver, and the
+        group its ``tag`` continues with is taken next.
+        """
+        while group is not None:
+            pending = group.pending
+            if pending:
+                if all(
+                    type(s) is BroadcastNNSearch
+                    and s._frontier is not None
+                    and s._policy_trivial
+                    for s in pending
+                ):
+                    break
+                if (not group.paired or len(pending) == 1) and all(
+                    self._takes_range_pass(s) for s in pending
+                ):
+                    self._range_queue.extend((group, s) for s in pending)
+                    return
+            group.run()
             group = group.tag.advance() if group.tag is not None else None
         if group is None:
             return
-        if all(
-            type(s) is BroadcastNNSearch and self._fast(s)
-            for s in group.pending
-        ):
-            # Fast NN searches join the shared columnar arena: their
-            # frontiers' queued entries move into one set of numpy lanes
-            # and the round serves them with whole-workload array passes.
-            if self._arena is None:
-                self._arena = FrontierArena(self._store)
-                self._ledger = TunerLedger()
-            ledger = self._ledger
-            for s in group.pending:
-                if getattr(s, "_arena_sid", -1) < 0:
-                    self._arena.register(s)
-                    loss = s.tuner.loss
-                    if loss is not None:
-                        self._any_lossy = True
-                        self._sid_loss[s._arena_sid] = loss
-                    # Hoist the tuner's scalars into ledger lanes; the
-                    # attach is idempotent, so a tuner shared across
-                    # phases keeps its row (and its event history).
-                    self._sid_row = _sid_append(
-                        self._sid_row, s._arena_sid, ledger.attach(s.tuner)
-                    )
-            self._arena_groups.append(group)
-            self._tail_dirty = True
-            pending = group.pending
-            for s in pending:
-                if getattr(s, "_point_bit", 0):
-                    self._n_point += 1
-            if group.paired and len(pending) > 1:
-                i = len(self._pairs)
-                self._pair_index[id(group)] = i
-                self._pairs.append((group, pending[0], pending[1]))
-                self._pa = _sid_append(self._pa, i, pending[0]._arena_sid)
-                self._pb = _sid_append(self._pb, i, pending[1]._arena_sid)
-            else:
-                for s in pending:
-                    i = len(self._solos)
-                    self._solo_index[id(s)] = i
-                    self._solos.append((group, s))
-                    self._solo_sids = _sid_append(
-                        self._solo_sids, i, s._arena_sid
-                    )
-        elif (not group.paired or len(group.pending) == 1) and all(
-            self._takes_range_pass(s) for s in group.pending
-        ):
-            self._range_queue.extend((group, s) for s in group.pending)
+        # Fast NN searches join the shared columnar arena: their
+        # frontiers' queued entries move into one set of numpy lanes
+        # and the round serves them with whole-workload array passes.
+        if self._arena is None:
+            self._arena = FrontierArena(self._store)
+            self._ledger = TunerLedger()
+        ledger = self._ledger
+        for s in pending:
+            if getattr(s, "_arena_sid", -1) < 0:
+                self._arena.register(s)
+                loss = s.tuner.loss
+                if loss is not None:
+                    self._any_lossy = True
+                    self._sid_loss[s._arena_sid] = loss
+                # Hoist the tuner's scalars into ledger lanes; the
+                # attach is idempotent, so a tuner shared across
+                # phases keeps its row (and its event history).
+                self._sid_row = _sid_append(
+                    self._sid_row, s._arena_sid, ledger.attach(s.tuner)
+                )
+        self._arena_groups.append(group)
+        self._tail_dirty = True
+        for s in pending:
+            if getattr(s, "_point_bit", 0):
+                self._n_point += 1
+        if group.paired and len(pending) > 1:
+            i = len(self._pairs)
+            self._pair_index[id(group)] = i
+            self._pairs.append((group, pending[0], pending[1]))
+            self._pa = _sid_append(self._pa, i, pending[0]._arena_sid)
+            self._pb = _sid_append(self._pb, i, pending[1]._arena_sid)
         else:
-            self._legacy.append(group)
+            for s in pending:
+                i = len(self._solos)
+                self._solo_index[id(s)] = i
+                self._solos.append((group, s))
+                self._solo_sids = _sid_append(
+                    self._solo_sids, i, s._arena_sid
+                )
 
     def run(self) -> None:
-        while self._arena_groups or self._legacy or self._range_queue:
+        while self._arena_groups or self._range_queue:
             self._round()
 
     # ------------------------------------------------------------------
@@ -317,9 +317,6 @@ class SharedScanExecutor:
         probe: List[Tuple[SearchGroup, object]] = []
         ctx = (resumed, probe)
         lanes = self._arena_phase_a(ctx) if self._arena_groups else None
-        if self._legacy:
-            self._group_loop(self._legacy, ctx)
-
         if lanes:
             self._absorb_nn_lanes(lanes)
         # No arena flush here: the probe loop's re-steer rescans flush on
@@ -373,7 +370,6 @@ class SharedScanExecutor:
                     completed.append(g)
         if completed is not None:
             self._arena_groups = [g for g in self._arena_groups if g.pending]
-            self._legacy = [g for g in self._legacy if g.pending]
             for g in completed:
                 if g.tag is not None:
                     self.add(g.tag.advance())
@@ -471,41 +467,6 @@ class SharedScanExecutor:
                 solos[j] = last
                 self._solo_index[id(last[1])] = j
                 self._solo_sids[j] = self._solo_sids[len(solos)]
-
-    def _group_loop(self, groups: List[SearchGroup], ctx) -> None:
-        """The per-group serve dispatch (non-arena groups)."""
-        probe = ctx[1]
-        for g in groups:
-            pending = g.pending
-            if g.paired and len(pending) > 1:
-                # run_all's two-float ping-pong: the earlier next event is
-                # served, ties to the first member; the sibling's time caps
-                # how far the member may step ahead.
-                s0, s1 = pending
-                t0 = s0.next_event_time()
-                t1 = s1.next_event_time()
-                if t0 <= t1:
-                    self._burst(g, s0, t1, False, ctx)
-                else:
-                    self._burst(g, s1, t0, True, ctx)
-            else:
-                for s in pending:
-                    if type(s) in _DRAIN_TYPES:
-                        if self._takes_range_pass(s):
-                            # Grouped with other kinds: served now, in
-                            # group order, like a drain.
-                            self._serve_range_batch([(g, s)], probe)
-                        else:
-                            self._serve_drain(g, s, ctx)
-                    elif type(s) is BroadcastNNSearch:
-                        # NN searches outside the arena: heap backends
-                        # (layout or kernels off at build), non-trivial
-                        # policies.
-                        self._burst(g, s, math.inf, False, ctx)
-                    else:
-                        s.step()  # unknown search type: per-query verbatim
-                        if s.finished():
-                            probe.append((g, s))
 
     def _arena_phase_a(self, ctx) -> Optional[tuple]:
         """Serve every arena group's due member through batched lanes.
@@ -795,27 +756,6 @@ class SharedScanExecutor:
     # ------------------------------------------------------------------
     # Per-search serves
     # ------------------------------------------------------------------
-    def _burst(self, g, s, limit: float, strict: bool, ctx) -> None:
-        """Per-query fallback: the search's own steps while eligible."""
-        while not s.finished():
-            t = s.next_event_time()
-            if t > limit or (strict and t == limit):
-                return
-            s.step()
-        ctx[1].append((g, s))
-
-    def _fast(self, s) -> bool:
-        """Batched-serve eligibility of one search: a frontier backend,
-        and for an NN search a trivial pruning policy.
-
-        Any fault model qualifies — the NN round flush and the drain
-        serve both replay the retry-to-next-replica loop closed form
-        (:func:`~repro.client.drain.retry_chain`).
-        """
-        if s._frontier is None:
-            return False
-        return type(s) is not BroadcastNNSearch or s._policy_trivial
-
     def _resume_nn(self, g, s, limit, strict, ctx) -> None:
         """Scalar continuation of an arena serve phase A rejected.
 
@@ -856,21 +796,6 @@ class SharedScanExecutor:
             resumed.append((sid, node._store_nid))
             return
 
-    def _serve_drain(self, g, s, ctx) -> None:
-        """Drain one kNN, window or faulty range search in one serve.
-
-        (Lossless range searches on a frontier take the set-at-a-time
-        :meth:`_serve_range_batch` instead.)  A frontier-backed search
-        runs :func:`~repro.client.drain.drain`, the preorder stack walk
-        its own ``run_to_completion`` runs; a heap-backed one bursts its
-        own steps.
-        """
-        if not self._fast(s):
-            self._burst(g, s, math.inf, False, ctx)
-            return
-        drain(s)
-        ctx[1].append((g, s))
-
     # ------------------------------------------------------------------
     # The set-at-a-time range pass
     # ------------------------------------------------------------------
@@ -881,8 +806,7 @@ class SharedScanExecutor:
         The pass takes lossless range searches on a frontier backend: a
         faulty tuner's retry chain shifts every later serve by whole
         cycles, and a heap backend has no cyclic page order to compute
-        slots from, so those keep :meth:`_serve_drain` (which bursts heap
-        backends).
+        slots from, so those run through ``SearchGroup.run``.
         """
         return (
             type(s) is BroadcastRangeSearch
@@ -913,7 +837,7 @@ class SharedScanExecutor:
     def _serve_range_batch(self, batch, probe) -> None:
         """Run lossless range searches to completion in one array pass.
 
-        Equivalent to one :meth:`_serve_drain` per search, bit for bit, but
+        Equivalent to one drain per search, bit for bit, but
         set-at-a-time.  **Prunes**: the pass walks the node store level by
         level from every search's queued entries (normally its root); one
         exact :func:`~repro.geometry.kernels.mindist_multi` call per level

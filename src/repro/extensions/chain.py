@@ -26,7 +26,7 @@ from repro.broadcast import (
     ChannelTuner,
     SystemParameters,
 )
-from repro.client import BroadcastNNSearch, BroadcastRangeSearch, run_all
+from repro.client import BroadcastNNSearch, BroadcastRangeSearch, SearchGroup
 from repro.geometry import Circle, Point, Rect, distance
 from repro.rtree import RTree, build_rtree
 
@@ -119,7 +119,7 @@ class ChainTNN:
             BroadcastNNSearch(tree, tuner, query)
             for tree, tuner in zip(env.trees, tuners)
         ]
-        run_all(searches)
+        SearchGroup(searches).run()
         hops = [s.result()[0] for s in searches]
         radius = _route_length(query, hops)
         estimate_finish = max(t.now for t in tuners)
@@ -130,7 +130,7 @@ class ChainTNN:
             BroadcastRangeSearch(tree, tuner, circle, start_time=estimate_finish)
             for tree, tuner in zip(env.trees, tuners)
         ]
-        run_all(ranges)
+        SearchGroup(ranges).run()
         layers = [rq.results for rq in ranges]
 
         route, dist = _chain_join(query, layers, seed_route=hops, seed_dist=radius)

@@ -17,7 +17,12 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.client import BroadcastNNSearch, BroadcastRangeSearch, run_all
+from repro.client import (
+    BroadcastNNSearch,
+    BroadcastRangeSearch,
+    SearchGroup,
+    run_all,
+)
 from repro.extensions.chain import (
     ChainEnvironment,
     ChainResult,
@@ -72,7 +77,7 @@ class HybridChainTNN:
             BroadcastRangeSearch(tree, tuner, circle, start_time=estimate_finish)
             for tree, tuner in zip(env.trees, tuners)
         ]
-        run_all(ranges)
+        SearchGroup(ranges).run()
 
         route, dist = _chain_join(
             query,

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.client import BroadcastNNSearch, BroadcastRangeSearch, run_all
+from repro.client import BroadcastNNSearch, BroadcastRangeSearch, SearchGroup
 from repro.core.environment import TNNEnvironment
 from repro.geometry import Circle, Point, distance
 
@@ -53,7 +53,7 @@ class RoundTripTNN:
 
         nn_s = BroadcastNNSearch(env.s_tree, tuner_s, query)
         nn_r = BroadcastNNSearch(env.r_tree, tuner_r, query)
-        run_all([nn_s, nn_r])
+        SearchGroup([nn_s, nn_r]).run()
         s0, _ = nn_s.result()
         r0, _ = nn_r.result()
         radius = roundtrip_length(query, s0, r0)
@@ -62,7 +62,7 @@ class RoundTripTNN:
         circle = Circle(query, radius)
         range_s = BroadcastRangeSearch(env.s_tree, tuner_s, circle, estimate_finish)
         range_r = BroadcastRangeSearch(env.r_tree, tuner_r, circle, estimate_finish)
-        run_all([range_s, range_r])
+        SearchGroup([range_s, range_r]).run()
 
         s, r, dist = _roundtrip_join(
             query, range_s.results, range_r.results, (s0, r0), radius

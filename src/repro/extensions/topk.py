@@ -24,7 +24,7 @@ from repro.client import (
     BroadcastKNNSearch,
     BroadcastNNSearch,
     BroadcastRangeSearch,
-    run_all,
+    SearchGroup,
 )
 from repro.core.environment import TNNEnvironment
 from repro.geometry import Circle, Point, distance, transitive_distance
@@ -66,7 +66,7 @@ class TopKTNN:
 
         knn_s = BroadcastKNNSearch(env.s_tree, tuner_s, query, self.k)
         nn_r = BroadcastNNSearch(env.r_tree, tuner_r, query)
-        run_all([knn_s, nn_r])
+        SearchGroup([knn_s, nn_r]).run()
         s_candidates = knn_s.results()
         r1, _ = nn_r.result()
         radius = max(
@@ -77,7 +77,7 @@ class TopKTNN:
         circle = Circle(query, radius)
         range_s = BroadcastRangeSearch(env.s_tree, tuner_s, circle, estimate_finish)
         range_r = BroadcastRangeSearch(env.r_tree, tuner_r, circle, estimate_finish)
-        run_all([range_s, range_r])
+        SearchGroup([range_s, range_r]).run()
 
         pairs = topk_join(query, range_s.results, range_r.results, self.k)
         return TopKResult(

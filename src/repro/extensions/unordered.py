@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.client import BroadcastNNSearch, BroadcastRangeSearch, run_all
+from repro.client import BroadcastNNSearch, BroadcastRangeSearch, SearchGroup
 from repro.core.environment import TNNEnvironment
 from repro.geometry import Circle, Point, distance
 
@@ -56,7 +56,7 @@ class UnorderedTNN:
 
         nn_s = BroadcastNNSearch(env.s_tree, tuner_s, query)
         nn_r = BroadcastNNSearch(env.r_tree, tuner_r, query)
-        run_all([nn_s, nn_r])
+        SearchGroup([nn_s, nn_r]).run()
         s0, _ = nn_s.result()
         r0, _ = nn_r.result()
         d_sfirst = distance(query, s0) + distance(s0, r0)
@@ -67,7 +67,7 @@ class UnorderedTNN:
         circle = Circle(query, radius)
         range_s = BroadcastRangeSearch(env.s_tree, tuner_s, circle, estimate_finish)
         range_r = BroadcastRangeSearch(env.r_tree, tuner_r, circle, estimate_finish)
-        run_all([range_s, range_r])
+        SearchGroup([range_s, range_r]).run()
 
         seed = (s0, r0, "s-first" if d_sfirst <= d_rfirst else "r-first", radius)
         s, r, order, dist = _unordered_join(

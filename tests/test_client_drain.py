@@ -42,6 +42,7 @@ from repro.client import (
     run_all,
 )
 from repro.client.arrival_queue import ArrivalQueueMixin
+from repro.client.scheduler import _run_pair
 from repro.core import (
     AnnOptimization,
     ApproximateTNN,
@@ -50,7 +51,6 @@ from repro.core import (
     TNNEnvironment,
     WindowBasedTNN,
 )
-from repro.core.base import _run_pair
 from repro.datasets import sized_uniform
 from repro.geometry import Circle, Point, Rect, kernels
 from repro.rtree import str_pack

@@ -22,7 +22,6 @@ from repro.client import (
     BroadcastNNSearch,
     run_all,
     run_all_scan,
-    run_sequential,
 )
 from repro.geometry import Point, distance
 from repro.rtree import str_pack
@@ -72,7 +71,8 @@ def test_run_all_parallel_equals_independent_results():
     parallel = BroadcastNNSearch(tree1, ta, q)
     run_all([parallel])
     solo = BroadcastNNSearch(tree1, tb, q)
-    run_sequential([solo])
+    while not solo.finished():
+        solo.step()
     assert parallel.result() == solo.result()
     assert ta.index_pages == tb.index_pages
 

@@ -1,4 +1,5 @@
-"""Tests for the future-work extensions: chain, round-trip, unordered."""
+"""Tests for the future-work extensions: chain, round-trip, unordered, and
+the one group driver every extension runs its stages through."""
 
 import math
 import random
@@ -6,12 +7,15 @@ import random
 import pytest
 
 from repro.broadcast import SystemParameters
+from repro.client import SearchGroup, arrival_queue, run_all
 from repro.core import TNNEnvironment
 from repro.datasets import uniform
 from repro.extensions import (
     ChainEnvironment,
     ChainTNN,
+    HybridChainTNN,
     RoundTripTNN,
+    TopKTNN,
     UnorderedTNN,
     chain_oracle,
     roundtrip_oracle,
@@ -167,3 +171,62 @@ def test_unordered_picks_r_first_when_r_closer():
     assert result.order == "r-first"
     want = distance(Point(0, 0), r_pts[0]) + distance(r_pts[0], s_pts[0])
     assert math.isclose(result.distance, want, rel_tol=1e-9)
+
+
+# ----------------------------------------------------------------------
+# Every extension's stages: the group driver vs stepped run_all
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "name", ["roundtrip", "unordered", "topk", "chain", "hybrid_chain"]
+)
+def test_extension_stages_match_stepped_run_all(name, monkeypatch):
+    """Each extension's independent stages run through ``SearchGroup.run``,
+    which drains its searches; answers, access times and tune-in equal
+    those of the same queries with every such stage stepped by
+    ``run_all``."""
+    params = SystemParameters(page_capacity=64)
+    if name in ("chain", "hybrid_chain"):
+        env = ChainEnvironment.build(
+            make_datasets([300, 250, 200], seed0=11), params
+        )
+        algo = ChainTNN() if name == "chain" else HybridChainTNN()
+
+        def run(p, rng):
+            return algo.run(env, p, env.random_phases(rng))
+    else:
+        env = TNNEnvironment.build(
+            uniform(400, seed=31, region=REGION),
+            uniform(300, seed=32, region=REGION),
+            params,
+        )
+        algo = {
+            "roundtrip": RoundTripTNN(),
+            "unordered": UnorderedTNN(),
+            "topk": TopKTNN(3),
+        }[name]
+
+        def run(p, rng):
+            return algo.run(env, p, *env.random_phases(rng))
+
+    def answers():
+        rng = random.Random(7)
+        return [run(env.random_query_point(rng), rng) for _ in range(8)]
+
+    drained = []
+    drain = arrival_queue.drain
+
+    def drain_spy(s, *args):
+        drained.append(s)
+        return drain(s, *args)
+
+    monkeypatch.setattr(arrival_queue, "drain", drain_spy)
+    got = answers()
+    assert drained
+    monkeypatch.setattr(
+        SearchGroup, "run",
+        lambda group: run_all(group.searches, on_finish=group.on_finish),
+    )
+    del drained[:]
+    want = answers()
+    assert drained == []
+    assert got == want

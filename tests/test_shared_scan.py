@@ -12,6 +12,7 @@ because ``run_to_completion`` runs the walk the executor's drain runs.
 """
 
 import math
+from contextlib import contextmanager
 
 import pytest
 
@@ -30,8 +31,10 @@ from repro.client import (
     BroadcastRangeSearch,
     BroadcastWindowSearch,
     SearchGroup,
+    arrival_queue,
     run_all,
 )
+from repro.client.arrival_queue import ArrivalQueueMixin
 from repro.core import (
     AnnOptimization,
     ApproximateTNN,
@@ -233,7 +236,8 @@ def test_shared_runner_run_summary(env64):
 
 
 def test_distributed_layout_uses_per_query_path(env64):
-    """Heap-backed searches (no cyclic page order) multiplex unchanged."""
+    """Heap-backed searches (no cyclic page order) run through
+    ``SearchGroup.run`` unchanged."""
     env = TNNEnvironment.build(
         sized_uniform(400, seed=1),
         sized_uniform(400, seed=2),
@@ -407,13 +411,27 @@ def _lattice_env(page_capacity, loss=None):
     )
 
 
-def _spy_finish_and_burst(monkeypatch):
+#: True while a test runs the executor: the step and drain spies record
+#: only then, so the reference runs never count.
+_serving = False
+
+
+@contextmanager
+def _executor_run():
+    global _serving
+    _serving = True
+    try:
+        yield
+    finally:
+        _serving = False
+
+
+def _spy_finish_and_steps(monkeypatch):
     """Record each finished search's tuner log, lost and corrupt pages
-    and (range / window) results in discovery order, and every search the
-    executor hands to its per-query ``_burst`` fallback."""
-    finished, bursts = [], []
+    and (range / window) results in discovery order, and every per-query
+    ``step()`` a kNN, range or window search takes in the executor run."""
+    finished, stepped = [], []
     finish = QueryEngine._finish
-    burst = SharedScanExecutor._burst
 
     def finish_spy(self, search):
         found = search.results
@@ -425,13 +443,18 @@ def _spy_finish_and_burst(monkeypatch):
         ))
         return finish(self, search)
 
-    def burst_spy(self, g, s, *args):
-        bursts.append(s)
-        return burst(self, g, s, *args)
+    def spy(step):
+        def step_spy(self):
+            if _serving:
+                stepped.append(self)
+            return step(self)
+        return step_spy
 
     monkeypatch.setattr(QueryEngine, "_finish", finish_spy)
-    monkeypatch.setattr(SharedScanExecutor, "_burst", burst_spy)
-    return finished, bursts
+    for cls in (BroadcastKNNSearch, BroadcastRangeSearch,
+                BroadcastWindowSearch):
+        monkeypatch.setattr(cls, "step", spy(cls.step))
+    return finished, stepped
 
 
 def _knn_cases(env, case):
@@ -483,18 +506,20 @@ def _drain_vs_single(env, requests, monkeypatch):
     Asserts equal answers, access times, tune-in counts and max queue
     sizes, and equal finish records (tuner logs event by event, lost
     pages, range / window results in discovery order); returns the
-    answers, the finish records and the searches ``run_many`` burst.
+    answers, the finish records and the kNN / range / window searches
+    that stepped in ``run_many``.
     """
     engine = QueryEngine(env)
-    finished, bursts = _spy_finish_and_burst(monkeypatch)
+    finished, stepped = _spy_finish_and_steps(monkeypatch)
     with kernels.use_kernels(True):
-        got = engine.run_many(requests, record_log=True)
+        with _executor_run():
+            got = engine.run_many(requests, record_log=True)
         records = finished[:]
         del finished[:]
         want = [_single_query(engine, r) for r in requests]
     assert got == want
     assert records == finished
-    return got, records, bursts
+    return got, records, stepped
 
 
 @pytest.mark.parametrize("page_capacity", [64, 512])
@@ -507,14 +532,14 @@ def test_knn_drain_bit_identical_to_single_query(case, page_capacity,
 
     Answers (points, distances and tie order), access times, tune-in
     counts, max queue sizes and the tuner logs event by event all match;
-    no lossless kNN search falls back to ``_burst``.
+    no lossless kNN search steps.
     """
     env = _lattice_env(page_capacity)
     requests = _knn_cases(env, case)
     jumps = _spy_jumps(monkeypatch, (BroadcastKNNSearch,))
-    got, records, bursts = _drain_vs_single(env, requests, monkeypatch)
+    got, records, stepped = _drain_vs_single(env, requests, monkeypatch)
     assert all(log for log, *_ in records)
-    assert bursts == []
+    assert stepped == []
     # The float clock rounds past a queued page's slot, which the drain
     # must then pass over until the next lap.
     assert jumps
@@ -563,16 +588,16 @@ def test_range_window_drain_bit_identical_to_single_query(
 ):
     """run_many's one-serve range / window drain vs ``QueryEngine.range``
     and ``.window``: the checks of the kNN drain test, plus results in
-    discovery order; no lossless range or window search bursts.
+    discovery order; no lossless range or window search steps.
     """
     env = _lattice_env(page_capacity)
     jumps = _spy_jumps(
         monkeypatch, (BroadcastRangeSearch, BroadcastWindowSearch)
     )
-    got, records, bursts = _drain_vs_single(
+    got, records, stepped = _drain_vs_single(
         env, _region_cases(case), monkeypatch
     )
-    assert bursts == []
+    assert stepped == []
     if case == "misses-root":
         assert all(not a.answers for a in got)
     else:
@@ -608,23 +633,16 @@ _DRAIN_FAULTS = {
 def _lossy_drain_vs_single(fault, requests_of, monkeypatch):
     """``_drain_vs_single`` on the lattice under one fault family.
 
-    Every search must be served by ``_serve_drain`` and none may burst;
-    the faults must really engage — failed attempts logged ``ok=False``,
-    counted as lost or corrupt by family — so the retry chains the drain
-    replays are compared attempt by attempt.
+    Every search must drain and none may step; the faults must really
+    engage — failed attempts logged ``ok=False``, counted as lost or
+    corrupt by family — so the retry chains the drain replays are
+    compared attempt by attempt.
     """
     env = _lattice_env(64, loss=_DRAIN_FAULTS[fault]())
     requests = requests_of(env)
-    drained = []
-    serve_drain = SharedScanExecutor._serve_drain
-
-    def drain_spy(self, g, s, ctx):
-        drained.append(s)
-        return serve_drain(self, g, s, ctx)
-
-    monkeypatch.setattr(SharedScanExecutor, "_serve_drain", drain_spy)
-    got, records, bursts = _drain_vs_single(env, requests, monkeypatch)
-    assert bursts == []
+    drained = _spy_drained(monkeypatch)
+    got, records, stepped = _drain_vs_single(env, requests, monkeypatch)
+    assert stepped == []
     assert len({id(s) for s in drained}) == len(drained) == len(requests)
     lost = sum(r[1] for r in records)
     corrupt = sum(r[2] for r in records)
@@ -720,15 +738,16 @@ def _pass_requests(env, seed=23):
 
 
 def _spy_drained(monkeypatch):
-    """Every search the executor hands to ``_serve_drain``."""
+    """Every search that drains in the executor run, once per walk."""
     drained = []
-    serve_drain = SharedScanExecutor._serve_drain
+    drain = arrival_queue.drain
 
-    def drain_spy(self, g, s, ctx):
-        drained.append(s)
-        return serve_drain(self, g, s, ctx)
+    def drain_spy(s, *args):
+        if _serving:
+            drained.append(s)
+        return drain(s, *args)
 
-    monkeypatch.setattr(SharedScanExecutor, "_serve_drain", drain_spy)
+    monkeypatch.setattr(arrival_queue, "drain", drain_spy)
     return drained
 
 
@@ -802,8 +821,8 @@ def test_range_pass_bit_identical_to_single_query(page_capacity, monkeypatch):
     requests = _pass_requests(env)
     drained = _spy_drained(monkeypatch)
     jumps = _spy_jumps(monkeypatch)
-    got, records, bursts = _drain_vs_single(env, requests, monkeypatch)
-    assert drained == [] and bursts == []
+    got, records, stepped = _drain_vs_single(env, requests, monkeypatch)
+    assert drained == [] and stepped == []
     assert sum(a.tune_in for a in got) > 0
     assert any(not a.answers and a.tune_in == 0 for a in got)  # misses root
     assert max(len(a.answers) for a in got) == len(env.s_points)
@@ -851,7 +870,8 @@ def test_tnn_filter_pass_bit_identical_to_per_query(algo_cls, monkeypatch):
     with kernels.use_kernels(True):
         want = _stepped_per_query(env, algo, queries)
         want_states = states()
-        got = execute_tnn_batch(env, algo, queries, record_log=True)
+        with _executor_run():
+            got = execute_tnn_batch(env, algo, queries, record_log=True)
     assert got == want
     assert states() == want_states
     assert drained == []
@@ -867,8 +887,8 @@ def test_range_pass_serves_shared_tuner_searches_in_group_order(
     """Searches on one tuner run one after the other in group order, each
     starting from the clock the previous one left, exactly like running
     them in sequence: a group of range searches queues for the pass, which
-    never puts two of them in one batch; a group of mixed kinds serves its
-    range searches in place, each in a pass of its own."""
+    never puts two of them in one batch; a group of mixed kinds runs
+    through ``SearchGroup.run``, its range searches drained in place."""
     env = _two_cycle_env(64)
     engine = QueryEngine(env)
 
@@ -901,9 +921,7 @@ def test_range_pass_serves_shared_tuner_searches_in_group_order(
     executor = SharedScanExecutor()
     executor.add(SearchGroup(list(got)))
     executor.run()
-    assert batches == [
-        [s] for s in got if type(s) is BroadcastRangeSearch
-    ]
+    assert batches == ([] if mixed else [[s] for s in got])
     assert [engine._finish(s) for s in got] == [
         engine._finish(s) for s in want
     ]
@@ -941,9 +959,9 @@ def test_paired_drain_groups_match_run_all(kind, monkeypatch):
     """Paired kNN and window groups through the executor match ``run_all``
     on the same pair: answers (window results in discovery order), clock,
     tune-in, max queue size and the tuner log event by event.  The pair
-    ping-pongs through per-query steps until one member finishes; the
-    other then drains from a part-stepped frontier, in some pairs with
-    queued pages on both sides of the cursor."""
+    runs in alternating bounded drains, each member up to its sibling's
+    next event, so later runs resume from a part-walked frontier, in some
+    pairs with queued pages on both sides of the cursor."""
     env = TNNEnvironment.build(
         sized_uniform(2000, seed=13),
         sized_uniform(2000, seed=14),
@@ -951,28 +969,30 @@ def test_paired_drain_groups_match_run_all(kind, monkeypatch):
     )
     engine = QueryEngine(env)
     starts = []
-    serve_drain = SharedScanExecutor._serve_drain
+    drain = arrival_queue.drain
 
-    def drain_spy(self, g, s, ctx):
-        f = s._frontier
-        cursor = math.ceil(s.tuner.now - f._phase) % f._cycle
-        pages = f._order_pages
-        starts.append((
-            s.tuner.index_pages > 0,
-            bool(pages) and pages[0] < cursor <= pages[-1],
-        ))
-        return serve_drain(self, g, s, ctx)
+    def drain_spy(s, *args):
+        if _serving:
+            f = s._frontier
+            cursor = math.ceil(s.tuner.now - f._phase) % f._cycle
+            pages = f._order_pages
+            starts.append((
+                s.tuner.index_pages > 0,
+                bool(pages) and pages[0] < cursor <= pages[-1],
+            ))
+        return drain(s, *args)
 
-    monkeypatch.setattr(SharedScanExecutor, "_serve_drain", drain_spy)
+    monkeypatch.setattr(arrival_queue, "drain", drain_spy)
     with kernels.use_kernels(True):
         want = _paired_searches(env, kind)
         for pair in want:
             run_all(pair)
         got = _paired_searches(env, kind)
         executor = SharedScanExecutor()
-        for pair in got:
-            executor.add(SearchGroup(pair, paired=True))
-        executor.run()
+        with _executor_run():
+            for pair in got:
+                executor.add(SearchGroup(pair, paired=True))
+            executor.run()
 
     def state(s):
         return engine._finish(s), s.tuner.log
@@ -992,9 +1012,9 @@ def test_lossy_range_searches_keep_the_drain(monkeypatch):
     queries = _random_queries(env, 12, seed=6)
     algo = DoubleNN()
     with kernels.use_kernels(True):
-        assert execute_tnn_batch(env, algo, queries) == _per_query(
-            env, algo, queries
-        )
+        want = _per_query(env, algo, queries)
+        with _executor_run():
+            assert execute_tnn_batch(env, algo, queries) == want
     assert len(drained) == 2 * len(queries)
     assert all(type(s) is BroadcastRangeSearch for s in drained)
     del drained[:]
@@ -1099,20 +1119,6 @@ class _Scripted:
         self.steps += 1
 
 
-def test_search_group_due_matches_run_all_order():
-    a = _Scripted([1.0, 4.0, 5.0])
-    b = _Scripted([2.0, 3.0, 5.0])
-    group = SearchGroup([a, b], paired=True)
-    order = []
-    while not group.finished():
-        s = group.due()
-        order.append("a" if s is a else "b")
-        s.step()
-        group.pending = [x for x in group.searches if not x.finished()]
-    # run_all's argmin with ties to the earlier member: 1,2,3,4,(5,5)->a,b
-    assert order == ["a", "b", "b", "a", "a", "b"]
-
-
 def test_search_group_pending_excludes_born_finished():
     done = _Scripted([])
     live = _Scripted([1.0])
@@ -1121,8 +1127,32 @@ def test_search_group_pending_excludes_born_finished():
     assert not group.finished()
 
 
+class _ScriptedSearch(ArrivalQueueMixin):
+    """A search type the executor does not know: scripted event times on
+    no frontier, so ``run_to_completion`` steps it."""
+
+    _frontier = None
+
+    def __init__(self, times):
+        self.times = list(times)
+        self.steps = 0
+
+    def finished(self):
+        return not self.times
+
+    def next_event_time(self):
+        return self.times[0] if self.times else math.inf
+
+    def step(self):
+        self.times.pop(0)
+        self.steps += 1
+
+    def run_to_completion(self):
+        self._run_until()
+
+
 def test_executor_drives_unknown_steppables_generically():
-    s = _Scripted([1.0, 2.0, 3.0])
+    s = _ScriptedSearch([1.0, 2.0, 3.0])
     executor = SharedScanExecutor()
     executor.add(SearchGroup([s]))
     executor.run()

@@ -43,6 +43,7 @@ from repro.client import (
     BroadcastKNNSearch,
     BroadcastNNSearch,
     SearchGroup,
+    arrival_queue,
     run_all,
 )
 from repro.core import DoubleNN, HybridNN, TNNEnvironment
@@ -300,42 +301,62 @@ def test_lossy_nn_search_joins_the_arena(env_lossless):
         executor.add(clean_group)
     assert lossy_group in executor._arena_groups
     assert clean_group in executor._arena_groups
-    assert not executor._legacy
+    assert lossy._arena_sid >= 0 and clean._arena_sid >= 0
     assert executor._any_lossy
     assert executor._sid_loss == {lossy._arena_sid: LOSS}
 
 
-def test_fast_verdict_ignores_fault_model(env_lossless):
-    """Every frontier-backed search is fast-path eligible under any fault
-    model — NN searches ride the faulty round flush, kNN / range / window
-    searches the lossy drain serve — so swapping the tuner's loss model
-    never changes the verdict; a heap-backed search is never fast."""
+def test_fast_verdict_ignores_fault_model(env_lossless, monkeypatch):
+    """Every frontier-backed search keeps its fast path under any fault
+    model — ``add`` puts an NN search in the arena (the faulty round
+    flush) and drains a kNN search at once — so the tuner's loss model
+    never changes where a search goes; a heap-backed search steps."""
+    drained = []
+    drain = arrival_queue.drain
+
+    def drain_spy(s, *args):
+        drained.append(s)
+        return drain(s, *args)
+
+    monkeypatch.setattr(arrival_queue, "drain", drain_spy)
     executor = SharedScanExecutor()
-    tuner = ChannelTuner(BroadcastChannel(env_lossless.s_program))
-    nn = BroadcastNNSearch(env_lossless.s_tree, tuner, Point(500.0, 500.0))
-    knn = BroadcastKNNSearch(
-        env_lossless.s_tree,
-        ChannelTuner(BroadcastChannel(env_lossless.s_program)),
-        Point(500.0, 500.0),
-        3,
-    )
-    for loss in (None, LOSS, None):
-        tuner.loss = knn.tuner.loss = loss
-        assert executor._fast(nn) and executor._fast(knn)
-    heap_env = _build_env(loss=LOSS, distributed_levels=2)
-    heap = BroadcastKNNSearch(
-        heap_env.s_tree,
-        ChannelTuner(BroadcastChannel(heap_env.s_program), loss=LOSS),
-        Point(500.0, 500.0),
-        3,
-    )
-    assert heap._frontier is None and not executor._fast(heap)
+    program = env_lossless.s_program
+    query = Point(500.0, 500.0)
+    with kernels.use_kernels(True):
+        for loss in (None, LOSS, None):
+            nn = BroadcastNNSearch(
+                env_lossless.s_tree,
+                ChannelTuner(BroadcastChannel(program), loss=loss),
+                query,
+            )
+            knn = BroadcastKNNSearch(
+                env_lossless.s_tree,
+                ChannelTuner(BroadcastChannel(program), loss=loss),
+                query,
+                3,
+            )
+            nn_group = SearchGroup([nn])
+            executor.add(nn_group)
+            executor.add(SearchGroup([knn]))
+            assert nn_group in executor._arena_groups
+            assert drained[-1] is knn and knn.finished()
+        heap_env = _build_env(loss=LOSS, distributed_levels=2)
+        heap = BroadcastKNNSearch(
+            heap_env.s_tree,
+            ChannelTuner(BroadcastChannel(heap_env.s_program), loss=LOSS),
+            query,
+            3,
+        )
+        executor.add(SearchGroup([heap]))
+        executor.run()
+    assert heap._frontier is None and heap.finished()
+    assert heap not in drained and len(drained) == 3
 
 
 @pytest.mark.parametrize("use_kernels", [True, False])
 @pytest.mark.parametrize("algo_cls", [DoubleNN, HybridNN])
 def test_lossy_tnn_bit_identity(env_lossy, use_kernels, algo_cls):
-    """Arena-capable env + loss: the whole workload bursts, bit-identical."""
+    """Arena-capable env + loss: the whole workload, bit-identical."""
     queries = _random_queries(env_lossy, 10)
     algo = algo_cls()
     with kernels.use_kernels(use_kernels):
@@ -385,7 +406,7 @@ def test_mixed_lossy_and_arena_searches_share_one_run(env_lossless):
         for s in shared:
             executor.add(SearchGroup([s]))
         # Loss no longer splits the run: every NN search is arena-served.
-        assert executor._arena_groups and not executor._legacy
+        assert all(s._arena_sid >= 0 for s in shared)
         executor.run()
     for got, want in zip(shared, oracle):
         assert got.result() == want.result()
@@ -419,7 +440,7 @@ def test_lossy_bit_identity_sweep_across_layouts(layout):
     run_all oracle bit for bit — results, clocks, page counters,
     lost/corrupt splits and full reception logs — with the ledger on
     (arena path), the ledger off (forced-scalar arena) and kernels off
-    (scalar heap/burst oracle)."""
+    (scalar heap oracle)."""
     env = TNNEnvironment.build(
         sized_uniform(240, seed=7),
         sized_uniform(240, seed=8),
