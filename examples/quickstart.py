@@ -89,9 +89,10 @@ bit-identically to the per-query retry loop, in the NN round flush and
 in the drain alike, so robustness no longer costs the shared-scan
 speedup.  One drain (``repro.client.drain``) empties a search in a
 single pass: every ``run_to_completion`` of a frontier-backed NN
-(point mode, no pruning policy), kNN, range or window search, as in this
-example's first section, and the executor's serve of a kNN or window
-search, lossless or faulty, or of a faulty range search.  Given a
+(no pruning policy, in the point metric or, after Hybrid-NN's Case 3,
+the transitive one), kNN, range or window search, as in this
+example's first section, and so every stage the shared-scan executor
+does not batch, which it runs through ``SearchGroup.run``.  Given a
 limit, the same walk stops before the first page due after it and hands
 the rest of its queue back: each run of a Hybrid-NN pair member ends at
 its sibling's next arrival.  Index pages are
@@ -101,9 +102,11 @@ walks two plain node lists (this lap's, top first, and the next lap's),
 pushes each expanded fan-out reversed, and defers only the page one
 slot on when the float clock rounds past it.  Each node is absorbed
 before the next pop — an NN node with the strict offer loop or the
-MINMAXDIST guarantee hand-off, a kNN leaf with the exact scalar offer
+MINMAXDIST guarantee hand-off (in transitive mode the pop test runs the
+step's certified MinTransDist cascade and the guarantee is the corner
+MinMaxTransDist), a kNN leaf with the exact scalar offer
 loop, so the bound it moves prunes the very next pop, a range or window
-leaf with the search's own absorb.  The step-at-a-time ``step()`` loop
+leaf with an inline closed containment test.  The step-at-a-time ``step()`` loop
 stays the reference it is tested against.  Lossless range searches (the TNN filter phase's
 circle queries, ``run_many`` range requests) skip the pop loop: batches
 of 128 walk the node store level by level with one exact MINDIST kernel

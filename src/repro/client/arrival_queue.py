@@ -24,12 +24,12 @@ first :meth:`_push`.
 Pops go through the queue one at a time only while the search steps.  A
 frontier-backed search run alone (``run_to_completion`` and the bounded
 runs of Hybrid-NN's pair, both through :meth:`ArrivalQueueMixin._run_until`
-wherever :meth:`ArrivalQueueMixin._drains` holds, on the per-query path
-and in the shared-scan executor alike) reads the frontier's queued
-entries once and
-walks them as two plain node lists (:func:`repro.client.drain.drain`),
-leaving the frontier empty — or, stopped at a limit, holding the
-unvisited entries again.
+wherever :meth:`ArrivalQueueMixin._drains` holds: every kNN, range and
+window search, and NN searches under a trivial policy in either metric,
+on the per-query path and in the shared-scan executor alike) reads the
+frontier's queued entries once and walks them as two plain node lists
+(:func:`repro.client.drain.drain`), leaving the frontier empty — or,
+stopped at a limit, holding the unvisited entries again.
 """
 
 from __future__ import annotations

@@ -2,12 +2,12 @@
 
 A search's :meth:`step` pops one queued node in cyclic page order, prunes
 it or downloads and absorbs it.  :func:`drain` replays that whole step
-sequence in one loop, bit for bit, for NN (point mode, trivial policy),
-kNN, range and window searches on an
-:class:`~repro.client.frontier.ArrivalFrontier` — to completion, or up
-to a limit on the next page's arrival, handing the unvisited entries
-back to the frontier.  Every search's ``run_to_completion`` calls it
-where it applies
+sequence in one loop, bit for bit, for NN (trivial policy; the point
+metric or, after Hybrid-NN's Case 3, the transitive one), kNN, range and
+window searches on an :class:`~repro.client.frontier.ArrivalFrontier` —
+to completion, or up to a limit on the next page's arrival, handing the
+unvisited entries back to the frontier.  Every search's
+``run_to_completion`` calls it where it applies
 (:meth:`~repro.client.arrival_queue.ArrivalQueueMixin._drains`), and so
 do the bounded runs that drive Hybrid-NN's pair
 (:meth:`~repro.client.arrival_queue.ArrivalQueueMixin._run_until`, each
@@ -33,9 +33,21 @@ from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from repro.broadcast.loss import FAULT_LOST
+from repro.geometry import min_max_trans_dist, min_trans_dist
 
-#: Search kinds :func:`drain` walks (each search class's ``_DRAIN_KIND``).
-NN, KNN, RANGE, WINDOW = "nn", "knn", "range", "window"
+#: Search kinds :func:`drain` walks (each search class's ``_DRAIN_KIND``;
+#: an NN search switched to the transitive metric walks as ``TNN``).
+NN, TNN, KNN, RANGE, WINDOW = "nn", "tnn", "knn", "range", "window"
+
+#: Certification margins for the cheap transitive bound estimates.  The
+#: weak/center estimates and the scalar Lemma 1 evaluation each carry at
+#: most a few ulp (~1e-15 relative) of rounding slack; a 1e-9 margin buries
+#: that by six orders of magnitude, so a deflated under-estimate or an
+#: inflated over-estimate that decides the prune test decides it exactly
+#: like the scalar oracle.  Entries inside the margin band fall back to the
+#: exact metric.
+_CERT_DEFLATE = 1.0 - 1e-9
+_CERT_INFLATE = 1.0 + 1e-9
 
 _by_page = attrgetter("page_id")
 
@@ -72,7 +84,7 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     ``limit``.
 
     ``s`` is frontier-backed (standalone, not in an arena); an NN search
-    is in point mode with a trivial policy.  Seeding splits the
+    runs under a trivial policy, in either metric.  Seeding splits the
     frontier's queued entries at the cursor ``ceil(now - phase) %
     cycle``.  Before each pop a bounded walk (finite ``limit``) computes
     the top entry's arrival and stops when it lies past ``limit`` (at
@@ -81,24 +93,34 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     two-member tie rule.  A stopped walk writes its unvisited entries
     back to the frontier in ascending page order, so ``step()``,
     ``next_event_time()``, a rescan or a later walk resume from the
-    state the step loop would have left.  A pop prunes on the exact
-    MINDIST against the search's own bound: the NN upper bound, the kNN
-    k-th best or the range radius (a window search filters its children
-    at push time instead).  A download books at the cursor's closed-form
+    state the step loop would have left.  A pop prunes against the
+    search's own bound — the NN upper bound, the kNN k-th best or the
+    range radius (a window search filters its children at push time
+    instead) — on the exact MINDIST, or in transitive mode on
+    ``_decide_keep``'s cascade: the deflated two-hypot weak bound proves
+    a prune, the inflated centre or best-corner transitive distance
+    proves a keep, and the scalar ``min_trans_dist`` decides the entries
+    neither settles.  A download books at the cursor's closed-form
     arrival, or replays its retry chain on a faulty tuner
     (:func:`retry_chain`; a retry moves the clock by whole cycles, so the
     cursor stays put), and every attempt books in one
-    ``record_index_run`` call.  Each node is absorbed before the next
-    pop:
+    ``record_index_run`` call (a lossless tuner that keeps no log books
+    only the page count and the clock, ``record_index_count``).  Each
+    node is absorbed before the next pop:
 
-    * NN: a leaf runs the strict-``<`` offer loop; an internal node takes
-      the best MINMAXDIST guarantee over its children holding points and
-      hands the witness on like ``_absorb_internal``, rescanning the
-      queue in ascending page order when a void witness is downloaded;
+    * NN: a leaf runs the strict-``<`` offer loop on ``dis(q, p)``, or on
+      ``dis(start, p) + dis(p, end)`` in transitive mode; an internal
+      node takes the first strictly best guarantee (MINMAXDIST, or the
+      corner MinMaxTransDist) over its children holding points and
+      hands the witness on like ``_absorb_internal``, rebuilding the
+      bound from the queue in ascending page order when a void witness
+      is downloaded;
     * kNN: the scalar offer loop (``_offer_known``), the bound kept at
       the k-th best; only the order of the sequence numbers breaks ties,
       so a rejected offer takes none;
-    * range and window: the search's own ``_absorb_leaf``.
+    * range and window: a leaf appends its points in leaf order that lie
+      in the closed circle (``dis(center, p) <= radius``) or the closed
+      rectangle.
     """
     f = s._frontier
     cycle = f._cycle
@@ -106,37 +128,49 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     hyp = math.hypot
     kind = s._DRAIN_KIND
     nn = kind is NN
+    trans = kind is TNN
     knn = kind is KNN
     window = kind is WINDOW
-    if nn:
-        query = s.query
-        qx, qy = query
+    if nn or trans:
         bound = s.upper_bound
         best_d = s.best_dist
         best_pt = s.best_point
         witness = s._witness_page
+        if nn:
+            query = s.query
+            qx, qy = query
+        else:
+            start = s.start
+            end = s.end
+            sx, sy = start
+            ex, ey = end
     elif knn:
         qx, qy = s.query
         k = s.k
         best = s._best
         seq = s._offer_seq
         bound = s.bound
-    elif window:
-        wx0, wy0, wx1, wy1 = s.window
     else:
-        center = s.circle.center
-        qx = center.x
-        qy = center.y
-        bound = s.circle.radius
+        found = s.results.append
+        if window:
+            wx0, wy0, wx1, wy1 = s.window
+        else:
+            center = s.circle.center
+            qx = center.x
+            qy = center.y
+            bound = s.circle.radius
     tuner = s.tuner
     loss = tuner.loss
     # Reception attempts collect here and book in one record_index_run
     # call — one clock write, one counter add, one log/event-arena extend,
-    # on either tuner backend.
+    # on either tuner backend.  A lossless tuner that keeps no log needs
+    # only the count.
+    logged = loss is not None or tuner.record_log
     pages_dl: List[int] = []
     arrs: List[float] = []
     oks: Optional[List[bool]] = None if loss is None else []
     lost = corrupt = 0
+    downloads = 0
     now = tuner.now
     pops = 0
     bounded = limit < math.inf
@@ -164,7 +198,35 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                 break
         node = lap.pop()
         pops += 1
-        if not window:
+        if trans:
+            # _decide_keep: the weak bound MINDIST(start) + MINDIST(end),
+            # deflated (_weak_lower), proves a prune; the transitive
+            # distance through the centre, then the best corner, inflated
+            # (_certified_keep), proves a keep; Lemma 1 decides the rest.
+            xmin, ymin, xmax, ymax = node.mbr
+            dx = xmin - sx if xmin > sx else (
+                sx - xmax if sx > xmax else 0.0)
+            dy = ymin - sy if ymin > sy else (
+                sy - ymax if sy > ymax else 0.0)
+            fx = xmin - ex if xmin > ex else (
+                ex - xmax if ex > xmax else 0.0)
+            fy = ymin - ey if ymin > ey else (
+                ey - ymax if ey > ymax else 0.0)
+            if (hyp(dx, dy) + hyp(fx, fy)) * _CERT_DEFLATE > bound:
+                continue
+            cx = (xmin + xmax) / 2.0
+            cy = (ymin + ymax) / 2.0
+            if ((hyp(sx - cx, sy - cy) + hyp(cx - ex, cy - ey))
+                    * _CERT_INFLATE > bound
+                    and min(
+                        hyp(sx - xmin, sy - ymin) + hyp(xmin - ex, ymin - ey),
+                        hyp(sx - xmax, sy - ymin) + hyp(xmax - ex, ymin - ey),
+                        hyp(sx - xmax, sy - ymax) + hyp(xmax - ex, ymax - ey),
+                        hyp(sx - xmin, sy - ymax) + hyp(xmin - ex, ymax - ey),
+                    ) * _CERT_INFLATE > bound
+                    and min_trans_dist(start, node.mbr, end) > bound):
+                continue
+        elif not window:
             # Inline Rect.mindist with its max terms as conditionals: the
             # same hypot, since at most one term is positive and hypot
             # drops the sign of a zero.  circle.intersects_rect is
@@ -179,8 +241,11 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
         page = node.page_id
         if loss is None:
             arrival = base + (page - base) % cycle + fphase
-            pages_dl.append(page)
-            arrs.append(arrival)
+            if logged:
+                pages_dl.append(page)
+                arrs.append(arrival)
+            else:
+                downloads += 1
         else:
             arrival, nl, nc = retry_chain(
                 loss, base + (page - base) % cycle, cycle, fphase, arrs
@@ -203,25 +268,59 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                 lap.extend(reversed(node.children))
             if len(lap) + len(later) > peak:
                 peak = len(lap) + len(later)
-            if nn:
+            if nn or trans:
                 # _absorb_internal: the first strictly best guarantee of a
-                # child that holds points, Rect.minmaxdist inlined.
+                # child that holds points.
                 best_child = None
                 best_g = math.inf
-                for child in node.children:
-                    if child.point_count > 0:
-                        xmin, ymin, xmax, ymax = child.mbr
-                        cx = (xmin + xmax) / 2.0
-                        cy = (ymin + ymax) / 2.0
-                        z = hyp(qx - (xmin if qx <= cx else xmax),
-                                qy - (ymin if qy >= cy else ymax))
-                        d = hyp(qx - (xmin if qx >= cx else xmax),
-                                qy - (ymin if qy <= cy else ymax))
-                        if d < z:
-                            z = d
-                        if z < best_g:
-                            best_g = z
-                            best_child = child
+                if nn:
+                    for child in node.children:
+                        if child.point_count > 0:
+                            # Rect.minmaxdist, inlined.
+                            xmin, ymin, xmax, ymax = child.mbr
+                            cx = (xmin + xmax) / 2.0
+                            cy = (ymin + ymax) / 2.0
+                            z = hyp(qx - (xmin if qx <= cx else xmax),
+                                    qy - (ymin if qy >= cy else ymax))
+                            d = hyp(qx - (xmin if qx >= cx else xmax),
+                                    qy - (ymin if qy <= cy else ymax))
+                            if d < z:
+                                z = d
+                            if z < best_g:
+                                best_g = z
+                                best_child = child
+                else:
+                    for child in node.children:
+                        if child.point_count > 0:
+                            xmin, ymin, xmax, ymax = child.mbr
+                            # A weak bound that meets the best proves the
+                            # guarantee cannot beat it.
+                            dx = xmin - sx if xmin > sx else (
+                                sx - xmax if sx > xmax else 0.0)
+                            dy = ymin - sy if ymin > sy else (
+                                sy - ymax if sy > ymax else 0.0)
+                            fx = xmin - ex if xmin > ex else (
+                                ex - xmax if ex > xmax else 0.0)
+                            fy = ymin - ey if ymin > ey else (
+                                ey - ymax if ey > ymax else 0.0)
+                            if ((hyp(dx, dy) + hyp(fx, fy)) * _CERT_DEFLATE
+                                    >= best_g):
+                                continue
+                            # _corner_minmax_trans: Lemma 3 from the four
+                            # corners' transitive distances, CCW.
+                            t0 = (hyp(sx - xmin, sy - ymin)
+                                  + hyp(xmin - ex, ymin - ey))
+                            t1 = (hyp(sx - xmax, sy - ymin)
+                                  + hyp(xmax - ex, ymin - ey))
+                            t2 = (hyp(sx - xmax, sy - ymax)
+                                  + hyp(xmax - ex, ymax - ey))
+                            t3 = (hyp(sx - xmin, sy - ymax)
+                                  + hyp(xmin - ex, ymax - ey))
+                            z = min(max(t0, t1), max(t1, t2), max(t2, t3),
+                                    max(t3, t0))
+                            if z < best_g:
+                                best_g = z
+                                best_child = child
                 if best_child is None:
                     if witness == page:
                         # The downloaded node witnessed the bound, but no
@@ -232,7 +331,8 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                         witness = None
                         for n in sorted(lap + later, key=_by_page):
                             if n.point_count > 0:
-                                z = n.mbr.minmaxdist(query)
+                                z = (n.mbr.minmaxdist(query) if nn else
+                                     min_max_trans_dist(start, n.mbr, end))
                                 if z < bound:
                                     bound = z
                                     witness = n.page_id
@@ -241,12 +341,21 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                     witness = best_child.page_id
                 elif witness == page:
                     witness = best_child.page_id
-        elif nn:
-            for pt in node.points:
-                d = hyp(qx - pt.x, qy - pt.y)
-                if d < best_d:
-                    best_d = d
-                    best_pt = pt
+        elif nn or trans:
+            if nn:
+                for pt in node.points:
+                    d = hyp(qx - pt.x, qy - pt.y)
+                    if d < best_d:
+                        best_d = d
+                        best_pt = pt
+            else:
+                for pt in node.points:
+                    px = pt.x
+                    py = pt.y
+                    d = hyp(sx - px, sy - py) + hyp(px - ex, py - ey)
+                    if d < best_d:
+                        best_d = d
+                        best_pt = pt
             if best_d < bound:
                 bound = best_d
                 witness = None  # a concrete point witnesses the bound
@@ -260,16 +369,25 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                         heapreplace(best, (-d, next(seq), pt))
                     if len(best) == k:
                         bound = -best[0][0]
+        elif window:
+            for pt in node.points:
+                if wx0 <= pt.x <= wx1 and wy0 <= pt.y <= wy1:
+                    found(pt)
         else:
-            s._absorb_leaf(node)
+            for pt in node.points:
+                if hyp(qx - pt.x, qy - pt.y) <= bound:
+                    found(pt)
         base = math.ceil(now - fphase)
         if (base % cycle != page + 1 and lap
                 and lap[-1].page_id == page + 1):
             # The float clock rounded past slot x + 1 (past the lap's end
             # it passes over page 0, the root: never queued here).
             later.append(lap.pop())
-    tuner.record_index_run(pages_dl, arrs, now, oks, lost, corrupt)
-    if nn:
+    if logged:
+        tuner.record_index_run(pages_dl, arrs, now, oks, lost, corrupt)
+    else:
+        tuner.record_index_count(downloads, now)
+    if nn or trans:
         s.upper_bound = bound
         s.best_dist = best_d
         s.best_point = best_pt

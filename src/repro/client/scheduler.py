@@ -172,11 +172,11 @@ def _run_pair(a, b, on_finish) -> None:
     arrival ``ta <= tb`` and runs until its next page arrives after
     ``tb``; ``b`` runs while its next arrival is strictly before ``ta``.
     Before the first finish the members share no state, so a
-    frontier-backed point-mode member drains each run in one walk
-    (:meth:`~repro.client.arrival_queue.ArrivalQueueMixin._run_until`).
+    frontier-backed member under a trivial policy drains each run in one
+    walk (:meth:`~repro.client.arrival_queue.ArrivalQueueMixin._run_until`).
     ``on_finish`` fires after the run that finishes a member and may
     re-steer the other, which then runs unbounded: it drains after a
-    retarget and steps after a switch to the transitive metric.
+    retarget and after a switch to the transitive metric alike.
     """
     ta = a.next_event_time()
     tb = b.next_event_time()

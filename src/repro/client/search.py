@@ -31,10 +31,11 @@ decision is certified identical to the scalar oracle
 
 :meth:`~BroadcastNNSearch.step` advances one queued node and is what a
 scheduler interleaving several channels calls.  A search run alone to the
-end — a point-mode search under a trivial policy on the frontier — skips
-the per-step dispatch: :meth:`~BroadcastNNSearch.run_to_completion` runs
-:func:`repro.client.drain.drain`, one preorder stack walk over the queue,
-bit-identical to the step loop, which stays the reference.
+end — a search under a trivial policy on the frontier, in either mode —
+skips the per-step dispatch: :meth:`~BroadcastNNSearch.run_to_completion`
+runs :func:`repro.client.drain.drain`, one preorder stack walk over the
+queue that replays the step loop's pop-time cascade and absorbs in both
+metrics, bit-identical to the step loop, which stays the reference.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 
 from repro.broadcast.tuner import ChannelTuner
 from repro.client.arrival_queue import ArrivalQueueMixin
-from repro.client.drain import NN
+from repro.client.drain import NN, TNN, _CERT_DEFLATE, _CERT_INFLATE
 from repro.client.policies import ExactPolicy, PruneContext, PruningPolicy
 from repro.geometry import Point, distance, min_max_trans_dist, min_trans_dist
 from repro.geometry import kernels
@@ -60,17 +61,6 @@ class SearchMode(enum.Enum):
 
     POINT = "point"
     TRANSITIVE = "transitive"
-
-
-#: Certification margins for the cheap transitive bound estimates.  The
-#: weak/center estimates and the scalar Lemma 1 evaluation each carry at
-#: most a few ulp (~1e-15 relative) of rounding slack; a 1e-9 margin buries
-#: that by six orders of magnitude, so a deflated under-estimate or an
-#: inflated over-estimate that decides the prune test decides it exactly
-#: like the scalar oracle.  Entries inside the margin band fall back to the
-#: exact metric.
-_CERT_DEFLATE = 1.0 - 1e-9
-_CERT_INFLATE = 1.0 + 1e-9
 
 
 class BroadcastNNSearch(ArrivalQueueMixin):
@@ -283,10 +273,9 @@ class BroadcastNNSearch(ArrivalQueueMixin):
         self._run_until()
 
     def _drains(self) -> bool:
-        """The drain walks point-mode searches under a trivial policy on
-        the frontier; transitive mode and pruning policies step."""
-        return (self._frontier is not None and self.mode is SearchMode.POINT
-                and self._policy_trivial)
+        """The drain walks searches under a trivial policy on the
+        frontier, in either metric; pruning policies step."""
+        return self._frontier is not None and self._policy_trivial
 
     def _prune_context(self, node: RTreeNode) -> PruneContext:
         return PruneContext(
@@ -473,13 +462,16 @@ class BroadcastNNSearch(ArrivalQueueMixin):
         self._metric_epoch += 1  # cached lower bounds no longer apply
         self.mode = SearchMode.TRANSITIVE
         self._point_bit = 0
+        self._DRAIN_KIND = TNN  # the walk's transitive branch
         self.start = start
         self.end = end
         self.query = None
         if self._frontier is not None:
-            # Pop-time misses now batch-evaluate every pending queue entry
-            # in one Lemma 1 kernel call, whatever each node's fan-out was
-            # (arrival-tick batching across the queue).
+            # Stepped pop-time misses (pruning policies, the reference
+            # step loop; the drain computes its own bounds) now
+            # batch-evaluate every pending queue entry in one Lemma 1
+            # kernel call, whatever each node's fan-out was (arrival-tick
+            # batching across the queue).
             self._frontier.lower_evaluator = self._batch_lower_eval
         if self.best_point is not None:
             self.best_dist = distance(start, self.best_point) + distance(

@@ -66,9 +66,10 @@ class TNNAlgorithm(abc.ABC):
 
         Each stage runs to completion (:meth:`SearchGroup.run
         <repro.client.scheduler.SearchGroup.run>`) before the next is
-        built.
+        built.  The tuners keep no reception log: no caller can reach
+        them, and the result carries none.
         """
-        tuner_s, tuner_r = env.tuners(phase_s, phase_r)
+        tuner_s, tuner_r = env.tuners(phase_s, phase_r, record_log=False)
         stages = self._stages(env, query, tuner_s, tuner_r)
         try:
             while True:

@@ -157,15 +157,20 @@ class TNNEnvironment:
     # Per-query channel state
     # ------------------------------------------------------------------
     def tuners(
-        self, phase_s: float = 0.0, phase_r: float = 0.0
+        self, phase_s: float = 0.0, phase_r: float = 0.0,
+        record_log: bool = True,
     ) -> Tuple[ChannelTuner, ChannelTuner]:
-        """Fresh tuners for one query, with the given channel phases."""
+        """Fresh tuners for one query, with the given channel phases
+        (``record_log=False``: no reception logs, the counters still
+        count)."""
         return (
             ChannelTuner(
-                BroadcastChannel(self.s_program, phase=phase_s), loss=self.loss
+                BroadcastChannel(self.s_program, phase=phase_s),
+                loss=self.loss, record_log=record_log,
             ),
             ChannelTuner(
-                BroadcastChannel(self.r_program, phase=phase_r), loss=self.loss
+                BroadcastChannel(self.r_program, phase=phase_r),
+                loss=self.loss, record_log=record_log,
             ),
         )
 

@@ -95,15 +95,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.broadcast.tuner import TunerLedger
-from repro.client.drain import retry_chain
+from repro.client.drain import _CERT_DEFLATE, _CERT_INFLATE, retry_chain
 from repro.client.frontier import FrontierArena, NodeStore
 from repro.client.range_query import BroadcastRangeSearch
 from repro.client.scheduler import SearchGroup
-from repro.client.search import (
-    _CERT_DEFLATE,
-    _CERT_INFLATE,
-    BroadcastNNSearch,
-)
+from repro.client.search import BroadcastNNSearch
 from repro.core.environment import TNNEnvironment
 # Unused here; kept because perfbench's tracer wraps this binding.
 from repro.core.join import transitive_join  # noqa: F401
@@ -1284,10 +1280,7 @@ def execute_tnn_batch(
     jobs = []
     executor = SharedScanExecutor()
     for q, phase_s, phase_r in queries:
-        tuner_s, tuner_r = env.tuners(phase_s, phase_r)
-        if not record_log:
-            tuner_s.record_log = False
-            tuner_r.record_log = False
+        tuner_s, tuner_r = env.tuners(phase_s, phase_r, record_log)
         job = _Lifecycle(algorithm._stages(env, q, tuner_s, tuner_r))
         jobs.append(job)
         executor.add(job.advance())

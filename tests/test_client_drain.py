@@ -4,7 +4,8 @@
 walk (:func:`repro.client.drain.drain`) instead of one ``step()`` per
 queued node; so do the shared-scan executor's drain serves.  The step
 loop stays the reference.  These tests run both routes on identical
-searches — NN in point mode, kNN, range and window — over every layout
+searches — NN in point mode and switched to the transitive metric
+(Hybrid-NN's Case 3), kNN, range and window — over every layout
 with cyclic page order, lossless and under each fault family, at
 whole-slot phases and at phases where the float clock rounds past the
 next slot, from a fresh start and part-stepped, and compare answers,
@@ -125,6 +126,12 @@ def _builders(env, seed=17):
     for c in (Point(4.5 * _STEP, 7.5 * _STEP), Point(9.5 * _STEP, 2.5 * _STEP)):
         out.append(lambda t, c=c: BroadcastNNSearch(tree, t, c))
         out.append(lambda t, c=c: BroadcastKNNSearch(tree, t, c, 3))
+    # Closed containment: lattice points on the circle and the
+    # rectangle's edges belong to the answer.
+    out.append(lambda t: BroadcastRangeSearch(
+        tree, t, Circle(Point(6 * _STEP, 6 * _STEP), _STEP)))
+    out.append(lambda t: BroadcastWindowSearch(
+        tree, t, Rect(3 * _STEP, 3 * _STEP, 5 * _STEP, 4 * _STEP)))
     # A Window-Based second search: it starts when the first one ends,
     # between two slots.
     q = env.random_query_point(rng)
@@ -136,6 +143,45 @@ def _builders(env, seed=17):
     # A point off the data region.
     out.append(lambda t: BroadcastNNSearch(tree, t, Point(-400.0, 5e3)))
     return out
+
+
+def _transitive_builders(env, seed=23):
+    """NN searches that switch to the transitive metric (Hybrid-NN Case
+    3) once their step prefix has run: ``(build, (start, end))`` pairs,
+    ``start`` the query point."""
+    rng = random.Random(seed)
+    tree = env.s_tree
+    out = []
+    for _ in range(2):
+        q = env.random_query_point(rng)
+        out.append((lambda t, q=q: BroadcastNNSearch(tree, t, q),
+                    (q, env.random_query_point(rng))))
+    # Mirror-image lattice points tie exactly in transitive distance.
+    p, r = Point(4.5 * _STEP, 7.5 * _STEP), Point(4.5 * _STEP, 9.5 * _STEP)
+    out.append((lambda t: BroadcastNNSearch(tree, t, p), (p, r)))
+    # A round trip (end = start), and an end off the data region.
+    out.append((lambda t: BroadcastNNSearch(tree, t, r), (r, r)))
+    q = env.random_query_point(rng)
+    out.append((lambda t, q=q: BroadcastNNSearch(tree, t, q),
+                (q, Point(-400.0, 5e3))))
+    return out
+
+
+def _cases(env):
+    """Every builder with its metric switch (``None``: never switches)."""
+    return [(build, None) for build in _builders(env)] + (
+        _transitive_builders(env))
+
+
+def _start(build, switch, tuner, prefix):
+    """Build a search, step it ``prefix`` times, then apply ``switch``."""
+    search = build(tuner)
+    for _ in range(prefix):
+        if not search.finished():
+            search.step()
+    if switch is not None:
+        search.switch_to_transitive(*switch)
+    return search
 
 
 def _step_to_end(search):
@@ -194,37 +240,33 @@ def _straddles(search):
 @pytest.mark.parametrize("layout", _CYCLIC)
 def test_run_to_completion_matches_step_loop(layout, fault, page_capacity,
                                              monkeypatch):
-    """NN, kNN, range and window searches, fresh and part-stepped: the
-    drain reproduces the step loop's answers, clock, page counters, queue
-    peak and tuner log."""
+    """NN (point and transitive mode), kNN, range and window searches,
+    fresh and part-stepped: the drain reproduces the step loop's answers,
+    clock, page counters, queue peak and tuner log."""
     env = _env(layout, fault, page_capacity)
     jumps = 0
     straddled = 0
     failed = 0
     cases = 0
     with kernels.use_kernels(True):
-        for build in _builders(env):
+        for build, switch in _cases(env):
             for phase in _PHASES:
                 for prefix in (0, 1, 3, 9):
                     walked, stepped = (
-                        build(ChannelTuner(
+                        _start(build, switch, ChannelTuner(
                             BroadcastChannel(env.s_program, phase=phase),
                             loss=env.loss,
-                        ))
+                        ), prefix)
                         for _ in range(2)
                     )
                     assert walked._frontier is not None
-                    for s in (walked, stepped):
-                        for _ in range(prefix):
-                            if not s.finished():
-                                s.step()
                     straddled += prefix > 0 and _straddles(walked)
                     _walk_to_end(walked, monkeypatch)
                     jumps += _step_to_end(stepped)
                     assert _state(walked) == _state(stepped)
                     failed += sum(not e[3] for e in stepped.tuner.log)
                     cases += 1
-    assert cases == len(_builders(env)) * len(_PHASES) * 4
+    assert cases == len(_cases(env)) * len(_PHASES) * 4
     assert jumps  # a download rounds past a queued page's slot
     if page_capacity == 64:
         # Some part-stepped walk starts with queued pages on both sides of
@@ -235,7 +277,7 @@ def test_run_to_completion_matches_step_loop(layout, fault, page_capacity,
 
 
 def test_nn_outside_the_walk_keeps_stepping(monkeypatch):
-    """Transitive mode, pruning policies and the heap backend run the
+    """Pruning policies, in either metric, and the heap backend run the
     step loop in ``run_to_completion``."""
     env = _env("rtree", "lossless", 64)
     q = Point(400.0, 600.0)
@@ -249,13 +291,15 @@ def test_nn_outside_the_walk_keeps_stepping(monkeypatch):
     monkeypatch.setattr(BroadcastNNSearch, "step", step_spy)
     searches = []
     with kernels.use_kernels(True):
-        s = BroadcastNNSearch(env.s_tree, env.tuners()[0], q)
-        s.step()
-        s.switch_to_transitive(q, Point(900.0, 100.0))
-        searches.append(s)
         searches.append(BroadcastNNSearch(
             env.s_tree, env.tuners()[0], q, AnnPolicy(alpha=0.5)
         ))
+        s = BroadcastNNSearch(
+            env.s_tree, env.tuners()[0], q, AnnPolicy(alpha=0.5)
+        )
+        s.step()
+        s.switch_to_transitive(q, Point(900.0, 100.0))
+        searches.append(s)
     with kernels.use_kernels(False):
         searches.append(BroadcastNNSearch(env.s_tree, env.tuners()[0], q))
     assert searches[2]._frontier is None
@@ -264,6 +308,39 @@ def test_nn_outside_the_walk_keeps_stepping(monkeypatch):
         s.run_to_completion()
         assert calls and set(map(id, calls)) == {id(s)}
         assert s.finished()
+
+
+@pytest.mark.parametrize("fault", ["lossless", "iid"])
+def test_unlogged_walk_books_like_logged_walk(fault, monkeypatch):
+    """A walk on a tuner that keeps no log books the same clock, index
+    pages and queue peak as on a logging one; a lossless one books only
+    the count (``record_index_count``, never ``record_index_run``)."""
+    env = _env("rtree", fault, 64)
+    runs = []
+    record_run = ChannelTuner.record_index_run
+
+    def record_run_spy(self, *args):
+        runs.append(self.record_log)
+        record_run(self, *args)
+
+    monkeypatch.setattr(ChannelTuner, "record_index_run", record_run_spy)
+    with kernels.use_kernels(True):
+        for build, switch in _cases(env):
+            for phase in (0.0, 127.3):
+                logged, unlogged = (
+                    _start(build, switch, ChannelTuner(
+                        BroadcastChannel(env.s_program, phase=phase),
+                        loss=env.loss, record_log=record_log,
+                    ), 3)
+                    for record_log in (True, False)
+                )
+                _walk_to_end(logged, monkeypatch)
+                _walk_to_end(unlogged, monkeypatch)
+                assert _state(unlogged)[:6] == _state(logged)[:6]
+                assert unlogged.tuner.log == [] != logged.tuner.log
+    # Faulty walks book their attempts through record_index_run either
+    # way; lossless unlogged walks never call it.
+    assert (False in runs) == (fault != "lossless") and True in runs
 
 
 # ----------------------------------------------------------------------
@@ -333,13 +410,13 @@ def test_bounded_drain_matches_bounded_steps(layout, fault, page_capacity,
     no_pop = 0
     stops = 0
     with kernels.use_kernels(True):
-        for b, build in enumerate(_builders(env)):
+        for b, (build, switch) in enumerate(_cases(env)):
             for p, phase in enumerate(_PHASES):
                 walked, stepped, ref = (
-                    build(ChannelTuner(
+                    _start(build, switch, ChannelTuner(
                         BroadcastChannel(env.s_program, phase=phase),
                         loss=env.loss,
-                    ))
+                    ), 0 if switch is None else 3)
                     for _ in range(3)
                 )
                 assert walked._drains()
@@ -407,30 +484,52 @@ def _rescans(search, monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize(
-    "case", ["childless", "forced-witness", "poisoned", "void-witness"]
-)
+#: The end point a ``-transitive`` case switches to, relative to its
+#: query (Hybrid-NN Case 3 from the query itself).
+_TRANSITIVE_END = (3.0, -2.0)
+
+
+@pytest.mark.parametrize("case", [
+    "childless", "forced-witness", "poisoned", "void-witness",
+    "childless-transitive", "forced-witness-transitive",
+    "poisoned-transitive", "void-witness-transitive",
+])
 def test_empty_internal_nodes_walk_like_steps(case, monkeypatch):
     """The empty-internal-node cases of the NN search, on both routes
     from identical state: a childless node hugging the query, a forced
     void witness absorbed directly, a far query that a void guarantee
     would poison, and a void witness the walk itself downloads, which
     rebuilds the bound from the best point and the queue in ascending
-    page order."""
+    page order.  The ``-transitive`` cases switch the search to the
+    transitive metric first."""
+    base, transitive = case.removesuffix("-transitive"), case.endswith(
+        "-transitive")
+
+    def switched(s):
+        if transitive:
+            q = s.query
+            s.switch_to_transitive(q, Point(q.x + _TRANSITIVE_END[0],
+                                            q.y + _TRANSITIVE_END[1]))
+        return s
+
     def setup():
-        if case == "childless":
-            return _empty_node_setup(Point(321, 654), 300, 3)
-        if case == "forced-witness":
+        if base == "childless":
+            s, empty = _empty_node_setup(Point(321, 654), 300, 3)
+            return switched(s), empty
+        if base == "forced-witness":
             s, empty = _empty_node_setup(Point(500, 500), 300, 5)
+            switched(s)
             s._witness_page = empty.page_id
             s._absorb_internal(empty)
             return s, empty
-        if case == "poisoned":
-            return _empty_node_setup(Point(5000, 5000), 600, 42)
+        if base == "poisoned":
+            s, empty = _empty_node_setup(Point(5000, 5000), 600, 42)
+            return switched(s), empty
         s, empty = _empty_node_setup(None, 300, 4, deep=True)
         f = s._frontier
         while f._order_pages[f._head_index()] != empty.page_id:
             s.step()
+        switched(s)
         s._witness_page = empty.page_id
         s.upper_bound = math.inf  # as if its guarantee had been void
         return s, empty
@@ -442,14 +541,15 @@ def test_empty_internal_nodes_walk_like_steps(case, monkeypatch):
         _step_to_end(stepped)
     assert _state(walked) == _state(stepped)
     assert walked.best_point is not None
+    assert (walked.start is not None) == transitive
     downloaded = {e[1] for e in stepped.tuner.log}
-    if case in ("childless", "void-witness"):
+    if base in ("childless", "void-witness"):
         assert empty.page_id in downloaded
-    if case == "void-witness":
+    if base == "void-witness":
         # The rebuilt bound prunes the page after the void node, which a
         # bound left at the best point (infinity here) would download.
         assert empty.page_id + 1 not in downloaded
-    assert bool(rescans) == (case == "void-witness")
+    assert bool(rescans) == (base == "void-witness")
 
 
 # ----------------------------------------------------------------------
@@ -471,10 +571,16 @@ def _stepped_run(algo, env, q, ps, pr):
 _PAIR_PHASES = ((0.0, 211.0), (127.3, 127.3), (211.0, 0.0), (509.7, 509.7))
 
 
+#: What :func:`_spy_pairs` counts.
+_SEEN = ("retarget", "switch_to_transitive", "ties", "drains", "steps",
+         "transitive_runs", "transitive_steps")
+
+
 def _spy_pairs(m, seen):
     """Count Hybrid-NN's re-steers and the pair runs that start on an
     arrival tie (``ta == tb``: the first member runs to its own next
-    arrival); record whether each bounded run drained."""
+    arrival); record whether each bounded run drained; count the runs of
+    searches in transitive mode (Case 3's survivor) and their steps."""
     for name in ("retarget", "switch_to_transitive"):
         def spy(self, *args, _name=name, _orig=getattr(BroadcastNNSearch,
                                                         name)):
@@ -483,14 +589,21 @@ def _spy_pairs(m, seen):
 
         m.setattr(BroadcastNNSearch, name, spy)
     run_until = BroadcastNNSearch._run_until
+    step = BroadcastNNSearch.step
 
     def run_until_spy(self, limit=math.inf, strict=False):
         if limit < math.inf:
             seen["drains" if self._drains() else "steps"] += 1
             seen["ties"] += not strict and self.next_event_time() == limit
+        seen["transitive_runs"] += self.start is not None
         run_until(self, limit, strict)
 
+    def step_spy(self):
+        seen["transitive_steps"] += self.start is not None
+        step(self)
+
     m.setattr(BroadcastNNSearch, "_run_until", run_until_spy)
+    m.setattr(BroadcastNNSearch, "step", step_spy)
 
 
 @pytest.mark.parametrize("fault", sorted(_FAULTS))
@@ -502,12 +615,11 @@ def test_algorithm_run_matches_stepped_stages(algo_cls, fault, monkeypatch):
     tune-in per channel and per phase) matches its stages stepped by
     ``run_all``, whole-slot and rounding phases alike.  Hybrid-NN's pair
     runs on every layout with cyclic order and reaches both re-steers and
-    an arrival tie between its members."""
+    an arrival tie between its members; the survivor of Case 3 drains in
+    the transitive metric without one ``step()`` call."""
     hybrid = algo_cls is HybridNN
     algo = algo_cls()
-    seen = dict.fromkeys(
-        ("retarget", "switch_to_transitive", "ties", "drains", "steps"), 0
-    )
+    seen = dict.fromkeys(_SEEN, 0)
     for layout in _CYCLIC if hybrid else ["rtree"]:
         env = _env(layout, fault, 64)
         rng = random.Random(11)
@@ -526,6 +638,7 @@ def test_algorithm_run_matches_stepped_stages(algo_cls, fault, monkeypatch):
     if hybrid:
         assert seen["retarget"] and seen["switch_to_transitive"]
         assert seen["ties"] and seen["drains"] and not seen["steps"]
+        assert seen["transitive_runs"] and not seen["transitive_steps"]
     else:
         assert seen["drains"] == seen["steps"] == 0
 
@@ -542,9 +655,7 @@ def test_stepping_hybrid_pairs_match_stepped_stages(case, monkeypatch):
     else:
         env = _env("rtree", "lossless", 64)
         algo = HybridNN(AnnOptimization(factor=1 / 150, density_aware=False))
-    seen = dict.fromkeys(
-        ("retarget", "switch_to_transitive", "ties", "drains", "steps"), 0
-    )
+    seen = dict.fromkeys(_SEEN, 0)
     rng = random.Random(13)
     with kernels.use_kernels(True):
         for i in range(12):
@@ -558,6 +669,7 @@ def test_stepping_hybrid_pairs_match_stepped_stages(case, monkeypatch):
             assert got == _stepped_run(algo, env, q, ps, pr)
     assert seen["steps"] and not seen["drains"]
     assert seen["retarget"] and seen["switch_to_transitive"]
+    assert seen["transitive_steps"]
 
 
 class _Scripted(ArrivalQueueMixin):

@@ -130,7 +130,12 @@ def test_tnn_bit_identity(page_capacity, use_kernels, algo_cls, env64, env512):
     queries = _random_queries(env, 25)
     algo = algo_cls()
     with kernels.use_kernels(use_kernels):
-        want = [algo.run(env, q, ps, pr) for q, ps, pr in queries]
+        # Without kernels every group runs through SearchGroup.run, the
+        # code algo.run runs: the reference is the stepped lifecycle.
+        want = (
+            [algo.run(env, q, ps, pr) for q, ps, pr in queries]
+            if use_kernels else _stepped_per_query(env, algo, queries)
+        )
         got = execute_tnn_batch(env, algo, queries)
     assert got == want
 
@@ -237,7 +242,7 @@ def test_shared_runner_run_summary(env64):
 
 def test_distributed_layout_uses_per_query_path(env64):
     """Heap-backed searches (no cyclic page order) run through
-    ``SearchGroup.run`` unchanged."""
+    ``SearchGroup.run`` unchanged: the stepped lifecycle's results."""
     env = TNNEnvironment.build(
         sized_uniform(400, seed=1),
         sized_uniform(400, seed=2),
@@ -246,7 +251,7 @@ def test_distributed_layout_uses_per_query_path(env64):
     )
     queries = _random_queries(env, 8)
     algo = HybridNN()
-    want = [algo.run(env, q, ps, pr) for q, ps, pr in queries]
+    want = _stepped_per_query(env, algo, queries)
     assert execute_tnn_batch(env, algo, queries) == want
 
 

@@ -99,6 +99,22 @@ def _random_queries(env, n, seed=0):
     ]
 
 
+def _stepped_per_query(env, algo, queries):
+    """Each query's lifecycle with every stage driven by ``run_all``'s
+    explicit ``step()`` calls — the reference of both ``algo.run`` and
+    the executor's ``SearchGroup.run`` groups."""
+    out = []
+    for q, ps, pr in queries:
+        stages = algo._stages(env, q, *env.tuners(ps, pr))
+        try:
+            while True:
+                group = next(stages)
+                run_all(group.searches, on_finish=group.on_finish)
+        except StopIteration as done:
+            out.append(done.value)
+    return out
+
+
 def _tuner_state(t):
     return (
         t.now,
@@ -219,6 +235,21 @@ def test_faulty_record_index_run_matches_scalar_oracle():
         assert oracle.lost_pages == 2 and oracle.corrupt_pages == 1
         assert oracle.index_pages == 6
         assert [e[3] for e in oracle.log] == (oks if record_log else [])
+
+
+def test_record_index_count_matches_scalar_oracle():
+    """An unlogged lossless walk's booking — the page count and the
+    clock only — lands identically on both tuner backends."""
+    ledger = TunerLedger()
+    attached = ChannelTuner(_make_channel(), record_log=False)
+    oracle = ChannelTuner(_make_channel(), record_log=False)
+    ledger.attach(attached)
+    for t in (attached, oracle):
+        t.record_index_count(3, 12.0)
+        t.record_index_count(0, 12.0)
+    assert _tuner_state(attached) == _tuner_state(oracle)
+    assert oracle.index_pages == 3 and oracle.now == 12.0
+    assert ledger.event_count == 0
 
 
 def test_event_chains_interleaved_across_rows():
@@ -360,7 +391,12 @@ def test_lossy_tnn_bit_identity(env_lossy, use_kernels, algo_cls):
     queries = _random_queries(env_lossy, 10)
     algo = algo_cls()
     with kernels.use_kernels(use_kernels):
-        want = [algo.run(env_lossy, q, ps, pr) for q, ps, pr in queries]
+        # Without kernels every group runs through SearchGroup.run, the
+        # code algo.run runs: the reference is the stepped lifecycle.
+        want = (
+            [algo.run(env_lossy, q, ps, pr) for q, ps, pr in queries]
+            if use_kernels else _stepped_per_query(env_lossy, algo, queries)
+        )
         got = execute_tnn_batch(env_lossy, algo, queries)
     assert got == want
 
@@ -371,7 +407,7 @@ def test_lossy_tnn_bit_identity_heap_backend():
     queries = _random_queries(env, 6)
     algo = HybridNN()
     with kernels.use_kernels(True):
-        want = [algo.run(env, q, ps, pr) for q, ps, pr in queries]
+        want = _stepped_per_query(env, algo, queries)
         got = execute_tnn_batch(env, algo, queries)
     assert got == want
 
