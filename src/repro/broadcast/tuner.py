@@ -196,14 +196,6 @@ class ChannelTuner:
                 )
             )
 
-    def record_index_count(self, count: int, now: float) -> None:
-        """A drained run of lossless index receptions on a tuner that
-        keeps no log: only the page count and the clock move, so the
-        walk builds no per-download page or arrival lists (an attached
-        tuner's properties route both writes to its ledger row)."""
-        self.now = now
-        self.index_pages += count
-
     def download_index_page(self, page_id: int) -> float:
         """Wait for and download one index page; returns the finish time."""
         attempts = self._receive_at(

@@ -36,8 +36,8 @@ from repro.broadcast.loss import FAULT_LOST
 from repro.geometry import min_max_trans_dist, min_trans_dist
 
 #: Search kinds :func:`drain` walks (each search class's ``_DRAIN_KIND``;
-#: an NN search switched to the transitive metric walks as ``TNN``).
-NN, TNN, KNN, RANGE, WINDOW = "nn", "tnn", "knn", "range", "window"
+#: an NN search with a ``start`` point is in the transitive metric).
+NN, KNN, RANGE, WINDOW = "nn", "knn", "range", "window"
 
 #: Certification margins for the cheap transitive bound estimates.  The
 #: weak/center estimates and the scalar Lemma 1 evaluation each carry at
@@ -50,6 +50,77 @@ _CERT_DEFLATE = 1.0 - 1e-9
 _CERT_INFLATE = 1.0 + 1e-9
 
 _by_page = attrgetter("page_id")
+
+
+def weak_trans_lower(start, mbr, end) -> float:
+    """Certified under-estimate of the transitive Lemma 1 bound.
+
+    ``dis(p,s) + dis(s,r) >= MinDist(p, M) + MinDist(r, M)`` for any
+    ``s`` in ``M``; the deflation absorbs the few-ulp rounding slack
+    between this estimate and the scalar Lemma 1 value, so ``weak >
+    bound`` certifies the exact scalar test would have pruned too.  Two
+    hypots instead of Lemma 1's ~25 side tests.  ``Rect.mindist`` is
+    inlined with its max terms as conditionals: the same hypots, since at
+    most one term per axis is positive and hypot drops the sign of a zero.
+    """
+    sx, sy = start
+    ex, ey = end
+    xmin, ymin, xmax, ymax = mbr
+    dx = xmin - sx if xmin > sx else (sx - xmax if sx > xmax else 0.0)
+    dy = ymin - sy if ymin > sy else (sy - ymax if sy > ymax else 0.0)
+    fx = xmin - ex if xmin > ex else (ex - xmax if ex > xmax else 0.0)
+    fy = ymin - ey if ymin > ey else (ey - ymax if ey > ymax else 0.0)
+    return (math.hypot(dx, dy) + math.hypot(fx, fy)) * _CERT_DEFLATE
+
+
+def certified_keep(start, mbr, end, bound: float) -> bool:
+    """Certified over-estimate test: provably *not* prunable.
+
+    Two tiers of upper bounds on Lemma 1, each inflated by the rounding
+    margin: the transitive distance through the MBR's center (two hypots;
+    the center lies in the MBR) and, failing that, the best corner
+    transitive distance (eight hypots; Lemma 1's case-3 candidate set).
+    Either one falling at or below ``bound`` certifies the exact scalar
+    test would have kept the entry — no Lemma 1 evaluation needed.
+    """
+    sx, sy = start
+    ex, ey = end
+    xmin, ymin, xmax, ymax = mbr
+    cx = (xmin + xmax) / 2.0
+    cy = (ymin + ymax) / 2.0
+    hyp = math.hypot
+    u = hyp(sx - cx, sy - cy) + hyp(cx - ex, cy - ey)
+    if u * _CERT_INFLATE <= bound:
+        return True
+    t = min(
+        hyp(sx - xmin, sy - ymin) + hyp(xmin - ex, ymin - ey),
+        hyp(sx - xmax, sy - ymin) + hyp(xmax - ex, ymin - ey),
+        hyp(sx - xmax, sy - ymax) + hyp(xmax - ex, ymax - ey),
+        hyp(sx - xmin, sy - ymax) + hyp(xmin - ex, ymax - ey),
+    )
+    return t * _CERT_INFLATE <= bound
+
+
+def corner_minmax_trans(start, mbr, end) -> float:
+    """Lemma 3 via shared corner distances — half the hypot count.
+
+    ``min_max_trans_dist`` is ``min`` over the four CCW sides of ``max``
+    over the side's two endpoints of the corner transitive distance; the
+    scalar helper in :mod:`repro.geometry.transitive` recomputes each
+    corner for both adjacent sides.  Evaluating the four corners once and
+    replaying the same max/min order is bit-identical (identical hypot
+    calls, identical sums) at 8 hypots instead of 16.  Kept on the
+    frontier path so the scalar oracle stays the seed implementation.
+    """
+    sx, sy = start
+    ex, ey = end
+    xmin, ymin, xmax, ymax = mbr
+    hyp = math.hypot
+    t0 = hyp(sx - xmin, sy - ymin) + hyp(xmin - ex, ymin - ey)
+    t1 = hyp(sx - xmax, sy - ymin) + hyp(xmax - ex, ymin - ey)
+    t2 = hyp(sx - xmax, sy - ymax) + hyp(xmax - ex, ymax - ey)
+    t3 = hyp(sx - xmin, sy - ymax) + hyp(xmin - ex, ymax - ey)
+    return min(max(t0, t1), max(t1, t2), max(t2, t3), max(t3, t0))
 
 
 def retry_chain(model, slot0: int, cycle: int, phase: float,
@@ -97,21 +168,20 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     search's own bound — the NN upper bound, the kNN k-th best or the
     range radius (a window search filters its children at push time
     instead) — on the exact MINDIST, or in transitive mode on
-    ``_decide_keep``'s cascade: the deflated two-hypot weak bound proves
-    a prune, the inflated centre or best-corner transitive distance
-    proves a keep, and the scalar ``min_trans_dist`` decides the entries
-    neither settles.  A download books at the cursor's closed-form
-    arrival, or replays its retry chain on a faulty tuner
+    ``_decide_keep``'s cascade: :func:`weak_trans_lower` proves a prune,
+    :func:`certified_keep` proves a keep, and the scalar
+    ``min_trans_dist`` decides the entries neither settles.  A download
+    books at the cursor's closed-form arrival, or replays its retry chain
+    on a faulty tuner
     (:func:`retry_chain`; a retry moves the clock by whole cycles, so the
     cursor stays put), and every attempt books in one
-    ``record_index_run`` call (a lossless tuner that keeps no log books
-    only the page count and the clock, ``record_index_count``).  Each
-    node is absorbed before the next pop:
+    ``record_index_run`` call.  Each node is absorbed before the next
+    pop:
 
     * NN: a leaf runs the strict-``<`` offer loop on ``dis(q, p)``, or on
       ``dis(start, p) + dis(p, end)`` in transitive mode; an internal
-      node takes the first strictly best guarantee (MINMAXDIST, or the
-      corner MinMaxTransDist) over its children holding points and
+      node takes the first strictly best guarantee (MINMAXDIST, or
+      :func:`corner_minmax_trans`) over its children holding points and
       hands the witness on like ``_absorb_internal``, rebuilding the
       bound from the queue in ascending page order when a void witness
       is downloaded;
@@ -120,15 +190,15 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
       so a rejected offer takes none;
     * range and window: a leaf appends its points in leaf order that lie
       in the closed circle (``dis(center, p) <= radius``) or the closed
-      rectangle.
+      rectangle, as the search's own ``_absorb_leaf`` does.
     """
     f = s._frontier
     cycle = f._cycle
     fphase = f._phase
     hyp = math.hypot
     kind = s._DRAIN_KIND
-    nn = kind is NN
-    trans = kind is TNN
+    trans = kind is NN and s.start is not None
+    nn = kind is NN and not trans
     knn = kind is KNN
     window = kind is WINDOW
     if nn or trans:
@@ -163,14 +233,11 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     loss = tuner.loss
     # Reception attempts collect here and book in one record_index_run
     # call — one clock write, one counter add, one log/event-arena extend,
-    # on either tuner backend.  A lossless tuner that keeps no log needs
-    # only the count.
-    logged = loss is not None or tuner.record_log
+    # on either tuner backend.
     pages_dl: List[int] = []
     arrs: List[float] = []
     oks: Optional[List[bool]] = None if loss is None else []
     lost = corrupt = 0
-    downloads = 0
     now = tuner.now
     pops = 0
     bounded = limit < math.inf
@@ -199,32 +266,12 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
         node = lap.pop()
         pops += 1
         if trans:
-            # _decide_keep: the weak bound MINDIST(start) + MINDIST(end),
-            # deflated (_weak_lower), proves a prune; the transitive
-            # distance through the centre, then the best corner, inflated
-            # (_certified_keep), proves a keep; Lemma 1 decides the rest.
-            xmin, ymin, xmax, ymax = node.mbr
-            dx = xmin - sx if xmin > sx else (
-                sx - xmax if sx > xmax else 0.0)
-            dy = ymin - sy if ymin > sy else (
-                sy - ymax if sy > ymax else 0.0)
-            fx = xmin - ex if xmin > ex else (
-                ex - xmax if ex > xmax else 0.0)
-            fy = ymin - ey if ymin > ey else (
-                ey - ymax if ey > ymax else 0.0)
-            if (hyp(dx, dy) + hyp(fx, fy)) * _CERT_DEFLATE > bound:
-                continue
-            cx = (xmin + xmax) / 2.0
-            cy = (ymin + ymax) / 2.0
-            if ((hyp(sx - cx, sy - cy) + hyp(cx - ex, cy - ey))
-                    * _CERT_INFLATE > bound
-                    and min(
-                        hyp(sx - xmin, sy - ymin) + hyp(xmin - ex, ymin - ey),
-                        hyp(sx - xmax, sy - ymin) + hyp(xmax - ex, ymin - ey),
-                        hyp(sx - xmax, sy - ymax) + hyp(xmax - ex, ymax - ey),
-                        hyp(sx - xmin, sy - ymax) + hyp(xmin - ex, ymax - ey),
-                    ) * _CERT_INFLATE > bound
-                    and min_trans_dist(start, node.mbr, end) > bound):
+            # _decide_keep's cascade: the weak bound proves a prune, the
+            # certified keep a keep, and Lemma 1 decides the rest.
+            mbr = node.mbr
+            if weak_trans_lower(start, mbr, end) > bound or (
+                    not certified_keep(start, mbr, end, bound)
+                    and min_trans_dist(start, mbr, end) > bound):
                 continue
         elif not window:
             # Inline Rect.mindist with its max terms as conditionals: the
@@ -241,11 +288,8 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
         page = node.page_id
         if loss is None:
             arrival = base + (page - base) % cycle + fphase
-            if logged:
-                pages_dl.append(page)
-                arrs.append(arrival)
-            else:
-                downloads += 1
+            pages_dl.append(page)
+            arrs.append(arrival)
         else:
             arrival, nl, nc = retry_chain(
                 loss, base + (page - base) % cycle, cycle, fphase, arrs
@@ -292,32 +336,12 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                 else:
                     for child in node.children:
                         if child.point_count > 0:
-                            xmin, ymin, xmax, ymax = child.mbr
                             # A weak bound that meets the best proves the
                             # guarantee cannot beat it.
-                            dx = xmin - sx if xmin > sx else (
-                                sx - xmax if sx > xmax else 0.0)
-                            dy = ymin - sy if ymin > sy else (
-                                sy - ymax if sy > ymax else 0.0)
-                            fx = xmin - ex if xmin > ex else (
-                                ex - xmax if ex > xmax else 0.0)
-                            fy = ymin - ey if ymin > ey else (
-                                ey - ymax if ey > ymax else 0.0)
-                            if ((hyp(dx, dy) + hyp(fx, fy)) * _CERT_DEFLATE
-                                    >= best_g):
+                            mbr = child.mbr
+                            if weak_trans_lower(start, mbr, end) >= best_g:
                                 continue
-                            # _corner_minmax_trans: Lemma 3 from the four
-                            # corners' transitive distances, CCW.
-                            t0 = (hyp(sx - xmin, sy - ymin)
-                                  + hyp(xmin - ex, ymin - ey))
-                            t1 = (hyp(sx - xmax, sy - ymin)
-                                  + hyp(xmax - ex, ymin - ey))
-                            t2 = (hyp(sx - xmax, sy - ymax)
-                                  + hyp(xmax - ex, ymax - ey))
-                            t3 = (hyp(sx - xmin, sy - ymax)
-                                  + hyp(xmin - ex, ymax - ey))
-                            z = min(max(t0, t1), max(t1, t2), max(t2, t3),
-                                    max(t3, t0))
+                            z = corner_minmax_trans(start, mbr, end)
                             if z < best_g:
                                 best_g = z
                                 best_child = child
@@ -370,6 +394,9 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                     if len(best) == k:
                         bound = -best[0][0]
         elif window:
+            # The closed tests of Rect/Circle.contains_point, inlined:
+            # calling the search's own _absorb_leaf cost 4% of
+            # tnn_single's throughput (10 pairs, 2-vCPU host).
             for pt in node.points:
                 if wx0 <= pt.x <= wx1 and wy0 <= pt.y <= wy1:
                     found(pt)
@@ -383,10 +410,7 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
             # The float clock rounded past slot x + 1 (past the lap's end
             # it passes over page 0, the root: never queued here).
             later.append(lap.pop())
-    if logged:
-        tuner.record_index_run(pages_dl, arrs, now, oks, lost, corrupt)
-    else:
-        tuner.record_index_count(downloads, now)
+    tuner.record_index_run(pages_dl, arrs, now, oks, lost, corrupt)
     if nn or trans:
         s.upper_bound = bound
         s.best_dist = best_d

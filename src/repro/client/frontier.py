@@ -24,8 +24,8 @@ per-pop head-normalisation chatter with O(log n) pointer work.
 Each entry carries an epoch-stamped lower-bound record next to its node:
 exact bounds from a fused whole-fan-out kernel call (large fan-outs) or a
 whole-queue rescan batch (Hybrid-NN mode switches), and certified *weak*
-under-estimates (see ``BroadcastNNSearch._weak_lower``) where one more
-kernel dispatch would cost more than it saves — the dominant regime at
+under-estimates (see ``repro.client.drain.weak_trans_lower``) where one
+more kernel dispatch would cost more than it saves — the dominant regime at
 64-byte pages, where a queue of ~(H-1)(M-1) entries receives only ~M-1
 new stale entries per arrival tick.  When a pop still finds no bound
 under the current epoch and an evaluator is installed, one kernel call

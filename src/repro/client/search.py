@@ -21,11 +21,13 @@ Two modes exist:
 On the kernel path the queue is the struct-of-arrays arrival frontier
 (:mod:`repro.client.frontier`): bounds are pre-cached next to the queue
 entries — fused whole-fan-out kernel calls above the dispatch floor,
-certified cheap estimates below it (see :meth:`_weak_lower` /
-:meth:`_certified_keep`: deflated under-estimates prove prunes, inflated
-over-estimates prove keeps, and only the rounding-margin band between them
-ever pays for the exact metric) — and Hybrid-NN mode switches re-evaluate
-the whole queue in one kernel batch (:meth:`_rescan_queue_bounds`).  Every
+certified cheap estimates below it (see
+:func:`~repro.client.drain.weak_trans_lower` /
+:func:`~repro.client.drain.certified_keep`: deflated under-estimates prove
+prunes, inflated over-estimates prove keeps, and only the rounding-margin
+band between them ever pays for the exact metric) — and Hybrid-NN mode
+switches re-evaluate the whole queue in one kernel batch
+(:meth:`_rescan_queue_bounds`).  Every
 decision is certified identical to the scalar oracle
 (``kernels.use_kernels(False)``), which remains the seed implementation.
 
@@ -48,7 +50,13 @@ import numpy as np
 
 from repro.broadcast.tuner import ChannelTuner
 from repro.client.arrival_queue import ArrivalQueueMixin
-from repro.client.drain import NN, TNN, _CERT_DEFLATE, _CERT_INFLATE
+from repro.client.drain import (
+    NN,
+    _CERT_DEFLATE,
+    certified_keep,
+    corner_minmax_trans,
+    weak_trans_lower,
+)
 from repro.client.policies import ExactPolicy, PruneContext, PruningPolicy
 from repro.geometry import Point, distance, min_max_trans_dist, min_trans_dist
 from repro.geometry import kernels
@@ -141,70 +149,6 @@ class BroadcastNNSearch(ArrivalQueueMixin):
         """
         return kernels.min_trans_dist(self.start, mbrs, self.end)
 
-    def _weak_lower(self, mbr) -> float:
-        """Certified under-estimate of the transitive Lemma 1 bound.
-
-        ``dis(p,s) + dis(s,r) >= MinDist(p, M) + MinDist(r, M)`` for any
-        ``s`` in ``M``; the deflation absorbs the few-ulp rounding slack
-        between this estimate and the scalar Lemma 1 value, so
-        ``weak > upper_bound`` certifies the exact scalar test would have
-        pruned too.  Two hypots instead of Lemma 1's ~25 side tests.
-        """
-        return (
-            mbr.mindist(self.start) + mbr.mindist(self.end)
-        ) * _CERT_DEFLATE
-
-    def _corner_minmax_trans(self, mbr) -> float:
-        """Lemma 3 via shared corner distances — half the hypot count.
-
-        ``min_max_trans_dist`` is ``min`` over the four CCW sides of
-        ``max`` over the side's two endpoints of the corner transitive
-        distance; the scalar helper in :mod:`repro.geometry.transitive`
-        recomputes each corner for both adjacent sides.  Evaluating the
-        four corners once and replaying the same max/min order is
-        bit-identical (identical hypot calls, identical sums) at 8 hypots
-        instead of 16.  Kept on the frontier path so the scalar oracle
-        stays the seed implementation.
-        """
-        p, r = self.start, self.end
-        c0, c1, c2, c3 = mbr.corners()
-        t0 = distance(p, c0) + distance(c0, r)
-        t1 = distance(p, c1) + distance(c1, r)
-        t2 = distance(p, c2) + distance(c2, r)
-        t3 = distance(p, c3) + distance(c3, r)
-        return min(max(t0, t1), max(t1, t2), max(t2, t3), max(t3, t0))
-
-    def _certified_keep(self, node: RTreeNode) -> bool:
-        """Certified over-estimate test: provably *not* prunable.
-
-        Two tiers of upper bounds on Lemma 1, each inflated by the
-        rounding margin: the transitive distance through the MBR's center
-        (two hypots; the center lies in the MBR) and, failing that, the
-        best corner transitive distance (eight hypots; Lemma 1's case-3
-        candidate set).  Either one falling at or below ``upper_bound``
-        certifies the exact scalar test would have kept the node — no
-        Lemma 1 evaluation needed.
-        """
-        p, r = self.start, self.end
-        xmin, ymin, xmax, ymax = node.mbr
-        cx = (xmin + xmax) / 2.0
-        cy = (ymin + ymax) / 2.0
-        u = math.hypot(p.x - cx, p.y - cy) + math.hypot(cx - r.x, cy - r.y)
-        bound = self.upper_bound
-        if u * _CERT_INFLATE <= bound:
-            return True
-        t = min(
-            math.hypot(p.x - xmin, p.y - ymin)
-            + math.hypot(xmin - r.x, ymin - r.y),
-            math.hypot(p.x - xmax, p.y - ymin)
-            + math.hypot(xmax - r.x, ymin - r.y),
-            math.hypot(p.x - xmax, p.y - ymax)
-            + math.hypot(xmax - r.x, ymax - r.y),
-            math.hypot(p.x - xmin, p.y - ymax)
-            + math.hypot(xmin - r.x, ymax - r.y),
-        )
-        return t * _CERT_INFLATE <= bound
-
     def _batch_threshold(self, leaf: bool) -> int:
         """Smallest batch worth a kernel call under the current metric.
 
@@ -260,7 +204,9 @@ class BroadcastNNSearch(ArrivalQueueMixin):
                 # hypot, so the exact test *is* the cheap resolution.
                 if node.mbr.mindist(self.query) > self.upper_bound:
                     return False
-            elif not self._certified_keep(node):
+            elif not certified_keep(
+                self.start, node.mbr, self.end, self.upper_bound
+            ):
                 if self._lower_bound(node) > self.upper_bound:
                     return False
         if not self._policy_trivial and self.policy.should_prune(
@@ -370,7 +316,8 @@ class BroadcastNNSearch(ArrivalQueueMixin):
             else:
                 # Transitive: the weak two-hypot under-estimate prunes
                 # ~99% of pops without touching Lemma 1.
-                lbs = [self._weak_lower(child.mbr) for child in children]
+                p, r = self.start, self.end
+                lbs = [weak_trans_lower(p, child.mbr, r) for child in children]
                 self._frontier.push_many(
                     children, lbs, epoch, weak=True, src=node
                 )
@@ -379,7 +326,7 @@ class BroadcastNNSearch(ArrivalQueueMixin):
                         continue  # empty subtree: nothing backs a guarantee
                     if lbs[k] >= best_guarantee:
                         continue
-                    z = self._corner_minmax_trans(child.mbr)
+                    z = corner_minmax_trans(p, child.mbr, r)
                     if z < best_guarantee:
                         best_guarantee = z
                         best_child = child
@@ -462,7 +409,6 @@ class BroadcastNNSearch(ArrivalQueueMixin):
         self._metric_epoch += 1  # cached lower bounds no longer apply
         self.mode = SearchMode.TRANSITIVE
         self._point_bit = 0
-        self._DRAIN_KIND = TNN  # the walk's transitive branch
         self.start = start
         self.end = end
         self.query = None

@@ -627,7 +627,7 @@ class SharedScanExecutor:
                 # Weak transitive survivors: the staged keep certificate
                 # against the current bound proves most keeps; the rest
                 # batch one exact Lemma 1 pass.  The scalar path's
-                # centre/corner certificates (_certified_keep) are upper
+                # centre/corner certificates (certified_keep) are upper
                 # bounds on the exact value, so they can never flip the
                 # exact test's verdict — replaying only the exact bound
                 # (bit-identical per kernel contract) decides the same.

@@ -863,14 +863,15 @@ def trans_weak_bounds_multi(
 
     The weak lane is ``MinDist(p, M) + MinDist(r, M)`` under raw
     ``np.hypot`` scaled by ``deflate`` — the transitive metric's certified
-    under-estimate (cf. ``BroadcastNNSearch._weak_lower``).  The second
-    lane is Lemma 3's side maxima over raw corner transitive sums, within
-    an ulp of the exact MinMaxTransDist — gate-only, never store.  The
-    third lane mirrors ``BroadcastNNSearch._certified_keep``'s two upper
-    bounds on the exact Lemma 1 value — the smaller of the through-centre
-    transitive distance and the best raw corner transitive sum (both
-    reachable points of the MBR, so both dominate Lemma 1 regardless of
-    subtree backing) — uninflated; callers apply their own margin.
+    under-estimate (cf. ``repro.client.drain.weak_trans_lower``).  The
+    second lane is Lemma 3's side maxima over raw corner transitive sums,
+    within an ulp of the exact MinMaxTransDist — gate-only, never store.
+    The third lane mirrors ``repro.client.drain.certified_keep``'s two
+    upper bounds on the exact Lemma 1 value — the smaller of the
+    through-centre transitive distance and the best raw corner transitive
+    sum (both reachable points of the MBR, so both dominate Lemma 1
+    regardless of subtree backing) — uninflated; callers apply their own
+    margin.
     """
     px, py = starts[:, 0, None], starts[:, 1, None]
     rx, ry = ends[:, 0, None], ends[:, 1, None]
@@ -895,8 +896,8 @@ def trans_corner_minmax_multi(
 ) -> np.ndarray:
     """Exact Lemma 3 corner MinMaxTransDist per (query, child).
 
-    Bit-identical to ``BroadcastNNSearch._corner_minmax_trans`` row by
-    row: the four corner transitive sums run on the exact
+    Bit-identical to ``repro.client.drain.corner_minmax_trans`` row
+    by row: the four corner transitive sums run on the exact
     :func:`hypot` in the scalar helper's argument order, and the
     ``min`` of adjacent-corner ``max`` pairs replays its evaluation —
     one kernel call replaces the guarantee scans' per-child scalar

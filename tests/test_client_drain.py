@@ -313,17 +313,8 @@ def test_nn_outside_the_walk_keeps_stepping(monkeypatch):
 @pytest.mark.parametrize("fault", ["lossless", "iid"])
 def test_unlogged_walk_books_like_logged_walk(fault, monkeypatch):
     """A walk on a tuner that keeps no log books the same clock, index
-    pages and queue peak as on a logging one; a lossless one books only
-    the count (``record_index_count``, never ``record_index_run``)."""
+    pages and queue peak as on a logging one."""
     env = _env("rtree", fault, 64)
-    runs = []
-    record_run = ChannelTuner.record_index_run
-
-    def record_run_spy(self, *args):
-        runs.append(self.record_log)
-        record_run(self, *args)
-
-    monkeypatch.setattr(ChannelTuner, "record_index_run", record_run_spy)
     with kernels.use_kernels(True):
         for build, switch in _cases(env):
             for phase in (0.0, 127.3):
@@ -338,9 +329,6 @@ def test_unlogged_walk_books_like_logged_walk(fault, monkeypatch):
                 _walk_to_end(unlogged, monkeypatch)
                 assert _state(unlogged)[:6] == _state(logged)[:6]
                 assert unlogged.tuner.log == [] != logged.tuner.log
-    # Faulty walks book their attempts through record_index_run either
-    # way; lossless unlogged walks never call it.
-    assert (False in runs) == (fault != "lossless") and True in runs
 
 
 # ----------------------------------------------------------------------

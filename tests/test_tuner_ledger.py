@@ -237,21 +237,6 @@ def test_faulty_record_index_run_matches_scalar_oracle():
         assert [e[3] for e in oracle.log] == (oks if record_log else [])
 
 
-def test_record_index_count_matches_scalar_oracle():
-    """An unlogged lossless walk's booking — the page count and the
-    clock only — lands identically on both tuner backends."""
-    ledger = TunerLedger()
-    attached = ChannelTuner(_make_channel(), record_log=False)
-    oracle = ChannelTuner(_make_channel(), record_log=False)
-    ledger.attach(attached)
-    for t in (attached, oracle):
-        t.record_index_count(3, 12.0)
-        t.record_index_count(0, 12.0)
-    assert _tuner_state(attached) == _tuner_state(oracle)
-    assert oracle.index_pages == 3 and oracle.now == 12.0
-    assert ledger.event_count == 0
-
-
 def test_event_chains_interleaved_across_rows():
     ledger = TunerLedger()
     a = ChannelTuner(_make_channel())
