@@ -8,9 +8,11 @@ The fault-tolerance PR's recording harness.  Two experiments write
   increasing rates, Gilbert–Elliott fades at increasing burstiness
   (mean fade length ``1 / p_bad_good``) and detected page corruption.
   Mean access time and tune-in are recorded per configuration, and every
-  lossy run is gated **bit-identical** against the per-query oracle —
-  the whole point of the loss-aware arena is that robustness no longer
-  costs the fast path.
+  run is gated **bit-identical** against the stepped per-query lifecycle
+  (every stage driven by ``run_all``'s explicit ``step()`` calls): lossy
+  groups leave the batched NN rounds and drain per query inside the
+  executor, and the retry chains they replay closed form must match the
+  scalar retry loop.
 * **Chaos campaign** — the same workload fans out over a supervised
   worker pool while the chaos hook hard-kills one worker mid-campaign;
   the supervisor's rebuild/reshard/retry path must deliver the same
@@ -35,6 +37,7 @@ from repro.broadcast import (
 from repro.core.environment import TNNEnvironment
 from repro.core.hybrid import HybridNN
 from repro.datasets import sized_uniform
+from repro.client import run_all
 from repro.engine import QueryWorkload, SharedScanRunner, execute_tnn_batch
 from repro.geometry import kernels
 from repro.sim import format_table
@@ -102,6 +105,21 @@ def _merge_json(update: dict) -> None:
     JSON_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
+def _stepped_per_query(env, algo, queries):
+    """Each query's lifecycle with every stage stepped by ``run_all`` —
+    the reference of both ``algo.run`` and the executor."""
+    out = []
+    for q, ps, pr in queries:
+        stages = algo._stages(env, q, *env.tuners(ps, pr))
+        try:
+            while True:
+                group = next(stages)
+                run_all(group.searches, on_finish=group.on_finish)
+        except StopIteration as done:
+            out.append(done.value)
+    return out
+
+
 def test_loss_degradation_curves(benchmark, record_experiment):
     env, queries = _build()
     algo = HybridNN()
@@ -115,7 +133,7 @@ def test_loss_degradation_curves(benchmark, record_experiment):
                 t0 = time.perf_counter()
                 got = execute_tnn_batch(env, algo, queries)
                 dt = time.perf_counter() - t0
-                want = [algo.run(env, q, ps, pr) for q, ps, pr in queries]
+                want = _stepped_per_query(env, algo, queries)
                 identical = got == want
                 all_identical = all_identical and identical
                 n = len(got)

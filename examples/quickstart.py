@@ -83,11 +83,10 @@ the page's next replica, counting erasures (``lost_pages``) apart from
 corruption (``corrupt_pages``).  Gilbert–Elliott fade states are
 computed lazily — a short backward walk to the nearest transition draw
 that fixes the state — and memoised per window in a bounded memo.
-Faulty searches stay on the fast path: the retry chain of a missed page
-replays closed form (replicas sit exactly one cycle apart),
-bit-identically to the per-query retry loop, in the NN round flush and
-in the drain alike, so robustness no longer costs the shared-scan
-speedup.  One drain (``repro.client.drain``) empties a search in a
+Faulty searches skip the shared scan's batched NN rounds and drain per
+query: the retry chain of a missed page replays closed form (replicas
+sit exactly one cycle apart), bit-identically to the per-query retry
+loop.  One drain (``repro.client.drain``) empties a search in a
 single pass: every ``run_to_completion`` of a frontier-backed NN
 (no pruning policy, in the point metric or, after Hybrid-NN's Case 3,
 the transitive one), kNN, range or window search, as in this

@@ -19,7 +19,7 @@ python attribute-write and tuple-allocation cost per download; profiling
 the dominant share of the shared hot path once queues and geometry were
 vectorised.  :class:`TunerLedger` therefore hoists attached tuners' state
 into shared struct-of-arrays lanes — per-tuner ``now`` / ``index_pages`` /
-``data_pages`` / ``lost_pages`` plus one packed ``(kind, ref, arrival,
+``data_pages`` plus one packed ``(kind, ref, arrival,
 ok)`` event arena replacing the per-tuner tuple logs — and the shared-scan
 executor updates all of them with **one vectorised pass per round**
 (:meth:`TunerLedger.flush_round`), alongside the
@@ -34,9 +34,11 @@ methods append to the event arena instead of the tuple list.  Standalone
 tuners keep today's plain scalars — bit for bit the oracle — at plain
 attribute speed (no property indirection is ever paid off-ledger).
 Every tuner the executor serves through its arena is attached for the
-run; tuners driven per query (``TNNAlgorithm.run``, heap-backed searches)
-stay standalone, so the standalone dataclass is the reference the ledger
-is tested against.
+run; tuners driven per query (``TNNAlgorithm.run``, heap-backed searches,
+every faulty tuner) stay standalone, so the standalone dataclass is the
+reference the ledger is tested against.  The ledger books lossless
+receptions only: :meth:`TunerLedger.attach` rejects a tuner with a fault
+model.
 
 ``ChannelTuner.log`` on an attached tuner materialises lazily from the
 event arena: each row keeps a chain of its own events (``prev`` indices),
@@ -106,11 +108,10 @@ class ChannelTuner:
         # drain walk inline this success path for lossless tuners (``now
         # = arrival + 1.0``, one page counted, one ``(kind, ref, arrival,
         # True)`` log entry — batched through the TunerLedger when
-        # attached), and for faulty tuners both the executor's round
-        # flush and the drain replay the whole retry chain closed form
-        # (``retry_chain``), booked through
-        # ``TunerLedger.flush_round_faulty`` or ``record_index_run`` — see
-        # repro/engine/shared_scan.py and repro/client/drain.py.  Any
+        # attached), and for faulty tuners the drain replays the whole
+        # retry chain closed form (``retry_chain``), booked through
+        # ``record_index_run`` — see repro/engine/shared_scan.py and
+        # repro/client/drain.py.  Any
         # change to the accounting here must be mirrored there to
         # preserve the bit-identity contract.
         loss = self.loss
@@ -180,8 +181,7 @@ class ChannelTuner:
         write, one counter add, one log extend (or one event-arena append
         when attached) instead of per-pop attribute writes.  A faulty
         tuner's drain also passes each attempt's ``ok`` flag (``None``:
-        every attempt succeeded) and the failures split by kind — the
-        event layout of :meth:`TunerLedger.flush_round_faulty`.
+        every attempt succeeded) and the failures split by kind.
         """
         self.now = now
         self.index_pages += len(pages)
@@ -229,7 +229,7 @@ class TunerLedger:
 
     One ledger serves one shared-scan executor run.  Each attached tuner
     owns one *row* of the per-tuner lanes (``now``, ``index_pages``,
-    ``data_pages``, ``lost_pages``, ``record_log``) and a chain of events
+    ``data_pages``, ``record_log``) and a chain of events
     in the shared arena (``kind`` / ``ref`` / ``arrival`` / ``ok`` lanes
     plus a ``prev`` index lane linking each row's events newest-first).
 
@@ -238,7 +238,7 @@ class TunerLedger:
     arrivals straight from the :class:`~repro.client.frontier
     .FrontierArena` serve — and the ledger advances every clock, counter
     and event lane vectorised.  The rare scalar continuations (failed
-    certified keeps, lossy retries) write their row through the attached
+    certified keeps) write their row through the attached
     tuner's own methods, so per-tuner event order stays chronological: a
     tuner receives at most one index page per round, and scalar writes of
     round *n* land before the vectorised flush of round *n*.
@@ -254,8 +254,6 @@ class TunerLedger:
         self._now = np.zeros(cap, dtype=np.float64)
         self._index = np.zeros(cap, dtype=np.int64)
         self._data = np.zeros(cap, dtype=np.int64)
-        self._lost = np.zeros(cap, dtype=np.int64)
-        self._corrupt = np.zeros(cap, dtype=np.int64)
         self._rec = np.ones(cap, dtype=bool)
         #: Arena index of each row's newest event (-1: none yet).
         self._last = np.full(cap, -1, dtype=np.int64)
@@ -289,12 +287,16 @@ class TunerLedger:
         Idempotent: a tuner already attached to *this* ledger keeps its
         row.  Events already in the tuner's scalar ``log`` stay where
         they are as the materialisation prefix — attachment at any point
-        of a tuner's life preserves its full event history.
+        of a tuner's life preserves its full event history.  A tuner
+        with a fault model is rejected: its retry chains book per query
+        (``record_index_run`` on the standalone tuner).
         """
         if type(tuner) is _LedgerTuner:
             if tuner._ledger is self:
                 return tuner._row
             raise ValueError("tuner is attached to a different ledger")
+        if tuner.loss is not None:
+            raise ValueError("the ledger books lossless tuners only")
         row = self._rows
         if row >= self._now.shape[0]:
             self._grow_rows()
@@ -302,8 +304,6 @@ class TunerLedger:
         self._now[row] = d["now"]
         self._index[row] = d["index_pages"]
         self._data[row] = d["data_pages"]
-        self._lost[row] = d["lost_pages"]
-        self._corrupt[row] = d["corrupt_pages"]
         self._rec[row] = d["record_log"]
         self._last[row] = -1
         self._rows = row + 1
@@ -314,8 +314,7 @@ class TunerLedger:
         return row
 
     def _grow_rows(self) -> None:
-        for name in ("_now", "_index", "_data", "_lost", "_corrupt",
-                     "_rec", "_last"):
+        for name in ("_now", "_index", "_data", "_rec", "_last"):
             old = getattr(self, name)
             new = np.empty(old.shape[0] * 2, dtype=old.dtype)
             if name == "_last":
@@ -353,10 +352,8 @@ class TunerLedger:
         self._last[row] = i
         self._ev_n = i + 1
 
-    def append_run(self, row: int, kind: int, refs, arrivals,
-                   oks=None) -> None:
-        """Record a chronological run of events for one row (``oks``:
-        each event's ok flag; ``None`` when every event succeeded)."""
+    def append_run(self, row: int, kind: int, refs, arrivals) -> None:
+        """Record a chronological run of successful events for one row."""
         if not self._rec[row]:
             return
         k = len(refs)
@@ -369,7 +366,7 @@ class TunerLedger:
         self._ev_kind[base:end] = kind
         self._ev_ref[base:end] = refs
         self._ev_arrival[base:end] = arrivals
-        self._ev_ok[base:end] = True if oks is None else oks
+        self._ev_ok[base:end] = True
         self._ev_prev[base] = self._last[row]
         if k > 1:
             self._ev_prev[base + 1:end] = np.arange(base, end - 1)
@@ -415,73 +412,9 @@ class TunerLedger:
         self._last[erows] = idx
         self._ev_n = end
 
-    def flush_round_faulty(
-        self,
-        rows: np.ndarray,
-        pages: np.ndarray,
-        attempts: np.ndarray,
-        finals: np.ndarray,
-        lost: np.ndarray,
-        corrupt: np.ndarray,
-        ev_arrivals: np.ndarray,
-    ) -> None:
-        """:meth:`flush_round` for rows whose download may have retried.
-
-        A faulty tuner's retry chain on a cyclic frontier re-attempts the
-        same page exactly one index replica later each time; the executor
-        resolves each row's chain against its fault model closed-form and
-        hands the results here: ``attempts`` (>= 1) counts every
-        reception including the final successful one, ``finals`` is each
-        row's successful arrival, ``lost`` / ``corrupt`` split the
-        ``attempts - 1`` failures by fault kind, and ``ev_arrivals``
-        concatenates every row's per-attempt arrival slots (row-major,
-        chronological — ``attempts.sum()`` values, bit-exact to the slots
-        the scalar ``_receive`` loop would visit).
-
-        One vectorised pass books the whole round: clocks move to
-        ``final + 1.0``, the index counters gain ``attempts``, the fault
-        counters gain their splits, and — for rows recording logs — each
-        row's full attempt chain joins the event arena in chronological
-        order (failures ``ok=False``, the final success ``ok=True``) with
-        the per-row ``prev`` chains linked across the run.
-        """
-        k = rows.shape[0]
-        if k == 0:
-            return
-        self._now[rows] = finals + 1.0
-        self._index[rows] += attempts
-        self._lost[rows] += lost
-        self._corrupt[rows] += corrupt
-        keep = self._rec[rows]
-        if keep.all():
-            erows, epages, eatt, earr = rows, pages, attempts, ev_arrivals
-        else:
-            if not keep.any():
-                return
-            erows = rows[keep]
-            epages = pages[keep]
-            eatt = attempts[keep]
-            earr = ev_arrivals[np.repeat(keep, attempts)]
-        total = int(eatt.sum())
-        base = self._ev_n
-        if base + total > self._ev_kind.shape[0]:
-            self._grow_events(base + total)
-        end = base + total
-        ends = base + np.cumsum(eatt)
-        starts = ends - eatt
-        # Intra-run attempt number of every event: 0..attempts-1 per row.
-        intra = np.arange(total, dtype=np.int64) - np.repeat(
-            starts - base, eatt
-        )
-        self._ev_kind[base:end] = _KIND_INDEX
-        self._ev_ref[base:end] = np.repeat(epages, eatt)
-        self._ev_arrival[base:end] = earr
-        self._ev_ok[base:end] = intra == np.repeat(eatt - 1, eatt)
-        prev = np.arange(base - 1, end - 1, dtype=np.int64)
-        prev[starts - base] = self._last[erows]
-        self._ev_prev[base:end] = prev
-        self._last[erows] = ends - 1
-        self._ev_n = end
+    # Unused here; kept because perfbench's tracer wraps this binding.
+    def flush_round_faulty(self, *args) -> None:
+        raise AssertionError("attach rejects faulty tuners")
 
     # ------------------------------------------------------------------
     # Materialisation
@@ -519,7 +452,8 @@ class _LedgerTuner(ChannelTuner):
     .ArrivalFrontier` honours when attached to a
     :class:`~repro.client.frontier.FrontierArena`.  Scalars written by
     the dataclass ``__init__`` remain in ``__dict__``, shadowed by these
-    properties.
+    properties; ``lost_pages`` / ``corrupt_pages`` read straight through
+    (an attached tuner is lossless, so they stay 0).
     """
 
     _ledger: TunerLedger
@@ -548,22 +482,6 @@ class _LedgerTuner(ChannelTuner):
     @data_pages.setter
     def data_pages(self, value: int) -> None:
         self._ledger._data[self._row] = value
-
-    @property
-    def lost_pages(self) -> int:
-        return int(self._ledger._lost[self._row])
-
-    @lost_pages.setter
-    def lost_pages(self, value: int) -> None:
-        self._ledger._lost[self._row] = value
-
-    @property
-    def corrupt_pages(self) -> int:
-        return int(self._ledger._corrupt[self._row])
-
-    @corrupt_pages.setter
-    def corrupt_pages(self, value: int) -> None:
-        self._ledger._corrupt[self._row] = value
 
     @property
     def record_log(self) -> bool:
@@ -613,11 +531,10 @@ class _LedgerTuner(ChannelTuner):
 
     def record_index_run(self, pages, arrivals, now: float, oks=None,
                          lost: int = 0, corrupt: int = 0) -> None:
+        # An attached tuner is lossless (attach rejects a fault model).
+        assert oks is None and not lost and not corrupt
         ledger = self._ledger
         row = self._row
         ledger._now[row] = now
         ledger._index[row] += len(pages)
-        if lost or corrupt:
-            ledger._lost[row] += lost
-            ledger._corrupt[row] += corrupt
-        ledger.append_run(row, _KIND_INDEX, pages, arrivals, oks)
+        ledger.append_run(row, _KIND_INDEX, pages, arrivals)

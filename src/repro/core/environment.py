@@ -42,9 +42,9 @@ class TNNEnvironment:
     #: :class:`~repro.broadcast.loss.FaultModel` plugs in (i.i.d. loss,
     #: Gilbert–Elliott bursts, detected corruption, or anything
     #: registered via ``register_fault_model``); faulty tuners retry
-    #: receptions at the failed page's next replica.  No search leaves
-    #: its fast path for it — the shared scan's NN round flush and the
-    #: kNN / range / window drain replay the retry chains closed form,
+    #: receptions at the failed page's next replica.  Faulty searches of
+    #: every type run per query in the shared scan (``SearchGroup.run``),
+    #: where the drain replays the retry chains closed form,
     #: bit-identically (see ``repro.client.drain.retry_chain``).
     loss: Optional[FaultModel] = None
     _s_object_index: Dict[Point, int] = field(repr=False, default_factory=dict)

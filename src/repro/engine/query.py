@@ -173,12 +173,12 @@ class QueryEngine:
 
         Every request gets its own tuner (its ``phase`` models when its
         client tuned in), and the shared-scan executor batches what it
-        can: NN requests page-major, one round per page arrival tick
-        with geometry kernels batched across the whole batch, and
-        lossless range requests in set-at-a-time passes; kNN, window and
-        faulty range requests each run alone (one drain walk on a
-        frontier).  Answers come back in request order, bit-identical to
-        the corresponding single-query methods.
+        can: lossless NN requests page-major, one round per page arrival
+        tick with geometry kernels batched across the whole batch, and
+        lossless range requests in set-at-a-time passes; kNN and window
+        requests and every request on a faulty channel run alone (one
+        drain walk on a frontier).  Answers come back in request order,
+        bit-identical to the corresponding single-query methods.
 
         ``record_log=False`` skips every tuner's per-reception event log
         (answers, access times, tune-in counts and queue sizes are

@@ -71,20 +71,15 @@ holds by construction:
   group does).  A search's backend is fixed when it is built: one with
   an :class:`~repro.client.frontier.ArrivalFrontier` can batch, one on
   the heap steps itself;
-* a fault model never forces the per-query path on an NN search.  A
-  faulty tuner's download
-  replays its retry-to-next-replica loop closed form (a missed page's
-  next replica is exactly one cycle later), classifying every attempt
-  with the tuner's :class:`~repro.broadcast.loss.FaultModel` through one
-  helper, :func:`~repro.client.drain.retry_chain`: lossy NN searches stay
-  on the arena/ledger fast path, the round flush booking their chains in
-  one vectorised :meth:`~repro.broadcast.tuner.TunerLedger
-  .flush_round_faulty` pass, and lossy kNN / range / window searches
-  drain through ``SearchGroup.run`` like lossless ones, booking every
-  attempt in the drain's one ``record_index_run`` call (a retry chain
-  shifts later slots by whole cycles, so faulty range searches skip the
-  range pass).  Every arena search's tuner books into the
-  executor's :class:`~repro.broadcast.tuner.TunerLedger`.
+* a fault model sends every group it touches through ``SearchGroup.run``.
+  A faulty tuner's retry chain is irregular (a missed page's next
+  replica is one cycle later, per attempt), so batching it buys nothing:
+  lossy searches of every type drain there, replaying each chain closed
+  form through :func:`~repro.client.drain.retry_chain` and booking every
+  attempt in the drain's one ``record_index_run`` call.  The arena and
+  the range pass serve lossless searches only, and every arena search's
+  tuner books into the executor's :class:`~repro.broadcast.tuner
+  .TunerLedger`.
 """
 
 from __future__ import annotations
@@ -95,7 +90,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.broadcast.tuner import TunerLedger
-from repro.client.drain import _CERT_DEFLATE, _CERT_INFLATE, retry_chain
+from repro.client.drain import _CERT_DEFLATE, _CERT_INFLATE
 from repro.client.frontier import FrontierArena, NodeStore
 from repro.client.range_query import BroadcastRangeSearch
 from repro.client.scheduler import SearchGroup
@@ -143,11 +138,11 @@ class SharedScanExecutor:
     Two shapes batch, chosen per group by what its searches' pop-time
     prune test reads:
 
-    * **NN searches** — the prune bound (``upper_bound``) evolves at every
-      absorb, so a serve is one ``pop_until`` run: consume
-      certified-prunable entries, stop at the first survivor, download it,
-      and defer its expansion to the round's multi-query kernel batch.
-      Every fast NN search joins the columnar
+    * **lossless NN searches** — the prune bound (``upper_bound``)
+      evolves at every absorb, so a serve is one ``pop_until`` run:
+      consume certified-prunable entries, stop at the first survivor,
+      download it, and defer its expansion to the round's multi-query
+      kernel batch.  Every such search joins the columnar
       :class:`~repro.client.frontier.FrontierArena`, whose
       :class:`~repro.client.frontier.NodeStore` is the executor's one node
       representation: phase A serves every due search in whole-workload
@@ -162,17 +157,14 @@ class SharedScanExecutor:
       closed-form slots, booking per search), once a batch fills or no NN
       search is left in the arena.
 
-    Every other group (kNN, window and faulty range searches, heap
-    backends — among them every search built under ``REPRO_NO_KERNELS=1``
-    — non-trivial pruning policies, NN searches grouped with other types,
-    born-finished groups) runs in :meth:`add` through
-    :meth:`SearchGroup.run <repro.client.scheduler.SearchGroup.run>`, the
-    per-query driver: its searches drain wherever they can, and the
-    query's next stage is added right after.
-
-    Fault models never demote an NN search off the arena: the round flush
-    resolves retry chains closed form, bit-identically to the per-query
-    ``_receive`` loop.
+    Every other group (kNN and window searches, any search on a faulty
+    tuner, heap backends — among them every search built under
+    ``REPRO_NO_KERNELS=1`` — non-trivial pruning policies, NN searches
+    grouped with other types, born-finished groups) runs in :meth:`add`
+    through :meth:`SearchGroup.run
+    <repro.client.scheduler.SearchGroup.run>`, the per-query driver: its
+    searches drain wherever they can, and the query's next stage is added
+    right after.
     """
 
     def __init__(self) -> None:
@@ -191,14 +183,6 @@ class SharedScanExecutor:
         self._ledger: Optional[TunerLedger] = None
         #: Arena sid -> ledger row of the owning search's tuner.
         self._sid_row = np.empty(0, dtype=np.int64)
-        #: Arena sid -> fault model of the owning search's tuner (sparse:
-        #: only faulty sids appear).  A faulty NN search rides the arena
-        #: like any other — the round flush resolves its retry chain
-        #: closed-form (the next replica of a page missed at ``arrival``
-        #: on a cyclic frontier is exactly ``arrival + cycle``), so the
-        #: fast path stays bit-identical to the per-query retry loop.
-        self._sid_loss: dict = {}
-        self._any_lossy = False
         #: The round's confirmed serve downloads, held until the arena
         #: flush point and then written to the ledger in one pass.
         self._flush_pending: Optional[tuple] = None
@@ -247,6 +231,7 @@ class SharedScanExecutor:
                     type(s) is BroadcastNNSearch
                     and s._frontier is not None
                     and s._policy_trivial
+                    and s.tuner.loss is None
                     for s in pending
                 ):
                     break
@@ -259,7 +244,7 @@ class SharedScanExecutor:
             group = group.tag.advance() if group.tag is not None else None
         if group is None:
             return
-        # Fast NN searches join the shared columnar arena: their
+        # Fast lossless NN searches join the shared columnar arena: their
         # frontiers' queued entries move into one set of numpy lanes
         # and the round serves them with whole-workload array passes.
         if self._arena is None:
@@ -269,10 +254,6 @@ class SharedScanExecutor:
         for s in pending:
             if getattr(s, "_arena_sid", -1) < 0:
                 self._arena.register(s)
-                loss = s.tuner.loss
-                if loss is not None:
-                    self._any_lossy = True
-                    self._sid_loss[s._arena_sid] = loss
                 # Hoist the tuner's scalars into ledger lanes; the
                 # attach is idempotent, so a tuner shared across
                 # phases keeps its row (and its event history).
@@ -333,7 +314,11 @@ class SharedScanExecutor:
                 confirmed[rej] = False
             conf = np.flatnonzero(confirmed)
             if conf.size:
-                self._flush_ledger(res, due, conf)
+                self._ledger.flush_round(
+                    self._sid_row[due[conf]],
+                    res["page"][conf],
+                    res["arrival"][conf],
+                )
         if self._range_queue:
             # Full batches serve as soon as they fill; the rest once no
             # NN search is left to queue more filter searches behind them.
@@ -369,64 +354,6 @@ class SharedScanExecutor:
             for g in completed:
                 if g.tag is not None:
                     self.add(g.tag.advance())
-
-    def _flush_ledger(self, res, due, conf) -> None:
-        """Book the round's confirmed serve downloads into the ledger.
-
-        Lossless rows flush in one :meth:`TunerLedger.flush_round` pass.
-        Faulty rows replay the per-query retry loop closed form
-        (:func:`~repro.client.drain.retry_chain`, from the first attempt's
-        integer slot) and the whole round's chains book in one
-        :meth:`TunerLedger.flush_round_faulty` pass, bit-identical to
-        ``ChannelTuner._receive``.
-        """
-        sids = due[conf]
-        pages = res["page"][conf]
-        arrs = res["arrival"][conf]
-        ledger = self._ledger
-        if not self._any_lossy:
-            ledger.flush_round(self._sid_row[sids], pages, arrs)
-            return
-        sid_loss = self._sid_loss
-        sids_l = sids.tolist()
-        lossy = [i for i, sid in enumerate(sids_l) if sid in sid_loss]
-        if not lossy:
-            ledger.flush_round(self._sid_row[sids], pages, arrs)
-            return
-        clean_mask = np.ones(len(sids_l), dtype=bool)
-        clean_mask[lossy] = False
-        if clean_mask.any():
-            clean = np.flatnonzero(clean_mask)
-            ledger.flush_round(
-                self._sid_row[sids[clean]], pages[clean], arrs[clean]
-            )
-        arena = self._arena
-        lsids = sids[lossy]
-        ev_arr: List[float] = []
-        chains = [
-            retry_chain(sid_loss[sid], int(round(a - phase)), c, phase,
-                        ev_arr)
-            for sid, a, phase, c in zip(
-                lsids.tolist(),
-                arrs[lossy].tolist(),
-                arena._phase[lsids].tolist(),
-                arena._cycle[lsids].tolist(),
-            )
-        ]
-        finals, lost, corrupt = map(np.array, zip(*chains))
-        attempts = lost + corrupt + 1
-        ledger.flush_round_faulty(
-            self._sid_row[lsids],
-            pages[lossy],
-            attempts,
-            finals,
-            lost,
-            corrupt,
-            np.asarray(ev_arr, dtype=np.float64),
-        )
-        # serve() advanced the arena clocks to ``first arrival + 1``;
-        # retries push a faulty row's clock past its final attempt.
-        arena._now[lsids] = finals + 1.0
 
     def _retire_arena_member(self, g: SearchGroup, s) -> None:
         """Drop a finished arena search from the persistent serve rows.
@@ -766,7 +693,6 @@ class SharedScanExecutor:
         now = self._arena._now
         resumed, probe = ctx
         epoch = s._metric_epoch
-        tuner = s.tuner
         while True:
             res = f.pop_until(s.upper_bound, epoch, limit, strict)
             if res is None:
@@ -778,15 +704,9 @@ class SharedScanExecutor:
                 continue
             # record_index books the download on either tuner backend —
             # scalar writes standalone, the tuner's ledger row when
-            # attached.  A faulty tuner's retry loop books every attempt
-            # itself (its first attempt recomputes exactly this pop's
-            # arrival), and the arena clock re-syncs past the retries.
-            if tuner.loss is None:
-                tuner.record_index(node.page_id, arrival)
-                now[sid] = arrival + 1.0
-            else:
-                tuner.download_index_page(node.page_id)
-                now[sid] = tuner.now
+            # attached.
+            s.tuner.record_index(node.page_id, arrival)
+            now[sid] = arrival + 1.0
             if node.level == 0 and f.finished():
                 probe.append((g, s))  # leaf absorbs never push
             resumed.append((sid, node._store_nid))

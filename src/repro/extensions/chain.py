@@ -70,11 +70,13 @@ class ChainEnvironment:
         return len(self.datasets)
 
     def tuners(self, phases: Sequence[float] | None = None) -> List[ChannelTuner]:
+        """Fresh tuners, one per channel, without reception logs (no
+        chain run reads one; the counters still count)."""
         phases = phases if phases is not None else [0.0] * self.k
         if len(phases) != self.k:
             raise ValueError(f"expected {self.k} phases, got {len(phases)}")
         return [
-            ChannelTuner(BroadcastChannel(prog, phase=ph))
+            ChannelTuner(BroadcastChannel(prog, phase=ph), record_log=False)
             for prog, ph in zip(self.programs, phases)
         ]
 

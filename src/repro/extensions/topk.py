@@ -62,7 +62,7 @@ class TopKTNN:
         phase_s: float = 0.0,
         phase_r: float = 0.0,
     ) -> TopKResult:
-        tuner_s, tuner_r = env.tuners(phase_s, phase_r)
+        tuner_s, tuner_r = env.tuners(phase_s, phase_r, record_log=False)
 
         knn_s = BroadcastKNNSearch(env.s_tree, tuner_s, query, self.k)
         nn_r = BroadcastNNSearch(env.r_tree, tuner_r, query)

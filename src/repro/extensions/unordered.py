@@ -52,7 +52,7 @@ class UnorderedTNN:
         phase_s: float = 0.0,
         phase_r: float = 0.0,
     ) -> UnorderedResult:
-        tuner_s, tuner_r = env.tuners(phase_s, phase_r)
+        tuner_s, tuner_r = env.tuners(phase_s, phase_r, record_log=False)
 
         nn_s = BroadcastNNSearch(env.s_tree, tuner_s, query)
         nn_r = BroadcastNNSearch(env.r_tree, tuner_r, query)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.broadcast import SystemParameters
+from repro.broadcast import ChannelTuner, SystemParameters
 from repro.client import SearchGroup, arrival_queue, run_all
 from repro.core import TNNEnvironment
 from repro.datasets import uniform
@@ -183,7 +183,10 @@ def test_extension_stages_match_stepped_run_all(name, monkeypatch):
     """Each extension's independent stages run through ``SearchGroup.run``,
     which drains its searches; answers, access times and tune-in equal
     those of the same queries with every such stage stepped by
-    ``run_all``."""
+    ``run_all``.  No extension result carries a reception log, so the
+    driven run's tuners record none: a ``ChannelTuner.__init__`` spy
+    counts 0 log tuples (the stepped run forces logging, so the spy
+    bites, and its answers and costs still match)."""
     params = SystemParameters(page_capacity=64)
     if name in ("chain", "hybrid_chain"):
         env = ChainEnvironment.build(
@@ -219,14 +222,29 @@ def test_extension_stages_match_stepped_run_all(name, monkeypatch):
         drained.append(s)
         return drain(s, *args)
 
+    tuners = []
+    init = ChannelTuner.__init__
+    force_log = False
+
+    def init_spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if force_log:
+            self.record_log = True
+        tuners.append(self)
+
     monkeypatch.setattr(arrival_queue, "drain", drain_spy)
+    monkeypatch.setattr(ChannelTuner, "__init__", init_spy)
     got = answers()
     assert drained
+    assert tuners and sum(len(t.log) for t in tuners) == 0
     monkeypatch.setattr(
         SearchGroup, "run",
         lambda group: run_all(group.searches, on_finish=group.on_finish),
     )
     del drained[:]
+    del tuners[:]
+    force_log = True
     want = answers()
     assert drained == []
+    assert sum(len(t.log) for t in tuners) > 0
     assert got == want

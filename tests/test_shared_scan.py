@@ -195,7 +195,9 @@ def test_every_algorithm_page_major_matches_per_query(layout, fault):
     """Every algorithm configuration — exact, approximate, brute force,
     ANN, with data retrieval — runs page-major through its one lifecycle,
     bit-identical to per-query ``algorithm.run`` on every layout and
-    fault family."""
+    fault family.  Lossy groups run through ``SearchGroup.run``, the code
+    ``algorithm.run`` runs, so faulty cells take the stepped lifecycle as
+    reference."""
     spec = _TNN_FAULTS[fault]
     env = TNNEnvironment.build(
         sized_uniform(300, seed=1),
@@ -207,7 +209,8 @@ def test_every_algorithm_page_major_matches_per_query(layout, fault):
     queries = _random_queries(env, 12, seed=3)
     for name, make in _ALGORITHM_CONFIGS.items():
         algo = make()
-        want = _per_query(env, algo, queries)
+        reference = _per_query if spec is None else _stepped_per_query
+        want = reference(env, algo, queries)
         assert execute_tnn_batch(env, algo, queries) == want, name
         if algo.include_data_retrieval:
             assert any(r.data_pages > 0 for r in want), name
@@ -1011,17 +1014,22 @@ def test_paired_drain_groups_match_run_all(kind, monkeypatch):
 
 def test_lossy_range_searches_keep_the_drain(monkeypatch):
     """Faulty range searches still drain, one serve each, and still match
-    the per-query path; TNN filter searches included."""
+    the stepped per-query path; TNN filter searches included, next to the
+    lossy estimate searches, which drain too."""
     env = _two_cycle_env(64, loss=PageLossModel(rate=0.2, seed=9))
     drained = _spy_drained(monkeypatch)
     queries = _random_queries(env, 12, seed=6)
     algo = DoubleNN()
     with kernels.use_kernels(True):
-        want = _per_query(env, algo, queries)
+        want = _stepped_per_query(env, algo, queries)
         with _executor_run():
             assert execute_tnn_batch(env, algo, queries) == want
-    assert len(drained) == 2 * len(queries)
-    assert all(type(s) is BroadcastRangeSearch for s in drained)
+    ranges = [s for s in drained if type(s) is BroadcastRangeSearch]
+    assert len(ranges) == 2 * len(queries)
+    assert len(drained) == 4 * len(queries)
+    assert all(
+        type(s) in (BroadcastRangeSearch, BroadcastNNSearch) for s in drained
+    )
     del drained[:]
     requests = _pass_requests(env)[::6]
     _drain_vs_single(env, requests, monkeypatch)
@@ -1260,28 +1268,21 @@ def test_pop_until_prunes_and_respects_limit(env64):
 
 
 # ----------------------------------------------------------------------
-# Binned phase A (node store) vs the per-query oracle
+# Lossy TNN campaigns vs the stepped per-query lifecycle
 # ----------------------------------------------------------------------
-def _store_vs_oracle(env, algo, queries):
-    """Run the workload page-major and per query; return (store, oracle)."""
-    with kernels.use_kernels(True):
-        store = execute_tnn_batch(env, algo, queries)
-        oracle = [algo.run(env, q, ps, pr) for q, ps, pr in queries]
-    return store, oracle
-
-
 @pytest.mark.parametrize("loss_kwargs", [
     {"name": "iid", "rate": 0.25, "seed": 11},
     {"name": "ge", "bad_rate": 0.6, "p_good_bad": 0.1, "seed": 5},
 ])
 @pytest.mark.parametrize("algo_cls", [DoubleNN, HybridNN])
 def test_store_oracle_identity_under_loss(algo_cls, loss_kwargs):
-    """Lossy channels: retry rows re-book bit-identically on both paths.
+    """Lossy channels: retry chains book bit-identically on both paths.
 
-    Serve rows whose download fails walk the tuner retry loop; the store
-    path must re-sync the arena clocks past the retries exactly like the
-    per-query runs, which the loss-model determinism ties to the same
-    retry sequence.
+    Lossy groups skip the arena and drain through ``SearchGroup.run``,
+    the code ``algo.run`` runs, so the reference is the stepped
+    lifecycle: the drains' closed-form retry chains must match the
+    tuner's scalar retry loop, which the loss-model determinism ties to
+    the same retry sequence.
     """
     from repro.broadcast import make_fault_model
 
@@ -1294,5 +1295,7 @@ def test_store_oracle_identity_under_loss(algo_cls, loss_kwargs):
         loss=loss,
     )
     queries = _random_queries(env, 30, seed=23)
-    store, oracle = _store_vs_oracle(env, algo_cls(), queries)
-    assert store == oracle
+    algo = algo_cls()
+    with kernels.use_kernels(True):
+        store = execute_tnn_batch(env, algo, queries)
+    assert store == _stepped_per_query(env, algo, queries)

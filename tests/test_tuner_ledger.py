@@ -6,15 +6,17 @@ Two contracts under test:
   backend-transparent: an attached tuner's public attributes, accounting
   methods and materialised ``log`` are bit-identical to the standalone
   scalar oracle, through attachment mid-life, vectorised round flushes
-  and lane growth; the executor always attaches arena-served tuners.
+  and lane growth; the executor always attaches arena-served tuners, and
+  the ledger rejects a tuner with a fault model.
 * The shared-scan executor's lossy seam — a :class:`FaultModel` makes
-  receptions fallible; lossy NN searches stay on the arena/ledger fast
-  path (the round flush replays the retry-to-next-replica loop closed
-  form), lossy drains book their attempts through ``record_index_run``,
-  and both must stay bit-identical to the per-query oracle — results,
+  receptions fallible; a group with a lossy search never joins the arena
+  or the ledger but runs at once through ``SearchGroup.run``, whose
+  drains replay the retry-to-next-replica loop closed form and book
+  their attempts through ``record_index_run``.  Every lossy run must stay
+  bit-identical to the stepped per-query reference — results,
   ``lost_pages`` / ``corrupt_pages``, log events — across every fault
   model, loss seed, layout and tuner backend, also when sharing one
-  executor run with lossless searches.
+  executor run with lossless arena searches.
 """
 
 import random
@@ -218,23 +220,14 @@ def test_record_index_run_matches_scalar_oracle():
     assert ledger.event_count == 3
 
 
-def test_faulty_record_index_run_matches_scalar_oracle():
-    """A lossy drain's run — failed attempts ``ok=False``, lost / corrupt
-    splits — books identically on both tuner backends, also for a row
-    that records no log."""
-    pages, arrivals = [3, 3, 3, 8, 1, 1], [2.0, 9.0, 16.0, 17.0, 19.0, 26.0]
-    oks = [False, False, True, True, False, True]
-    for record_log in (True, False):
-        ledger = TunerLedger()
-        attached = ChannelTuner(_make_channel(), record_log=record_log)
-        oracle = ChannelTuner(_make_channel(), record_log=record_log)
-        ledger.attach(attached)
-        for t in (attached, oracle):
-            t.record_index_run(pages, arrivals, 27.0, oks, 2, 1)
-        assert _tuner_state(attached) == _tuner_state(oracle)
-        assert oracle.lost_pages == 2 and oracle.corrupt_pages == 1
-        assert oracle.index_pages == 6
-        assert [e[3] for e in oracle.log] == (oks if record_log else [])
+def test_attach_rejects_faulty_tuner():
+    """The ledger books lossless receptions only: a tuner with a fault
+    model stays standalone, its type and scalars untouched."""
+    ledger = TunerLedger()
+    t = ChannelTuner(_make_channel(), loss=PageLossModel(rate=0.4, seed=3))
+    with pytest.raises(ValueError):
+        ledger.attach(t)
+    assert type(t) is ChannelTuner and len(ledger) == 0
 
 
 def test_event_chains_interleaved_across_rows():
@@ -271,21 +264,17 @@ def test_lane_and_arena_growth_preserve_state():
 
 def test_receive_paths_route_through_ledger_bit_identically():
     """download_index_page / download_object on an attached tuner — the
-    scalar ``_receive`` retry loop writing through the row properties —
-    match the standalone oracle, lossless and lossy."""
-    for loss in (None, PageLossModel(rate=0.4, seed=3)):
-        attached = ChannelTuner(_make_channel(phase=2.0), loss=loss)
-        oracle = ChannelTuner(_make_channel(phase=2.0), loss=loss)
-        TunerLedger().attach(attached)
-        root = attached.channel.program.tree.root
-        for t in (attached, oracle):
-            t.download_index_page(root.page_id)
-            t.download_index_page(root.children[0].page_id)
-            t.download_object(0)
-        assert _tuner_state(attached) == _tuner_state(oracle)
-        if loss is not None:
-            assert attached.lost_pages > 0  # the seed actually fades pages
-            assert any(not ok for *_, ok in attached.log)
+    scalar ``_receive`` loop writing through the row properties — match
+    the standalone oracle."""
+    attached = ChannelTuner(_make_channel(phase=2.0))
+    oracle = ChannelTuner(_make_channel(phase=2.0))
+    TunerLedger().attach(attached)
+    root = attached.channel.program.tree.root
+    for t in (attached, oracle):
+        t.download_index_page(root.page_id)
+        t.download_index_page(root.children[0].page_id)
+        t.download_object(0)
+    assert _tuner_state(attached) == _tuner_state(oracle)
 
 
 # ----------------------------------------------------------------------
@@ -296,10 +285,18 @@ def test_lossy_env_hands_out_lossy_tuners(env_lossy):
     assert ts.loss is LOSS and tr.loss is LOSS
 
 
-def test_lossy_nn_search_joins_the_arena(env_lossless):
-    """Loss no longer demotes an NN search off the fast path: the round
-    flush replays the retry chain, so lossy and clean NN searches share
-    the arena, and the lossy sid is tracked for the faulty flush."""
+def _assert_drained_in_add(s):
+    """A lossy search the executor ran per query inside ``add``: never
+    registered in the arena, its tuner never attached to the ledger."""
+    assert getattr(s, "_arena_sid", -1) < 0
+    assert type(s.tuner) is ChannelTuner
+    assert s.finished()
+
+
+def test_lossy_nn_search_drains_in_add(env_lossless):
+    """A lossy NN group leaves the arena: ``add`` runs it to completion
+    through ``SearchGroup.run`` (its drain replays the retry chains),
+    while a clean NN group joins the arena and the ledger."""
     executor = SharedScanExecutor()
     lossy = BroadcastNNSearch(
         env_lossless.s_tree,
@@ -314,19 +311,21 @@ def test_lossy_nn_search_joins_the_arena(env_lossless):
     lossy_group, clean_group = SearchGroup([lossy]), SearchGroup([clean])
     with kernels.use_kernels(True):
         executor.add(lossy_group)
+        _assert_drained_in_add(lossy)
+        assert lossy_group not in executor._arena_groups
+        assert lossy.tuner.lost_pages > 0  # loss engaged
         executor.add(clean_group)
-    assert lossy_group in executor._arena_groups
     assert clean_group in executor._arena_groups
-    assert lossy._arena_sid >= 0 and clean._arena_sid >= 0
-    assert executor._any_lossy
-    assert executor._sid_loss == {lossy._arena_sid: LOSS}
+    assert clean._arena_sid >= 0 and type(clean.tuner) is not ChannelTuner
+    assert len(executor._ledger) == 1
 
 
-def test_fast_verdict_ignores_fault_model(env_lossless, monkeypatch):
-    """Every frontier-backed search keeps its fast path under any fault
-    model — ``add`` puts an NN search in the arena (the faulty round
-    flush) and drains a kNN search at once — so the tuner's loss model
-    never changes where a search goes; a heap-backed search steps."""
+def test_fast_verdict_reads_fault_model_for_nn_only(
+    env_lossless, monkeypatch
+):
+    """A fault model moves an NN search off the arena — ``add`` drains it
+    at once, like a kNN search under any fault model — and a clean NN
+    search joins the arena; a heap-backed search steps."""
     drained = []
     drain = arrival_queue.drain
 
@@ -353,8 +352,12 @@ def test_fast_verdict_ignores_fault_model(env_lossless, monkeypatch):
             )
             nn_group = SearchGroup([nn])
             executor.add(nn_group)
+            if loss is None:
+                assert nn_group in executor._arena_groups
+            else:
+                _assert_drained_in_add(nn)
+                assert drained[-1] is nn
             executor.add(SearchGroup([knn]))
-            assert nn_group in executor._arena_groups
             assert drained[-1] is knn and knn.finished()
         heap_env = _build_env(loss=LOSS, distributed_levels=2)
         heap = BroadcastKNNSearch(
@@ -366,22 +369,20 @@ def test_fast_verdict_ignores_fault_model(env_lossless, monkeypatch):
         executor.add(SearchGroup([heap]))
         executor.run()
     assert heap._frontier is None and heap.finished()
-    assert heap not in drained and len(drained) == 3
+    assert heap not in drained and len(drained) == 4
 
 
 @pytest.mark.parametrize("use_kernels", [True, False])
 @pytest.mark.parametrize("algo_cls", [DoubleNN, HybridNN])
 def test_lossy_tnn_bit_identity(env_lossy, use_kernels, algo_cls):
-    """Arena-capable env + loss: the whole workload, bit-identical."""
+    """Arena-capable env + loss: the whole workload, bit-identical.
+
+    Every lossy group runs through ``SearchGroup.run``, the code
+    ``algo.run`` runs, so the reference is the stepped lifecycle."""
     queries = _random_queries(env_lossy, 10)
     algo = algo_cls()
     with kernels.use_kernels(use_kernels):
-        # Without kernels every group runs through SearchGroup.run, the
-        # code algo.run runs: the reference is the stepped lifecycle.
-        want = (
-            [algo.run(env_lossy, q, ps, pr) for q, ps, pr in queries]
-            if use_kernels else _stepped_per_query(env_lossy, algo, queries)
-        )
+        want = _stepped_per_query(env_lossy, algo, queries)
         got = execute_tnn_batch(env_lossy, algo, queries)
     assert got == want
 
@@ -405,9 +406,10 @@ def _nn_search(env, query, phase, loss):
 
 
 def test_mixed_lossy_and_arena_searches_share_one_run(env_lossless):
-    """Lossy and lossless NN searches in the same executor run all ride
-    the arena and each match the run_all oracle — results, counters,
-    lost_pages and log events."""
+    """Lossy and lossless NN searches in the same executor run: the clean
+    ones ride the arena, the lossy ones drain inside ``add``, and each
+    matches the run_all oracle — results, counters, lost_pages and log
+    events."""
     rng = random.Random(42)
     cycle = env_lossless.s_program.cycle_length
     specs = [
@@ -426,8 +428,10 @@ def test_mixed_lossy_and_arena_searches_share_one_run(env_lossless):
         executor = SharedScanExecutor()
         for s in shared:
             executor.add(SearchGroup([s]))
-        # Loss no longer splits the run: every NN search is arena-served.
-        assert all(s._arena_sid >= 0 for s in shared)
+            if s.tuner.loss is None:
+                assert s._arena_sid >= 0 and not s.finished()
+            else:
+                _assert_drained_in_add(s)
         executor.run()
     for got, want in zip(shared, oracle):
         assert got.result() == want.result()
@@ -459,9 +463,9 @@ def test_lossy_bit_identity_sweep_across_layouts(layout):
     """Property sweep: for every registered layout and fault model, a
     randomized NN workload on the shared executor matches the per-query
     run_all oracle bit for bit — results, clocks, page counters,
-    lost/corrupt splits and full reception logs — with the ledger on
-    (arena path), the ledger off (forced-scalar arena) and kernels off
-    (scalar heap oracle)."""
+    lost/corrupt splits and full reception logs — with kernels on (each
+    search drains through ``SearchGroup.run``) and off (heap backends
+    step)."""
     env = TNNEnvironment.build(
         sized_uniform(240, seed=7),
         sized_uniform(240, seed=8),
@@ -514,11 +518,12 @@ def test_lossy_bit_identity_sweep_across_layouts(layout):
 @pytest.mark.parametrize("algo_cls", [DoubleNN, HybridNN])
 def test_faulty_tnn_campaign_bit_identity(loss, algo_cls):
     """Whole TNN campaigns under each fault model: the page-major batch
-    (arena + ledger + faulty round flush) equals the per-query oracle."""
+    (every lossy group through ``SearchGroup.run``) equals the stepped
+    per-query lifecycle."""
     env = _build_env(loss=loss, n=300)
     queries = _random_queries(env, 8)
     algo = algo_cls()
     with kernels.use_kernels(True):
-        want = [algo.run(env, q, ps, pr) for q, ps, pr in queries]
+        want = _stepped_per_query(env, algo, queries)
         got = execute_tnn_batch(env, algo, queries)
     assert got == want
