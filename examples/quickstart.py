@@ -80,9 +80,11 @@ installed; this script prints it, and
 ``benchmarks/profile_hot_path.py --help`` offers the same registry as
 ``--loss`` choices) — and every tuner retries failed receptions at
 the page's next replica, counting erasures (``lost_pages``) apart from
-corruption (``corrupt_pages``).  Gilbert–Elliott fade states are
-computed lazily — a short backward walk to the nearest transition draw
-that fixes the state — and memoised per window in a bounded memo.
+corruption (``corrupt_pages``).  Every fault draw is one splitmix64
+counter hash of (seed, slot), so Gilbert–Elliott fade states are
+computed a chunk of whole windows at a time in one numpy pass, the
+first time a slot in the chunk is asked about, and kept one byte per
+slot in a bounded memo.
 Faulty searches skip the shared scan's batched NN rounds and drain per
 query: the retry chain of a missed page replays closed form (replicas
 sit exactly one cycle apart), bit-identically to the per-query retry

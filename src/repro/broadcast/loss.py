@@ -12,7 +12,7 @@ fades and experiments stay reproducible.
 Three registered implementations cover the usual channel abstractions:
 
 * :class:`PageLossModel` — i.i.d. loss, every attempt fails independently
-  with one rate (the original model, unchanged behaviour);
+  with one rate;
 * :class:`GilbertElliottLossModel` — the classic two-state Markov burst
   channel (a *good* state with rare losses, a *bad* state modelling a
   correlated fade), so consecutive slots fail together the way real
@@ -23,6 +23,14 @@ Three registered implementations cover the usual channel abstractions:
   (``ChannelTuner.corrupt_pages``), the distinction link-layer studies
   report.
 
+Every random decision is one counter-based hash: splitmix64 keyed by
+``(seed, tag, slot)``, where ``tag`` separates the kinds of draw.  It has
+a scalar form on Python ints (:func:`_uniform`) and a numpy ``uint64``
+form (:func:`_uniforms`) that agree bit for bit, so a model can draw one
+attempt's outcome per call and a whole run of fade states per array pass.
+Integer slots key by their value (two's complement), float arrival times
+by their IEEE-754 bits.
+
 All models plug into ``TNNEnvironment.build(..., loss=...)`` and are
 constructible by name through :func:`make_fault_model` for sweeps and CLI
 tools, mirroring the ``register_layout`` registry.
@@ -30,29 +38,76 @@ tools, mirroring the ``register_layout`` registry.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
+
+import numpy as np
 
 #: Fault classification codes returned by :meth:`FaultModel.classify`.
 FAULT_OK = 0
 FAULT_LOST = 1
 FAULT_CORRUPT = 2
 
+# Domain-separation tags: independent draws at the same slot never
+# correlate by accident.
+_TAG_STATE0 = 0  # a Gilbert–Elliott window's stationary state
+_TAG_TRANSITION = 1  # a Gilbert–Elliott state transition
+_TAG_LOSS = 2  # a loss outcome
+_TAG_CORRUPT = 3  # a corruption outcome
 
-def _slot_uniform(seed: int, slot: float, tag: int) -> float:
-    """A uniform in ``[0, 1)`` that is a pure function of (seed, slot, tag).
+_MASK64 = (1 << 64) - 1
+# splitmix64's increment (the golden ratio in 64 bits) and its
+# finaliser's multipliers.
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+#: Top 53 hash bits to a uniform in [0, 1): exact in both forms.
+_UNIT = 2.0 ** -53
 
-    ``tag`` domain-separates independent draws at the same slot (state
-    transitions vs loss outcomes), so models composing several random
-    decisions per slot never correlate them by accident.
+_pack_double = struct.Struct("<d").pack
+
+
+def _mix64(z: int) -> int:
+    """splitmix64's finaliser on a Python int in ``[0, 2**64)``."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _stream_key(seed: int, tag: int) -> int:
+    """The hash key of one kind of draw (``tag``) under ``seed``."""
+    return (_mix64(seed & _MASK64) + tag) & _MASK64
+
+
+def _float_bits(t: float) -> int:
+    """The IEEE-754 bits of arrival time ``t``, as an unsigned int."""
+    return int.from_bytes(_pack_double(t), "little")
+
+
+def _uniform(key: int, x: int) -> float:
+    """A uniform in ``[0, 1)``, a pure function of ``(key, x)``.
+
+    ``x`` is an integer slot or a float's bits (:func:`_float_bits`):
+    counter ``x`` of the splitmix64 stream that starts at ``key``.
     """
-    digest = hashlib.blake2b(
-        struct.pack("<qqd", seed, tag, float(slot)), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "little") / 2**64
+    return (_mix64((key + x * _GOLDEN) & _MASK64) >> 11) * _UNIT
+
+
+def _uniforms(key: int, x: np.ndarray) -> np.ndarray:
+    """:func:`_uniform` over an ``int64`` slot or ``uint64`` bits array.
+
+    ``uint64`` arithmetic wraps modulo 2**64 like the scalar form's
+    masks, so every element equals the scalar draw bit for bit.
+    """
+    z = x.view(np.uint64) * np.uint64(_GOLDEN) + np.uint64(key)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * _UNIT
 
 
 class FaultModel:
@@ -64,9 +119,8 @@ class FaultModel:
     must be deterministic per ``(slot, seed)``: replicas of the same page
     at different slots fade independently, as on a real channel, while
     the same client asking about the same slot twice gets a consistent
-    answer — the property the shared-scan executor's closed-form retry
-    rescheduling and the per-query retry loop both rely on to stay
-    bit-identical.
+    answer — the property the drain's closed-form retry chains and the
+    per-query retry loop both rely on to stay bit-identical.
     """
 
     def classify(self, page_slot: float) -> int:
@@ -105,31 +159,25 @@ def _check_probability(name: str, p: float) -> None:
 
 @dataclass(frozen=True)
 class PageLossModel(FaultModel):
-    """I.i.d. page loss: every reception attempt fails with ``rate``."""
+    """I.i.d. page loss: every reception attempt fails with ``rate``.
+
+    The outcome hashes the attempt's arrival time with the seed, so it is
+    a pure function of (slot, seed) — replicas of the same page at
+    different slots fade independently, as on a real channel.
+    """
 
     rate: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         _check_rate("loss rate", self.rate)
-
-    def lost(self, page_slot: float) -> bool:
-        """Whether the reception attempt at absolute slot ``page_slot`` fails.
-
-        Hashes the slot with the seed so the outcome is a pure function of
-        (slot, seed) — replicas of the same page at different slots fade
-        independently, as on a real channel.
-        """
-        if self.rate == 0.0:
-            return False
-        digest = hashlib.blake2b(
-            struct.pack("<qd", self.seed, float(page_slot)), digest_size=8
-        ).digest()
-        u = int.from_bytes(digest, "little") / 2**64
-        return u < self.rate
+        object.__setattr__(self, "_key", _stream_key(self.seed, _TAG_LOSS))
 
     def classify(self, page_slot: float) -> int:
-        return FAULT_LOST if self.lost(page_slot) else FAULT_OK
+        if self.rate == 0.0:
+            return FAULT_OK
+        u = _uniform(self._key, _float_bits(page_slot))
+        return FAULT_LOST if u < self.rate else FAULT_OK
 
 
 @dataclass(frozen=True)
@@ -151,19 +199,19 @@ class GilbertElliottLossModel(FaultModel):
     function of (seed, its window, its offset), computable without
     global history.
 
-    States are computed lazily, by a backward walk from the wanted slot.
-    Some transition draws decide the next state whatever the current one
-    is: ``p_bad_good <= u < p_good_bad`` forces *bad* and ``p_good_bad <=
-    u < p_bad_good`` forces *good* (any other draw keeps or flips the
-    state).  The walk stops at the latest such forcing draw, at a
-    memoised slot, or at the window's stationary draw, and replays the
-    draws it passed forward — the forward walk's state exactly, at about
-    ``1 / |p_bad_good - p_good_bad|`` hashes per state instead of
-    ``regen`` per window.  The memo keeps one ``bytearray(regen)`` per
-    window (0 unknown, 1 good, 2 bad) for at most ``_MEMO_WINDOWS``
-    windows, evicting the oldest first; outcomes are pure functions of
-    (seed, slot), so an eviction can cost a recomputation, never change
-    a draw.
+    States are computed a chunk of whole windows at a time (about
+    ``_CHUNK_SLOTS`` slots), the first time any slot in the chunk is
+    classified, in one numpy pass (:meth:`_fill`).  A transition draw
+    ``u`` decides the next state from the current one, and some draws
+    decide it whatever the current one is: ``p_bad_good <= u <
+    p_good_bad`` forces *bad*, ``p_good_bad <= u < p_bad_good`` forces
+    *good*, ``u < min`` flips the state and any other draw keeps it.
+    So a slot's state is the state at its last anchor (a forcing draw,
+    or the window's stationary draw) XOR the parity of the flips since —
+    the forward walk's state exactly.  The memo keeps one byte per slot
+    (1 bad, 0 good) for at most ``_MEMO_CHUNKS`` chunks, evicting the
+    oldest first; outcomes are pure functions of (seed, slot), so an
+    eviction can cost a recomputation, never change a draw.
     """
 
     good_rate: float = 0.0
@@ -175,18 +223,17 @@ class GilbertElliottLossModel(FaultModel):
     #: bursts; the default comfortably exceeds the mean fade length of
     #: any plausible parameterisation.
     regen: int = 64
-    _windows: Dict[int, bytearray] = field(
+    _chunks: Dict[int, bytes] = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
 
-    #: Memo cap, in windows (about 0.2 MB per 1,000 windows at the
-    #: default ``regen``).
-    _MEMO_WINDOWS = 16384
-
-    # Domain-separation tags for the per-slot uniform draws.
-    _TAG_STATE0 = 0
-    _TAG_TRANSITION = 1
-    _TAG_LOSS = 2
+    #: Target chunk size in slots, rounded down to whole windows (at least
+    #: one).
+    _CHUNK_SLOTS = 1 << 14
+    #: Memo cap, in chunks: 4 MB of states at the default sizes, well
+    #: above the ~100 chunks one shard of a 1,000-query lossy campaign
+    #: touches.
+    _MEMO_CHUNKS = 256
 
     def __post_init__(self) -> None:
         _check_rate("good-state loss rate", self.good_rate)
@@ -197,68 +244,55 @@ class GilbertElliottLossModel(FaultModel):
             raise ValueError(
                 f"regen window must be a positive int, got {self.regen!r}"
             )
+        put = object.__setattr__
+        put(self, "_span",
+            max(1, self._CHUNK_SLOTS // self.regen) * self.regen)
+        put(self, "_loss_key", _stream_key(self.seed, _TAG_LOSS))
 
-    def _bad(self, slot: int) -> bool:
-        """Whether integer ``slot`` is in the bad state (lazy, memoised).
-
-        Walks back from ``slot`` to the nearest state it can read
-        without its predecessor — a memoised slot, a forcing transition
-        draw, or the window's stationary draw at offset 0 — then replays
-        the collected draws forward, memoising every state it passes.
-        """
+    def _fill(self, chunk: int) -> bytes:
+        """Compute and memoise the fade states of chunk ``chunk``."""
         regen = self.regen
-        w, off = divmod(slot, regen)
-        windows = self._windows
-        memo = windows.get(w)
-        if memo is None:
-            if len(windows) >= self._MEMO_WINDOWS:
-                del windows[next(iter(windows))]  # oldest window first
-            memo = windows[w] = bytearray(regen)
-        code = memo[off]
-        if code:
-            return code == 2
-        start = w * regen
-        seed = self.seed
+        span = self._span
+        slots = np.arange(
+            chunk * span, (chunk + 1) * span, dtype=np.int64
+        ).reshape(-1, regen)
         p_gb = self.p_good_bad
         p_bg = self.p_bad_good
-        draws: List[float] = []
-        k = off
-        while True:
-            if k == 0:
-                # Stationary P(bad); a chain that never transitions stays
-                # good.
-                denom = p_gb + p_bg
-                p_bad = p_gb / denom if denom > 0.0 else 0.0
-                bad = _slot_uniform(seed, start, self._TAG_STATE0) < p_bad
-                break
-            u = _slot_uniform(seed, start + k, self._TAG_TRANSITION)
-            if p_bg <= u < p_gb:
-                bad = True  # bad -> stays bad, good -> turns bad
-                break
-            if p_gb <= u < p_bg:
-                bad = False  # bad -> recovers, good -> stays good
-                break
-            draws.append(u)
-            k -= 1
-            code = memo[k]
-            if code:
-                bad = code == 2
-                break
-        memo[k] = 2 if bad else 1
-        for u in reversed(draws):
-            k += 1
-            bad = (u >= p_bg) if bad else (u < p_gb)
-            memo[k] = 2 if bad else 1
-        return bad
+        u = _uniforms(_stream_key(self.seed, _TAG_TRANSITION), slots)
+        # Each window starts from its stationary draw (P(bad); a chain
+        # that never transitions stays good).
+        denom = p_gb + p_bg
+        p_bad = p_gb / denom if denom > 0.0 else 0.0
+        u0 = _uniforms(_stream_key(self.seed, _TAG_STATE0), slots[:, 0])
+        # Anchors: the draws that force a state, and column 0 (the
+        # stationary draw), which np.where fills in for every slot before
+        # a window's first forcing draw.  Column 0's transition draw is
+        # unused: the parity below counts flips after the anchor only.
+        anchor_bad = (p_bg <= u) & (u < p_gb)
+        anchor = anchor_bad | ((p_gb <= u) & (u < p_bg))
+        anchor_bad[:, 0] = u0 < p_bad
+        last = np.maximum.accumulate(
+            np.where(anchor, np.arange(regen), 0), axis=1
+        )
+        parity = np.cumsum(u < min(p_gb, p_bg), axis=1, dtype=np.int32)
+        parity -= np.take_along_axis(parity, last, axis=1)
+        bad = np.take_along_axis(anchor_bad, last, axis=1) ^ (parity & 1)
+        states = bad.astype(np.uint8).tobytes()
+        memo = self._chunks
+        if len(memo) >= self._MEMO_CHUNKS:
+            del memo[next(iter(memo))]  # oldest chunk first
+        memo[chunk] = states
+        return states
 
     def classify(self, page_slot: float) -> int:
-        rate = (
-            self.bad_rate if self._bad(math.floor(page_slot))
-            else self.good_rate
-        )
+        chunk, off = divmod(math.floor(page_slot), self._span)
+        states = self._chunks.get(chunk)
+        if states is None:
+            states = self._fill(chunk)
+        rate = self.bad_rate if states[off] else self.good_rate
         if rate == 0.0:
             return FAULT_OK
-        u = _slot_uniform(self.seed, page_slot, self._TAG_LOSS)
+        u = _uniform(self._loss_key, _float_bits(page_slot))
         return FAULT_LOST if u < rate else FAULT_OK
 
 
@@ -277,14 +311,14 @@ class PageCorruptionModel(FaultModel):
 
     def __post_init__(self) -> None:
         _check_rate("corruption rate", self.rate)
+        object.__setattr__(
+            self, "_key", _stream_key(self.seed, _TAG_CORRUPT)
+        )
 
     def classify(self, page_slot: float) -> int:
         if self.rate == 0.0:
             return FAULT_OK
-        digest = hashlib.blake2b(
-            struct.pack("<qd", self.seed, float(page_slot)), digest_size=8
-        ).digest()
-        u = int.from_bytes(digest, "little") / 2**64
+        u = _uniform(self._key, _float_bits(page_slot))
         return FAULT_CORRUPT if u < self.rate else FAULT_OK
 
 

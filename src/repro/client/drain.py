@@ -171,12 +171,12 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     ``_decide_keep``'s cascade: :func:`weak_trans_lower` proves a prune,
     :func:`certified_keep` proves a keep, and the scalar
     ``min_trans_dist`` decides the entries neither settles.  A download
-    books at the cursor's closed-form arrival, or replays its retry chain
-    on a faulty tuner
-    (:func:`retry_chain`; a retry moves the clock by whole cycles, so the
-    cursor stays put), and every attempt books in one
-    ``record_index_run`` call.  Each node is absorbed before the next
-    pop:
+    books at the cursor's closed-form arrival; on a faulty tuner that
+    first attempt is classified inline, and only a failed one replays
+    its retry chain from the next replica (:func:`retry_chain`; a retry
+    moves the clock by whole cycles, so the cursor stays put).  Every
+    attempt books in one ``record_index_run`` call.  Each node is
+    absorbed before the next pop:
 
     * NN: a leaf runs the strict-``<`` offer loop on ``dis(q, p)``, or on
       ``dis(start, p) + dis(p, end)`` in transitive mode; an internal
@@ -286,19 +286,27 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
             if hyp(dx, dy) > bound:
                 continue
         page = node.page_id
-        if loss is None:
-            arrival = base + (page - base) % cycle + fphase
-            pages_dl.append(page)
-            arrs.append(arrival)
-        else:
-            arrival, nl, nc = retry_chain(
-                loss, base + (page - base) % cycle, cycle, fphase, arrs
-            )
-            pages_dl.extend([page] * (nl + nc + 1))
-            oks.extend([False] * (nl + nc))
+        slot = base + (page - base) % cycle
+        arrival = slot + fphase
+        pages_dl.append(page)
+        arrs.append(arrival)
+        if loss is not None:
+            # Most first attempts succeed; a failed one replays its
+            # retry chain from the next replica.
+            fault = loss.classify(arrival)
+            if fault:
+                if fault == FAULT_LOST:
+                    lost += 1
+                else:
+                    corrupt += 1
+                arrival, nl, nc = retry_chain(
+                    loss, slot + cycle, cycle, fphase, arrs
+                )
+                pages_dl.extend([page] * (nl + nc + 1))
+                oks.extend([False] * (nl + nc + 1))
+                lost += nl
+                corrupt += nc
             oks.append(True)
-            lost += nl
-            corrupt += nc
         now = arrival + 1.0
         if node.level != 0:
             if window:

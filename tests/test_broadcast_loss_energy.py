@@ -1,8 +1,11 @@
 """Tests for the page-loss model and the energy model."""
 
 import math
+import pickle
 import random
+import time
 
+import numpy as np
 import pytest
 
 from repro.broadcast import (
@@ -21,7 +24,16 @@ from repro.broadcast import (
     make_fault_model,
     register_fault_model,
 )
-from repro.broadcast.loss import _slot_uniform
+from repro.broadcast.loss import (
+    _TAG_CORRUPT,
+    _TAG_LOSS,
+    _TAG_STATE0,
+    _TAG_TRANSITION,
+    _float_bits,
+    _stream_key,
+    _uniform,
+    _uniforms,
+)
 from repro.client import BroadcastNNSearch
 from repro.core import DoubleNN, TNNEnvironment
 from repro.datasets import uniform
@@ -151,14 +163,17 @@ def test_ge_fractional_slots_share_state_draw_independently():
 
 def _forward_walk_states(model, w):
     """Reference fade states of window ``w``: the whole window walked
-    forward from its stationary draw (the pre-lazy implementation)."""
+    forward from its stationary draw, one scalar hash per slot."""
     start = w * model.regen
+    mask = 2**64 - 1
     denom = model.p_good_bad + model.p_bad_good
     p_bad = model.p_good_bad / denom if denom > 0.0 else 0.0
-    bad = _slot_uniform(model.seed, start, model._TAG_STATE0) < p_bad
+    state0 = _stream_key(model.seed, _TAG_STATE0)
+    transition = _stream_key(model.seed, _TAG_TRANSITION)
+    bad = _uniform(state0, start & mask) < p_bad
     states = [bad]
     for off in range(1, model.regen):
-        u = _slot_uniform(model.seed, start + off, model._TAG_TRANSITION)
+        u = _uniform(transition, (start + off) & mask)
         bad = (u >= model.p_bad_good) if bad else (u < model.p_good_bad)
         states.append(bad)
     return states
@@ -170,16 +185,19 @@ def _forward_walk_classify(model, page_slot):
     rate = model.bad_rate if bad else model.good_rate
     if rate == 0.0:
         return FAULT_OK
-    u = _slot_uniform(model.seed, page_slot, model._TAG_LOSS)
+    u = _uniform(_stream_key(model.seed, _TAG_LOSS), _float_bits(page_slot))
     return FAULT_LOST if u < rate else FAULT_OK
 
 
-def _random_slots(rng, n):
-    """Random float slots: fractional arrivals, integer slots, clusters."""
+def _random_slots(rng, n, span):
+    """Random float slots: fractional arrivals, integer slots, clusters,
+    negative slots, and the slots either side of chunk edges."""
     slots = []
     while len(slots) < n:
-        t = rng.uniform(-200.0, 20_000.0)
-        slots += [t, float(math.floor(t)), t + rng.randrange(1, 9)]
+        t = rng.uniform(-3.0 * span, 3.0 * span)
+        edge = float(rng.randrange(-3, 4) * span)
+        slots += [t, float(math.floor(t)), t + rng.randrange(1, 9),
+                  edge, edge - 1.0, edge - 0.5]
     return slots[:n]
 
 
@@ -189,43 +207,159 @@ def _random_slots(rng, n):
         {},
         {"p_good_bad": 0.2, "p_bad_good": 0.2},  # no forcing draws
         {"regen": 1},
+        {"regen": 48},  # does not divide the chunk
+        {"regen": 100},
         {"p_good_bad": 0.0},
         {"p_good_bad": 0.3, "p_bad_good": 0.1},  # draws that force *bad*
     ],
-    ids=["defaults", "no-forcing-draws", "regen-1", "never-fades",
-         "forces-bad"],
+    ids=["defaults", "no-forcing-draws", "regen-1", "regen-48",
+         "regen-100", "never-fades", "forces-bad"],
 )
 def test_ge_lazy_states_match_forward_walk(kwargs):
-    """The lazy backward walk classifies every slot exactly like the
-    forward walk over its whole window, in any query order."""
+    """The chunked numpy pass classifies every slot exactly like the
+    scalar forward walk over its whole window, in either query order."""
     rng = random.Random(17)
     for seed in range(3):
         model = GilbertElliottLossModel(
             good_rate=0.1, bad_rate=0.8, seed=seed, **kwargs
         )
-        slots = _random_slots(rng, 1_500)
+        assert model._span % model.regen == 0  # whole windows per chunk
+        slots = _random_slots(rng, 600, model._span)
         want = [_forward_walk_classify(model, t) for t in slots]
         assert [model.classify(t) for t in slots] == want
-        assert [model.classify(t) for t in reversed(slots)] == want[::-1]
+        fresh = GilbertElliottLossModel(
+            good_rate=0.1, bad_rate=0.8, seed=seed, **kwargs
+        )
+        assert [fresh.classify(t) for t in reversed(slots)] == want[::-1]
+        assert min(fresh._chunks) < 0 < max(fresh._chunks)
 
 
 def test_ge_memo_cap_evicts_without_changing_outcomes(monkeypatch):
-    """Past the memo cap the oldest windows are evicted; recomputed
+    """Past the memo cap the oldest chunks are evicted; recomputed
     states are the same draws, and the memo never exceeds the cap."""
-    cap = 8
-    monkeypatch.setattr(GilbertElliottLossModel, "_MEMO_WINDOWS", cap)
+    cap = 3
+    monkeypatch.setattr(GilbertElliottLossModel, "_MEMO_CHUNKS", cap)
+    monkeypatch.setattr(GilbertElliottLossModel, "_CHUNK_SLOTS", 64)
     kwargs = dict(good_rate=0.1, bad_rate=0.8, seed=4, regen=16)
     model = GilbertElliottLossModel(**kwargs)
-    slots = _random_slots(random.Random(23), 2_000)
+    assert model._span == 64
+    slots = _random_slots(random.Random(23), 1_500, 400)
     want = [_forward_walk_classify(model, t) for t in slots]
-    for _ in range(2):  # the second pass re-derives evicted windows
+    for order in (slots, slots[::-1], slots):  # evicted chunks re-derive
         got = []
-        for t in slots:
+        for t in order:
             got.append(model.classify(t))
-            assert len(model._windows) <= cap
-        assert got == want
-    touched = {math.floor(t) // model.regen for t in slots}
+            assert len(model._chunks) <= cap
+        assert got == (want if order is slots else want[::-1])
+    touched = {math.floor(t) // model._span for t in slots}
     assert len(touched) > 10 * cap  # evictions really happened
+
+
+@pytest.mark.parametrize("tag", [_TAG_STATE0, _TAG_TRANSITION, _TAG_LOSS])
+def test_scalar_and_numpy_uniforms_agree_bit_for_bit(tag):
+    """One hash, two forms: the scalar draw on Python ints and the numpy
+    ``uint64`` pass give the same float for every integer slot and every
+    float arrival's bits."""
+    rng = random.Random(tag)
+    ints = [rng.randrange(-(2**20), 2**20) for _ in range(500)]
+    ints += [2**40 + rng.randrange(-500, 500) for _ in range(200)]
+    ints += [-(2**40) + rng.randrange(-500, 500) for _ in range(200)]
+    ints += [0, -1, 2**63 - 1, -(2**63)]
+    floats = [rng.uniform(-(2**40), 2**40) for _ in range(500)]
+    floats += [f + 0.5 for f in ints[:200]] + [0.0, -0.0, 2.0**40 - 0.25]
+    for seed in (0, 7, -3, 2**62):
+        key = _stream_key(seed, tag)
+        got = _uniforms(key, np.array(ints, dtype=np.int64))
+        want = [_uniform(key, x & (2**64 - 1)) for x in ints]
+        assert got.tolist() == want
+        got = _uniforms(key, np.array(floats, dtype=np.float64).view(np.uint64))
+        want = [_uniform(key, _float_bits(t)) for t in floats]
+        assert got.tolist() == want
+        assert all(0.0 <= u < 1.0 for u in want)
+
+
+def test_ge_pickled_memo_keeps_outcomes():
+    """A model shipped with a filled memo (as pool workers receive it)
+    classifies like the original and like a fresh instance."""
+    kwargs = dict(good_rate=0.1, bad_rate=0.8, seed=9, regen=48)
+    model = GilbertElliottLossModel(**kwargs)
+    slots = _random_slots(random.Random(5), 800, model._span)
+    want = [model.classify(t) for t in slots]
+    assert model._chunks
+    clone = pickle.loads(pickle.dumps(model))
+    assert clone == model and clone._chunks == model._chunks
+    assert [clone.classify(t) for t in reversed(slots)] == want[::-1]
+    fresh = GilbertElliottLossModel(**kwargs)
+    assert [fresh.classify(t) for t in slots] == want
+
+
+#: Slots per statistical draw: 2**20 outcomes per fault family.
+_STAT_SLOTS = 1 << 20
+
+
+def _iid_stats(model, tag, code):
+    """Empirical fault rate of an i.i.d. model over ``_STAT_SLOTS``
+    phased arrivals, drawn with the numpy form of the hash; a sample of
+    the same slots goes through ``classify`` too."""
+    arrivals = np.arange(_STAT_SLOTS, dtype=np.float64) + 0.375
+    u = _uniforms(_stream_key(model.seed, tag), arrivals.view(np.uint64))
+    faults = u < model.rate
+    for i in range(0, _STAT_SLOTS, 997):
+        assert model.classify(float(arrivals[i])) == (
+            code if faults[i] else FAULT_OK)
+    return faults.mean()
+
+
+@pytest.mark.parametrize("name", ["iid", "gilbert-elliott", "corruption"])
+def test_fault_families_match_configured_statistics(name):
+    """At a fixed seed, 2**20 outcomes per registered fault family match
+    the configured parameters.  Tolerances are about five standard
+    errors: 0.002 on an i.i.d. rate (sd ~4e-4 at 2**20 draws); for the
+    Gilbert–Elliott chain, whose neighbouring slots correlate, 0.005 on
+    the bad fraction (sd ~9e-4), 0.003 on the loss rate and 2% on the
+    mean fade length (sd ~0.4%, estimated from ~170k bad-to-next-slot
+    transitions)."""
+    t0 = time.perf_counter()
+    families = {
+        type(make_fault_model(n)) for n in available_fault_models()
+    }
+    assert families == {
+        PageLossModel, GilbertElliottLossModel, PageCorruptionModel
+    }
+    if name == "iid":
+        model = make_fault_model(name, rate=0.25, seed=11)
+        rate = _iid_stats(model, _TAG_LOSS, FAULT_LOST)
+        assert abs(rate - 0.25) < 0.002
+    elif name == "corruption":
+        model = make_fault_model(name, rate=0.1, seed=11)
+        rate = _iid_stats(model, _TAG_CORRUPT, FAULT_CORRUPT)
+        assert abs(rate - 0.1) < 0.002
+    else:
+        model = make_fault_model(name, good_rate=0.01, seed=11)
+        n_chunks = _STAT_SLOTS // model._span
+        states = np.frombuffer(
+            b"".join(model._fill(c) for c in range(n_chunks)), np.uint8
+        ).astype(bool)
+        slots = np.arange(states.size, dtype=np.int64)
+        p_gb, p_bg = model.p_good_bad, model.p_bad_good
+        assert abs(states.mean() - p_gb / (p_gb + p_bg)) < 0.005
+        # Mean fade length: bad slots with a successor in their window
+        # over the fades that end there (the geometric sojourn's MLE).
+        windows = states.reshape(-1, model.regen)
+        stays = windows[:, :-1] & windows[:, 1:]
+        exits = windows[:, :-1] & ~windows[:, 1:]
+        fade = (stays.sum() + exits.sum()) / exits.sum()
+        assert abs(fade / (1.0 / p_bg) - 1.0) < 0.02
+        arrivals = (slots + 0.625).astype(np.float64)
+        u = _uniforms(_stream_key(model.seed, _TAG_LOSS),
+                      arrivals.view(np.uint64))
+        lost = u < np.where(states, model.bad_rate, model.good_rate)
+        want = (p_gb * model.bad_rate + p_bg * model.good_rate) / (p_gb + p_bg)
+        assert abs(lost.mean() - want) < 0.003
+        for i in range(0, states.size, 997):
+            assert model.classify(float(arrivals[i])) == (
+                FAULT_LOST if lost[i] else FAULT_OK)
+    assert time.perf_counter() - t0 < 1.0
 
 
 # ----------------------------------------------------------------------
