@@ -99,9 +99,10 @@ the rest of its queue back: each run of a Hybrid-NN pair member ends at
 its sibling's next arrival.  Index pages are
 numbered in DFS preorder, so a downloaded node's children fill the
 pages right after it and cyclic page order is a stack order: the drain
-walks two plain node lists (this lap's, top first, and the next lap's),
-pushes each expanded fan-out reversed, and defers only the page one
-slot on when the float clock rounds past it.  Each node is absorbed
+walks one plain node list, smallest page on top, and pushes each
+expanded fan-out reversed (the channel snaps its phase to 2^-20 slot,
+so after a download at slot x the clock's cursor is exactly x + 1).
+Each node is absorbed
 before the next pop — an NN node with the strict offer loop or the
 MINMAXDIST guarantee hand-off (in transitive mode the pop test runs the
 step's certified MinTransDist cascade and the guarantee is the corner
@@ -112,7 +113,7 @@ stays the reference it is tested against.  Lossless range searches (the TNN filt
 circle queries, ``run_many`` range requests) skip the pop loop: batches
 of 128 walk the node store level by level with one exact MINDIST kernel
 call per level, and every download's slot follows in closed form from
-the drain's float clock, so the answers, clocks, logs and queue peaks
+the drain's clock, so the answers, clocks, logs and queue peaks
 are the drain's, bit for bit.
 
 Architecture note — pluggable air-index backends.  Schedule generation

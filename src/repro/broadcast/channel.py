@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from repro.broadcast.program import BroadcastProgram
 
 
@@ -12,11 +14,24 @@ class BroadcastChannel:
     is on air at absolute times ``phase + k * cycle_length``.  Each query in
     the evaluation draws a random phase per channel, reproducing the paper's
     "two random numbers ... simulate the waiting time to get the two roots".
+
+    The channel owns the clock's number format: ``phase`` is snapped, in
+    integer arithmetic, to the multiple of 2^-20 slot nearest to it
+    modulo the cycle, in ``[0, cycle_length)``.  Every clock sum below
+    2^33 slots (an integer slot plus the phase, plus one) is then exact,
+    so after a download at slot ``x`` the cursor ``ceil(now - phase)`` is
+    ``x + 1`` on every path that computes it.
     """
 
     def __init__(self, program: BroadcastProgram, phase: float = 0.0) -> None:
+        if not math.isfinite(phase):
+            raise ValueError(f"channel phase must be finite, got {phase!r}")
         self.program = program
-        self.phase = phase % program.cycle_length if program.cycle_length else 0.0
+        length = program.cycle_length
+        self.phase = (
+            (round(math.fmod(phase, length) * 2**20) % (length << 20)) / 2**20
+            if length else 0.0
+        )
 
     @property
     def cycle_length(self) -> int:

@@ -20,16 +20,16 @@ Index pages are numbered in DFS preorder
 (:meth:`~repro.rtree.tree.RTree.assign_page_ids`), so a downloaded node's
 children fill the pages right after it and no other queued entry lies
 among them: cyclic page order from the cursor is a stack order.  The walk
-keeps two plain node lists — this lap's entries, smallest page on top,
-and the next lap's, ascending — pushes each expanded fan-out reversed, and
-defers only the page one slot on when the float clock rounds past it.
+keeps one plain node list, smallest page on top, and pushes each expanded
+fan-out reversed: the channel's exact clock
+(:class:`~repro.broadcast.channel.BroadcastChannel`) puts the cursor on
+slot ``x + 1`` after a download at slot ``x``.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heappush, heapreplace
-from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from repro.broadcast.loss import FAULT_LOST
@@ -48,8 +48,6 @@ NN, KNN, RANGE, WINDOW = "nn", "knn", "range", "window"
 #: exact metric.
 _CERT_DEFLATE = 1.0 - 1e-9
 _CERT_INFLATE = 1.0 + 1e-9
-
-_by_page = attrgetter("page_id")
 
 
 def weak_trans_lower(start, mbr, end) -> float:
@@ -130,10 +128,10 @@ def retry_chain(model, slot0: int, cycle: int, phase: float,
     Replicas of an index page on a cyclic frontier sit exactly one cycle
     apart, so attempt ``n`` of a chain whose first attempt falls on
     integer slot ``slot0`` arrives at ``float(slot0 + n * cycle) +
-    phase`` — the same single rounding the scalar channel arithmetic
-    performs.  Each attempt is classified by ``model`` until one
-    succeeds, exactly like ``ChannelTuner._receive``; every attempt's
-    arrival is appended to ``ev_arr``.  Returns ``(final arrival, lost,
+    phase``, as the scalar channel arithmetic computes it.  Each attempt
+    is classified by ``model`` until one succeeds, exactly like
+    ``ChannelTuner._receive``; every attempt's arrival is appended to
+    ``ev_arr``.  Returns ``(final arrival, lost,
     corrupt)``: the successful arrival and the failures split by kind.
     """
     lost = corrupt = 0
@@ -155,9 +153,11 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     ``limit``.
 
     ``s`` is frontier-backed (standalone, not in an arena); an NN search
-    runs under a trivial policy, in either metric.  Seeding splits the
-    frontier's queued entries at the cursor ``ceil(now - phase) %
-    cycle``.  Before each pop a bounded walk (finite ``limit``) computes
+    runs under a trivial policy, in either metric.  The walk takes the
+    frontier's queued entries, which lie all at or past the cursor
+    ``ceil(now - phase) % cycle`` or all before it (the root of a fresh
+    search); a seed on both sides of the cursor raises ``RuntimeError``.
+    Before each pop a bounded walk (finite ``limit``) computes
     the top entry's arrival and stops when it lies past ``limit`` (at
     ``limit`` too when ``strict``) — the step loop's stopping rule
     (``_run_until``), which reproduces :func:`~repro.client.run_all`'s
@@ -242,28 +242,26 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     pops = 0
     bounded = limit < math.inf
     base = math.ceil(now - fphase)
-    queued = [f._nodes[j] for j in f._order_slots]  # ascending pages
-    lap = [n for n in reversed(queued) if n.page_id >= base % cycle]
-    later = [n for n in queued if n.page_id < base % cycle]
+    pages = f._order_pages
+    if pages and pages[0] < base % cycle <= pages[-1]:
+        raise RuntimeError(
+            f"queued pages {pages[0]}..{pages[-1]} straddle the cursor "
+            f"{base % cycle}"
+        )
+    stack = [f._nodes[j] for j in reversed(f._order_slots)]
     del f._order_pages[:]
     del f._order_slots[:]
     peak = f.max_size
-    while True:
-        if not lap:
-            if not later:
-                break
-            later.reverse()
-            lap, later = later, []
+    while stack:
         if bounded:
-            page = lap[-1].page_id
+            page = stack[-1].page_id
             arrival = base + (page - base) % cycle + fphase
             if arrival > limit or (strict and arrival == limit):
                 # Stop before the pop: the unvisited entries go back to
-                # the emptied frontier, ascending (later < lap).
-                later.extend(reversed(lap))
-                f.push_many(later)
+                # the emptied frontier, ascending.
+                f.push_many(stack[::-1])
                 break
-        node = lap.pop()
+        node = stack.pop()
         pops += 1
         if trans:
             # _decide_keep's cascade: the weak bound proves a prune, the
@@ -315,11 +313,11 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                     xmin, ymin, xmax, ymax = child.mbr
                     if not (xmin > wx1 or xmax < wx0
                             or ymin > wy1 or ymax < wy0):
-                        lap.append(child)
+                        stack.append(child)
             else:
-                lap.extend(reversed(node.children))
-            if len(lap) + len(later) > peak:
-                peak = len(lap) + len(later)
+                stack.extend(reversed(node.children))
+            if len(stack) > peak:
+                peak = len(stack)
             if nn or trans:
                 # _absorb_internal: the first strictly best guarantee of a
                 # child that holds points.
@@ -357,11 +355,11 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                     if witness == page:
                         # The downloaded node witnessed the bound, but no
                         # child backs a guarantee: rebuild the bound from
-                        # the best point and the queue, like
-                        # _rescan_queue_bounds.
+                        # the best point and the queue (ascending pages),
+                        # like _rescan_queue_bounds.
                         bound = best_d
                         witness = None
-                        for n in sorted(lap + later, key=_by_page):
+                        for n in reversed(stack):
                             if n.point_count > 0:
                                 z = (n.mbr.minmaxdist(query) if nn else
                                      min_max_trans_dist(start, n.mbr, end))
@@ -413,11 +411,6 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                 if hyp(qx - pt.x, qy - pt.y) <= bound:
                     found(pt)
         base = math.ceil(now - fphase)
-        if (base % cycle != page + 1 and lap
-                and lap[-1].page_id == page + 1):
-            # The float clock rounded past slot x + 1 (past the lap's end
-            # it passes over page 0, the root: never queued here).
-            later.append(lap.pop())
     tuner.record_index_run(pages_dl, arrs, now, oks, lost, corrupt)
     if nn or trans:
         s.upper_bound = bound

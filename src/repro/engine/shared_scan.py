@@ -37,7 +37,7 @@ circle queries, ``run_many`` range requests) queue for a
 **set-at-a-time pass**: up to ``_RANGE_BATCH`` of them walk the node
 store level by level together, one exact multi-query MINDIST call per
 level deciding every prune, and each download's slot follows in closed
-form from the drain's float clock.  Those two shapes are all the executor
+form from the drain's clock.  Those two shapes are all the executor
 batches.  Every other group — kNN, window and faulty range searches,
 heap backends, pruning policies, anything else — runs the moment it is
 added, through :meth:`SearchGroup.run
@@ -61,9 +61,8 @@ holds by construction:
   guarantee scans) with every stored value still computed by the exact
   scalar metrics; the absorb lanes replay the per-query absorb logic
   (``_absorb_internal`` / ``_absorb_leaf``) on the batched rows, the range
-  pass's slots replay the drain's cursor (prunes, float clock and its
-  rounding jumps), and the inlined page download replays the tuner's
-  arrival arithmetic;
+  pass's slots replay the drain's cursor, and the inlined page download
+  replays the tuner's arrival arithmetic;
 * everything that cannot batch runs the per-query code itself:
   sub-threshold lanes take the search's scalar absorb, and every group
   outside the arena and the range pass runs through ``SearchGroup.run``
@@ -764,18 +763,11 @@ class SharedScanExecutor:
 
         **Slots.**  The drain pops in cyclic page order from a cursor at
         ``ceil(now - phase)``; a prune leaves the clock alone and a
-        download at integer slot ``x`` moves it to ``float(x) + phase +
-        1.0``.  The cursor then sits on ``x + 1`` — or on ``x + 2`` when
-        that float round trip rounds up, so the page in slot ``x + 1`` is
-        passed over until the next lap.  Every queued entry is therefore
-        visited at its first slot after its parent's download (after the
-        start cursor, for the entries queued at the start), or one cycle
-        later when the page one below it was downloaded just before that
-        slot with a rounding jump.  A page occurs once per tree, so at
-        most one jump passes over an entry.  The visits depend on each
-        other only through a parent and the page one below, both served
-        earlier, so one top-down pass per level plus whole-batch
-        re-evaluations until nothing moves give the exact slots.
+        download at integer slot ``x`` moves the cursor to ``x + 1``
+        (the channel's clock is exact).  Every queued entry is therefore
+        visited at its first slot after its parent's download, or after
+        the start cursor for the entries queued at the start: one
+        top-down pass per level gives the slots.
 
         **Booking**, per search in visit order: downloads go to the tuner
         through one ``record_index_run`` call (pages, arrivals
@@ -825,49 +817,19 @@ class SharedScanExecutor:
             n += keep.shape[0]
         S, N, P, K = (np.concatenate(c) for c in zip(*levels))
 
-        # Visit slots.
+        # Visit slots, level by level: the entries queued at the start
+        # (the first level) from the cursor, the others from their parent.
         page = store.page[N]
         c = cyc[S]
-        ph = phase[S]
-        root = P < 0
-        b = cursor[S]
-        first_slot = b + (page - b) % c  # the entries queued at the start
-        # z: the downloaded entry one page below, when there is one.
-        width = int(cyc.max())
-        key = S * width + page
-        korder = np.argsort(key)
-        skey = key[korder]
-        zkey = S * width + (page - 1) % c
-        pos = np.minimum(np.searchsorted(skey, zkey), n - 1)
-        z = korder[pos]
-        has_z = (skey[pos] == zkey) & K[z]
-        P0 = np.where(root, 0, P)
-
-        def visits(v, sl):
-            vp = v[P0[sl]]
-            cc = c[sl]
-            x = np.where(
-                root[sl], first_slot[sl], vp + 1 + (page[sl] - vp - 1) % cc
-            ) - 1
-            xf = x.astype(np.float64)
-            p = ph[sl]
-            jump = np.ceil(((xf + p) + 1.0) - p) != xf + 1.0
-            return x + 1 + cc * (has_z[sl] & (v[z[sl]] == x) & jump)
-
-        v = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
-        lo = 0
-        for lvl in levels:
+        v = np.empty(n, dtype=np.int64)
+        lo = levels[0][0].shape[0]
+        b = cursor[S[:lo]]
+        v[:lo] = b + (page[:lo] - b) % c[:lo]
+        for lvl in levels[1:]:
             hi = lo + lvl[0].shape[0]
-            v[lo:hi] = visits(v, slice(lo, hi))
+            vp = v[P[lo:hi]]
+            v[lo:hi] = vp + 1 + (page[lo:hi] - vp - 1) % c[lo:hi]
             lo = hi
-        whole = slice(None)
-        for _ in range(n):
-            nv = visits(v, whole)
-            if np.array_equal(nv, v):
-                break
-            v = nv
-        else:  # pragma: no cover - the dependencies form a DAG
-            raise RuntimeError("range pass visit slots did not converge")
 
         # Serve order, peak queue sizes, downloads and contained points.
         o = np.lexsort((v, S))

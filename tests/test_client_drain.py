@@ -7,10 +7,12 @@ loop stays the reference.  These tests run both routes on identical
 searches — NN in point mode and switched to the transitive metric
 (Hybrid-NN's Case 3), kNN, range and window — over every layout
 with cyclic page order, lossless and under each fault family, at
-whole-slot phases and at phases where the float clock rounds past the
-next slot, from a fresh start and part-stepped, and compare answers,
-clock, index / lost / corrupt pages, ``max_queue_size`` and the tuner
-log event by event.  A bounded walk (``drain(s, limit, strict)``, each
+whole-slot and fractional phases, from a fresh start and part-stepped,
+and compare answers, clock, index / lost / corrupt pages,
+``max_queue_size`` and the tuner log event by event.  At every phase the
+channel's exact clock puts the cursor on slot ``x + 1`` after each
+download at slot ``x``, and no walk starts with queued pages on both
+sides of its cursor.  A bounded walk (``drain(s, limit, strict)``, each
 run of a Hybrid-NN pair member) is checked against the step loop with
 the same stopping rule, then both routes run on to the end.
 ``algorithm.run``, which drains unpaired stages and runs a paired one in
@@ -43,6 +45,7 @@ from repro.client import (
     run_all,
 )
 from repro.client.arrival_queue import ArrivalQueueMixin
+from repro.client.drain import drain
 from repro.client.scheduler import _run_pair
 from repro.core import (
     AnnOptimization,
@@ -70,8 +73,8 @@ _FAULTS = {
     "corruption": ("corruption", {"rate": 0.25, "seed": 7}),
 }
 
-#: Whole-slot phases, and phases at which many index downloads round the
-#: float clock past the next slot.
+#: Whole-slot phases, and fractional ones at which an unsnapped float
+#: clock rounds past the next slot after many index downloads.
 _PHASES = (0.0, 211.0, 127.3, 63.9, 509.7)
 
 _CLASSES = (
@@ -184,21 +187,26 @@ def _start(build, switch, tuner, prefix):
     return search
 
 
-def _step_to_end(search):
-    """The reference route; returns how many of its downloads rounded the
-    float clock past the next slot while the page there was queued."""
+def _skipped(search):
+    """The cursor is not on the slot after the last download."""
     f = search._frontier
+    log = search.tuner.log
+    if not log:
+        return False
+    cursor = math.ceil(search.tuner.now - f._phase)
+    return (cursor - log[-1][1] - 1) % f._cycle != 0
+
+
+def _step_to_end(search):
+    """The reference route; returns how many of its downloads left the
+    cursor anywhere but on the next slot."""
     tuner = search.tuner
     jumps = 0
     while not search.finished():
         n = len(tuner.log)
         search.step()
-        if f is None or len(tuner.log) == n:
-            continue
-        page = tuner.log[-1][1]
-        if (math.ceil(tuner.now - f._phase) % f._cycle != page + 1
-                and page + 1 in f._order_pages):
-            jumps += 1
+        if search._frontier is not None and len(tuner.log) != n:
+            jumps += _skipped(search)
     return jumps
 
 
@@ -260,20 +268,34 @@ def test_run_to_completion_matches_step_loop(layout, fault, page_capacity,
                         for _ in range(2)
                     )
                     assert walked._frontier is not None
-                    straddled += prefix > 0 and _straddles(walked)
+                    straddled += _straddles(walked)
                     _walk_to_end(walked, monkeypatch)
                     jumps += _step_to_end(stepped)
                     assert _state(walked) == _state(stepped)
                     failed += sum(not e[3] for e in stepped.tuner.log)
                     cases += 1
     assert cases == len(_cases(env)) * len(_PHASES) * 4
-    assert jumps  # a download rounds past a queued page's slot
-    if page_capacity == 64:
-        # Some part-stepped walk starts with queued pages on both sides of
-        # its cursor (the 512-byte trees are too shallow in some cells).
-        assert straddled
+    # The clock is exact: every download puts the cursor on the next
+    # slot, so no walk starts with queued pages on both sides of it.
+    assert jumps == straddled == 0
     # The faults engage: failed attempts are compared event by event.
     assert (failed > 0) == (fault != "lossless")
+
+
+def test_walk_refuses_a_seed_that_straddles_the_cursor():
+    """Queued pages on both sides of the cursor have no stack order: the
+    walk raises instead of visiting them out of arrival order."""
+    env = _env("rtree", "lossless", 64)
+    tuner = ChannelTuner(BroadcastChannel(env.s_program, phase=0.0))
+    search = BroadcastKNNSearch(env.s_tree, tuner, Point(9e3, 9e3), 5)
+    for _ in range(3):
+        search.step()
+    pages = list(search._frontier._order_pages)
+    tuner.now = float(pages[-1])  # the cursor on the last queued page
+    assert _straddles(search)
+    with pytest.raises(RuntimeError, match="straddle"):
+        drain(search)
+    assert search._frontier._order_pages == pages
 
 
 def test_nn_outside_the_walk_keeps_stepping(monkeypatch):
@@ -344,36 +366,21 @@ def _step_until(search, limit, strict):
         search.step()
 
 
-def _deferred(search):
-    """The last download rounded the clock past slot x + 1 and page x + 1
-    is still queued: the walk holds it in its next-lap list."""
-    f = search._frontier
-    log = search.tuner.log
-    if not log:
-        return False
-    page = log[-1][1]
-    return (math.ceil(search.tuner.now - f._phase) % f._cycle != page + 1
-            and page + 1 in f._order_pages)
-
-
 def _limits(search):
     """Stopping rules for ``search`` from the arrivals of the pops its
     step loop makes, ascending: a limit before the clock, limits at a
-    queued arrival (strict and not), between two arrivals, and a stop
-    right after a download deferred page x + 1; then, with the queue part
-    drained, the first arrival again (already passed)."""
+    queued arrival (strict and not) and between two arrivals; then, with
+    the queue part drained, the first arrival again (already passed)."""
     start = search.tuner.now
-    pops = []
+    arrs = []
     while not search.finished():
-        pops.append((search.next_event_time(), _deferred(search)))
+        arrs.append(search.next_event_time())
         search.step()
-    arrs = [t for t, _ in pops]
     out = [(start - 1.0, False), (arrs[0], True)]
     for j in (len(arrs) // 3, (2 * len(arrs)) // 3):
         out += [(arrs[j], True), (arrs[j], False)]
         if j + 1 < len(arrs):
             out.append(((arrs[j] + arrs[j + 1]) / 2.0, False))
-    out += [(arrs[j], True) for j, (_, d) in enumerate(pops) if d][:1]
     # A strict stop at a time comes before the non-strict one.
     return sorted(out, key=lambda rule: (rule[0], not rule[1])) + [
         (arrs[0], False)
@@ -394,7 +401,7 @@ def test_bounded_drain_matches_bounded_steps(layout, fault, page_capacity,
     and next arrival); the next bounded walk, and then a walk or a
     ``step()`` loop to the end, resume it."""
     env = _env(layout, fault, page_capacity)
-    deferred_stops = 0
+    skipped_stops = 0
     no_pop = 0
     stops = 0
     with kernels.use_kernels(True):
@@ -418,7 +425,7 @@ def test_bounded_drain_matches_bounded_steps(layout, fault, page_capacity,
                     assert _state(walked) == _state(stepped)
                     assert _queue(walked) == _queue(stepped)
                     no_pop += _state(walked) == before
-                    deferred_stops += _deferred(stepped)
+                    skipped_stops += _skipped(stepped)
                     stops += not stepped.finished()
                 if (b + p) % 2:
                     _walk_to_end(walked, monkeypatch)
@@ -427,7 +434,7 @@ def test_bounded_drain_matches_bounded_steps(layout, fault, page_capacity,
                 _step_to_end(stepped)
                 assert _state(walked) == _state(stepped)
     assert no_pop and stops
-    assert deferred_stops  # a stop while page x + 1 waits for the next lap
+    assert skipped_stops == 0  # no stop finds the cursor past slot x + 1
 
 
 # ----------------------------------------------------------------------
@@ -555,7 +562,7 @@ def _stepped_run(algo, env, q, ps, pr):
 
 
 #: Channel phase pairs: equal phases put both channels' arrivals on one
-#: grid, so a pair's next arrivals can tie; whole-slot and rounding.
+#: grid, so a pair's next arrivals can tie; whole-slot and fractional.
 _PAIR_PHASES = ((0.0, 211.0), (127.3, 127.3), (211.0, 0.0), (509.7, 509.7))
 
 
@@ -601,7 +608,7 @@ def _spy_pairs(m, seen):
 def test_algorithm_run_matches_stepped_stages(algo_cls, fault, monkeypatch):
     """Each query's result (answer pair, distance, radius, access time,
     tune-in per channel and per phase) matches its stages stepped by
-    ``run_all``, whole-slot and rounding phases alike.  Hybrid-NN's pair
+    ``run_all``, whole-slot and fractional phases alike.  Hybrid-NN's pair
     runs on every layout with cyclic order and reaches both re-steers and
     an arrival tie between its members; the survivor of Case 3 drains in
     the transitive metric without one ``step()`` call."""

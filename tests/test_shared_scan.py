@@ -483,14 +483,14 @@ def _knn_cases(env, case):
         KNNRequest(q, k, phase, "s")
         for i, q in enumerate(points)
         for k in ks
-        for phase in ((17.0 * i + 3.5 * k) % cycle, _rounding_phase(i))
+        for phase in ((17.0 * i + 3.5 * k) % cycle, _fractional_phase(i))
     ]
 
 
-def _rounding_phase(i):
-    """A phase at which the float clock rounds past the next slot after
-    a download at most of the first lap's index slots of the lattice env,
-    at both page sizes (whole- and half-slot phases never round it)."""
+def _fractional_phase(i):
+    """A phase at which an unsnapped float clock rounds past the next slot
+    after a download at most of the first lap's index slots of the lattice
+    env, at both page sizes (whole- and half-slot phases never round it)."""
     return 127.3 - 0.5 * i
 
 
@@ -548,9 +548,7 @@ def test_knn_drain_bit_identical_to_single_query(case, page_capacity,
     got, records, stepped = _drain_vs_single(env, requests, monkeypatch)
     assert all(log for log, *_ in records)
     assert stepped == []
-    # The float clock rounds past a queued page's slot, which the drain
-    # must then pass over until the next lap.
-    assert jumps
+    assert jumps == []  # every download puts the cursor on the next slot
     if case == "tie-at-kth-bound":
         # The case really ties at the k-th bound: some answer's k-th
         # distance is shared by a point left out of it.
@@ -581,7 +579,7 @@ def _region_cases(case):
         windows = [Rect(20.0, 20.0, 60.0, 40.0), Rect(95.0, 0.0, 190.0, 95.0)]
     requests = []
     for i in range(4):
-        for phase in (101.5 * i, _rounding_phase(i)):
+        for phase in (101.5 * i, _fractional_phase(i)):
             requests += [RangeRequest(c, r, phase, "s") for c, r in circles]
             requests += [WindowRequest(w, phase, "s") for w in windows]
     return requests
@@ -610,7 +608,7 @@ def test_range_window_drain_bit_identical_to_single_query(
         assert all(not a.answers for a in got)
     else:
         assert all(log for log, *_ in records)
-        assert jumps  # a download rounds past a queued page's slot
+    assert jumps == []
     if case == "covering":
         assert all(len(a.answers) == len(env.s_points) for a in got)
     elif case == "boundary":
@@ -761,12 +759,11 @@ def _spy_drained(monkeypatch):
 
 def _spy_jumps(monkeypatch, classes=(BroadcastRangeSearch,)):
     """Record the per-query steps (of searches of ``classes``) whose
-    download's clock rounds past the next page slot while that page is
-    queued.
+    download leaves the cursor anywhere but on the next page slot.
 
-    Returns ``(search, page)`` rows: the cursor passes over the entry at
-    ``page + 1`` until the next lap.  Only the per-query ``step`` is spied,
-    so the rows describe the reference path whatever the executor does.
+    Returns ``(search, page)`` rows.  Only the per-query ``step`` is
+    spied, so the rows describe the reference path whatever the executor
+    does.
     """
     rows = []
 
@@ -781,8 +778,7 @@ def _spy_jumps(monkeypatch, classes=(BroadcastRangeSearch,)):
             page = self.tuner.log[-1][1]
             base = math.ceil(before - f._phase)
             slot = base + (page - base) % f._cycle
-            if (math.ceil(self.tuner.now - f._phase) != slot + 1
-                    and page + 1 in f._order_pages):
+            if math.ceil(self.tuner.now - f._phase) != slot + 1:
                 rows.append((self, page))
 
         return step_spy
@@ -792,39 +788,14 @@ def _spy_jumps(monkeypatch, classes=(BroadcastRangeSearch,)):
     return rows
 
 
-def _jump_kinds(rows):
-    """Classify jump rows by the entry passed over: the downloaded node's
-    own first child, served later; another entry served later (a later
-    sibling); or an entry that is never downloaded."""
-    kinds = set()
-    for search, page in rows:
-        nodes = {}
-        stack = [search.tree.root]
-        while stack:
-            node = stack.pop()
-            nodes[node.page_id] = node
-            if not node.is_leaf:
-                stack.extend(node.children)
-        served = {e[1] for e in search.tuner.log}
-        if page + 1 not in served:
-            kinds.add("never-downloaded")
-        elif not nodes[page].is_leaf and (
-            nodes[page].children[0].page_id == page + 1
-        ):
-            kinds.add("first-child")
-        else:
-            kinds.add("later-sibling")
-    return kinds
-
-
 @pytest.mark.parametrize("page_capacity", [64, 512])
 def test_range_pass_bit_identical_to_single_query(page_capacity, monkeypatch):
     """run_many serves lossless range searches in the set-at-a-time pass,
     bit-identical to ``QueryEngine.range``: answers and their order,
     access times, tune-in, max queue sizes and full reception logs, with
-    S and R super-pages of different lengths in one pass.  At 64-byte
-    pages the data holds every kind of clock-rounding jump.  No search
-    reaches the drain."""
+    S and R super-pages of different lengths in one pass.  No download
+    of the stepped reference leaves the cursor past the next slot, and no
+    search reaches the drain."""
     env = _two_cycle_env(page_capacity)
     requests = _pass_requests(env)
     drained = _spy_drained(monkeypatch)
@@ -834,10 +805,7 @@ def test_range_pass_bit_identical_to_single_query(page_capacity, monkeypatch):
     assert sum(a.tune_in for a in got) > 0
     assert any(not a.answers and a.tune_in == 0 for a in got)  # misses root
     assert max(len(a.answers) for a in got) == len(env.s_points)
-    if page_capacity == 64:
-        assert _jump_kinds(jumps) == {
-            "first-child", "later-sibling", "never-downloaded"
-        }
+    assert jumps == []
 
 
 @pytest.mark.parametrize("algo_cls", [DoubleNN, HybridNN])
@@ -883,9 +851,7 @@ def test_tnn_filter_pass_bit_identical_to_per_query(algo_cls, monkeypatch):
     assert got == want
     assert states() == want_states
     assert drained == []
-    assert _jump_kinds(jumps) == {
-        "first-child", "later-sibling", "never-downloaded"
-    }
+    assert jumps == []
 
 
 @pytest.mark.parametrize("mixed", [False, True])
@@ -938,9 +904,8 @@ def test_range_pass_serves_shared_tuner_searches_in_group_order(
 
 def _paired_searches(env, kind, n=30, seed=41):
     """``n`` pairs of kNN or window searches, one per channel, each on its
-    own tuner.  The phases lie near 512, where many downloads round the
-    float clock past the next slot: a drain whose frontier straddles its
-    cursor needs such a jump before the drain starts."""
+    own tuner.  The phases lie near 512, where an unsnapped float clock
+    rounds past the next slot after many downloads."""
     engine = QueryEngine(env)
     rng = random.Random(seed)
     pairs = []
@@ -968,8 +933,8 @@ def test_paired_drain_groups_match_run_all(kind, monkeypatch):
     on the same pair: answers (window results in discovery order), clock,
     tune-in, max queue size and the tuner log event by event.  The pair
     runs in alternating bounded drains, each member up to its sibling's
-    next event, so later runs resume from a part-walked frontier, in some
-    pairs with queued pages on both sides of the cursor."""
+    next event, so later runs resume from a part-walked frontier, never
+    with queued pages on both sides of the cursor."""
     env = TNNEnvironment.build(
         sized_uniform(2000, seed=13),
         sized_uniform(2000, seed=14),
@@ -1009,7 +974,7 @@ def test_paired_drain_groups_match_run_all(kind, monkeypatch):
         state(s) for pair in want for s in pair
     ]
     assert any(stepped for stepped, _ in starts)
-    assert any(straddles for _, straddles in starts)
+    assert not any(straddles for _, straddles in starts)
 
 
 def test_lossy_range_searches_keep_the_drain(monkeypatch):
