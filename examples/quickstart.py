@@ -99,9 +99,11 @@ the rest of its queue back: each run of a Hybrid-NN pair member ends at
 its sibling's next arrival.  Index pages are
 numbered in DFS preorder, so a downloaded node's children fill the
 pages right after it and cyclic page order is a stack order: the drain
-walks one plain node list, smallest page on top, and pushes each
-expanded fan-out reversed (the channel snaps its phase to 2^-20 slot,
-so after a download at slot x the clock's cursor is exactly x + 1).
+walks one stack, smallest page on top, of flat node records — one plain
+tuple per index page, built per tree on the first walk and cached on
+it, each holding its children's records already reversed for the push
+(the channel snaps its phase to 2^-20 slot, so after a download at
+slot x the clock's cursor is exactly x + 1).
 Each node is absorbed
 before the next pop — an NN node with the strict offer loop or the
 MINMAXDIST guarantee hand-off (in transitive mode the pop test runs the

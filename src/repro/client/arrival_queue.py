@@ -27,9 +27,10 @@ runs of Hybrid-NN's pair, both through :meth:`ArrivalQueueMixin._run_until`
 wherever :meth:`ArrivalQueueMixin._drains` holds: every kNN, range and
 window search, and NN searches under a trivial policy in either metric,
 on the per-query path and in the shared-scan executor alike) reads the
-frontier's queued entries once and walks them as two plain node lists
-(:func:`repro.client.drain.drain`), leaving the frontier empty — or,
-stopped at a limit, holding the unvisited entries again.
+frontier's queued pages once and walks them as one stack of the tree's
+flat node records (:func:`repro.client.drain.drain`), leaving the
+frontier empty — or, stopped at a limit, holding the unvisited entries
+again.
 """
 
 from __future__ import annotations

@@ -20,10 +20,19 @@ Index pages are numbered in DFS preorder
 (:meth:`~repro.rtree.tree.RTree.assign_page_ids`), so a downloaded node's
 children fill the pages right after it and no other queued entry lies
 among them: cyclic page order from the cursor is a stack order.  The walk
-keeps one plain node list, smallest page on top, and pushes each expanded
-fan-out reversed: the channel's exact clock
-(:class:`~repro.broadcast.channel.BroadcastChannel`) puts the cursor on
-slot ``x + 1`` after a download at slot ``x``.
+keeps one stack, smallest page on top, and after a download at slot
+``x`` moves its cursor to slot ``x + 1``, which the channel's exact clock
+(:class:`~repro.broadcast.channel.BroadcastChannel`) makes the step
+loop's cursor too.
+
+The stack holds flat node records, not the
+:class:`~repro.rtree.node.RTreeNode` objects the step loop reads: one
+plain tuple per index node, in a table indexed by page id, built the
+first time a search on the tree drains and cached on the tree
+(:func:`walk_table`).  A pop unpacks its record in one statement — MBR,
+page, children's records already reversed for the push, the children
+that back an NN guarantee, the leaf's point list — instead of loading
+dataclass attributes and calling ``reversed()`` per expansion.
 """
 
 from __future__ import annotations
@@ -122,7 +131,7 @@ def corner_minmax_trans(start, mbr, end) -> float:
 
 
 def retry_chain(model, slot0: int, cycle: int, phase: float,
-                ev_arr: List[float]) -> Tuple[float, int, int]:
+                ev_arr: List[float]) -> Tuple[int, int]:
     """Replay one faulty index download's retry loop closed form.
 
     Replicas of an index page on a cyclic frontier sit exactly one cycle
@@ -131,8 +140,8 @@ def retry_chain(model, slot0: int, cycle: int, phase: float,
     phase``, as the scalar channel arithmetic computes it.  Each attempt
     is classified by ``model`` until one succeeds, exactly like
     ``ChannelTuner._receive``; every attempt's arrival is appended to
-    ``ev_arr``.  Returns ``(final arrival, lost,
-    corrupt)``: the successful arrival and the failures split by kind.
+    ``ev_arr``, the successful one last.  Returns ``(lost, corrupt)``:
+    the failures split by kind.
     """
     lost = corrupt = 0
     while True:
@@ -140,7 +149,7 @@ def retry_chain(model, slot0: int, cycle: int, phase: float,
         ev_arr.append(arrival)
         fault = model.classify(arrival)
         if fault == 0:
-            return arrival, lost, corrupt
+            return lost, corrupt
         if fault == FAULT_LOST:
             lost += 1
         else:
@@ -148,21 +157,68 @@ def retry_chain(model, slot0: int, cycle: int, phase: float,
         slot0 += cycle
 
 
+def walk_table(tree) -> list:
+    """The drain's flat node records of ``tree``, indexed by page id
+    (cached on the tree).
+
+    One plain tuple per index node, ``(mbr, page, kids, backed, points,
+    node)``:
+
+    * ``mbr`` and ``page`` are the node's own ``Rect`` and page id;
+    * ``kids`` holds the children's records in reverse page order, ready
+      for the stack push, and ``backed`` in page order those of the
+      children whose subtrees hold points — the candidates of an NN
+      search's guarantee (both ``None`` for a leaf; a childless internal
+      node has empty ones);
+    * ``points`` is the leaf's own point list, not a copy (``None`` for
+      an internal node);
+    * ``node`` is the :class:`~repro.rtree.node.RTreeNode`, for the
+      frontier write-back and the void-witness rebuild.
+
+    Built the first time a search on the tree drains.  The records bind
+    the page numbering, so :meth:`~repro.rtree.tree.RTree.assign_page_ids`
+    drops the table, and a pickled tree leaves it out.
+    """
+    table = getattr(tree, "_walk_table", None)
+    if table is not None:
+        return table
+    nodes = list(tree.iter_nodes())
+    table = [None] * len(nodes)
+    # Reverse preorder: every child's record exists before its parent's.
+    for node in reversed(nodes):
+        page = node.page_id
+        if node.level:
+            recs = [table[c.page_id] for c in node.children]
+            backed = tuple([
+                r for r, c in zip(recs, node.children) if c.point_count > 0
+            ])
+            table[page] = (node.mbr, page, tuple(reversed(recs)), backed,
+                           None, node)
+        else:
+            table[page] = (node.mbr, page, None, None, node.points, node)
+    tree._walk_table = table
+    return table
+
+
 def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     """Run search ``s`` as one preorder stack walk, to completion or to
     ``limit``.
 
     ``s`` is frontier-backed (standalone, not in an arena); an NN search
-    runs under a trivial policy, in either metric.  The walk takes the
-    frontier's queued entries, which lie all at or past the cursor
+    runs under a trivial policy, in either metric.  The walk runs on the
+    flat node records of the search's tree (:func:`walk_table`), not on
+    the node objects: it seeds its stack with the records of the
+    frontier's queued pages, which lie all at or past the cursor
     ``ceil(now - phase) % cycle`` or all before it (the root of a fresh
     search); a seed on both sides of the cursor raises ``RuntimeError``.
-    Before each pop a bounded walk (finite ``limit``) computes
+    Each pop unpacks one record in one statement, and an expansion pushes
+    the record's ready-reversed children.  Before each pop a bounded
+    walk (finite ``limit``) computes
     the top entry's arrival and stops when it lies past ``limit`` (at
     ``limit`` too when ``strict``) — the step loop's stopping rule
     (``_run_until``), which reproduces :func:`~repro.client.run_all`'s
-    two-member tie rule.  A stopped walk writes its unvisited entries
-    back to the frontier in ascending page order, so ``step()``,
+    two-member tie rule.  A stopped walk writes its unvisited entries'
+    nodes back to the frontier in ascending page order, so ``step()``,
     ``next_event_time()``, a rescan or a later walk resume from the
     state the step loop would have left.  A pop prunes against the
     search's own bound — the NN upper bound, the kNN k-th best or the
@@ -171,12 +227,13 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     ``_decide_keep``'s cascade: :func:`weak_trans_lower` proves a prune,
     :func:`certified_keep` proves a keep, and the scalar
     ``min_trans_dist`` decides the entries neither settles.  A download
-    books at the cursor's closed-form arrival; on a faulty tuner that
+    books at the cursor's closed-form arrival and moves the cursor to
+    the next slot (the channel's clock is exact); on a faulty tuner that
     first attempt is classified inline, and only a failed one replays
     its retry chain from the next replica (:func:`retry_chain`; a retry
-    moves the clock by whole cycles, so the cursor stays put).  Every
-    attempt books in one ``record_index_run`` call.  Each node is
-    absorbed before the next pop:
+    moves the clock by whole cycles, so the cursor stays put in the
+    cycle).  Every attempt books in one ``record_index_run`` call.  Each
+    node is absorbed before the next pop:
 
     * NN: a leaf runs the strict-``<`` offer loop on ``dis(q, p)``, or on
       ``dis(start, p) + dis(p, end)`` in transitive mode; an internal
@@ -196,6 +253,9 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     cycle = f._cycle
     fphase = f._phase
     hyp = math.hypot
+    # math.dist takes the hypot of the per-axis differences: the same
+    # float as the step loop's hypot(qx - x, qy - y), without unpacking.
+    dist = math.dist
     kind = s._DRAIN_KIND
     trans = kind is NN and s.start is not None
     nn = kind is NN and not trans
@@ -212,10 +272,9 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
         else:
             start = s.start
             end = s.end
-            sx, sy = start
-            ex, ey = end
     elif knn:
-        qx, qy = s.query
+        query = s.query
+        qx, qy = query
         k = s.k
         best = s._best
         seq = s._offer_seq
@@ -225,9 +284,8 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
         if window:
             wx0, wy0, wx1, wy1 = s.window
         else:
-            center = s.circle.center
-            qx = center.x
-            qy = center.y
+            query = s.circle.center
+            qx, qy = query
             bound = s.circle.radius
     tuner = s.tuner
     loss = tuner.loss
@@ -238,35 +296,32 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     arrs: List[float] = []
     oks: Optional[List[bool]] = None if loss is None else []
     lost = corrupt = 0
-    now = tuner.now
-    pops = 0
     bounded = limit < math.inf
-    base = math.ceil(now - fphase)
+    base = math.ceil(tuner.now - fphase)
     pages = f._order_pages
     if pages and pages[0] < base % cycle <= pages[-1]:
         raise RuntimeError(
             f"queued pages {pages[0]}..{pages[-1]} straddle the cursor "
             f"{base % cycle}"
         )
-    stack = [f._nodes[j] for j in reversed(f._order_slots)]
-    del f._order_pages[:]
+    table = walk_table(s.tree)
+    stack = [table[p] for p in reversed(pages)]
+    del pages[:]
     del f._order_slots[:]
     peak = f.max_size
     while stack:
         if bounded:
-            page = stack[-1].page_id
+            page = stack[-1][1]
             arrival = base + (page - base) % cycle + fphase
             if arrival > limit or (strict and arrival == limit):
                 # Stop before the pop: the unvisited entries go back to
                 # the emptied frontier, ascending.
-                f.push_many(stack[::-1])
+                f.push_many([rec[5] for rec in reversed(stack)])
                 break
-        node = stack.pop()
-        pops += 1
+        mbr, page, kids, backed, points, _ = stack.pop()
         if trans:
             # _decide_keep's cascade: the weak bound proves a prune, the
             # certified keep a keep, and Lemma 1 decides the rest.
-            mbr = node.mbr
             if weak_trans_lower(start, mbr, end) > bound or (
                     not certified_keep(start, mbr, end, bound)
                     and min_trans_dist(start, mbr, end) > bound):
@@ -275,15 +330,17 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
             # Inline Rect.mindist with its max terms as conditionals: the
             # same hypot, since at most one term is positive and hypot
             # drops the sign of a zero.  circle.intersects_rect is
-            # mindist <= radius.
-            xmin, ymin, xmax, ymax = node.mbr
+            # mindist <= radius.  hypot(dx, dy) is at least dx and dy, so
+            # a term past the bound prunes without the hypot.
+            xmin, ymin, xmax, ymax = mbr
             dx = xmin - qx if xmin > qx else (
                 qx - xmax if qx > xmax else 0.0)
+            if dx > bound:
+                continue
             dy = ymin - qy if ymin > qy else (
                 qy - ymax if qy > ymax else 0.0)
-            if hyp(dx, dy) > bound:
+            if dy > bound or hyp(dx, dy) > bound:
                 continue
-        page = node.page_id
         slot = base + (page - base) % cycle
         arrival = slot + fphase
         pages_dl.append(page)
@@ -297,25 +354,26 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                     lost += 1
                 else:
                     corrupt += 1
-                arrival, nl, nc = retry_chain(
+                nl, nc = retry_chain(
                     loss, slot + cycle, cycle, fphase, arrs
                 )
                 pages_dl.extend([page] * (nl + nc + 1))
                 oks.extend([False] * (nl + nc + 1))
                 lost += nl
                 corrupt += nc
+                slot += (nl + nc + 1) * cycle
             oks.append(True)
-        now = arrival + 1.0
-        if node.level != 0:
+        base = slot + 1
+        if kids is not None:
             if window:
                 # Rect.intersects_rect, children in reverse page order.
-                for child in reversed(node.children):
-                    xmin, ymin, xmax, ymax = child.mbr
+                for child in kids:
+                    xmin, ymin, xmax, ymax = child[0]
                     if not (xmin > wx1 or xmax < wx0
                             or ymin > wy1 or ymax < wy0):
                         stack.append(child)
             else:
-                stack.extend(reversed(node.children))
+                stack.extend(kids)
             if len(stack) > peak:
                 peak = len(stack)
             if nn or trans:
@@ -324,33 +382,31 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                 best_child = None
                 best_g = math.inf
                 if nn:
-                    for child in node.children:
-                        if child.point_count > 0:
-                            # Rect.minmaxdist, inlined.
-                            xmin, ymin, xmax, ymax = child.mbr
-                            cx = (xmin + xmax) / 2.0
-                            cy = (ymin + ymax) / 2.0
-                            z = hyp(qx - (xmin if qx <= cx else xmax),
-                                    qy - (ymin if qy >= cy else ymax))
-                            d = hyp(qx - (xmin if qx >= cx else xmax),
-                                    qy - (ymin if qy <= cy else ymax))
-                            if d < z:
-                                z = d
-                            if z < best_g:
-                                best_g = z
-                                best_child = child
+                    for child in backed:
+                        # Rect.minmaxdist, inlined.
+                        xmin, ymin, xmax, ymax = child[0]
+                        cx = (xmin + xmax) / 2.0
+                        cy = (ymin + ymax) / 2.0
+                        z = hyp(qx - (xmin if qx <= cx else xmax),
+                                qy - (ymin if qy >= cy else ymax))
+                        d = hyp(qx - (xmin if qx >= cx else xmax),
+                                qy - (ymin if qy <= cy else ymax))
+                        if d < z:
+                            z = d
+                        if z < best_g:
+                            best_g = z
+                            best_child = child
                 else:
-                    for child in node.children:
-                        if child.point_count > 0:
-                            # A weak bound that meets the best proves the
-                            # guarantee cannot beat it.
-                            mbr = child.mbr
-                            if weak_trans_lower(start, mbr, end) >= best_g:
-                                continue
-                            z = corner_minmax_trans(start, mbr, end)
-                            if z < best_g:
-                                best_g = z
-                                best_child = child
+                    for child in backed:
+                        # A weak bound that meets the best proves the
+                        # guarantee cannot beat it.
+                        cmbr = child[0]
+                        if weak_trans_lower(start, cmbr, end) >= best_g:
+                            continue
+                        z = corner_minmax_trans(start, cmbr, end)
+                        if z < best_g:
+                            best_g = z
+                            best_child = child
                 if best_child is None:
                     if witness == page:
                         # The downloaded node witnessed the bound, but no
@@ -359,7 +415,8 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                         # like _rescan_queue_bounds.
                         bound = best_d
                         witness = None
-                        for n in reversed(stack):
+                        for rec in reversed(stack):
+                            n = rec[5]
                             if n.point_count > 0:
                                 z = (n.mbr.minmaxdist(query) if nn else
                                      min_max_trans_dist(start, n.mbr, end))
@@ -368,30 +425,30 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                                     witness = n.page_id
                 elif best_g < bound:
                     bound = best_g
-                    witness = best_child.page_id
+                    witness = best_child[1]
                 elif witness == page:
-                    witness = best_child.page_id
-        elif nn or trans:
-            if nn:
-                for pt in node.points:
-                    d = hyp(qx - pt.x, qy - pt.y)
-                    if d < best_d:
-                        best_d = d
-                        best_pt = pt
-            else:
-                for pt in node.points:
-                    px = pt.x
-                    py = pt.y
-                    d = hyp(sx - px, sy - py) + hyp(px - ex, py - ey)
-                    if d < best_d:
-                        best_d = d
-                        best_pt = pt
+                    witness = best_child[1]
+        elif nn:
+            for pt in points:
+                d = dist(query, pt)
+                if d < best_d:
+                    best_d = d
+                    best_pt = pt
             if best_d < bound:
                 bound = best_d
                 witness = None  # a concrete point witnesses the bound
+        elif trans:
+            for pt in points:
+                d = dist(start, pt) + dist(pt, end)
+                if d < best_d:
+                    best_d = d
+                    best_pt = pt
+            if best_d < bound:
+                bound = best_d
+                witness = None
         elif knn:
-            for pt in node.points:
-                d = hyp(qx - pt.x, qy - pt.y)
+            for pt in points:
+                d = dist(query, pt)
                 if d < bound or len(best) < k:
                     if len(best) < k:
                         heappush(best, (-d, next(seq), pt))
@@ -403,14 +460,16 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
             # The closed tests of Rect/Circle.contains_point, inlined:
             # calling the search's own _absorb_leaf cost 4% of
             # tnn_single's throughput (10 pairs, 2-vCPU host).
-            for pt in node.points:
-                if wx0 <= pt.x <= wx1 and wy0 <= pt.y <= wy1:
+            for pt in points:
+                x, y = pt
+                if wx0 <= x <= wx1 and wy0 <= y <= wy1:
                     found(pt)
         else:
-            for pt in node.points:
-                if hyp(qx - pt.x, qy - pt.y) <= bound:
+            for pt in points:
+                if dist(query, pt) <= bound:
                     found(pt)
-        base = math.ceil(now - fphase)
+    # The last attempt succeeded: the clock stands one slot after it.
+    now = arrs[-1] + 1.0 if arrs else tuner.now
     tuner.record_index_run(pages_dl, arrs, now, oks, lost, corrupt)
     if nn or trans:
         s.upper_bound = bound
@@ -418,4 +477,4 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
         s.best_point = best_pt
         s._witness_page = witness
     f.max_size = peak
-    f._version += pops
+    f._version += 1  # the frontier changed: drop its cached peek

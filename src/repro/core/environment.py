@@ -47,8 +47,14 @@ class TNNEnvironment:
     #: where the drain replays the retry chains closed form,
     #: bit-identically (see ``repro.client.drain.retry_chain``).
     loss: Optional[FaultModel] = None
-    _s_object_index: Dict[Point, int] = field(repr=False, default_factory=dict)
-    _r_object_index: Dict[Point, int] = field(repr=False, default_factory=dict)
+    #: Point -> broadcast object index per channel, built on the first
+    #: lookup (only a run with data retrieval asks).
+    _s_object_index: Optional[Dict[Point, int]] = field(
+        repr=False, compare=False, default=None
+    )
+    _r_object_index: Optional[Dict[Point, int]] = field(
+        repr=False, compare=False, default=None
+    )
 
     @classmethod
     def build(
@@ -134,7 +140,7 @@ class TNNEnvironment:
         s_tree = s_program.tree
         r_tree = r_program.tree
         region = Rect.union_of([s_tree.mbr, r_tree.mbr])
-        env = cls(
+        return cls(
             s_points=list(s_points),
             r_points=list(r_points),
             s_tree=s_tree,
@@ -145,13 +151,6 @@ class TNNEnvironment:
             region=region,
             loss=loss,
         )
-        env._s_object_index = {
-            p: i for i, p in enumerate(s_tree.iter_points())
-        }
-        env._r_object_index = {
-            p: i for i, p in enumerate(r_tree.iter_points())
-        }
-        return env
 
     # ------------------------------------------------------------------
     # Per-query channel state
@@ -194,8 +193,18 @@ class TNNEnvironment:
     # ------------------------------------------------------------------
     def s_object_of(self, point: Point) -> int:
         """Broadcast object index of an S point (leaf order)."""
+        if self._s_object_index is None:
+            self._s_object_index = _object_index(self.s_tree)
         return self._s_object_index[point]
 
     def r_object_of(self, point: Point) -> int:
         """Broadcast object index of an R point (leaf order)."""
+        if self._r_object_index is None:
+            self._r_object_index = _object_index(self.r_tree)
         return self._r_object_index[point]
+
+
+def _object_index(tree: RTree) -> Dict[Point, int]:
+    """Point -> object index in leaf (broadcast) order; a repeated point
+    maps to its last copy."""
+    return {p: i for i, p in enumerate(tree.iter_points())}

@@ -102,6 +102,15 @@ class RTree:
             # previous numbering; rebuilding the layout invalidates them.
             node._child_pages = None
             node._child_page_list = None
-        # The node store's page column binds the numbering too (its
-        # structural/geometry columns are layout-independent and stay).
+        # The node store's page column and the drain's record table bind
+        # the numbering too (the store's structural/geometry columns are
+        # layout-independent and stay).
         self._store_pages = None
+        self._walk_table = None
+
+    def __getstate__(self) -> dict:
+        # The drain's record table is rebuilt on a copy's first walk, so
+        # a pickle leaves it out.
+        state = self.__dict__.copy()
+        state.pop("_walk_table", None)
+        return state

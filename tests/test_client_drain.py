@@ -23,6 +23,7 @@ scripted arrival times.
 
 import functools
 import math
+import pickle
 import random
 
 import pytest
@@ -45,7 +46,7 @@ from repro.client import (
     run_all,
 )
 from repro.client.arrival_queue import ArrivalQueueMixin
-from repro.client.drain import drain
+from repro.client.drain import drain, walk_table
 from repro.client.scheduler import _run_pair
 from repro.core import (
     AnnOptimization,
@@ -716,3 +717,105 @@ def test_pair_driver_keeps_run_all_schedule(a_times, b_times):
 
     expected = run(lambda a, b, f: run_all([a, b], on_finish=f))
     assert run(_run_pair) == expected
+
+
+# ----------------------------------------------------------------------
+# The walk's record table: its layout and its cache contract
+# ----------------------------------------------------------------------
+def _table_env(layout):
+    """A private environment: these tests renumber and pickle trees."""
+    return TNNEnvironment.build(
+        sized_uniform(400, seed=41),
+        sized_uniform(100, seed=42),
+        params=SystemParameters(page_capacity=64),
+        layout=make_layout(layout),
+    )
+
+
+def _check_layout(tree, table):
+    nodes = list(tree.iter_nodes())
+    assert len(table) == len(nodes)
+    for i, (rec, node) in enumerate(zip(table, nodes)):
+        mbr, page, kids, backed, points, rec_node = rec
+        assert page == i == node.page_id
+        assert rec_node is node and mbr is node.mbr
+        if node.level:
+            assert points is None
+            assert [id(r) for r in kids] == [
+                id(table[c.page_id]) for c in reversed(node.children)
+            ]
+            assert [id(r) for r in backed] == [
+                id(table[c.page_id]) for c in node.children
+                if c.point_count > 0
+            ]
+        else:
+            assert kids is None and backed is None
+            assert points is node.points  # the leaf's own list
+
+
+def _walks_like_steps(env, monkeypatch):
+    with kernels.use_kernels(True):
+        for build, switch in _cases(env):
+            for phase in _PHASES:
+                walked, stepped = (
+                    _start(build, switch, ChannelTuner(
+                        BroadcastChannel(env.s_program, phase=phase)
+                    ), 1)
+                    for _ in range(2)
+                )
+                _walk_to_end(walked, monkeypatch)
+                _step_to_end(stepped)
+                assert _state(walked) == _state(stepped)
+
+
+@pytest.mark.parametrize("layout", _CYCLIC)
+def test_walk_table_records_follow_the_tree(layout):
+    """Record ``i`` is page ``i``: its node's own MBR, its children's
+    records reversed for the stack push and the point-holding ones in
+    page order, and a leaf's own point list.  The table is built once
+    and cached on the tree."""
+    env = _table_env(layout)
+    for tree in (env.s_tree, env.r_tree):
+        table = walk_table(tree)
+        _check_layout(tree, table)
+        assert walk_table(tree) is table
+
+
+@pytest.mark.parametrize("layout", _CYCLIC)
+def test_renumbering_drops_the_walk_table(layout, monkeypatch):
+    """``assign_page_ids`` drops the table; the rebuilt one has the same
+    layout and drains bit-identically to the step loop."""
+    env = _table_env(layout)
+    _walks_like_steps(env, monkeypatch)
+    old = walk_table(env.s_tree)
+    env.s_tree.assign_page_ids()
+    table = walk_table(env.s_tree)
+    assert table is not old
+    _check_layout(env.s_tree, table)
+    _walks_like_steps(env, monkeypatch)
+    assert walk_table(env.s_tree) is table
+
+
+@pytest.mark.parametrize("layout", _CYCLIC)
+def test_pickled_environment_drains_identically(layout, monkeypatch):
+    """A pickle leaves the cached table out; the copy rebuilds it on its
+    first walk and drains like the original's step loop."""
+    env = _table_env(layout)
+    _walks_like_steps(env, monkeypatch)
+    assert env.s_tree._walk_table is not None
+    copy = pickle.loads(pickle.dumps(env))
+    assert getattr(copy.s_tree, "_walk_table", None) is None
+    with kernels.use_kernels(True):
+        for (build, switch), (ref, ref_switch) in zip(_cases(copy),
+                                                      _cases(env)):
+            for phase in _PHASES:
+                walked = _start(build, switch, ChannelTuner(
+                    BroadcastChannel(copy.s_program, phase=phase)
+                ), 1)
+                stepped = _start(ref, ref_switch, ChannelTuner(
+                    BroadcastChannel(env.s_program, phase=phase)
+                ), 1)
+                _walk_to_end(walked, monkeypatch)
+                _step_to_end(stepped)
+                assert _state(walked) == _state(stepped)
+    _check_layout(copy.s_tree, walk_table(copy.s_tree))

@@ -6,7 +6,14 @@ import pytest
 
 from repro.broadcast import SystemParameters
 from repro.client.policies import AnnPolicy, ExactPolicy
-from repro.core import AnnOptimization, TNNEnvironment
+from repro.core import (
+    AnnOptimization,
+    ApproximateTNN,
+    DoubleNN,
+    HybridNN,
+    TNNEnvironment,
+    WindowBasedTNN,
+)
 from repro.datasets import uniform
 from repro.geometry import Point, Rect
 
@@ -64,6 +71,54 @@ def test_object_lookup_roundtrip(env):
             break
     first_r = next(env.r_tree.iter_points())
     assert env.r_object_of(first_r) == 0
+
+
+_ALGORITHMS = (DoubleNN, HybridNN, WindowBasedTNN, ApproximateTNN)
+
+
+def _fresh_env():
+    return TNNEnvironment.build(
+        uniform(120, seed=1, region=Rect(0, 0, 1000, 1000)),
+        uniform(80, seed=2, region=Rect(0, 0, 1000, 1000)),
+        SystemParameters(page_capacity=64),
+        m=2,
+    )
+
+
+def test_default_run_builds_no_object_index():
+    """Only data retrieval looks up object indexes, so a default run
+    builds neither point -> object dict."""
+    env = _fresh_env()
+    rng = random.Random(3)
+    for algo_cls in _ALGORITHMS:
+        for _ in range(3):
+            q = env.random_query_point(rng)
+            assert algo_cls().run(env, q, *env.random_phases(rng)).s
+    assert env._s_object_index is None
+    assert env._r_object_index is None
+
+
+def test_data_retrieval_matches_eager_object_index():
+    """Object indexes built on the first lookup give the same answers,
+    access times and data pages as dicts built with the environment."""
+    lazy, eager = _fresh_env(), _fresh_env()
+    eager._s_object_index = {
+        p: i for i, p in enumerate(eager.s_tree.iter_points())
+    }
+    eager._r_object_index = {
+        p: i for i, p in enumerate(eager.r_tree.iter_points())
+    }
+    rng = random.Random(4)
+    for algo_cls in _ALGORITHMS:
+        algo = algo_cls(include_data_retrieval=True)
+        for _ in range(3):
+            q = lazy.random_query_point(rng)
+            ps, pr = lazy.random_phases(rng)
+            got = algo.run(lazy, q, ps, pr)
+            assert got == algo.run(eager, q, ps, pr)
+            assert got.data_pages == 2 * lazy.params.pages_per_object
+    assert lazy._s_object_index == eager._s_object_index
+    assert lazy._r_object_index == eager._r_object_index
 
 
 def test_packing_method_forwarded():
