@@ -109,8 +109,12 @@ before the next pop — an NN node with the strict offer loop or the
 MINMAXDIST guarantee hand-off (in transitive mode the pop test runs the
 step's certified MinTransDist cascade and the guarantee is the corner
 MinMaxTransDist), a kNN leaf with the exact scalar offer
-loop, so the bound it moves prunes the very next pop, a range or window
-leaf with an inline closed containment test.  The step-at-a-time ``step()`` loop
+loop, which admits on the k-th best, and a kNN internal node by
+lowering the search's MAXDIST guarantee to the smallest MAXDIST among
+its children holding k points (every point of a subtree lies in its
+MBR); the smaller of the two prunes the very next pop, strictly, so
+the answers are those of a k-th-best-only search from a subset of its
+pages.  A range or window leaf runs an inline closed containment test.  The step-at-a-time ``step()`` loop
 stays the reference it is tested against.  Lossless range searches (the TNN filter phase's
 circle queries, ``run_many`` range requests) skip the pop loop: batches
 of 128 walk the node store level by level with one exact MINDIST kernel

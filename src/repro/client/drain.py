@@ -31,8 +31,9 @@ plain tuple per index node, in a table indexed by page id, built the
 first time a search on the tree drains and cached on the tree
 (:func:`walk_table`).  A pop unpacks its record in one statement — MBR,
 page, children's records already reversed for the push, the children
-that back an NN guarantee, the leaf's point list — instead of loading
-dataclass attributes and calling ``reversed()`` per expansion.
+that back an NN guarantee, the leaf's point list, the subtree's point
+count — instead of loading dataclass attributes and calling
+``reversed()`` per expansion.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def walk_table(tree) -> list:
     (cached on the tree).
 
     One plain tuple per index node, ``(mbr, page, kids, backed, points,
-    node)``:
+    node, count)``:
 
     * ``mbr`` and ``page`` are the node's own ``Rect`` and page id;
     * ``kids`` holds the children's records in reverse page order, ready
@@ -173,7 +174,9 @@ def walk_table(tree) -> list:
     * ``points`` is the leaf's own point list, not a copy (``None`` for
       an internal node);
     * ``node`` is the :class:`~repro.rtree.node.RTreeNode`, for the
-      frontier write-back and the void-witness rebuild.
+      frontier write-back and the void-witness rebuild;
+    * ``count`` is the subtree's point count, which decides whether the
+      node backs a kNN search's MAXDIST guarantee.
 
     Built the first time a search on the tree drains.  The records bind
     the page numbering, so :meth:`~repro.rtree.tree.RTree.assign_page_ids`
@@ -189,13 +192,12 @@ def walk_table(tree) -> list:
         page = node.page_id
         if node.level:
             recs = [table[c.page_id] for c in node.children]
-            backed = tuple([
-                r for r, c in zip(recs, node.children) if c.point_count > 0
-            ])
+            backed = tuple([r for r in recs if r[6] > 0])
             table[page] = (node.mbr, page, tuple(reversed(recs)), backed,
-                           None, node)
+                           None, node, node.point_count)
         else:
-            table[page] = (node.mbr, page, None, None, node.points, node)
+            table[page] = (node.mbr, page, None, None, node.points, node,
+                           node.point_count)
     tree._walk_table = table
     return table
 
@@ -221,7 +223,7 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     nodes back to the frontier in ascending page order, so ``step()``,
     ``next_event_time()``, a rescan or a later walk resume from the
     state the step loop would have left.  A pop prunes against the
-    search's own bound — the NN upper bound, the kNN k-th best or the
+    search's own bound — the NN upper bound, the kNN prune bound or the
     range radius (a window search filters its children at push time
     instead) — on the exact MINDIST, or in transitive mode on
     ``_decide_keep``'s cascade: :func:`weak_trans_lower` proves a prune,
@@ -242,9 +244,13 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
       hands the witness on like ``_absorb_internal``, rebuilding the
       bound from the queue in ascending page order when a void witness
       is downloaded;
-    * kNN: the scalar offer loop (``_offer_known``), the bound kept at
-      the k-th best; only the order of the sequence numbers breaks ties,
-      so a rejected offer takes none;
+    * kNN: a leaf runs the scalar offer loop (``_offer_known``), which
+      admits on the k-th best alone; only the order of the sequence
+      numbers breaks ties, so a rejected offer takes none.  An internal
+      node lowers the MAXDIST guarantee to the smallest ``Rect.maxdist``
+      among its children holding ``k`` points, like ``_push_children``.
+      The pop prunes on the smaller of the two, so a pruned subtree
+      holds only points farther than ``k`` known ones;
     * range and window: a leaf appends its points in leaf order that lie
       in the closed circle (``dis(center, p) <= radius``) or the closed
       rectangle, as the search's own ``_absorb_leaf`` does.
@@ -278,7 +284,11 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
         k = s.k
         best = s._best
         seq = s._offer_seq
-        bound = s.bound
+        # Offers admit on the k-th best; pops prune on the smaller of it
+        # and the MAXDIST guarantee.
+        kth = s.bound
+        guar = s._guarantee
+        bound = kth if kth < guar else guar
     else:
         found = s.results.append
         if window:
@@ -318,7 +328,7 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                 # the emptied frontier, ascending.
                 f.push_many([rec[5] for rec in reversed(stack)])
                 break
-        mbr, page, kids, backed, points, _ = stack.pop()
+        mbr, page, kids, backed, points, _, _ = stack.pop()
         if trans:
             # _decide_keep's cascade: the weak bound proves a prune, the
             # certified keep a keep, and Lemma 1 decides the rest.
@@ -428,6 +438,28 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                     witness = best_child[1]
                 elif witness == page:
                     witness = best_child[1]
+            elif knn:
+                # The MAXDIST guarantee: a child holding k points holds k
+                # within Rect.maxdist (inlined) of the query.  Its x term
+                # alone meeting the guarantee proves no improvement.
+                for child in kids:
+                    if child[6] >= k:
+                        xmin, ymin, xmax, ymax = child[0]
+                        dx = qx - xmin
+                        z = xmax - qx
+                        if z > dx:
+                            dx = z
+                        if dx >= guar:
+                            continue
+                        dy = qy - ymin
+                        z = ymax - qy
+                        if z > dy:
+                            dy = z
+                        z = hyp(dx, dy)
+                        if z < guar:
+                            guar = z
+                if guar < bound:
+                    bound = guar
         elif nn:
             for pt in points:
                 d = dist(query, pt)
@@ -449,13 +481,15 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
         elif knn:
             for pt in points:
                 d = dist(query, pt)
-                if d < bound or len(best) < k:
+                if d < kth or len(best) < k:
                     if len(best) < k:
                         heappush(best, (-d, next(seq), pt))
                     else:
                         heapreplace(best, (-d, next(seq), pt))
                     if len(best) == k:
-                        bound = -best[0][0]
+                        kth = -best[0][0]
+            if kth < bound:
+                bound = kth
         elif window:
             # The closed tests of Rect/Circle.contains_point, inlined:
             # calling the search's own _absorb_leaf cost 4% of
@@ -476,5 +510,7 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
         s.best_dist = best_d
         s.best_point = best_pt
         s._witness_page = witness
+    elif knn:
+        s._guarantee = guar
     f.max_size = peak
     f._version += 1  # the frontier changed: drop its cached peek

@@ -1,11 +1,29 @@
 """Steppable broadcast k-nearest-neighbor search.
 
 Generalises :class:`~repro.client.search.BroadcastNNSearch` to ``k``
-answers: the pruning bound is the k-th best candidate distance, everything
-else (arrival-order queue, delayed pruning, doze-between-pages accounting)
-is identical.  Not used by the TNN algorithms themselves but part of the
-public client API — a broadcast spatial library without kNN would be
-incomplete, and the generalised TNN variants of future work build on it.
+answers; the arrival-order queue, delayed pruning and doze-between-pages
+accounting are identical.  Not used by the TNN algorithms themselves but
+part of the public client API — a broadcast spatial library without kNN
+would be incomplete, and the generalised TNN variants of future work
+build on it.
+
+Two distances govern the search:
+
+* the **k-th best** (:attr:`BroadcastKNNSearch.bound`): the k-th
+  smallest distance offered so far, infinite until ``k`` points have
+  been seen.  Offers into the candidate heap admit on it alone;
+* the **prune bound** (:attr:`BroadcastKNNSearch.prune_bound`): the
+  smaller of the k-th best and the MAXDIST guarantee.  Every point of a
+  subtree lies inside its MBR, so a subtree holding at least ``k`` points
+  holds ``k`` of them within ``MAXDIST(q, mbr)``; each downloaded
+  internal node lowers the guarantee to the smallest MAXDIST among its
+  children with ``point_count >= k`` — the kNN analogue of the NN
+  search's MINMAXDIST.  A pop prunes on ``MINDIST > prune bound``,
+  strictly.  A pruned subtree holds only points farther than ``k`` known
+  ones, so the answers are those of a search pruning on the k-th best
+  alone, and its downloads a subset of that search's.  The offers keep
+  the k-th best: a prune bound below it would drop a point tied at the
+  answer's k-th distance.
 
 Queue plumbing comes from the shared arrival frontier; on the kernel
 path, leaf absorption evaluates every leaf point in one
@@ -15,7 +33,8 @@ bit-identical oracle (``kernels.use_kernels(False)``).  A frontier-backed
 kNN search, on a lossless or a faulty tuner, runs to completion as one
 preorder stack walk that absorbs each leaf inline with that scalar loop
 (:func:`repro.client.drain.drain`) in :meth:`run_to_completion`, which
-the shared-scan executor runs too.
+the shared-scan executor runs too; the walk keeps the guarantee on the
+search, so a stepped search and a walk agree bit for bit.
 """
 
 from __future__ import annotations
@@ -57,6 +76,9 @@ class BroadcastKNNSearch(ArrivalQueueMixin):
         #: Max-heap (negated distances) of the best k candidates so far.
         self._best: List[Tuple[float, int, Point]] = []
         self._offer_seq = itertools.count()
+        #: The MAXDIST guarantee: ``k`` points lie within this distance
+        #: (inf until a downloaded node has a child holding ``k`` points).
+        self._guarantee = math.inf
         self._init_queue()
         tuner.advance_to(start_time)
         self._push(tree.root)
@@ -64,10 +86,19 @@ class BroadcastKNNSearch(ArrivalQueueMixin):
     # ------------------------------------------------------------------
     @property
     def bound(self) -> float:
-        """The k-th best candidate distance (inf until k candidates seen)."""
+        """The k-th best candidate distance (inf until k candidates seen).
+
+        Offers into the candidate heap admit on it alone; pops prune on
+        :attr:`prune_bound`.
+        """
         if len(self._best) < self.k:
             return math.inf
         return -self._best[0][0]
+
+    @property
+    def prune_bound(self) -> float:
+        """The smaller of the k-th best and the MAXDIST guarantee."""
+        return min(self.bound, self._guarantee)
 
     def _offer(self, pt: Point) -> None:
         self._offer_known(pt, distance(self.query, pt))
@@ -83,7 +114,7 @@ class BroadcastKNNSearch(ArrivalQueueMixin):
     # ------------------------------------------------------------------
     def step(self) -> None:
         node = self._pop_head()
-        if node.mbr.mindist(self.query) > self.bound:
+        if node.mbr.mindist(self.query) > self.prune_bound:
             return
         self.tuner.download_index_page(node.page_id)
         if node.is_leaf:
@@ -92,11 +123,20 @@ class BroadcastKNNSearch(ArrivalQueueMixin):
             self._push_children(node)
 
     def _push_children(self, node: RTreeNode) -> None:
-        """Queue a whole fan-out (kNN pushes without pre-computed bounds).
+        """Queue a whole fan-out (kNN pushes without pre-computed bounds)
+        and lower the guarantee to the smallest MAXDIST among the
+        children holding ``k`` points.
 
         The frontier backend takes the whole sibling run in one sorted
         splice; the oracle heap keeps its per-entry pushes.
         """
+        g = self._guarantee
+        for child in node.children:
+            if child.point_count >= self.k:
+                z = child.mbr.maxdist(self.query)
+                if z < g:
+                    g = z
+        self._guarantee = g
         if self._frontier is not None:
             self._frontier.push_many(node.children, src=node)
         else:

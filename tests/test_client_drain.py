@@ -736,9 +736,10 @@ def _check_layout(tree, table):
     nodes = list(tree.iter_nodes())
     assert len(table) == len(nodes)
     for i, (rec, node) in enumerate(zip(table, nodes)):
-        mbr, page, kids, backed, points, rec_node = rec
+        mbr, page, kids, backed, points, rec_node, count = rec
         assert page == i == node.page_id
         assert rec_node is node and mbr is node.mbr
+        assert count == node.point_count
         if node.level:
             assert points is None
             assert [id(r) for r in kids] == [
@@ -772,8 +773,8 @@ def _walks_like_steps(env, monkeypatch):
 def test_walk_table_records_follow_the_tree(layout):
     """Record ``i`` is page ``i``: its node's own MBR, its children's
     records reversed for the stack push and the point-holding ones in
-    page order, and a leaf's own point list.  The table is built once
-    and cached on the tree."""
+    page order, a leaf's own point list and the subtree's point count.
+    The table is built once and cached on the tree."""
     env = _table_env(layout)
     for tree in (env.s_tree, env.r_tree):
         table = walk_table(tree)

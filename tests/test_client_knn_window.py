@@ -1,7 +1,11 @@
 """Tests for the broadcast kNN and window searches."""
 
+import functools
+import heapq
+import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,9 +14,12 @@ from repro.broadcast import (
     BroadcastProgram,
     ChannelTuner,
     SystemParameters,
+    available_layouts,
+    make_layout,
 )
 from repro.client import BroadcastKNNSearch, BroadcastWindowSearch
-from repro.geometry import Point, Rect, distance
+from repro.core import TNNEnvironment
+from repro.geometry import Point, Rect, distance, kernels
 from repro.rtree import best_first_knn, str_pack
 from repro.rtree.traversal import window_search
 
@@ -233,3 +240,159 @@ def test_knn_kernel_path_handles_duplicate_distance_ties():
             got = BroadcastKNNSearch(tree, tuner, q, 7).run_to_completion()
         results[flag] = got
     assert results[False] == results[True]
+
+
+# ----------------------------------------------------------------------
+# The MAXDIST guarantee: the answers of the k-th-best search, a subset
+# of its downloads
+# ----------------------------------------------------------------------
+_CYCLIC = [n for n in available_layouts() if make_layout(n).has_cyclic_order]
+
+#: Lattice spacing: lattice points tie exactly in distance from a cell
+#: centre or from another lattice point.
+_STEP = 40.0
+
+
+def _reference_knn(tree, tuner, q, k):
+    """kNN without the guarantee: a preorder walk that prunes on the k-th
+    best alone (on a layout with cyclic page order, preorder is arrival
+    order).  Returns the answers ordered like ``results()``."""
+    best = []
+    seq = itertools.count()
+
+    def kth():
+        return -best[0][0] if len(best) == k else math.inf
+
+    def visit(node):
+        if node.mbr.mindist(q) > kth():
+            return
+        tuner.download_index_page(node.page_id)
+        for pt in node.points:
+            d = distance(q, pt)
+            if len(best) < k:
+                heapq.heappush(best, (-d, next(seq), pt))
+            elif d < kth():
+                heapq.heapreplace(best, (-d, next(seq), pt))
+        for child in node.children:
+            visit(child)
+
+    visit(tree.root)
+    ordered = sorted(best, key=lambda e: (-e[0], e[1]))
+    return [(pt, -negd) for negd, _, pt in ordered]
+
+
+def _guarantee_points():
+    """Uniform points, a lattice whose points tie in distance, and
+    points repeated four times."""
+    rng = random.Random(77)
+    uniform_pts = [Point(rng.random() * 1000, rng.random() * 1000)
+                   for _ in range(240)]
+    lattice = [Point(_STEP * i, _STEP * j) for i in range(5, 15)
+               for j in range(5, 15)]
+    dups = [p for p in uniform_pts[:30] for _ in range(3)]
+    return uniform_pts + lattice + dups
+
+
+def _guarantee_queries():
+    rng = random.Random(78)
+    qs = [Point(rng.random() * 1000, rng.random() * 1000) for _ in range(4)]
+    # A lattice cell centre and a lattice point: rings of exact ties.
+    qs += [Point(9.5 * _STEP, 9.5 * _STEP), Point(10 * _STEP, 7 * _STEP)]
+    qs.append(Point(-300.0, 1500.0))  # off the data region
+    return qs
+
+
+@functools.lru_cache(maxsize=None)
+def _guarantee_env(layout, page_capacity, points=None):
+    pts = _guarantee_points() if points is None else list(points)
+    return TNNEnvironment.build(
+        pts, pts[:50], params=SystemParameters(page_capacity=page_capacity),
+        layout=make_layout(layout),
+    )
+
+
+def _run_knn(env, q, k, phase, backend):
+    """One kNN search on the s channel: ``walk`` drains on the frontier,
+    ``heap`` steps on the oracle heap.  Returns the answers and tuner."""
+    tuner = ChannelTuner(BroadcastChannel(env.s_program, phase=phase))
+    with kernels.use_kernels(backend == "walk"):
+        search = BroadcastKNNSearch(env.s_tree, tuner, q, k)
+        assert (search._frontier is not None) == (backend == "walk")
+        got = search.run_to_completion()
+    return got, tuner
+
+
+@pytest.mark.parametrize("backend", ["walk", "heap"])
+@pytest.mark.parametrize("page_capacity", [64, 512])
+@pytest.mark.parametrize("layout", _CYCLIC)
+def test_knn_guarantee_downloads_a_subset(layout, page_capacity, backend):
+    """Lossless, the guarantee changes no answer, and every page the
+    search downloads the k-th-best search downloads too, at the same
+    arrival; tune-in and access time are no higher.  With ``k`` above
+    the dataset size no subtree backs a guarantee: the logs are equal."""
+    env = _guarantee_env(layout, page_capacity)
+    n = len(env.s_points)
+    saved = 0
+    for k in (1, 3, 8, 40, n + 1):
+        for q in _guarantee_queries():
+            for phase in (0.0, 127.3):
+                got, tuner = _run_knn(env, q, k, phase, backend)
+                ref_tuner = ChannelTuner(
+                    BroadcastChannel(env.s_program, phase=phase))
+                want = _reference_knn(env.s_tree, ref_tuner, q, k)
+                assert got == want
+                assert set(tuner.log) <= set(ref_tuner.log)
+                assert tuner.index_pages <= ref_tuner.index_pages
+                assert tuner.now <= ref_tuner.now
+                if k > n:
+                    assert tuner.log == ref_tuner.log
+                saved += ref_tuner.index_pages - tuner.index_pages
+    assert saved > 0  # the guarantee prunes somewhere
+
+
+def _tie_points():
+    """A lattice: rings of points at exactly equal distances."""
+    return tuple(Point(_STEP * i, _STEP * j) for i in range(1, 21)
+                 for j in range(1, 21))
+
+
+def _dup_points():
+    """Each of 60 distinct points repeated five times."""
+    rng = random.Random(79)
+    base = [Point(rng.random() * 1000, rng.random() * 1000)
+            for _ in range(60)]
+    return tuple(p for p in base for _ in range(5))
+
+
+@pytest.mark.parametrize("backend", ["walk", "heap"])
+@pytest.mark.parametrize("data", ["ties", "duplicates"])
+@pytest.mark.parametrize("page_capacity", [64, 512])
+@pytest.mark.parametrize("layout", _CYCLIC)
+def test_knn_guarantee_matches_brute_force(layout, page_capacity, data,
+                                           backend):
+    """Against sorted distances over the raw points: many points at the
+    same distance, duplicate points, and ``k`` above every leaf's size
+    (the guarantee then comes from internal nodes alone).  Every point
+    strictly closer than the k-th distance is in the answer, as often as
+    the dataset holds it, and no point more often."""
+    points = _tie_points() if data == "ties" else _dup_points()
+    env = _guarantee_env(layout, page_capacity, points)
+    tree = env.s_tree
+    biggest_leaf = max(len(nd.points) for nd in tree.iter_nodes()
+                       if nd.is_leaf)
+    rng = random.Random(80)
+    queries = [Point(10.5 * _STEP, 10.5 * _STEP),
+               Point(10 * _STEP, 10 * _STEP), points[7]]
+    queries += [Point(rng.random() * 900, rng.random() * 900)
+                for _ in range(3)]
+    held = Counter(points)
+    for k in (1, 4, 9, biggest_leaf + 1, 3 * biggest_leaf + 2):
+        for q in queries:
+            got, _ = _run_knn(env, q, k, 61.7, backend)
+            dists = sorted(distance(q, p) for p in points)
+            assert [d for _, d in got] == dists[:k]
+            answer = Counter(pt for pt, _ in got)
+            assert all(answer[p] <= held[p] for p in answer)
+            cut = dists[k - 1]
+            closer = Counter(p for p in points if distance(q, p) < cut)
+            assert all(answer[p] == c for p, c in closer.items())
