@@ -7,7 +7,7 @@ NN/kNN/range/window client batches under two query populations — uniform
 over the region, and skewed (~80% of queries inside the broadcast disk's
 hot region).  Per cell the harness records mean access time and tune-in
 (pages), the two-state radio energy estimate, the execution path the
-clients actually took (columnar arena vs heap fallback), and a
+clients actually took (arrival frontier vs heap fallback), and a
 ``bit_identical`` verdict of the shared-scan batch against the per-query
 oracle — the matrix is worthless if any backend's batch path diverges.
 
@@ -121,7 +121,7 @@ def _oracle(engine, req):
 def _execution_mode(engine) -> str:
     """Which client queue backend this environment's searches get."""
     probe = engine._build(NNRequest(Point(1.0, 1.0)))
-    return "arena" if probe._frontier is not None else "heap"
+    return "frontier" if probe._frontier is not None else "heap"
 
 
 def run_matrix() -> dict:
@@ -210,7 +210,7 @@ def test_air_index_matrix(record_experiment):
     assert len(by_backend) >= 3
     assert {r["population"] for r in payload["rows"]} == {"uniform", "skewed"}
     # Both client execution paths must be represented in the matrix.
-    assert {r["execution"] for r in payload["rows"]} == {"arena", "heap"}
+    assert {r["execution"] for r in payload["rows"]} == {"frontier", "heap"}
 
 
 if __name__ == "__main__":

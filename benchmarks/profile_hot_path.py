@@ -1,32 +1,21 @@
 """Per-phase time breakdown of the Hybrid-TNN hot path.
 
-The shared-scan PR measured (informally) that ~75% of the 1,000-query
-Hybrid-TNN workload at 64-byte pages is per-entry python queue work.  This
-harness turns that claim into a recorded number, with two independent
-timers over the same four phase buckets:
+Records how the Hybrid-TNN workload at 64-byte pages splits its time
+across four phase buckets, with two independent timers:
 
-* **queue** — the arrival frontier / columnar arena and the heap mixin
+* **queue** — the arrival frontier, the heap mixin and the drain walk
   (`client/frontier.py`, `client/arrival_queue.py`): pushes, pops,
-  head selection, prune-run consumption;
+  head selection, the walk's prunes;
 * **geometry** — the vectorised kernels and the scalar metrics
   (`geometry/`): bounds, leaf distances, certified estimates;
 * **download** — broadcast arrival arithmetic and tuner accounting
   (`broadcast/`): page arithmetic, clock moves, reception logs;
-* **phase_a** — the shared-scan executor's survivor handling
-  (``_arena_phase_a`` and ``_resolve_survivors``): due assembly, keep
-  classification, fallback dispatch, absorb-lane binning;
-* **absorb** — the executor's absorb glue (``_absorb_*`` lanes and the
-  arena mirror helper): kernel-input gathers from the node store, staging
-  handoffs, witness/upper-bound mirror updates;
 * **bookkeeping** — everything else on the hot path (`engine/` runner
   remainder, `client/search.py` absorb logic, `core/`, scheduler, numpy
   glue).
 
-The executor sub-buckets (phase_a / absorb) split what earlier
-recordings lumped into bookkeeping.
-
 The **wall timer** (primary, ``share`` in the JSON) wraps the bucket entry
-points — frontier/arena methods, the public kernels, tuner accounting —
+points — frontier methods, the drain, the public kernels, tuner accounting —
 with ``perf_counter`` pairs and attributes *self time* to each bucket (a
 nested wrapped call is credited to its own bucket and subtracted from its
 caller's); whatever the wrappers never see is the bookkeeping remainder.
@@ -39,8 +28,8 @@ self time by module path.  It is kept for cross-checking only: tracing
 inflates python-call-heavy phases several-fold, so its shares overstate
 queue/bookkeeping and understate the numpy kernels.
 
-Both the per-query and the shared-scan paths are measured, so the
-before/after of queue-floor work is recorded, not asserted.
+Both the per-query loop and ``SharedScanRunner`` are measured; they run
+the same per-query code, so their splits should agree.
 
 Writes ``BENCH_profile_hot_path.json`` at the repository root.
 """
@@ -73,7 +62,7 @@ N_POINTS = int(os.environ.get("REPRO_BENCH_POINTS", 30_000))
 PAGE_CAPACITY = int(os.environ.get("REPRO_BENCH_CAPACITY", 64))
 #: Air-index backend to profile (any repro.broadcast.layout registry name);
 #: non-cyclic backends (rtree-distributed, disk) profile the heap-fallback
-#: queue instead of the arena.
+#: queue instead of the frontier.
 BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "rtree")
 #: Measured passes per configuration; the minimum-wall pass is recorded.
 #: Single passes on shared vCPUs randomly absorb neighbour steal into
@@ -90,23 +79,11 @@ PHASES = (
     ("download", ("repro/broadcast/",)),
 )
 
-#: Executor function-name prefixes -> node-store sub-buckets (only
-#: consulted for engine/shared_scan.py frames, before the module rules).
-SUBBUCKET_PREFIXES = (
-    ("phase_a", ("_arena_phase_a", "_resolve_survivors")),
-    ("absorb", ("_absorb_", "_mirror")),
-)
-
-ALL_PHASES = ("queue", "geometry", "download", "phase_a", "absorb",
-              "bookkeeping")
+ALL_PHASES = ("queue", "geometry", "download", "bookkeeping")
 
 
-def _bucket(filename: str, funcname: str = "") -> str:
+def _bucket(filename: str) -> str:
     path = filename.replace("\\", "/")
-    if "engine/shared_scan.py" in path:
-        for phase, prefixes in SUBBUCKET_PREFIXES:
-            if funcname.startswith(prefixes):
-                return phase
     for phase, fragments in PHASES:
         for fragment in fragments:
             if fragment in path:
@@ -117,8 +94,8 @@ def _bucket(filename: str, funcname: str = "") -> str:
 def _phase_breakdown(profile: cProfile.Profile) -> dict:
     stats = pstats.Stats(profile)
     totals: dict = {phase: 0.0 for phase in ALL_PHASES}
-    for (filename, _, funcname), (_, _, tottime, _, _) in stats.stats.items():
-        totals[_bucket(filename, funcname)] += tottime
+    for (filename, _, _), (_, _, tottime, _, _) in stats.stats.items():
+        totals[_bucket(filename)] += tottime
     profiled_total = sum(totals.values())
     shares = {
         phase: (round(t / profiled_total, 4) if profiled_total else 0.0)
@@ -140,10 +117,7 @@ class _WallPhaseTimer:
     """
 
     def __init__(self) -> None:
-        self.totals = {
-            "queue": 0.0, "geometry": 0.0, "download": 0.0,
-            "phase_a": 0.0, "absorb": 0.0,
-        }
+        self.totals = {"queue": 0.0, "geometry": 0.0, "download": 0.0}
         self._child = [0.0]  # child-time accumulator per active frame
 
     def wrap(self, fn, bucket: str):
@@ -181,22 +155,20 @@ class _WallPhaseTimer:
 def _wrap_sites() -> list:
     """(holder, attribute, bucket) triples for the wall-clock wrappers.
 
-    Coarse on purpose: bucket *entry points* are wrapped (frontier and
-    arena methods, the public kernels, tuner accounting), never per-element
-    helpers.  Overhead tracks the number of wrapper crossings — negligible
-    for the batched shared-scan path, visible for the per-pop per-query
-    path — and the timed wall-clock is recorded next to the uninstrumented
-    one so that inflation is measured, not hidden.  Functions a module
+    Coarse on purpose: bucket *entry points* are wrapped (frontier
+    methods, the drain, the public kernels, tuner accounting), never
+    per-element helpers.  Overhead tracks the number of wrapper crossings,
+    and the timed wall-clock is recorded next to the uninstrumented one so
+    that inflation is measured, not hidden.  Functions a module
     re-imported by name are patched at the importer too, or the wrapper
     would never see those calls.
 
     The drain (:func:`repro.client.drain.drain`, wrapped where
-    ``arrival_queue`` binds it) and the executor's set-at-a-time
-    ``_serve_range_batch`` count as **queue**: they are the frontier pop
-    loop inlined into one walk (the drain consumes the arrival lanes
-    directly, the range pass computes their pop order in closed form),
-    and their nested geometry / download calls are wrapped separately,
-    so self-time attribution still splits them honestly.
+    ``arrival_queue`` binds it) counts as **queue**: it is the frontier
+    pop loop inlined into one walk over the arrival lanes.  Its nested
+    kernel and tuner calls are wrapped separately, but the bounds it
+    computes inline (``Rect.mindist``, the certified transitive cascade)
+    count as queue.
     ``transitive_join`` counts as **geometry** — it is the filter phase's
     pairwise distance evaluation.
     """
@@ -230,43 +202,21 @@ def _wrap_sites() -> list:
     for holder in (join_mod, base_mod, shared_scan_mod):
         sites.append((holder, "transitive_join", "geometry"))
     for name in (
-        "__init__", "push", "push_many", "peek_arrival", "pop", "pop_until",
+        "__init__", "push", "push_many", "peek_arrival", "pop",
         "active_nodes", "active_mbrs", "store_lower",
     ):
         sites.append((frontier_mod.ArrivalFrontier, name, "queue"))
-    for name in (
-        "register", "sync", "stage", "stage_lane", "flush", "begin_round",
-        "serve", "kill", "peek_arrival_attached", "pop_attached",
-        "pop_until_attached", "active_nodes_attached", "active_mbrs_attached",
-        "store_lower_attached", "len_attached", "_eval_stale_attached",
-    ):
-        sites.append((frontier_mod.FrontierArena, name, "queue"))
     for name in (
         "_init_queue", "_push", "_normalize_head", "_pop_head",
         "_pop_head_bound",
     ):
         sites.append((aq_mod.ArrivalQueueMixin, name, "queue"))
     sites.append((aq_mod, "drain", "queue"))
-    for name in ("_resume_nn", "_serve_range_batch"):
-        sites.append((shared_scan_mod.SharedScanExecutor, name, "queue"))
-    # Executor sub-buckets: the phase-A survivor handling and the absorb
-    # glue.  Nested frontier/arena calls (queue), kernels (geometry) and
-    # tuner accounting (download) are wrapped separately, so self-time
-    # attribution keeps the split honest.
-    for name in ("_arena_phase_a", "_resolve_survivors"):
-        sites.append((shared_scan_mod.SharedScanExecutor, name, "phase_a"))
-    for name in ("_absorb_nn_lanes", "_mirror"):
-        sites.append((shared_scan_mod.SharedScanExecutor, name, "absorb"))
-    for cls in (tuner_mod.ChannelTuner, tuner_mod._LedgerTuner):
-        for name in (
-            "advance_to", "record_index_run", "download_index_page",
-            "download_object",
-        ):
-            # Patch only where the class defines (or overrides) the method,
-            # so a wrapped base call is not double-counted via the subclass.
-            if name in cls.__dict__:
-                sites.append((cls, name, "download"))
-    sites.append((tuner_mod.TunerLedger, "flush_round", "download"))
+    for name in (
+        "advance_to", "record_index_run", "download_index_page",
+        "download_object",
+    ):
+        sites.append((tuner_mod.ChannelTuner, name, "download"))
     return sites
 
 
@@ -390,9 +340,7 @@ def profile_hot_path(
             "cross-check, which inflates python-call-heavy phases; "
             "wall_seconds is the uninstrumented reference; every "
             "measured pass runs REPEATS times and keeps the minimum "
-            "wall (least scheduler interference); phase_a and "
-            "absorb are executor sub-buckets that earlier recordings "
-            "lumped into bookkeeping"
+            "wall (least scheduler interference)"
         ),
         "per_query": {"wall_seconds": round(pq_wall, 6), **pq_phases},
         "shared_scan": {"wall_seconds": round(shared_wall, 6), **shared_phases},

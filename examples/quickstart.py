@@ -4,8 +4,9 @@ Builds two uniform datasets, lays them out as (1, m)-interleaved broadcast
 programs, and answers a transitive nearest-neighbor query with each of the
 paper's algorithms, printing the answer and the two cost metrics.  A
 second section serves a mixed NN / kNN / range / window batch through the
-shared-scan executor (``QueryEngine.run_many``): every client request is
-answered from one page-major pass over the broadcast cycle.
+shared-scan executor (``QueryEngine.run_many``): every client request
+gets its own tuner and runs through the same group driver a single query
+uses.
 
 Architecture note — one TNN lifecycle, run two ways.  Every algorithm
 describes its stages once (``TNNAlgorithm._stages``): its estimate
@@ -18,57 +19,23 @@ member of an independent stage drained on its own, Hybrid-NN's
 re-steered pair in alternating runs, each member drained up to its
 sibling's next arrival) and is the reference path;
 ``SharedScanRunner`` drives every query's stages
-through the page-major shared-scan executor, for every algorithm, ANN
-optimisation and data retrieval alike, with bit-identical results.
+through the shared-scan executor, which runs each stage with that same
+driver (``SearchGroup.run``), for every algorithm, ANN optimisation and
+data retrieval alike, with bit-identical results.
 
-Architecture note — the columnar frontier arena.  Each steppable search
-queues its R-tree candidates in an arrival frontier ordered by cyclic
-page position.  Single searches (everything in this example's first
-section) keep the frontier's python list lanes, the fastest layout at
-per-query queue sizes.  When the shared-scan executor serves a whole
-workload, the fast NN searches' frontiers are *attached* to one
-``FrontierArena``: every queued entry of every search lives in shared
-numpy lanes addressed per search by an (offset, length) segment, and
-each round's head selection, certified prune consumption and fan-out
-staging run as whole-workload array passes instead of per-entry python.
-The boxed-tuple heap remains the bit-identity oracle and engages
-automatically wherever the cyclic closed form does not hold — scalar
-mode (``REPRO_NO_KERNELS=1``) and layouts without cyclic page order
-(distributed indexing, broadcast-disk schedules).
-
-Architecture note — the columnar tuner ledger.  Every search accounts
-its radio on a ``ChannelTuner`` — clock, page counters and a reception
-log, four scalars and a list, the cheapest layout for one query (and
-the bit-identity oracle).  When the shared-scan executor serves a
-workload, the arena-served searches' tuners are *attached* to one
-``TunerLedger``: their state moves into shared numpy lanes (one row per
-tuner) plus a packed event arena replacing the per-tuner tuple logs,
-and the executor books the whole round's downloads with one vectorised
-flush alongside the arena flush.  Attachment is transparent — an
-attached tuner routes its public attributes to its ledger row, and
-``tuner.log`` materialises lazily from the event arena as the same
-tuples the scalar oracle writes — so result constructors and trace
-tooling never know which backend they read.  The ledger is always on
-for arena-served searches; searches on the heap (non-cyclic layouts,
-``REPRO_NO_KERNELS=1``) skip attachment and run through the per-query
-driver (``SearchGroup.run``), whose standalone tuners are the reference.
-
-Architecture note — the node store, the executor's one node
-representation.  Each R-tree caches columnar arrays over its BFS node
-order — child and point offsets, packed lane keys, subtree counts, MBR
-and point rows, plus a page-id column — and the arena's ``NodeStore``
-concatenates them for every tree it serves (TNN campaigns and
-``QueryEngine.run_many`` batches alike).  A whole round then resolves
-as array passes: automatic keeps, staged keep certificates, the weak
-margin band batched through one exact Lemma 1 kernel call, and the
-survivors handed to the absorb lanes pre-binned by a stable argsort
-over packed lane keys (fan-out width, leaf bit, point bit), where every
-kernel input is one gather from the store.  The structural columns are
-layout-independent and cached once per tree; only the page column
-binds the broadcast numbering, so relayouts (``assign_page_ids``)
-invalidate just that column.  The per-query path stays the oracle:
-the tests check the executor against it for answers, tuner states and
-reception logs.
+Architecture note — one queue and one tuner per search.  Each steppable
+search queues its R-tree candidates in an arrival frontier ordered by
+cyclic page position: python list lanes, the fastest layout at
+per-query queue sizes.  The boxed-tuple heap remains the bit-identity
+oracle and engages automatically wherever the cyclic closed form does
+not hold — scalar mode (``REPRO_NO_KERNELS=1``) and layouts without
+cyclic page order (distributed indexing, broadcast-disk schedules).
+Every search accounts its radio on its own ``ChannelTuner`` — clock,
+page counters and a reception log, four scalars and a list — in a
+single query and in the shared-scan executor alike.  Nothing is batched
+across queries: the per-query walk below is cheap enough that
+cross-query batches in shared numpy lanes did not win end to end, so
+the executor runs every search with the per-query code.
 
 Architecture note — channel fault models and supervised pools.  The
 unreliable medium lives behind the ``FaultModel`` seam
@@ -85,15 +52,15 @@ counter hash of (seed, slot), so Gilbert–Elliott fade states are
 computed a chunk of whole windows at a time in one numpy pass, the
 first time a slot in the chunk is asked about, and kept one byte per
 slot in a bounded memo.
-Faulty searches skip the shared scan's batched NN rounds and drain per
-query: the retry chain of a missed page replays closed form (replicas
+Faulty searches drain like lossless ones: the retry chain of a missed
+page replays closed form (replicas
 sit exactly one cycle apart), bit-identically to the per-query retry
 loop.  One drain (``repro.client.drain``) empties a search in a
 single pass: every ``run_to_completion`` of a frontier-backed NN
 (no pruning policy, in the point metric or, after Hybrid-NN's Case 3,
 the transitive one), kNN, range or window search, as in this
 example's first section, and so every stage the shared-scan executor
-does not batch, which it runs through ``SearchGroup.run``.  Given a
+runs through ``SearchGroup.run``.  Given a
 limit, the same walk stops before the first page due after it and hands
 the rest of its queue back: each run of a Hybrid-NN pair member ends at
 its sibling's next arrival.  Index pages are
@@ -114,13 +81,9 @@ lowering the search's MAXDIST guarantee to the smallest MAXDIST among
 its children holding k points (every point of a subtree lies in its
 MBR); the smaller of the two prunes the very next pop, strictly, so
 the answers are those of a k-th-best-only search from a subset of its
-pages.  A range or window leaf runs an inline closed containment test.  The step-at-a-time ``step()`` loop
-stays the reference it is tested against.  Lossless range searches (the TNN filter phase's
-circle queries, ``run_many`` range requests) skip the pop loop: batches
-of 128 walk the node store level by level with one exact MINDIST kernel
-call per level, and every download's slot follows in closed form from
-the drain's clock, so the answers, clocks, logs and queue peaks
-are the drain's, bit for bit.
+pages.  A range or window leaf runs an inline closed containment test.
+The step-at-a-time ``step()`` loop stays the reference it is tested
+against.
 
 Architecture note — pluggable air-index backends.  Schedule generation
 lives behind the ``BroadcastLayout`` seam (``repro.broadcast.layout``):

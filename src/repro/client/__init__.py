@@ -24,8 +24,8 @@ Implements the building blocks shared by every TNN algorithm:
   bit-identical to stepping it; every search's ``run_to_completion`` and
   each bounded run of a Hybrid-NN pair member call it.
 * :class:`SearchGroup` — one query stage's searches and their scheduling
-  contract; :meth:`SearchGroup.run` is the one driver of every stage that
-  ``algorithm.run`` runs and the shared-scan executor does not batch.
+  contract; :meth:`SearchGroup.run` is the one driver of every stage, for
+  ``algorithm.run`` and the shared-scan executor alike.
 * :class:`ArrivalFrontier` — the struct-of-arrays candidate queue behind
   every steppable search on the kernel path: arrivals refreshed per
   arrival tick and lower bounds evaluated in queue-wide kernel batches,

@@ -88,7 +88,7 @@ class ArrivalQueueMixin:
         """Largest queue size reached — the client's memory footprint."""
         f = self._frontier
         if f is not None:
-            return f.footprint()
+            return f.max_size
         return self._heap_max
 
     def _push(

@@ -206,7 +206,7 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     """Run search ``s`` as one preorder stack walk, to completion or to
     ``limit``.
 
-    ``s`` is frontier-backed (standalone, not in an arena); an NN search
+    ``s`` is frontier-backed; an NN search
     runs under a trivial policy, in either metric.  The walk runs on the
     flat node records of the search's tree (:func:`walk_table`), not on
     the node objects: it seeds its stack with the records of the
@@ -300,8 +300,7 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     tuner = s.tuner
     loss = tuner.loss
     # Reception attempts collect here and book in one record_index_run
-    # call — one clock write, one counter add, one log/event-arena extend,
-    # on either tuner backend.
+    # call — one clock write, one counter add, one log extend.
     pages_dl: List[int] = []
     arrs: List[float] = []
     oks: Optional[List[bool]] = None if loss is None else []

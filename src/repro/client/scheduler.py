@@ -7,8 +7,8 @@ the earliest page next — this is what "the two NN queries are processed in
 parallel" (Algorithm 1, line 3) means operationally.  An optional callback
 fires after every step so a coordinator (Hybrid-NN) can react the moment
 one channel finishes.  :func:`run_all` is the step-at-a-time reference:
-:meth:`SearchGroup.run`, the driver of every stage the shared scan does
-not batch, runs an independent stage one member at a time and Hybrid-NN's
+:meth:`SearchGroup.run`, the driver of every stage per query and in the
+shared scan, runs an independent stage one member at a time and Hybrid-NN's
 pair on the same schedule in bounded runs, each member run up to its
 sibling's next event, and is tested against it.
 
@@ -199,18 +199,16 @@ class SearchGroup:
     """One query stage's searches and the contract that schedules them.
 
     A ``SearchGroup`` carries the per-query scheduling contract that
-    :func:`run_all` enforces; :meth:`run` drives the group alone, and the
-    shared-scan executor (:mod:`repro.engine.shared_scan`) batches the
-    groups it can across many queries and runs the rest through
-    :meth:`run`:
+    :func:`run_all` enforces; :meth:`run` drives the group alone, per query
+    and for every group of the shared-scan executor
+    (:mod:`repro.engine.shared_scan`):
 
     * ``paired=True`` — exactly **two** members, coupled through an
       ``on_finish`` callback that mutates the sibling (Hybrid-NN's
       re-steering), so only the member :func:`run_all` would step next
       may run, and only while its next event stays before the sibling's
       (at or before it for the first member): :meth:`run` runs it that
-      far in one bounded run (a drain walk on a frontier), and the
-      executor's arena serves it one download per round.  A sibling must
+      far in one bounded run (a drain walk on a frontier).  A sibling must
       never advance past the finisher's completion event, or it would
       process a page under the wrong metric.
     * ``paired=False`` — the members are mutually independent (no callback
@@ -225,23 +223,12 @@ class SearchGroup:
     calls their ``run_to_completion`` and bounded ``_run_until``.
 
     ``on_finish(search)`` fires once per member, directly after the run
-    or serve that finishes it — the same moment :func:`run_all` fires
-    it.  ``tag`` is the owner's cookie (the executor stores its job
-    there).
+    that finishes it — the same moment :func:`run_all` fires it.  ``tag``
+    is the owner's cookie (the executor stores its job there).
 
-    ``pending`` is the members still running.  The driver owns it: the
-    executor removes a member right after the serve that finishes it, so
-    group bookkeeping costs one ``finished()`` probe per serve instead of
-    a per-round sweep over every member of every group, and :meth:`run`
-    empties it.  Members already finished at construction never enter it
-    (and, matching :func:`run_all`, never see ``on_finish``).
-
-    Finish events are backend-transparent with respect to the tuners: an
-    ``on_finish`` coordinator that reads ``search.tuner.now`` or the page
-    counters sees the same values whether the tuner holds scalars or is
-    attached to a :class:`~repro.broadcast.tuner.TunerLedger` — attached
-    tuners route those attributes to their ledger rows, which the
-    executor flushes before any finish probe of the same round fires.
+    ``pending`` is the members still running; :meth:`run` empties it.
+    Members already finished at construction never enter it (and,
+    matching :func:`run_all`, never see ``on_finish``).
     """
 
     __slots__ = ("searches", "pending", "paired", "on_finish", "tag")

@@ -91,11 +91,6 @@ class BroadcastNNSearch(ArrivalQueueMixin):
         #: their PruneContext entirely.
         self._policy_trivial = getattr(self.policy, "trivial", False)
         self.mode = SearchMode.POINT
-        #: ``mode`` as the metric bit of the shared-scan executor's packed
-        #: lane keys, maintained by the two mode writes (here and
-        #: :meth:`switch_to_transitive`) so the per-survivor binning reads
-        #: an int instead of comparing enums.
-        self._point_bit = 1
         self.query: Optional[Point] = query
         self.start: Optional[Point] = None
         self.end: Optional[Point] = None
@@ -178,12 +173,7 @@ class BroadcastNNSearch(ArrivalQueueMixin):
     def _decide_keep(
         self, node: RTreeNode, lb: Optional[float], weak: bool
     ) -> bool:
-        """The pop-time pruning decision for one dequeued node.
-
-        Shared verbatim by :meth:`step` and the shared-scan executor's
-        phase-A serve loop, so an externally driven search prunes exactly
-        like a self-stepping one.
-        """
+        """The pop-time pruning decision for one dequeued node."""
         if lb is None:
             if self._frontier is not None and self.mode is SearchMode.POINT:
                 # Frontier bounds live in the frontier lanes, so a miss
@@ -200,8 +190,8 @@ class BroadcastNNSearch(ArrivalQueueMixin):
             # The weak bound could not prove the prune; certify the keep or
             # fall back to the exact metric for the borderline entries.
             if self.mode is SearchMode.POINT:
-                # Weak point bounds (shared-scan batches): MINDIST is one
-                # hypot, so the exact test *is* the cheap resolution.
+                # A weak point bound: MINDIST is one hypot, so the exact
+                # test *is* the cheap resolution.
                 if node.mbr.mindist(self.query) > self.upper_bound:
                     return False
             elif not certified_keep(
@@ -363,23 +353,6 @@ class BroadcastNNSearch(ArrivalQueueMixin):
             self._witness_page = best_child.page_id
 
     # ------------------------------------------------------------------
-    # Shared-scan absorb hook (externally batched distances)
-    # ------------------------------------------------------------------
-    def _absorb_leaf_shared(self, node: RTreeNode, i: int, d: float) -> None:
-        """Absorb a leaf from its batched distance row's argmin ``(i, d)``.
-
-        Mirrors the kernel branch of :meth:`_absorb_leaf`: only the row
-        minimum can improve the incumbent, and ``np.argmin`` picks the
-        first minimum exactly like the scalar strict-``<`` offer loop.
-        """
-        if d < self.best_dist:
-            self.best_dist = d
-            self.best_point = node.points[i]
-        if self.best_dist < self.upper_bound:
-            self.upper_bound = self.best_dist
-            self._witness_page = None  # a concrete point witnesses the bound
-
-    # ------------------------------------------------------------------
     # Hybrid-NN mutations
     # ------------------------------------------------------------------
     def retarget(self, new_query: Point) -> None:
@@ -408,7 +381,6 @@ class BroadcastNNSearch(ArrivalQueueMixin):
             raise RuntimeError("search is already in transitive mode")
         self._metric_epoch += 1  # cached lower bounds no longer apply
         self.mode = SearchMode.TRANSITIVE
-        self._point_bit = 0
         self.start = start
         self.end = end
         self.query = None
@@ -449,8 +421,8 @@ class BroadcastNNSearch(ArrivalQueueMixin):
             leaf=False
         ):
             # The queued rows come from the pack-time child-MBR caches
-            # (frontier chunk refs / arena MBR lane) — no repacking of MBR
-            # namedtuples per rescan.
+            # (frontier chunk refs) — no repacking of MBR namedtuples per
+            # rescan.
             if front is not None:
                 mbrs = front.active_mbrs()
             else:

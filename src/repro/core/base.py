@@ -34,7 +34,7 @@ class TNNAlgorithm(abc.ABC):
     callers run that one description: :meth:`run` answers one query,
     stage by stage, and
     :func:`~repro.engine.shared_scan.execute_tnn_batch` serves a whole
-    workload page-major.
+    workload through one executor.
 
     ``optimization`` plugs the ANN approximation into the estimate phase;
     ``include_data_retrieval`` additionally downloads the answer pair's

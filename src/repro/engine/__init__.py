@@ -8,10 +8,9 @@ The substrate every bulk workload runs on:
 * :class:`SharedScanRunner` — executes a workload in-process or fanned
   out over a supervised process pool, bit-identically, with vectorised
   aggregation and cached oracle results for failure-rate comparisons.
-  Every algorithm runs page-major — one shared broadcast scan serves
-  every query per page arrival, with geometry kernels batched across the
-  workload (:mod:`repro.engine.shared_scan`) — through the same
-  lifecycle per-query ``algorithm.run`` drives alone;
+  Every algorithm runs through the shared-scan executor
+  (:mod:`repro.engine.shared_scan`), which drives each query's lifecycle
+  with the same group driver per-query ``algorithm.run`` uses;
 * :class:`QueryEngine` — one facade over NN / kNN / range / window / TNN
   queries on an environment, so callers stop hand-wiring tuners and
   searches; :meth:`QueryEngine.run_many` routes mixed client batches

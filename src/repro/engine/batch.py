@@ -6,11 +6,11 @@ time is the scaling bottleneck the ROADMAP calls out.
 :class:`SharedScanRunner` executes a whole
 :class:`~repro.engine.workload.QueryWorkload` through a shared substrate:
 
-* every algorithm runs page-major through the shared-scan executor
+* every algorithm runs through the shared-scan executor
   (:mod:`repro.engine.shared_scan`), which drives each query's
   estimate-filter-join lifecycle (:meth:`~repro.core.base.TNNAlgorithm
-  ._stages`); per-query ``algorithm.run`` drives the same lifecycle alone
-  and is the reference the shared scan is checked against;
+  ._stages`) through :meth:`~repro.client.scheduler.SearchGroup.run`,
+  the group driver per-query ``algorithm.run`` uses too;
 * the environment's broadcast programs (with their cached arrival-position
   tables) are built once and reused by every query;
 * execution can fan out over a supervised process pool — queries carry
@@ -198,19 +198,18 @@ class _SupervisedPool:
 class SharedScanRunner:
     """Executes one workload against one environment, for many algorithms.
 
-    Every algorithm runs page-major through
+    Every algorithm runs through
     :func:`~repro.engine.shared_scan.execute_tnn_batch`: the shared-scan
-    executor drives each query's lifecycle, serves every active query per
-    page arrival and batches the geometry kernels across the whole
-    workload (:mod:`repro.engine.shared_scan`).  The results are those of
-    ``algorithm.run`` per query, bit for bit.
+    executor drives each query's lifecycle with the group driver
+    ``algorithm.run`` uses (:mod:`repro.engine.shared_scan`), so the
+    results are those of ``algorithm.run`` per query, bit for bit.
 
     ``workers`` selects the execution mode: ``0``/``1`` runs in-process,
     ``>= 2`` fans the workload out over that many worker processes.  The
     workload is sharded **by channel phase group**: queries are ordered
     by their s-channel phase and cut into one contiguous shard per
     worker, so each worker's queries start at nearby positions of the
-    broadcast cycle and its round lanes stay full.  Sharding is pure
+    broadcast cycle.  Sharding is pure
     placement — per-query state is self-contained — and results are
     reassembled in workload order.
 

@@ -9,11 +9,10 @@ tables make the per-query setup cost a handful of attribute lookups.
 
 Mixed client batches go through :meth:`QueryEngine.run_many`: requests are
 declared as :class:`NNRequest` / :class:`KNNRequest` / :class:`RangeRequest`
-/ :class:`WindowRequest` records and executed page-major by the shared-scan
-executor (:mod:`repro.engine.shared_scan`), which serves every request per
-page arrival and batches the geometry kernels across the batch.  Answers
-are bit-identical to issuing each request through the corresponding
-single-query method.
+/ :class:`WindowRequest` records and executed by the shared-scan executor
+(:mod:`repro.engine.shared_scan`), which runs each request's search
+through the per-query group driver.  Answers are bit-identical to issuing
+each request through the corresponding single-query method.
 """
 
 from __future__ import annotations
@@ -172,12 +171,9 @@ class QueryEngine:
         """Answer a mixed NN/kNN/range/window batch through the shared scan.
 
         Every request gets its own tuner (its ``phase`` models when its
-        client tuned in), and the shared-scan executor batches what it
-        can: lossless NN requests page-major, one round per page arrival
-        tick with geometry kernels batched across the whole batch, and
-        lossless range requests in set-at-a-time passes; kNN and window
-        requests and every request on a faulty channel run alone (one
-        drain walk on a frontier).  Answers come back in request order,
+        client tuned in), and the shared-scan executor runs each request's
+        search alone through ``SearchGroup.run``: one drain walk on a
+        frontier, steps on the heap.  Answers come back in request order,
         bit-identical to the corresponding single-query methods.
 
         ``record_log=False`` skips every tuner's per-reception event log

@@ -53,13 +53,14 @@ Lemma map (paper Definitions/Lemmas 1-3; see ``transitive.py``):
   once: a ``(k, 2)`` array of query points (or ``(k, 2)`` start/end pairs
   for the transitive metrics) against a ``(k, n, 4)`` block of per-query
   child MBRs or a ``(k, n, 2)`` block of per-query leaf points, returning
-  ``(k, n)``.  These are the kernels of the shared-scan batch executor
-  (:mod:`repro.engine.shared_scan`): when many queries expand R-tree nodes
-  on the same page arrival tick, one kernel dispatch serves every query,
-  so the per-ufunc floor amortises across the *workload* instead of a
-  single fan-out.  Every lane replays the exact scalar operation order, so
-  the batch results are bit-identical to the per-query kernels (and hence
-  to the scalar oracle).
+  ``(k, n)``.  When many queries expand R-tree nodes on the same page
+  arrival tick, one kernel dispatch serves every query.  Every lane
+  replays the exact scalar operation order, so the batch results are
+  bit-identical to the per-query kernels (and hence to the scalar
+  oracle).  No package code calls this family or the ``*_raw`` estimates
+  since the shared-scan executor runs every search per query; they stay,
+  with their bit-identity tests, because ``perfbench/spans.py`` wraps
+  every kernel by name.
 
 Because answers are path-independent, dispatch is free to be adaptive: the
 fixed kernel overhead only amortises over enough lanes, so callers consult
@@ -181,8 +182,8 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
 
 #: Element-count ceiling below which the exact hypot runs as a stdlib
 #: ``math.hypot`` loop instead of the vectorised replay.  The replay costs
-#: ~75 array passes regardless of size, so tiny blocks (absorb lanes are
-#: typically a few dozen elements) pay far more in numpy dispatch than the
+#: ~75 array passes regardless of size, so tiny blocks (a fan-out or a
+#: queue is typically a few dozen elements) pay far more in numpy dispatch than the
 #: ~0.15µs-per-element scalar loop; the crossover sits near 700 elements.
 _SCALAR_MAX = 640
 
@@ -555,8 +556,8 @@ def trans_bounds(
 # ----------------------------------------------------------------------
 # Query-batched kernels: (k, 2) query block against per-query fan-outs
 # ----------------------------------------------------------------------
-# The shared-scan executor serves every active query on one page arrival
-# tick; these kernels evaluate one bound family for the *whole* batch —
+# For a batch of queries served on one page arrival tick, these kernels
+# evaluate one bound family for the *whole* batch —
 # query row i against MBR/point block row i — in a single dispatch.  All
 # lanes replay the per-query kernels' exact operation order (which in turn
 # replays the scalar oracle), so every element is bit-identical to the
@@ -726,9 +727,8 @@ def trans_lower_multi(
     The lower-only sibling of :func:`trans_bounds_multi` for the
     one-MBR-per-query shape: ``(k,)`` start/end components against a
     ``(k, 4)`` MBR block, skipping the Lemma 3 lane and the fan-out
-    dimension.  This is the shared-scan serve's margin-band resolver —
-    the rows whose staged keep certificate failed batch their exact
-    scalar test (``BroadcastNNSearch._lower_bound``) into one call.
+    dimension: rows whose cheap keep certificate failed can batch their
+    exact scalar test (``BroadcastNNSearch._lower_bound``) into one call.
     Bit-identical to ``min_trans_dist(p_i, M_i, r_i)`` row by row: the
     corner lanes, the mirror candidates and the crossing tests replay
     :func:`_trans_core` on ``(4, k)`` lanes with per-row endpoints.
@@ -818,8 +818,8 @@ def trans_lower_multi(
 # Certified estimate lanes (raw np.hypot behind deflate/inflate margins)
 # ----------------------------------------------------------------------
 # The exact vectorised hypot costs ~15 array passes; ``np.hypot`` costs
-# one, at the price of a last-ulp deviation from ``math.hypot``.  The
-# shared-scan executor therefore batches *certified estimates*: an
+# one, at the price of a last-ulp deviation from ``math.hypot``.  A query
+# batch can therefore run *certified estimates*: an
 # under-estimate deflated by a margin (~1e-9) that dwarfs both the
 # estimate's own slack and np.hypot's deviation can prove a prune (or
 # that a guarantee scan is a no-op) exactly like the oracle would, and
@@ -901,7 +901,7 @@ def trans_corner_minmax_multi(
     :func:`hypot` in the scalar helper's argument order, and the
     ``min`` of adjacent-corner ``max`` pairs replays its evaluation —
     one kernel call replaces the guarantee scans' per-child scalar
-    corner walks across a whole absorb lane.
+    corner walks across a whole query batch.
     """
     px, py = starts[:, 0, None], starts[:, 1, None]
     rx, ry = ends[:, 0, None], ends[:, 1, None]

@@ -26,7 +26,6 @@ builders (which depend on :mod:`repro.rtree`) at package-import time.
 from repro.index.packed import (
     pack_child_counts,
     pack_child_mbrs,
-    pack_child_pages,
     pack_points,
     prepare_packed_arrays,
 )
@@ -34,7 +33,6 @@ from repro.index.packed import (
 __all__ = [
     "pack_child_mbrs",
     "pack_child_counts",
-    "pack_child_pages",
     "pack_points",
     "prepare_packed_arrays",
 ]

@@ -6,7 +6,6 @@ per-fan-out arrays:
 
 * ``(n, 4)`` float64 child MBRs and ``(n,)`` int64 subtree point counts
   for internal pages (Lemma 1–3 bounds, MinMaxDist guarantees);
-* ``(n,)`` int64 child page ids (frontier staging, columnar arena);
 * ``(n, 2)`` float64 points for leaf pages (distance rows, window masks).
 
 These constructors used to live inline in :mod:`repro.rtree.node` and the
@@ -37,11 +36,6 @@ def pack_child_mbrs(children: Sequence) -> np.ndarray:
 def pack_child_counts(children: Sequence) -> np.ndarray:
     """Per-child subtree point counts, aligned with :func:`pack_child_mbrs`."""
     return np.array([c.point_count for c in children], dtype=np.int64)
-
-
-def pack_child_pages(children: Sequence) -> np.ndarray:
-    """Contiguous int64 array of the children's broadcast page ids."""
-    return np.array([c.page_id for c in children], dtype=np.int64)
 
 
 def pack_points(points: Sequence) -> np.ndarray:

@@ -25,7 +25,6 @@ from repro.geometry import Point, Rect
 from repro.index.packed import (
     pack_child_counts,
     pack_child_mbrs,
-    pack_child_pages,
     pack_points,
 )
 
@@ -57,24 +56,15 @@ class RTreeNode:
     _child_counts: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False
     )
-    #: Cached children's page ids — as an int64 array (columnar frontier
-    #: arena) and as a plain list (the sorted-list frontier's splice).
-    #: Built lazily after the broadcast layout assigns page ids;
-    #: invalidated by :meth:`~repro.rtree.tree.RTree.assign_page_ids`.
-    _child_pages: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False
-    )
+    #: Cached children's page ids as a plain list (the sorted-list
+    #: frontier's splice).  Built lazily after the broadcast layout assigns
+    #: page ids; invalidated by :meth:`~repro.rtree.tree.RTree
+    #: .assign_page_ids`.
     _child_page_list: Optional[list] = field(
         default=None, repr=False, compare=False
     )
     #: Cached ``(n, 2)`` float64 array of the leaf's points.
     _points_arr: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False
-    )
-    #: Cached "every child subtree holds a point" flag — the common case
-    #: under STR packing, letting batch executors skip the per-child
-    #: backed-guarantee mask entirely.
-    _all_backed: Optional[bool] = field(
         default=None, repr=False, compare=False
     )
 
@@ -133,20 +123,6 @@ class RTreeNode:
             self._child_counts = arr
         return arr
 
-    def child_page_array(self) -> np.ndarray:
-        """Contiguous int64 array of the children's page ids.
-
-        Valid only after the broadcast layout assigned page ids (DFS
-        preorder, so the array ascends).  Shared by every query that
-        expands this node — the columnar frontier stages whole fan-outs
-        from it without a per-child python loop.
-        """
-        arr = self._child_pages
-        if arr is None:
-            arr = pack_child_pages(self.children)
-            self._child_pages = arr
-        return arr
-
     def child_page_list(self) -> list:
         """The children's page ids as a cached plain list (ascending)."""
         lst = self._child_page_list
@@ -154,19 +130,6 @@ class RTreeNode:
             lst = [c.page_id for c in self.children]
             self._child_page_list = lst
         return lst
-
-    def children_all_backed(self) -> bool:
-        """True when every child subtree holds at least one point.
-
-        When it holds (always, for the standard packers), every child's
-        MinMaxDist-style guarantee is backed and batch executors can take
-        the plain row argmin instead of masking empty subtrees out.
-        """
-        v = self._all_backed
-        if v is None:
-            v = all(c.point_count > 0 for c in self.children)
-            self._all_backed = v
-        return v
 
     def points_array(self) -> np.ndarray:
         """Contiguous ``(n, 2)`` float64 array of this leaf's points."""

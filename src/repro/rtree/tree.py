@@ -100,12 +100,8 @@ class RTree:
             node.page_id = i
             # Cached child-page views (frontier fan-out pushes) bind the
             # previous numbering; rebuilding the layout invalidates them.
-            node._child_pages = None
             node._child_page_list = None
-        # The node store's page column and the drain's record table bind
-        # the numbering too (the store's structural/geometry columns are
-        # layout-independent and stay).
-        self._store_pages = None
+        # The drain's record table binds the numbering too.
         self._walk_table = None
 
     def __getstate__(self) -> dict:

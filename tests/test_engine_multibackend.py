@@ -3,7 +3,7 @@
 The shared-scan executor's contract — answers, access times, tune-in
 counts and queue footprints bit-identical to the per-query oracle — must
 hold on every backend the layout seam can produce.  Cyclic backends
-(grid, quadtree, plain R-tree) exercise the frontier/arena fast path;
+(grid, quadtree, plain R-tree) exercise the frontier and its drain walk;
 non-cyclic ones (distributed indexing, broadcast-disk schedules) exercise
 the hardened heap fallback, which historically had thinner shared-scan
 coverage.  Kernels off covers the scalar oracle queue on the same
@@ -117,6 +117,7 @@ def test_heap_fallback_engaged_on_non_cyclic_backends(backend, envs):
 
 @pytest.mark.parametrize("backend", ["grid", "quadtree"])
 def test_arena_path_engaged_on_cyclic_backends(backend, envs):
+    """Cyclic backends build frontier-backed searches, which drain."""
     env = envs[backend]
     assert env.s_program.has_cyclic_order
     engine = QueryEngine(env)

@@ -195,8 +195,8 @@ def test_lossy_run_many_matches_brute_force(fault, dataset):
 @pytest.mark.parametrize("layout", available_layouts())
 def test_run_many_matches_brute_force_on_every_layout(layout):
     """Lossless answers on every registered layout.  Cyclic layouts that
-    are not R-trees (grid, quadtree) serve on frontiers, range searches
-    through the set-at-a-time pass; layouts without cyclic page order
+    are not R-trees (grid, quadtree) serve on frontiers, every search
+    as one drain walk; layouts without cyclic page order
     (distributed indexing, broadcast disks) serve on the heap."""
     s_points, r_points = DATASETS["clustered"]()
     lay = make_layout(layout)

@@ -1,13 +1,13 @@
 """Bit-identity A/B sweep and unit tests for the shared-scan executor.
 
-The contract under test: the page-major executor
+The contract under test: the shared-scan executor
 (:mod:`repro.engine.shared_scan`) must reproduce the per-query path —
 answers, access times, tune-in counts, max queue sizes — bit for bit, for
 every query type, at both the paper's page geometries, for searches built
 on the kernel path *and* under ``REPRO_NO_KERNELS``-style scalar
 execution, including workloads whose queries straddle different channel
 phases.  The runner-level reference is per-query ``algorithm.run``; the
-drain and range-pass tests step their reference searches explicitly,
+drain tests step their reference searches explicitly,
 because ``run_to_completion`` runs the walk the executor's drain runs.
 """
 
@@ -328,14 +328,11 @@ def test_run_many_empty_batch(env64):
 
 
 def test_run_many_nn_lanes_gather_from_the_node_store(env64, monkeypatch):
-    """run_many NN batches on both channels absorb through store lanes.
+    """run_many NN batches on both channels drain one walk per request.
 
-    The batch is wide enough for same-shape kernel lanes, so the absorb
-    stage gathers its inputs from the arena's node store, which covers
-    both channels' trees; answers still match the single-query method.
+    Every NN request of a batch spanning both channels' trees runs as one
+    drain walk over its own tree; answers match the single-query method.
     """
-    from repro.engine import shared_scan
-
     rng = random.Random(17)
     requests = []
     for i in range(48):
@@ -346,25 +343,17 @@ def test_run_many_nn_lanes_gather_from_the_node_store(env64, monkeypatch):
             rng.uniform(0, program.cycle_length),
             channel,
         ))
-    widths = []
-    covered = set()
-    orig = SharedScanExecutor._absorb_nn_lanes
-
-    def spy(self, lanes):
-        keys, _, _, cuts = lanes
-        bounds = [0, *(c + 1 for c in cuts), keys.shape[0]]
-        widths.extend(b - a for a, b in zip(bounds, bounds[1:]))
-        covered.update(self._arena._store._trees)
-        return orig(self, lanes)
-
-    monkeypatch.setattr(SharedScanExecutor, "_absorb_nn_lanes", spy)
+    drained = _spy_drained(monkeypatch)
     engine = QueryEngine(env64)
     with kernels.use_kernels(True):
-        got = engine.run_many(requests)
+        with _executor_run():
+            got = engine.run_many(requests)
         want = [engine.nn(r.point, r.phase, r.channel) for r in requests]
     assert got == want
-    assert max(widths) >= shared_scan._MIN_LANE
-    assert covered == {id(env64.s_tree), id(env64.r_tree)}
+    assert len({id(s) for s in drained}) == len(drained) == len(requests)
+    assert {id(s.tree) for s in drained} == {
+        id(env64.s_tree), id(env64.r_tree)
+    }
 
 
 def test_client_queries_honour_the_env_fault_model():
@@ -691,7 +680,7 @@ def test_lossy_range_window_drain_bit_identical_to_single_query(
 
 
 # ----------------------------------------------------------------------
-# The set-at-a-time range pass
+# Range searches in the executor
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("radius", [math.nan, -1.0, -0.5e-300])
 def test_range_rejects_nan_and_negative_radius(env64, radius):
@@ -790,18 +779,19 @@ def _spy_jumps(monkeypatch, classes=(BroadcastRangeSearch,)):
 
 @pytest.mark.parametrize("page_capacity", [64, 512])
 def test_range_pass_bit_identical_to_single_query(page_capacity, monkeypatch):
-    """run_many serves lossless range searches in the set-at-a-time pass,
+    """run_many drains each lossless range search in one walk,
     bit-identical to ``QueryEngine.range``: answers and their order,
     access times, tune-in, max queue sizes and full reception logs, with
-    S and R super-pages of different lengths in one pass.  No download
+    S and R super-pages of different lengths in one batch.  No download
     of the stepped reference leaves the cursor past the next slot, and no
-    search reaches the drain."""
+    search steps."""
     env = _two_cycle_env(page_capacity)
     requests = _pass_requests(env)
     drained = _spy_drained(monkeypatch)
     jumps = _spy_jumps(monkeypatch)
     got, records, stepped = _drain_vs_single(env, requests, monkeypatch)
-    assert drained == [] and stepped == []
+    assert len({id(s) for s in drained}) == len(drained) == len(requests)
+    assert stepped == []
     assert sum(a.tune_in for a in got) > 0
     assert any(not a.answers and a.tune_in == 0 for a in got)  # misses root
     assert max(len(a.answers) for a in got) == len(env.s_points)
@@ -810,7 +800,7 @@ def test_range_pass_bit_identical_to_single_query(page_capacity, monkeypatch):
 
 @pytest.mark.parametrize("algo_cls", [DoubleNN, HybridNN])
 def test_tnn_filter_pass_bit_identical_to_per_query(algo_cls, monkeypatch):
-    """execute_tnn_batch's filter searches take the range pass, and every
+    """execute_tnn_batch drains each filter search in one walk, and every
     one ends in the state of its per-query twin, stepped by ``run_all``:
     tuner log, clock, tune-in, max queue size and results in discovery
     order."""
@@ -850,7 +840,8 @@ def test_tnn_filter_pass_bit_identical_to_per_query(algo_cls, monkeypatch):
             got = execute_tnn_batch(env, algo, queries, record_log=True)
     assert got == want
     assert states() == want_states
-    assert drained == []
+    ranges = [s for s in drained if type(s) is BroadcastRangeSearch]
+    assert len({id(s) for s in ranges}) == len(ranges) == 2 * len(queries)
     assert jumps == []
 
 
@@ -860,9 +851,9 @@ def test_range_pass_serves_shared_tuner_searches_in_group_order(
 ):
     """Searches on one tuner run one after the other in group order, each
     starting from the clock the previous one left, exactly like running
-    them in sequence: a group of range searches queues for the pass, which
-    never puts two of them in one batch; a group of mixed kinds runs
-    through ``SearchGroup.run``, its range searches drained in place."""
+    them in sequence: ``SearchGroup.run`` drains each member once, in
+    group order, whether the group holds range searches only or mixed
+    kinds."""
     env = _two_cycle_env(64)
     engine = QueryEngine(env)
 
@@ -883,19 +874,13 @@ def test_range_pass_serves_shared_tuner_searches_in_group_order(
     want = searches()
     for s in want:
         _step_to_end(s)
-    batches = []
-    serve = SharedScanExecutor._serve_range_batch
-
-    def batch_spy(self, batch, probe):
-        batches.append([s for _, s in batch])
-        return serve(self, batch, probe)
-
-    monkeypatch.setattr(SharedScanExecutor, "_serve_range_batch", batch_spy)
+    drained = _spy_drained(monkeypatch)
     got = searches()
     executor = SharedScanExecutor()
-    executor.add(SearchGroup(list(got)))
-    executor.run()
-    assert batches == ([] if mixed else [[s] for s in got])
+    with _executor_run():
+        executor.add(SearchGroup(list(got)))
+        executor.run()
+    assert drained == got
     assert [engine._finish(s) for s in got] == [
         engine._finish(s) for s in want
     ]
@@ -1209,29 +1194,6 @@ def test_peek_arrival_matches_next_pop(env64):
     assert front.peek_arrival() == math.inf
 
 
-def test_pop_until_prunes_and_respects_limit(env64):
-    from repro.broadcast import BroadcastChannel, ChannelTuner
-    from repro.client.frontier import ArrivalFrontier
-
-    tuner = ChannelTuner(BroadcastChannel(env64.s_program))
-    front = ArrivalFrontier(tuner)
-    nodes = list(env64.s_tree.root.children)
-    # Bounds above the upper bound are consumed silently; the survivor
-    # (lb <= ub) is returned with its arrival.
-    lbs = [10.0] * (len(nodes) - 1) + [1.0]
-    front.push_many(nodes, lbs, epoch=0)
-    res = front.pop_until(5.0, 0)
-    assert res is not None
-    node, lb, weak, arrival = res
-    assert lb == 1.0 and not weak
-    assert node is nodes[-1]
-    assert front.finished()  # all pruned entries were consumed
-    # With an arrival limit below every queued arrival, nothing pops.
-    front.push_many(nodes, lbs, epoch=0)
-    assert front.pop_until(5.0, 0, limit=-1.0) is None
-    assert len(front) == len(nodes)
-
-
 # ----------------------------------------------------------------------
 # Lossy TNN campaigns vs the stepped per-query lifecycle
 # ----------------------------------------------------------------------
@@ -1243,7 +1205,7 @@ def test_pop_until_prunes_and_respects_limit(env64):
 def test_store_oracle_identity_under_loss(algo_cls, loss_kwargs):
     """Lossy channels: retry chains book bit-identically on both paths.
 
-    Lossy groups skip the arena and drain through ``SearchGroup.run``,
+    Lossy groups drain through ``SearchGroup.run``,
     the code ``algo.run`` runs, so the reference is the stepped
     lifecycle: the drains' closed-form retry chains must match the
     tuner's scalar retry loop, which the loss-model determinism ties to

@@ -1,22 +1,17 @@
-"""Tuner-ledger unit coverage and lossy tuners crossing the executor seam.
+"""Tuner booking and lossy tuners crossing the executor seam.
 
 Two contracts under test:
 
-* :class:`~repro.broadcast.tuner.TunerLedger` — attachment is
-  backend-transparent: an attached tuner's public attributes, accounting
-  methods and materialised ``log`` are bit-identical to the standalone
-  scalar oracle, through attachment mid-life, vectorised round flushes
-  and lane growth; the executor always attaches arena-served tuners, and
-  the ledger rejects a tuner with a fault model.
+* ``ChannelTuner.record_index_run`` — the drain's one booking call for a
+  run of receptions — matches the scalar receive path.
 * The shared-scan executor's lossy seam — a :class:`FaultModel` makes
-  receptions fallible; a group with a lossy search never joins the arena
-  or the ledger but runs at once through ``SearchGroup.run``, whose
-  drains replay the retry-to-next-replica loop closed form and book
-  their attempts through ``record_index_run``.  Every lossy run must stay
-  bit-identical to the stepped per-query reference — results,
-  ``lost_pages`` / ``corrupt_pages``, log events — across every fault
-  model, loss seed, layout and tuner backend, also when sharing one
-  executor run with lossless arena searches.
+  receptions fallible; every group runs at once through
+  ``SearchGroup.run``, whose drains replay the retry-to-next-replica loop
+  closed form and book their attempts through ``record_index_run``.
+  Every lossy run must stay bit-identical to the stepped per-query
+  reference — results, ``lost_pages`` / ``corrupt_pages``, log events —
+  across every fault model, loss seed, layout and search backend, also
+  when sharing one executor run with lossless searches.
 """
 
 import random
@@ -35,12 +30,6 @@ from repro.broadcast import (
     available_layouts,
     make_layout,
 )
-from repro.broadcast.tuner import (
-    _KIND_DATA,
-    _KIND_INDEX,
-    _LedgerTuner,
-    TunerLedger,
-)
 from repro.client import (
     BroadcastKNNSearch,
     BroadcastNNSearch,
@@ -54,8 +43,6 @@ from repro.engine import execute_tnn_batch
 from repro.engine.shared_scan import SharedScanExecutor
 from repro.geometry import Point, kernels
 from repro.rtree import str_pack
-
-import numpy as np
 
 
 # ----------------------------------------------------------------------
@@ -129,152 +116,27 @@ def _tuner_state(t):
 
 
 # ----------------------------------------------------------------------
-# Ledger units: attachment
+# Drain booking vs the scalar receive path
 # ----------------------------------------------------------------------
-def test_attach_moves_state_and_routes_attributes():
-    t = ChannelTuner(_make_channel())
-    t.record_index(3, 5.0)  # pre-attach scalar history
-    ledger = TunerLedger()
-    row = ledger.attach(t)
-    assert type(t) is _LedgerTuner and row == 0
-    # Reads route to the lanes, carrying the pre-attach state.
-    assert t.now == 6.0 and t.index_pages == 1
-    # Writes route to the lanes too.
-    t.record_index(7, 10.0)
-    assert ledger._now[row] == 11.0 and ledger._index[row] == 2
-    # The materialised log is the pre-attach prefix plus arena events.
-    assert t.log == [("index", 3, 5.0, True), ("index", 7, 10.0, True)]
-    assert t.pages_downloaded == 2
-
-
-def test_attach_idempotent_and_foreign_ledger_rejected():
-    t = ChannelTuner(_make_channel())
-    ledger = TunerLedger()
-    assert ledger.attach(t) == ledger.attach(t) == 0
-    assert len(ledger) == 1
-    with pytest.raises(ValueError):
-        TunerLedger().attach(t)
-
-
-def test_lazy_log_materialisation_caches_per_arena_state():
-    t = ChannelTuner(_make_channel())
-    ledger = TunerLedger()
-    ledger.attach(t)
-    t.record_index(1, 0.0)
-    first = t.log
-    assert first is t.log  # cached: no new events since the read
-    t.record_index(2, 3.0)
-    second = t.log
-    assert second is not first and len(second) == 2
-    # The snapshot is detached from the arena: mutating it changes nothing.
-    second.append("junk")
-    t.record_index(5, 6.0)
-    assert t.log[-1] == ("index", 5, 6.0, True) and "junk" not in t.log
-
-
-# ----------------------------------------------------------------------
-# Ledger units: vectorised flush vs the scalar oracle
-# ----------------------------------------------------------------------
-def test_flush_round_matches_scalar_record_index():
-    ledger = TunerLedger()
-    attached = [ChannelTuner(_make_channel(seed=i)) for i in range(3)]
-    oracle = [ChannelTuner(_make_channel(seed=i)) for i in range(3)]
-    rows = np.array([ledger.attach(t) for t in attached], dtype=np.int64)
-    pages = np.array([5, 9, 2], dtype=np.int64)
-    arrivals = np.array([10.0, 4.0, 7.5])
-    ledger.flush_round(rows, pages, arrivals)
-    for o, p, a in zip(oracle, pages.tolist(), arrivals.tolist()):
-        o.record_index(p, a)
-    for t, o in zip(attached, oracle):
-        assert _tuner_state(t) == _tuner_state(o)
-    # Empty rounds are a no-op.
-    ledger.flush_round(np.empty(0, np.int64), pages[:0], arrivals[:0])
-    assert ledger.event_count == 3
-
-
-def test_flush_round_respects_record_log_rows():
-    ledger = TunerLedger()
-    noisy = ChannelTuner(_make_channel())
-    quiet = ChannelTuner(_make_channel(), record_log=False)
-    rows = np.array([ledger.attach(noisy), ledger.attach(quiet)])
-    ledger.flush_round(rows, np.array([1, 2]), np.array([0.0, 5.0]))
-    assert noisy.log == [("index", 1, 0.0, True)] and noisy.index_pages == 1
-    assert quiet.log == [] and quiet.index_pages == 1  # counted, unlogged
-    assert ledger.event_count == 1
-    # All-quiet rounds skip the arena entirely.
-    ledger.flush_round(rows[1:], np.array([3]), np.array([9.0]))
-    assert ledger.event_count == 1 and quiet.now == 10.0
-
-
 def test_record_index_run_matches_scalar_oracle():
-    ledger = TunerLedger()
-    attached = ChannelTuner(_make_channel())
-    oracle = ChannelTuner(_make_channel())
-    ledger.attach(attached)
-    pages, arrivals = [3, 8, 1], [2.0, 6.0, 11.0]
-    attached.record_index_run(pages, arrivals, 12.0)
-    oracle.record_index_run(pages, arrivals, 12.0)
-    assert _tuner_state(attached) == _tuner_state(oracle)
-    # Empty runs record nothing.
-    attached.record_index_run([], [], 12.0)
-    assert ledger.event_count == 3
-
-
-def test_attach_rejects_faulty_tuner():
-    """The ledger books lossless receptions only: a tuner with a fault
-    model stays standalone, its type and scalars untouched."""
-    ledger = TunerLedger()
-    t = ChannelTuner(_make_channel(), loss=PageLossModel(rate=0.4, seed=3))
-    with pytest.raises(ValueError):
-        ledger.attach(t)
-    assert type(t) is ChannelTuner and len(ledger) == 0
-
-
-def test_event_chains_interleaved_across_rows():
-    ledger = TunerLedger()
-    a = ChannelTuner(_make_channel())
-    b = ChannelTuner(_make_channel())
-    ra, rb = ledger.attach(a), ledger.attach(b)
-    ledger.append_event(ra, _KIND_INDEX, 1, 0.0, True)
-    ledger.append_event(rb, _KIND_DATA, 7, 1.0, False)
-    ledger.append_event(ra, _KIND_DATA, 2, 2.0, True)
-    ledger.append_event(rb, _KIND_INDEX, 8, 3.0, True)
-    assert ledger.events_of(ra) == [
-        ("index", 1, 0.0, True),
-        ("data", 2, 2.0, True),
-    ]
-    assert a.log == ledger.events_of(ra)
-    assert b.log == [("data", 7, 1.0, False), ("index", 8, 3.0, True)]
-
-
-def test_lane_and_arena_growth_preserve_state():
-    ledger = TunerLedger()
-    tuners = [ChannelTuner(_make_channel()) for _ in range(70)]
-    for i, t in enumerate(tuners):
-        row = ledger.attach(t)
-        t.record_index_run(
-            list(range(5)), [float(i * 5 + j) for j in range(5)], i * 5.0 + 5
-        )
-        assert row == i
-    assert ledger.event_count == 350  # grew past both initial capacities
-    for i, t in enumerate(tuners):
-        assert t.index_pages == 5 and t.now == i * 5.0 + 5
-        assert [e[2] for e in t.log] == [float(i * 5 + j) for j in range(5)]
-
-
-def test_receive_paths_route_through_ledger_bit_identically():
-    """download_index_page / download_object on an attached tuner — the
-    scalar ``_receive`` loop writing through the row properties — match
-    the standalone oracle."""
-    attached = ChannelTuner(_make_channel(phase=2.0))
+    """One ``record_index_run`` call books a run of lossless receptions
+    exactly like downloading the same pages one by one."""
     oracle = ChannelTuner(_make_channel(phase=2.0))
-    TunerLedger().attach(attached)
-    root = attached.channel.program.tree.root
-    for t in (attached, oracle):
-        t.download_index_page(root.page_id)
-        t.download_index_page(root.children[0].page_id)
-        t.download_object(0)
-    assert _tuner_state(attached) == _tuner_state(oracle)
+    booked = ChannelTuner(_make_channel(phase=2.0))
+    root = oracle.channel.program.tree.root
+    pages = [root.page_id, root.children[0].page_id, root.children[1].page_id]
+    for p in pages:
+        oracle.download_index_page(p)
+    arrivals = [e[2] for e in oracle.log]
+    booked.record_index_run(pages, arrivals, oracle.now)
+    assert _tuner_state(booked) == _tuner_state(oracle)
+    # Empty runs record nothing.
+    booked.record_index_run([], [], booked.now)
+    assert _tuner_state(booked) == _tuner_state(oracle)
+    # A tuner without a log counts the same run and logs nothing.
+    quiet = ChannelTuner(_make_channel(phase=2.0), record_log=False)
+    quiet.record_index_run(pages, arrivals, oracle.now)
+    assert _tuner_state(quiet) == _tuner_state(oracle)[:-1] + ([],)
 
 
 # ----------------------------------------------------------------------
@@ -286,17 +148,16 @@ def test_lossy_env_hands_out_lossy_tuners(env_lossy):
 
 
 def _assert_drained_in_add(s):
-    """A lossy search the executor ran per query inside ``add``: never
-    registered in the arena, its tuner never attached to the ledger."""
-    assert getattr(s, "_arena_sid", -1) < 0
+    """A search the executor ran per query inside ``add``: finished, on
+    its own plain tuner."""
     assert type(s.tuner) is ChannelTuner
     assert s.finished()
 
 
 def test_lossy_nn_search_drains_in_add(env_lossless):
-    """A lossy NN group leaves the arena: ``add`` runs it to completion
-    through ``SearchGroup.run`` (its drain replays the retry chains),
-    while a clean NN group joins the arena and the ledger."""
+    """``add`` runs a lossy NN group to completion through
+    ``SearchGroup.run`` (its drain replays the retry chains), and a clean
+    NN group the same way."""
     executor = SharedScanExecutor()
     lossy = BroadcastNNSearch(
         env_lossless.s_tree,
@@ -312,20 +173,19 @@ def test_lossy_nn_search_drains_in_add(env_lossless):
     with kernels.use_kernels(True):
         executor.add(lossy_group)
         _assert_drained_in_add(lossy)
-        assert lossy_group not in executor._arena_groups
+        assert lossy_group.finished()
         assert lossy.tuner.lost_pages > 0  # loss engaged
         executor.add(clean_group)
-    assert clean_group in executor._arena_groups
-    assert clean._arena_sid >= 0 and type(clean.tuner) is not ChannelTuner
-    assert len(executor._ledger) == 1
+    _assert_drained_in_add(clean)
+    assert clean_group.finished()
+    assert clean.tuner.lost_pages == 0
 
 
 def test_fast_verdict_reads_fault_model_for_nn_only(
     env_lossless, monkeypatch
 ):
-    """A fault model moves an NN search off the arena — ``add`` drains it
-    at once, like a kNN search under any fault model — and a clean NN
-    search joins the arena; a heap-backed search steps."""
+    """``add`` drains an NN search at once whatever its fault model, like
+    a kNN search; a heap-backed search steps."""
     drained = []
     drain = arrival_queue.drain
 
@@ -350,13 +210,9 @@ def test_fast_verdict_reads_fault_model_for_nn_only(
                 query,
                 3,
             )
-            nn_group = SearchGroup([nn])
-            executor.add(nn_group)
-            if loss is None:
-                assert nn_group in executor._arena_groups
-            else:
-                _assert_drained_in_add(nn)
-                assert drained[-1] is nn
+            executor.add(SearchGroup([nn]))
+            _assert_drained_in_add(nn)
+            assert drained[-1] is nn
             executor.add(SearchGroup([knn]))
             assert drained[-1] is knn and knn.finished()
         heap_env = _build_env(loss=LOSS, distributed_levels=2)
@@ -369,7 +225,7 @@ def test_fast_verdict_reads_fault_model_for_nn_only(
         executor.add(SearchGroup([heap]))
         executor.run()
     assert heap._frontier is None and heap.finished()
-    assert heap not in drained and len(drained) == 4
+    assert heap not in drained and len(drained) == 6
 
 
 @pytest.mark.parametrize("use_kernels", [True, False])
@@ -406,10 +262,9 @@ def _nn_search(env, query, phase, loss):
 
 
 def test_mixed_lossy_and_arena_searches_share_one_run(env_lossless):
-    """Lossy and lossless NN searches in the same executor run: the clean
-    ones ride the arena, the lossy ones drain inside ``add``, and each
-    matches the run_all oracle — results, counters, lost_pages and log
-    events."""
+    """Lossy and lossless NN searches in the same executor run all drain
+    inside ``add``, and each matches the run_all oracle — results,
+    counters, lost_pages and log events."""
     rng = random.Random(42)
     cycle = env_lossless.s_program.cycle_length
     specs = [
@@ -428,10 +283,7 @@ def test_mixed_lossy_and_arena_searches_share_one_run(env_lossless):
         executor = SharedScanExecutor()
         for s in shared:
             executor.add(SearchGroup([s]))
-            if s.tuner.loss is None:
-                assert s._arena_sid >= 0 and not s.finished()
-            else:
-                _assert_drained_in_add(s)
+            _assert_drained_in_add(s)
         executor.run()
     for got, want in zip(shared, oracle):
         assert got.result() == want.result()
