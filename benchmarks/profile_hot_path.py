@@ -1,11 +1,14 @@
 """Per-phase time breakdown of the Hybrid-TNN hot path.
 
 Records how the Hybrid-TNN workload at 64-byte pages splits its time
-across four phase buckets, with two independent timers:
+across five phase buckets, with two independent timers:
 
-* **queue** — the arrival frontier, the heap mixin and the drain walk
+* **queue** — the arrival frontier and the heap mixin
   (`client/frontier.py`, `client/arrival_queue.py`): pushes, pops,
-  head selection, the walk's prunes;
+  head selection;
+* **walk** — the drain walk (`client/drain.py`): the preorder stack
+  walk, its prunes and absorbs, and the bounds it computes inline
+  (``Rect.mindist``, the certified transitive cascade);
 * **geometry** — the vectorised kernels and the scalar metrics
   (`geometry/`): bounds, leaf distances, certified estimates;
 * **download** — broadcast arrival arithmetic and tuner accounting
@@ -75,11 +78,12 @@ JSON_PATH = ROOT / "BENCH_profile_hot_path.json"
 #: Module-path fragments -> phase buckets, first match wins.
 PHASES = (
     ("queue", ("client/frontier.py", "client/arrival_queue.py")),
+    ("walk", ("client/drain.py",)),
     ("geometry", ("repro/geometry/",)),
     ("download", ("repro/broadcast/",)),
 )
 
-ALL_PHASES = ("queue", "geometry", "download", "bookkeeping")
+ALL_PHASES = ("queue", "walk", "geometry", "download", "bookkeeping")
 
 
 def _bucket(filename: str) -> str:
@@ -117,7 +121,9 @@ class _WallPhaseTimer:
     """
 
     def __init__(self) -> None:
-        self.totals = {"queue": 0.0, "geometry": 0.0, "download": 0.0}
+        self.totals = {
+            "queue": 0.0, "walk": 0.0, "geometry": 0.0, "download": 0.0
+        }
         self._child = [0.0]  # child-time accumulator per active frame
 
     def wrap(self, fn, bucket: str):
@@ -164,16 +170,16 @@ def _wrap_sites() -> list:
     would never see those calls.
 
     The drain (:func:`repro.client.drain.drain`, wrapped where
-    ``arrival_queue`` binds it) counts as **queue**: it is the frontier
-    pop loop inlined into one walk over the arrival lanes.  Its nested
-    kernel and tuner calls are wrapped separately, but the bounds it
-    computes inline (``Rect.mindist``, the certified transitive cascade)
-    count as queue.
+    ``arrival_queue`` binds it) is the **walk**.  Its nested tuner calls
+    and scalar Lemma 1 / Lemma 3 fallbacks are wrapped separately, but
+    the bounds it computes inline (``Rect.mindist``, the certified
+    transitive cascade) count as walk.
     ``transitive_join`` counts as **geometry** — it is the filter phase's
     pairwise distance evaluation.
     """
     from repro.broadcast import tuner as tuner_mod
     from repro.client import arrival_queue as aq_mod
+    from repro.client import drain as drain_mod
     from repro.client import frontier as frontier_mod
     from repro.client import search as search_mod
     from repro.core import base as base_mod
@@ -196,6 +202,9 @@ def _wrap_sites() -> list:
     # search.py binds the scalar metrics by name at import time.
     for name in ("distance", "min_trans_dist", "min_max_trans_dist"):
         sites.append((search_mod, name, "geometry"))
+    # So does the drain, for its scalar fallbacks.
+    for name in ("min_trans_dist", "min_max_trans_dist"):
+        sites.append((drain_mod, name, "geometry"))
     for name in ("mindist", "minmaxdist"):
         sites.append((rect_mod.Rect, name, "geometry"))
     # The filter-phase join, at its definition and its by-name importers.
@@ -203,7 +212,7 @@ def _wrap_sites() -> list:
         sites.append((holder, "transitive_join", "geometry"))
     for name in (
         "__init__", "push", "push_many", "peek_arrival", "pop",
-        "active_nodes", "active_mbrs", "store_lower",
+        "active_nodes", "store_lower",
     ):
         sites.append((frontier_mod.ArrivalFrontier, name, "queue"))
     for name in (
@@ -211,7 +220,7 @@ def _wrap_sites() -> list:
         "_pop_head_bound",
     ):
         sites.append((aq_mod.ArrivalQueueMixin, name, "queue"))
-    sites.append((aq_mod, "drain", "queue"))
+    sites.append((aq_mod, "drain", "walk"))
     for name in (
         "advance_to", "record_index_run", "download_index_page",
         "download_object",

@@ -74,8 +74,11 @@ slot x the clock's cursor is exactly x + 1).
 Each node is absorbed
 before the next pop — an NN node with the strict offer loop or the
 MINMAXDIST guarantee hand-off (in transitive mode the pop test runs the
-step's certified MinTransDist cascade and the guarantee is the corner
-MinMaxTransDist), a kNN leaf with the exact scalar offer
+step's certified MinTransDist cascade — a weak bound proves a prune, the
+transitive distance through Lemma 1's own optimum point or a corner of
+the MBR proves a keep, and Lemma 1 itself decides only the
+rounding-margin band — and the guarantee is the corner MinMaxTransDist,
+scanned from the current bound), a kNN leaf with the exact scalar offer
 loop, which admits on the k-th best, and a kNN internal node by
 lowering the search's MAXDIST guarantee to the smallest MAXDIST among
 its children holding k points (every point of a subtree lies in its

@@ -34,6 +34,18 @@ page, children's records already reversed for the push, the children
 that back an NN guarantee, the leaf's point list, the subtree's point
 count — instead of loading dataclass attributes and calling
 ``reversed()`` per expansion.
+
+In the transitive metric (Hybrid-NN's Case 3 survivor) a pop settles on
+certified bounds, not on Lemma 1's ~25 side tests: a deflated weak bound
+(:func:`weak_trans_lower`, inlined with per-axis exits before its
+hypots) proves a prune, and an inflated transitive distance through a
+point of the MBR (:func:`certified_keep`: Lemma 1's own optimum point
+clamped into it, else its best corner) proves a keep.  Only the
+entries inside the 1e-9 margin band between them reach the scalar
+``min_trans_dist``: 58 of 59,407 transitive pops in one 1,000-query
+``tnn_batch`` call (seed 1).  A guarantee scan starts from the bound, so
+:func:`corner_minmax_trans` runs only for children whose weak bound is
+below it.
 """
 
 from __future__ import annotations
@@ -50,12 +62,13 @@ from repro.geometry import min_max_trans_dist, min_trans_dist
 NN, KNN, RANGE, WINDOW = "nn", "knn", "range", "window"
 
 #: Certification margins for the cheap transitive bound estimates.  The
-#: weak/center estimates and the scalar Lemma 1 evaluation each carry at
-#: most a few ulp (~1e-15 relative) of rounding slack; a 1e-9 margin buries
-#: that by six orders of magnitude, so a deflated under-estimate or an
-#: inflated over-estimate that decides the prune test decides it exactly
-#: like the scalar oracle.  Entries inside the margin band fall back to the
-#: exact metric.
+#: weak estimate, the transitive distances through points of the MBR and
+#: the scalar Lemma 1 evaluation each carry a few ulp (~1e-15 relative)
+#: of rounding slack while the distances are not tiny against the
+#: coordinates; a 1e-9 margin buries that by six orders of magnitude, so a
+#: deflated under-estimate or an inflated over-estimate that decides the
+#: prune test decides it exactly like the scalar oracle.  Entries inside
+#: the margin band fall back to the exact metric.
 _CERT_DEFLATE = 1.0 - 1e-9
 _CERT_INFLATE = 1.0 + 1e-9
 
@@ -84,22 +97,26 @@ def weak_trans_lower(start, mbr, end) -> float:
 def certified_keep(start, mbr, end, bound: float) -> bool:
     """Certified over-estimate test: provably *not* prunable.
 
-    Two tiers of upper bounds on Lemma 1, each inflated by the rounding
-    margin: the transitive distance through the MBR's center (two hypots;
-    the center lies in the MBR) and, failing that, the best corner
-    transitive distance (eight hypots; Lemma 1's case-3 candidate set).
-    Either one falling at or below ``bound`` certifies the exact scalar
-    test would have kept the entry — no Lemma 1 evaluation needed.
+    Two tiers of upper bounds on Lemma 1, each the transitive distance
+    through a point of the MBR and each inflated by the rounding margin:
+
+    1. through Lemma 1's own optimum point, clamped into the MBR
+       (:func:`_optimum_trans`; two hypots per candidate);
+    2. through the best corner (eight hypots; Lemma 1's case-3 candidate
+       set, where the first tier has none).
+
+    Either one falling at or below ``bound`` certifies that the exact
+    scalar test would have kept the entry — no Lemma 1 evaluation needed.
+    The optimum is the minimum over the MBR, so another point of it (its
+    centre, say) would certify nothing these two miss, up to rounding.
     """
     sx, sy = start
     ex, ey = end
     xmin, ymin, xmax, ymax = mbr
-    cx = (xmin + xmax) / 2.0
-    cy = (ymin + ymax) / 2.0
-    hyp = math.hypot
-    u = hyp(sx - cx, sy - cy) + hyp(cx - ex, cy - ey)
+    u = _optimum_trans(sx, sy, ex, ey, xmin, ymin, xmax, ymax)
     if u * _CERT_INFLATE <= bound:
         return True
+    hyp = math.hypot
     t = min(
         hyp(sx - xmin, sy - ymin) + hyp(xmin - ex, ymin - ey),
         hyp(sx - xmax, sy - ymin) + hyp(xmax - ex, ymin - ey),
@@ -107,6 +124,74 @@ def certified_keep(start, mbr, end, bound: float) -> bool:
         hyp(sx - xmin, sy - ymax) + hyp(xmin - ex, ymax - ey),
     )
     return t * _CERT_INFLATE <= bound
+
+
+def _optimum_trans(sx, sy, ex, ey, xmin, ymin, xmax, ymax) -> float:
+    """The transitive distance through Lemma 1's optimum point of the MBR,
+    clamped into it; ``inf`` when the optimum is a vertex.
+
+    Case 2 (``p`` and ``r`` strictly outside one side): the optimum lies
+    where the segment from ``p`` to ``r``'s mirror image crosses the
+    side, which divides it in the ratio of their distances to the side's
+    line.  Case 1 (segment ``p r`` meets the MBR): the middle of the
+    segment clipped to the MBR.  Otherwise (case 3) the corner tier
+    covers the optimum.  Each candidate is clamped into the MBR, so its
+    transitive distance bounds Lemma 1 from above however the candidate
+    was rounded.
+    """
+    hyp = math.hypot
+    best = math.inf
+    if sx < xmin and ex < xmin:
+        a = xmin - sx
+        y = sy + (ey - sy) * (a / (a + (xmin - ex)))
+        y = ymin if y < ymin else (ymax if y > ymax else y)
+        best = hyp(sx - xmin, sy - y) + hyp(xmin - ex, y - ey)
+    elif sx > xmax and ex > xmax:
+        a = sx - xmax
+        y = sy + (ey - sy) * (a / (a + (ex - xmax)))
+        y = ymin if y < ymin else (ymax if y > ymax else y)
+        best = hyp(sx - xmax, sy - y) + hyp(xmax - ex, y - ey)
+    if sy < ymin and ey < ymin:
+        a = ymin - sy
+        x = sx + (ex - sx) * (a / (a + (ymin - ey)))
+        x = xmin if x < xmin else (xmax if x > xmax else x)
+        u = hyp(sx - x, sy - ymin) + hyp(x - ex, ymin - ey)
+        if u < best:
+            best = u
+    elif sy > ymax and ey > ymax:
+        a = sy - ymax
+        x = sx + (ex - sx) * (a / (a + (ey - ymax)))
+        x = xmin if x < xmin else (xmax if x > xmax else x)
+        u = hyp(sx - x, sy - ymax) + hyp(x - ex, ymax - ey)
+        if u < best:
+            best = u
+    if best < math.inf:
+        return best
+    # Case 1: clip the segment's parameter range [0, 1] to the MBR
+    # (Liang-Barsky) and take the middle of what is left.
+    lo, hi = 0.0, 1.0
+    for s0, d, m0, m1 in ((sx, ex - sx, xmin, xmax),
+                          (sy, ey - sy, ymin, ymax)):
+        if d == 0.0:
+            if s0 < m0 or s0 > m1:
+                return math.inf
+            continue
+        t0 = (m0 - s0) / d
+        t1 = (m1 - s0) / d
+        if t0 > t1:
+            t0, t1 = t1, t0
+        if t0 > lo:
+            lo = t0
+        if t1 < hi:
+            hi = t1
+    if lo > hi:
+        return math.inf
+    t = (lo + hi) / 2.0
+    x = sx + (ex - sx) * t
+    y = sy + (ey - sy) * t
+    x = xmin if x < xmin else (xmax if x > xmax else x)
+    y = ymin if y < ymin else (ymax if y > ymax else y)
+    return hyp(sx - x, sy - y) + hyp(x - ex, y - ey)
 
 
 def corner_minmax_trans(start, mbr, end) -> float:
@@ -226,9 +311,11 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     search's own bound — the NN upper bound, the kNN prune bound or the
     range radius (a window search filters its children at push time
     instead) — on the exact MINDIST, or in transitive mode on
-    ``_decide_keep``'s cascade: :func:`weak_trans_lower` proves a prune,
-    :func:`certified_keep` proves a keep, and the scalar
-    ``min_trans_dist`` decides the entries neither settles.  A download
+    ``_decide_keep``'s cascade: :func:`weak_trans_lower` (inlined; a
+    per-axis term sum already past the bound prunes before the hypots)
+    proves a prune, :func:`certified_keep`'s two tiers prove a keep,
+    and the scalar ``min_trans_dist`` decides the entries neither
+    settles.  A download
     books at the cursor's closed-form arrival and moves the cursor to
     the next slot (the channel's clock is exact); on a faulty tuner that
     first attempt is classified inline, and only a failed one replays
@@ -240,10 +327,11 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     * NN: a leaf runs the strict-``<`` offer loop on ``dis(q, p)``, or on
       ``dis(start, p) + dis(p, end)`` in transitive mode; an internal
       node takes the first strictly best guarantee (MINMAXDIST, or
-      :func:`corner_minmax_trans`) over its children holding points and
-      hands the witness on like ``_absorb_internal``, rebuilding the
-      bound from the queue in ascending page order when a void witness
-      is downloaded;
+      :func:`corner_minmax_trans` behind the inlined weak bound) over its
+      children holding points, scanning from the bound unless the node
+      witnesses it, and hands the witness on like ``_absorb_internal``,
+      rebuilding the bound from the queue in ascending page order when a
+      void witness is downloaded;
     * kNN: a leaf runs the scalar offer loop (``_offer_known``), which
       admits on the k-th best alone; only the order of the sequence
       numbers breaks ties, so a rejected offer takes none.  An internal
@@ -259,6 +347,7 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     cycle = f._cycle
     fphase = f._phase
     hyp = math.hypot
+    deflate = _CERT_DEFLATE
     # math.dist takes the hypot of the per-axis differences: the same
     # float as the step loop's hypot(qx - x, qy - y), without unpacking.
     dist = math.dist
@@ -278,6 +367,8 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
         else:
             start = s.start
             end = s.end
+            sx, sy = start
+            ex, ey = end
     elif knn:
         query = s.query
         qx, qy = query
@@ -331,7 +422,18 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
         if trans:
             # _decide_keep's cascade: the weak bound proves a prune, the
             # certified keep a keep, and Lemma 1 decides the rest.
-            if weak_trans_lower(start, mbr, end) > bound or (
+            # weak_trans_lower is inlined; a hypot is at least each of its
+            # terms, so one term per point already past the bound proves
+            # the prune without a hypot.
+            xmin, ymin, xmax, ymax = mbr
+            dx = xmin - sx if xmin > sx else (sx - xmax if sx > xmax else 0.0)
+            fx = xmin - ex if xmin > ex else (ex - xmax if ex > xmax else 0.0)
+            if (dx + fx) * deflate > bound:
+                continue
+            dy = ymin - sy if ymin > sy else (sy - ymax if sy > ymax else 0.0)
+            fy = ymin - ey if ymin > ey else (ey - ymax if ey > ymax else 0.0)
+            if (dy + fy) * deflate > bound or (
+                    (hyp(dx, dy) + hyp(fx, fy)) * deflate > bound) or (
                     not certified_keep(start, mbr, end, bound)
                     and min_trans_dist(start, mbr, end) > bound):
                 continue
@@ -387,9 +489,13 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                 peak = len(stack)
             if nn or trans:
                 # _absorb_internal: the first strictly best guarantee of a
-                # child that holds points.
+                # child that holds points.  Only a guarantee below the
+                # bound can move the bound or the witness, so unless this
+                # node witnesses the bound the scan starts from it: the
+                # first strict minimum below the bound is the same child
+                # with the same value.
                 best_child = None
-                best_g = math.inf
+                best_g = math.inf if witness == page else bound
                 if nn:
                     for child in backed:
                         # Rect.minmaxdist, inlined.
@@ -407,10 +513,24 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                             best_child = child
                 else:
                     for child in backed:
-                        # A weak bound that meets the best proves the
-                        # guarantee cannot beat it.
+                        # A weak bound (inlined, with the pop's per-axis
+                        # exits) that meets the best proves the guarantee
+                        # cannot beat it.
                         cmbr = child[0]
-                        if weak_trans_lower(start, cmbr, end) >= best_g:
+                        xmin, ymin, xmax, ymax = cmbr
+                        dx = xmin - sx if xmin > sx else (
+                            sx - xmax if sx > xmax else 0.0)
+                        fx = xmin - ex if xmin > ex else (
+                            ex - xmax if ex > xmax else 0.0)
+                        if (dx + fx) * deflate >= best_g:
+                            continue
+                        dy = ymin - sy if ymin > sy else (
+                            sy - ymax if sy > ymax else 0.0)
+                        fy = ymin - ey if ymin > ey else (
+                            ey - ymax if ey > ymax else 0.0)
+                        if (dy + fy) * deflate >= best_g or (
+                                (hyp(dx, dy) + hyp(fx, fy)) * deflate
+                                >= best_g):
                             continue
                         z = corner_minmax_trans(start, cmbr, end)
                         if z < best_g:

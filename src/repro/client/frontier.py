@@ -22,12 +22,12 @@ per-pop head-normalisation chatter with O(log n) pointer work.
 
 **Bounds live with the queue and batch across it, not the fan-out.**
 Each entry carries an epoch-stamped lower-bound record next to its node:
-exact bounds from a fused whole-fan-out kernel call (large fan-outs) or a
-whole-queue rescan batch (Hybrid-NN mode switches), and certified *weak*
-under-estimates (see ``repro.client.drain.weak_trans_lower``) where one
-more kernel dispatch would cost more than it saves — the dominant regime at
-64-byte pages, where a queue of ~(H-1)(M-1) entries receives only ~M-1
-new stale entries per arrival tick.  When a pop still finds no bound
+exact bounds from a fused whole-fan-out kernel call (large fan-outs), and
+certified *weak* under-estimates (see
+``repro.client.drain.weak_trans_lower``) where one more kernel dispatch
+would cost more than it saves — the dominant regime at 64-byte pages,
+where a queue of ~(H-1)(M-1) entries receives only ~M-1 new stale
+entries per arrival tick.  When a pop still finds no bound
 under the current epoch and an evaluator is installed, one kernel call
 evaluates **every** pending-unevaluated entry in the frontier at once,
 regardless of how small each node's fan-out was.  A Hybrid-NN metric
@@ -38,7 +38,7 @@ Entry state is struct-of-arrays: parallel append-only per-slot lanes plus
 the (page, slot) order lists.  The hot scalar lanes are plain python
 lists — a list store is ~5x cheaper than a numpy scalar write, and at
 R-tree queue sizes the lanes are only materialised as numpy arrays at
-batch boundaries (rescan / pending-batch evaluation), where the kernels
+batch boundaries (pending-batch evaluation), where the kernels
 want them.
 
 The frontier is the kernel-path backend of :class:`ArrivalQueueMixin` for
@@ -48,7 +48,9 @@ bit-identical scalar oracle (``kernels.use_kernels(False)`` /
 (distributed indexing, which has no cyclic page order to exploit).
 
 Searches drive a frontier through ``peek_arrival`` (their next event
-time) and ``pop``; those, plus the pushes and rescans, are its whole API.
+time) and ``pop``; those, plus the pushes and the whole-queue
+:meth:`~ArrivalFrontier.active_nodes` of Hybrid-NN's guarantee rescan, are
+its whole API.
 The drain walk (:func:`repro.client.drain.drain`) reads the order lists
 directly.
 """
@@ -94,7 +96,7 @@ class ArrivalFrontier:
         self._phase = channel.phase
         self._cycle = channel.program.super_page_length
         #: Cached child-MBR chunk per ``push_many`` (base slot -> the
-        #: parent's contiguous ``(n, 4)`` array): rescans and pending-batch
+        #: parent's contiguous ``(n, 4)`` array): pending-batch
         #: evaluations gather rows from these instead of re-packing MBR
         #: namedtuples into fresh arrays.
         self._mbr_bases: List[int] = []
@@ -184,7 +186,7 @@ class ArrivalFrontier:
         children always are: DFS preorder).  ``src``, when given, is the
         parent node whose **complete** fan-out is being queued: its cached
         child page/MBR arrays replace the per-child repacking both here
-        and in later rescans.
+        and in later pending-batch evaluations.
         """
         if not len(nodes):
             return
@@ -370,25 +372,13 @@ class ArrivalFrontier:
             nodes.append(node)
         return nodes
 
-    def active_mbrs(self) -> np.ndarray:
-        """The queued nodes' MBR rows, aligned with :meth:`active_nodes`.
-
-        Rows come from the cached pack-time child-MBR arrays — no
-        repacking of MBR namedtuples per rescan.
-        """
-        slots = self._order_slots
-        rows = np.empty((len(slots), 4), dtype=np.float64)
-        for k, slot in enumerate(slots):
-            rows[k] = self._mbr_row(slot, self._nodes[slot])
-        return rows
-
     def store_lower(self, rows, values: np.ndarray, epoch: int) -> None:
         """Cache exact lower bounds for the given :meth:`active_nodes` rows."""
         vals = values.tolist()
         for k, row in enumerate(rows):
             self._bounds[self._order_slots[row]] = (epoch, vals[k], False)
         if len(vals) == len(self._order_slots):
-            # A whole-queue rescan leaves every record stamped: pop-misses
+            # A whole-queue store leaves every record stamped: pop-misses
             # under this epoch need no stale scan until the next push.
             self._eval_guard = (epoch, self._push_ops)
 

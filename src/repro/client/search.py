@@ -25,11 +25,19 @@ certified cheap estimates below it (see
 :func:`~repro.client.drain.weak_trans_lower` /
 :func:`~repro.client.drain.certified_keep`: deflated under-estimates prove
 prunes, inflated over-estimates prove keeps, and only the rounding-margin
-band between them ever pays for the exact metric) — and Hybrid-NN mode
-switches re-evaluate the whole queue in one kernel batch
-(:meth:`_rescan_queue_bounds`).  Every
-decision is certified identical to the scalar oracle
-(``kernels.use_kernels(False)``), which remains the seed implementation.
+band between them ever pays for the exact metric).  A Hybrid-NN mode
+switch rescans the queue for the new metric's guarantee only
+(:meth:`_rescan_queue_bounds`); each queued lower bound is left to the
+pop that reads it.  A guarantee scan over a node's children starts from
+the current bound unless the node witnesses it, since only a smaller
+guarantee can change the bound or the witness.  Every decision is
+certified identical to the scalar oracle (``kernels.use_kernels(False)``),
+which remains the seed implementation, while the distances are not tiny
+against the coordinates: within a few coordinate ulp of a side the scalar
+Lemma 1 over-estimates, and a certified keep there can keep what the
+oracle prunes (pinned by the strict xfail
+``test_scalar_lemma1_reflection_rounds_at_coordinate_ulp`` in
+``tests/test_drain_certification.py``).
 
 :meth:`~BroadcastNNSearch.step` advances one queued node and is what a
 scheduler interleaving several channels calls.  A search run alone to the
@@ -286,8 +294,14 @@ class BroadcastNNSearch(ArrivalQueueMixin):
             # guarantee evaluations that provably cannot tighten the best
             # (the guarantee always dominates the lower bound:
             # MinMaxDist >= MinDist, MinMaxTransDist >= MinTransDist).
+            # Unless this node witnesses the bound, only a guarantee below
+            # the bound can change the bound or the witness, so the scan
+            # starts from it: the first strict minimum below the bound is
+            # the same child with the same value.
             children = node.children
             epoch = self._metric_epoch
+            if not was_witness:
+                best_guarantee = self.upper_bound
             if self.mode is SearchMode.POINT:
                 # The exact one-hypot MinDist doubles as the pop-time
                 # bound, so the pop never recomputes it.
@@ -305,7 +319,9 @@ class BroadcastNNSearch(ArrivalQueueMixin):
                         best_child = child
             else:
                 # Transitive: the weak two-hypot under-estimate prunes
-                # ~99% of pops without touching Lemma 1.
+                # ~59% of pops, and certified_keep settles all but ~0.2%
+                # of the rest without touching Lemma 1 (59,407 transitive
+                # pops in one 1,000-query tnn_batch call, seed 1).
                 p, r = self.start, self.end
                 lbs = [weak_trans_lower(p, child.mbr, r) for child in children]
                 self._frontier.push_many(
@@ -404,67 +420,34 @@ class BroadcastNNSearch(ArrivalQueueMixin):
     def _rescan_queue_bounds(self) -> None:
         """Initial upper-bound update over every queued MBR (Section 4.2.3).
 
-        Both paths also refresh every queued entry's cached lower bound
-        under the new metric epoch — the rescan touches every MBR anyway,
-        so the pop-time delayed-pruning test stays a cache hit after a
-        Hybrid-NN mode switch on the kernel *and* the scalar path.
+        Guarantees only: no queued lower bound is evaluated here.  The
+        drain computes its own pop-time bounds, and a stepped pop that
+        finds none under the new metric epoch evaluates it, bit-identically
+        (the frontier for every pending entry in one kernel batch).  The
+        transitive guarantee is :func:`corner_minmax_trans`, bit-identical
+        to ``min_max_trans_dist``, behind the weak bound that proves it
+        cannot beat the bound.
         """
         front = self._frontier
         if front is not None:
             nodes = front.active_nodes()
         else:
             nodes = [node for _, _, node in self._queue]
-        if not nodes:
-            return
-        epoch = self._metric_epoch
-        if kernels.enabled() and len(nodes) >= self._batch_threshold(
-            leaf=False
-        ):
-            # The queued rows come from the pack-time child-MBR caches
-            # (frontier chunk refs) — no repacking of MBR namedtuples per
-            # rescan.
-            if front is not None:
-                mbrs = front.active_mbrs()
-            else:
-                mbrs = kernels.as_mbr_array([n.mbr for n in nodes])
-            counts = np.array([n.point_count for n in nodes], dtype=np.int64)
-            if self.mode is SearchMode.POINT:
-                lower, bounds = kernels.point_bounds(self.query, mbrs)
-            else:
-                lower, bounds = kernels.trans_bounds(self.start, mbrs, self.end)
-            if front is not None:
-                front.store_lower(range(len(nodes)), lower, epoch)
-            else:
-                for n, lb in zip(nodes, lower.tolist()):
-                    self._lb_cache[n.page_id] = (epoch, lb)
-            # Only subtrees holding at least one point back their
-            # MinMaxDist-style guarantee (cf. _absorb_internal).
-            backed = np.where(counts > 0, bounds, math.inf)
-            i = int(np.argmin(backed))
-            if math.isfinite(backed[i]) and float(backed[i]) < self.upper_bound:
-                self.upper_bound = float(backed[i])
-                self._witness_page = nodes[i].page_id
-            return
-        rows: list[int] = []
-        lbs: list[float] = []
-        for row, node in enumerate(nodes):
-            if self.mode is SearchMode.POINT:
-                lb = node.mbr.mindist(self.query)
-            else:
-                lb = min_trans_dist(self.start, node.mbr, self.end)
-            if front is not None:
-                rows.append(row)
-                lbs.append(lb)
-            else:
-                self._lb_cache[node.page_id] = (epoch, lb)
+        point = self.mode is SearchMode.POINT
+        q, p, r = self.query, self.start, self.end
+        for node in nodes:
             if node.point_count <= 0:
                 continue  # empty subtree: no point backs its guarantee
-            z = self._guaranteed_bound(node)
+            mbr = node.mbr
+            if point:
+                z = mbr.minmaxdist(q)
+            elif weak_trans_lower(p, mbr, r) >= self.upper_bound:
+                continue
+            else:
+                z = corner_minmax_trans(p, mbr, r)
             if z < self.upper_bound:
                 self.upper_bound = z
                 self._witness_page = node.page_id
-        if front is not None and rows:
-            front.store_lower(rows, np.array(lbs, dtype=np.float64), epoch)
 
     # ------------------------------------------------------------------
     # Results

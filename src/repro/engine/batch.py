@@ -275,7 +275,8 @@ class SharedScanRunner:
 
         In pool mode, one supervised worker pool (and one pickled
         environment per worker) is shared by every algorithm in the
-        mapping.
+        mapping.  A ``TNNResult`` carries no reception log, so every run
+        here keeps none (``record_log=False``).
         """
         # Deferred import: the repro.sim package imports repro.engine, so
         # importing sim.stats at module load would be circular.
@@ -286,14 +287,18 @@ class SharedScanRunner:
             try:
                 return {
                     name: summarize_batch(
-                        self._run_shared_pool(algo, self.workers, sp)
+                        self._run_shared_pool(
+                            algo, self.workers, sp, record_log=False
+                        )
                     )
                     for name, algo in algorithms.items()
                 }
             finally:
                 sp.shutdown()
         return {
-            name: summarize_batch(self.run_algorithm(algo, workers=0))
+            name: summarize_batch(
+                self.run_algorithm(algo, workers=0, record_log=False)
+            )
             for name, algo in algorithms.items()
         }
 
@@ -339,10 +344,13 @@ class SharedScanRunner:
     # Oracle comparison
     # ------------------------------------------------------------------
     def reference_results(self, reference: TNNAlgorithm) -> List[TNNResult]:
-        """Results of an exact reference algorithm, computed once per workload."""
+        """Results of an exact reference algorithm, computed once per
+        workload (without reception logs)."""
         key = _algorithm_key(reference)
         if key not in self._reference_cache:
-            self._reference_cache[key] = self.run_algorithm(reference)
+            self._reference_cache[key] = self.run_algorithm(
+                reference, record_log=False
+            )
         return self._reference_cache[key]
 
     def compare_failures(
@@ -361,7 +369,9 @@ class SharedScanRunner:
         """
         want = self.reference_results(reference)
         failures = 0
-        for got, ref in zip(self.run_algorithm(candidate), want):
+        for got, ref in zip(
+            self.run_algorithm(candidate, record_log=False), want
+        ):
             if got.failed or got.distance > ref.distance * (1 + rel_tol):
                 failures += 1
         return failures / len(self._queries)

@@ -866,8 +866,8 @@ def trans_weak_bounds_multi(
     under-estimate (cf. ``repro.client.drain.weak_trans_lower``).  The
     second lane is Lemma 3's side maxima over raw corner transitive sums,
     within an ulp of the exact MinMaxTransDist — gate-only, never store.
-    The third lane mirrors ``repro.client.drain.certified_keep``'s two
-    upper bounds on the exact Lemma 1 value — the smaller of the
+    The third lane is an upper bound on the exact Lemma 1 value (cf.
+    ``repro.client.drain.certified_keep``) — the smaller of the
     through-centre transitive distance and the best raw corner transitive
     sum (both reachable points of the MBR, so both dominate Lemma 1
     regardless of subtree backing) — uninflated; callers apply their own

@@ -78,6 +78,45 @@ def test_summarize_batch_empty_raises():
         summarize_batch([])
 
 
+def test_summary_and_oracle_runs_keep_no_reception_logs(env, monkeypatch):
+    """``run`` (serial and pool), ``reference_results`` and
+    ``compare_failures`` build log-free tuners, and their results match a
+    run that keeps logs."""
+    workload = QueryWorkload(6, seed=5)
+    logged = SharedScanRunner(env, workload, workers=0)
+    hybrid_logged = logged.run_algorithm(HybridNN(), record_log=True)
+    double_logged = logged.run_algorithm(DoubleNN(), record_log=True)
+
+    flags = []
+    real_tuners = TNNEnvironment.tuners
+
+    def tuners_spy(self, *args, **kwargs):
+        pair = real_tuners(self, *args, **kwargs)
+        flags.extend(t.record_log for t in pair)
+        return pair
+
+    pool_flags = []
+    real_pool = SharedScanRunner._run_shared_pool
+
+    def pool_spy(self, algorithm, workers, sp, record_log=True):
+        pool_flags.append(record_log)
+        return real_pool(self, algorithm, workers, sp, record_log)
+
+    monkeypatch.setattr(TNNEnvironment, "tuners", tuners_spy)
+    monkeypatch.setattr(SharedScanRunner, "_run_shared_pool", pool_spy)
+
+    serial = SharedScanRunner(env, workload, workers=0)
+    stats = serial.run({"hybrid-nn": HybridNN()})
+    assert stats == {"hybrid-nn": summarize_batch(hybrid_logged)}
+    assert serial.reference_results(DoubleNN()) == double_logged
+    assert serial.compare_failures(HybridNN(), DoubleNN()) == 0.0
+    assert flags and not any(flags)
+
+    pooled = SharedScanRunner(env, workload, workers=2)
+    assert pooled.run({"hybrid-nn": HybridNN()}) == stats
+    assert pool_flags == [False]
+
+
 # ----------------------------------------------------------------------
 # Reference caching in compare_failures
 # ----------------------------------------------------------------------

@@ -46,7 +46,7 @@ def test_randomized_workload_bit_identity(capacity, algo_cls):
     assert shared == per_query
 
 
-def test_distributed_layout_keeps_arena_empty():
+def test_distributed_layout_heap_searches_match_per_query():
     """Heap-backed searches (no cyclic order) match per-query runs."""
     env = TNNEnvironment.build(
         sized_uniform(600, seed=7),
@@ -119,7 +119,7 @@ def test_store_phase_a_matches_scalar_row_loop(capacity, algo_cls, seed):
     assert store == _per_query_oracle(env, algo, queries)
 
 
-def test_store_phase_a_coverage_spans_margin_paths(monkeypatch):
+def test_ab_sweep_drains_every_estimate_search(monkeypatch):
     """The A/B sweep's workload really runs every NN search on the walk.
 
     Guard against silently-green sweeps: on this fixed-seed workload every

@@ -327,7 +327,7 @@ def test_run_many_empty_batch(env64):
     assert QueryEngine(env64).run_many([]) == []
 
 
-def test_run_many_nn_lanes_gather_from_the_node_store(env64, monkeypatch):
+def test_run_many_nn_drains_one_walk_per_request(env64, monkeypatch):
     """run_many NN batches on both channels drain one walk per request.
 
     Every NN request of a batch spanning both channels' trees runs as one

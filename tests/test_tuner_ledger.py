@@ -181,7 +181,7 @@ def test_lossy_nn_search_drains_in_add(env_lossless):
     assert clean.tuner.lost_pages == 0
 
 
-def test_fast_verdict_reads_fault_model_for_nn_only(
+def test_add_drains_nn_search_whatever_its_fault_model(
     env_lossless, monkeypatch
 ):
     """``add`` drains an NN search at once whatever its fault model, like
@@ -261,7 +261,7 @@ def _nn_search(env, query, phase, loss):
     return BroadcastNNSearch(env.s_tree, tuner, query)
 
 
-def test_mixed_lossy_and_arena_searches_share_one_run(env_lossless):
+def test_mixed_lossy_and_lossless_searches_share_one_run(env_lossless):
     """Lossy and lossless NN searches in the same executor run all drain
     inside ``add``, and each matches the run_all oracle — results,
     counters, lost_pages and log events."""
