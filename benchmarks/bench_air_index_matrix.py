@@ -7,7 +7,7 @@ NN/kNN/range/window client batches under two query populations — uniform
 over the region, and skewed (~80% of queries inside the broadcast disk's
 hot region).  Per cell the harness records mean access time and tune-in
 (pages), the two-state radio energy estimate, the execution path the
-clients actually took (arrival frontier vs heap fallback), and a
+clients actually took (the drain walk vs the heap), and a
 ``bit_identical`` verdict of the shared-scan batch against the per-query
 oracle — the matrix is worthless if any backend's batch path diverges.
 
@@ -45,7 +45,7 @@ from repro.engine import (
     RangeRequest,
     WindowRequest,
 )
-from repro.geometry import Point, Rect, kernels
+from repro.geometry import Point, Rect
 from repro.sim import format_table
 from repro.sim.experiments import SweepCache
 
@@ -121,7 +121,7 @@ def _oracle(engine, req):
 def _execution_mode(engine) -> str:
     """Which client queue backend this environment's searches get."""
     probe = engine._build(NNRequest(Point(1.0, 1.0)))
-    return "frontier" if probe._frontier is not None else "heap"
+    return "walk" if probe._drains() else "heap"
 
 
 def run_matrix() -> dict:
@@ -132,38 +132,37 @@ def run_matrix() -> dict:
     r_points = sized_uniform(N_POINTS, seed=2)
 
     rows = []
-    with kernels.use_kernels(True):
-        for backend, layout in BACKENDS.items():
-            env = cache.build(s_points, r_points, params=params, layout=layout)
-            engine = QueryEngine(env)
-            mode = _execution_mode(engine)
-            for population in ("uniform", "skewed"):
-                requests = _population(env, population, N_QUERIES, seed=7)
-                got = engine.run_many(requests)
-                want = [_oracle(engine, req) for req in requests]
-                rows.append(
-                    {
-                        "backend": backend,
-                        "population": population,
-                        "execution": mode,
-                        "has_cyclic_order": layout.has_cyclic_order,
-                        "cycle_length": env.s_program.cycle_length,
-                        "access_time_pages": round(
-                            statistics.fmean(a.access_time for a in got), 2
+    for backend, layout in BACKENDS.items():
+        env = cache.build(s_points, r_points, params=params, layout=layout)
+        engine = QueryEngine(env)
+        mode = _execution_mode(engine)
+        for population in ("uniform", "skewed"):
+            requests = _population(env, population, N_QUERIES, seed=7)
+            got = engine.run_many(requests)
+            want = [_oracle(engine, req) for req in requests]
+            rows.append(
+                {
+                    "backend": backend,
+                    "population": population,
+                    "execution": mode,
+                    "has_cyclic_order": layout.has_cyclic_order,
+                    "cycle_length": env.s_program.cycle_length,
+                    "access_time_pages": round(
+                        statistics.fmean(a.access_time for a in got), 2
+                    ),
+                    "tune_in_pages": round(
+                        statistics.fmean(a.tune_in for a in got), 2
+                    ),
+                    "energy_joules": round(
+                        statistics.fmean(
+                            energy.joules(a.tune_in, a.access_time)
+                            for a in got
                         ),
-                        "tune_in_pages": round(
-                            statistics.fmean(a.tune_in for a in got), 2
-                        ),
-                        "energy_joules": round(
-                            statistics.fmean(
-                                energy.joules(a.tune_in, a.access_time)
-                                for a in got
-                            ),
-                            6,
-                        ),
-                        "bit_identical": got == want,
-                    }
-                )
+                        6,
+                    ),
+                    "bit_identical": got == want,
+                }
+            )
 
     return {
         "benchmark": "air_index_matrix",
@@ -210,7 +209,7 @@ def test_air_index_matrix(record_experiment):
     assert len(by_backend) >= 3
     assert {r["population"] for r in payload["rows"]} == {"uniform", "skewed"}
     # Both client execution paths must be represented in the matrix.
-    assert {r["execution"] for r in payload["rows"]} == {"frontier", "heap"}
+    assert {r["execution"] for r in payload["rows"]} == {"walk", "heap"}
 
 
 if __name__ == "__main__":

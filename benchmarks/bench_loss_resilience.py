@@ -39,7 +39,6 @@ from repro.core.hybrid import HybridNN
 from repro.datasets import sized_uniform
 from repro.client import run_all
 from repro.engine import QueryWorkload, SharedScanRunner, execute_tnn_batch
-from repro.geometry import kernels
 from repro.sim import format_table
 
 N_QUERIES = int(os.environ.get("REPRO_BENCH_QUERIES", 200))
@@ -127,29 +126,28 @@ def test_loss_degradation_curves(benchmark, record_experiment):
     def measure():
         curves = []
         all_identical = True
-        with kernels.use_kernels(True):
-            for label, loss in _CONFIGS:
-                env.loss = loss  # tuners() reads the field per query
-                t0 = time.perf_counter()
-                got = execute_tnn_batch(env, algo, queries)
-                dt = time.perf_counter() - t0
-                want = _stepped_per_query(env, algo, queries)
-                identical = got == want
-                all_identical = all_identical and identical
-                n = len(got)
-                curves.append(
-                    {
-                        "config": label,
-                        "mean_access_time": sum(r.access_time for r in got)
-                        / n,
-                        "mean_tune_in": sum(
-                            r.tune_in_s + r.tune_in_r for r in got
-                        )
-                        / n,
-                        "shared_scan_seconds": round(dt, 6),
-                        "bit_identical": identical,
-                    }
-                )
+        for label, loss in _CONFIGS:
+            env.loss = loss  # tuners() reads the field per query
+            t0 = time.perf_counter()
+            got = execute_tnn_batch(env, algo, queries)
+            dt = time.perf_counter() - t0
+            want = _stepped_per_query(env, algo, queries)
+            identical = got == want
+            all_identical = all_identical and identical
+            n = len(got)
+            curves.append(
+                {
+                    "config": label,
+                    "mean_access_time": sum(r.access_time for r in got)
+                    / n,
+                    "mean_tune_in": sum(
+                        r.tune_in_s + r.tune_in_r for r in got
+                    )
+                    / n,
+                    "shared_scan_seconds": round(dt, 6),
+                    "bit_identical": identical,
+                }
+            )
         env.loss = None
         return curves, all_identical
 
@@ -217,8 +215,7 @@ def test_chaos_worker_kill_campaign(
     )
     workload = QueryWorkload(N_QUERIES, seed=5)
     algo = HybridNN()
-    with kernels.use_kernels(True):
-        want = SharedScanRunner(env, workload, workers=0).run_algorithm(algo)
+    want = SharedScanRunner(env, workload, workers=0).run_algorithm(algo)
 
     marker = tmp_path / "chaos.marker"
     marker.write_text("armed")
@@ -226,8 +223,7 @@ def test_chaos_worker_kill_campaign(
     monkeypatch.setenv("REPRO_CHAOS_MARKER", str(marker))
     monkeypatch.setenv("REPRO_SHARD_BACKOFF", "0.01")
     t0 = time.perf_counter()
-    with kernels.use_kernels(True):
-        got = SharedScanRunner(env, workload, workers=2).run_algorithm(algo)
+    got = SharedScanRunner(env, workload, workers=2).run_algorithm(algo)
     dt = time.perf_counter() - t0
 
     kill_fired = not marker.exists()

@@ -33,7 +33,6 @@ from repro.core.environment import TNNEnvironment
 from repro.core.hybrid import HybridNN
 from repro.datasets import sized_uniform
 from repro.engine import QueryWorkload, SharedScanRunner
-from repro.geometry import kernels
 from repro.sim import format_table
 
 N_QUERIES = int(os.environ.get("REPRO_BENCH_QUERIES", 1_000))
@@ -78,21 +77,20 @@ def test_shared_scan_speedup(benchmark, record_experiment):
         return runner.run_algorithm(algo, record_log=False)
 
     def measure():
-        with kernels.use_kernels(True):
-            # Warm both paths, then interleave best-of-N so neither side
-            # owns a quieter stretch of the host.
+        # Warm both paths, then interleave best-of-N so neither side
+        # owns a quieter stretch of the host.
+        pq_res = per_query()
+        shared_res = shared()
+        pq_best = shared_best = None
+        for _ in range(ROUNDS):
+            t0 = time.perf_counter()
             pq_res = per_query()
+            dt = time.perf_counter() - t0
+            pq_best = dt if pq_best is None else min(pq_best, dt)
+            t0 = time.perf_counter()
             shared_res = shared()
-            pq_best = shared_best = None
-            for _ in range(ROUNDS):
-                t0 = time.perf_counter()
-                pq_res = per_query()
-                dt = time.perf_counter() - t0
-                pq_best = dt if pq_best is None else min(pq_best, dt)
-                t0 = time.perf_counter()
-                shared_res = shared()
-                dt = time.perf_counter() - t0
-                shared_best = dt if shared_best is None else min(shared_best, dt)
+            dt = time.perf_counter() - t0
+            shared_best = dt if shared_best is None else min(shared_best, dt)
         return pq_res, shared_res, pq_best, shared_best
 
     pq_res, shared_res, pq_s, shared_s = benchmark.pedantic(
@@ -180,7 +178,7 @@ def test_backend_sweep_matches_scalar_tuner_oracle(record_experiment):
     """Shared-scan bit-identity gate on every registered backend.
 
     For each layout backend, the shared-scan path (drain walks on
-    frontier backends, heap steps elsewhere, both through
+    cyclic backends, heap steps elsewhere, both through
     ``SearchGroup.run``) must match the per-query oracle twice over:
 
     * the full Hybrid-TNN ``TNNResult`` stream, and
@@ -211,9 +209,8 @@ def test_backend_sweep_matches_scalar_tuner_oracle(record_experiment):
             layout=make_layout(name),
         )
         queries = QueryWorkload(SWEEP_QUERIES, seed=7).queries(env)
-        with kernels.use_kernels(True):
-            want = [algo.run(env, q, ps, pr) for q, ps, pr in queries]
-            got = execute_tnn_batch(env, algo, queries)
+        want = [algo.run(env, q, ps, pr) for q, ps, pr in queries]
+        got = execute_tnn_batch(env, algo, queries)
         results_ok = got == want
 
         rng = random.Random(13)
@@ -232,13 +229,12 @@ def test_backend_sweep_matches_scalar_tuner_oracle(record_experiment):
 
         oracle = [nn_search(spec) for spec in specs]
         shared = [nn_search(spec) for spec in specs]
-        with kernels.use_kernels(True):
-            for s in oracle:
-                run_all([s])
-            executor = SharedScanExecutor()
-            for s in shared:
-                executor.add(SearchGroup([s]))
-            executor.run()
+        for s in oracle:
+            run_all([s])
+        executor = SharedScanExecutor()
+        for s in shared:
+            executor.add(SearchGroup([s]))
+        executor.run()
         tuners_ok = all(
             a.result() == b.result()
             and a.tuner.now == b.tuner.now

@@ -1,22 +1,19 @@
-"""Small-page-geometry client hot path — scalar vs arrival-frontier A/B.
+"""Small-page-geometry client hot path: the drain walk vs heap steps.
 
-PR 2's geometry kernels only pay off above the per-ufunc dispatch floor,
-which the paper's smallest page geometry (64-byte pages: leaf capacity 6,
-fanout M = 3, the "H = 10 and M = 3" tree of Section 6) never reaches per
-fan-out.  This benchmark drives the full **client** stack — broadcast
-Hybrid-NN estimate phase, mid-flight re-steering, filter-phase range
-queries — where the arrival frontier batches that cost across the *queue*
-instead: cyclic-page-order pops, push-time certified bounds, queue-wide
-rescan batches.
+The paper's smallest page geometry (64-byte pages: leaf capacity 6,
+fanout M = 3, the "H = 10 and M = 3" tree of Section 6) gives the
+longest walks per query.  This benchmark drives the full **client**
+stack — broadcast Hybrid-NN estimate phase, mid-flight re-steering,
+filter-phase range queries — on it.
 
-Workload A (the headline): the seeded 1,000-query Hybrid-NN TNN workload
-at 64-byte page geometry, interleaved best-of-``REPRO_BENCH_ROUNDS`` on
-the same host, scalar oracle (``kernels.use_kernels(False)`` — the seed
-queue and geometry implementation) vs the kernel path.  Asserts the two
-paths produce **bit-identical** ``TNNResult`` streams (answers, radii,
-access times, tune-in — everything) and a >= 1.4x speedup on full-size
-local runs (``REPRO_BENCH_MIN_SPEEDUP`` gates when set; CI smoke runs are
-too noisy and too small).
+Workload A (the headline): the seeded 1,000-query Hybrid-NN TNN workload,
+interleaved best-of-``REPRO_BENCH_ROUNDS`` on the same host, through
+``algorithm.run`` (its stages drain) vs every stage stepped on the heap
+by ``run_all`` (the seed queue and geometry implementation).  Asserts the
+two produce **bit-identical** ``TNNResult`` streams (answers, radii,
+access times, tune-in — everything); ``REPRO_BENCH_MIN_SPEEDUP`` gates
+the drained-over-stepped speedup when set (CI smoke runs are too noisy
+and too small).
 
 Workload B: an 8-channel scheduler fleet (one client interleaving eight
 channels), event-heap ``run_all`` vs the O(channels) ``run_all_scan``
@@ -27,7 +24,6 @@ Writes ``BENCH_small_geometry.json`` at the repository root.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import pathlib
@@ -44,7 +40,7 @@ from repro.client import BroadcastNNSearch, run_all, run_all_scan
 from repro.core.environment import TNNEnvironment
 from repro.core.hybrid import HybridNN
 from repro.datasets import sized_uniform
-from repro.geometry import Point, kernels
+from repro.geometry import Point
 from repro.rtree import str_pack
 from repro.sim import format_table
 
@@ -76,15 +72,6 @@ def _build_env():
     return env, queries
 
 
-def _tnn_workload(env, queries):
-    """One pass of the seeded Hybrid-NN TNN workload (estimate + filter)."""
-    algo = HybridNN()
-    return [
-        dataclasses.astuple(algo.run(env, q, phase_s, phase_r))
-        for q, phase_s, phase_r in queries
-    ]
-
-
 def _build_fleet(seed=7):
     """One NN search per channel: the async-channel-tuner shape."""
     rng = random.Random(seed)
@@ -110,37 +97,18 @@ def _fleet_results(searches):
     return [(s.result(), s.tuner.now, s.tuner.index_pages) for s in searches]
 
 
-def test_small_geometry_frontier_speedup(benchmark, record_experiment):
+def test_small_geometry_drain_vs_heap_steps(
+    benchmark, record_experiment, drained_vs_stepped
+):
     env, queries = _build_env()
-
-    def measure():
-        # Warm both paths, then interleave best-of-N so neither side owns
-        # a quieter stretch of the host.
-        with kernels.use_kernels(False):
-            scalar_res = _tnn_workload(env, queries)
-        with kernels.use_kernels(True):
-            kernel_res = _tnn_workload(env, queries)
-        scalar_best = kernel_best = None
-        for _ in range(ROUNDS):
-            with kernels.use_kernels(False):
-                t0 = time.perf_counter()
-                scalar_res = _tnn_workload(env, queries)
-                dt = time.perf_counter() - t0
-                scalar_best = dt if scalar_best is None else min(scalar_best, dt)
-            with kernels.use_kernels(True):
-                t0 = time.perf_counter()
-                kernel_res = _tnn_workload(env, queries)
-                dt = time.perf_counter() - t0
-                kernel_best = dt if kernel_best is None else min(kernel_best, dt)
-        return scalar_res, kernel_res, scalar_best, kernel_best
-
-    scalar_res, kernel_res, scalar_s, kernel_s = benchmark.pedantic(
-        measure, rounds=1, iterations=1
+    drained, stepped, drained_s, stepped_s = benchmark.pedantic(
+        drained_vs_stepped, args=(env, HybridNN(), queries, ROUNDS),
+        rounds=1, iterations=1,
     )
 
     # The acceptance bar: the full TNNResult streams are bit-identical.
-    assert scalar_res == kernel_res
-    speedup = scalar_s / kernel_s
+    assert drained == stepped
+    speedup = stepped_s / drained_s
 
     # Workload B: the 8-channel fleet, heap vs scan scheduler.
     heap_searches = _build_fleet()
@@ -153,16 +121,6 @@ def test_small_geometry_frontier_speedup(benchmark, record_experiment):
     scan_s = time.perf_counter() - t0
     assert _fleet_results(heap_searches) == _fleet_results(scan_searches)
 
-    # Carry the previous recording forward: the per-query reference the
-    # arena PR must not regress lives in the artifact itself.
-    previous_kernel = None
-    if JSON_PATH.exists():
-        try:
-            prev = json.loads(JSON_PATH.read_text())
-            previous_kernel = prev.get("kernel_seconds")
-        except (ValueError, OSError):  # pragma: no cover - defensive
-            previous_kernel = None
-
     params = SystemParameters(page_capacity=PAGE_CAPACITY)
     payload = {
         "benchmark": "small_geometry",
@@ -173,11 +131,10 @@ def test_small_geometry_frontier_speedup(benchmark, record_experiment):
         "leaf_capacity": params.leaf_capacity,
         "fanout": params.internal_fanout,
         "protocol": f"interleaved best-of-{ROUNDS}, same host",
-        "scalar_seconds": round(scalar_s, 6),
-        "kernel_seconds": round(kernel_s, 6),
-        "previous_kernel_seconds": previous_kernel,
+        "stepped_seconds": round(stepped_s, 6),
+        "drained_seconds": round(drained_s, 6),
         "speedup": round(speedup, 3),
-        "bit_identical": scalar_res == kernel_res,
+        "bit_identical": drained == stepped,
         "scheduler_fleet": {
             "channels": N_CHANNELS,
             "heap_seconds": round(heap_s, 6),
@@ -194,8 +151,8 @@ def test_small_geometry_frontier_speedup(benchmark, record_experiment):
                 "queries",
                 "points",
                 "leaf/fanout",
-                "scalar (s)",
-                "frontier (s)",
+                "heap steps (s)",
+                "drained (s)",
                 "speedup",
                 f"{N_CHANNELS}-ch heap/scan (s)",
             ],
@@ -203,13 +160,13 @@ def test_small_geometry_frontier_speedup(benchmark, record_experiment):
                 N_QUERIES,
                 N_POINTS,
                 f"{params.leaf_capacity}/{params.internal_fanout}",
-                f"{scalar_s:.3f}",
-                f"{kernel_s:.3f}",
+                f"{stepped_s:.3f}",
+                f"{drained_s:.3f}",
                 f"{speedup:.2f}x",
                 f"{heap_s:.3f}/{scan_s:.3f}",
             ]],
             title=(
-                "[small_geometry] scalar vs arrival frontier, "
+                "[small_geometry] heap steps vs drain walk, "
                 "64-byte-page client hot path"
             ),
         ),

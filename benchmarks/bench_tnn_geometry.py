@@ -1,19 +1,20 @@
-"""Geometry kernels — scalar vs vectorised A/B on the TNN hot path.
+"""Hybrid-NN at the 512-byte page geometry: the drain walk vs heap steps.
 
-Times the Hybrid-NN Case-3 hot loop (an exact NN anchor in R, then a
-best-first transitive NN over S with the Lemma 1 bound) on a seeded
-workload, once with the scalar geometry (``kernels.use_kernels(False)`` —
-the seed implementation) and once with the vectorised kernels, interleaved
-best-of-``REPRO_BENCH_ROUNDS`` on the same host.  Asserts the two paths
-return **bit-identical** answers and writes ``BENCH_tnn_geometry.json`` at
-the repository root.
+Times the seeded Hybrid-NN TNN workload (estimate pair with mid-flight
+re-steering, Case 3's transitive survivor, filter-phase range queries)
+on the 512-byte Table-2 page geometry (leaf capacity 51, fanout 28),
+where fan-outs are widest: once through ``algorithm.run``, whose stages
+drain (one preorder stack walk per search run), and once with every
+stage stepped on the heap by ``run_all`` — the seed implementation and
+the reference.  The two run interleaved best-of-``REPRO_BENCH_ROUNDS`` on
+the same host.  Asserts the two return **bit-identical** ``TNNResult``
+streams (answers, radii, access times, tune-in — everything) and writes
+``BENCH_tnn_geometry.json`` at the repository root.
 
 Defaults match the paper's largest sweep size (30,000 points per dataset,
-1,000 queries) on the 512-byte Table-2 page geometry (leaf capacity 51,
-fanout 28), where the kernel fan-outs are realistic.  CI's smoke run
-shrinks ``REPRO_BENCH_QUERIES`` / ``REPRO_BENCH_POINTS`` to stay under a
-minute; the committed JSON comes from a full-size run, which must show the
->= 2x speedup (``REPRO_BENCH_MIN_SPEEDUP`` gates it when set).
+1,000 queries).  CI's smoke run shrinks ``REPRO_BENCH_QUERIES`` /
+``REPRO_BENCH_POINTS`` to stay under a minute; ``REPRO_BENCH_MIN_SPEEDUP``
+gates the drained-over-stepped speedup when set.
 """
 
 from __future__ import annotations
@@ -22,105 +23,75 @@ import json
 import os
 import pathlib
 import random
-import time
 
-from repro.datasets import PAPER_REGION_SIDE, sized_uniform
-from repro.geometry import Point, kernels
-from repro.rtree import build_rtree
-from repro.rtree.traversal import best_first_nn, transitive_nn
+from repro.broadcast import SystemParameters
+from repro.core.environment import TNNEnvironment
+from repro.core.hybrid import HybridNN
+from repro.datasets import sized_uniform
 from repro.sim import format_table
 
 N_QUERIES = int(os.environ.get("REPRO_BENCH_QUERIES", 1_000))
 N_POINTS = int(os.environ.get("REPRO_BENCH_POINTS", 30_000))
-LEAF_CAPACITY = int(os.environ.get("REPRO_BENCH_LEAF", 51))
-FANOUT = int(os.environ.get("REPRO_BENCH_FANOUT", 28))
+PAGE_CAPACITY = int(os.environ.get("REPRO_BENCH_CAPACITY", 512))
 ROUNDS = int(os.environ.get("REPRO_BENCH_ROUNDS", 4))
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", 0.0))
 
 JSON_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_tnn_geometry.json"
 
 
-def _build():
-    s_tree = build_rtree(sized_uniform(N_POINTS, seed=1), LEAF_CAPACITY, FANOUT)
-    r_tree = build_rtree(sized_uniform(N_POINTS, seed=2), LEAF_CAPACITY, FANOUT)
+def test_tnn_geometry_drain_vs_heap_steps(
+    benchmark, record_experiment, drained_vs_stepped
+):
+    params = SystemParameters(page_capacity=PAGE_CAPACITY)
+    env = TNNEnvironment.build(
+        sized_uniform(N_POINTS, seed=1),
+        sized_uniform(N_POINTS, seed=2),
+        params=params,
+    )
     rng = random.Random(0)
     queries = [
-        Point(rng.uniform(0, PAPER_REGION_SIDE), rng.uniform(0, PAPER_REGION_SIDE))
+        (env.random_query_point(rng), *env.random_phases(rng))
         for _ in range(N_QUERIES)
     ]
-    return s_tree, r_tree, queries
-
-
-def _workload(s_tree, r_tree, queries):
-    """One pass of the seeded TNN/Hybrid-NN hot path."""
-    out = []
-    for q in queries:
-        r_anchor, d_anchor = best_first_nn(r_tree, q)
-        out.append((r_anchor, d_anchor))
-        out.append(transitive_nn(s_tree, q, r_anchor))
-    return out
-
-
-def test_tnn_geometry_kernel_speedup(benchmark, record_experiment):
-    s_tree, r_tree, queries = _build()
-
-    def measure():
-        # Warm both paths, then interleave best-of-N so neither side owns
-        # a quieter stretch of the host.
-        with kernels.use_kernels(False):
-            scalar_res = _workload(s_tree, r_tree, queries)
-        with kernels.use_kernels(True):
-            kernel_res = _workload(s_tree, r_tree, queries)
-        scalar_best = kernel_best = None
-        for _ in range(ROUNDS):
-            with kernels.use_kernels(False):
-                t0 = time.perf_counter()
-                scalar_res = _workload(s_tree, r_tree, queries)
-                dt = time.perf_counter() - t0
-                scalar_best = dt if scalar_best is None else min(scalar_best, dt)
-            with kernels.use_kernels(True):
-                t0 = time.perf_counter()
-                kernel_res = _workload(s_tree, r_tree, queries)
-                dt = time.perf_counter() - t0
-                kernel_best = dt if kernel_best is None else min(kernel_best, dt)
-        return scalar_res, kernel_res, scalar_best, kernel_best
-
-    scalar_res, kernel_res, scalar_s, kernel_s = benchmark.pedantic(
-        measure, rounds=1, iterations=1
+    drained, stepped, drained_s, stepped_s = benchmark.pedantic(
+        drained_vs_stepped, args=(env, HybridNN(), queries, ROUNDS),
+        rounds=1, iterations=1,
     )
 
-    # The acceptance bar: answers are bit-identical across paths.
-    assert scalar_res == kernel_res
-    speedup = scalar_s / kernel_s
+    # The acceptance bar: the full TNNResult streams are bit-identical.
+    assert drained == stepped
+    speedup = stepped_s / drained_s
 
     payload = {
         "benchmark": "tnn_geometry",
-        "workload": "NN anchor in R + transitive NN in S (Hybrid-NN Case 3)",
+        "workload": "Hybrid-NN TNN queries at the 512-byte page geometry",
         "n_queries": N_QUERIES,
         "n_points_per_dataset": N_POINTS,
-        "leaf_capacity": LEAF_CAPACITY,
-        "fanout": FANOUT,
+        "page_capacity": PAGE_CAPACITY,
+        "leaf_capacity": params.leaf_capacity,
+        "fanout": params.internal_fanout,
         "protocol": f"interleaved best-of-{ROUNDS}, same host",
-        "scalar_seconds": round(scalar_s, 6),
-        "kernel_seconds": round(kernel_s, 6),
+        "stepped_seconds": round(stepped_s, 6),
+        "drained_seconds": round(drained_s, 6),
         "speedup": round(speedup, 3),
-        "bit_identical": scalar_res == kernel_res,
+        "bit_identical": drained == stepped,
     }
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     record_experiment(
         "tnn_geometry",
         format_table(
-            ["queries", "points", "leaf/fanout", "scalar (s)", "kernel (s)", "speedup"],
+            ["queries", "points", "leaf/fanout", "heap steps (s)",
+             "drained (s)", "speedup"],
             [[
                 N_QUERIES,
                 N_POINTS,
-                f"{LEAF_CAPACITY}/{FANOUT}",
-                f"{scalar_s:.3f}",
-                f"{kernel_s:.3f}",
+                f"{params.leaf_capacity}/{params.internal_fanout}",
+                f"{stepped_s:.3f}",
+                f"{drained_s:.3f}",
                 f"{speedup:.2f}x",
             ]],
-            title="[tnn_geometry] scalar vs vectorised kernels, TNN hot path",
+            title="[tnn_geometry] heap steps vs drain walk, 512-byte pages",
         ),
     )
     assert speedup >= MIN_SPEEDUP

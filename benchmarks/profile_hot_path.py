@@ -3,9 +3,8 @@
 Records how the Hybrid-TNN workload at 64-byte pages splits its time
 across five phase buckets, with two independent timers:
 
-* **queue** — the arrival frontier and the heap mixin
-  (`client/frontier.py`, `client/arrival_queue.py`): pushes, pops,
-  head selection;
+* **queue** — the arrival queue (`client/arrival_queue.py`): the
+  walk's stack and the heap's pushes, pops and head selection;
 * **walk** — the drain walk (`client/drain.py`): the preorder stack
   walk, its prunes and absorbs, and the bounds it computes inline
   (``Rect.mindist``, the certified transitive cascade);
@@ -18,7 +17,7 @@ across five phase buckets, with two independent timers:
   glue).
 
 The **wall timer** (primary, ``share`` in the JSON) wraps the bucket entry
-points — frontier methods, the drain, the public kernels, tuner accounting —
+points — queue methods, the drain, the public kernels, tuner accounting —
 with ``perf_counter`` pairs and attributes *self time* to each bucket (a
 nested wrapped call is credited to its own bucket and subtracted from its
 caller's); whatever the wrappers never see is the bookkeeping remainder.
@@ -64,8 +63,8 @@ N_QUERIES = int(os.environ.get("REPRO_BENCH_QUERIES", 300))
 N_POINTS = int(os.environ.get("REPRO_BENCH_POINTS", 30_000))
 PAGE_CAPACITY = int(os.environ.get("REPRO_BENCH_CAPACITY", 64))
 #: Air-index backend to profile (any repro.broadcast.layout registry name);
-#: non-cyclic backends (rtree-distributed, disk) profile the heap-fallback
-#: queue instead of the frontier.
+#: non-cyclic backends (rtree-distributed, disk) profile heap steps
+#: instead of the walk.
 BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "rtree")
 #: Measured passes per configuration; the minimum-wall pass is recorded.
 #: Single passes on shared vCPUs randomly absorb neighbour steal into
@@ -77,7 +76,7 @@ JSON_PATH = ROOT / "BENCH_profile_hot_path.json"
 
 #: Module-path fragments -> phase buckets, first match wins.
 PHASES = (
-    ("queue", ("client/frontier.py", "client/arrival_queue.py")),
+    ("queue", ("client/arrival_queue.py",)),
     ("walk", ("client/drain.py",)),
     ("geometry", ("repro/geometry/",)),
     ("download", ("repro/broadcast/",)),
@@ -161,7 +160,7 @@ class _WallPhaseTimer:
 def _wrap_sites() -> list:
     """(holder, attribute, bucket) triples for the wall-clock wrappers.
 
-    Coarse on purpose: bucket *entry points* are wrapped (frontier
+    Coarse on purpose: bucket *entry points* are wrapped (queue
     methods, the drain, the public kernels, tuner accounting), never
     per-element helpers.  Overhead tracks the number of wrapper crossings,
     and the timed wall-clock is recorded next to the uninstrumented one so
@@ -180,7 +179,6 @@ def _wrap_sites() -> list:
     from repro.broadcast import tuner as tuner_mod
     from repro.client import arrival_queue as aq_mod
     from repro.client import drain as drain_mod
-    from repro.client import frontier as frontier_mod
     from repro.client import search as search_mod
     from repro.core import base as base_mod
     from repro.core import join as join_mod
@@ -211,13 +209,8 @@ def _wrap_sites() -> list:
     for holder in (join_mod, base_mod, shared_scan_mod):
         sites.append((holder, "transitive_join", "geometry"))
     for name in (
-        "__init__", "push", "push_many", "peek_arrival", "pop",
-        "active_nodes", "store_lower",
-    ):
-        sites.append((frontier_mod.ArrivalFrontier, name, "queue"))
-    for name in (
         "_init_queue", "_push", "_normalize_head", "_pop_head",
-        "_pop_head_bound",
+        "_queued_nodes", "next_event_time",
     ):
         sites.append((aq_mod.ArrivalQueueMixin, name, "queue"))
     sites.append((aq_mod, "drain", "walk"))
@@ -323,13 +316,12 @@ def profile_hot_path(
     runner = SharedScanRunner(env, workload, workers=0)
     queries = workload.queries(env)
 
-    with kernels.use_kernels(True):
-        pq_wall, pq_phases = _measure(
-            lambda: [algo.run(env, q, ps, pr) for q, ps, pr in queries]
-        )
-        shared_wall, shared_phases = _measure(
-            lambda: runner.run_algorithm(algo)
-        )
+    pq_wall, pq_phases = _measure(
+        lambda: [algo.run(env, q, ps, pr) for q, ps, pr in queries]
+    )
+    shared_wall, shared_phases = _measure(
+        lambda: runner.run_algorithm(algo)
+    )
 
     return {
         "benchmark": "profile_hot_path",

@@ -23,14 +23,16 @@ through the shared-scan executor, which runs each stage with that same
 driver (``SearchGroup.run``), for every algorithm, ANN optimisation and
 data retrieval alike, with bit-identical results.
 
-Architecture note — one queue and one tuner per search.  Each steppable
-search queues its R-tree candidates in an arrival frontier ordered by
-cyclic page position: python list lanes, the fastest layout at
-per-query queue sizes.  The boxed-tuple heap remains the bit-identity
-oracle and engages automatically wherever the cyclic closed form does
-not hold — scalar mode (``REPRO_NO_KERNELS=1``) and layouts without
-cyclic page order (distributed indexing, broadcast-disk schedules).
-Every search accounts its radio on its own ``ChannelTuner`` — clock,
+Architecture note — one queue and one tuner per search.  A search on a
+layout with cyclic page order queues its R-tree candidates on its own
+stack of flat node records, seeded with the root's, which the drain
+below walks; a stopped walk keeps its stack, and the search's next
+event time, queue footprint and Hybrid-NN rescans read it.  Every
+``step()`` runs on the boxed-tuple arrival heap, the seed implementation
+and the bit-identity reference: a search's first step moves its stack
+onto the heap for good, and layouts without cyclic page order
+(distributed indexing, broadcast-disk schedules) start there.  Every
+search accounts its radio on its own ``ChannelTuner`` — clock,
 page counters and a reception log, four scalars and a list — in a
 single query and in the shared-scan executor alike.  Nothing is batched
 across queries: the per-query walk below is cheap enough that
@@ -56,14 +58,14 @@ Faulty searches drain like lossless ones: the retry chain of a missed
 page replays closed form (replicas
 sit exactly one cycle apart), bit-identically to the per-query retry
 loop.  One drain (``repro.client.drain``) empties a search in a
-single pass: every ``run_to_completion`` of a frontier-backed NN
-(no pruning policy, in the point metric or, after Hybrid-NN's Case 3,
-the transitive one), kNN, range or window search, as in this
-example's first section, and so every stage the shared-scan executor
-runs through ``SearchGroup.run``.  Given a
-limit, the same walk stops before the first page due after it and hands
-the rest of its queue back: each run of a Hybrid-NN pair member ends at
-its sibling's next arrival.  Index pages are
+single pass: every ``run_to_completion`` of an NN search that never
+stepped (under the exact policy or the ANN optimisation's, in the point
+metric or, after Hybrid-NN's Case 3, the transitive one), and of every
+kNN, range or window search, as in this example's first section, and
+so every stage the shared-scan executor runs through
+``SearchGroup.run``.  Given a limit, the same walk stops before the
+first page due after it and leaves the rest on its stack: each run of a
+Hybrid-NN pair member ends at its sibling's next arrival.  Index pages are
 numbered in DFS preorder, so a downloaded node's children fill the
 pages right after it and cyclic page order is a stack order: the drain
 walks one stack, smallest page on top, of flat node records — one plain
@@ -73,12 +75,13 @@ it, each holding its children's records already reversed for the push
 slot x the clock's cursor is exactly x + 1).
 Each node is absorbed
 before the next pop — an NN node with the strict offer loop or the
-MINMAXDIST guarantee hand-off (in transitive mode the pop test runs the
-step's certified MinTransDist cascade — a weak bound proves a prune, the
+MINMAXDIST guarantee hand-off (in transitive mode the pop test runs a
+certified MinTransDist cascade — a weak bound proves a prune, the
 transitive distance through Lemma 1's own optimum point or a corner of
 the MBR proves a keep, and Lemma 1 itself decides only the
 rounding-margin band — and the guarantee is the corner MinMaxTransDist,
-scanned from the current bound), a kNN leaf with the exact scalar offer
+scanned from the current bound; an ANN policy then judges each kept
+node), a kNN leaf with the exact scalar offer
 loop, which admits on the k-th best, and a kNN internal node by
 lowering the search's MAXDIST guarantee to the smallest MAXDIST among
 its children holding k points (every point of a subtree lies in its

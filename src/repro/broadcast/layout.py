@@ -1,7 +1,7 @@
 """The pluggable air-index backend seam: :class:`BroadcastLayout`.
 
-Everything above the broadcast substrate — frontier cyclic-order math,
-the drain's slot arithmetic, the sweep cache — used to silently assume one physical
+Everything above the broadcast substrate — the drain's cyclic-order slot
+arithmetic, the sweep cache — used to silently assume one physical
 organisation: a packed R-tree interleaved ``(1, m)``.  A
 :class:`BroadcastLayout` makes that choice an explicit strategy object
 that owns *schedule generation* end to end:
@@ -13,8 +13,8 @@ that owns *schedule generation* end to end:
   interleaving, distributed indexing, skew-aware broadcast disks);
 * **which capabilities** the resulting channel guarantees
   (:attr:`BroadcastLayout.has_cyclic_order` — whether arrival order is
-  cyclic page-id order, the contract behind the arrival frontier's
-  closed-form fast path and the drain walk; layouts
+  cyclic page-id order, the contract behind the drain walk's
+  closed-form arrivals; layouts
   without it route clients onto the hardened heap fallback);
 * **its own identity** (:meth:`BroadcastLayout.index_key` /
   :meth:`BroadcastLayout.cache_key`) — the sweep cache keys packed trees
@@ -155,7 +155,7 @@ class GridAirIndexLayout(BroadcastLayout):
     """Fixed-grid air index (:mod:`repro.index.grid`), interleaved (1, m).
 
     The schedule is the classic uniform interleave, so cyclic order (and
-    with it the frontier fast path and the drain walk) holds; only
+    with it the drain walk) holds; only
     the index partitioning differs from the R-tree backend.
     """
 

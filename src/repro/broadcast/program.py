@@ -71,8 +71,8 @@ class BroadcastProgram:
 
     #: Capability flag: every index page's replicas sit exactly one
     #: super-page apart, i.e. arrival order is cyclic page-id order — the
-    #: property the client's arrival frontier (and its drain walk)
-    #: exploits for its closed-form fast path.  Irregular layouts
+    #: property the client's drain walk exploits for its closed-form
+    #: arrivals.  Irregular layouts
     #: (distributed indexing, broadcast-disk schedules) override this with
     #: False, which routes clients onto the position-table heap fallback.
     #: Declared by the generating :class:`~repro.broadcast.layout

@@ -17,9 +17,9 @@ Both share every piece of the cycle arithmetic except *which* pages repeat,
 so this module owns the common machinery: the shortened cycle, the cached
 per-page arrival-position tables, and the data-page offsets around the
 leading full-index copy.  Replica positions are uneven, so these layouts
-have no cyclic page order (``has_cyclic_order = False``): clients fall
-back from the arrival frontier's closed-form fast path to the heap queue,
-which consumes the cached position arrays through
+have no cyclic page order (``has_cyclic_order = False``): clients skip
+the drain walk's closed-form arrivals and step on the heap queue, which
+consumes the cached position arrays through
 :meth:`~repro.broadcast.program.BroadcastProgram.next_arrival_at_positions`.
 """
 
@@ -43,8 +43,8 @@ class PartialReplicationProgram(BroadcastProgram):
     root) keeps its offset-0 anchor.
     """
 
-    #: Replica positions are uneven — no cyclic page order, no frontier
-    #: fast path; clients use the cached arrival-position tables instead.
+    #: Replica positions are uneven — no cyclic page order, no drain
+    #: walk; clients use the cached arrival-position tables instead.
     uniform_index_replication = False
     has_cyclic_order = False
 

@@ -19,17 +19,14 @@ Implements the building blocks shared by every TNN algorithm:
   searches on multiple channels in simulated-time order via a
   lazy-invalidation event heap (O(log channels) per page arrival);
   :func:`run_all_scan` is the brute-force reference.
-* :func:`~repro.client.drain.drain` — runs one frontier-backed search to
-  completion, or up to a limit, as a single preorder stack walk,
-  bit-identical to stepping it; every search's ``run_to_completion`` and
-  each bounded run of a Hybrid-NN pair member call it.
+* :func:`~repro.client.drain.drain` — runs one search on a layout with
+  cyclic page order to completion, or up to a limit, as a single preorder
+  stack walk, bit-identical to stepping it on the arrival heap; every
+  search's ``run_to_completion`` and each bounded run of a Hybrid-NN pair
+  member call it, under the exact and the ANN pruning policies alike.
 * :class:`SearchGroup` — one query stage's searches and their scheduling
   contract; :meth:`SearchGroup.run` is the one driver of every stage, for
   ``algorithm.run`` and the shared-scan executor alike.
-* :class:`ArrivalFrontier` — the struct-of-arrays candidate queue behind
-  every steppable search on the kernel path: arrivals refreshed per
-  arrival tick and lower bounds evaluated in queue-wide kernel batches,
-  so even 64-byte-page / M = 3 geometries clear the dispatch floor.
 """
 
 from repro.client.policies import (
@@ -39,7 +36,6 @@ from repro.client.policies import (
     dynamic_alpha,
     fixed_alpha,
 )
-from repro.client.frontier import ArrivalFrontier
 from repro.client.search import BroadcastNNSearch, SearchMode
 from repro.client.range_query import BroadcastRangeSearch
 from repro.client.knn import BroadcastKNNSearch
@@ -51,7 +47,6 @@ from repro.client.scheduler import (
 )
 
 __all__ = [
-    "ArrivalFrontier",
     "BroadcastNNSearch",
     "BroadcastKNNSearch",
     "BroadcastRangeSearch",

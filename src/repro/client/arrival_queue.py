@@ -7,30 +7,26 @@ channel clock.  The mixin also tracks the largest queue size reached — the
 client's memory footprint (Section 4.2.4 bounds the delayed-pruning queue
 by ``(H - 1) x (M - 1)`` MBRs for a DFS-ordered broadcast).
 
-Two interchangeable backends produce bit-identical pop orders:
+A search holds its queue in one of two forms:
 
-* the struct-of-arrays :class:`~repro.client.frontier.ArrivalFrontier`
-  (kernel path) — arrivals refreshed per arrival tick in one batched call,
-  lower bounds evaluated lazily in queue-wide kernel batches;
-* the original boxed-tuple heap with lazy head normalisation (scalar
-  oracle, selected by ``kernels.use_kernels(False)`` /
-  ``REPRO_NO_KERNELS=1``) — arrivals are computed at push time and stale
-  heads are refreshed one sift at a time, with the result cached per
-  (clock, head) state.
+* on a layout with cyclic page order, the walk's stack: the tree's flat
+  node records (:func:`~repro.client.drain.walk_table`), smallest page on
+  top, seeded with the root's record.  :func:`~repro.client.drain.drain`
+  pops it in one preorder walk, to completion or up to a limit; a bounded
+  stop leaves the unvisited records in place, so ``next_event_time``,
+  ``finished``, ``max_queue_size``, a Hybrid-NN rescan and a later walk
+  all read the same stack;
+* the boxed-tuple heap keyed by arrival, with lazy head normalisation —
+  the seed implementation and the reference.  Every ``step()`` pops the
+  heap: a search's first step moves its stack onto the heap for good, and
+  layouts without cyclic page order (distributed indexing, broadcast-disk
+  schedules) start there.
 
-Subclasses provide ``self.tuner`` and call :meth:`_init_queue` before the
-first :meth:`_push`.
-
-Pops go through the queue one at a time only while the search steps.  A
-frontier-backed search run alone (``run_to_completion`` and the bounded
-runs of Hybrid-NN's pair, both through :meth:`ArrivalQueueMixin._run_until`
-wherever :meth:`ArrivalQueueMixin._drains` holds: every kNN, range and
-window search, and NN searches under a trivial policy in either metric,
-on the per-query path and in the shared-scan executor alike) reads the
-frontier's queued pages once and walks them as one stack of the tree's
-flat node records (:func:`repro.client.drain.drain`), leaving the
-frontier empty — or, stopped at a limit, holding the unvisited entries
-again.
+Subclasses provide ``self.tuner`` and ``self.tree`` and call
+:meth:`_init_queue` once the tuner's clock stands at the search's start.
+``run_to_completion`` and the bounded runs of Hybrid-NN's pair go through
+:meth:`ArrivalQueueMixin._run_until`: one walk while the search
+:meth:`~ArrivalQueueMixin._drains`, else one ``step()`` per queued node.
 """
 
 from __future__ import annotations
@@ -38,12 +34,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from repro.broadcast.tuner import ChannelTuner
-from repro.client.drain import drain
-from repro.client.frontier import ArrivalFrontier
-from repro.geometry import kernels
+from repro.client.drain import drain, walk_table
 from repro.rtree.node import RTreeNode
 
 
@@ -52,67 +47,47 @@ class ArrivalQueueMixin:
 
     tuner: ChannelTuner
 
-    def _init_queue(self) -> None:
-        #: Backend choice is fixed per search: a search constructed under
-        #: ``use_kernels(False)`` stays on the oracle heap for its
-        #: lifetime, and layouts without cyclic page order (distributed
-        #: indexing, broadcast-disk schedules) give the frontier's
-        #: closed-form arrival arithmetic nothing to exploit — the
-        #: generating BroadcastLayout declares the capability and the
-        #: program mirrors it as ``has_cyclic_order``.
-        use_frontier = kernels.enabled() and getattr(
-            getattr(getattr(self.tuner, "channel", None), "program", None),
-            "has_cyclic_order",
-            False,
-        )
-        self._heap_max = 0
-        if use_frontier:
-            frontier = ArrivalFrontier(self.tuner)
-            self._frontier: Optional[ArrivalFrontier] = frontier
-            # Flatten the dispatch for the hot loop: the frontier's own
-            # bound methods replace the mixin's forwarding wrappers.
-            self._push = frontier.push
-            self._pop_head_bound = frontier.pop
-            self.next_event_time = frontier.peek_arrival
-            self.finished = frontier.finished
-            return
-        self._frontier = None
-        self._counter = itertools.count()
+    def _init_queue(self, root: Optional[RTreeNode]) -> None:
+        """Queue ``root`` (``None``: the search is born finished).
+
+        Layouts without cyclic page order (distributed indexing,
+        broadcast-disk schedules) give the walk's closed-form arrival
+        arithmetic nothing to exploit — the generating BroadcastLayout
+        declares the capability and the program mirrors it as
+        ``has_cyclic_order`` — so their searches start on the heap.
+        """
+        channel = getattr(self.tuner, "channel", None)
+        program = getattr(channel, "program", None)
         self._queue: List[Tuple[float, int, RTreeNode]] = []
+        self._counter = itertools.count()
         #: Cached (clock, head-seq) of the last head normalization, so the
         #: scheduler's next_event_time / step pairs don't re-peek arrivals.
         self._head_state: Optional[Tuple[float, int]] = None
+        self._max_queue = 0
+        if getattr(program, "has_cyclic_order", False):
+            self._phase = channel.phase
+            self._cycle = program.super_page_length
+            self._stack: Optional[list] = (
+                [] if root is None else [walk_table(self.tree)[root.page_id]]
+            )
+            self._max_queue = len(self._stack)
+            return
+        self._stack = None
+        if root is not None:
+            self._push(root)
 
     @property
     def max_queue_size(self) -> int:
         """Largest queue size reached — the client's memory footprint."""
-        f = self._frontier
-        if f is not None:
-            return f.max_size
-        return self._heap_max
+        return self._max_queue
 
-    def _push(
-        self,
-        node: RTreeNode,
-        lb: Optional[float] = None,
-        epoch: int = -1,
-        weak: bool = False,
-    ) -> None:
-        """Queue a node; ``lb`` pre-caches its lower bound under ``epoch``.
-
-        The heap backend ignores the bound hint — its callers cache bounds
-        in the search's page-id dict instead.
-        """
-        if self._frontier is not None:
-            # Only reachable when a subclass calls the unbound method; the
-            # instance attribute set in _init_queue normally shadows it.
-            self._frontier.push(node, lb, epoch, weak)
-            return
+    def _push(self, node: RTreeNode) -> None:
+        """Queue a node on the heap, keyed by its next arrival."""
         arrival = self.tuner.peek_index_arrival(node.page_id)
         heapq.heappush(self._queue, (arrival, next(self._counter), node))
         self._head_state = None
-        if len(self._queue) > self._heap_max:
-            self._heap_max = len(self._queue)
+        if len(self._queue) > self._max_queue:
+            self._max_queue = len(self._queue)
 
     def _normalize_head(self) -> None:
         """Refresh stale arrival keys so the head is the true next page.
@@ -138,38 +113,36 @@ class ArrivalQueueMixin:
         self._head_state = (self.tuner.now, self._queue[0][1])
 
     def _pop_head(self) -> RTreeNode:
-        """Normalize, pop and return the truly-next node."""
-        node, _, _ = self._pop_head_bound()
-        return node
+        """Normalize, pop and return the truly-next node.
 
-    def _pop_head_bound(
-        self, epoch: int = -1
-    ) -> Tuple[RTreeNode, Optional[float], bool]:
-        """Pop the truly-next node plus its cached/batched lower bound.
-
-        The bound is ``None`` when this backend does not manage bounds (the
-        oracle heap) or when the frontier's pending-unevaluated set is too
-        small for a worthwhile kernel batch — the caller then evaluates the
-        single bound scalar, which is bit-identical either way.  The third
-        element flags a *weak* bound: a certified under-estimate that can
-        prove a prune but must be verified before a keep.
+        The first pop of a search on the walk's stack moves the stack's
+        nodes onto the heap, ascending, for good: steps run on the heap.
         """
-        if self._frontier is not None:
-            return self._frontier.pop(epoch)
+        stack = self._stack
+        if stack is not None:
+            self._stack = None
+            for rec in reversed(stack):
+                self._push(rec[5])
         if not self._queue:
             raise RuntimeError("step() on a finished search")
         self._normalize_head()
         _, _, node = heapq.heappop(self._queue)
         self._head_state = None
-        return node, None, False
+        return node
+
+    def _queued_nodes(self) -> List[RTreeNode]:
+        """The queued nodes in ascending page order (Hybrid-NN's rescan)."""
+        if self._stack is not None:
+            return [rec[5] for rec in reversed(self._stack)]
+        return sorted((e[2] for e in self._queue), key=attrgetter("page_id"))
 
     # ------------------------------------------------------------------
     # Running to completion
     # ------------------------------------------------------------------
     def _drains(self) -> bool:
-        """Whether :func:`~repro.client.drain.drain` can run this search:
-        it walks the frontier backend's queue."""
-        return self._frontier is not None
+        """Whether :func:`~repro.client.drain.drain` runs this search: it
+        walks the stack, which only a search that never stepped holds."""
+        return self._stack is not None
 
     def _run_until(self, limit: float = math.inf,
                    strict: bool = False) -> None:
@@ -181,7 +154,7 @@ class ArrivalQueueMixin:
         A two-member driver passes each member's sibling's next event
         here (:meth:`~repro.client.scheduler.SearchGroup.run`).
         """
-        if self._drains():
+        if self._stack is not None:
             drain(self, limit, strict)
             return
         while not self.finished():
@@ -194,16 +167,26 @@ class ArrivalQueueMixin:
     # Introspection for the scheduler
     # ------------------------------------------------------------------
     def finished(self) -> bool:
-        if self._frontier is not None:
-            return self._frontier.finished()
-        return not self._queue
+        stack = self._stack
+        return not (self._queue if stack is None else stack)
 
     def next_event_time(self) -> float:
-        """Arrival time of the next page this search would download."""
-        if self._frontier is not None:
-            return self._frontier.peek_arrival()
-        self._normalize_head()
-        return self._queue[0][0] if self._queue else math.inf
+        """Arrival time of the next page this search would download.
+
+        On the stack that is the top record's page: its queued pages lie
+        all at or past the cursor ``ceil(now - phase) % cycle`` or all
+        before it (a fresh root), so the smallest comes next
+        (:func:`~repro.client.drain.drain` checks it).
+        """
+        stack = self._stack
+        if stack is None:
+            self._normalize_head()
+            return self._queue[0][0] if self._queue else math.inf
+        if not stack:
+            return math.inf
+        base = math.ceil(self.tuner.now - self._phase)
+        page = stack[-1][1]
+        return base + (page - base) % self._cycle + self._phase
 
     @property
     def now(self) -> float:

@@ -1,39 +1,41 @@
-"""The drain: one frontier-backed search run to completion in one walk.
+"""The drain: one search run to completion in one walk.
 
-A search's :meth:`step` pops one queued node in cyclic page order, prunes
-it or downloads and absorbs it.  :func:`drain` replays that whole step
-sequence in one loop, bit for bit, for NN (trivial policy; the point
-metric or, after Hybrid-NN's Case 3, the transitive one), kNN, range and
-window searches on an :class:`~repro.client.frontier.ArrivalFrontier` —
-to completion, or up to a limit on the next page's arrival, handing the
-unvisited entries back to the frontier.  Every search's
-``run_to_completion`` calls it where it applies
+A search's :meth:`step` pops one queued node in arrival order, prunes it
+or downloads and absorbs it.  :func:`drain` replays that whole step
+sequence in one loop, bit for bit, for every search on a layout with
+cyclic page order that has not stepped: NN in the point metric or, after
+Hybrid-NN's Case 3, the transitive one, under the exact policy or the ANN
+optimisation's pruning policy (paper Section 5), and kNN, range and
+window searches — to completion, or up to a limit on the next page's
+arrival, leaving the unvisited records on the search's stack.  Every
+search's ``run_to_completion`` calls it where it applies
 (:meth:`~repro.client.arrival_queue.ArrivalQueueMixin._drains`), and so
 do the bounded runs that drive Hybrid-NN's pair
 (:meth:`~repro.client.arrival_queue.ArrivalQueueMixin._run_until`, each
 member up to its sibling's next arrival).  Both run under
 :meth:`~repro.client.scheduler.SearchGroup.run`, which ``algorithm.run``
-and the shared-scan executor share; the explicit ``step()`` loop stays
-the reference.
+and the shared-scan executor share; the explicit ``step()`` loop, on
+the arrival heap, stays the reference.
 
 Index pages are numbered in DFS preorder
 (:meth:`~repro.rtree.tree.RTree.assign_page_ids`), so a downloaded node's
 children fill the pages right after it and no other queued entry lies
-among them: cyclic page order from the cursor is a stack order.  The walk
-keeps one stack, smallest page on top, and after a download at slot
-``x`` moves its cursor to slot ``x + 1``, which the channel's exact clock
+among them: cyclic page order from the cursor is a stack order.  A search
+keeps one stack, smallest page on top, seeded with the root, and after a
+download at slot ``x`` the walk moves its cursor to slot ``x + 1``,
+which the channel's exact clock
 (:class:`~repro.broadcast.channel.BroadcastChannel`) makes the step
 loop's cursor too.
 
 The stack holds flat node records, not the
 :class:`~repro.rtree.node.RTreeNode` objects the step loop reads: one
 plain tuple per index node, in a table indexed by page id, built the
-first time a search on the tree drains and cached on the tree
+first time a search on the tree is queued and cached on the tree
 (:func:`walk_table`).  A pop unpacks its record in one statement — MBR,
 page, children's records already reversed for the push, the children
-that back an NN guarantee, the leaf's point list, the subtree's point
-count — instead of loading dataclass attributes and calling
-``reversed()`` per expansion.
+that back an NN guarantee, the leaf's point list, the node, the
+subtree's point count — instead of loading dataclass attributes and
+calling ``reversed()`` per expansion.
 
 In the transitive metric (Hybrid-NN's Case 3 survivor) a pop settles on
 certified bounds, not on Lemma 1's ~25 side tests: a deflated weak bound
@@ -44,8 +46,8 @@ clamped into it, else its best corner) proves a keep.  Only the
 entries inside the 1e-9 margin band between them reach the scalar
 ``min_trans_dist``: 58 of 59,407 transitive pops in one 1,000-query
 ``tnn_batch`` call (seed 1).  A guarantee scan starts from the bound, so
-:func:`corner_minmax_trans` runs only for children whose weak bound is
-below it.
+Lemma 3 runs only for children whose weak bound is below it, and two
+opposite corners at or above the bound settle it without the other two.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from heapq import heappush, heapreplace
 from typing import List, Optional, Tuple
 
 from repro.broadcast.loss import FAULT_LOST
+from repro.client.policies import PruneContext
 from repro.geometry import min_max_trans_dist, min_trans_dist
 
 #: Search kinds :func:`drain` walks (each search class's ``_DRAIN_KIND``;
@@ -202,8 +205,9 @@ def corner_minmax_trans(start, mbr, end) -> float:
     scalar helper in :mod:`repro.geometry.transitive` recomputes each
     corner for both adjacent sides.  Evaluating the four corners once and
     replaying the same max/min order is bit-identical (identical hypot
-    calls, identical sums) at 8 hypots instead of 16.  Kept on the
-    frontier path so the scalar oracle stays the seed implementation.
+    calls, identical sums) at 8 hypots instead of 16.  Used by the
+    rescan of a search on the walk's stack, and inlined in the walk, so
+    the scalar oracle stays the seed implementation.
     """
     sx, sy = start
     ex, ey = end
@@ -220,7 +224,7 @@ def retry_chain(model, slot0: int, cycle: int, phase: float,
                 ev_arr: List[float]) -> Tuple[int, int]:
     """Replay one faulty index download's retry loop closed form.
 
-    Replicas of an index page on a cyclic frontier sit exactly one cycle
+    Replicas of an index page on a cyclic layout sit exactly one cycle
     apart, so attempt ``n`` of a chain whose first attempt falls on
     integer slot ``slot0`` arrives at ``float(slot0 + n * cycle) +
     phase``, as the scalar channel arithmetic computes it.  Each attempt
@@ -258,12 +262,13 @@ def walk_table(tree) -> list:
       node has empty ones);
     * ``points`` is the leaf's own point list, not a copy (``None`` for
       an internal node);
-    * ``node`` is the :class:`~repro.rtree.node.RTreeNode`, for the
-      frontier write-back and the void-witness rebuild;
+    * ``node`` is the :class:`~repro.rtree.node.RTreeNode`, for a
+      search's first step, which moves its stack onto the heap, and for
+      an ANN policy's node depth;
     * ``count`` is the subtree's point count, which decides whether the
-      node backs a kNN search's MAXDIST guarantee.
+      node backs an NN or a kNN search's guarantee.
 
-    Built the first time a search on the tree drains.  The records bind
+    Built the first time a search on the tree is queued.  The records bind
     the page numbering, so :meth:`~repro.rtree.tree.RTree.assign_page_ids`
     drops the table, and a pickled tree leaves it out.
     """
@@ -291,48 +296,48 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     """Run search ``s`` as one preorder stack walk, to completion or to
     ``limit``.
 
-    ``s`` is frontier-backed; an NN search
-    runs under a trivial policy, in either metric.  The walk runs on the
-    flat node records of the search's tree (:func:`walk_table`), not on
-    the node objects: it seeds its stack with the records of the
-    frontier's queued pages, which lie all at or past the cursor
-    ``ceil(now - phase) % cycle`` or all before it (the root of a fresh
-    search); a seed on both sides of the cursor raises ``RuntimeError``.
-    Each pop unpacks one record in one statement, and an expansion pushes
-    the record's ready-reversed children.  Before each pop a bounded
-    walk (finite ``limit``) computes
+    ``s`` holds the walk's stack
+    (:meth:`~repro.client.arrival_queue.ArrivalQueueMixin._drains`): flat
+    node records of its tree (:func:`walk_table`), smallest page on top,
+    seeded with the root's.
+    Its pages lie all at or past the cursor ``ceil(now - phase) % cycle``
+    or all before it (a fresh root); a stack on both sides of the cursor
+    raises ``RuntimeError``.  Each pop unpacks one record in one
+    statement, and an expansion pushes the record's ready-reversed
+    children.  Before each pop a bounded walk (finite ``limit``) computes
     the top entry's arrival and stops when it lies past ``limit`` (at
     ``limit`` too when ``strict``) — the step loop's stopping rule
     (``_run_until``), which reproduces :func:`~repro.client.run_all`'s
-    two-member tie rule.  A stopped walk writes its unvisited entries'
-    nodes back to the frontier in ascending page order, so ``step()``,
-    ``next_event_time()``, a rescan or a later walk resume from the
-    state the step loop would have left.  A pop prunes against the
-    search's own bound — the NN upper bound, the kNN prune bound or the
-    range radius (a window search filters its children at push time
-    instead) — on the exact MINDIST, or in transitive mode on
-    ``_decide_keep``'s cascade: :func:`weak_trans_lower` (inlined; a
-    per-axis term sum already past the bound prunes before the hypots)
-    proves a prune, :func:`certified_keep`'s two tiers prove a keep,
-    and the scalar ``min_trans_dist`` decides the entries neither
-    settles.  A download
-    books at the cursor's closed-form arrival and moves the cursor to
-    the next slot (the channel's clock is exact); on a faulty tuner that
-    first attempt is classified inline, and only a failed one replays
-    its retry chain from the next replica (:func:`retry_chain`; a retry
-    moves the clock by whole cycles, so the cursor stays put in the
+    two-member tie rule.  A stopped walk leaves its unvisited records on
+    the stack, so ``step()``, ``next_event_time()``, a rescan or a later
+    walk resume from the state the step loop would have left.  A pop
+    prunes against the search's own bound — the NN upper bound, the kNN
+    prune bound or the range radius (a window search filters its children
+    at push time instead) — on the exact MINDIST, or in transitive mode on
+    a certified cascade: :func:`weak_trans_lower` (inlined; a per-axis
+    term sum already past the bound prunes before the hypots) proves a
+    prune, :func:`certified_keep`'s two tiers prove a keep, and the scalar
+    ``min_trans_dist`` decides the entries neither settles.  An NN search
+    under a pruning policy (the ANN optimisation of Section 5) then asks
+    ``policy.should_prune`` about each kept entry, with the
+    :class:`~repro.client.policies.PruneContext` its step would build.  A
+    download books at the cursor's closed-form arrival and moves the
+    cursor to the next slot (the channel's clock is exact); on a faulty
+    tuner that first attempt is classified inline, and only a failed one
+    replays its retry chain from the next replica (:func:`retry_chain`; a
+    retry moves the clock by whole cycles, so the cursor stays put in the
     cycle).  Every attempt books in one ``record_index_run`` call.  Each
     node is absorbed before the next pop:
 
     * NN: a leaf runs the strict-``<`` offer loop on ``dis(q, p)``, or on
       ``dis(start, p) + dis(p, end)`` in transitive mode; an internal
       node takes the first strictly best guarantee (MINMAXDIST, or
-      :func:`corner_minmax_trans` behind the inlined weak bound) over its
-      children holding points, scanning from the bound unless the node
-      witnesses it, and hands the witness on like ``_absorb_internal``,
-      rebuilding the bound from the queue in ascending page order when a
-      void witness is downloaded;
-    * kNN: a leaf runs the scalar offer loop (``_offer_known``), which
+      :func:`corner_minmax_trans` behind the inlined weak bound and the
+      two opposite corners' test) over its children holding points,
+      scanning from the bound unless the node witnesses it, and hands the
+      witness on like ``_absorb_internal``, rebuilding the bound from the
+      stack in ascending page order when a void witness is downloaded;
+    * kNN: a leaf runs the scalar offer loop (``_offer``), which
       admits on the k-th best alone; only the order of the sequence
       numbers breaks ties, so a rejected offer takes none.  An internal
       node lowers the MAXDIST guarantee to the smallest ``Rect.maxdist``
@@ -343,9 +348,9 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
       in the closed circle (``dis(center, p) <= radius``) or the closed
       rectangle, as the search's own ``_absorb_leaf`` does.
     """
-    f = s._frontier
-    cycle = f._cycle
-    fphase = f._phase
+    stack = s._stack
+    cycle = s._cycle
+    phase = s._phase
     hyp = math.hypot
     deflate = _CERT_DEFLATE
     # math.dist takes the hypot of the per-axis differences: the same
@@ -356,6 +361,8 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     nn = kind is NN and not trans
     knn = kind is KNN
     window = kind is WINDOW
+    # ANN pruning (a non-trivial NN policy): asked after the exact keep.
+    ann = (nn or trans) and not s._policy_trivial
     if nn or trans:
         bound = s.upper_bound
         best_d = s.best_dist
@@ -369,6 +376,11 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
             end = s.end
             sx, sy = start
             ex, ey = end
+        if ann:
+            should_prune = s.policy.should_prune
+            depth_of = s.tree.depth_of
+            height = s.tree.height
+            ctx_query, ctx_start, ctx_end = s.query, s.start, s.end
     elif knn:
         query = s.query
         qx, qy = query
@@ -397,28 +409,20 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     oks: Optional[List[bool]] = None if loss is None else []
     lost = corrupt = 0
     bounded = limit < math.inf
-    base = math.ceil(tuner.now - fphase)
-    pages = f._order_pages
-    if pages and pages[0] < base % cycle <= pages[-1]:
+    base = math.ceil(tuner.now - phase)
+    if stack and stack[-1][1] < base % cycle <= stack[0][1]:
         raise RuntimeError(
-            f"queued pages {pages[0]}..{pages[-1]} straddle the cursor "
-            f"{base % cycle}"
+            f"queued pages {stack[-1][1]}..{stack[0][1]} straddle the "
+            f"cursor {base % cycle}"
         )
-    table = walk_table(s.tree)
-    stack = [table[p] for p in reversed(pages)]
-    del pages[:]
-    del f._order_slots[:]
-    peak = f.max_size
+    peak = s._max_queue
     while stack:
         if bounded:
             page = stack[-1][1]
-            arrival = base + (page - base) % cycle + fphase
+            arrival = base + (page - base) % cycle + phase
             if arrival > limit or (strict and arrival == limit):
-                # Stop before the pop: the unvisited entries go back to
-                # the emptied frontier, ascending.
-                f.push_many([rec[5] for rec in reversed(stack)])
-                break
-        mbr, page, kids, backed, points, _, _ = stack.pop()
+                break  # stop before the pop: the stack stays as it is
+        mbr, page, kids, backed, points, node, count = stack.pop()
         if trans:
             # _decide_keep's cascade: the weak bound proves a prune, the
             # certified keep a keep, and Lemma 1 decides the rest.
@@ -452,8 +456,12 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                 qy - ymax if qy > ymax else 0.0)
             if dy > bound or hyp(dx, dy) > bound:
                 continue
+        if ann and should_prune(PruneContext(
+                mbr, depth_of(node), height, bound, ctx_query, ctx_start,
+                ctx_end, witness == page, count)):
+            continue  # ANN pruning: unlikely to improve the answer
         slot = base + (page - base) % cycle
-        arrival = slot + fphase
+        arrival = slot + phase
         pages_dl.append(page)
         arrs.append(arrival)
         if loss is not None:
@@ -466,7 +474,7 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                 else:
                     corrupt += 1
                 nl, nc = retry_chain(
-                    loss, slot + cycle, cycle, fphase, arrs
+                    loss, slot + cycle, cycle, phase, arrs
                 )
                 pages_dl.extend([page] * (nl + nc + 1))
                 oks.extend([False] * (nl + nc + 1))
@@ -516,8 +524,7 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                         # A weak bound (inlined, with the pop's per-axis
                         # exits) that meets the best proves the guarantee
                         # cannot beat it.
-                        cmbr = child[0]
-                        xmin, ymin, xmax, ymax = cmbr
+                        xmin, ymin, xmax, ymax = child[0]
                         dx = xmin - sx if xmin > sx else (
                             sx - xmax if sx > xmax else 0.0)
                         fx = xmin - ex if xmin > ex else (
@@ -532,7 +539,22 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                                 (hyp(dx, dy) + hyp(fx, fy)) * deflate
                                 >= best_g):
                             continue
-                        z = corner_minmax_trans(start, cmbr, end)
+                        # corner_minmax_trans, inlined: every side holds
+                        # one of the opposite corners t0 and t2, so both
+                        # sums at or above the best put every side's max
+                        # there too, without the other two corners.
+                        t0 = hyp(sx - xmin, sy - ymin) + hyp(xmin - ex,
+                                                             ymin - ey)
+                        t2 = hyp(sx - xmax, sy - ymax) + hyp(xmax - ex,
+                                                             ymax - ey)
+                        if t0 >= best_g and t2 >= best_g:
+                            continue
+                        t1 = hyp(sx - xmax, sy - ymin) + hyp(xmax - ex,
+                                                             ymin - ey)
+                        t3 = hyp(sx - xmin, sy - ymax) + hyp(xmin - ex,
+                                                             ymax - ey)
+                        z = min(max(t0, t1), max(t1, t2), max(t2, t3),
+                                max(t3, t0))
                         if z < best_g:
                             best_g = z
                             best_child = child
@@ -540,18 +562,17 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                     if witness == page:
                         # The downloaded node witnessed the bound, but no
                         # child backs a guarantee: rebuild the bound from
-                        # the best point and the queue (ascending pages),
+                        # the best point and the stack (ascending pages),
                         # like _rescan_queue_bounds.
                         bound = best_d
                         witness = None
                         for rec in reversed(stack):
-                            n = rec[5]
-                            if n.point_count > 0:
-                                z = (n.mbr.minmaxdist(query) if nn else
-                                     min_max_trans_dist(start, n.mbr, end))
+                            if rec[6] > 0:
+                                z = (rec[0].minmaxdist(query) if nn else
+                                     min_max_trans_dist(start, rec[0], end))
                                 if z < bound:
                                     bound = z
-                                    witness = n.page_id
+                                    witness = rec[1]
                 elif best_g < bound:
                     bound = best_g
                     witness = best_child[1]
@@ -631,5 +652,4 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
         s._witness_page = witness
     elif knn:
         s._guarantee = guar
-    f.max_size = peak
-    f._version += 1  # the frontier changed: drop its cached peek
+    s._max_queue = peak

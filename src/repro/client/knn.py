@@ -25,16 +25,13 @@ Two distances govern the search:
   the k-th best: a prune bound below it would drop a point tied at the
   answer's k-th distance.
 
-Queue plumbing comes from the shared arrival frontier; on the kernel
-path, leaf absorption evaluates every leaf point in one
-:func:`kernels.point_dists` call and pre-filters the candidate heap
-offers with ``np.partition``.  The scalar per-point loop stays as the
-bit-identical oracle (``kernels.use_kernels(False)``).  A frontier-backed
-kNN search, on a lossless or a faulty tuner, runs to completion as one
-preorder stack walk that absorbs each leaf inline with that scalar loop
-(:func:`repro.client.drain.drain`) in :meth:`run_to_completion`, which
-the shared-scan executor runs too; the walk keeps the guarantee on the
-search, so a stepped search and a walk agree bit for bit.
+Queue plumbing comes from :class:`ArrivalQueueMixin`.  On a layout with
+cyclic page order the search runs to completion, on a lossless or a
+faulty tuner, as one preorder stack walk that absorbs each leaf inline
+with the scalar offer loop (:func:`repro.client.drain.drain`) in
+:meth:`run_to_completion`, which the shared-scan executor runs too; the
+walk keeps the guarantee on the search, so a stepped search and a walk
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -44,12 +41,10 @@ import itertools
 import math
 from typing import List, Tuple
 
-import numpy as np
-
 from repro.broadcast.tuner import ChannelTuner
 from repro.client.arrival_queue import ArrivalQueueMixin
 from repro.client.drain import KNN
-from repro.geometry import Point, distance, kernels
+from repro.geometry import Point, distance
 from repro.rtree.node import RTreeNode
 from repro.rtree.tree import RTree
 
@@ -79,9 +74,8 @@ class BroadcastKNNSearch(ArrivalQueueMixin):
         #: The MAXDIST guarantee: ``k`` points lie within this distance
         #: (inf until a downloaded node has a child holding ``k`` points).
         self._guarantee = math.inf
-        self._init_queue()
         tuner.advance_to(start_time)
-        self._push(tree.root)
+        self._init_queue(tree.root)
 
     # ------------------------------------------------------------------
     @property
@@ -101,10 +95,8 @@ class BroadcastKNNSearch(ArrivalQueueMixin):
         return min(self.bound, self._guarantee)
 
     def _offer(self, pt: Point) -> None:
-        self._offer_known(pt, distance(self.query, pt))
-
-    def _offer_known(self, pt: Point, d: float) -> None:
-        """Offer a candidate whose distance is already evaluated."""
+        """Offer a candidate point; it enters on the k-th best alone."""
+        d = distance(self.query, pt)
         entry = (-d, next(self._offer_seq), pt)
         if len(self._best) < self.k:
             heapq.heappush(self._best, entry)
@@ -123,13 +115,8 @@ class BroadcastKNNSearch(ArrivalQueueMixin):
             self._push_children(node)
 
     def _push_children(self, node: RTreeNode) -> None:
-        """Queue a whole fan-out (kNN pushes without pre-computed bounds)
-        and lower the guarantee to the smallest MAXDIST among the
-        children holding ``k`` points.
-
-        The frontier backend takes the whole sibling run in one sorted
-        splice; the oracle heap keeps its per-entry pushes.
-        """
+        """Queue a whole fan-out and lower the guarantee to the smallest
+        MAXDIST among the children holding ``k`` points."""
         g = self._guarantee
         for child in node.children:
             if child.point_count >= self.k:
@@ -137,41 +124,12 @@ class BroadcastKNNSearch(ArrivalQueueMixin):
                 if z < g:
                     g = z
         self._guarantee = g
-        if self._frontier is not None:
-            self._frontier.push_many(node.children, src=node)
-        else:
-            for child in node.children:
-                self._push(child)
+        for child in node.children:
+            self._push(child)
 
     def _absorb_leaf(self, node: RTreeNode) -> None:
-        if not (
-            kernels.enabled() and node.fanout >= kernels.min_batch_leaf()
-        ):
-            for pt in node.points:
-                self._offer(pt)
-            return
-        # One kernel call covers the whole leaf; each element is
-        # bit-identical to math.hypot, so replaying the offer loop on the
-        # precomputed distances reproduces the scalar heap exactly.
-        d = kernels.point_dists(self.query, node.points_array())
-        if len(self._best) < self.k:
-            for i, pt in enumerate(node.points):
-                self._offer_known(pt, float(d[i]))
-            return
-        idx = np.flatnonzero(d < self.bound)
-        if idx.size == 0:
-            return
-        if idx.size > self.k:
-            # Only candidates at or below the k-th smallest candidate
-            # distance can survive; points beyond it either never enter
-            # the heap or are evicted before the leaf is fully absorbed,
-            # and dropping them does not disturb which (or in what
-            # relative offer order) the survivors are offered.  Ties at
-            # the cut are kept, so this is a superset of any k-smallest.
-            v = np.partition(d[idx], self.k - 1)[self.k - 1]
-            idx = idx[d[idx] <= v]
-        for i in idx.tolist():
-            self._offer_known(node.points[i], float(d[i]))
+        for pt in node.points:
+            self._offer(pt)
 
     def run_to_completion(self) -> List[Tuple[Point, float]]:
         self._run_until()
@@ -181,9 +139,7 @@ class BroadcastKNNSearch(ArrivalQueueMixin):
         """The (up to) k nearest points, ascending by (distance, offer order).
 
         The offer-order tiebreak makes the listing independent of the
-        binary heap's internal layout, which the kernel path's candidate
-        pre-filter is allowed to perturb (it skips offers that provably
-        cannot survive, without renumbering the survivors).
+        binary heap's internal layout.
         """
         ordered = sorted(self._best, key=lambda e: (-e[0], e[1]))
         return [(pt, -negd) for negd, _, pt in ordered]

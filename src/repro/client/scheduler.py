@@ -171,9 +171,9 @@ def _run_pair(a, b, on_finish) -> None:
     per turn instead of one step per event: ``a`` is due while its next
     arrival ``ta <= tb`` and runs until its next page arrives after
     ``tb``; ``b`` runs while its next arrival is strictly before ``ta``.
-    Before the first finish the members share no state, so a
-    frontier-backed member under a trivial policy drains each run in one
-    walk (:meth:`~repro.client.arrival_queue.ArrivalQueueMixin._run_until`).
+    Before the first finish the members share no state, so a member that
+    has not stepped drains each run in one walk
+    (:meth:`~repro.client.arrival_queue.ArrivalQueueMixin._run_until`).
     ``on_finish`` fires after the run that finishes a member and may
     re-steer the other, which then runs unbounded: it drains after a
     retarget and after a switch to the transitive metric alike.
@@ -208,9 +208,9 @@ class SearchGroup:
       re-steering), so only the member :func:`run_all` would step next
       may run, and only while its next event stays before the sibling's
       (at or before it for the first member): :meth:`run` runs it that
-      far in one bounded run (a drain walk on a frontier).  A sibling must
-      never advance past the finisher's completion event, or it would
-      process a page under the wrong metric.
+      far in one bounded run (a drain walk on the walk's stack).  A
+      sibling must never advance past the finisher's completion event, or
+      it would process a page under the wrong metric.
     * ``paired=False`` — the members are mutually independent (no callback
       observes another member: Double-NN's estimate phase, the filter
       phase's two range queries, any single-search query).  A driver may
@@ -255,7 +255,7 @@ class SearchGroup:
         """Run every member to completion under the group's contract.
 
         An unpaired group runs each pending member alone through its
-        ``run_to_completion`` (the drain walk on a frontier) and fires
+        ``run_to_completion`` (the drain walk on the walk's stack) and fires
         ``on_finish`` right after it.  A paired group runs in
         :func:`_run_pair`'s alternating bounded runs, because a member's
         finish re-steers its sibling.

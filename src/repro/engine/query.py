@@ -173,7 +173,7 @@ class QueryEngine:
         Every request gets its own tuner (its ``phase`` models when its
         client tuned in), and the shared-scan executor runs each request's
         search alone through ``SearchGroup.run``: one drain walk on a
-        frontier, steps on the heap.  Answers come back in request order,
+        layout with cyclic page order, steps on the heap otherwise.  Answers come back in request order,
         bit-identical to the corresponding single-query methods.
 
         ``record_log=False`` skips every tuner's per-reception event log

@@ -7,7 +7,7 @@ stages (:class:`~repro.client.scheduler.SearchGroup`) and runs each one
 through :meth:`SearchGroup.run <repro.client.scheduler.SearchGroup.run>`,
 the code ``algorithm.run`` runs per query: its searches drain as a
 preorder stack walk (:func:`repro.client.drain.drain`) wherever they can,
-and step on the heap otherwise (heap backends, pruning policies).  A
+and step on the heap otherwise (layouts without cyclic page order).  A
 query's next stage is taken as soon as the previous one completes.
 
 Nothing is batched across queries: the per-query walk is cheap enough

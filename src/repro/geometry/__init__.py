@@ -13,9 +13,9 @@ distance metric the paper relies on:
 * circle/ellipse–rectangle overlap ratios — Heuristics 1 and 2 used by the
   ANN pruning optimisation (Section 5 of the paper).
 
-The scalar metrics are the correctness oracle; :mod:`repro.geometry.kernels`
-provides bit-identical vectorised versions that evaluate whole MBR/point
-batches per call and drive the hot paths.
+The scalar metrics run every search and are the correctness oracle;
+:mod:`repro.geometry.kernels` provides bit-identical vectorised versions
+that evaluate whole MBR/point batches per call.
 """
 
 from repro.geometry import kernels

@@ -1,10 +1,9 @@
-"""Vectorised structure-of-arrays geometry kernels for the TNN hot path.
+"""Vectorised structure-of-arrays geometry kernels.
 
 The scalar metrics in :mod:`repro.geometry.rect` and
 :mod:`repro.geometry.transitive` evaluate one MBR at a time, allocating
-``Segment``/``Point`` tuples and running four side tests per call.  After
-the arrival-arithmetic caching of the engine PR they dominate Hybrid-NN and
-TNN wall-clock.  This module re-expresses every bound as masked numpy array
+``Segment``/``Point`` tuples and running four side tests per call.  This
+module re-expresses every bound as masked numpy array
 operations over a whole node fan-out at once: one query against an
 ``(n, 4)`` array of MBRs (columns ``xmin, ymin, xmax, ymax``, the field
 order of :class:`~repro.geometry.rect.Rect`) or an ``(n, 2)`` array of leaf
@@ -13,8 +12,8 @@ and funnelled through a *single* exact-hypot evaluation per kernel, because
 numpy's fixed per-ufunc dispatch cost — not arithmetic — is what dominates
 at R-tree fan-outs.
 
-Results are **bit-identical** to the scalar implementations, which stay in
-place as the correctness oracle (the property tests compare the two paths
+Results are **bit-identical** to the scalar implementations, which are
+the correctness oracle (the property tests compare the two paths
 exactly).  Two ingredients make exactness possible:
 
 * every intermediate follows the scalar code's operation order, and IEEE-754
@@ -57,27 +56,21 @@ Lemma map (paper Definitions/Lemmas 1-3; see ``transitive.py``):
   arrival tick, one kernel dispatch serves every query.  Every lane
   replays the exact scalar operation order, so the batch results are
   bit-identical to the per-query kernels (and hence to the scalar
-  oracle).  No package code calls this family or the ``*_raw`` estimates
-  since the shared-scan executor runs every search per query; they stay,
-  with their bit-identity tests, because ``perfbench/spans.py`` wraps
-  every kernel by name.
+  oracle).
 
-Because answers are path-independent, dispatch is free to be adaptive: the
-fixed kernel overhead only amortises over enough lanes, so callers consult
-:func:`min_batch` / :func:`min_batch_leaf` / :func:`min_batch_point`
-(8, 32 and 128 lanes respectively) and keep tiny
-fan-outs — e.g. the 64-byte-page trees with M = 3 — on the scalar fallback.
-The module-level switch (:func:`enabled` / :func:`use_kernels` /
-``REPRO_NO_KERNELS=1``) disables the kernel paths entirely, which is the
-A/B baseline of ``benchmarks/bench_tnn_geometry.py``.
+Apart from :func:`hypot`, which the transitive join
+(:mod:`repro.core.join`) runs, no package code calls a kernel: every
+search runs on the scalar metrics, in the drain walk or on the arrival
+heap, and the in-memory oracles of :mod:`repro.rtree.traversal` are
+scalar too.  The kernels stay, with their bit-identity tests against the
+scalar metrics, because ``perfbench/spans.py`` wraps every kernel by
+name.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -85,11 +78,6 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
 __all__ = [
-    "enabled",
-    "use_kernels",
-    "min_batch",
-    "min_batch_leaf",
-    "min_batch_point",
     "as_mbr_array",
     "as_point_array",
     "hypot",
@@ -113,54 +101,6 @@ __all__ = [
     "point_dists_raw",
     "trans_dists_raw",
 ]
-
-#: Global switch: ``REPRO_NO_KERNELS=1`` forces the scalar fallback path
-#: everywhere (traversal, client search), which is the A/B baseline.
-_ENABLED = os.environ.get("REPRO_NO_KERNELS", "") not in ("1", "true", "yes")
-
-#: Smallest batch worth a kernel call, per metric family.  Below these the
-#: fixed ufunc-dispatch cost of a fused kernel exceeds the scalar loop;
-#: results are identical either way, so the thresholds are purely
-#: performance dials.  The transitive bounds amortise ~25 scalar-side
-#: tests per MBR and pay off around a dozen lanes; the leaf transitive
-#: distance needs a few dozen; the single-hypot point metrics compete with
-#: one C-level ``math.hypot`` per element and only win on large batches.
-_MIN_BATCH = 8
-_MIN_BATCH_LEAF = 32
-_MIN_BATCH_POINT = 128
-
-
-def enabled() -> bool:
-    """True when the vectorised kernels drive the hot paths."""
-    return _ENABLED
-
-
-def min_batch() -> int:
-    """Fan-out threshold for the transitive bound kernels (and masks)."""
-    return _MIN_BATCH
-
-
-def min_batch_leaf() -> int:
-    """Batch threshold for the leaf transitive-distance kernel."""
-    return _MIN_BATCH_LEAF
-
-
-def min_batch_point() -> int:
-    """Batch threshold for the single-hypot point-metric kernels."""
-    return _MIN_BATCH_POINT
-
-
-@contextmanager
-def use_kernels(flag: bool) -> Iterator[None]:
-    """Temporarily force the kernel path on (``True``) or off (``False``)."""
-    global _ENABLED
-    prev = _ENABLED
-    _ENABLED = bool(flag)
-    try:
-        yield
-    finally:
-        _ENABLED = prev
-
 
 # ----------------------------------------------------------------------
 # Array packing helpers

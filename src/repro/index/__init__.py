@@ -2,8 +2,8 @@
 
 The geometry kernels (:mod:`repro.geometry.kernels`) consume one *packed*
 representation of an index node's fan-out — contiguous child-MBR /
-subtree-count / page-id arrays for internal nodes, a contiguous point
-array for leaves — regardless of which spatial partitioning produced the
+subtree-count arrays for internal nodes, a contiguous point array for
+leaves — regardless of which spatial partitioning produced the
 node.  This package owns that representation (:mod:`repro.index.packed`)
 and the non-R-tree air-index builders that emit it:
 
@@ -13,8 +13,8 @@ and the non-R-tree air-index builders that emit it:
   four-way subdivision, padded to a balanced page tree).
 
 Both builders return plain :class:`~repro.rtree.tree.RTree` containers, so
-the entire client stack — arrival frontiers, the shared-scan executor, the
-geometry kernels — works on them unchanged; only the broadcast layout
+the entire client stack — the drain walk, the arrival heap, the
+shared-scan executor — works on them unchanged; only the broadcast layout
 (:mod:`repro.broadcast.layout`) knows which backend built the index.
 
 Submodule imports are deliberately explicit (``from repro.index.grid
@@ -27,12 +27,10 @@ from repro.index.packed import (
     pack_child_counts,
     pack_child_mbrs,
     pack_points,
-    prepare_packed_arrays,
 )
 
 __all__ = [
     "pack_child_mbrs",
     "pack_child_counts",
     "pack_points",
-    "prepare_packed_arrays",
 ]

@@ -4,8 +4,8 @@ The classic alternative to a broadcast R-tree (Zheng et al.'s grid-based
 air indexes): the region is cut into a ``G x G`` grid of equal cells, every
 data point is bucketed into its cell, and the broadcast index enumerates
 the cells in row-major order.  Here the grid is materialised as a balanced
-page tree so the entire client stack (arrival frontiers, shared-scan
-executor, geometry kernels) works unchanged:
+page tree so the entire client stack (the drain walk, the arrival heap,
+the shared-scan executor) works unchanged:
 
 * each non-empty cell's points become one run of leaf pages (at most
   ``leaf_capacity`` points each, tight MBRs);
@@ -27,7 +27,6 @@ import math
 from typing import List, Optional, Sequence
 
 from repro.geometry import Point, Rect
-from repro.index.packed import prepare_packed_arrays
 from repro.rtree.node import RTreeNode
 from repro.rtree.packing import _chunks, _linear_group_nodes, _pack_upward, _validate
 from repro.rtree.tree import RTree
@@ -73,6 +72,6 @@ def grid_pack(
             RTreeNode.leaf(run) for run in _chunks(bucket, leaf_capacity)
         )
     root = _pack_upward(leaves, fanout, _linear_group_nodes)
-    return prepare_packed_arrays(
-        RTree(root=root, leaf_capacity=leaf_capacity, fanout=fanout, size=len(points))
+    return RTree(
+        root=root, leaf_capacity=leaf_capacity, fanout=fanout, size=len(points)
     )

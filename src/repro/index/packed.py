@@ -1,20 +1,18 @@
 """The packed-index representation shared by every air-index backend.
 
-One index node corresponds to one broadcast page; the vectorised geometry
-kernels never look at the node objects themselves but at contiguous
-per-fan-out arrays:
+One index node corresponds to one broadcast page.  The array views of a
+node's fan-out are built on demand by the node accessors:
 
 * ``(n, 4)`` float64 child MBRs and ``(n,)`` int64 subtree point counts
-  for internal pages (Lemma 1–3 bounds, MinMaxDist guarantees);
-* ``(n, 2)`` float64 points for leaf pages (distance rows, window masks).
+  for internal pages;
+* ``(n, 2)`` float64 points for leaf pages.
 
-These constructors used to live inline in :mod:`repro.rtree.node` and the
-R-tree packers' finalisation epilogue, which silently tied the kernel
-lanes to one index family.  They are layout-agnostic — any backend whose
-pages expose ``children`` / ``points`` sequences (R-tree, fixed grid,
-quadtree) emits the identical representation by calling the same
-functions, so the kernels, the arrival frontier and the shared-scan
-executor work unchanged on every backend.
+These constructors are layout-agnostic — any backend whose pages expose
+``children`` / ``points`` sequences (R-tree, fixed grid, quadtree) emits
+the identical representation by calling the same functions, which is
+what the array kernels of :mod:`repro.geometry.kernels` read.  No search
+reads them: the client walks flat node records
+(:func:`repro.client.drain.walk_table`) and steps on the scalar metrics.
 """
 
 from __future__ import annotations
@@ -42,28 +40,3 @@ def pack_points(points: Sequence) -> np.ndarray:
     """Contiguous ``(n, 2)`` float64 array of a leaf page's points."""
     return np.array(points, dtype=np.float64).reshape(-1, 2)
 
-
-def prepare_packed_arrays(tree) -> "object":
-    """Pack-time epilogue: eagerly build a tree's array-backed views.
-
-    The contiguous child-MBR / leaf-point arrays feed the vectorised
-    geometry kernels; building them here (once per index, whichever
-    backend built it) keeps the first query of every workload off the cold
-    path.  Index families whose fan-outs can never reach the kernel
-    dispatch thresholds (e.g. the 64-byte-page geometry with M = 3) skip
-    the eager pass — the node accessors stay lazy, so nothing breaks if a
-    threshold is lowered at runtime.
-
-    Returns ``tree`` so builders can tail-call it.
-    """
-    from repro.geometry import kernels
-
-    if kernels.enabled():
-        # min_batch() is the weakest dispatch gate per level (transitive
-        # bounds for internals, window masks for leaves); levels that can
-        # never reach it would build arrays no kernel ever reads.
-        internal = tree.fanout >= kernels.min_batch()
-        leaves = tree.leaf_capacity >= kernels.min_batch()
-        if internal or leaves:
-            tree.prepare_arrays(internal=internal, leaves=leaves)
-    return tree

@@ -3,8 +3,8 @@
 The second classic air-index alternative: recursively split the region
 into four equal quadrants until a cell's points fit one leaf page.  A raw
 region quadtree is unbalanced (dense areas subdivide deeper), but the
-whole client stack — the paper's DFS broadcast order, the arrival-frontier
-queue bound, the kernels' packed fan-outs — assumes every leaf sits at
+whole client stack — the paper's DFS broadcast order, the delayed-pruning
+queue bound, the packed fan-outs — assumes every leaf sits at
 level 0.  The builder therefore *pads* shallow branches with single-child
 directory pages until all branches reach the deepest quadrant's height.
 Padding pages are real broadcast pages (they cost index slots and
@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.geometry import Point, Rect
-from repro.index.packed import prepare_packed_arrays
 from repro.rtree.node import RTreeNode
 from repro.rtree.packing import _chunks, _linear_group_nodes, _pack_upward, _validate
 from repro.rtree.tree import RTree
@@ -50,8 +49,8 @@ def quadtree_pack(
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     region = Rect.from_points(points)
     root = _build(list(points), region, leaf_capacity, fanout, max_depth)
-    return prepare_packed_arrays(
-        RTree(root=root, leaf_capacity=leaf_capacity, fanout=fanout, size=len(points))
+    return RTree(
+        root=root, leaf_capacity=leaf_capacity, fanout=fanout, size=len(points)
     )
 
 

@@ -6,12 +6,12 @@ leaf page carries the point coordinates plus the arrival-time pointer of the
 associated data object, so the client can evaluate distances without
 touching the data segment.
 
-Every node additionally caches an array-backed view of its fan-out for the
-vectorised geometry kernels (:mod:`repro.geometry.kernels`): internal nodes
-a contiguous ``(n, 4)`` float64 array of their children's MBRs (plus the
-children's subtree point counts), leaves an ``(n, 2)`` array of their
-points.  The arrays are built once — eagerly at pack time, lazily for
-hand-assembled nodes — and shared by every query that expands the node.
+Every node can also build an array-backed view of its fan-out, the input
+of the vectorised geometry kernels (:mod:`repro.geometry.kernels`):
+internal nodes a contiguous ``(n, 4)`` float64 array of their children's
+MBRs (plus the children's subtree point counts), leaves an ``(n, 2)``
+array of their points.  The arrays are built on first use and cached;
+no search reads them.
 """
 
 from __future__ import annotations
@@ -54,13 +54,6 @@ class RTreeNode:
     )
     #: Cached per-child subtree point counts, aligned with ``_child_mbrs``.
     _child_counts: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False
-    )
-    #: Cached children's page ids as a plain list (the sorted-list
-    #: frontier's splice).  Built lazily after the broadcast layout assigns
-    #: page ids; invalidated by :meth:`~repro.rtree.tree.RTree
-    #: .assign_page_ids`.
-    _child_page_list: Optional[list] = field(
         default=None, repr=False, compare=False
     )
     #: Cached ``(n, 2)`` float64 array of the leaf's points.
@@ -123,14 +116,6 @@ class RTreeNode:
             self._child_counts = arr
         return arr
 
-    def child_page_list(self) -> list:
-        """The children's page ids as a cached plain list (ascending)."""
-        lst = self._child_page_list
-        if lst is None:
-            lst = [c.page_id for c in self.children]
-            self._child_page_list = lst
-        return lst
-
     def points_array(self) -> np.ndarray:
         """Contiguous ``(n, 2)`` float64 array of this leaf's points."""
         arr = self._points_arr
@@ -138,22 +123,6 @@ class RTreeNode:
             arr = pack_points(self.points)
             self._points_arr = arr
         return arr
-
-    def prepare_arrays(self, internal: bool = True, leaves: bool = True) -> None:
-        """Materialise the fan-out arrays for this whole subtree.
-
-        Called once at pack time so the first query of every workload hits
-        warm arrays instead of paying the packing cost itself.  The flags
-        let the packer skip levels whose fan-outs can never reach the
-        kernel dispatch thresholds.
-        """
-        for node in self.iter_preorder():
-            if node.is_leaf:
-                if leaves:
-                    node.points_array()
-            elif internal:
-                node.child_mbr_array()
-                node.child_count_array()
 
     def iter_preorder(self) -> Iterator["RTreeNode"]:
         """Depth-first preorder traversal — the broadcast layout order."""

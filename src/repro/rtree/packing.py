@@ -20,7 +20,6 @@ import math
 from typing import Callable, Sequence
 
 from repro.geometry import Point, Rect
-from repro.index.packed import prepare_packed_arrays
 from repro.rtree.hilbert import hilbert_key_for
 from repro.rtree.node import RTreeNode
 from repro.rtree.tree import RTree
@@ -32,16 +31,6 @@ _HILBERT_ORDER = 16
 def _chunks(seq: Sequence, size: int) -> list[list]:
     """Split ``seq`` into consecutive runs of at most ``size`` items."""
     return [list(seq[i : i + size]) for i in range(0, len(seq), size)]
-
-
-def _finalize(tree: RTree) -> RTree:
-    """Pack-time epilogue: build every node's array-backed fan-out view.
-
-    Delegates to the layout-agnostic packed-index finalisation
-    (:func:`repro.index.packed.prepare_packed_arrays`) shared with the
-    grid and quadtree air-index builders.
-    """
-    return prepare_packed_arrays(tree)
 
 
 def _pack_upward(nodes: list[RTreeNode], fanout: int, group: Callable) -> RTreeNode:
@@ -86,7 +75,7 @@ def str_pack(points: Sequence[Point], leaf_capacity: int, fanout: int) -> RTree:
         by_y = sorted(slab, key=lambda p: (p.y, p.x))
         leaves.extend(RTreeNode.leaf(run) for run in _chunks(by_y, leaf_capacity))
     root = _pack_upward(leaves, fanout, _str_group_nodes)
-    return _finalize(RTree(root=root, leaf_capacity=leaf_capacity, fanout=fanout, size=n))
+    return RTree(root=root, leaf_capacity=leaf_capacity, fanout=fanout, size=n)
 
 
 def _linear_group_nodes(nodes: list[RTreeNode], fanout: int) -> list[list[RTreeNode]]:
@@ -109,7 +98,7 @@ def hilbert_pack(points: Sequence[Point], leaf_capacity: int, fanout: int) -> RT
     ordered = sorted(points, key=key)
     leaves = [RTreeNode.leaf(run) for run in _chunks(ordered, leaf_capacity)]
     root = _pack_upward(leaves, fanout, _linear_group_nodes)
-    return _finalize(RTree(root=root, leaf_capacity=leaf_capacity, fanout=fanout, size=len(points)))
+    return RTree(root=root, leaf_capacity=leaf_capacity, fanout=fanout, size=len(points))
 
 
 def nearest_x_pack(points: Sequence[Point], leaf_capacity: int, fanout: int) -> RTree:
@@ -118,7 +107,7 @@ def nearest_x_pack(points: Sequence[Point], leaf_capacity: int, fanout: int) -> 
     ordered = sorted(points, key=lambda p: (p.x, p.y))
     leaves = [RTreeNode.leaf(run) for run in _chunks(ordered, leaf_capacity)]
     root = _pack_upward(leaves, fanout, _linear_group_nodes)
-    return _finalize(RTree(root=root, leaf_capacity=leaf_capacity, fanout=fanout, size=len(points)))
+    return RTree(root=root, leaf_capacity=leaf_capacity, fanout=fanout, size=len(points))
 
 
 _PACKERS: dict[str, Callable[[Sequence[Point], int, int], RTree]] = {

@@ -8,14 +8,9 @@ must produce identical answers (at different page cost); the test suite
 checks that equivalence, and the TNN oracle below is the ground truth for
 every algorithm's correctness tests.
 
-Expansion loops run on the vectorised geometry kernels
-(:mod:`repro.geometry.kernels`): one kernel call evaluates the bound for a
-whole node fan-out against the node's cached child-MBR / leaf-point arrays.
-The kernels are bit-identical to the scalar metrics, so answers do not
-depend on the path taken; dispatch is adaptive (fan-outs below
-``kernels.min_batch()`` stay scalar, where the fixed ufunc cost would
-dominate) and ``kernels.use_kernels(False)`` / ``REPRO_NO_KERNELS=1``
-restores the scalar loops wholesale for A/B benchmarking.
+Every loop runs on the scalar metrics of :mod:`repro.geometry`, the seed
+implementation: an oracle that shares no code path with the client's
+certified bounds is the stronger check.
 """
 
 from __future__ import annotations
@@ -26,42 +21,16 @@ import math
 from typing import Iterable, List, Optional, Tuple
 
 from repro.geometry import Circle, Point, Rect, distance, min_trans_dist
-from repro.geometry import kernels
 from repro.rtree.node import RTreeNode
 from repro.rtree.tree import RTree
 
 
 def _push_children_point(
-    node: RTreeNode, query: Point, heap: list, counter, use_kernels: bool
+    node: RTreeNode, query: Point, heap: list, counter
 ) -> None:
     """Push an internal node's children keyed by MINDIST."""
-    if use_kernels and node.fanout >= kernels.min_batch_point():
-        bounds = kernels.mindist(query, node.child_mbr_array()).tolist()
-        for child, b in zip(node.children, bounds):
-            heapq.heappush(heap, (b, next(counter), child))
-    else:
-        for child in node.children:
-            heapq.heappush(heap, (child.mbr.mindist(query), next(counter), child))
-
-
-def _push_leaf_min(
-    node: RTreeNode, heap: list, counter, dists, points
-) -> None:
-    """Push only a leaf's closest candidate (single-answer searches).
-
-    Valid for k = 1 best-first searches: non-minimal points of a leaf can
-    never pop before the leaf's minimum, ties resolve to the first index
-    exactly as the scalar sequential scan does, and relative push order
-    against other entries is preserved — the returned answer is
-    bit-identical to pushing the whole fan-out.
-    """
-    best_i = 0
-    best_d = dists[0]
-    for i in range(1, len(dists)):
-        if dists[i] < best_d:
-            best_d = dists[i]
-            best_i = i
-    heapq.heappush(heap, (best_d, next(counter), points[best_i]))
+    for child in node.children:
+        heapq.heappush(heap, (child.mbr.mindist(query), next(counter), child))
 
 
 def best_first_nn(tree: RTree, query: Point) -> Tuple[Point, float]:
@@ -70,7 +39,6 @@ def best_first_nn(tree: RTree, query: Point) -> Tuple[Point, float]:
     heap: list[tuple[float, int, object]] = [(tree.root.mbr.mindist(query), next(counter), tree.root)]
     best: Optional[Point] = None
     best_dist = math.inf
-    use_kernels = kernels.enabled()
     while heap:
         dist, _, item = heapq.heappop(heap)
         if dist > best_dist:
@@ -80,17 +48,10 @@ def best_first_nn(tree: RTree, query: Point) -> Tuple[Point, float]:
             break
         node = item
         if node.is_leaf:
-            if use_kernels:
-                if node.fanout >= kernels.min_batch_point():
-                    dists = kernels.point_dists(query, node.points_array()).tolist()
-                else:
-                    dists = [distance(query, p) for p in node.points]
-                _push_leaf_min(node, heap, counter, dists, node.points)
-            else:
-                for p in node.points:
-                    heapq.heappush(heap, (distance(query, p), next(counter), p))
+            for p in node.points:
+                heapq.heappush(heap, (distance(query, p), next(counter), p))
         else:
-            _push_children_point(node, query, heap, counter, use_kernels)
+            _push_children_point(node, query, heap, counter)
     if best is None:
         raise ValueError("NN search over an empty tree")
     return best, best_dist
@@ -103,7 +64,6 @@ def best_first_knn(tree: RTree, query: Point, k: int) -> List[Tuple[Point, float
     counter = itertools.count()
     heap: list[tuple[float, int, object]] = [(tree.root.mbr.mindist(query), next(counter), tree.root)]
     out: List[Tuple[Point, float]] = []
-    use_kernels = kernels.enabled()
     while heap and len(out) < k:
         dist, _, item = heapq.heappop(heap)
         if isinstance(item, Point):
@@ -111,21 +71,15 @@ def best_first_knn(tree: RTree, query: Point, k: int) -> List[Tuple[Point, float
             continue
         node = item
         if node.is_leaf:
-            if use_kernels and node.fanout >= kernels.min_batch_point():
-                dists = kernels.point_dists(query, node.points_array()).tolist()
-                for p, d in zip(node.points, dists):
-                    heapq.heappush(heap, (d, next(counter), p))
-            else:
-                for p in node.points:
-                    heapq.heappush(heap, (distance(query, p), next(counter), p))
+            for p in node.points:
+                heapq.heappush(heap, (distance(query, p), next(counter), p))
         else:
-            _push_children_point(node, query, heap, counter, use_kernels)
+            _push_children_point(node, query, heap, counter)
     return out
 
 
 def range_search(tree: RTree, circle: Circle) -> List[Point]:
     """All indexed points within the (closed) circle."""
-    batch_min = kernels.min_batch_point() if kernels.enabled() else -1
     result: List[Point] = []
     stack = [tree.root]
     while stack:
@@ -133,29 +87,14 @@ def range_search(tree: RTree, circle: Circle) -> List[Point]:
         if not circle.intersects_rect(node.mbr):
             continue
         if node.is_leaf:
-            if batch_min >= 0 and node.fanout >= batch_min:
-                keep = kernels.point_dists(circle.center, node.points_array())
-                result.extend(
-                    itertools.compress(node.points, keep <= circle.radius)
-                )
-            else:
-                result.extend(p for p in node.points if circle.contains_point(p))
+            result.extend(p for p in node.points if circle.contains_point(p))
         else:
-            if batch_min >= 0 and node.fanout >= batch_min:
-                # Pre-filter the fan-out in one kernel call; survivors pass
-                # the (identical) pop-time test again by construction.
-                hits = kernels.mindist(circle.center, node.child_mbr_array())
-                stack.extend(
-                    itertools.compress(node.children, hits <= circle.radius)
-                )
-            else:
-                stack.extend(node.children)
+            stack.extend(node.children)
     return result
 
 
 def window_search(tree: RTree, window: Rect) -> List[Point]:
     """All indexed points inside the (closed) rectangular window."""
-    batch_min = kernels.min_batch() if kernels.enabled() else -1
     result: List[Point] = []
     stack = [tree.root]
     while stack:
@@ -163,29 +102,9 @@ def window_search(tree: RTree, window: Rect) -> List[Point]:
         if not window.intersects_rect(node.mbr):
             continue
         if node.is_leaf:
-            if batch_min >= 0 and node.fanout >= batch_min:
-                pts = node.points_array()
-                keep = (
-                    (window.xmin <= pts[:, 0])
-                    & (pts[:, 0] <= window.xmax)
-                    & (window.ymin <= pts[:, 1])
-                    & (pts[:, 1] <= window.ymax)
-                )
-                result.extend(itertools.compress(node.points, keep))
-            else:
-                result.extend(p for p in node.points if window.contains_point(p))
+            result.extend(p for p in node.points if window.contains_point(p))
         else:
-            if batch_min >= 0 and node.fanout >= batch_min:
-                mbrs = node.child_mbr_array()
-                hits = (
-                    (mbrs[:, 0] <= window.xmax)
-                    & (mbrs[:, 2] >= window.xmin)
-                    & (mbrs[:, 1] <= window.ymax)
-                    & (mbrs[:, 3] >= window.ymin)
-                )
-                stack.extend(itertools.compress(node.children, hits))
-            else:
-                stack.extend(node.children)
+            stack.extend(node.children)
     return result
 
 
@@ -193,8 +112,7 @@ def transitive_nn(tree: RTree, p: Point, r: Point) -> Tuple[Point, float]:
     """The point ``s`` in the tree minimising ``dis(p,s) + dis(s,r)``.
 
     Best-first on the MinTransDist lower bound (Definition 1) — the
-    in-memory analogue of Hybrid-NN's Case 3 search.  Node expansion runs
-    the Lemma 1 kernel over the whole child fan-out in one call.
+    in-memory analogue of Hybrid-NN's Case 3 search.
     """
     counter = itertools.count()
     heap: list[tuple[float, int, object]] = [
@@ -202,9 +120,6 @@ def transitive_nn(tree: RTree, p: Point, r: Point) -> Tuple[Point, float]:
     ]
     best: Optional[Point] = None
     best_dist = math.inf
-    use_kernels = kernels.enabled()
-    leaf_min = kernels.min_batch_leaf() if use_kernels else 0
-    batch_min = kernels.min_batch() if use_kernels else 0
     while heap:
         dist, _, item = heapq.heappop(heap)
         if dist > best_dist:
@@ -214,29 +129,15 @@ def transitive_nn(tree: RTree, p: Point, r: Point) -> Tuple[Point, float]:
             break
         node = item
         if node.is_leaf:
-            if use_kernels:
-                if node.fanout >= leaf_min:
-                    dists = kernels.trans_dists(p, node.points_array(), r).tolist()
-                else:
-                    dists = [distance(p, s) + distance(s, r) for s in node.points]
-                _push_leaf_min(node, heap, counter, dists, node.points)
-            else:
-                for s in node.points:
-                    heapq.heappush(
-                        heap, (distance(p, s) + distance(s, r), next(counter), s)
-                    )
+            for s in node.points:
+                heapq.heappush(
+                    heap, (distance(p, s) + distance(s, r), next(counter), s)
+                )
         else:
-            if use_kernels and node.fanout >= batch_min:
-                bounds = kernels.min_trans_dist(
-                    p, node.child_mbr_array(), r
-                ).tolist()
-                for child, b in zip(node.children, bounds):
-                    heapq.heappush(heap, (b, next(counter), child))
-            else:
-                for child in node.children:
-                    heapq.heappush(
-                        heap, (min_trans_dist(p, child.mbr, r), next(counter), child)
-                    )
+            for child in node.children:
+                heapq.heappush(
+                    heap, (min_trans_dist(p, child.mbr, r), next(counter), child)
+                )
     if best is None:
         raise ValueError("transitive NN search over an empty tree")
     return best, best_dist

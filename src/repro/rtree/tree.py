@@ -51,16 +51,6 @@ class RTree:
         """Levels below the root (root = 0, leaves = height - 1)."""
         return self.root.level - node.level
 
-    def prepare_arrays(self, internal: bool = True, leaves: bool = True) -> None:
-        """Materialise every node's array-backed fan-out view (pack time).
-
-        Internal nodes cache their children's MBRs as one contiguous
-        ``(n, 4)`` float64 array, leaves their points as ``(n, 2)`` — the
-        structure-of-arrays inputs of :mod:`repro.geometry.kernels`,
-        computed once and shared by all queries.
-        """
-        self.root.prepare_arrays(internal=internal, leaves=leaves)
-
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
@@ -98,10 +88,7 @@ class RTree:
         """Number nodes 0..n-1 in depth-first preorder (broadcast layout)."""
         for i, node in enumerate(self.iter_nodes()):
             node.page_id = i
-            # Cached child-page views (frontier fan-out pushes) bind the
-            # previous numbering; rebuilding the layout invalidates them.
-            node._child_page_list = None
-        # The drain's record table binds the numbering too.
+        # The drain's record table binds the numbering.
         self._walk_table = None
 
     def __getstate__(self) -> dict:

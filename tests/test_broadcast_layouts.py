@@ -110,9 +110,7 @@ _CYCLIC = [n for n in available_layouts() if make_layout(n).has_cyclic_order]
 def test_cyclic_layouts_number_pages_in_preorder(name, page_capacity):
     """Every subtree spans pages ``[page, page + subtree size)`` and a
     node's first child sits at ``page + 1``: cyclic page order from any
-    cursor is then a stack order, which the shared-scan drain walks, and
-    a fan-out fills one gap of a sorted frontier, which
-    ``ArrivalFrontier.push_many`` splices in one piece."""
+    cursor is then a stack order, which the drain walks."""
     layout = make_layout(name)
     params = SystemParameters(page_capacity=page_capacity)
     tree = layout.build_index(POINTS, params)

@@ -1,23 +1,25 @@
-"""The drain walk against the explicit ``step()`` loop.
+"""The drain walk against the explicit ``step()`` loop on the heap.
 
-``run_to_completion`` on a frontier-backed search runs one preorder stack
-walk (:func:`repro.client.drain.drain`) instead of one ``step()`` per
-queued node; so do the shared-scan executor's drain serves.  The step
-loop stays the reference.  These tests run both routes on identical
-searches — NN in point mode and switched to the transitive metric
-(Hybrid-NN's Case 3), kNN, range and window — over every layout
+``run_to_completion`` on a search that has not stepped runs one preorder
+stack walk (:func:`repro.client.drain.drain`) over the search's own stack
+of node records instead of one ``step()`` per queued node; the shared-scan
+executor runs the same walk.  Steps run on the arrival heap, the
+reference: a search's first step moves its stack there for good.  These
+tests run both routes on identical searches — NN in point mode and
+switched to the transitive metric (Hybrid-NN's Case 3), under the exact
+and the ANN pruning policies, kNN, range and window — over every layout
 with cyclic page order, lossless and under each fault family, at
-whole-slot and fractional phases, from a fresh start and part-stepped,
-and compare answers, clock, index / lost / corrupt pages,
-``max_queue_size`` and the tuner log event by event.  At every phase the
-channel's exact clock puts the cursor on slot ``x + 1`` after each
-download at slot ``x``, and no walk starts with queued pages on both
-sides of its cursor.  A bounded walk (``drain(s, limit, strict)``, each
-run of a Hybrid-NN pair member) is checked against the step loop with
-the same stopping rule, then both routes run on to the end.
-``algorithm.run``, which drains unpaired stages and runs a paired one in
-alternating bounded runs, is checked against its stages stepped by
-``run_all``, and the pair driver's schedule against ``run_all``'s on
+whole-slot and fractional phases, from a fresh start and after a prefix
+of one-pop bounded walks, and compare answers, clock, index / lost /
+corrupt pages, ``max_queue_size`` and the tuner log event by event.  At
+every phase the channel's exact clock puts the cursor on slot ``x + 1``
+after each download at slot ``x``, and no walk starts with queued pages
+on both sides of its cursor.  A bounded walk (``drain(s, limit,
+strict)``, each run of a Hybrid-NN pair member) is checked against the
+step loop with the same stopping rule, then both routes run on to the
+end.  ``algorithm.run``, which drains unpaired stages and runs a paired
+one in alternating bounded runs, is checked against its stages stepped
+by ``run_all``, and the pair driver's schedule against ``run_all``'s on
 scripted arrival times.
 """
 
@@ -43,6 +45,7 @@ from repro.client import (
     BroadcastNNSearch,
     BroadcastRangeSearch,
     BroadcastWindowSearch,
+    dynamic_alpha,
     run_all,
 )
 from repro.client.arrival_queue import ArrivalQueueMixin
@@ -57,7 +60,7 @@ from repro.core import (
     WindowBasedTNN,
 )
 from repro.datasets import sized_uniform
-from repro.geometry import Circle, Point, Rect, kernels
+from repro.geometry import Circle, Point, Rect
 from repro.rtree import str_pack
 from repro.rtree.node import RTreeNode
 
@@ -87,6 +90,9 @@ _CLASSES = (
 #: Lattice spacing: lattice points tie exactly in distance from a cell
 #: centre, and lattice MBR corners are data points.
 _STEP = 1500.0
+
+#: The ANN pruning policies of the walk-vs-step cells.
+_ANN_POLICIES = (AnnPolicy(dynamic_alpha(1.0)), AnnPolicy(0.4))
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,6 +152,14 @@ def _builders(env, seed=17):
     )
     # A point off the data region.
     out.append(lambda t: BroadcastNNSearch(tree, t, Point(-400.0, 5e3)))
+    # ANN pruning (paper Section 5): Equation 4's dynamic alpha and a
+    # fixed one.
+    ann_rng = random.Random(seed + 1)
+    for policy in _ANN_POLICIES:
+        q = env.random_query_point(ann_rng)
+        out.append(
+            lambda t, q=q, a=policy: BroadcastNNSearch(tree, t, q, a)
+        )
     return out
 
 
@@ -168,6 +182,10 @@ def _transitive_builders(env, seed=23):
     q = env.random_query_point(rng)
     out.append((lambda t, q=q: BroadcastNNSearch(tree, t, q),
                 (q, Point(-400.0, 5e3))))
+    # Heuristic 2's ellipse under a fixed alpha.
+    q = env.random_query_point(rng)
+    out.append((lambda t, q=q: BroadcastNNSearch(tree, t, q, _ANN_POLICIES[1]),
+                (q, env.random_query_point(rng))))
     return out
 
 
@@ -177,12 +195,17 @@ def _cases(env):
         _transitive_builders(env))
 
 
-def _start(build, switch, tuner, prefix):
-    """Build a search, step it ``prefix`` times, then apply ``switch``."""
+def _start(build, switch, tuner, prefix, walk=True):
+    """Build a search, run its first ``prefix`` pops, then apply
+    ``switch``.  ``walk``: each pop is a bounded walk up to the next
+    arrival, which keeps the search on its stack; else one ``step()``."""
     search = build(tuner)
     for _ in range(prefix):
         if not search.finished():
-            search.step()
+            if walk:
+                search._run_until(search.next_event_time())
+            else:
+                search.step()
     if switch is not None:
         search.switch_to_transitive(*switch)
     return search
@@ -190,12 +213,11 @@ def _start(build, switch, tuner, prefix):
 
 def _skipped(search):
     """The cursor is not on the slot after the last download."""
-    f = search._frontier
     log = search.tuner.log
     if not log:
         return False
-    cursor = math.ceil(search.tuner.now - f._phase)
-    return (cursor - log[-1][1] - 1) % f._cycle != 0
+    cursor = math.ceil(search.tuner.now - search._phase)
+    return (cursor - log[-1][1] - 1) % search._cycle != 0
 
 
 def _step_to_end(search):
@@ -206,7 +228,7 @@ def _step_to_end(search):
     while not search.finished():
         n = len(tuner.log)
         search.step()
-        if search._frontier is not None and len(tuner.log) != n:
+        if len(tuner.log) != n:
             jumps += _skipped(search)
     return jumps
 
@@ -238,10 +260,9 @@ def _state(search):
 
 def _straddles(search):
     """Queued pages lie on both sides of the search's cursor."""
-    f = search._frontier
-    pages = f._order_pages
-    cursor = math.ceil(search.tuner.now - f._phase) % f._cycle
-    return bool(pages) and pages[0] < cursor <= pages[-1]
+    stack = search._stack
+    cursor = math.ceil(search.tuner.now - search._phase) % search._cycle
+    return bool(stack) and stack[-1][1] < cursor <= stack[0][1]
 
 
 @pytest.mark.parametrize("page_capacity", [64, 512])
@@ -250,31 +271,30 @@ def _straddles(search):
 def test_run_to_completion_matches_step_loop(layout, fault, page_capacity,
                                              monkeypatch):
     """NN (point and transitive mode), kNN, range and window searches,
-    fresh and part-stepped: the drain reproduces the step loop's answers,
-    clock, page counters, queue peak and tuner log."""
+    fresh and part-walked: the drain reproduces the heap step loop's
+    answers, clock, page counters, queue peak and tuner log."""
     env = _env(layout, fault, page_capacity)
     jumps = 0
     straddled = 0
     failed = 0
     cases = 0
-    with kernels.use_kernels(True):
-        for build, switch in _cases(env):
-            for phase in _PHASES:
-                for prefix in (0, 1, 3, 9):
-                    walked, stepped = (
-                        _start(build, switch, ChannelTuner(
-                            BroadcastChannel(env.s_program, phase=phase),
-                            loss=env.loss,
-                        ), prefix)
-                        for _ in range(2)
-                    )
-                    assert walked._frontier is not None
-                    straddled += _straddles(walked)
-                    _walk_to_end(walked, monkeypatch)
-                    jumps += _step_to_end(stepped)
-                    assert _state(walked) == _state(stepped)
-                    failed += sum(not e[3] for e in stepped.tuner.log)
-                    cases += 1
+    for build, switch in _cases(env):
+        for phase in _PHASES:
+            for prefix in (0, 1, 3, 9):
+                walked, stepped = (
+                    _start(build, switch, ChannelTuner(
+                        BroadcastChannel(env.s_program, phase=phase),
+                        loss=env.loss,
+                    ), prefix, walk)
+                    for walk in (True, False)
+                )
+                assert walked._drains()
+                straddled += _straddles(walked)
+                _walk_to_end(walked, monkeypatch)
+                jumps += _step_to_end(stepped)
+                assert _state(walked) == _state(stepped)
+                failed += sum(not e[3] for e in stepped.tuner.log)
+                cases += 1
     assert cases == len(_cases(env)) * len(_PHASES) * 4
     # The clock is exact: every download puts the cursor on the next
     # slot, so no walk starts with queued pages on both sides of it.
@@ -290,18 +310,20 @@ def test_walk_refuses_a_seed_that_straddles_the_cursor():
     tuner = ChannelTuner(BroadcastChannel(env.s_program, phase=0.0))
     search = BroadcastKNNSearch(env.s_tree, tuner, Point(9e3, 9e3), 5)
     for _ in range(3):
-        search.step()
-    pages = list(search._frontier._order_pages)
-    tuner.now = float(pages[-1])  # the cursor on the last queued page
+        search._run_until(search.next_event_time())
+    stack = list(search._stack)
+    tuner.now = float(stack[0][1])  # the cursor on the last queued page
     assert _straddles(search)
     with pytest.raises(RuntimeError, match="straddle"):
         drain(search)
-    assert search._frontier._order_pages == pages
+    assert search._stack == stack
 
 
 def test_nn_outside_the_walk_keeps_stepping(monkeypatch):
-    """Pruning policies, in either metric, and the heap backend run the
-    step loop in ``run_to_completion``."""
+    """A search stepped once stays on the heap, under either policy and
+    in either metric, and so does every search on a layout without
+    cyclic page order: ``run_to_completion`` runs their step loop.  An
+    ANN search that never stepped drains without one ``step()``."""
     env = _env("rtree", "lossless", 64)
     q = Point(400.0, 600.0)
     calls = []
@@ -313,24 +335,27 @@ def test_nn_outside_the_walk_keeps_stepping(monkeypatch):
 
     monkeypatch.setattr(BroadcastNNSearch, "step", step_spy)
     searches = []
-    with kernels.use_kernels(True):
-        searches.append(BroadcastNNSearch(
-            env.s_tree, env.tuners()[0], q, AnnPolicy(alpha=0.5)
-        ))
-        s = BroadcastNNSearch(
-            env.s_tree, env.tuners()[0], q, AnnPolicy(alpha=0.5)
-        )
+    for policy in (None, AnnPolicy(alpha=0.5)):
+        s = BroadcastNNSearch(env.s_tree, env.tuners()[0], q, policy)
         s.step()
         s.switch_to_transitive(q, Point(900.0, 100.0))
         searches.append(s)
-    with kernels.use_kernels(False):
-        searches.append(BroadcastNNSearch(env.s_tree, env.tuners()[0], q))
-    assert searches[2]._frontier is None
+    heap_env = _env("rtree-distributed", "lossless", 64)
+    searches.append(
+        BroadcastNNSearch(heap_env.s_tree, heap_env.tuners()[0], q)
+    )
     for s in searches:
+        assert not s._drains()
         del calls[:]
         s.run_to_completion()
         assert calls and set(map(id, calls)) == {id(s)}
-        assert s.finished()
+        assert s.finished() and not s._drains()
+    ann = BroadcastNNSearch(env.s_tree, env.tuners()[0], q,
+                            AnnPolicy(alpha=0.5))
+    assert ann._drains()
+    del calls[:]
+    ann.run_to_completion()
+    assert calls == [] and ann.finished() and ann._drains()
 
 
 @pytest.mark.parametrize("fault", ["lossless", "iid"])
@@ -338,20 +363,19 @@ def test_unlogged_walk_books_like_logged_walk(fault, monkeypatch):
     """A walk on a tuner that keeps no log books the same clock, index
     pages and queue peak as on a logging one."""
     env = _env("rtree", fault, 64)
-    with kernels.use_kernels(True):
-        for build, switch in _cases(env):
-            for phase in (0.0, 127.3):
-                logged, unlogged = (
-                    _start(build, switch, ChannelTuner(
-                        BroadcastChannel(env.s_program, phase=phase),
-                        loss=env.loss, record_log=record_log,
-                    ), 3)
-                    for record_log in (True, False)
-                )
-                _walk_to_end(logged, monkeypatch)
-                _walk_to_end(unlogged, monkeypatch)
-                assert _state(unlogged)[:6] == _state(logged)[:6]
-                assert unlogged.tuner.log == [] != logged.tuner.log
+    for build, switch in _cases(env):
+        for phase in (0.0, 127.3):
+            logged, unlogged = (
+                _start(build, switch, ChannelTuner(
+                    BroadcastChannel(env.s_program, phase=phase),
+                    loss=env.loss, record_log=record_log,
+                ), 3)
+                for record_log in (True, False)
+            )
+            _walk_to_end(logged, monkeypatch)
+            _walk_to_end(unlogged, monkeypatch)
+            assert _state(unlogged)[:6] == _state(logged)[:6]
+            assert unlogged.tuner.log == [] != logged.tuner.log
 
 
 # ----------------------------------------------------------------------
@@ -389,7 +413,10 @@ def _limits(search):
 
 
 def _queue(search):
-    return list(search._frontier._order_pages), search.next_event_time()
+    """The queued pages, ascending, and the next arrival: read from the
+    walk's stack or from the heap alike."""
+    return ([n.page_id for n in search._queued_nodes()],
+            search.next_event_time())
 
 
 @pytest.mark.parametrize("page_capacity", [64, 512])
@@ -405,35 +432,34 @@ def test_bounded_drain_matches_bounded_steps(layout, fault, page_capacity,
     skipped_stops = 0
     no_pop = 0
     stops = 0
-    with kernels.use_kernels(True):
-        for b, (build, switch) in enumerate(_cases(env)):
-            for p, phase in enumerate(_PHASES):
-                walked, stepped, ref = (
-                    _start(build, switch, ChannelTuner(
-                        BroadcastChannel(env.s_program, phase=phase),
-                        loss=env.loss,
-                    ), 0 if switch is None else 3)
-                    for _ in range(3)
-                )
-                assert walked._drains()
-                for limit, strict in _limits(ref):
-                    before = _state(walked)
-                    with monkeypatch.context() as m:
-                        for cls in _CLASSES:
-                            m.setattr(cls, "step", _no_step)
-                        walked._run_until(limit, strict)
-                    _step_until(stepped, limit, strict)
-                    assert _state(walked) == _state(stepped)
-                    assert _queue(walked) == _queue(stepped)
-                    no_pop += _state(walked) == before
-                    skipped_stops += _skipped(stepped)
-                    stops += not stepped.finished()
-                if (b + p) % 2:
-                    _walk_to_end(walked, monkeypatch)
-                else:
-                    _step_to_end(walked)
-                _step_to_end(stepped)
+    for b, (build, switch) in enumerate(_cases(env)):
+        for p, phase in enumerate(_PHASES):
+            walked, stepped, ref = (
+                _start(build, switch, ChannelTuner(
+                    BroadcastChannel(env.s_program, phase=phase),
+                    loss=env.loss,
+                ), 0 if switch is None else 3, walk)
+                for walk in (True, False, False)
+            )
+            assert walked._drains()
+            for limit, strict in _limits(ref):
+                before = _state(walked)
+                with monkeypatch.context() as m:
+                    for cls in _CLASSES:
+                        m.setattr(cls, "step", _no_step)
+                    walked._run_until(limit, strict)
+                _step_until(stepped, limit, strict)
                 assert _state(walked) == _state(stepped)
+                assert _queue(walked) == _queue(stepped)
+                no_pop += _state(walked) == before
+                skipped_stops += _skipped(stepped)
+                stops += not stepped.finished()
+            if (b + p) % 2:
+                _walk_to_end(walked, monkeypatch)
+            else:
+                _step_to_end(walked)
+            _step_to_end(stepped)
+            assert _state(walked) == _state(stepped)
     assert no_pop and stops
     assert skipped_stops == 0  # no stop finds the cursor past slot x + 1
 
@@ -522,19 +548,17 @@ def test_empty_internal_nodes_walk_like_steps(case, monkeypatch):
             s, empty = _empty_node_setup(Point(5000, 5000), 600, 42)
             return switched(s), empty
         s, empty = _empty_node_setup(None, 300, 4, deep=True)
-        f = s._frontier
-        while f._order_pages[f._head_index()] != empty.page_id:
-            s.step()
+        while s._stack[-1][1] != empty.page_id:
+            s._run_until(s.next_event_time())  # one pop
         switched(s)
         s._witness_page = empty.page_id
         s.upper_bound = math.inf  # as if its guarantee had been void
         return s, empty
 
-    with kernels.use_kernels(True):
-        (walked, empty), (stepped, _) = setup(), setup()
-        rescans = _rescans(stepped, monkeypatch)
-        _walk_to_end(walked, monkeypatch)
-        _step_to_end(stepped)
+    (walked, empty), (stepped, _) = setup(), setup()
+    rescans = _rescans(stepped, monkeypatch)
+    _walk_to_end(walked, monkeypatch)
+    _step_to_end(stepped)
     assert _state(walked) == _state(stepped)
     assert walked.best_point is not None
     assert (walked.start is not None) == transitive
@@ -622,18 +646,17 @@ def test_algorithm_run_matches_stepped_stages(algo_cls, fault, monkeypatch):
     for layout in _CYCLIC if hybrid else ["rtree"]:
         env = _env(layout, fault, 64)
         rng = random.Random(11)
-        with kernels.use_kernels(True):
-            for i in range(n_random + len(_PAIR_PHASES)):
-                q = env.random_query_point(rng)
-                ps, pr = env.random_phases(rng)
-                if i >= n_random:
-                    ps, pr = _PAIR_PHASES[i - n_random]
-                elif i % 3 == 0:
-                    ps, pr = _PHASES[(i // 3) % len(_PHASES)], 127.3
-                with monkeypatch.context() as m:
-                    _spy_pairs(m, seen)
-                    got = algo.run(env, q, ps, pr)
-                assert got == _stepped_run(algo, env, q, ps, pr)
+        for i in range(n_random + len(_PAIR_PHASES)):
+            q = env.random_query_point(rng)
+            ps, pr = env.random_phases(rng)
+            if i >= n_random:
+                ps, pr = _PAIR_PHASES[i - n_random]
+            elif i % 3 == 0:
+                ps, pr = _PHASES[(i // 3) % len(_PHASES)], 127.3
+            with monkeypatch.context() as m:
+                _spy_pairs(m, seen)
+                got = algo.run(env, q, ps, pr)
+            assert got == _stepped_run(algo, env, q, ps, pr)
     if hybrid:
         assert seen["retarget"] and seen["switch_to_transitive"]
         assert seen["ties"] and seen["drains"] and not seen["steps"]
@@ -645,36 +668,179 @@ def test_algorithm_run_matches_stepped_stages(algo_cls, fault, monkeypatch):
 @pytest.mark.parametrize("case", ["heap-backend", "ann-policy"])
 def test_stepping_hybrid_pairs_match_stepped_stages(case, monkeypatch):
     """A Hybrid-NN pair whose members cannot drain — heap backends on a
-    layout without cyclic order, pruning policies of the ANN optimisation
-    — runs the bounded ``step()`` loop and matches ``run_all``."""
+    layout without cyclic order, under the exact policy and under the
+    ANN optimisation's — runs the bounded ``step()`` loop and matches
+    ``run_all``."""
+    env = _env("rtree-distributed", "lossless", 64)
+    assert not env.s_program.has_cyclic_order
     if case == "heap-backend":
-        env = _env("rtree-distributed", "lossless", 64)
-        assert not env.s_program.has_cyclic_order
         algo = HybridNN()
     else:
-        env = _env("rtree", "lossless", 64)
         algo = HybridNN(AnnOptimization(factor=1 / 150, density_aware=False))
     seen = dict.fromkeys(_SEEN, 0)
     rng = random.Random(13)
-    with kernels.use_kernels(True):
-        for i in range(12):
-            q = env.random_query_point(rng)
-            ps, pr = env.random_phases(rng)
-            if i % 3 == 0:
-                ps, pr = _PAIR_PHASES[(i // 3) % len(_PAIR_PHASES)]
-            with monkeypatch.context() as m:
-                _spy_pairs(m, seen)
-                got = algo.run(env, q, ps, pr)
-            assert got == _stepped_run(algo, env, q, ps, pr)
+    for i in range(12):
+        q = env.random_query_point(rng)
+        ps, pr = env.random_phases(rng)
+        if i % 3 == 0:
+            ps, pr = _PAIR_PHASES[(i // 3) % len(_PAIR_PHASES)]
+        with monkeypatch.context() as m:
+            _spy_pairs(m, seen)
+            got = algo.run(env, q, ps, pr)
+        assert got == _stepped_run(algo, env, q, ps, pr)
     assert seen["steps"] and not seen["drains"]
     assert seen["retarget"] and seen["switch_to_transitive"]
     assert seen["transitive_steps"]
 
 
+class _FixedAlpha:
+    """An ANN optimisation with one fixed alpha on both channels."""
+
+    def __init__(self, alpha):
+        self.alpha = alpha
+
+    def policies(self, env):
+        return AnnPolicy(self.alpha), AnnPolicy(self.alpha)
+
+
+#: ANN configurations of the algorithm cells: Equation 4's dynamic alpha
+#: and fixed alphas of 0 (no pruning) and above 0.
+_ANN_CONFIGS = {
+    "dynamic": lambda factor: AnnOptimization(factor=factor,
+                                              density_aware=False),
+    "fixed-0": lambda factor: _FixedAlpha(0.0),
+    "fixed-0.4": lambda factor: _FixedAlpha(0.4),
+}
+
+
+def _run_stages(algo, env, q, ps, pr, stepped, monkeypatch):
+    """One query's stages, each run by ``SearchGroup.run`` (no search may
+    step) or, ``stepped``, by ``run_all`` on the heap.  Returns the
+    result, every search's ``max_queue_size`` and both tuner logs."""
+    tuners = env.tuners(ps, pr)
+    stages = algo._stages(env, q, *tuners)
+    queues = []
+    try:
+        while True:
+            group = next(stages)
+            if stepped:
+                run_all(group.searches, on_finish=group.on_finish)
+            else:
+                with monkeypatch.context() as m:
+                    for cls in _CLASSES:
+                        m.setattr(cls, "step", _no_step)
+                    group.run()
+            queues += [s.max_queue_size for s in group.searches]
+    except StopIteration as done:
+        return done.value, queues, [list(t.log) for t in tuners]
+
+
+@pytest.mark.parametrize("page_capacity", [64, 512])
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_ann_algorithms_walk_like_heap_steps(fault, page_capacity,
+                                             monkeypatch):
+    """Double-NN, Window-Based and Hybrid-NN under the ANN optimisation
+    (dynamic alpha, fixed alpha 0 and above 0) drain every stage without
+    a step, and match their stages stepped on the heap: answers, access
+    time, tune-in, every search's ``max_queue_size`` and both reception
+    logs.  Alpha 0 answers like the exact algorithm; the others prune."""
+    env = _env("rtree", fault, page_capacity)
+    rng = random.Random(29)
+    queries = [(env.random_query_point(rng), *env.random_phases(rng))
+               for _ in range(10)]
+    pruned = 0
+    for algo_cls, factor in ((DoubleNN, 1.0), (WindowBasedTNN, 1.0),
+                             (HybridNN, 1 / 150)):
+        exact = algo_cls()
+        for name, config in _ANN_CONFIGS.items():
+            algo = algo_cls(optimization=config(factor))
+            for q, ps, pr in queries:
+                got = _run_stages(algo, env, q, ps, pr, False, monkeypatch)
+                want = _run_stages(algo, env, q, ps, pr, True, monkeypatch)
+                assert got == want
+                ref = exact.run(env, q, ps, pr)
+                if name == "fixed-0":
+                    assert got[0] == ref
+                else:
+                    pruned += (got[0].tune_in_s + got[0].tune_in_r
+                               < ref.tune_in_s + ref.tune_in_r)
+    assert pruned
+
+
+def test_ann_witness_hand_off_walks_like_steps(monkeypatch):
+    """A downloaded node that witnesses the bound hands the witness to
+    the child whose guarantee it inherits, which ANN pruning may then
+    never drop: the walk hands it on like ``_absorb_internal``, in both
+    metrics."""
+    env = _env("rtree", "lossless", 64)
+    handed = []
+    absorb = BroadcastNNSearch._absorb_internal
+
+    def absorb_spy(self, node):
+        before = self._witness_page
+        bound = self.upper_bound
+        absorb(self, node)
+        handed.append(before == node.page_id and self.upper_bound == bound
+                      and self._witness_page not in (None, node.page_id))
+
+    monkeypatch.setattr(BroadcastNNSearch, "_absorb_internal", absorb_spy)
+    rng = random.Random(31)
+    for i in range(40):
+        q = env.random_query_point(rng)
+        switch = (q, env.random_query_point(rng)) if i % 2 else None
+        phase = rng.uniform(0, 500)
+        for policy in _ANN_POLICIES:
+            walked, stepped = (
+                _start(lambda t: BroadcastNNSearch(env.s_tree, t, q, policy),
+                       switch, ChannelTuner(BroadcastChannel(
+                           env.s_program, phase=phase)), 2, walk)
+                for walk in (True, False)
+            )
+            _walk_to_end(walked, monkeypatch)
+            _step_to_end(stepped)
+            assert _state(walked) == _state(stepped)
+    assert any(handed)
+
+
+def test_a_search_stepped_once_stays_on_the_heap(monkeypatch):
+    """One ``step()`` moves a search's stack onto the heap for good:
+    ``run_to_completion`` then steps it to the end, and every kind ends
+    in the state of a search stepped throughout."""
+    env = _env("rtree", "iid", 64)
+    steps = []
+    for cls in _CLASSES:
+        def spy(self, _step=cls.step):
+            steps.append(self)
+            _step(self)
+
+        monkeypatch.setattr(cls, "step", spy)
+    for build, switch in _cases(env):
+        once, ref = (
+            _start(build, None, ChannelTuner(
+                BroadcastChannel(env.s_program, phase=63.9), loss=env.loss,
+            ), 0)
+            for _ in range(2)
+        )
+        if once.finished():
+            continue
+        assert once._drains()
+        once.step()
+        ref.step()
+        if switch is not None:
+            once.switch_to_transitive(*switch)
+            ref.switch_to_transitive(*switch)
+        assert not once._drains() and once._stack is None
+        del steps[:]
+        once.run_to_completion()
+        assert steps and set(map(id, steps)) == {id(once)}
+        _step_to_end(ref)
+        assert _state(once) == _state(ref)
+
+
 class _Scripted(ArrivalQueueMixin):
     """A search whose pops arrive at scripted times; each pop is logged."""
 
-    _frontier = None  # the step branch of _run_until
+    _stack = None  # the step branch of _run_until
 
     def __init__(self, name, times, log):
         self.name = name
@@ -755,18 +921,17 @@ def _check_layout(tree, table):
 
 
 def _walks_like_steps(env, monkeypatch):
-    with kernels.use_kernels(True):
-        for build, switch in _cases(env):
-            for phase in _PHASES:
-                walked, stepped = (
-                    _start(build, switch, ChannelTuner(
-                        BroadcastChannel(env.s_program, phase=phase)
-                    ), 1)
-                    for _ in range(2)
-                )
-                _walk_to_end(walked, monkeypatch)
-                _step_to_end(stepped)
-                assert _state(walked) == _state(stepped)
+    for build, switch in _cases(env):
+        for phase in _PHASES:
+            walked, stepped = (
+                _start(build, switch, ChannelTuner(
+                    BroadcastChannel(env.s_program, phase=phase)
+                ), 1)
+                for _ in range(2)
+            )
+            _walk_to_end(walked, monkeypatch)
+            _step_to_end(stepped)
+            assert _state(walked) == _state(stepped)
 
 
 @pytest.mark.parametrize("layout", _CYCLIC)
@@ -806,17 +971,16 @@ def test_pickled_environment_drains_identically(layout, monkeypatch):
     assert env.s_tree._walk_table is not None
     copy = pickle.loads(pickle.dumps(env))
     assert getattr(copy.s_tree, "_walk_table", None) is None
-    with kernels.use_kernels(True):
-        for (build, switch), (ref, ref_switch) in zip(_cases(copy),
-                                                      _cases(env)):
-            for phase in _PHASES:
-                walked = _start(build, switch, ChannelTuner(
-                    BroadcastChannel(copy.s_program, phase=phase)
-                ), 1)
-                stepped = _start(ref, ref_switch, ChannelTuner(
-                    BroadcastChannel(env.s_program, phase=phase)
-                ), 1)
-                _walk_to_end(walked, monkeypatch)
-                _step_to_end(stepped)
-                assert _state(walked) == _state(stepped)
+    for (build, switch), (ref, ref_switch) in zip(_cases(copy),
+                                                  _cases(env)):
+        for phase in _PHASES:
+            walked = _start(build, switch, ChannelTuner(
+                BroadcastChannel(copy.s_program, phase=phase)
+            ), 1)
+            stepped = _start(ref, ref_switch, ChannelTuner(
+                BroadcastChannel(env.s_program, phase=phase)
+            ), 1)
+            _walk_to_end(walked, monkeypatch)
+            _step_to_end(stepped)
+            assert _state(walked) == _state(stepped)
     _check_layout(copy.s_tree, walk_table(copy.s_tree))

@@ -1,10 +1,9 @@
-"""Tests for the struct-of-arrays arrival frontier.
+"""Tests for the arrival queue: the walk's stack and the arrival heap.
 
-The frontier must pop in exactly the order of the oracle heap — truly-next
-arrival under the current clock, page id as the only tiebreak dimension —
-while serving epoch-stamped lower bounds.  The reference here is the same
-discipline the heap implements: argmin of ``peek_index_arrival`` over the
-queued nodes.
+Both forms must serve the truly-next arrival under the current clock.
+The reference here is the argmin of ``peek_index_arrival`` over the
+queued nodes: the heap must pop in exactly that order, and the stack's
+closed-form ``next_event_time`` must equal it bit for bit.
 """
 
 import math
@@ -18,7 +17,9 @@ from repro.broadcast import (
     ChannelTuner,
     SystemParameters,
 )
-from repro.client import ArrivalFrontier
+from repro.client import BroadcastKNNSearch
+from repro.client.arrival_queue import ArrivalQueueMixin
+from repro.client.drain import drain
 from repro.geometry import Point
 from repro.rtree import str_pack
 
@@ -30,6 +31,17 @@ def make_tuner(n=200, seed=0, phase=0.0, capacity=64, m=2):
     tree = str_pack(pts, params.leaf_capacity, params.internal_fanout)
     program = BroadcastProgram(tree, params, m=m)
     return tree, ChannelTuner(BroadcastChannel(program, phase=phase))
+
+
+class _Heap(ArrivalQueueMixin):
+    """A bare queue on ``tuner``'s channel, on the heap from the start
+    (as after a search's first step)."""
+
+    def __init__(self, tree, tuner):
+        self.tree = tree
+        self.tuner = tuner
+        self._init_queue(None)
+        self._stack = None
 
 
 def reference_next(tuner, nodes):
@@ -49,156 +61,71 @@ def test_pop_order_matches_scalar_reference(seed):
     """Random push/pop/advance interleaving pops the reference node."""
     rng = random.Random(seed)
     tree, tuner = make_tuner(seed=seed, phase=rng.uniform(0, 50))
-    frontier = ArrivalFrontier(tuner)
+    heap = _Heap(tree, tuner)
     pool = list(tree.root.iter_preorder())
     rng.shuffle(pool)
     queued = []
-    steps = 0
     while pool or queued:
         can_push = bool(pool)
         if can_push and (not queued or rng.random() < 0.6):
             node = pool.pop()
-            frontier.push(node)
+            heap._push(node)
             queued.append(node)
         else:
             want, want_key = reference_next(tuner, queued)
-            assert frontier.peek_arrival() == want_key
-            got, _, _ = frontier.pop()
+            assert heap.next_event_time() == want_key
+            got = heap._pop_head()
             assert got is want
             queued.remove(got)
             # Consuming the page moves the clock past its slot.
             if rng.random() < 0.7:
                 tuner.advance_to(want_key + 1.0)
-        steps += 1
-    assert frontier.finished()
-    assert frontier.max_size >= 1
+    assert heap.finished()
+    assert heap.max_queue_size >= 1
 
 
 def test_pop_on_empty_raises():
-    _, tuner = make_tuner()
-    frontier = ArrivalFrontier(tuner)
+    tree, tuner = make_tuner()
     with pytest.raises(RuntimeError):
-        frontier.pop()
+        _Heap(tree, tuner)._pop_head()
 
 
 def test_peek_empty_is_inf():
-    _, tuner = make_tuner()
-    frontier = ArrivalFrontier(tuner)
-    assert frontier.peek_arrival() == math.inf
+    tree, tuner = make_tuner()
+    assert _Heap(tree, tuner).next_event_time() == math.inf
+    search = BroadcastKNNSearch(tree, tuner, Point(500.0, 500.0), 3)
+    search.run_to_completion()
+    assert search.finished() and search._drains()
+    assert search.next_event_time() == math.inf
 
 
 def test_peek_matches_scalar_peek_bitwise():
-    """The closed-form head arrival equals the scalar tuner peek exactly."""
+    """The stack's closed-form next arrival equals the scalar tuner peek
+    over its queued pages exactly: for a fresh root at several clocks,
+    and after each bounded walk of a search stopped part-way."""
     tree, tuner = make_tuner(phase=13.37)
-    frontier = ArrivalFrontier(tuner)
-    nodes = list(tree.root.iter_preorder())
-    for node in nodes[:20]:
-        frontier.push(node)
     for t in (0.0, 0.5, 7.0, 100.25, 1234.0):
         tuner.advance_to(t)
-        head = frontier.peek_arrival()
-        want = min(tuner.peek_index_arrival(n.page_id) for n in nodes[:20])
-        assert head == want
-
-
-def test_bound_records_epoch_and_weak_flag():
-    tree, tuner = make_tuner()
-    frontier = ArrivalFrontier(tuner)
-    nodes = list(tree.root.iter_preorder())[:3]
-    frontier.push(nodes[0], lb=1.5, epoch=7)
-    frontier.push(nodes[1], lb=2.5, epoch=7, weak=True)
-    frontier.push(nodes[2])
-    got = {}
-    for _ in range(3):
-        node, lb, weak = frontier.pop(epoch=7)
-        got[node.page_id] = (lb, weak)
-    assert got[nodes[0].page_id] == (1.5, False)
-    assert got[nodes[1].page_id] == (2.5, True)
-    assert got[nodes[2].page_id] == (None, False)
-
-
-def test_bound_records_go_stale_across_epochs():
-    tree, tuner = make_tuner()
-    frontier = ArrivalFrontier(tuner)
-    node = tree.root
-    frontier.push(node, lb=3.0, epoch=1)
-    popped, lb, _ = frontier.pop(epoch=2)  # wrong epoch: record is stale
-    assert popped is node
-    assert lb is None
-
-
-def test_eval_pending_batches_all_stale_entries():
-    """A pop-time miss evaluates every pending entry in one call."""
-    tree, tuner = make_tuner()
-    frontier = ArrivalFrontier(tuner)
-    nodes = [n for n in tree.root.iter_preorder()][:6]
-    for node in nodes:
-        frontier.push(node)
-    calls = []
-
-    def evaluator(mbrs):
-        calls.append(mbrs.shape[0])
-        return mbrs[:, 0] * 0.0 + 42.0
-
-    frontier.lower_evaluator = evaluator
-    _, lb, weak = frontier.pop(epoch=0)
-    assert lb == 42.0 and not weak
-    assert calls == [6]  # the popped entry plus all five pending ones
-    # The remaining entries were stamped: no further evaluator calls.
-    for _ in range(5):
-        _, lb, _ = frontier.pop(epoch=0)
-        assert lb == 42.0
-    assert calls == [6]
-
-
-def test_store_lower_caches_exact_bounds():
-    tree, tuner = make_tuner()
-    frontier = ArrivalFrontier(tuner)
-    nodes = [n for n in tree.root.iter_preorder()][:4]
-    for node in nodes:
-        frontier.push(node)
-    active = frontier.active_nodes()
-    assert sorted(n.page_id for n in active) == sorted(
-        n.page_id for n in nodes
-    )
-    import numpy as np
-
-    frontier.store_lower(range(4), np.arange(4, dtype=np.float64), epoch=3)
-    seen = {}
-    for _ in range(4):
-        node, lb, weak = frontier.pop(epoch=3)
-        seen[node.page_id] = lb
-        assert not weak
-    assert seen == {
-        active[i].page_id: float(i) for i in range(4)
-    }
+        search = BroadcastKNNSearch(tree, tuner, Point(400.0, 600.0), 5)
+        assert search.next_event_time() == tuner.peek_index_arrival(
+            tree.root.page_id
+        )
+    stops = 0
+    while not search.finished():
+        want = min(tuner.peek_index_arrival(rec[1]) for rec in search._stack)
+        assert search.next_event_time() == want
+        drain(search, want + 3.0)
+        stops += 1
+    assert stops > 2
 
 
 def test_max_size_tracks_footprint():
     tree, tuner = make_tuner()
-    frontier = ArrivalFrontier(tuner)
+    heap = _Heap(tree, tuner)
     nodes = [n for n in tree.root.iter_preorder()][:5]
     for node in nodes:
-        frontier.push(node)
+        heap._push(node)
     for _ in range(5):
-        frontier.pop()
-    assert frontier.max_size == 5
-    assert frontier.finished()
-
-
-def test_slot_reuse_after_pops():
-    """Pops free slots; reuse never mixes up node/bound lanes."""
-    tree, tuner = make_tuner()
-    frontier = ArrivalFrontier(tuner)
-    nodes = list(tree.root.iter_preorder())
-    for round_no in range(3):
-        batch = nodes[round_no * 4 : round_no * 4 + 4]
-        for k, node in enumerate(batch):
-            frontier.push(node, lb=float(k), epoch=round_no)
-        got = {}
-        for _ in range(4):
-            node, lb, _ = frontier.pop(epoch=round_no)
-            got[node.page_id] = lb
-        assert got == {
-            node.page_id: float(k) for k, node in enumerate(batch)
-        }
+        heap._pop_head()
+    assert heap.max_queue_size == 5
+    assert heap.finished()

@@ -19,9 +19,20 @@ from repro.broadcast import (
 )
 from repro.client import BroadcastKNNSearch, BroadcastWindowSearch
 from repro.core import TNNEnvironment
-from repro.geometry import Point, Rect, distance, kernels
+from repro.geometry import Point, Rect, distance
 from repro.rtree import best_first_knn, str_pack
 from repro.rtree.traversal import window_search
+
+
+def _finish(search, stepped):
+    """Run ``search`` to the end: the drain walk, or (``stepped``) the
+    ``step()`` loop on the heap."""
+    if stepped:
+        while not search.finished():
+            search.step()
+    else:
+        search.run_to_completion()
+    return search
 
 
 def make_setup(n=300, seed=0, m=2, phase=0.0):
@@ -183,9 +194,8 @@ def _setup_for(capacity, n, seed, phase):
 @pytest.mark.parametrize("capacity", [64, 512])
 @pytest.mark.parametrize("seed", range(6))
 def test_knn_kernel_path_bit_identical(capacity, seed):
-    """Seeded sweep: kernel and scalar kNN agree exactly, incl. tune-in."""
-    from repro.geometry import kernels
-
+    """Seeded sweep: the walk and the heap step loop agree exactly,
+    incl. tune-in."""
     rng = random.Random(1000 + seed)
     q = Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
     k = rng.choice([1, 3, 7, 20])
@@ -193,20 +203,19 @@ def test_knn_kernel_path_bit_identical(capacity, seed):
     n = 400 + 60 * seed
 
     results = {}
-    for flag in (False, True):
+    for stepped in (False, True):
         _, tree, tuner = _setup_for(capacity, n, seed, phase)
-        with kernels.use_kernels(flag):
-            got = BroadcastKNNSearch(tree, tuner, q, k).run_to_completion()
-        results[flag] = (got, tuner.now, tuner.index_pages, tuple(tuner.log))
+        s = _finish(BroadcastKNNSearch(tree, tuner, q, k), stepped)
+        results[stepped] = (s.results(), s.max_queue_size, tuner.now,
+                            tuner.index_pages, tuple(tuner.log))
     assert results[False] == results[True]
 
 
 @pytest.mark.parametrize("capacity", [64, 512])
 @pytest.mark.parametrize("seed", range(6))
 def test_window_kernel_path_bit_identical(capacity, seed):
-    """Seeded sweep: kernel and scalar window queries agree exactly."""
-    from repro.geometry import kernels
-
+    """Seeded sweep: walked and heap-stepped window queries agree
+    exactly."""
     rng = random.Random(2000 + seed)
     x0, y0 = rng.uniform(0, 800), rng.uniform(0, 800)
     win = Rect(x0, y0, x0 + rng.uniform(10, 400), y0 + rng.uniform(10, 400))
@@ -214,31 +223,29 @@ def test_window_kernel_path_bit_identical(capacity, seed):
     n = 400 + 60 * seed
 
     results = {}
-    for flag in (False, True):
+    for stepped in (False, True):
         _, tree, tuner = _setup_for(capacity, n, seed, phase)
-        with kernels.use_kernels(flag):
-            got = BroadcastWindowSearch(tree, tuner, win).run_to_completion()
-        results[flag] = (got, tuner.now, tuner.index_pages, tuple(tuner.log))
+        s = _finish(BroadcastWindowSearch(tree, tuner, win), stepped)
+        results[stepped] = (s.results, s.max_queue_size, tuner.now,
+                            tuner.index_pages, tuple(tuner.log))
     assert results[False] == results[True]
 
 
 def test_knn_kernel_path_handles_duplicate_distance_ties():
-    """Exact distance ties at the k-th slot: both paths keep the same set."""
-    from repro.geometry import kernels
-
+    """Exact distance ties at the k-th slot: the walk and the heap step
+    loop keep the same set."""
     # A ring of symmetric points: many exactly-equal distances from q.
     pts = [Point(500 + dx, 500 + dy) for dx in range(-20, 21, 2)
            for dy in range(-20, 21, 2)]
     params = SystemParameters(page_capacity=512)
     q = Point(500, 500)
     results = {}
-    for flag in (False, True):
+    for stepped in (False, True):
         tree = str_pack(pts, params.leaf_capacity, params.internal_fanout)
         program = BroadcastProgram(tree, params, m=2)
         tuner = ChannelTuner(BroadcastChannel(program))
-        with kernels.use_kernels(flag):
-            got = BroadcastKNNSearch(tree, tuner, q, 7).run_to_completion()
-        results[flag] = got
+        s = _finish(BroadcastKNNSearch(tree, tuner, q, 7), stepped)
+        results[stepped] = s.results()
     assert results[False] == results[True]
 
 
@@ -312,14 +319,13 @@ def _guarantee_env(layout, page_capacity, points=None):
 
 
 def _run_knn(env, q, k, phase, backend):
-    """One kNN search on the s channel: ``walk`` drains on the frontier,
-    ``heap`` steps on the oracle heap.  Returns the answers and tuner."""
+    """One kNN search on the s channel: ``walk`` drains its stack,
+    ``heap`` steps on the heap.  Returns the answers and tuner."""
     tuner = ChannelTuner(BroadcastChannel(env.s_program, phase=phase))
-    with kernels.use_kernels(backend == "walk"):
-        search = BroadcastKNNSearch(env.s_tree, tuner, q, k)
-        assert (search._frontier is not None) == (backend == "walk")
-        got = search.run_to_completion()
-    return got, tuner
+    search = _finish(BroadcastKNNSearch(env.s_tree, tuner, q, k),
+                     backend == "heap")
+    assert search._drains() == (backend == "walk")
+    return search.results(), tuner
 
 
 @pytest.mark.parametrize("backend", ["walk", "heap"])

@@ -76,14 +76,13 @@ def test_range_step_on_finished_raises():
 
 
 # ----------------------------------------------------------------------
-# Kernel path vs scalar oracle: bit-identical answers and tuner state
+# The walk vs the heap step loop: bit-identical answers and tuner state
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("capacity", [64, 512])
 @pytest.mark.parametrize("seed", range(6))
 def test_range_kernel_path_bit_identical(capacity, seed):
-    """Seeded sweep: kernel and scalar range queries agree exactly."""
-    from repro.geometry import kernels
-
+    """Seeded sweep: walked and heap-stepped range queries agree
+    exactly."""
     rng = random.Random(3000 + seed)
     circle = Circle(
         Point(rng.uniform(0, 1000), rng.uniform(0, 1000)),
@@ -93,7 +92,7 @@ def test_range_kernel_path_bit_identical(capacity, seed):
     n = 400 + 60 * seed
 
     results = {}
-    for flag in (False, True):
+    for stepped in (False, True):
         rng2 = random.Random(seed)
         pts = [
             Point(rng2.random() * 1000, rng2.random() * 1000)
@@ -103,9 +102,14 @@ def test_range_kernel_path_bit_identical(capacity, seed):
         tree = str_pack(pts, params.leaf_capacity, params.internal_fanout)
         program = BroadcastProgram(tree, params, m=2)
         tuner = ChannelTuner(BroadcastChannel(program, phase=phase))
-        with kernels.use_kernels(flag):
-            got = BroadcastRangeSearch(tree, tuner, circle).run_to_completion()
-        results[flag] = (got, tuner.now, tuner.index_pages, tuple(tuner.log))
+        search = BroadcastRangeSearch(tree, tuner, circle)
+        if stepped:
+            while not search.finished():
+                search.step()
+        else:
+            search.run_to_completion()
+        results[stepped] = (search.results, search.max_queue_size,
+                            tuner.now, tuner.index_pages, tuple(tuner.log))
     assert results[False] == results[True]
 
 

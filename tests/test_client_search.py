@@ -318,26 +318,36 @@ def test_empty_internal_node_cannot_poison_upper_bound():
 
 
 # ----------------------------------------------------------------------
-# Kernel path (arrival frontier + certified bounds) vs scalar oracle
+# The walk (certified bounds) vs the heap step loop (scalar metrics)
 # ----------------------------------------------------------------------
+def _pop(search, stepped):
+    """One pop: a ``step()`` on the heap, or a bounded walk up to the
+    next arrival, which keeps the search on its stack."""
+    if stepped:
+        search.step()
+    else:
+        search._run_until(search.next_event_time())
+
+
 @pytest.mark.parametrize("capacity", [64, 512])
 @pytest.mark.parametrize("seed", range(5))
 def test_nn_kernel_path_bit_identical(capacity, seed):
-    """Seeded sweep: the frontier's cached/weak bounds change nothing."""
-    from repro.geometry import kernels
-
+    """Seeded sweep: the walk's certified bounds change nothing."""
     rng = random.Random(4000 + seed)
     q = Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
     phase = rng.uniform(0, 100)
     results = {}
-    for flag in (False, True):
+    for stepped in (False, True):
         _, tree, tuner = make_setup(
             n=300 + 50 * seed, seed=seed, phase=phase, capacity=capacity
         )
-        with kernels.use_kernels(flag):
-            search = BroadcastNNSearch(tree, tuner, q)
+        search = BroadcastNNSearch(tree, tuner, q)
+        if stepped:
+            while not search.finished():
+                search.step()
+        else:
             search.run_to_completion()
-        results[flag] = (
+        results[stepped] = (
             search.result(),
             search.max_queue_size,
             tuner.now,
@@ -350,69 +360,66 @@ def test_nn_kernel_path_bit_identical(capacity, seed):
 @pytest.mark.parametrize("capacity", [64, 512])
 @pytest.mark.parametrize("seed", range(5))
 def test_hybrid_mutations_kernel_path_bit_identical(capacity, seed):
-    """Mid-flight retarget + transitive switch, kernel vs scalar oracle.
+    """Mid-flight transitive switch, walked vs stepped on the heap.
 
-    Exercises the certified weak transitive bounds and the rescan's
-    epoch-refreshed lower bounds on both paths.
+    One-pop bounded walks up to the switch keep the search on its stack,
+    so the rescan reads the stack and the walk's certified transitive
+    bounds finish the search.
     """
-    from repro.geometry import kernels
-
     rng = random.Random(5000 + seed)
     q = Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
     target = Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
     phase = rng.uniform(0, 100)
     switch_after = rng.randrange(3, 12)
     results = {}
-    for flag in (False, True):
+    for stepped in (False, True):
         _, tree, tuner = make_setup(
             n=300 + 50 * seed, seed=seed, phase=phase, capacity=capacity
         )
-        with kernels.use_kernels(flag):
-            search = BroadcastNNSearch(tree, tuner, q)
-            steps = 0
-            while not search.finished():
-                search.step()
-                steps += 1
-                if steps == switch_after and not search.finished():
-                    search.switch_to_transitive(q, target)
-            trace = (
-                search.result(),
-                search.mode.value,
-                search.max_queue_size,
-                tuner.now,
-                tuner.index_pages,
-                tuple(tuner.log),
-            )
-        results[flag] = trace
+        search = BroadcastNNSearch(tree, tuner, q)
+        steps = 0
+        while not search.finished():
+            _pop(search, stepped)
+            steps += 1
+            if steps == switch_after and not search.finished():
+                search.switch_to_transitive(q, target)
+                search.run_to_completion()
+        results[stepped] = (
+            search.result(),
+            search.mode.value,
+            search.max_queue_size,
+            tuner.now,
+            tuner.index_pages,
+            tuple(tuner.log),
+        )
     assert results[False] == results[True]
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_retarget_kernel_path_bit_identical(seed):
-    """Case 2 re-steering: retarget mid-run, kernel vs scalar oracle."""
-    from repro.geometry import kernels
-
+    """Case 2 re-steering: retarget mid-run, walked vs stepped on the
+    heap."""
     rng = random.Random(6000 + seed)
     q = Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
     new_q = Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
     phase = rng.uniform(0, 100)
     retarget_after = rng.randrange(2, 10)
     results = {}
-    for flag in (False, True):
+    for stepped in (False, True):
         _, tree, tuner = make_setup(n=400, seed=seed, phase=phase)
-        with kernels.use_kernels(flag):
-            search = BroadcastNNSearch(tree, tuner, q)
-            steps = 0
-            while not search.finished():
-                search.step()
-                steps += 1
-                if steps == retarget_after and not search.finished():
-                    search.retarget(new_q)
-            trace = (
-                search.result(),
-                tuner.now,
-                tuner.index_pages,
-                tuple(tuner.log),
-            )
-        results[flag] = trace
+        search = BroadcastNNSearch(tree, tuner, q)
+        steps = 0
+        while not search.finished():
+            _pop(search, stepped)
+            steps += 1
+            if steps == retarget_after and not search.finished():
+                search.retarget(new_q)
+                search.run_to_completion()
+        results[stepped] = (
+            search.result(),
+            search.max_queue_size,
+            tuner.now,
+            tuner.index_pages,
+            tuple(tuner.log),
+        )
     assert results[False] == results[True]

@@ -3,11 +3,11 @@
 The shared-scan executor's contract — answers, access times, tune-in
 counts and queue footprints bit-identical to the per-query oracle — must
 hold on every backend the layout seam can produce.  Cyclic backends
-(grid, quadtree, plain R-tree) exercise the frontier and its drain walk;
-non-cyclic ones (distributed indexing, broadcast-disk schedules) exercise
-the hardened heap fallback, which historically had thinner shared-scan
-coverage.  Kernels off covers the scalar oracle queue on the same
-programs.
+(grid, quadtree, plain R-tree) exercise the drain walk; non-cyclic ones
+(distributed indexing, broadcast-disk schedules) exercise the heap, which
+historically had thinner shared-scan coverage.  Each backend is checked
+against the single-query methods and against searches stepped on the
+heap.
 """
 
 import random
@@ -32,7 +32,7 @@ from repro.engine import (
     SharedScanRunner,
     WindowRequest,
 )
-from repro.geometry import Point, Rect, kernels
+from repro.geometry import Point, Rect
 
 
 HOT = Rect(0.0, 0.0, 12000.0, 12000.0)
@@ -93,36 +93,45 @@ def _oracle(engine, req):
     return engine.window(req.window, req.phase, req.channel)
 
 
-@pytest.mark.parametrize("use_kernels", [True, False])
+def _stepped(engine, req):
+    """The search ``engine`` would build for ``req``, stepped on the heap."""
+    search = engine._build(req)
+    while not search.finished():
+        search.step()
+    return engine._finish(search)
+
+
+@pytest.mark.parametrize("stepped", [True, False])
 @pytest.mark.parametrize("backend", sorted(LAYOUTS))
-def test_run_many_bit_identity_per_backend(backend, use_kernels, envs):
+def test_run_many_bit_identity_per_backend(backend, stepped, envs):
+    """``run_many`` against the single-query methods, or (``stepped``)
+    against every request's search stepped on the heap."""
     env = envs[backend]
     engine = QueryEngine(env)
     requests = _mixed_requests(env, 20)
-    with kernels.use_kernels(use_kernels):
-        got = engine.run_many(requests)
-        want = [_oracle(engine, req) for req in requests]
-    assert got == want
+    got = engine.run_many(requests)
+    oracle = _stepped if stepped else _oracle
+    assert got == [oracle(engine, req) for req in requests]
 
 
 @pytest.mark.parametrize("backend", ["distributed", "disk"])
 def test_heap_fallback_engaged_on_non_cyclic_backends(backend, envs):
-    """Non-cyclic programs must not sneak onto the frontier fast path."""
+    """Non-cyclic programs must not sneak onto the walk."""
     env = envs[backend]
     assert not env.s_program.has_cyclic_order
     engine = QueryEngine(env)
     search = engine._build(NNRequest(Point(100.0, 100.0)))
-    assert search._frontier is None
+    assert not search._drains()
 
 
 @pytest.mark.parametrize("backend", ["grid", "quadtree"])
-def test_arena_path_engaged_on_cyclic_backends(backend, envs):
-    """Cyclic backends build frontier-backed searches, which drain."""
+def test_walk_engaged_on_cyclic_backends(backend, envs):
+    """Cyclic backends build searches on the walk's stack, which drain."""
     env = envs[backend]
     assert env.s_program.has_cyclic_order
     engine = QueryEngine(env)
     search = engine._build(NNRequest(Point(100.0, 100.0)))
-    assert search._frontier is not None
+    assert search._drains()
 
 
 @pytest.mark.parametrize("backend", ["grid", "quadtree", "disk"])

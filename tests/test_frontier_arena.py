@@ -3,7 +3,7 @@
 End-to-end randomized workloads run through ``execute_tnn_batch`` at both
 paper page geometries (including mid-run Hybrid-NN re-steering) and on
 the distributed-layout heap fallback, and must match per-query
-``algorithm.run`` and the scalar heap oracle result for result.
+``algorithm.run`` and the stages stepped on the heap result for result.
 """
 
 import random
@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.broadcast import SystemParameters
+from repro.client import run_all
 from repro.core.environment import TNNEnvironment
 from repro.core.double import DoubleNN
 from repro.core.hybrid import HybridNN
@@ -26,7 +27,7 @@ def test_randomized_workload_bit_identity(capacity, algo_cls):
     """Random workloads: executor == per-query, both geometries.
 
     Hybrid-NN covers mid-run re-steering (retarget / transitive switch of
-    a part-walked frontier); Double-NN covers independent estimate pairs.
+    a part-walked stack); Double-NN covers independent estimate pairs.
     """
     params = SystemParameters(page_capacity=capacity)
     env = TNNEnvironment.build(
@@ -40,9 +41,8 @@ def test_randomized_workload_bit_identity(capacity, algo_cls):
         for _ in range(40)
     ]
     algo = algo_cls()
-    with kernels.use_kernels(True):
-        shared = execute_tnn_batch(env, algo, queries)
-        per_query = [algo.run(env, q, ps, pr) for q, ps, pr in queries]
+    shared = execute_tnn_batch(env, algo, queries)
+    per_query = [algo.run(env, q, ps, pr) for q, ps, pr in queries]
     assert shared == per_query
 
 
@@ -80,7 +80,7 @@ class _FixedWorkload:
 
 
 # ----------------------------------------------------------------------
-# The executor vs the scalar per-query oracle
+# The executor vs the per-query stages stepped on the heap
 # ----------------------------------------------------------------------
 def _ab_queries(env, n, seed):
     rng = random.Random(seed)
@@ -91,19 +91,28 @@ def _ab_queries(env, n, seed):
 
 
 def _per_query_oracle(env, algo, queries):
-    """The scalar per-query path: heap queues, no kernels."""
-    with kernels.use_kernels(False):
-        return [algo.run(env, q, ps, pr) for q, ps, pr in queries]
+    """The per-query reference: every stage stepped on the heap by
+    ``run_all``."""
+    out = []
+    for q, ps, pr in queries:
+        stages = algo._stages(env, q, *env.tuners(ps, pr))
+        try:
+            while True:
+                group = next(stages)
+                run_all(group.searches, on_finish=group.on_finish)
+        except StopIteration as done:
+            out.append(done.value)
+    return out
 
 
 @pytest.mark.parametrize("capacity", [64, 512])
 @pytest.mark.parametrize("algo_cls", [HybridNN, DoubleNN])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_store_phase_a_matches_scalar_row_loop(capacity, algo_cls, seed):
-    """Random workloads: the executor == the per-query scalar loop.
+    """Random workloads: the executor == the per-query heap step loop.
 
     The executor's drain walks (certified weak bounds, exact keeps,
-    bounded pair runs) must reproduce the scalar heap run result for
+    bounded pair runs) must reproduce the heap-stepped run result for
     result — answers, access times and tune-in counters all derive from
     the same per-node decisions, so any divergence surfaces here.
     """
@@ -114,8 +123,7 @@ def test_store_phase_a_matches_scalar_row_loop(capacity, algo_cls, seed):
     )
     queries = _ab_queries(env, 40, seed + 100)
     algo = algo_cls()
-    with kernels.use_kernels(True):
-        store = execute_tnn_batch(env, algo, queries)
+    store = execute_tnn_batch(env, algo, queries)
     assert store == _per_query_oracle(env, algo, queries)
 
 
@@ -125,7 +133,7 @@ def test_ab_sweep_drains_every_estimate_search(monkeypatch):
     Guard against silently-green sweeps: on this fixed-seed workload every
     estimate search of every query drains (Hybrid-NN's pair in bounded
     runs, so a search may drain more than once) and none steps, while the
-    answers still match the per-query scalar oracle.
+    answers still match the per-query heap step loop.
     """
     from repro.client import BroadcastNNSearch, arrival_queue
 
@@ -150,8 +158,7 @@ def test_ab_sweep_drains_every_estimate_search(monkeypatch):
     algo = HybridNN()
     monkeypatch.setattr(arrival_queue, "drain", drain_spy)
     monkeypatch.setattr(BroadcastNNSearch, "step", step_spy)
-    with kernels.use_kernels(True):
-        store = execute_tnn_batch(env, algo, queries)
+    store = execute_tnn_batch(env, algo, queries)
     monkeypatch.undo()
     nn = {id(s) for s in drained if type(s) is BroadcastNNSearch}
     assert len(nn) == 2 * len(queries), "an estimate search never drained"

@@ -4,8 +4,10 @@ The kernels in :mod:`repro.geometry.kernels` must be **bit-identical** to
 the scalar implementations they accelerate — the scalar code is the
 correctness oracle.  These tests drive that contract with seeded randomized
 cases (including grazing, collinear and degenerate MBRs, where the masked
-case analysis of Lemma 1 is most fragile) and check that whole-engine query
-answers do not depend on which path ran.
+case analysis of Lemma 1 is most fragile).  No search runs on the kernels;
+the last tests check that whole-engine answers do not depend on which
+search path ran (the drain walk or the heap step loop) and that the
+scalar in-memory oracles agree with a brute-force scan.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.broadcast import SystemParameters
+from repro.client import run_all
 from repro.core import DoubleNN, HybridNN, TNNEnvironment, WindowBasedTNN
 from repro.datasets import sized_uniform
 from repro.engine import QueryWorkload, SharedScanRunner
@@ -195,38 +198,44 @@ def test_traversal_answers_bit_identical_across_paths(leaf_capacity, fanout):
         Point(rng.uniform(0, 30_000), rng.uniform(0, 30_000)) for _ in range(25)
     ]
 
-    def run_all():
-        out = []
-        for q in queries:
-            rpt, rd = best_first_nn(r_tree, q)
-            out.append((rpt, rd))
-            out.append(transitive_nn(s_tree, q, rpt))
-            out.append(tuple(best_first_knn(s_tree, q, 5)))
-            out.append(tuple(range_search(s_tree, Circle(q, 4_000.0))))
-            out.append(
-                tuple(
-                    window_search(
-                        r_tree,
-                        Rect(q.x - 3_000, q.y - 3_000, q.x + 3_000, q.y + 3_000),
-                    )
-                )
-            )
-        return out
+    s_pts = list(s_tree.iter_points())
+    r_pts = list(r_tree.iter_points())
 
-    with kernels.use_kernels(False):
-        scalar = run_all()
-    with kernels.use_kernels(True):
-        vector = run_all()
-    assert scalar == vector
+    def oracles(q):
+        rpt, rd = best_first_nn(r_tree, q)
+        spt, sd = transitive_nn(s_tree, q, rpt)
+        window = Rect(q.x - 3_000, q.y - 3_000, q.x + 3_000, q.y + 3_000)
+        return (
+            rd, distance(q, rpt), sd, distance(q, spt) + distance(spt, rpt),
+            [d for _, d in best_first_knn(s_tree, q, 5)],
+            sorted(range_search(s_tree, Circle(q, 4_000.0))),
+            sorted(window_search(r_tree, window)),
+        )
+
+    def scan(q):
+        rd = min(distance(q, p) for p in r_pts)
+        rpt = best_first_nn(r_tree, q)[0]
+        sd = min(distance(q, s) + distance(s, rpt) for s in s_pts)
+        window = Rect(q.x - 3_000, q.y - 3_000, q.x + 3_000, q.y + 3_000)
+        return (
+            rd, rd, sd, sd,
+            sorted(distance(q, p) for p in s_pts)[:5],
+            sorted(p for p in s_pts if distance(q, p) <= 4_000.0),
+            sorted(p for p in r_pts if window.contains_point(p)),
+        )
+
+    for q in queries:
+        assert oracles(q) == scan(q)
 
 
 @pytest.mark.parametrize("capacity", [64, 512])
 def test_engine_answers_bit_identical_across_paths(capacity):
-    """Broadcast-engine query results are independent of the kernel path.
+    """Broadcast-engine query results are independent of the search path.
 
-    The scalar per-query path is the seed implementation, so equality
-    here is the "bit-identical to seed" guarantee for whole-engine
-    answers, on the runner with kernels on and off.
+    Every stage stepped on the heap by ``run_all`` is the seed
+    implementation, so equality here is the "bit-identical to seed"
+    guarantee for whole-engine answers, per query and on the runner,
+    whose stages drain.
     """
     env = TNNEnvironment.build(
         sized_uniform(400, seed=1),
@@ -236,20 +245,19 @@ def test_engine_answers_bit_identical_across_paths(capacity):
     workload = QueryWorkload(12, seed=3)
     queries = workload.queries(env)
     for algo in (HybridNN(), DoubleNN(), WindowBasedTNN()):
-        with kernels.use_kernels(False):
-            scalar = [algo.run(env, q, ps, pr) for q, ps, pr in queries]
-            runner_scalar = SharedScanRunner(env, workload).run_algorithm(algo)
-        with kernels.use_kernels(True):
-            vector = SharedScanRunner(env, workload).run_algorithm(algo)
-        assert runner_scalar == scalar
-        assert vector == scalar
-
-
-def test_use_kernels_context_restores_state():
-    before = kernels.enabled()
-    with kernels.use_kernels(not before):
-        assert kernels.enabled() is (not before)
-    assert kernels.enabled() is before
+        stepped = []
+        for q, ps, pr in queries:
+            stages = algo._stages(env, q, *env.tuners(ps, pr))
+            try:
+                while True:
+                    group = next(stages)
+                    run_all(group.searches, on_finish=group.on_finish)
+            except StopIteration as done:
+                stepped.append(done.value)
+        per_query = [algo.run(env, q, ps, pr) for q, ps, pr in queries]
+        runner = SharedScanRunner(env, workload).run_algorithm(algo)
+        assert per_query == stepped
+        assert runner == stepped
 
 
 def test_trans_lower_multi_matches_scalar_exactly():

@@ -2,7 +2,7 @@
 
 Both alternative backends materialise their partitioning as a valid packed
 R-tree container (tight MBRs, balanced levels, bounded fanout), so the
-entire client stack — traversal, frontier, kernels, shared scan — runs on
+entire client stack — traversal, the drain walk, shared scan — runs on
 them unchanged.  These tests pin that contract: ``validate()`` passes,
 packed kernel arrays are present, and NN/kNN/range answers match brute
 force on uniform and clustered datasets at the paper's fanouts.

@@ -24,7 +24,6 @@ from repro.engine.batch import (
     shard_timeout,
 )
 from repro.engine.workload import QueryWorkload
-from repro.geometry import kernels
 from repro.sim.stats import summarize_batch
 
 
@@ -45,9 +44,8 @@ def workload():
 @pytest.fixture(scope="module")
 def reference(env, workload):
     """The unsupervised serial oracle for the shared workload."""
-    with kernels.use_kernels(True):
-        runner = SharedScanRunner(env, workload, workers=0)
-        return runner.run_algorithm(HybridNN())
+    runner = SharedScanRunner(env, workload, workers=0)
+    return runner.run_algorithm(HybridNN())
 
 
 def test_supervisor_knobs_parse_env(monkeypatch):
@@ -110,14 +108,13 @@ def test_any_partition_executes_bit_identical(env, algo_cls, seed):
     queries = QueryWorkload(n_queries=18, seed=9).queries(env)
     rng = random.Random(seed)
     merged = [None] * len(queries)
-    with kernels.use_kernels(True):
-        want = execute_tnn_batch(env, algo, queries, record_log=False)
-        for chunk in _random_partition(rng, len(queries)):
-            results = execute_tnn_batch(
-                env, algo, [queries[i] for i in chunk], record_log=False
-            )
-            for i, res in zip(chunk, results):
-                merged[i] = res
+    want = execute_tnn_batch(env, algo, queries, record_log=False)
+    for chunk in _random_partition(rng, len(queries)):
+        results = execute_tnn_batch(
+            env, algo, [queries[i] for i in chunk], record_log=False
+        )
+        for i, res in zip(chunk, results):
+            merged[i] = res
     assert merged == want
     assert summarize_batch(merged) == summarize_batch(want)
 
@@ -151,9 +148,8 @@ def test_chaos_kill_one_worker_bit_identical(
     monkeypatch.setenv("REPRO_CHAOS_KILL_SHARD", "0")
     monkeypatch.setenv("REPRO_CHAOS_MARKER", str(marker))
     monkeypatch.setenv("REPRO_SHARD_BACKOFF", "0.01")
-    with kernels.use_kernels(True):
-        runner = SharedScanRunner(env, workload, workers=2)
-        got = runner.run_algorithm(HybridNN())
+    runner = SharedScanRunner(env, workload, workers=2)
+    got = runner.run_algorithm(HybridNN())
     assert not marker.exists()  # the kill actually fired
     assert got == reference
 
@@ -168,9 +164,8 @@ def test_chaos_kill_with_no_retry_budget_falls_back_serial(
     monkeypatch.setenv("REPRO_CHAOS_KILL_SHARD", "0")
     monkeypatch.setenv("REPRO_CHAOS_MARKER", str(marker))
     monkeypatch.setenv("REPRO_SHARD_RETRIES", "0")
-    with kernels.use_kernels(True):
-        runner = SharedScanRunner(env, workload, workers=2)
-        got = runner.run_algorithm(HybridNN())
+    runner = SharedScanRunner(env, workload, workers=2)
+    got = runner.run_algorithm(HybridNN())
     assert not marker.exists()
     assert got == reference
 
@@ -182,9 +177,8 @@ def test_hung_wave_deadline_recovers(monkeypatch, env, workload, reference):
     monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "0.0001")
     monkeypatch.setenv("REPRO_SHARD_RETRIES", "1")
     monkeypatch.setenv("REPRO_SHARD_BACKOFF", "0.01")
-    with kernels.use_kernels(True):
-        runner = SharedScanRunner(env, workload, workers=2)
-        got = runner.run_algorithm(HybridNN())
+    runner = SharedScanRunner(env, workload, workers=2)
+    got = runner.run_algorithm(HybridNN())
     assert got == reference
 
 
@@ -199,9 +193,8 @@ def test_supervised_run_mapping_shares_pool(
     monkeypatch.setenv("REPRO_CHAOS_MARKER", str(marker))
     monkeypatch.setenv("REPRO_SHARD_BACKOFF", "0.01")
     algos = {"hybrid": HybridNN()}
-    with kernels.use_kernels(True):
-        want = SharedScanRunner(env, workload, workers=0).run(algos)
-        got = SharedScanRunner(env, workload, workers=2).run(algos)
+    want = SharedScanRunner(env, workload, workers=0).run(algos)
+    got = SharedScanRunner(env, workload, workers=2).run(algos)
     assert not marker.exists()
     assert got == want
 

@@ -195,9 +195,9 @@ def test_lossy_run_many_matches_brute_force(fault, dataset):
 @pytest.mark.parametrize("layout", available_layouts())
 def test_run_many_matches_brute_force_on_every_layout(layout):
     """Lossless answers on every registered layout.  Cyclic layouts that
-    are not R-trees (grid, quadtree) serve on frontiers, every search
-    as one drain walk; layouts without cyclic page order
-    (distributed indexing, broadcast disks) serve on the heap."""
+    are not R-trees (grid, quadtree) serve every search as one drain
+    walk; layouts without cyclic page order (distributed indexing,
+    broadcast disks) serve on the heap."""
     s_points, r_points = DATASETS["clustered"]()
     lay = make_layout(layout)
     env = TNNEnvironment.build(
@@ -206,5 +206,5 @@ def test_run_many_matches_brute_force_on_every_layout(layout):
     )
     requests = _requests(env, random.Random(7))
     search = QueryEngine(env)._build(requests[0])
-    assert (search._frontier is not None) == lay.has_cyclic_order
+    assert search._drains() == lay.has_cyclic_order
     _check_batch(env, requests)

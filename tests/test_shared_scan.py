@@ -3,12 +3,12 @@
 The contract under test: the shared-scan executor
 (:mod:`repro.engine.shared_scan`) must reproduce the per-query path —
 answers, access times, tune-in counts, max queue sizes — bit for bit, for
-every query type, at both the paper's page geometries, for searches built
-on the kernel path *and* under ``REPRO_NO_KERNELS``-style scalar
-execution, including workloads whose queries straddle different channel
-phases.  The runner-level reference is per-query ``algorithm.run``; the
-drain tests step their reference searches explicitly,
-because ``run_to_completion`` runs the walk the executor's drain runs.
+every query type, at both the paper's page geometries, against per-query
+runs that drain and against stages stepped on the heap, including
+workloads whose queries straddle different channel phases.  The
+runner-level reference is per-query ``algorithm.run``; the drain tests
+step their reference searches explicitly, because ``run_to_completion``
+runs the walk the executor's drain runs.
 """
 
 import math
@@ -123,32 +123,27 @@ def _straddling_queries(env, n, seed=1):
 # TNN workloads: shared scan vs per-query oracle
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("page_capacity", [64, 512])
-@pytest.mark.parametrize("use_kernels", [True, False])
+@pytest.mark.parametrize("drained", [True, False])
 @pytest.mark.parametrize("algo_cls", [DoubleNN, HybridNN])
-def test_tnn_bit_identity(page_capacity, use_kernels, algo_cls, env64, env512):
+def test_tnn_bit_identity(page_capacity, drained, algo_cls, env64, env512):
+    """The executor against per-query ``algo.run`` (``drained``) or
+    against the stages stepped on the heap by ``run_all``."""
     env = env64 if page_capacity == 64 else env512
     queries = _random_queries(env, 25)
     algo = algo_cls()
-    with kernels.use_kernels(use_kernels):
-        # Without kernels every group runs through SearchGroup.run, the
-        # code algo.run runs: the reference is the stepped lifecycle.
-        want = (
-            [algo.run(env, q, ps, pr) for q, ps, pr in queries]
-            if use_kernels else _stepped_per_query(env, algo, queries)
-        )
-        got = execute_tnn_batch(env, algo, queries)
-    assert got == want
+    want = (_per_query if drained else _stepped_per_query)(env, algo, queries)
+    assert execute_tnn_batch(env, algo, queries) == want
 
 
-@pytest.mark.parametrize("use_kernels", [True, False])
-def test_tnn_bit_identity_phase_straddling(env64, use_kernels):
-    """Queries at evenly spread phases of both cycles stay bit-identical."""
+@pytest.mark.parametrize("drained", [True, False])
+def test_tnn_bit_identity_phase_straddling(env64, drained):
+    """Queries at evenly spread phases of both cycles stay bit-identical,
+    against drained per-query runs and heap-stepped stages."""
     queries = _straddling_queries(env64, 24)
     algo = HybridNN()
-    with kernels.use_kernels(use_kernels):
-        want = [algo.run(env64, q, ps, pr) for q, ps, pr in queries]
-        got = execute_tnn_batch(env64, algo, queries)
-    assert got == want
+    want = (_per_query if drained else _stepped_per_query)(env64, algo,
+                                                           queries)
+    assert execute_tnn_batch(env64, algo, queries) == want
 
 
 def test_shared_runner_matches_batch_runner(env64):
@@ -291,23 +286,26 @@ def _mixed_requests(env, n, seed=9):
 
 
 @pytest.mark.parametrize("page_capacity", [64, 512])
-@pytest.mark.parametrize("use_kernels", [True, False])
-def test_run_many_bit_identity(page_capacity, use_kernels, env64, env512):
+@pytest.mark.parametrize("drained", [True, False])
+def test_run_many_bit_identity(page_capacity, drained, env64, env512):
+    """``run_many`` against the single-query methods (``drained``) or
+    against every request's search stepped on the heap."""
     env = env64 if page_capacity == 64 else env512
     engine = QueryEngine(env)
     requests = _mixed_requests(env, 32)
-    with kernels.use_kernels(use_kernels):
-        got = engine.run_many(requests)
-        want = []
-        for r in requests:
-            if isinstance(r, NNRequest):
-                want.append(engine.nn(r.point, r.phase, r.channel))
-            elif isinstance(r, KNNRequest):
-                want.append(engine.knn(r.point, r.k, r.phase, r.channel))
-            elif isinstance(r, RangeRequest):
-                want.append(engine.range(r.center, r.radius, r.phase, r.channel))
-            else:
-                want.append(engine.window(r.window, r.phase, r.channel))
+    got = engine.run_many(requests)
+    want = []
+    for r in requests:
+        if not drained:
+            want.append(_single_query(engine, r))
+        elif isinstance(r, NNRequest):
+            want.append(engine.nn(r.point, r.phase, r.channel))
+        elif isinstance(r, KNNRequest):
+            want.append(engine.knn(r.point, r.k, r.phase, r.channel))
+        elif isinstance(r, RangeRequest):
+            want.append(engine.range(r.center, r.radius, r.phase, r.channel))
+        else:
+            want.append(engine.window(r.window, r.phase, r.channel))
     assert got == want
 
 
@@ -345,10 +343,9 @@ def test_run_many_nn_drains_one_walk_per_request(env64, monkeypatch):
         ))
     drained = _spy_drained(monkeypatch)
     engine = QueryEngine(env64)
-    with kernels.use_kernels(True):
-        with _executor_run():
-            got = engine.run_many(requests)
-        want = [engine.nn(r.point, r.phase, r.channel) for r in requests]
+    with _executor_run():
+        got = engine.run_many(requests)
+    want = [engine.nn(r.point, r.phase, r.channel) for r in requests]
     assert got == want
     assert len({id(s) for s in drained}) == len(drained) == len(requests)
     assert {id(s.tree) for s in drained} == {
@@ -376,14 +373,13 @@ def test_client_queries_honour_the_env_fault_model():
     lossy = QueryEngine(build(PageLossModel(rate=0.3, seed=3)))
     clean = QueryEngine(build(None))
     requests = _mixed_requests(lossy.env, 24)
-    with kernels.use_kernels(True):
-        got = lossy.run_many(requests)
-        ref = clean.run_many(requests)
-        singles = [
-            lossy.nn(r.point, r.phase, r.channel)
-            for r in requests
-            if isinstance(r, NNRequest)
-        ]
+    got = lossy.run_many(requests)
+    ref = clean.run_many(requests)
+    singles = [
+        lossy.nn(r.point, r.phase, r.channel)
+        for r in requests
+        if isinstance(r, NNRequest)
+    ]
     assert [sorted(a.answers) for a in got] == [
         sorted(a.answers) for a in ref
     ]
@@ -508,12 +504,11 @@ def _drain_vs_single(env, requests, monkeypatch):
     """
     engine = QueryEngine(env)
     finished, stepped = _spy_finish_and_steps(monkeypatch)
-    with kernels.use_kernels(True):
-        with _executor_run():
-            got = engine.run_many(requests, record_log=True)
-        records = finished[:]
-        del finished[:]
-        want = [_single_query(engine, r) for r in requests]
+    with _executor_run():
+        got = engine.run_many(requests, record_log=True)
+    records = finished[:]
+    del finished[:]
+    want = [_single_query(engine, r) for r in requests]
     assert got == want
     assert records == finished
     return got, records, stepped
@@ -602,16 +597,6 @@ def test_range_window_drain_bit_identical_to_single_query(
         assert all(len(a.answers) == len(env.s_points) for a in got)
     elif case == "boundary":
         assert all(a.answers for a in got)
-    if page_capacity == 512:
-        # Every leaf takes _absorb_leaf's kernel branch inside the drain.
-        stack, fanouts = [env.s_tree.root], []
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                fanouts.append(node.fanout)
-            else:
-                stack.extend(node.children)
-        assert min(fanouts) >= kernels.min_batch_leaf()
 
 
 #: Fault family -> the fault model of the lossy drain tests.
@@ -758,16 +743,15 @@ def _spy_jumps(monkeypatch, classes=(BroadcastRangeSearch,)):
 
     def spy(step):
         def step_spy(self):
-            f = self._frontier
             before = self.tuner.now
             n = self.tuner.index_pages
             step(self)
-            if f is None or self.tuner.index_pages == n:
+            if self.tuner.index_pages == n:
                 return
             page = self.tuner.log[-1][1]
-            base = math.ceil(before - f._phase)
-            slot = base + (page - base) % f._cycle
-            if math.ceil(self.tuner.now - f._phase) != slot + 1:
+            base = math.ceil(before - self._phase)
+            slot = base + (page - base) % self._cycle
+            if math.ceil(self.tuner.now - self._phase) != slot + 1:
                 rows.append((self, page))
 
         return step_spy
@@ -833,11 +817,10 @@ def test_tnn_filter_pass_bit_identical_to_per_query(algo_cls, monkeypatch):
         return out
 
     algo = algo_cls()
-    with kernels.use_kernels(True):
-        want = _stepped_per_query(env, algo, queries)
-        want_states = states()
-        with _executor_run():
-            got = execute_tnn_batch(env, algo, queries, record_log=True)
+    want = _stepped_per_query(env, algo, queries)
+    want_states = states()
+    with _executor_run():
+        got = execute_tnn_batch(env, algo, queries, record_log=True)
     assert got == want
     assert states() == want_states
     ranges = [s for s in drained if type(s) is BroadcastRangeSearch]
@@ -918,7 +901,7 @@ def test_paired_drain_groups_match_run_all(kind, monkeypatch):
     on the same pair: answers (window results in discovery order), clock,
     tune-in, max queue size and the tuner log event by event.  The pair
     runs in alternating bounded drains, each member up to its sibling's
-    next event, so later runs resume from a part-walked frontier, never
+    next event, so later runs resume from a part-walked stack, never
     with queued pages on both sides of the cursor."""
     env = TNNEnvironment.build(
         sized_uniform(2000, seed=13),
@@ -931,26 +914,24 @@ def test_paired_drain_groups_match_run_all(kind, monkeypatch):
 
     def drain_spy(s, *args):
         if _serving:
-            f = s._frontier
-            cursor = math.ceil(s.tuner.now - f._phase) % f._cycle
-            pages = f._order_pages
+            cursor = math.ceil(s.tuner.now - s._phase) % s._cycle
+            stack = s._stack
             starts.append((
                 s.tuner.index_pages > 0,
-                bool(pages) and pages[0] < cursor <= pages[-1],
+                bool(stack) and stack[-1][1] < cursor <= stack[0][1],
             ))
         return drain(s, *args)
 
     monkeypatch.setattr(arrival_queue, "drain", drain_spy)
-    with kernels.use_kernels(True):
-        want = _paired_searches(env, kind)
-        for pair in want:
-            run_all(pair)
-        got = _paired_searches(env, kind)
-        executor = SharedScanExecutor()
-        with _executor_run():
-            for pair in got:
-                executor.add(SearchGroup(pair, paired=True))
-            executor.run()
+    want = _paired_searches(env, kind)
+    for pair in want:
+        run_all(pair)
+    got = _paired_searches(env, kind)
+    executor = SharedScanExecutor()
+    with _executor_run():
+        for pair in got:
+            executor.add(SearchGroup(pair, paired=True))
+        executor.run()
 
     def state(s):
         return engine._finish(s), s.tuner.log
@@ -970,10 +951,9 @@ def test_lossy_range_searches_keep_the_drain(monkeypatch):
     drained = _spy_drained(monkeypatch)
     queries = _random_queries(env, 12, seed=6)
     algo = DoubleNN()
-    with kernels.use_kernels(True):
-        want = _stepped_per_query(env, algo, queries)
-        with _executor_run():
-            assert execute_tnn_batch(env, algo, queries) == want
+    want = _stepped_per_query(env, algo, queries)
+    with _executor_run():
+        assert execute_tnn_batch(env, algo, queries) == want
     ranges = [s for s in drained if type(s) is BroadcastRangeSearch]
     assert len(ranges) == 2 * len(queries)
     assert len(drained) == 4 * len(queries)
@@ -1092,9 +1072,9 @@ def test_search_group_pending_excludes_born_finished():
 
 class _ScriptedSearch(ArrivalQueueMixin):
     """A search type the executor does not know: scripted event times on
-    no frontier, so ``run_to_completion`` steps it."""
+    no stack, so ``run_to_completion`` steps it."""
 
-    _frontier = None
+    _stack = None
 
     def __init__(self, times):
         self.times = list(times)
@@ -1136,62 +1116,30 @@ def test_batch_runner_pool_still_bit_identical(env64):
 
 
 # ----------------------------------------------------------------------
-# Frontier micro-fix: _eval_pending skip-guard
+# The arrival queue: next event time vs the page a pop serves
 # ----------------------------------------------------------------------
-def test_eval_pending_guard_skips_fully_stamped_queues(env64):
-    from repro.broadcast import BroadcastChannel, ChannelTuner
-    from repro.client.frontier import ArrivalFrontier
-
-    tuner = ChannelTuner(BroadcastChannel(env64.s_program))
-    front = ArrivalFrontier(tuner)
-    root = env64.s_tree.root
-    nodes = list(root.children)
-    calls = []
-
-    def evaluator(mbrs):
-        calls.append(mbrs.shape[0])
-        return kernels.mindist(Point(0.0, 0.0), mbrs)
-
-    front.lower_evaluator = evaluator
-    # Push with records from an older epoch: the first pop under epoch 1
-    # batch-evaluates every stale entry, later pops reuse the stamps.
-    front.push_many(nodes, [0.0] * len(nodes), epoch=0)
-    n = len(nodes)
-    got = front.pop(epoch=1)
-    assert got[1] is not None
-    assert calls == [n]
-    for _ in range(n - 1):
-        node, lb, weak = front.pop(1)
-        assert lb is not None and not weak
-    assert calls == [n]  # guard: no further scans, all records were valid
-
-    # A fresh stale push re-arms the scan exactly once.
-    front.push_many(nodes, [0.0] * len(nodes), epoch=0)
-    front.pop(epoch=1)
-    assert len(calls) == 2
-
-
 def test_peek_arrival_matches_next_pop(env64):
-    """The next event time is exactly the arrival of the page pop serves."""
+    """The next event time is exactly the arrival of the page the next
+    pop downloads, and no queued page arrives earlier: on the walk's
+    stack before the first step and on the heap after it."""
     from repro.broadcast import BroadcastChannel, ChannelTuner
-    from repro.client.frontier import ArrivalFrontier
 
     tuner = ChannelTuner(BroadcastChannel(env64.s_program, phase=7.0))
-    front = ArrivalFrontier(tuner)
-    nodes = list(env64.s_tree.root.children)
-    front.push_many(nodes)
     tuner.advance_to(123.0)
-    while not front.finished():
-        arrival = front.peek_arrival()
-        node, _, _ = front.pop()
-        assert arrival == tuner.peek_index_arrival(node.page_id)
-        # No other queued page arrives earlier.
+    search = BroadcastRangeSearch(env64.s_tree, tuner,
+                                  Circle(Point(0.0, 0.0), 1e9))
+    assert search._drains()
+    while not search.finished():
+        arrival = search.next_event_time()
         assert all(
             tuner.peek_index_arrival(n.page_id) >= arrival
-            for n in front.active_nodes()
+            for n in search._queued_nodes()
         )
-        tuner.advance_to(arrival + 1.0)
-    assert front.peek_arrival() == math.inf
+        search.step()  # the covering circle downloads every page
+        assert tuner.log[-1][2] == arrival
+    assert not search._drains()
+    assert tuner.index_pages == len(list(env64.s_tree.iter_nodes()))
+    assert search.next_event_time() == math.inf
 
 
 # ----------------------------------------------------------------------
@@ -1223,6 +1171,5 @@ def test_store_oracle_identity_under_loss(algo_cls, loss_kwargs):
     )
     queries = _random_queries(env, 30, seed=23)
     algo = algo_cls()
-    with kernels.use_kernels(True):
-        store = execute_tnn_batch(env, algo, queries)
+    store = execute_tnn_batch(env, algo, queries)
     assert store == _stepped_per_query(env, algo, queries)

@@ -41,7 +41,7 @@ from repro.core import DoubleNN, HybridNN, TNNEnvironment
 from repro.datasets import sized_uniform
 from repro.engine import execute_tnn_batch
 from repro.engine.shared_scan import SharedScanExecutor
-from repro.geometry import Point, kernels
+from repro.geometry import Point
 from repro.rtree import str_pack
 
 
@@ -170,12 +170,11 @@ def test_lossy_nn_search_drains_in_add(env_lossless):
         Point(500.0, 500.0),
     )
     lossy_group, clean_group = SearchGroup([lossy]), SearchGroup([clean])
-    with kernels.use_kernels(True):
-        executor.add(lossy_group)
-        _assert_drained_in_add(lossy)
-        assert lossy_group.finished()
-        assert lossy.tuner.lost_pages > 0  # loss engaged
-        executor.add(clean_group)
+    executor.add(lossy_group)
+    _assert_drained_in_add(lossy)
+    assert lossy_group.finished()
+    assert lossy.tuner.lost_pages > 0  # loss engaged
+    executor.add(clean_group)
     _assert_drained_in_add(clean)
     assert clean_group.finished()
     assert clean.tuner.lost_pages == 0
@@ -197,60 +196,58 @@ def test_add_drains_nn_search_whatever_its_fault_model(
     executor = SharedScanExecutor()
     program = env_lossless.s_program
     query = Point(500.0, 500.0)
-    with kernels.use_kernels(True):
-        for loss in (None, LOSS, None):
-            nn = BroadcastNNSearch(
-                env_lossless.s_tree,
-                ChannelTuner(BroadcastChannel(program), loss=loss),
-                query,
-            )
-            knn = BroadcastKNNSearch(
-                env_lossless.s_tree,
-                ChannelTuner(BroadcastChannel(program), loss=loss),
-                query,
-                3,
-            )
-            executor.add(SearchGroup([nn]))
-            _assert_drained_in_add(nn)
-            assert drained[-1] is nn
-            executor.add(SearchGroup([knn]))
-            assert drained[-1] is knn and knn.finished()
-        heap_env = _build_env(loss=LOSS, distributed_levels=2)
-        heap = BroadcastKNNSearch(
-            heap_env.s_tree,
-            ChannelTuner(BroadcastChannel(heap_env.s_program), loss=LOSS),
+    for loss in (None, LOSS, None):
+        nn = BroadcastNNSearch(
+            env_lossless.s_tree,
+            ChannelTuner(BroadcastChannel(program), loss=loss),
+            query,
+        )
+        knn = BroadcastKNNSearch(
+            env_lossless.s_tree,
+            ChannelTuner(BroadcastChannel(program), loss=loss),
             query,
             3,
         )
-        executor.add(SearchGroup([heap]))
-        executor.run()
-    assert heap._frontier is None and heap.finished()
+        executor.add(SearchGroup([nn]))
+        _assert_drained_in_add(nn)
+        assert drained[-1] is nn
+        executor.add(SearchGroup([knn]))
+        assert drained[-1] is knn and knn.finished()
+    heap_env = _build_env(loss=LOSS, distributed_levels=2)
+    heap = BroadcastKNNSearch(
+        heap_env.s_tree,
+        ChannelTuner(BroadcastChannel(heap_env.s_program), loss=LOSS),
+        query,
+        3,
+    )
+    executor.add(SearchGroup([heap]))
+    executor.run()
+    assert not heap._drains() and heap.finished()
     assert heap not in drained and len(drained) == 6
 
 
-@pytest.mark.parametrize("use_kernels", [True, False])
+@pytest.mark.parametrize("drained", [True, False])
 @pytest.mark.parametrize("algo_cls", [DoubleNN, HybridNN])
-def test_lossy_tnn_bit_identity(env_lossy, use_kernels, algo_cls):
-    """Arena-capable env + loss: the whole workload, bit-identical.
-
-    Every lossy group runs through ``SearchGroup.run``, the code
-    ``algo.run`` runs, so the reference is the stepped lifecycle."""
+def test_lossy_tnn_bit_identity(env_lossy, drained, algo_cls):
+    """Cyclic env + loss: the whole workload, bit-identical to per-query
+    ``algo.run``, whose stages drain (``drained``), and to the stages
+    stepped on the heap by ``run_all``."""
     queries = _random_queries(env_lossy, 10)
     algo = algo_cls()
-    with kernels.use_kernels(use_kernels):
+    if drained:
+        want = [algo.run(env_lossy, q, ps, pr) for q, ps, pr in queries]
+    else:
         want = _stepped_per_query(env_lossy, algo, queries)
-        got = execute_tnn_batch(env_lossy, algo, queries)
-    assert got == want
+    assert execute_tnn_batch(env_lossy, algo, queries) == want
 
 
 def test_lossy_tnn_bit_identity_heap_backend():
-    """Heap-backed frontiers (no cyclic page order) with loss on top."""
+    """Heap-backed searches (no cyclic page order) with loss on top."""
     env = _build_env(loss=LOSS, distributed_levels=2)
     queries = _random_queries(env, 6)
     algo = HybridNN()
-    with kernels.use_kernels(True):
-        want = _stepped_per_query(env, algo, queries)
-        got = execute_tnn_batch(env, algo, queries)
+    want = _stepped_per_query(env, algo, queries)
+    got = execute_tnn_batch(env, algo, queries)
     assert got == want
 
 
@@ -277,14 +274,13 @@ def test_mixed_lossy_and_lossless_searches_share_one_run(env_lossless):
     ]
     oracle = [_nn_search(env_lossless, *spec) for spec in specs]
     shared = [_nn_search(env_lossless, *spec) for spec in specs]
-    with kernels.use_kernels(True):
-        for s in oracle:
-            run_all([s])
-        executor = SharedScanExecutor()
-        for s in shared:
-            executor.add(SearchGroup([s]))
-            _assert_drained_in_add(s)
-        executor.run()
+    for s in oracle:
+        run_all([s])
+    executor = SharedScanExecutor()
+    for s in shared:
+        executor.add(SearchGroup([s]))
+        _assert_drained_in_add(s)
+    executor.run()
     for got, want in zip(shared, oracle):
         assert got.result() == want.result()
         assert _tuner_state(got.tuner) == _tuner_state(want.tuner)
@@ -315,9 +311,9 @@ def test_lossy_bit_identity_sweep_across_layouts(layout):
     """Property sweep: for every registered layout and fault model, a
     randomized NN workload on the shared executor matches the per-query
     run_all oracle bit for bit — results, clocks, page counters,
-    lost/corrupt splits and full reception logs — with kernels on (each
-    search drains through ``SearchGroup.run``) and off (heap backends
-    step)."""
+    lost/corrupt splits and full reception logs — through the executor
+    and through each search's own ``run_to_completion`` (a drain walk on
+    a cyclic layout, the heap step loop on the others)."""
     env = TNNEnvironment.build(
         sized_uniform(240, seed=7),
         sized_uniform(240, seed=8),
@@ -342,13 +338,16 @@ def test_lossy_bit_identity_sweep_across_layouts(layout):
     oracle = [_nn_search(env, *spec) for spec in specs]
     for s in oracle:
         run_all([s])
-    for use_kernels in (True, False):
+    for through_executor in (True, False):
         shared = [_nn_search(env, *spec) for spec in specs]
-        with kernels.use_kernels(use_kernels):
+        if through_executor:
             executor = SharedScanExecutor()
             for s in shared:
                 executor.add(SearchGroup([s]))
             executor.run()
+        else:
+            for s in shared:
+                s.run_to_completion()
         for got, want in zip(shared, oracle):
             assert got.result() == want.result()
             assert _tuner_state(got.tuner) == _tuner_state(want.tuner)
@@ -375,7 +374,6 @@ def test_faulty_tnn_campaign_bit_identity(loss, algo_cls):
     env = _build_env(loss=loss, n=300)
     queries = _random_queries(env, 8)
     algo = algo_cls()
-    with kernels.use_kernels(True):
-        want = _stepped_per_query(env, algo, queries)
-        got = execute_tnn_batch(env, algo, queries)
+    want = _stepped_per_query(env, algo, queries)
+    got = execute_tnn_batch(env, algo, queries)
     assert got == want
