@@ -24,14 +24,12 @@ def uniform(
     if n < 1:
         raise ValueError(f"dataset size must be >= 1, got {n}")
     region = region or Rect(0.0, 0.0, PAPER_REGION_SIDE, PAPER_REGION_SIDE)
-    rng = random.Random(seed)
-    return [
-        Point(
-            rng.uniform(region.xmin, region.xmax),
-            rng.uniform(region.ymin, region.ymax),
-        )
-        for _ in range(n)
-    ]
+    # ``a + (b - a) * random()`` is what ``random.Random.uniform``
+    # evaluates, so the stream is its stream, draw for draw.
+    rnd = random.Random(seed).random
+    x0, y0 = region.xmin, region.ymin
+    dx, dy = region.xmax - x0, region.ymax - y0
+    return [Point(x0 + dx * rnd(), y0 + dy * rnd()) for _ in range(n)]
 
 
 def unif_size(exponent: float, side: float = PAPER_REGION_SIDE) -> int:

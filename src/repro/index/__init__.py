@@ -18,9 +18,9 @@ shared-scan executor — works on them unchanged; only the broadcast layout
 (:mod:`repro.broadcast.layout`) knows which backend built the index.
 
 Submodule imports are deliberately explicit (``from repro.index.grid
-import grid_pack``): :mod:`repro.rtree.node` depends on
-:mod:`repro.index.packed`, so this ``__init__`` must not import the
-builders (which depend on :mod:`repro.rtree`) at package-import time.
+import grid_pack``): the builders pack their pages with the level builder
+of :mod:`repro.rtree.packing`, so this ``__init__`` does not import them
+at package-import time.
 """
 
 from repro.index.packed import (

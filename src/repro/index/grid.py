@@ -24,11 +24,12 @@ and keeps the structural invariants of :meth:`repro.rtree.tree
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.geometry import Point, Rect
-from repro.rtree.node import RTreeNode
-from repro.rtree.packing import _chunks, _linear_group_nodes, _pack_upward, _validate
+from repro.rtree.packing import _coords, _leaf_level, _pack_levels, _validate
 from repro.rtree.tree import RTree
 
 
@@ -58,20 +59,19 @@ def grid_pack(
     region = Rect.from_points(points)
     w = region.width or 1.0
     h = region.height or 1.0
-    buckets: List[List[Point]] = [[] for _ in range(g * g)]
-    for p in points:
-        col = min(int((p.x - region.xmin) / w * g), g - 1)
-        row = min(int((p.y - region.ymin) / h * g), g - 1)
-        buckets[row * g + col].append(p)
-    leaves: List[RTreeNode] = []
-    for bucket in buckets:
-        if not bucket:
-            continue
-        bucket.sort(key=lambda p: (p.y, p.x))
-        leaves.extend(
-            RTreeNode.leaf(run) for run in _chunks(bucket, leaf_capacity)
-        )
-    root = _pack_upward(leaves, fanout, _linear_group_nodes)
+    x, y = _coords(points)
+    col = np.minimum(((x - region.xmin) / w * g).astype(np.int64), g - 1)
+    row = np.minimum(((y - region.ymin) / h * g).astype(np.int64), g - 1)
+    cell = row * g + col
+    order = np.lexsort((x, y, cell))
+    # Each non-empty cell starts a new run of leaves.
+    firsts = np.flatnonzero(np.diff(cell[order], prepend=-1)).tolist()
+    starts = [
+        s
+        for a, b in zip(firsts, [*firsts[1:], len(points)])
+        for s in range(a, b, leaf_capacity)
+    ]
+    root = _pack_levels(_leaf_level(points, order.tolist(), starts), fanout)
     return RTree(
         root=root, leaf_capacity=leaf_capacity, fanout=fanout, size=len(points)
     )

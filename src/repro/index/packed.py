@@ -1,7 +1,7 @@
 """The packed-index representation shared by every air-index backend.
 
-One index node corresponds to one broadcast page.  The array views of a
-node's fan-out are built on demand by the node accessors:
+One index node corresponds to one broadcast page.  These functions build
+array views of a node's fan-out from its ``children`` / ``points``:
 
 * ``(n, 4)`` float64 child MBRs and ``(n,)`` int64 subtree point counts
   for internal pages;

@@ -28,7 +28,7 @@ from typing import List, Sequence
 
 from repro.geometry import Point, Rect
 from repro.rtree.node import RTreeNode
-from repro.rtree.packing import _chunks, _linear_group_nodes, _pack_upward, _validate
+from repro.rtree.packing import _leaf_level, _pack_levels, _runs, _validate
 from repro.rtree.tree import RTree
 
 #: Subdivision stops at this depth regardless of occupancy, so duplicate
@@ -64,10 +64,9 @@ def _build(
     """One quadrant's balanced subtree."""
     if len(points) <= leaf_capacity or depth_left == 0 or not _splittable(cell):
         ordered = sorted(points, key=lambda p: (p.y, p.x))
-        leaves = [
-            RTreeNode.leaf(run) for run in _chunks(ordered, leaf_capacity)
-        ]
-        return _pack_upward(leaves, fanout, _linear_group_nodes)
+        n = len(ordered)
+        leaves = _leaf_level(ordered, range(n), _runs(n, leaf_capacity))
+        return _pack_levels(leaves, fanout)
     midx = (cell.xmin + cell.xmax) / 2.0
     midy = (cell.ymin + cell.ymax) / 2.0
     quads: List[List[Point]] = [[], [], [], []]
@@ -95,7 +94,7 @@ def _build(
     # component assumes).
     top = max(c.level for c in children)
     children = [_lift(c, top) for c in children]
-    return _pack_upward(children, fanout, _linear_group_nodes)
+    return _pack_levels(children, fanout)
 
 
 def _lift(node: RTreeNode, level: int) -> RTreeNode:

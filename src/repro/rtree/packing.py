@@ -12,12 +12,26 @@ packers are provided:
 
 All three produce balanced trees whose leaves hold at most ``leaf_capacity``
 points and whose internal nodes hold at most ``fanout`` children.
+
+Orders are computed a whole level at a time on numpy arrays: STR tiles
+every level with two ``lexsort`` calls over coordinates or MBR centres;
+Hilbert (a stable ``argsort`` of the curve keys) and Nearest-X (one
+``lexsort``) order only the points and pack upper levels in runs.  Both
+sorts are stable, so ties keep the order a stable Python sort on the
+same keys would give.  Each level's nodes are then built in one plain
+loop, their MBRs taking Python ``min``/``max`` over the input's own float
+objects, so node coordinates are shared with the points.
+:func:`_leaf_level` and :func:`_pack_levels` are the one level builder;
+the grid and quadtree air indexes (:mod:`repro.index`) build on them too.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from repro.geometry import Point, Rect
 from repro.rtree.hilbert import hilbert_key_for
@@ -27,35 +41,109 @@ from repro.rtree.tree import RTree
 #: Hilbert curve resolution used for sorting (2^16 x 2^16 grid).
 _HILBERT_ORDER = 16
 
-
-def _chunks(seq: Sequence, size: int) -> list[list]:
-    """Split ``seq`` into consecutive runs of at most ``size`` items."""
-    return [list(seq[i : i + size]) for i in range(0, len(seq), size)]
+#: Four float64 arrays ``(xmin, ymin, xmax, ymax)``, one row per node.
+Boxes = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _pack_upward(nodes: list[RTreeNode], fanout: int, group: Callable) -> RTreeNode:
-    """Repeatedly group ``nodes`` into parents until a single root remains.
+def _coords(points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
+    """The points' x and y coordinates as two float64 arrays."""
+    xy = np.fromiter(chain.from_iterable(points), float, 2 * len(points))
+    return xy[0::2], xy[1::2]
 
-    ``group`` arranges one level's nodes into lists of at most ``fanout``
-    spatially-close siblings.
+
+def _tile_order(x: np.ndarray, y: np.ndarray, capacity: int) -> np.ndarray:
+    """STR order of rows keyed by ``(x, y)``.
+
+    Rows sorted by ``(x, y)`` are cut into vertical slabs of ``slices *
+    capacity`` rows and each slab is sorted by ``(y, x)``: a stable sort
+    by ``y`` alone, since a slab's rows already come in ``(x, y)`` order.
+    A slab holds whole runs of ``capacity`` rows, so cutting the result
+    into runs of ``capacity`` restarts the runs at every slab boundary.
+    """
+    n = len(x)
+    slices = math.ceil(math.sqrt(math.ceil(n / capacity)))
+    by_x = np.lexsort((y, x))
+    slab = np.arange(n) // (slices * capacity)
+    return by_x[np.lexsort((y[by_x], slab))]
+
+
+def _leaf_level(
+    points: Sequence[Point], order: Sequence[int], starts: Sequence[int]
+) -> list[RTreeNode]:
+    """One leaf per run of ``points`` taken in ``order``.
+
+    Run ``i`` covers positions ``starts[i]`` up to ``starts[i + 1]`` (the
+    last run up to the end), each with a tight MBR around its points.
+    """
+    ordered = [points[i] for i in order]
+    leaves = []
+    append = leaves.append
+    for a, b in zip(starts, [*starts[1:], len(ordered)]):
+        run = ordered[a:b]
+        xs, ys = zip(*run)
+        append(
+            RTreeNode(Rect(min(xs), min(ys), max(xs), max(ys)), 0, [], run, None, b - a)
+        )
+    return leaves
+
+
+def _pack_levels(
+    nodes: list[RTreeNode], fanout: int, boxes: Optional[Boxes] = None
+) -> RTreeNode:
+    """Pack ``nodes`` into parents, level by level, until one root remains.
+
+    Each parent takes a run of at most ``fanout`` consecutive nodes.
+    With ``boxes`` (the nodes' MBR coordinates, row ``i`` for
+    ``nodes[i]``) every level is first put in STR order by MBR centre,
+    computed ``(xmin + xmax) / 2.0`` as :attr:`Rect.center` does;
+    without, a level keeps the order it was built in.
     """
     while len(nodes) > 1:
-        nodes = [RTreeNode.internal(g) for g in group(nodes, fanout)]
+        if boxes is not None:
+            x0, y0, x1, y1 = boxes
+            order = _tile_order((x0 + x1) / 2.0, (y0 + y1) / 2.0, fanout)
+            nodes = [nodes[i] for i in order.tolist()]
+            if len(nodes) > fanout:
+                boxes = _run_boxes(
+                    x0[order], y0[order], x1[order], y1[order],
+                    np.arange(0, len(nodes), fanout),
+                )
+        level = nodes[0].level + 1
+        parents = []
+        append = parents.append
+        for a in range(0, len(nodes), fanout):
+            kids = nodes[a : a + fanout]
+            xmins, ymins, xmaxs, ymaxs = zip(*[k.mbr for k in kids])
+            append(
+                RTreeNode(
+                    Rect(min(xmins), min(ymins), max(xmaxs), max(ymaxs)),
+                    level,
+                    kids,
+                    [],
+                    None,
+                    sum([k.point_count for k in kids]),
+                )
+            )
+        nodes = parents
     return nodes[0]
 
 
-def _str_group_nodes(nodes: list[RTreeNode], fanout: int) -> list[list[RTreeNode]]:
-    """One STR tiling pass over a level of nodes, keyed by MBR centers."""
-    n = len(nodes)
-    leaf_pages = math.ceil(n / fanout)
-    slices = math.ceil(math.sqrt(leaf_pages))
-    by_x = sorted(nodes, key=lambda nd: (nd.mbr.center.x, nd.mbr.center.y))
-    slabs = _chunks(by_x, slices * fanout)
-    groups: list[list[RTreeNode]] = []
-    for slab in slabs:
-        by_y = sorted(slab, key=lambda nd: (nd.mbr.center.y, nd.mbr.center.x))
-        groups.extend(_chunks(by_y, fanout))
-    return groups
+def _run_boxes(
+    xmin: np.ndarray, ymin: np.ndarray, xmax: np.ndarray, ymax: np.ndarray,
+    starts: Sequence[int],
+) -> Boxes:
+    """The MBR of each run of rows, runs beginning at ``starts``."""
+    return (
+        np.minimum.reduceat(xmin, starts),
+        np.minimum.reduceat(ymin, starts),
+        np.maximum.reduceat(xmax, starts),
+        np.maximum.reduceat(ymax, starts),
+    )
+
+
+def _runs(n: int, size: int) -> list[int]:
+    """Start positions of consecutive runs of at most ``size`` of ``n`` items."""
+    return list(range(0, n, size))
 
 
 def str_pack(points: Sequence[Point], leaf_capacity: int, fanout: int) -> RTree:
@@ -67,20 +155,13 @@ def str_pack(points: Sequence[Point], leaf_capacity: int, fanout: int) -> RTree:
     """
     _validate(points, leaf_capacity, fanout)
     n = len(points)
-    leaf_pages = math.ceil(n / leaf_capacity)
-    slices = math.ceil(math.sqrt(leaf_pages))
-    by_x = sorted(points, key=lambda p: (p.x, p.y))
-    leaves: list[RTreeNode] = []
-    for slab in _chunks(by_x, slices * leaf_capacity):
-        by_y = sorted(slab, key=lambda p: (p.y, p.x))
-        leaves.extend(RTreeNode.leaf(run) for run in _chunks(by_y, leaf_capacity))
-    root = _pack_upward(leaves, fanout, _str_group_nodes)
+    x, y = _coords(points)
+    order = _tile_order(x, y, leaf_capacity)
+    starts = _runs(n, leaf_capacity)
+    leaves = _leaf_level(points, order.tolist(), starts)
+    xs, ys = x[order], y[order]
+    root = _pack_levels(leaves, fanout, _run_boxes(xs, ys, xs, ys, starts))
     return RTree(root=root, leaf_capacity=leaf_capacity, fanout=fanout, size=n)
-
-
-def _linear_group_nodes(nodes: list[RTreeNode], fanout: int) -> list[list[RTreeNode]]:
-    """Group a level by the existing order (used by linear-sort packers)."""
-    return _chunks(nodes, fanout)
 
 
 def hilbert_pack(points: Sequence[Point], leaf_capacity: int, fanout: int) -> RTree:
@@ -89,25 +170,31 @@ def hilbert_pack(points: Sequence[Point], leaf_capacity: int, fanout: int) -> RT
     region = Rect.from_points(points)
     w = region.width or 1.0
     h = region.height or 1.0
-
-    def key(p: Point) -> int:
-        return hilbert_key_for(
+    keys = [
+        hilbert_key_for(
             _HILBERT_ORDER, (p.x - region.xmin) / w, (p.y - region.ymin) / h
         )
-
-    ordered = sorted(points, key=key)
-    leaves = [RTreeNode.leaf(run) for run in _chunks(ordered, leaf_capacity)]
-    root = _pack_upward(leaves, fanout, _linear_group_nodes)
-    return RTree(root=root, leaf_capacity=leaf_capacity, fanout=fanout, size=len(points))
+        for p in points
+    ]
+    order = np.argsort(np.array(keys, dtype=np.int64), kind="stable")
+    return _linear_tree(points, order, leaf_capacity, fanout)
 
 
 def nearest_x_pack(points: Sequence[Point], leaf_capacity: int, fanout: int) -> RTree:
     """Build an R-tree by packing points in ascending x order (Nearest-X)."""
     _validate(points, leaf_capacity, fanout)
-    ordered = sorted(points, key=lambda p: (p.x, p.y))
-    leaves = [RTreeNode.leaf(run) for run in _chunks(ordered, leaf_capacity)]
-    root = _pack_upward(leaves, fanout, _linear_group_nodes)
-    return RTree(root=root, leaf_capacity=leaf_capacity, fanout=fanout, size=len(points))
+    x, y = _coords(points)
+    return _linear_tree(points, np.lexsort((y, x)), leaf_capacity, fanout)
+
+
+def _linear_tree(
+    points: Sequence[Point], order: np.ndarray, leaf_capacity: int, fanout: int
+) -> RTree:
+    """Leaves are runs of ``points`` in ``order``; upper levels are runs too."""
+    n = len(points)
+    leaves = _leaf_level(points, order.tolist(), _runs(n, leaf_capacity))
+    root = _pack_levels(leaves, fanout)
+    return RTree(root=root, leaf_capacity=leaf_capacity, fanout=fanout, size=n)
 
 
 _PACKERS: dict[str, Callable[[Sequence[Point], int, int], RTree]] = {

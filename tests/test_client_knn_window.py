@@ -231,7 +231,7 @@ def test_window_kernel_path_bit_identical(capacity, seed):
     assert results[False] == results[True]
 
 
-def test_knn_kernel_path_handles_duplicate_distance_ties():
+def test_knn_walk_matches_heap_steps_on_distance_ties():
     """Exact distance ties at the k-th slot: the walk and the heap step
     loop keep the same set."""
     # A ring of symmetric points: many exactly-equal distances from q.

@@ -396,7 +396,7 @@ def test_hybrid_mutations_kernel_path_bit_identical(capacity, seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_retarget_kernel_path_bit_identical(seed):
+def test_retarget_walk_matches_heap_steps(seed):
     """Case 2 re-steering: retarget mid-run, walked vs stepped on the
     heap."""
     rng = random.Random(6000 + seed)

@@ -1,6 +1,7 @@
 """Tests for the dataset generators."""
 
 import math
+import random
 
 import pytest
 
@@ -31,6 +32,30 @@ def test_uniform_count_and_region():
 def test_uniform_deterministic_by_seed():
     assert uniform(50, seed=7) == uniform(50, seed=7)
     assert uniform(50, seed=7) != uniform(50, seed=8)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+@pytest.mark.parametrize(
+    "region",
+    [
+        None,
+        Rect(0, 0, 1, 1),
+        Rect(-5.5, -0.0, 3.25, 1e-9),
+        Rect(-1e6, 2.0, -1e6, 2.5),
+    ],
+)
+def test_uniform_draws_random_uniform_stream(seed, region):
+    """Bit for bit the stream of ``random.Random(seed).uniform``."""
+    rng = random.Random(seed)
+    box = region or Rect(0.0, 0.0, PAPER_REGION_SIDE, PAPER_REGION_SIDE)
+    want = [
+        (rng.uniform(box.xmin, box.xmax), rng.uniform(box.ymin, box.ymax))
+        for _ in range(257)
+    ]
+    got = uniform(257, seed=seed, region=region)
+    assert [(p.x.hex(), p.y.hex()) for p in got] == [
+        (x.hex(), y.hex()) for x, y in want
+    ]
 
 
 def test_uniform_invalid_size():

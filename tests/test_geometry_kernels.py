@@ -32,6 +32,7 @@ from repro.geometry import (
     min_max_trans_dist,
     min_trans_dist,
 )
+from repro.index import pack_child_counts, pack_child_mbrs, pack_points
 from repro.rtree import build_rtree
 from repro.rtree.traversal import (
     best_first_knn,
@@ -171,17 +172,17 @@ def test_segment_intersects_rects_matches_scalar():
 
 
 def test_node_arrays_match_structure():
-    """Pack-time arrays mirror the node's children/points exactly."""
+    """The packed arrays mirror each node's children/points exactly."""
     tree = build_rtree(sized_uniform(700, seed=5), 17, 9)
     for node in tree.iter_nodes():
         if node.is_leaf:
-            arr = node.points_array()
+            arr = pack_points(node.points)
             assert arr.shape == (len(node.points), 2)
             for i, pt in enumerate(node.points):
                 assert (arr[i, 0], arr[i, 1]) == (pt.x, pt.y)
         else:
-            arr = node.child_mbr_array()
-            counts = node.child_count_array()
+            arr = pack_child_mbrs(node.children)
+            counts = pack_child_counts(node.children)
             assert arr.shape == (len(node.children), 4)
             for i, child in enumerate(node.children):
                 assert tuple(arr[i]) == tuple(child.mbr)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.datasets import gaussian_clusters, sized_uniform
 from repro.geometry import Circle, Point
+from repro.index import pack_child_counts, pack_child_mbrs, pack_points
 from repro.index.grid import default_grid_cells, grid_pack
 from repro.index.quadtree import quadtree_pack
 from repro.rtree.traversal import best_first_knn, best_first_nn, range_search
@@ -78,11 +79,11 @@ def test_backend_emits_packed_kernel_arrays(backend):
     internal = [n for n in tree.iter_nodes() if not n.is_leaf]
     leaves = [n for n in tree.iter_nodes() if n.is_leaf]
     for node in internal:
-        mbrs = node.child_mbr_array()
+        mbrs = pack_child_mbrs(node.children)
         assert mbrs.shape == (len(node.children), 4)
-        assert node.child_count_array().shape == (len(node.children),)
+        assert pack_child_counts(node.children).shape == (len(node.children),)
     for leaf in leaves:
-        assert leaf.points_array().shape == (len(leaf.points), 2)
+        assert pack_points(leaf.points).shape == (len(leaf.points), 2)
 
 
 def test_default_grid_cells_scales_with_density():
