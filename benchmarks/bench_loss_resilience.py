@@ -10,9 +10,8 @@ The fault-tolerance PR's recording harness.  Two experiments write
   Mean access time and tune-in are recorded per configuration, and every
   run is gated **bit-identical** against the stepped per-query lifecycle
   (every stage driven by ``run_all``'s explicit ``step()`` calls): lossy
-  groups leave the batched NN rounds and drain per query inside the
-  executor, and the retry chains they replay closed form must match the
-  scalar retry loop.
+  groups drain per query through ``SearchGroup.run``, and the retry
+  chains they replay closed form must match the scalar retry loop.
 * **Chaos campaign** — the same workload fans out over a supervised
   worker pool while the chaos hook hard-kills one worker mid-campaign;
   the supervisor's rebuild/reshard/retry path must deliver the same
@@ -106,7 +105,7 @@ def _merge_json(update: dict) -> None:
 
 def _stepped_per_query(env, algo, queries):
     """Each query's lifecycle with every stage stepped by ``run_all`` —
-    the reference of both ``algo.run`` and the executor."""
+    the reference of both ``algo.run`` and ``execute_tnn_batch``."""
     out = []
     for q, ps, pr in queries:
         stages = algo._stages(env, q, *env.tuners(ps, pr))

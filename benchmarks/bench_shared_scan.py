@@ -1,11 +1,11 @@
-"""Shared-scan executor A/B — SharedScanRunner vs the per-query loop.
+"""Shared-scan runner A/B — SharedScanRunner vs the per-query loop.
 
 The seeded 1,000-query Hybrid-NN TNN workload at the paper's 64-byte page
 geometry (leaf capacity 6, fanout M = 3).  The per-query side calls
 ``algorithm.run`` once per query; :class:`~repro.engine.batch
-.SharedScanRunner` runs the same queries through the shared-scan
-executor, which drives each query's stages with the same group driver
-(``SearchGroup.run``).  The claim under test is that the runner adds
+.SharedScanRunner` runs the same queries through ``execute_tnn_batch``,
+which drives each query's stages with the same stage loop
+(``TNNAlgorithm.run_stages``) and group driver (``SearchGroup.run``).  The claim under test is that the runner adds
 little overhead over the per-query loop it wraps: ``speedup`` is
 per-query time over runner time, and ``REPRO_BENCH_MIN_SPEEDUP`` sets
 its floor (0.8 in CI).
@@ -197,7 +197,6 @@ def test_backend_sweep_matches_scalar_tuner_oracle(record_experiment):
     )
     from repro.client import BroadcastNNSearch, SearchGroup, run_all
     from repro.engine import execute_tnn_batch
-    from repro.engine.shared_scan import SharedScanExecutor
 
     algo = HybridNN()
     backends = {}
@@ -231,10 +230,8 @@ def test_backend_sweep_matches_scalar_tuner_oracle(record_experiment):
         shared = [nn_search(spec) for spec in specs]
         for s in oracle:
             run_all([s])
-        executor = SharedScanExecutor()
         for s in shared:
-            executor.add(SearchGroup([s]))
-        executor.run()
+            SearchGroup([s]).run()
         tuners_ok = all(
             a.result() == b.result()
             and a.tuner.now == b.tuner.now

@@ -16,8 +16,9 @@ the drained-over-stepped speedup when set (CI smoke runs are too noisy
 and too small).
 
 Workload B: an 8-channel scheduler fleet (one client interleaving eight
-channels), event-heap ``run_all`` vs the O(channels) ``run_all_scan``
-reference — answers must match exactly; both times are recorded.
+channels), the coupled ``SearchGroup.run`` (bounded drain walks) vs the
+step-at-a-time ``run_all`` scan it replays — answers, clocks and tune-in
+must match exactly; both times are recorded.
 
 Writes ``BENCH_small_geometry.json`` at the repository root.
 """
@@ -36,7 +37,7 @@ from repro.broadcast import (
     ChannelTuner,
     SystemParameters,
 )
-from repro.client import BroadcastNNSearch, run_all, run_all_scan
+from repro.client import BroadcastNNSearch, SearchGroup, run_all
 from repro.core.environment import TNNEnvironment
 from repro.core.hybrid import HybridNN
 from repro.datasets import sized_uniform
@@ -110,16 +111,16 @@ def test_small_geometry_drain_vs_heap_steps(
     assert drained == stepped
     speedup = stepped_s / drained_s
 
-    # Workload B: the 8-channel fleet, heap vs scan scheduler.
-    heap_searches = _build_fleet()
+    # Workload B: the 8-channel fleet, coupled group vs the run_all scan.
+    group_searches = _build_fleet()
     t0 = time.perf_counter()
-    run_all(heap_searches)
-    heap_s = time.perf_counter() - t0
-    scan_searches = _build_fleet()
+    SearchGroup(group_searches, coupled=True).run()
+    group_s = time.perf_counter() - t0
+    run_all_searches = _build_fleet()
     t0 = time.perf_counter()
-    run_all_scan(scan_searches)
-    scan_s = time.perf_counter() - t0
-    assert _fleet_results(heap_searches) == _fleet_results(scan_searches)
+    run_all(run_all_searches)
+    run_all_s = time.perf_counter() - t0
+    assert _fleet_results(group_searches) == _fleet_results(run_all_searches)
 
     params = SystemParameters(page_capacity=PAGE_CAPACITY)
     payload = {
@@ -137,8 +138,8 @@ def test_small_geometry_drain_vs_heap_steps(
         "bit_identical": drained == stepped,
         "scheduler_fleet": {
             "channels": N_CHANNELS,
-            "heap_seconds": round(heap_s, 6),
-            "scan_seconds": round(scan_s, 6),
+            "coupled_group_seconds": round(group_s, 6),
+            "run_all_seconds": round(run_all_s, 6),
             "answers_identical": True,
         },
     }
@@ -154,7 +155,7 @@ def test_small_geometry_drain_vs_heap_steps(
                 "heap steps (s)",
                 "drained (s)",
                 "speedup",
-                f"{N_CHANNELS}-ch heap/scan (s)",
+                f"{N_CHANNELS}-ch group/run_all (s)",
             ],
             [[
                 N_QUERIES,
@@ -163,7 +164,7 @@ def test_small_geometry_drain_vs_heap_steps(
                 f"{stepped_s:.3f}",
                 f"{drained_s:.3f}",
                 f"{speedup:.2f}x",
-                f"{heap_s:.3f}/{scan_s:.3f}",
+                f"{group_s:.3f}/{run_all_s:.3f}",
             ]],
             title=(
                 "[small_geometry] heap steps vs drain walk, "

@@ -3,10 +3,9 @@
 Builds two uniform datasets, lays them out as (1, m)-interleaved broadcast
 programs, and answers a transitive nearest-neighbor query with each of the
 paper's algorithms, printing the answer and the two cost metrics.  A
-second section serves a mixed NN / kNN / range / window batch through the
-shared-scan executor (``QueryEngine.run_many``): every client request
-gets its own tuner and runs through the same group driver a single query
-uses.
+second section serves a mixed NN / kNN / range / window batch
+(``QueryEngine.run_many``): every client request gets its own tuner and
+runs to completion as a single query does.
 
 Architecture note — one TNN lifecycle, run two ways.  Every algorithm
 describes its stages once (``TNNAlgorithm._stages``): its estimate
@@ -17,11 +16,12 @@ transitive join and the optional data retrieval.  ``algorithm.run``, as
 in this example's first section, drives one query's stages alone (each
 member of an independent stage drained on its own, Hybrid-NN's
 re-steered pair in alternating runs, each member drained up to its
-sibling's next arrival) and is the reference path;
-``SharedScanRunner`` drives every query's stages
-through the shared-scan executor, which runs each stage with that same
-driver (``SearchGroup.run``), for every algorithm, ANN optimisation and
-data retrieval alike, with bit-identical results.
+sibling's next arrival); ``SharedScanRunner`` drives every query's
+stages through that same stage loop (``TNNAlgorithm.run_stages``) and
+group driver (``SearchGroup.run``), for every algorithm, ANN
+optimisation and data retrieval alike, with bit-identical results.
+Both are checked against the reference, every stage stepped by
+``run_all``.
 
 Architecture note — one queue and one tuner per search.  A search on a
 layout with cyclic page order queues its R-tree candidates on its own
@@ -34,10 +34,10 @@ onto the heap for good, and layouts without cyclic page order
 (distributed indexing, broadcast-disk schedules) start there.  Every
 search accounts its radio on its own ``ChannelTuner`` — clock,
 page counters and a reception log, four scalars and a list — in a
-single query and in the shared-scan executor alike.  Nothing is batched
-across queries: the per-query walk below is cheap enough that
-cross-query batches in shared numpy lanes did not win end to end, so
-the executor runs every search with the per-query code.
+single query and in a batch alike.  Nothing is batched across queries:
+the per-query walk below is cheap enough that cross-query batches in
+shared numpy lanes did not win end to end, so a batch runs every search
+with the per-query code.
 
 Architecture note — channel fault models and supervised pools.  The
 unreliable medium lives behind the ``FaultModel`` seam
@@ -62,8 +62,7 @@ single pass: every ``run_to_completion`` of an NN search that never
 stepped (under the exact policy or the ANN optimisation's, in the point
 metric or, after Hybrid-NN's Case 3, the transitive one), and of every
 kNN, range or window search, as in this example's first section, and
-so every stage the shared-scan executor runs through
-``SearchGroup.run``.  Given a limit, the same walk stops before the
+so every stage a batch runs through ``SearchGroup.run``.  Given a limit, the same walk stops before the
 first page due after it and leaves the rest on its stack: each run of a
 Hybrid-NN pair member ends at its sibling's next arrival.  Index pages are
 numbered in DFS preorder, so a downloaded node's children fill the
@@ -192,9 +191,8 @@ def main() -> None:
         f"total distance {best.distance:.1f}"
     )
 
-    # A mixed bag of client queries, served together: the shared-scan
-    # executor advances the broadcast cycle once and feeds every request
-    # whose next page just flew by, so the whole batch costs one scan.
+    # A mixed bag of client queries, served in one call: each request
+    # listens on its own tuner, from its own phase of the broadcast.
     engine = QueryEngine(env)
     requests = [
         NNRequest(p),
@@ -203,7 +201,7 @@ def main() -> None:
         WindowRequest(Rect(19_000.0, 19_000.0, 20_000.0, 20_000.0)),
     ]
     answers = engine.run_many(requests)
-    print("\nMixed client batch via the shared-scan executor:")
+    print("\nMixed client batch via QueryEngine.run_many:")
     for req, ans in zip(requests, answers):
         kind = type(req).__name__.replace("Request", "")
         print(

@@ -12,7 +12,7 @@ Run:  python examples/radio_timeline.py
 
 from repro import HybridNN, Point, TNNEnvironment
 from repro.broadcast import BroadcastChannel, ChannelTuner, EnergyModel, PageLossModel
-from repro.client import BroadcastNNSearch, run_all
+from repro.client import BroadcastNNSearch
 from repro.datasets import uniform
 from repro.sim import render_timeline, trace_summary
 
@@ -21,16 +21,9 @@ def main() -> None:
     env = TNNEnvironment.build(uniform(4_000, seed=1), uniform(4_000, seed=2))
     p = Point(19_500.0, 19_500.0)
 
-    # Drive one query's stages manually so we keep the tuners (and their
-    # logs): each stage is a group of searches run side by side.
+    # Run the query on our own tuners so we keep them (and their logs).
     tuner_s, tuner_r = env.tuners(phase_s=23.0, phase_r=71.0)
-    stages = HybridNN()._stages(env, p, tuner_s, tuner_r)
-    try:
-        while True:
-            group = next(stages)
-            run_all(group.searches, on_finish=group.on_finish)
-    except StopIteration as done:
-        result = done.value
+    result = HybridNN().run_stages(env, p, tuner_s, tuner_r)
     print(f"Hybrid-NN answered: pair distance {result.distance:.1f}\n")
     print(render_timeline([tuner_s, tuner_r], labels=["S", "R"], width=72))
 

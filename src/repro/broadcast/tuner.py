@@ -52,12 +52,15 @@ class ChannelTuner:
         if t > self.now:
             self.now = t
 
-    def _receive(self, next_arrival, kind: str, ref: int) -> int:
+    def _receive_at(self, next_arrival, arg, kind: str, ref: int) -> int:
         """Attempt receptions until one succeeds.
 
         Returns the number of reception attempts made (an ``int >= 1``,
-        counting the final successful one).  ``next_arrival(t)`` maps a
-        time to the page's next on-air slot.  Every attempt (successful or
+        counting the final successful one).  ``next_arrival(arg, t)`` maps
+        a time to the page's next on-air slot; it is a long-lived bound
+        method (for example ``channel.next_data_arrival``) with the page
+        selector passed as ``arg``, so callers looping over many pages
+        never allocate a closure per page.  Every attempt (successful or
         lost) keeps the radio active for one slot, advances the clock past
         it, and is appended to ``log`` as a ``(kind, ref, arrival, ok)``
         event for trace tooling.
@@ -69,31 +72,6 @@ class ChannelTuner:
         # both book through ``record_index_run`` — see
         # repro/client/drain.py.  Any change to the accounting here must
         # be mirrored there to preserve the bit-identity contract.
-        loss = self.loss
-        attempts = 0
-        while True:
-            arrival = next_arrival(self.now)
-            self.now = arrival + 1.0
-            attempts += 1
-            fault = 0 if loss is None else loss.classify(arrival)
-            if self.record_log:
-                self.log.append((kind, ref, arrival, fault == 0))
-            if fault == 0:
-                return attempts
-            if fault == FAULT_LOST:
-                self.lost_pages += 1
-            else:
-                self.corrupt_pages += 1
-
-    def _receive_at(self, next_arrival, arg, kind: str, ref: int) -> int:
-        """:meth:`_receive` with the page selector passed as ``arg``.
-
-        ``next_arrival(arg, t)`` is a long-lived bound method (for example
-        ``channel.next_data_arrival``), so callers looping over many pages
-        never allocate a closure per page — the per-page variable rides
-        along as a plain argument.  Accounting is identical to
-        :meth:`_receive`.
-        """
         loss = self.loss
         attempts = 0
         while True:

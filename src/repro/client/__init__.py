@@ -15,18 +15,18 @@ Implements the building blocks shared by every TNN algorithm:
 * :class:`BroadcastRangeSearch` — the filter-phase circle query.
 * pruning policies — exact search and the ANN approximation of Section 5
   (Heuristics 1 and 2, static and dynamic alpha).
-* :func:`run_all` — a cooperative scheduler that interleaves steppable
-  searches on multiple channels in simulated-time order via a
-  lazy-invalidation event heap (O(log channels) per page arrival);
-  :func:`run_all_scan` is the brute-force reference.
+* :func:`run_all` — a cooperative scheduler that steps steppable searches
+  on multiple channels in simulated-time order, one argmin scan per page
+  arrival: the step-at-a-time reference.
 * :func:`~repro.client.drain.drain` — runs one search on a layout with
   cyclic page order to completion, or up to a limit, as a single preorder
   stack walk, bit-identical to stepping it on the arrival heap; every
-  search's ``run_to_completion`` and each bounded run of a Hybrid-NN pair
+  search's ``run_to_completion`` and each bounded run of a coupled group's
   member call it, under the exact and the ANN pruning policies alike.
 * :class:`SearchGroup` — one query stage's searches and their scheduling
   contract; :meth:`SearchGroup.run` is the one driver of every stage, for
-  ``algorithm.run`` and the shared-scan executor alike.
+  ``algorithm.run`` and batches alike, and replays :func:`run_all`'s
+  schedule for coupled searches of any number.
 """
 
 from repro.client.policies import (
@@ -43,7 +43,6 @@ from repro.client.window import BroadcastWindowSearch
 from repro.client.scheduler import (
     SearchGroup,
     run_all,
-    run_all_scan,
 )
 
 __all__ = [
@@ -59,5 +58,4 @@ __all__ = [
     "dynamic_alpha",
     "SearchGroup",
     "run_all",
-    "run_all_scan",
 ]

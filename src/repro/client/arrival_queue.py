@@ -24,7 +24,7 @@ A search holds its queue in one of two forms:
 
 Subclasses provide ``self.tuner`` and ``self.tree`` and call
 :meth:`_init_queue` once the tuner's clock stands at the search's start.
-``run_to_completion`` and the bounded runs of Hybrid-NN's pair go through
+``run_to_completion`` and the bounded runs of a coupled group go through
 :meth:`ArrivalQueueMixin._run_until`: one walk while the search
 :meth:`~ArrivalQueueMixin._drains`, else one ``step()`` per queued node.
 """
@@ -151,8 +151,8 @@ class ArrivalQueueMixin:
 
         One drain walk when the search :meth:`_drains`, else one
         ``step()`` per queued node — the loop the walk is tested against.
-        A two-member driver passes each member's sibling's next event
-        here (:meth:`~repro.client.scheduler.SearchGroup.run`).
+        A coupled group passes the other members' next event here
+        (:meth:`~repro.client.scheduler.SearchGroup.run`).
         """
         if self._stack is not None:
             drain(self, limit, strict)

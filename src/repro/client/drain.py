@@ -10,12 +10,12 @@ window searches — to completion, or up to a limit on the next page's
 arrival, leaving the unvisited records on the search's stack.  Every
 search's ``run_to_completion`` calls it where it applies
 (:meth:`~repro.client.arrival_queue.ArrivalQueueMixin._drains`), and so
-do the bounded runs that drive Hybrid-NN's pair
+do the bounded runs that drive a coupled group such as Hybrid-NN's pair
 (:meth:`~repro.client.arrival_queue.ArrivalQueueMixin._run_until`, each
-member up to its sibling's next arrival).  Both run under
+member up to the others' next arrival).  Both run under
 :meth:`~repro.client.scheduler.SearchGroup.run`, which ``algorithm.run``
-and the shared-scan executor share; the explicit ``step()`` loop, on
-the arrival heap, stays the reference.
+and batches share; the explicit ``step()`` loop, on the arrival heap,
+stays the reference.
 
 Index pages are numbered in DFS preorder
 (:meth:`~repro.rtree.tree.RTree.assign_page_ids`), so a downloaded node's
@@ -229,7 +229,7 @@ def retry_chain(model, slot0: int, cycle: int, phase: float,
     integer slot ``slot0`` arrives at ``float(slot0 + n * cycle) +
     phase``, as the scalar channel arithmetic computes it.  Each attempt
     is classified by ``model`` until one succeeds, exactly like
-    ``ChannelTuner._receive``; every attempt's arrival is appended to
+    ``ChannelTuner._receive_at``; every attempt's arrival is appended to
     ``ev_arr``, the successful one last.  Returns ``(lost, corrupt)``:
     the failures split by kind.
     """
@@ -308,7 +308,7 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
     the top entry's arrival and stops when it lies past ``limit`` (at
     ``limit`` too when ``strict``) — the step loop's stopping rule
     (``_run_until``), which reproduces :func:`~repro.client.run_all`'s
-    two-member tie rule.  A stopped walk leaves its unvisited records on
+    tie rule in a coupled group.  A stopped walk leaves its unvisited records on
     the stack, so ``step()``, ``next_event_time()``, a rescan or a later
     walk resume from the state the step loop would have left.  A pop
     prunes against the search's own bound — the NN upper bound, the kNN

@@ -29,7 +29,7 @@ Queue plumbing comes from :class:`ArrivalQueueMixin`.  On a layout with
 cyclic page order the search runs to completion, on a lossless or a
 faulty tuner, as one preorder stack walk that absorbs each leaf inline
 with the scalar offer loop (:func:`repro.client.drain.drain`) in
-:meth:`run_to_completion`, which the shared-scan executor runs too; the
+:meth:`run_to_completion`, which batches run too; the
 walk keeps the guarantee on the search, so a stepped search and a walk
 agree bit for bit.
 """

@@ -31,10 +31,10 @@ class TNNAlgorithm(abc.ABC):
     subclasses implement), two parallel range queries, then the
     transitive join and the :class:`TNNResult` with the paper's metrics.
     Each stage is yielded as a :class:`~repro.client.SearchGroup`, and two
-    callers run that one description: :meth:`run` answers one query,
-    stage by stage, and
+    callers run that one description through :meth:`run_stages`:
+    :meth:`run` answers one query, and
     :func:`~repro.engine.shared_scan.execute_tnn_batch` serves a whole
-    workload through one executor.
+    workload, one query after another.
 
     ``optimization`` plugs the ANN approximation into the estimate phase;
     ``include_data_retrieval`` additionally downloads the answer pair's
@@ -64,12 +64,25 @@ class TNNAlgorithm(abc.ABC):
     ) -> TNNResult:
         """Answer one TNN query issued at t=0 with the given channel phases.
 
-        Each stage runs to completion (:meth:`SearchGroup.run
-        <repro.client.scheduler.SearchGroup.run>`) before the next is
-        built.  The tuners keep no reception log: no caller can reach
-        them, and the result carries none.
+        The tuners keep no reception log: no caller can reach them, and
+        the result carries none.
         """
         tuner_s, tuner_r = env.tuners(phase_s, phase_r, record_log=False)
+        return self.run_stages(env, query, tuner_s, tuner_r)
+
+    def run_stages(
+        self,
+        env: TNNEnvironment,
+        query: Point,
+        tuner_s: ChannelTuner,
+        tuner_r: ChannelTuner,
+    ) -> TNNResult:
+        """Answer one TNN query on the given tuners, stage by stage.
+
+        Each stage runs to completion (:meth:`SearchGroup.run
+        <repro.client.scheduler.SearchGroup.run>`) before the next is
+        built.
+        """
         stages = self._stages(env, query, tuner_s, tuner_r)
         try:
             while True:
@@ -90,7 +103,7 @@ class TNNAlgorithm(abc.ABC):
         """One query's lifecycle: yield each stage's searches, return the result.
 
         The caller runs every yielded group to completion, honouring its
-        ``paired`` / ``on_finish`` contract, before resuming the generator.
+        ``coupled`` / ``on_finish`` contract, before resuming the generator.
         """
         policy_s, policy_r = self._policies(env)
         radius, seed_pair = yield from self._estimate(

@@ -65,10 +65,10 @@ class HybridNN(TNNAlgorithm):
                 nn_s.switch_to_transitive(query, r)  # Case 3
                 steered = True
 
-        # Paired: the finish of either channel re-steers the other, so
+        # Coupled: the finish of either channel re-steers the other, so
         # neither member may run past its sibling's next event (run_all's
-        # schedule, which algorithm.run keeps in bounded runs).
-        yield SearchGroup([nn_s, nn_r], paired=True, on_finish=coordinator)
+        # schedule, which SearchGroup.run keeps in bounded runs).
+        yield SearchGroup([nn_s, nn_r], coupled=True, on_finish=coordinator)
         s, _ = nn_s.result()
         r, _ = nn_r.result()
         radius = query.distance_to(s) + s.distance_to(r)

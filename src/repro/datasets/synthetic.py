@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import accumulate
 from typing import List, Sequence
 
 from repro.geometry import Point, Rect
@@ -89,12 +90,14 @@ def gaussian_clusters(
     ]
     weights = [1.0 / (rank + 1) for rank in range(clusters)]
     total = sum(weights)
-    weights = [w / total for w in weights]
+    # ``choices`` would rebuild these cumulative weights on every call;
+    # passing them once draws the same stream.
+    cum_weights = list(accumulate(w / total for w in weights))
     sigma_x = spread * region.width
     sigma_y = spread * region.height
     points: List[Point] = []
     while len(points) < n:
-        cx, cy = rng.choices(centers, weights=weights)[0]
+        cx, cy = rng.choices(centers, cum_weights=cum_weights)[0]
         x = rng.gauss(cx, sigma_x)
         y = rng.gauss(cy, sigma_y)
         if region.xmin <= x <= region.xmax and region.ymin <= y <= region.ymax:

@@ -8,13 +8,12 @@ The substrate every bulk workload runs on:
 * :class:`SharedScanRunner` — executes a workload in-process or fanned
   out over a supervised process pool, bit-identically, with vectorised
   aggregation and cached oracle results for failure-rate comparisons.
-  Every algorithm runs through the shared-scan executor
-  (:mod:`repro.engine.shared_scan`), which drives each query's lifecycle
-  with the same group driver per-query ``algorithm.run`` uses;
+  Every algorithm runs through
+  :func:`~repro.engine.shared_scan.execute_tnn_batch`, which drives each
+  query's lifecycle with the stage loop per-query ``algorithm.run`` uses;
 * :class:`QueryEngine` — one facade over NN / kNN / range / window / TNN
   queries on an environment, so callers stop hand-wiring tuners and
-  searches; :meth:`QueryEngine.run_many` routes mixed client batches
-  through the shared-scan executor.
+  searches; :meth:`QueryEngine.run_many` answers mixed client batches.
 
 ``repro.sim`` re-exports :class:`QueryWorkload` for its experiment
 sweeps, which run on :class:`SharedScanRunner`.
@@ -30,12 +29,11 @@ from repro.engine.query import (
     RangeRequest,
     WindowRequest,
 )
-from repro.engine.shared_scan import SharedScanExecutor, execute_tnn_batch
+from repro.engine.shared_scan import execute_tnn_batch
 from repro.engine.workload import QueryWorkload
 
 __all__ = [
     "SharedScanRunner",
-    "SharedScanExecutor",
     "ClientQueryAnswer",
     "ClientRequest",
     "NNRequest",

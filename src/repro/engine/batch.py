@@ -6,11 +6,11 @@ time is the scaling bottleneck the ROADMAP calls out.
 :class:`SharedScanRunner` executes a whole
 :class:`~repro.engine.workload.QueryWorkload` through a shared substrate:
 
-* every algorithm runs through the shared-scan executor
-  (:mod:`repro.engine.shared_scan`), which drives each query's
-  estimate-filter-join lifecycle (:meth:`~repro.core.base.TNNAlgorithm
-  ._stages`) through :meth:`~repro.client.scheduler.SearchGroup.run`,
-  the group driver per-query ``algorithm.run`` uses too;
+* every algorithm runs through
+  :func:`~repro.engine.shared_scan.execute_tnn_batch`, which drives each
+  query's estimate-filter-join lifecycle through
+  :meth:`~repro.core.base.TNNAlgorithm.run_stages`, the stage loop
+  per-query ``algorithm.run`` uses too;
 * the environment's broadcast programs (with their cached arrival-position
   tables) are built once and reused by every query;
 * execution can fan out over a supervised process pool — queries carry
@@ -199,10 +199,9 @@ class SharedScanRunner:
     """Executes one workload against one environment, for many algorithms.
 
     Every algorithm runs through
-    :func:`~repro.engine.shared_scan.execute_tnn_batch`: the shared-scan
-    executor drives each query's lifecycle with the group driver
-    ``algorithm.run`` uses (:mod:`repro.engine.shared_scan`), so the
-    results are those of ``algorithm.run`` per query, bit for bit.
+    :func:`~repro.engine.shared_scan.execute_tnn_batch`, which drives
+    each query's lifecycle with the stage loop ``algorithm.run`` uses, so
+    the results are those of ``algorithm.run`` per query, bit for bit.
 
     ``workers`` selects the execution mode: ``0``/``1`` runs in-process,
     ``>= 2`` fans the workload out over that many worker processes.  The

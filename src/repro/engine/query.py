@@ -9,10 +9,10 @@ tables make the per-query setup cost a handful of attribute lookups.
 
 Mixed client batches go through :meth:`QueryEngine.run_many`: requests are
 declared as :class:`NNRequest` / :class:`KNNRequest` / :class:`RangeRequest`
-/ :class:`WindowRequest` records and executed by the shared-scan executor
-(:mod:`repro.engine.shared_scan`), which runs each request's search
-through the per-query group driver.  Answers are bit-identical to issuing
-each request through the corresponding single-query method.
+/ :class:`WindowRequest` records, and each request's search runs to
+completion on its own tuner, as the single-query methods run it.
+Answers are bit-identical to issuing each request through the
+corresponding single-query method.
 """
 
 from __future__ import annotations
@@ -26,14 +26,12 @@ from repro.client import (
     BroadcastNNSearch,
     BroadcastRangeSearch,
     BroadcastWindowSearch,
-    SearchGroup,
 )
 from repro.core.base import TNNAlgorithm
 from repro.core.double import DoubleNN
 from repro.core.environment import TNNEnvironment
 from repro.core.result import TNNResult
 from repro.engine.batch import SharedScanRunner
-from repro.engine.shared_scan import SharedScanExecutor
 from repro.engine.workload import QueryWorkload
 from repro.geometry import Circle, Point, Rect
 
@@ -161,20 +159,21 @@ class QueryEngine:
         return self._finish(search)
 
     # ------------------------------------------------------------------
-    # Mixed client batches (shared-scan executor)
+    # Mixed client batches
     # ------------------------------------------------------------------
     def run_many(
         self,
         requests: Sequence["ClientRequest"],
         record_log: bool = True,
     ) -> List[ClientQueryAnswer]:
-        """Answer a mixed NN/kNN/range/window batch through the shared scan.
+        """Answer a mixed NN/kNN/range/window batch, request by request.
 
         Every request gets its own tuner (its ``phase`` models when its
-        client tuned in), and the shared-scan executor runs each request's
-        search alone through ``SearchGroup.run``: one drain walk on a
-        layout with cyclic page order, steps on the heap otherwise.  Answers come back in request order,
-        bit-identical to the corresponding single-query methods.
+        client tuned in), and each request's search runs alone through
+        its ``run_to_completion``: one drain walk on a layout with cyclic
+        page order, steps on the heap otherwise.  Answers come back in
+        request order, bit-identical to the corresponding single-query
+        methods.
 
         ``record_log=False`` skips every tuner's per-reception event log
         (answers, access times, tune-in counts and queue sizes are
@@ -185,10 +184,8 @@ class QueryEngine:
         if not record_log:
             for search in searches:
                 search.tuner.record_log = False
-        executor = SharedScanExecutor()
         for search in searches:
-            executor.add(SearchGroup([search]))
-        executor.run()
+            search.run_to_completion()
         return [self._finish(search) for search in searches]
 
     def _build(self, req: "ClientRequest"):

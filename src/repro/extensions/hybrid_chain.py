@@ -17,12 +17,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.client import (
-    BroadcastNNSearch,
-    BroadcastRangeSearch,
-    SearchGroup,
-    run_all,
-)
+from repro.client import BroadcastNNSearch, BroadcastRangeSearch, SearchGroup
 from repro.extensions.chain import (
     ChainEnvironment,
     ChainResult,
@@ -66,8 +61,9 @@ class HybridChainTNN:
 
         # The coordinator only ever acts on a finish transition (hop i
         # finishing unlocks re-steering hop i+1), so finish-driven
-        # scheduling is equivalent to polling after every step.
-        run_all(searches, on_finish=coordinator)
+        # scheduling is equivalent to polling after every step; the
+        # coupled group lets no hop run past another hop's finish.
+        SearchGroup(searches, coupled=True, on_finish=coordinator).run()
         hops = [s.result()[0] for s in searches]
         radius = _route_length(query, hops)
         estimate_finish = max(t.now for t in tuners)

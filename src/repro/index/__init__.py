@@ -13,8 +13,8 @@ and the non-R-tree air-index builders that emit it:
   four-way subdivision, padded to a balanced page tree).
 
 Both builders return plain :class:`~repro.rtree.tree.RTree` containers, so
-the entire client stack — the drain walk, the arrival heap, the
-shared-scan executor — works on them unchanged; only the broadcast layout
+the entire client stack — the drain walk, the arrival heap, the group
+driver — works on them unchanged; only the broadcast layout
 (:mod:`repro.broadcast.layout`) knows which backend built the index.
 
 Submodule imports are deliberately explicit (``from repro.index.grid

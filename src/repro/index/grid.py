@@ -5,7 +5,7 @@ air indexes): the region is cut into a ``G x G`` grid of equal cells, every
 data point is bucketed into its cell, and the broadcast index enumerates
 the cells in row-major order.  Here the grid is materialised as a balanced
 page tree so the entire client stack (the drain walk, the arrival heap,
-the shared-scan executor) works unchanged:
+the group driver) works unchanged:
 
 * each non-empty cell's points become one run of leaf pages (at most
   ``leaf_capacity`` points each, tight MBRs);

@@ -113,11 +113,12 @@ def test_tuner_missed_page_costs_waiting_not_energy():
 
 
 def test_receive_returns_int_attempt_count():
-    """_receive counts attempts (int), while download_* returns finish time."""
+    """_receive_at counts attempts (int), while download_* returns finish
+    time."""
     prog = make_program()
     tuner = ChannelTuner(BroadcastChannel(prog, phase=0.0))
-    attempts = tuner._receive(
-        lambda t: tuner.channel.next_index_arrival(0, t), "index", 0
+    attempts = tuner._receive_at(
+        tuner.channel.next_index_arrival, 0, "index", 0
     )
     assert attempts == 1 and isinstance(attempts, int)
     finish = tuner.download_index_page(1)

@@ -2,8 +2,8 @@
 
 ``run_to_completion`` on a search that has not stepped runs one preorder
 stack walk (:func:`repro.client.drain.drain`) over the search's own stack
-of node records instead of one ``step()`` per queued node; the shared-scan
-executor runs the same walk.  Steps run on the arrival heap, the
+of node records instead of one ``step()`` per queued node; batches run
+the same walk.  Steps run on the arrival heap, the
 reference: a search's first step moves its stack there for good.  These
 tests run both routes on identical searches — NN in point mode and
 switched to the transitive metric (Hybrid-NN's Case 3), under the exact
@@ -15,12 +15,12 @@ corrupt pages, ``max_queue_size`` and the tuner log event by event.  At
 every phase the channel's exact clock puts the cursor on slot ``x + 1``
 after each download at slot ``x``, and no walk starts with queued pages
 on both sides of its cursor.  A bounded walk (``drain(s, limit,
-strict)``, each run of a Hybrid-NN pair member) is checked against the
+strict)``, each run of a coupled group's member) is checked against the
 step loop with the same stopping rule, then both routes run on to the
-end.  ``algorithm.run``, which drains unpaired stages and runs a paired
-one in alternating bounded runs, is checked against its stages stepped
-by ``run_all``, and the pair driver's schedule against ``run_all``'s on
-scripted arrival times.
+end.  ``algorithm.run``, which drains independent stages and runs a
+coupled one in bounded runs, is checked against its stages stepped by
+``run_all``, and the coupled driver's schedule, for two to four members,
+against ``run_all``'s on scripted arrival times.
 """
 
 import functools
@@ -45,12 +45,12 @@ from repro.client import (
     BroadcastNNSearch,
     BroadcastRangeSearch,
     BroadcastWindowSearch,
+    SearchGroup,
     dynamic_alpha,
     run_all,
 )
 from repro.client.arrival_queue import ArrivalQueueMixin
 from repro.client.drain import drain, walk_table
-from repro.client.scheduler import _run_pair
 from repro.core import (
     AnnOptimization,
     ApproximateTNN,
@@ -573,7 +573,7 @@ def test_empty_internal_nodes_walk_like_steps(case, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# algorithm.run: unpaired stages drain, a pair runs in bounded runs
+# algorithm.run: independent stages drain, a coupled pair runs in bounded runs
 # ----------------------------------------------------------------------
 def _stepped_run(algo, env, q, ps, pr):
     """``algo.run`` with every stage driven by ``run_all``'s steps."""
@@ -857,6 +857,31 @@ class _Scripted(ArrivalQueueMixin):
         self.log.append((self.name, self.times.pop(0)))
 
 
+def _scripted_schedule(driver, member_times):
+    """The pop and finish log of scripted members under ``driver``.  Each
+    finish re-steers the next unfinished member after it (cyclically): its
+    next pop is dropped and the rest shift by half a slot."""
+    log = []
+    members = [
+        _Scripted("abcd"[i], times, log) for i, times in enumerate(member_times)
+    ]
+
+    def on_finish(s):
+        log.append(("finish", s.name))
+        k = members.index(s)
+        for other in members[k + 1:] + members[:k]:
+            if not other.finished():
+                other.times = [t + 0.5 for t in other.times[1:]]
+                break
+
+    driver(members, on_finish)
+    return log
+
+
+def _coupled(members, on_finish):
+    SearchGroup(members, coupled=True, on_finish=on_finish).run()
+
+
 @pytest.mark.parametrize("a_times, b_times", [
     ([1, 3, 5], [2, 5, 7]),  # a finishes at b's next arrival
     ([2, 6, 9], [1, 4, 6]),  # b finishes at a's next arrival
@@ -866,23 +891,38 @@ class _Scripted(ArrivalQueueMixin):
     ([], []),
 ])
 def test_pair_driver_keeps_run_all_schedule(a_times, b_times):
-    """The pair driver pops and fires ``on_finish`` in ``run_all``'s
+    """A coupled pair pops and fires ``on_finish`` in ``run_all``'s
     order, ties to the first member included, when the finish re-steers
     the sibling (here: its next pop is dropped and the rest shift)."""
-    def run(driver):
-        log = []
-        a, b = _Scripted("a", a_times, log), _Scripted("b", b_times, log)
+    expected = _scripted_schedule(run_all, [a_times, b_times])
+    assert _scripted_schedule(_coupled, [a_times, b_times]) == expected
 
-        def on_finish(s):
-            log.append(("finish", s.name))
-            other = b if s is a else a
-            other.times = [t + 0.5 for t in other.times[1:]]
 
-        driver(a, b, on_finish)
-        return log
-
-    expected = run(lambda a, b, f: run_all([a, b], on_finish=f))
-    assert run(_run_pair) == expected
+@pytest.mark.parametrize("member_times", [
+    pytest.param([[1, 3, 4], [1, 3, 6]], id="2-ties-throughout"),
+    pytest.param([[1, 4, 6], [1, 2, 7], [3, 5]], id="3-tie-first-middle"),
+    pytest.param([[2, 6], [1, 3, 5], [3, 4, 9]], id="3-tie-middle-last"),
+    pytest.param([[2, 2.5, 7], [], [1, 2, 3]], id="3-middle-born-finished"),
+    pytest.param([[4, 5], [2, 4, 8], [1, 4, 6]], id="3-three-way-tie"),
+    pytest.param(
+        [[1, 3, 3.5, 9], [1, 2, 5], [2, 5, 6], [5, 7]], id="4-ties-each-side"
+    ),
+    pytest.param([[], [2, 4], [2, 3], [1, 6, 7]], id="4-first-born-finished"),
+    pytest.param([[1, 2], [3], [], [1, 2, 3, 4]], id="4-early-finishes"),
+    pytest.param([[], [], [], []], id="4-all-born-finished"),
+])
+def test_coupled_driver_keeps_run_all_schedule(member_times):
+    """A coupled group of two to four members pops and fires
+    ``on_finish`` in ``run_all``'s order: ties go to the lowest index,
+    between the first and a middle member and between a middle and the
+    last; a member finished at construction never sees ``on_finish``, nor
+    does one a re-steer empties; each finish re-steers a sibling."""
+    expected = _scripted_schedule(run_all, member_times)
+    assert _scripted_schedule(_coupled, member_times) == expected
+    born_finished = {"abcd"[i] for i, t in enumerate(member_times) if not t}
+    finished = [name for kind, name in expected if kind == "finish"]
+    assert len(set(finished)) == len(finished)
+    assert not born_finished & set(finished)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Tests for the cooperative multi-channel scheduler.
 
-``run_all`` is a lazy-invalidation event heap (O(log channels) per event);
-``run_all_scan`` is the original O(channels) argmin scan.  The property
-suite drives 3-16 channels through both and requires identical step
-traces, answers and tuner states — including under ``after_step``
-callbacks that mutate *other* searches mid-run (Hybrid-NN re-steering).
+``run_all`` is the step-at-a-time reference: an argmin scan that steps
+the unfinished search with the earliest next arrival, ties to the first.
+``SearchGroup(..., coupled=True).run()`` is the fast driver: it replays
+that schedule in bounded runs, one walk per run.  The property suite
+drives 2-16 channels through both and requires identical answers, tuner
+states and ``on_finish`` order — including under callbacks that re-steer
+*other* searches mid-run (Hybrid-NN re-steering) — and, on heap-backed
+searches, which step one node at a time under both, the identical global
+step order.  The ``heap_matches_scan`` tests are named for the event-heap
+scheduler the coupled group replaced as the fast driver.
 """
 
 import math
@@ -20,20 +25,38 @@ from repro.broadcast import (
 )
 from repro.client import (
     BroadcastNNSearch,
+    SearchGroup,
     run_all,
-    run_all_scan,
 )
 from repro.geometry import Point, distance
 from repro.rtree import str_pack
 
 
-def make_channel(n, seed, phase=0.0):
+def make_channel(n, seed, phase=0.0, heap=False):
+    """One channel's points, tree and tuner; ``heap``: a program without
+    cyclic page order, so its searches step on the arrival heap."""
     rng = random.Random(seed)
     pts = [Point(rng.random() * 1000, rng.random() * 1000) for _ in range(n)]
     params = SystemParameters(page_capacity=64)
     tree = str_pack(pts, params.leaf_capacity, params.internal_fanout)
     program = BroadcastProgram(tree, params, m=2)
+    if heap:
+        program.has_cyclic_order = False
     return pts, tree, ChannelTuner(BroadcastChannel(program, phase=phase))
+
+
+def trace_steps(searches, trace):
+    """Log ``(index, clock)`` before every ``step()`` of each search."""
+    for i, s in enumerate(searches):
+        def step(s=s, i=i, step=s.step):
+            trace.append((i, s.next_event_time()))
+            step()
+
+        s.step = step
+
+
+def coupled(searches, on_finish=None):
+    SearchGroup(searches, coupled=True, on_finish=on_finish).run()
 
 
 def test_run_all_completes_both():
@@ -49,17 +72,20 @@ def test_run_all_completes_both():
 
 
 def test_run_all_interleaves_in_time_order():
-    """After each step the stepped search is (weakly) the one whose page
-    arrived earliest — verify via a monotone global event trace."""
+    """Each step takes the earliest pending page of either channel: the
+    global trace of stepped arrivals never goes back in time."""
     _, tree1, t1 = make_channel(120, seed=3)
     _, tree2, t2 = make_channel(120, seed=4, phase=7.0)
     q = Point(400, 600)
     s1 = BroadcastNNSearch(tree1, t1, q)
     s2 = BroadcastNNSearch(tree2, t2, q)
     trace = []
-    run_all([s1, s2], after_step=lambda s: trace.append(s))
-    assert set(trace) == {s1, s2}
+    trace_steps([s1, s2], trace)
+    run_all([s1, s2])
+    assert {i for i, _ in trace} == {0, 1}
     assert len(trace) > 2
+    times = [t for _, t in trace]
+    assert times == sorted(times)
 
 
 def test_run_all_parallel_equals_independent_results():
@@ -77,40 +103,46 @@ def test_run_all_parallel_equals_independent_results():
     assert ta.index_pages == tb.index_pages
 
 
-def test_after_step_can_mutate_other_search():
-    """The Hybrid-NN pattern: when one search finishes, re-steer the other."""
-    pts1, tree1, t1 = make_channel(60, seed=6)
-    pts2, tree2, t2 = make_channel(600, seed=7)
-    q = Point(500, 500)
-    s1 = BroadcastNNSearch(tree1, t1, q)
-    s2 = BroadcastNNSearch(tree2, t2, q)
-    mutated = []
+def test_on_finish_can_mutate_other_search():
+    """The Hybrid-NN pattern: when one search finishes, re-steer the other;
+    the coupled group re-steers at the same moment as ``run_all``."""
 
-    def coordinator(stepped):
-        if s1.finished() and not mutated and not s2.finished():
-            s2.retarget(Point(100, 100))
-            mutated.append(True)
+    def drive(driver):
+        pts1, tree1, t1 = make_channel(60, seed=6)
+        pts2, tree2, t2 = make_channel(600, seed=7)
+        q = Point(500, 500)
+        s1 = BroadcastNNSearch(tree1, t1, q)
+        s2 = BroadcastNNSearch(tree2, t2, q)
+        mutated = []
 
-    run_all([s1, s2], after_step=coordinator)
-    if mutated:
-        # Retargeting searches the *remaining portion* of the tree (plus the
-        # temporary result), per Hybrid-NN Case 2 — so the answer is a real
-        # dataset point, self-consistent, and no better than the global NN.
-        pt, d = s2.result()
-        assert pt in pts2
-        assert math.isclose(d, distance(Point(100, 100), pt), rel_tol=1e-12)
-        assert d >= min(distance(Point(100, 100), p) for p in pts2) - 1e-12
+        def coordinator(finished):
+            if finished is s1 and not s2.finished():
+                s2.retarget(Point(100, 100))
+                mutated.append(True)
+
+        driver([s1, s2], coordinator)
+        return mutated, pts2, s2.result(), tuner_state([t1, t2])
+
+    mutated, pts2, (pt, d), state = drive(run_all)
+    assert mutated
+    # Retargeting searches the *remaining portion* of the tree (plus the
+    # temporary result), per Hybrid-NN Case 2 — so the answer is a real
+    # dataset point, self-consistent, and no better than the global NN.
+    assert pt in pts2
+    assert math.isclose(d, distance(Point(100, 100), pt), rel_tol=1e-12)
+    assert d >= min(distance(Point(100, 100), p) for p in pts2) - 1e-12
+    assert drive(coupled) == (mutated, pts2, (pt, d), state)
 
 
 def test_run_all_empty_list():
     run_all([])  # no-op, must not raise
-    run_all_scan([])
+    coupled([])
 
 
 # ----------------------------------------------------------------------
-# Event heap vs brute-force scan (property suite)
+# The coupled group vs the run_all scan (property suite)
 # ----------------------------------------------------------------------
-def build_fleet(n_channels, seed):
+def build_fleet(n_channels, seed, heap=False):
     """One NN search per channel, shared query, varied sizes and phases."""
     rng = random.Random(seed)
     searches = []
@@ -118,7 +150,8 @@ def build_fleet(n_channels, seed):
     q = Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
     for c in range(n_channels):
         pts, tree, tuner = make_channel(
-            80 + 37 * c, seed=1000 * seed + c, phase=rng.uniform(0, 200)
+            80 + 37 * c, seed=1000 * seed + c, phase=rng.uniform(0, 200),
+            heap=heap,
         )
         searches.append(BroadcastNNSearch(tree, tuner, q))
         tuners.append(tuner)
@@ -131,26 +164,22 @@ def tuner_state(tuners):
 
 @pytest.mark.parametrize("n_channels", [3, 5, 8, 11, 16])
 def test_heap_matches_scan_trace_and_answers(n_channels):
-    """Same steps in the same order, same answers, same tuner states."""
-    heap_searches, heap_tuners = build_fleet(n_channels, seed=n_channels)
-    scan_searches, scan_tuners = build_fleet(n_channels, seed=n_channels)
+    """Same answers, tuner states and queue sizes; on heap-backed
+    searches, the same steps in the same order."""
+    for heap in (False, True):
+        fast, fast_tuners = build_fleet(n_channels, n_channels, heap)
+        ref, ref_tuners = build_fleet(n_channels, n_channels, heap)
+        fast_trace, ref_trace = [], []
+        trace_steps(fast, fast_trace)
+        trace_steps(ref, ref_trace)
+        coupled(fast)
+        run_all(ref)
 
-    heap_trace = []
-    scan_trace = []
-    run_all(
-        heap_searches,
-        after_step=lambda s: heap_trace.append((heap_searches.index(s), s.now)),
-    )
-    run_all_scan(
-        scan_searches,
-        after_step=lambda s: scan_trace.append((scan_searches.index(s), s.now)),
-    )
-
-    assert heap_trace == scan_trace
-    assert tuner_state(heap_tuners) == tuner_state(scan_tuners)
-    for h, s in zip(heap_searches, scan_searches):
-        assert h.result() == s.result()
-        assert h.max_queue_size == s.max_queue_size
+        assert fast_trace == (ref_trace if heap else [])
+        assert tuner_state(fast_tuners) == tuner_state(ref_tuners)
+        for f, r in zip(fast, ref):
+            assert f.result() == r.result()
+            assert f.max_queue_size == r.max_queue_size
 
 
 @pytest.mark.parametrize("n_channels", [3, 6, 9, 13])
@@ -160,22 +189,19 @@ def test_heap_matches_scan_with_mutating_after_step(n_channels):
     Mimics Hybrid-NN: when the first channel finishes, retarget half of
     the survivors onto the winner and switch the rest to the transitive
     metric — both mutations invalidate queued bounds on searches the
-    scheduler did not just step.
+    driver did not just run.
     """
 
-    def drive(scheduler, seed):
+    def drive(driver, seed):
         searches, tuners = build_fleet(n_channels, seed=seed)
         steered = [False]
         trace = []
 
-        def coordinator(stepped):
-            trace.append(searches.index(stepped))
+        def coordinator(finished):
+            trace.append(searches.index(finished))
             if steered[0]:
                 return
-            done = [s for s in searches if s.finished()]
-            if not done:
-                return
-            winner, _ = done[0].result()
+            winner, _ = finished.result()
             steered[0] = True
             for k, other in enumerate(searches):
                 if other.finished():
@@ -185,7 +211,7 @@ def test_heap_matches_scan_with_mutating_after_step(n_channels):
                 elif other.mode.value == "point":
                     other.switch_to_transitive(other.query, winner)
 
-        scheduler(searches, after_step=coordinator)
+        driver(searches, coordinator)
         return (
             trace,
             [s.result() for s in searches],
@@ -193,14 +219,14 @@ def test_heap_matches_scan_with_mutating_after_step(n_channels):
         )
 
     seed = 7 * n_channels
-    assert drive(run_all, seed) == drive(run_all_scan, seed)
+    assert drive(coupled, seed) == drive(run_all, seed)
 
 
 @pytest.mark.parametrize("n_channels", [2, 4, 8, 16])
 def test_heap_matches_scan_with_on_finish(n_channels):
-    """Finish-driven coordination (the Hybrid-NN shape) on both schedulers."""
+    """Finish-driven coordination (the Hybrid-NN shape) on both drivers."""
 
-    def drive(scheduler, seed):
+    def drive(driver, seed):
         searches, tuners = build_fleet(n_channels, seed=seed)
         finishes = []
 
@@ -213,40 +239,40 @@ def test_heap_matches_scan_with_on_finish(n_channels):
                     other.retarget(winner)
                     break
 
-        scheduler(searches, on_finish=on_finish)
+        driver(searches, on_finish)
         return finishes, [s.result() for s in searches], tuner_state(tuners)
 
     seed = 11 * n_channels
-    assert drive(run_all, seed) == drive(run_all_scan, seed)
+    assert drive(coupled, seed) == drive(run_all, seed)
 
 
 def test_on_finish_fires_once_per_search():
-    searches, _ = build_fleet(3, seed=99)
-    finished = []
-    run_all(searches, on_finish=finished.append)
-    assert sorted(map(id, finished)) == sorted(map(id, searches))
+    for driver in (run_all, coupled):
+        searches, _ = build_fleet(3, seed=99)
+        finished = []
+        driver(searches, finished.append)
+        assert sorted(map(id, finished)) == sorted(map(id, searches))
 
 
 @pytest.mark.parametrize("n_channels", [1, 2, 3])
-def test_after_step_and_on_finish_compose(n_channels):
-    """Both hooks together fire like the scan reference on every path
-    (the 1-, 2- and N-search scheduler specialisations)."""
+def test_on_finish_follows_the_finishing_step(n_channels):
+    """``on_finish`` fires right after the step that finishes its search,
+    on both drivers, heap-backed so both step node by node."""
 
-    def drive(scheduler):
-        searches, tuners = build_fleet(n_channels, seed=55 + n_channels)
-        steps = []
-        finishes = []
-        scheduler(
-            searches,
-            after_step=lambda s: steps.append(searches.index(s)),
-            on_finish=lambda s: finishes.append(searches.index(s)),
-        )
-        return steps, finishes, tuner_state(tuners)
+    def drive(driver):
+        searches, tuners = build_fleet(n_channels, 55 + n_channels, True)
+        events = []
+        trace_steps(searches, events)
+        driver(searches, lambda s: events.append(("finish", searches.index(s))))
+        return events, tuner_state(tuners)
 
-    heap = drive(run_all)
-    scan = drive(run_all_scan)
-    assert heap == scan
-    assert sorted(heap[1]) == list(range(n_channels))
+    events, state = drive(run_all)
+    assert drive(coupled) == (events, state)
+    finishes = [k for k, e in enumerate(events) if e[0] == "finish"]
+    assert sorted(events[k][1] for k in finishes) == list(range(n_channels))
+    for k in finishes:
+        assert events[k - 1][0] == events[k][1]
+        assert all(e[0] != events[k][1] for e in events[k + 1:])
 
 
 def test_heap_drives_eight_channels_to_correct_answers():
@@ -261,7 +287,7 @@ def test_heap_drives_eight_channels_to_correct_answers():
         )
         searches.append(BroadcastNNSearch(tree, tuner, q))
         points.append(pts)
-    run_all(searches)
+    coupled(searches)
     for s, pts in zip(searches, points):
         assert math.isclose(
             s.result()[1],

@@ -88,6 +88,48 @@ def test_gaussian_clusters_in_region():
     assert all(region.contains_point(p) for p in pts)
 
 
+def _gaussian_clusters_per_point_choices(n, clusters, seed, region, spread):
+    """The generator as first written: ``choices`` rebuilds the cumulative
+    weights for every point.  The oracle for the stream it must keep."""
+    rng = random.Random(seed)
+    centers = [
+        (
+            rng.uniform(region.xmin, region.xmax),
+            rng.uniform(region.ymin, region.ymax),
+        )
+        for _ in range(clusters)
+    ]
+    weights = [1.0 / (rank + 1) for rank in range(clusters)]
+    total = sum(weights)
+    weights = [w / total for w in weights]
+    points = []
+    while len(points) < n:
+        cx, cy = rng.choices(centers, weights=weights)[0]
+        x = rng.gauss(cx, spread * region.width)
+        y = rng.gauss(cy, spread * region.height)
+        if region.xmin <= x <= region.xmax and region.ymin <= y <= region.ymax:
+            points.append(Point(x, y))
+    return points
+
+
+@pytest.mark.parametrize("clusters", [1, 2, 7, 40])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_gaussian_clusters_keeps_the_per_point_choices_stream(seed, clusters):
+    """Cumulative weights built once draw the same points, bit for bit,
+    clipping rejections (a tight region) included."""
+    for region, spread in (
+        (Rect(0.0, 0.0, PAPER_REGION_SIDE, PAPER_REGION_SIDE), 0.03),
+        (Rect(-5.0, 2.0, 95.0, 52.0), 0.4),
+    ):
+        got = gaussian_clusters(
+            700, clusters, seed=seed, region=region, spread=spread
+        )
+        want = _gaussian_clusters_per_point_choices(
+            700, clusters, seed, region, spread
+        )
+        assert [(p.x, p.y) for p in got] == [(p.x, p.y) for p in want]
+
+
 def test_gaussian_clusters_validation():
     with pytest.raises(ValueError):
         gaussian_clusters(0, clusters=3)

@@ -1,6 +1,6 @@
 """run_many bit-identity across air-index backends, cyclic and not.
 
-The shared-scan executor's contract — answers, access times, tune-in
+The batch contract — answers, access times, tune-in
 counts and queue footprints bit-identical to the per-query oracle — must
 hold on every backend the layout seam can produce.  Cyclic backends
 (grid, quadtree, plain R-tree) exercise the drain walk; non-cyclic ones

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.broadcast import ChannelTuner, SystemParameters
-from repro.client import SearchGroup, arrival_queue, run_all
+from repro.client import BroadcastNNSearch, SearchGroup, arrival_queue, run_all
 from repro.core import TNNEnvironment
 from repro.datasets import uniform
 from repro.extensions import (
@@ -180,18 +180,19 @@ def test_unordered_picks_r_first_when_r_closer():
     "name", ["roundtrip", "unordered", "topk", "chain", "hybrid_chain"]
 )
 def test_extension_stages_match_stepped_run_all(name, monkeypatch):
-    """Each extension's independent stages run through ``SearchGroup.run``,
-    which drains its searches; answers, access times and tune-in equal
-    those of the same queries with every such stage stepped by
-    ``run_all``.  No extension result carries a reception log, so the
-    driven run's tuners record none: a ``ChannelTuner.__init__`` spy
-    counts 0 log tuples (the stepped run forces logging, so the spy
-    bites, and its answers and costs still match)."""
+    """Each extension's stages run through ``SearchGroup.run``, which
+    drains its searches — the hybrid chain's four coupled estimate
+    searches in bounded runs, re-steered as each hop finishes; answers,
+    access times and tune-in equal those of the same queries with every
+    stage stepped by ``run_all``.  No extension result carries a
+    reception log, so the driven run's tuners record none: a
+    ``ChannelTuner.__init__`` spy counts 0 log tuples (the stepped run
+    forces logging, so the spy bites, and its answers and costs still
+    match)."""
     params = SystemParameters(page_capacity=64)
     if name in ("chain", "hybrid_chain"):
-        env = ChainEnvironment.build(
-            make_datasets([300, 250, 200], seed0=11), params
-        )
+        sizes = [300, 250, 200] + ([150] if name == "hybrid_chain" else [])
+        env = ChainEnvironment.build(make_datasets(sizes, seed0=11), params)
         algo = ChainTNN() if name == "chain" else HybridChainTNN()
 
         def run(p, rng):
@@ -216,11 +217,13 @@ def test_extension_stages_match_stepped_run_all(name, monkeypatch):
         return [run(env.random_query_point(rng), rng) for _ in range(8)]
 
     drained = []
+    bounded = []
     drain = arrival_queue.drain
 
-    def drain_spy(s, *args):
+    def drain_spy(s, limit=math.inf, strict=False):
         drained.append(s)
-        return drain(s, *args)
+        bounded.append(limit < math.inf)
+        return drain(s, limit, strict)
 
     tuners = []
     init = ChannelTuner.__init__
@@ -232,10 +235,19 @@ def test_extension_stages_match_stepped_run_all(name, monkeypatch):
             self.record_log = True
         tuners.append(self)
 
+    retargets = []
+    retarget = BroadcastNNSearch.retarget
+
+    def retarget_spy(self, point):
+        retargets.append(point)
+        retarget(self, point)
+
     monkeypatch.setattr(arrival_queue, "drain", drain_spy)
     monkeypatch.setattr(ChannelTuner, "__init__", init_spy)
+    monkeypatch.setattr(BroadcastNNSearch, "retarget", retarget_spy)
     got = answers()
     assert drained
+    assert any(bounded) == bool(retargets) == (name == "hybrid_chain")
     assert tuners and sum(len(t.log) for t in tuners) == 0
     monkeypatch.setattr(
         SearchGroup, "run",

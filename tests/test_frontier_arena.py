@@ -1,4 +1,4 @@
-"""Randomized TNN workloads through the executor vs the per-query oracles.
+"""Randomized TNN workloads through batches vs the per-query oracles.
 
 End-to-end randomized workloads run through ``execute_tnn_batch`` at both
 paper page geometries (including mid-run Hybrid-NN re-steering) and on
@@ -24,7 +24,7 @@ from repro.geometry import kernels
 @pytest.mark.parametrize("capacity", [64, 512])
 @pytest.mark.parametrize("algo_cls", [HybridNN, DoubleNN])
 def test_randomized_workload_bit_identity(capacity, algo_cls):
-    """Random workloads: executor == per-query, both geometries.
+    """Random workloads: batch == per-query, both geometries.
 
     Hybrid-NN covers mid-run re-steering (retarget / transitive switch of
     a part-walked stack); Double-NN covers independent estimate pairs.
@@ -80,7 +80,7 @@ class _FixedWorkload:
 
 
 # ----------------------------------------------------------------------
-# The executor vs the per-query stages stepped on the heap
+# The batch vs the per-query stages stepped on the heap
 # ----------------------------------------------------------------------
 def _ab_queries(env, n, seed):
     rng = random.Random(seed)
@@ -109,9 +109,9 @@ def _per_query_oracle(env, algo, queries):
 @pytest.mark.parametrize("algo_cls", [HybridNN, DoubleNN])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_store_phase_a_matches_scalar_row_loop(capacity, algo_cls, seed):
-    """Random workloads: the executor == the per-query heap step loop.
+    """Random workloads: the batch == the per-query heap step loop.
 
-    The executor's drain walks (certified weak bounds, exact keeps,
+    The batch's drain walks (certified weak bounds, exact keeps,
     bounded pair runs) must reproduce the heap-stepped run result for
     result — answers, access times and tune-in counters all derive from
     the same per-node decisions, so any divergence surfaces here.

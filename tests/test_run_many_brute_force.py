@@ -9,7 +9,7 @@ no R-tree involved — on uniform, clustered, duplicate-point, collinear
 and single-point datasets, on both channels, at the paper's 64- and
 512-byte page geometries, lossless and under every fault family (i.i.d.
 loss, Gilbert-Elliott fades, detected corruption), whose retries ride the
-executor's per-query drains, and lossless on
+per-query drains, and lossless on
 every registered broadcast layout.  The single-query methods are held to
 the same ground truth.
 """

@@ -1,14 +1,14 @@
-"""Bit-identity A/B sweep and unit tests for the shared-scan executor.
+"""Bit-identity A/B sweep and unit tests for batch execution.
 
-The contract under test: the shared-scan executor
-(:mod:`repro.engine.shared_scan`) must reproduce the per-query path —
-answers, access times, tune-in counts, max queue sizes — bit for bit, for
-every query type, at both the paper's page geometries, against per-query
-runs that drain and against stages stepped on the heap, including
-workloads whose queries straddle different channel phases.  The
+The contract under test: a batch (:func:`~repro.engine.execute_tnn_batch`,
+``SharedScanRunner``, ``QueryEngine.run_many``) must reproduce the
+per-query path — answers, access times, tune-in counts, max queue sizes —
+bit for bit, for every query type, at both the paper's page geometries,
+against per-query runs that drain and against stages stepped on the heap,
+including workloads whose queries straddle different channel phases.  The
 runner-level reference is per-query ``algorithm.run``; the drain tests
 step their reference searches explicitly, because ``run_to_completion``
-runs the walk the executor's drain runs.
+runs the walk a batch runs.
 """
 
 import math
@@ -56,7 +56,6 @@ from repro.engine import (
     WindowRequest,
     execute_tnn_batch,
 )
-from repro.engine.shared_scan import SharedScanExecutor
 from repro.geometry import Circle, Point, Rect, kernels
 
 import random
@@ -95,7 +94,7 @@ def _per_query(env, algo, queries):
 
 def _stepped_per_query(env, algo, queries):
     """``algo.run`` with every stage driven by ``run_all``'s explicit
-    ``step()`` calls (``algo.run`` drains unpaired stages instead)."""
+    ``step()`` calls (``algo.run`` drains independent stages instead)."""
     out = []
     for q, ps, pr in queries:
         stages = algo._stages(env, q, *env.tuners(ps, pr))
@@ -126,7 +125,7 @@ def _straddling_queries(env, n, seed=1):
 @pytest.mark.parametrize("drained", [True, False])
 @pytest.mark.parametrize("algo_cls", [DoubleNN, HybridNN])
 def test_tnn_bit_identity(page_capacity, drained, algo_cls, env64, env512):
-    """The executor against per-query ``algo.run`` (``drained``) or
+    """The batch against per-query ``algo.run`` (``drained``) or
     against the stages stepped on the heap by ``run_all``."""
     env = env64 if page_capacity == 64 else env512
     queries = _random_queries(env, 25)
@@ -343,7 +342,7 @@ def test_run_many_nn_drains_one_walk_per_request(env64, monkeypatch):
         ))
     drained = _spy_drained(monkeypatch)
     engine = QueryEngine(env64)
-    with _executor_run():
+    with _batch_run():
         got = engine.run_many(requests)
     want = [engine.nn(r.point, r.phase, r.channel) for r in requests]
     assert got == want
@@ -404,13 +403,13 @@ def _lattice_env(page_capacity, loss=None):
     )
 
 
-#: True while a test runs the executor: the step and drain spies record
+#: True while a test runs the batch: the step and drain spies record
 #: only then, so the reference runs never count.
 _serving = False
 
 
 @contextmanager
-def _executor_run():
+def _batch_run():
     global _serving
     _serving = True
     try:
@@ -422,7 +421,7 @@ def _executor_run():
 def _spy_finish_and_steps(monkeypatch):
     """Record each finished search's tuner log, lost and corrupt pages
     and (range / window) results in discovery order, and every per-query
-    ``step()`` a kNN, range or window search takes in the executor run."""
+    ``step()`` a kNN, range or window search takes in the batch run."""
     finished, stepped = [], []
     finish = QueryEngine._finish
 
@@ -481,7 +480,7 @@ def _fractional_phase(i):
 
 def _step_to_end(search):
     """Drive ``search`` by explicit ``step()`` calls, the reference path
-    (``run_to_completion`` runs the drain walk the executor runs)."""
+    (``run_to_completion`` runs the drain walk a batch runs)."""
     while not search.finished():
         search.step()
     return search
@@ -504,7 +503,7 @@ def _drain_vs_single(env, requests, monkeypatch):
     """
     engine = QueryEngine(env)
     finished, stepped = _spy_finish_and_steps(monkeypatch)
-    with _executor_run():
+    with _batch_run():
         got = engine.run_many(requests, record_log=True)
     records = finished[:]
     del finished[:]
@@ -665,7 +664,7 @@ def test_lossy_range_window_drain_bit_identical_to_single_query(
 
 
 # ----------------------------------------------------------------------
-# Range searches in the executor
+# Range searches in a batch
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("radius", [math.nan, -1.0, -0.5e-300])
 def test_range_rejects_nan_and_negative_radius(env64, radius):
@@ -718,7 +717,7 @@ def _pass_requests(env, seed=23):
 
 
 def _spy_drained(monkeypatch):
-    """Every search that drains in the executor run, once per walk."""
+    """Every search that drains in the batch run, once per walk."""
     drained = []
     drain = arrival_queue.drain
 
@@ -736,7 +735,7 @@ def _spy_jumps(monkeypatch, classes=(BroadcastRangeSearch,)):
     download leaves the cursor anywhere but on the next page slot.
 
     Returns ``(search, page)`` rows.  Only the per-query ``step`` is
-    spied, so the rows describe the reference path whatever the executor
+    spied, so the rows describe the reference path whatever the batch
     does.
     """
     rows = []
@@ -819,7 +818,7 @@ def test_tnn_filter_pass_bit_identical_to_per_query(algo_cls, monkeypatch):
     algo = algo_cls()
     want = _stepped_per_query(env, algo, queries)
     want_states = states()
-    with _executor_run():
+    with _batch_run():
         got = execute_tnn_batch(env, algo, queries, record_log=True)
     assert got == want
     assert states() == want_states
@@ -859,10 +858,8 @@ def test_range_pass_serves_shared_tuner_searches_in_group_order(
         _step_to_end(s)
     drained = _spy_drained(monkeypatch)
     got = searches()
-    executor = SharedScanExecutor()
-    with _executor_run():
-        executor.add(SearchGroup(list(got)))
-        executor.run()
+    with _batch_run():
+        SearchGroup(list(got)).run()
     assert drained == got
     assert [engine._finish(s) for s in got] == [
         engine._finish(s) for s in want
@@ -897,7 +894,7 @@ def _paired_searches(env, kind, n=30, seed=41):
 
 @pytest.mark.parametrize("kind", ["knn", "window"])
 def test_paired_drain_groups_match_run_all(kind, monkeypatch):
-    """Paired kNN and window groups through the executor match ``run_all``
+    """Coupled kNN and window pairs through ``SearchGroup.run`` match ``run_all``
     on the same pair: answers (window results in discovery order), clock,
     tune-in, max queue size and the tuner log event by event.  The pair
     runs in alternating bounded drains, each member up to its sibling's
@@ -927,11 +924,9 @@ def test_paired_drain_groups_match_run_all(kind, monkeypatch):
     for pair in want:
         run_all(pair)
     got = _paired_searches(env, kind)
-    executor = SharedScanExecutor()
-    with _executor_run():
+    with _batch_run():
         for pair in got:
-            executor.add(SearchGroup(pair, paired=True))
-        executor.run()
+            SearchGroup(pair, coupled=True).run()
 
     def state(s):
         return engine._finish(s), s.tuner.log
@@ -952,7 +947,7 @@ def test_lossy_range_searches_keep_the_drain(monkeypatch):
     queries = _random_queries(env, 12, seed=6)
     algo = DoubleNN()
     want = _stepped_per_query(env, algo, queries)
-    with _executor_run():
+    with _batch_run():
         assert execute_tnn_batch(env, algo, queries) == want
     ranges = [s for s in drained if type(s) is BroadcastRangeSearch]
     assert len(ranges) == 2 * len(queries)
@@ -1031,47 +1026,11 @@ def test_multi_query_kernels_bit_identical_to_single_query():
         assert (abs(tr_m[i] - td_m[i]) <= 1e-12 * (1 + td_m[i])).all()
 
 
-def test_paired_group_requires_two_members():
-    with pytest.raises(ValueError):
-        SearchGroup([_Scripted([1.0])], paired=True)
-    with pytest.raises(ValueError):
-        SearchGroup(
-            [_Scripted([1.0]), _Scripted([2.0]), _Scripted([3.0])],
-            paired=True,
-        )
-
-
 # ----------------------------------------------------------------------
 # SearchGroup scheduling semantics
 # ----------------------------------------------------------------------
-class _Scripted:
-    """A steppable with scripted event times, recording its step count."""
-
-    def __init__(self, times):
-        self.times = list(times)
-        self.steps = 0
-
-    def finished(self):
-        return not self.times
-
-    def next_event_time(self):
-        return self.times[0] if self.times else math.inf
-
-    def step(self):
-        self.times.pop(0)
-        self.steps += 1
-
-
-def test_search_group_pending_excludes_born_finished():
-    done = _Scripted([])
-    live = _Scripted([1.0])
-    group = SearchGroup([done, live])
-    assert group.pending == [live]
-    assert not group.finished()
-
-
 class _ScriptedSearch(ArrivalQueueMixin):
-    """A search type the executor does not know: scripted event times on
+    """A search type the batch code does not know: scripted event times on
     no stack, so ``run_to_completion`` steps it."""
 
     _stack = None
@@ -1096,10 +1055,19 @@ class _ScriptedSearch(ArrivalQueueMixin):
 
 def test_executor_drives_unknown_steppables_generically():
     s = _ScriptedSearch([1.0, 2.0, 3.0])
-    executor = SharedScanExecutor()
-    executor.add(SearchGroup([s]))
-    executor.run()
+    SearchGroup([s]).run()
     assert s.steps == 3 and s.finished()
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_search_group_skips_born_finished_members(coupled):
+    """A member finished before the group runs never steps and never sees
+    ``on_finish``; every other member finishes once, and is told so."""
+    done, live = _ScriptedSearch([]), _ScriptedSearch([1.0, 2.0])
+    finished = []
+    SearchGroup([done, live], coupled, finished.append).run()
+    assert finished == [live]
+    assert done.steps == 0 and live.steps == 2
 
 
 # ----------------------------------------------------------------------

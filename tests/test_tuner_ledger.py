@@ -1,17 +1,17 @@
-"""Tuner booking and lossy tuners crossing the executor seam.
+"""Tuner booking and lossy tuners through the group driver.
 
 Two contracts under test:
 
 * ``ChannelTuner.record_index_run`` — the drain's one booking call for a
   run of receptions — matches the scalar receive path.
-* The shared-scan executor's lossy seam — a :class:`FaultModel` makes
-  receptions fallible; every group runs at once through
+* The lossy seam of batches — a :class:`FaultModel` makes receptions
+  fallible; every group runs at once through
   ``SearchGroup.run``, whose drains replay the retry-to-next-replica loop
   closed form and book their attempts through ``record_index_run``.
   Every lossy run must stay bit-identical to the stepped per-query
   reference — results, ``lost_pages`` / ``corrupt_pages``, log events —
   across every fault model, loss seed, layout and search backend, also
-  when sharing one executor run with lossless searches.
+  when sharing one batch with lossless searches.
 """
 
 import random
@@ -40,7 +40,6 @@ from repro.client import (
 from repro.core import DoubleNN, HybridNN, TNNEnvironment
 from repro.datasets import sized_uniform
 from repro.engine import execute_tnn_batch
-from repro.engine.shared_scan import SharedScanExecutor
 from repro.geometry import Point
 from repro.rtree import str_pack
 
@@ -91,7 +90,7 @@ def _random_queries(env, n, seed=0):
 def _stepped_per_query(env, algo, queries):
     """Each query's lifecycle with every stage driven by ``run_all``'s
     explicit ``step()`` calls — the reference of both ``algo.run`` and
-    the executor's ``SearchGroup.run`` groups."""
+    ``execute_tnn_batch``."""
     out = []
     for q, ps, pr in queries:
         stages = algo._stages(env, q, *env.tuners(ps, pr))
@@ -140,25 +139,23 @@ def test_record_index_run_matches_scalar_oracle():
 
 
 # ----------------------------------------------------------------------
-# Lossy tuners crossing the executor seam
+# Lossy tuners through SearchGroup.run
 # ----------------------------------------------------------------------
 def test_lossy_env_hands_out_lossy_tuners(env_lossy):
     ts, tr = env_lossy.tuners(1.0, 2.0)
     assert ts.loss is LOSS and tr.loss is LOSS
 
 
-def _assert_drained_in_add(s):
-    """A search the executor ran per query inside ``add``: finished, on
-    its own plain tuner."""
+def _assert_ran_alone(s):
+    """A search ``SearchGroup.run`` ran to completion: finished, on its
+    own plain tuner."""
     assert type(s.tuner) is ChannelTuner
     assert s.finished()
 
 
 def test_lossy_nn_search_drains_in_add(env_lossless):
-    """``add`` runs a lossy NN group to completion through
-    ``SearchGroup.run`` (its drain replays the retry chains), and a clean
-    NN group the same way."""
-    executor = SharedScanExecutor()
+    """``SearchGroup.run`` runs a lossy NN group to completion (its drain
+    replays the retry chains), and a clean NN group the same way."""
     lossy = BroadcastNNSearch(
         env_lossless.s_tree,
         ChannelTuner(BroadcastChannel(env_lossless.s_program), loss=LOSS),
@@ -169,22 +166,19 @@ def test_lossy_nn_search_drains_in_add(env_lossless):
         ChannelTuner(BroadcastChannel(env_lossless.s_program)),
         Point(500.0, 500.0),
     )
-    lossy_group, clean_group = SearchGroup([lossy]), SearchGroup([clean])
-    executor.add(lossy_group)
-    _assert_drained_in_add(lossy)
-    assert lossy_group.finished()
+    SearchGroup([lossy]).run()
+    _assert_ran_alone(lossy)
     assert lossy.tuner.lost_pages > 0  # loss engaged
-    executor.add(clean_group)
-    _assert_drained_in_add(clean)
-    assert clean_group.finished()
+    SearchGroup([clean]).run()
+    _assert_ran_alone(clean)
     assert clean.tuner.lost_pages == 0
 
 
 def test_add_drains_nn_search_whatever_its_fault_model(
     env_lossless, monkeypatch
 ):
-    """``add`` drains an NN search at once whatever its fault model, like
-    a kNN search; a heap-backed search steps."""
+    """``SearchGroup.run`` drains an NN search at once whatever its fault
+    model, like a kNN search; a heap-backed search steps."""
     drained = []
     drain = arrival_queue.drain
 
@@ -193,7 +187,6 @@ def test_add_drains_nn_search_whatever_its_fault_model(
         return drain(s, *args)
 
     monkeypatch.setattr(arrival_queue, "drain", drain_spy)
-    executor = SharedScanExecutor()
     program = env_lossless.s_program
     query = Point(500.0, 500.0)
     for loss in (None, LOSS, None):
@@ -208,10 +201,10 @@ def test_add_drains_nn_search_whatever_its_fault_model(
             query,
             3,
         )
-        executor.add(SearchGroup([nn]))
-        _assert_drained_in_add(nn)
+        SearchGroup([nn]).run()
+        _assert_ran_alone(nn)
         assert drained[-1] is nn
-        executor.add(SearchGroup([knn]))
+        SearchGroup([knn]).run()
         assert drained[-1] is knn and knn.finished()
     heap_env = _build_env(loss=LOSS, distributed_levels=2)
     heap = BroadcastKNNSearch(
@@ -220,8 +213,7 @@ def test_add_drains_nn_search_whatever_its_fault_model(
         query,
         3,
     )
-    executor.add(SearchGroup([heap]))
-    executor.run()
+    SearchGroup([heap]).run()
     assert not heap._drains() and heap.finished()
     assert heap not in drained and len(drained) == 6
 
@@ -259,8 +251,8 @@ def _nn_search(env, query, phase, loss):
 
 
 def test_mixed_lossy_and_lossless_searches_share_one_run(env_lossless):
-    """Lossy and lossless NN searches in the same executor run all drain
-    inside ``add``, and each matches the run_all oracle — results,
+    """Lossy and lossless NN searches in one batch all drain through
+    ``SearchGroup.run``, and each matches the run_all oracle — results,
     counters, lost_pages and log events."""
     rng = random.Random(42)
     cycle = env_lossless.s_program.cycle_length
@@ -276,11 +268,9 @@ def test_mixed_lossy_and_lossless_searches_share_one_run(env_lossless):
     shared = [_nn_search(env_lossless, *spec) for spec in specs]
     for s in oracle:
         run_all([s])
-    executor = SharedScanExecutor()
     for s in shared:
-        executor.add(SearchGroup([s]))
-        _assert_drained_in_add(s)
-    executor.run()
+        SearchGroup([s]).run()
+        _assert_ran_alone(s)
     for got, want in zip(shared, oracle):
         assert got.result() == want.result()
         assert _tuner_state(got.tuner) == _tuner_state(want.tuner)
@@ -309,11 +299,11 @@ _SWEEP_FAULTS = [
 @pytest.mark.parametrize("layout", sorted(available_layouts()))
 def test_lossy_bit_identity_sweep_across_layouts(layout):
     """Property sweep: for every registered layout and fault model, a
-    randomized NN workload on the shared executor matches the per-query
-    run_all oracle bit for bit — results, clocks, page counters,
-    lost/corrupt splits and full reception logs — through the executor
-    and through each search's own ``run_to_completion`` (a drain walk on
-    a cyclic layout, the heap step loop on the others)."""
+    randomized NN workload matches the per-query run_all oracle bit for
+    bit — results, clocks, page counters, lost/corrupt splits and full
+    reception logs — through ``SearchGroup.run`` and through each
+    search's own ``run_to_completion`` (a drain walk on a cyclic layout,
+    the heap step loop on the others)."""
     env = TNNEnvironment.build(
         sized_uniform(240, seed=7),
         sized_uniform(240, seed=8),
@@ -338,13 +328,11 @@ def test_lossy_bit_identity_sweep_across_layouts(layout):
     oracle = [_nn_search(env, *spec) for spec in specs]
     for s in oracle:
         run_all([s])
-    for through_executor in (True, False):
+    for through_group in (True, False):
         shared = [_nn_search(env, *spec) for spec in specs]
-        if through_executor:
-            executor = SharedScanExecutor()
+        if through_group:
             for s in shared:
-                executor.add(SearchGroup([s]))
-            executor.run()
+                SearchGroup([s]).run()
         else:
             for s in shared:
                 s.run_to_completion()
