@@ -69,8 +69,9 @@ numbered in DFS preorder, so a downloaded node's children fill the
 pages right after it and cyclic page order is a stack order: the drain
 walks one stack, smallest page on top, of flat node records — one plain
 tuple per index page, built per tree on the first walk and cached on
-it, each holding its children's records already reversed for the push
-(the channel snaps its phase to 2^-20 slot, so after a download at
+it, each holding its MBR's four floats, its page and its children's
+records in page order, pushed reversed, so a pop or a child scan
+unpacks one record in one statement (the channel snaps its phase to 2^-20 slot, so after a download at
 slot x the clock's cursor is exactly x + 1).
 Each node is absorbed
 before the next pop — an NN node with the strict offer loop or the

@@ -10,12 +10,14 @@ by ``(H - 1) x (M - 1)`` MBRs for a DFS-ordered broadcast).
 A search holds its queue in one of two forms:
 
 * on a layout with cyclic page order, the walk's stack: the tree's flat
-  node records (:func:`~repro.client.drain.walk_table`), smallest page on
-  top, seeded with the root's record.  :func:`~repro.client.drain.drain`
-  pops it in one preorder walk, to completion or up to a limit; a bounded
-  stop leaves the unvisited records in place, so ``next_event_time``,
-  ``finished``, ``max_queue_size``, a Hybrid-NN rescan and a later walk
-  all read the same stack;
+  node records (:func:`~repro.client.drain.walk_table`; one tuple per
+  node, ``(xmin, ymin, xmax, ymax, page, kids, backed, points, node)``),
+  smallest page on top, seeded with the root's record.
+  :func:`~repro.client.drain.drain` pops it in one preorder walk, to
+  completion or up to a limit; a bounded stop leaves the unvisited
+  records in place, so ``next_event_time``, ``finished``,
+  ``max_queue_size``, a Hybrid-NN rescan and a later walk all read the
+  same stack;
 * the boxed-tuple heap keyed by arrival, with lazy head normalisation —
   the seed implementation and the reference.  Every ``step()`` pops the
   heap: a search's first step moves its stack onto the heap for good, and
@@ -122,7 +124,7 @@ class ArrivalQueueMixin:
         if stack is not None:
             self._stack = None
             for rec in reversed(stack):
-                self._push(rec[5])
+                self._push(rec[8])
         if not self._queue:
             raise RuntimeError("step() on a finished search")
         self._normalize_head()
@@ -133,7 +135,7 @@ class ArrivalQueueMixin:
     def _queued_nodes(self) -> List[RTreeNode]:
         """The queued nodes in ascending page order (Hybrid-NN's rescan)."""
         if self._stack is not None:
-            return [rec[5] for rec in reversed(self._stack)]
+            return [rec[8] for rec in reversed(self._stack)]
         return sorted((e[2] for e in self._queue), key=attrgetter("page_id"))
 
     # ------------------------------------------------------------------
@@ -185,7 +187,7 @@ class ArrivalQueueMixin:
         if not stack:
             return math.inf
         base = math.ceil(self.tuner.now - self._phase)
-        page = stack[-1][1]
+        page = stack[-1][4]
         return base + (page - base) % self._cycle + self._phase
 
     @property

@@ -103,8 +103,12 @@ def _pool_run_shared_shard(task: tuple) -> List[Tuple[int, TNNResult]]:
 
 
 def default_workers() -> int:
-    """Worker processes from ``REPRO_WORKERS`` (default 0 = in-process)."""
-    return int(os.environ.get("REPRO_WORKERS", "0"))
+    """Worker processes from ``REPRO_WORKERS`` (default 0 = in-process).
+
+    Must be a non-negative integer: a negative count would silently run
+    in-process, and junk fails naming the variable.
+    """
+    return _env_number("REPRO_WORKERS", "0", integer=True)
 
 
 # ----------------------------------------------------------------------

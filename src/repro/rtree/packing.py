@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.geometry import Point, Rect
-from repro.rtree.hilbert import hilbert_key_for
+from repro.rtree.hilbert import hilbert_keys
 from repro.rtree.node import RTreeNode
 from repro.rtree.tree import RTree
 
@@ -167,16 +167,14 @@ def str_pack(points: Sequence[Point], leaf_capacity: int, fanout: int) -> RTree:
 def hilbert_pack(points: Sequence[Point], leaf_capacity: int, fanout: int) -> RTree:
     """Build an R-tree by sorting points along the Hilbert curve."""
     _validate(points, leaf_capacity, fanout)
+    x, y = _coords(points)
     region = Rect.from_points(points)
     w = region.width or 1.0
     h = region.height or 1.0
-    keys = [
-        hilbert_key_for(
-            _HILBERT_ORDER, (p.x - region.xmin) / w, (p.y - region.ymin) / h
-        )
-        for p in points
-    ]
-    order = np.argsort(np.array(keys, dtype=np.int64), kind="stable")
+    keys = hilbert_keys(
+        _HILBERT_ORDER, (x - region.xmin) / w, (y - region.ymin) / h
+    )
+    order = np.argsort(keys, kind="stable")
     return _linear_tree(points, order, leaf_capacity, fanout)
 
 

@@ -29,6 +29,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.broadcast import (
     BroadcastChannel,
@@ -262,7 +264,7 @@ def _straddles(search):
     """Queued pages lie on both sides of the search's cursor."""
     stack = search._stack
     cursor = math.ceil(search.tuner.now - search._phase) % search._cycle
-    return bool(stack) and stack[-1][1] < cursor <= stack[0][1]
+    return bool(stack) and stack[-1][4] < cursor <= stack[0][4]
 
 
 @pytest.mark.parametrize("page_capacity", [64, 512])
@@ -312,7 +314,7 @@ def test_walk_refuses_a_seed_that_straddles_the_cursor():
     for _ in range(3):
         search._run_until(search.next_event_time())
     stack = list(search._stack)
-    tuner.now = float(stack[0][1])  # the cursor on the last queued page
+    tuner.now = float(stack[0][4])  # the cursor on the last queued page
     assert _straddles(search)
     with pytest.raises(RuntimeError, match="straddle"):
         drain(search)
@@ -548,7 +550,7 @@ def test_empty_internal_nodes_walk_like_steps(case, monkeypatch):
             s, empty = _empty_node_setup(Point(5000, 5000), 600, 42)
             return switched(s), empty
         s, empty = _empty_node_setup(None, 300, 4, deep=True)
-        while s._stack[-1][1] != empty.page_id:
+        while s._stack[-1][4] != empty.page_id:
             s._run_until(s.next_event_time())  # one pop
         switched(s)
         s._witness_page = empty.page_id
@@ -938,26 +940,166 @@ def _table_env(layout):
     )
 
 
+def _walk_guarantee(q, rect, g):
+    """The walk's NN guarantee test of one child against the best ``g``,
+    statement for statement: ``None`` when both far-face terms skip the
+    child, else the guarantee it compares with ``g`` (one hypot when one
+    far-face term is at or past ``g``)."""
+    qx, qy = q
+    xmin, ymin, xmax, ymax = rect
+    hyp = math.hypot
+    cx = (xmin + xmax) / 2.0
+    cy = (ymin + ymax) / 2.0
+    b = qy - (ymin if qy >= cy else ymax)
+    a = qx - (xmin if qx >= cx else xmax)
+    if b >= g or -b >= g:
+        if a >= g or -a >= g:
+            return None
+        return hyp(a, qy - (ymin if qy <= cy else ymax))
+    z = hyp(qx - (xmin if qx <= cx else xmax), b)
+    if a < g and -a < g:
+        d = hyp(a, qy - (ymin if qy <= cy else ymax))
+        if d < z:
+            z = d
+    return z
+
+
+def _two_candidates(q, rect):
+    """The walk's inline MINMAXDIST with both hypots."""
+    qx, qy = q
+    xmin, ymin, xmax, ymax = rect
+    cx = (xmin + xmax) / 2.0
+    cy = (ymin + ymax) / 2.0
+    z = math.hypot(qx - (xmin if qx <= cx else xmax),
+                   qy - (ymin if qy >= cy else ymax))
+    d = math.hypot(qx - (xmin if qx >= cx else xmax),
+                   qy - (ymin if qy <= cy else ymax))
+    return d if d < z else z
+
+
+#: Magnitudes of the coordinates: tiny, unit, map-sized and wide.
+_MAGNITUDES = (1e-7, 1.0, 1e4, 1e13)
+
+
+@st.composite
+def _child_and_query(draw):
+    """A child MBR, degenerate on either axis or both, and a query on its
+    centre lines, edges, corners, inside or anywhere around it."""
+    m = draw(st.sampled_from(_MAGNITUDES))
+    coord = st.floats(-2.0, 2.0, allow_nan=False).map(lambda v: v * m)
+    x0, x1 = sorted((draw(coord), draw(coord)))
+    y0, y1 = sorted((draw(coord), draw(coord)))
+    if draw(st.booleans()):
+        x1 = x0  # zero width
+    if draw(st.booleans()):
+        y1 = y0  # zero height
+    rect = Rect(x0, y0, x1, y1)
+    cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+    xs = st.sampled_from([x0, x1, cx]) | coord
+    ys = st.sampled_from([y0, y1, cy]) | coord
+    return rect, Point(draw(xs), draw(ys))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_child_and_query(), pick=st.integers(0, 5),
+       scale=st.floats(0.0, 3.0))
+def test_far_face_exit_never_skips_a_better_guarantee(case, pick, scale):
+    """The inline two-candidate MINMAXDIST is ``Rect.minmaxdist`` bit for
+    bit, and against any best ``g`` — the guarantee itself, its
+    neighbours, a far-face term, anything — the far-face exit fires only
+    where ``minmaxdist >= g``, and a one-hypot guarantee decides ``< g``
+    like the minimum, with the same value when it beats ``g``."""
+    rect, q = case
+    want = rect.minmaxdist(q)
+    assert _two_candidates(q, rect) == want
+    cx, cy = (rect.xmin + rect.xmax) / 2.0, (rect.ymin + rect.ymax) / 2.0
+    b = q.y - (rect.ymin if q.y >= cy else rect.ymax)
+    a = q.x - (rect.xmin if q.x >= cx else rect.xmax)
+    g = (want, math.nextafter(want, math.inf), math.nextafter(want, 0.0),
+         abs(a), abs(b), want * scale)[pick]
+    z = _walk_guarantee(q, rect, g)
+    if z is None:
+        assert want >= g
+    else:
+        assert (z < g) == (want < g)
+        if z < g:
+            assert z == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    side=st.sampled_from([3, 6, 40, 1000]),
+    n=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+    magnitude=st.sampled_from(_MAGNITUDES),
+    pick=st.integers(0, 10_000),
+    spot=st.sampled_from(["centre", "centre-x", "centre-y", "corner",
+                          "edge", "inside"]),
+)
+def test_nn_walk_matches_steps_on_degenerate_children(side, n, seed,
+                                                      magnitude, pick, spot):
+    """Points on a lattice, coarse or fine, at every magnitude give
+    duplicate points and zero-width or zero-height MBRs; queries on a
+    node's centre lines, corners, edges or inside it put the far-face
+    terms on their ties.  The walk keeps the step loop's answer, bound,
+    witness, costs, queue peak and log."""
+    rng = random.Random(seed)
+    pts = [Point(rng.randrange(side) * magnitude,
+                 rng.randrange(side) * magnitude) for _ in range(n)]
+    params = SystemParameters(page_capacity=64)
+    tree = str_pack(pts, params.leaf_capacity, params.internal_fanout)
+    program = BroadcastProgram(tree, params, m=2)
+    nodes = list(tree.iter_nodes())
+    xmin, ymin, xmax, ymax = nodes[pick % len(nodes)].mbr
+    cx, cy = (xmin + xmax) / 2.0, (ymin + ymax) / 2.0
+    q = {
+        "centre": (cx, cy),
+        "centre-x": (cx, ymax + magnitude),
+        "centre-y": (xmin - magnitude, cy),
+        "corner": (xmax, ymin),
+        "edge": (xmin, (ymin + cy) / 2.0),
+        "inside": ((xmin + cx) / 2.0, (cy + ymax) / 2.0),
+    }[spot]
+    walked, stepped = (
+        BroadcastNNSearch(tree, ChannelTuner(
+            BroadcastChannel(program, phase=0.0)), Point(*q))
+        for _ in range(2)
+    )
+    drain(walked)
+    _step_to_end(stepped)
+    assert _state(walked) == _state(stepped)
+
+
 def _check_layout(tree, table):
     nodes = list(tree.iter_nodes())
     assert len(table) == len(nodes)
+    shared = split = 0
     for i, (rec, node) in enumerate(zip(table, nodes)):
-        mbr, page, kids, backed, points, rec_node, count = rec
+        xmin, ymin, xmax, ymax, page, kids, backed, points, rec_node = rec
         assert page == i == node.page_id
-        assert rec_node is node and mbr is node.mbr
-        assert count == node.point_count
+        assert rec_node is node
+        # The Rect's own float objects, not copies.
+        assert all(a is b for a, b in zip((xmin, ymin, xmax, ymax),
+                                          node.mbr))
         if node.level:
             assert points is None
             assert [id(r) for r in kids] == [
-                id(table[c.page_id]) for c in reversed(node.children)
+                id(table[c.page_id]) for c in node.children
             ]
             assert [id(r) for r in backed] == [
                 id(table[c.page_id]) for c in node.children
                 if c.point_count > 0
             ]
+            if all(c.point_count > 0 for c in node.children):
+                assert backed is kids
+                shared += 1
+            else:
+                assert backed is not kids
+                split += 1
         else:
             assert kids is None and backed is None
             assert points is node.points  # the leaf's own list
+    return shared, split
 
 
 def _walks_like_steps(env, monkeypatch):
@@ -976,15 +1118,24 @@ def _walks_like_steps(env, monkeypatch):
 
 @pytest.mark.parametrize("layout", _CYCLIC)
 def test_walk_table_records_follow_the_tree(layout):
-    """Record ``i`` is page ``i``: its node's own MBR, its children's
-    records reversed for the stack push and the point-holding ones in
-    page order, a leaf's own point list and the subtree's point count.
+    """Record ``i`` is page ``i``: its node's own MBR floats, its
+    children's records in page order, the point-holding ones — the same
+    tuple when every child holds points — and a leaf's own point list.
     The table is built once and cached on the tree."""
     env = _table_env(layout)
     for tree in (env.s_tree, env.r_tree):
         table = walk_table(tree)
-        _check_layout(tree, table)
+        shared, split = _check_layout(tree, table)
+        assert shared > 0 and split == 0
         assert walk_table(tree) is table
+
+
+def test_walk_table_splits_backed_from_kids_under_a_void_child():
+    """An internal node with a child that holds no points keeps its
+    point-holding children in a tuple of their own."""
+    s, _ = _empty_node_setup(Point(321, 654), 300, 3)
+    shared, split = _check_layout(s.tree, walk_table(s.tree))
+    assert split == 1 and shared > 0
 
 
 @pytest.mark.parametrize("layout", _CYCLIC)

@@ -112,7 +112,7 @@ def test_peek_matches_scalar_peek_bitwise():
         )
     stops = 0
     while not search.finished():
-        want = min(tuner.peek_index_arrival(rec[1]) for rec in search._stack)
+        want = min(tuner.peek_index_arrival(rec[4]) for rec in search._stack)
         assert search.next_event_time() == want
         drain(search, want + 3.0)
         stops += 1

@@ -19,6 +19,7 @@ from repro.datasets import sized_uniform
 from repro.engine import SharedScanRunner, execute_tnn_batch
 from repro.engine.batch import (
     _SupervisedPool,
+    default_workers,
     shard_backoff,
     shard_retries,
     shard_timeout,
@@ -84,6 +85,26 @@ def test_supervisor_knob_retries_rejects_fractional(monkeypatch):
     monkeypatch.setenv("REPRO_SHARD_RETRIES", "1.5")
     with pytest.raises(ValueError, match="REPRO_SHARD_RETRIES"):
         shard_retries()
+
+
+def test_workers_knob_parses_env(monkeypatch):
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    assert default_workers() == 0  # in-process
+    for raw, want in (("0", 0), ("3", 3), (" 2 ", 2)):
+        monkeypatch.setenv("REPRO_WORKERS", raw)
+        assert default_workers() == want
+
+
+@pytest.mark.parametrize("raw", ["-3", "two", "1.5", "nan", ""])
+def test_workers_knob_rejects_garbage(monkeypatch, raw):
+    """A negative or non-integer worker count fails at the first read,
+    naming the variable and the offending value, instead of running
+    in-process or failing with a bare ``int()`` message."""
+    monkeypatch.setenv("REPRO_WORKERS", raw)
+    with pytest.raises(ValueError) as err:
+        default_workers()
+    assert "REPRO_WORKERS" in str(err.value)
+    assert repr(raw) in str(err.value)
 
 
 def _random_partition(rng, n):

@@ -915,7 +915,7 @@ def test_paired_drain_groups_match_run_all(kind, monkeypatch):
             stack = s._stack
             starts.append((
                 s.tuner.index_pages > 0,
-                bool(stack) and stack[-1][1] < cursor <= stack[0][1],
+                bool(stack) and stack[-1][4] < cursor <= stack[0][4],
             ))
         return drain(s, *args)
 
