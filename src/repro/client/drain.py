@@ -642,14 +642,22 @@ def drain(s, limit: float = math.inf, strict: bool = False) -> None:
                 bound = best_d
                 witness = None
         elif knn:
-            for pt in points:
-                d = dist(query, pt)
-                if d < kth or len(best) < k:
-                    if len(best) < k:
-                        heappush(best, (-d, next(seq), pt))
-                    else:
+            if len(best) < k:
+                for pt in points:
+                    d = dist(query, pt)
+                    if d < kth or len(best) < k:
+                        if len(best) < k:
+                            heappush(best, (-d, next(seq), pt))
+                        else:
+                            heapreplace(best, (-d, next(seq), pt))
+                        if len(best) == k:
+                            kth = -best[0][0]
+            else:
+                # A full heap admits on the k-th best alone.
+                for pt in points:
+                    d = dist(query, pt)
+                    if d < kth:
                         heapreplace(best, (-d, next(seq), pt))
-                    if len(best) == k:
                         kth = -best[0][0]
             if kth < bound:
                 bound = kth

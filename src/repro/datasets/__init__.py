@@ -13,6 +13,16 @@ clustered generators with matched cardinality and region — what matters to
 every experiment that uses them (Table 3, Figure 12(d)) is that the data is
 *skewed*, which breaks Approximate-TNN's uniformity assumption; see
 DESIGN.md section 5.
+
+Every generator is a pure function of its seed and keeps a stream
+contract: :func:`uniform` (and the two uniform series built on it) draws,
+point by point, what ``Random(seed).uniform`` would for x and then y, and
+:func:`gaussian_clusters` (behind :func:`city_like` and :func:`post_like`)
+what ``Random(seed).uniform`` for the cluster centres, then one
+``choices`` and two ``gauss`` calls per attempted point would.  They read
+the Mersenne Twister in blocks through ``getrandbits`` and keep
+``gauss``'s transcendental functions on :mod:`math`, so the points are
+the per-draw ones bit for bit; ``repro.datasets.synthetic`` says how.
 """
 
 from repro.datasets.synthetic import (

@@ -467,6 +467,45 @@ def test_bounded_drain_matches_bounded_steps(layout, fault, page_capacity,
 
 
 # ----------------------------------------------------------------------
+# kNN leaves: the heap filling partway through a leaf, ties at the k-th
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("q, k", [
+    ((5.5, 5.5), 3),  # four lattice points at sqrt(0.5)
+    ((5.0, 5.5), 3),  # two at 0.5, then four at sqrt(1.25)
+    ((5.0, 5.0), 4),  # the lattice point, then four at 1
+    ((0.5, 11.0), 1),  # on the boundary: (0, 11) and (1, 11) tie
+])
+def test_knn_heap_fills_inside_a_leaf_with_a_kth_tie(q, k, monkeypatch):
+    """The walk's kNN leaf loop admits every offer until the heap holds
+    ``k`` and on ``d < kth`` alone after; against ``step()`` on a unit
+    lattice, where the k-th and (k+1)-th distances tie and the first
+    leaf downloaded holds more than ``k`` points."""
+    pts = [Point(float(i), float(j)) for i in range(12) for j in range(12)]
+    params = SystemParameters(page_capacity=64)
+    tree = str_pack(pts, params.leaf_capacity, params.internal_fanout)
+    program = BroadcastProgram(tree, params, m=2)
+    query = Point(*q)
+
+    def search():
+        tuner = ChannelTuner(BroadcastChannel(program, phase=0.0))
+        return BroadcastKNNSearch(tree, tuner, query, k)
+
+    walked, stepped = search(), search()
+    _walk_to_end(walked, monkeypatch)
+    _step_to_end(stepped)
+    assert _state(walked) == _state(stepped)
+
+    dists = sorted(math.dist(query, p) for p in pts)
+    assert dists[k - 1] == dists[k]  # a tie at the k-th distance
+    assert [d for _, d in walked.results()] == dists[:k]
+    pages = {node.page_id: node for node in tree.iter_nodes()}
+    first_leaf = next(
+        pages[e[1]] for e in walked.tuner.log if pages[e[1]].is_leaf
+    )
+    assert first_leaf.point_count > k  # the heap fills inside it
+
+
+# ----------------------------------------------------------------------
 # Empty internal nodes: the witness hand-off and the void-witness rescan
 # ----------------------------------------------------------------------
 def _empty_node_setup(q, n, seed, deep=False):

@@ -163,7 +163,7 @@ def tuner_state(tuners):
 
 
 @pytest.mark.parametrize("n_channels", [3, 5, 8, 11, 16])
-def test_heap_matches_scan_trace_and_answers(n_channels):
+def test_coupled_group_matches_run_all_trace_and_answers(n_channels):
     """Same answers, tuner states and queue sizes; on heap-backed
     searches, the same steps in the same order."""
     for heap in (False, True):
@@ -183,7 +183,7 @@ def test_heap_matches_scan_trace_and_answers(n_channels):
 
 
 @pytest.mark.parametrize("n_channels", [3, 6, 9, 13])
-def test_heap_matches_scan_with_mutating_after_step(n_channels):
+def test_coupled_group_matches_run_all_with_mutating_after_step(n_channels):
     """Coordinator callbacks that re-steer *other* searches mid-run.
 
     Mimics Hybrid-NN: when the first channel finishes, retarget half of
@@ -223,7 +223,7 @@ def test_heap_matches_scan_with_mutating_after_step(n_channels):
 
 
 @pytest.mark.parametrize("n_channels", [2, 4, 8, 16])
-def test_heap_matches_scan_with_on_finish(n_channels):
+def test_coupled_group_matches_run_all_with_on_finish(n_channels):
     """Finish-driven coordination (the Hybrid-NN shape) on both drivers."""
 
     def drive(driver, seed):
@@ -275,7 +275,7 @@ def test_on_finish_follows_the_finishing_step(n_channels):
         assert all(e[0] != events[k][1] for e in events[k + 1:])
 
 
-def test_heap_drives_eight_channels_to_correct_answers():
+def test_coupled_group_drives_eight_channels_to_correct_answers():
     """The acceptance shape: >= 8 channels, every answer exact."""
     rng = random.Random(42)
     q = Point(500, 500)

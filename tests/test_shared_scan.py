@@ -1053,7 +1053,7 @@ class _ScriptedSearch(ArrivalQueueMixin):
         self._run_until()
 
 
-def test_executor_drives_unknown_steppables_generically():
+def test_search_group_drives_unknown_steppables_generically():
     s = _ScriptedSearch([1.0, 2.0, 3.0])
     SearchGroup([s]).run()
     assert s.steps == 3 and s.finished()

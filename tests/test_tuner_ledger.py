@@ -153,7 +153,7 @@ def _assert_ran_alone(s):
     assert s.finished()
 
 
-def test_lossy_nn_search_drains_in_add(env_lossless):
+def test_search_group_runs_lossy_nn_search_to_completion(env_lossless):
     """``SearchGroup.run`` runs a lossy NN group to completion (its drain
     replays the retry chains), and a clean NN group the same way."""
     lossy = BroadcastNNSearch(
@@ -174,7 +174,7 @@ def test_lossy_nn_search_drains_in_add(env_lossless):
     assert clean.tuner.lost_pages == 0
 
 
-def test_add_drains_nn_search_whatever_its_fault_model(
+def test_search_group_drains_nn_search_whatever_its_fault_model(
     env_lossless, monkeypatch
 ):
     """``SearchGroup.run`` drains an NN search at once whatever its fault
